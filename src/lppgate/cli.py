@@ -241,7 +241,11 @@ def cmd_train(args, cfg: RunConfig, written: list[str]):
     written.append(model_path)
     write_json_atomic(report_path, report)
     written.append(report_path)
-    extra = {"chosen_config": report["chosen_config"], "grid_size": report["grid_size"]}
+    extra = {
+        "chosen_config": report["chosen_config"],
+        "grid_size": report["grid_size"],
+        "distinct_configs": len(trainer.distinct_configs(space)),
+    }
     return inputs, [model_path, report_path], extra
 
 
@@ -416,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--items", required=True, help="items JSONL")
     p.add_argument("--template", default="text-direct", choices=gateway.TEMPLATE_IDS)
     p.add_argument("--stub", help="stub provider fixture file")
-    p.add_argument("--provider", choices=("http",), default="http")
     p.add_argument("--endpoint")
     p.add_argument("--model-name", dest="model_name")
     p.add_argument("--pool-width", type=int, default=4)

@@ -100,21 +100,6 @@ BASELINE_FEATURE_COLUMNS = {
 }
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(len(x), dtype=float)
-    sorted_x = x[order]
-    i = 0
-    n = len(x)
-    while i < n:
-        j = i
-        while j < n and sorted_x[j] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # 1-based average rank
-        i = j
-    return ranks
-
-
 def auc_roc(scores: Sequence[float], z: Sequence[int]) -> float | None:
     """Rank-statistic AUC with ties counted 1/2; None when a class is absent."""
     s = np.asarray(scores, dtype=float)
@@ -123,7 +108,10 @@ def auc_roc(scores: Sequence[float], z: Sequence[int]) -> float | None:
     n_neg = len(zz) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = _average_ranks(s)
+    # 1-based ranks, tied scores sharing the mean of the positions they span
+    _, inverse, counts = np.unique(s, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - (counts - 1) / 2.0)[inverse]
     return float((ranks[zz == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

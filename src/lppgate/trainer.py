@@ -15,7 +15,11 @@ Hyperparameters are chosen by a grid over alpha, tol, max_iter, seven
 class-weight configurations, and the two calibrators (672 points), scored
 by stratified 3-fold cross-validated F1 of the minority (error) class at
 threshold 0.5; ties go to the earlier point in enumeration order
-(alpha, tol, max_iter, class_weight, calibration).
+(alpha, tol, max_iter, class_weight, calibration). All 672 points are
+enumerated and reported, but since tol and max_iter do not reach the
+closed-form fit, only the 56 distinct (alpha, class_weight, calibration)
+configurations are fitted, and each fold's ridge fit is shared by both
+calibrators.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ __all__ = [
     "stratified_kfold_indices",
     "cross_fit_calibrated",
     "default_grid",
+    "distinct_configs",
     "grid_search",
     "predict_score",
     "minority_f1",
@@ -344,19 +349,10 @@ def fit_isotonic(scores: Sequence[float], z: Sequence[float]) -> IsotonicCalibra
     order = np.argsort(s, kind="stable")
     s_sorted, y_sorted = s[order], y[order]
 
-    knots: list[float] = []
-    sums: list[float] = []
-    weights: list[float] = []
-    i = 0
-    n = len(s_sorted)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        knots.append(float(s_sorted[i]))
-        sums.append(float(y_sorted[i:j].sum()))
-        weights.append(float(j - i))
-        i = j
+    _, starts = np.unique(s_sorted, return_index=True)
+    knots = s_sorted[starts].tolist()
+    sums = np.add.reduceat(y_sorted, starts).tolist()
+    weights = np.diff(starts, append=len(s_sorted)).astype(float).tolist()
 
     # PAVA over the pre-pooled blocks: merge while a block mean exceeds its
     # successor's, tracking the span of original knots per block.
@@ -426,9 +422,12 @@ class TrainedGate:
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Average of the calibrated fold pipelines, clamped to [0,1]."""
-        X_std = standardize_apply(self.scaler, X)
-        stacked = np.stack([f.calibrator.predict(f.raw_scores(X_std)) for f in self.folds])
-        return np.clip(stacked.mean(axis=0), 0.0, 1.0)
+        return _fold_average(self.folds, standardize_apply(self.scaler, X))
+
+
+def _fold_average(pipelines: Sequence[FoldPipeline], X_std: np.ndarray) -> np.ndarray:
+    stacked = np.stack([f.calibrator.predict(f.raw_scores(X_std)) for f in pipelines])
+    return np.clip(stacked.mean(axis=0), 0.0, 1.0)
 
 
 def _fit_calibrator(kind: str, scores: np.ndarray, z: np.ndarray):
@@ -445,6 +444,60 @@ def _fit_calibrator(kind: str, scores: np.ndarray, z: np.ndarray):
     raise ValueError(f"unknown calibration {kind!r}")
 
 
+@dataclass(frozen=True)
+class _CrossFitFolds:
+    """The configuration-independent part of a cross-fit: the scaler, the
+    standardized matrix, and three (train, held-out) index pairs."""
+
+    scaler: Scaler
+    X_std: np.ndarray
+    z: np.ndarray
+    splits: list[tuple[np.ndarray, np.ndarray]]
+
+
+def _fold_splits(z: np.ndarray, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Three stratified (train, held-out) index pairs."""
+    all_idx = np.arange(len(z))
+    splits = []
+    for held_out in stratified_kfold_indices(z, 3, seed):
+        train_idx = np.setdiff1d(all_idx, held_out)
+        if len(np.unique(z[train_idx])) < 2 or len(np.unique(z[held_out])) < 2:
+            raise DegenerateFold("a fold is missing one class")
+        splits.append((train_idx, held_out))
+    return splits
+
+
+def _cross_fit_folds(X: np.ndarray, z: np.ndarray, seed: int) -> _CrossFitFolds:
+    scaler = standardize_fit(X)
+    return _CrossFitFolds(scaler, standardize_apply(scaler, X), z, _fold_splits(z, seed))
+
+
+def _fold_ridges(
+    folds: _CrossFitFolds, alpha: float, class_weight: str
+) -> list[tuple[np.ndarray, float, np.ndarray]]:
+    """Ridge on each fold's training rows: (w, b, held-out raw scores).
+
+    The closed-form solver ignores tol and max_iter, so they are not passed.
+    """
+    out = []
+    for train_idx, held_out in folds.splits:
+        z_train = folds.z[train_idx]
+        weights = resolve_class_weights(class_weight, z_train)
+        w, b = fit_ridge_weighted(folds.X_std[train_idx], z_train, weights, alpha)
+        out.append((w, b, folds.X_std[held_out] @ w + b))
+    return out
+
+
+def _calibrated_folds(
+    folds: _CrossFitFolds, ridges: list[tuple[np.ndarray, float, np.ndarray]], calibration: str
+) -> list[FoldPipeline]:
+    """Fit one calibrator per fold on that fold's held-out raw scores."""
+    return [
+        FoldPipeline(w=w, b=b, calibrator=_fit_calibrator(calibration, raw, folds.z[held_out]))
+        for (w, b, raw), (_, held_out) in zip(ridges, folds.splits)
+    ]
+
+
 def cross_fit_calibrated(
     X: np.ndarray,
     z: Sequence[int],
@@ -454,28 +507,11 @@ def cross_fit_calibrated(
 ) -> TrainedGate:
     """Train the gate without its threshold: ridge on two folds, calibrator
     on the held-out fold, for each of three stratified folds."""
-    X = np.asarray(X, dtype=float)
-    zz = np.asarray(z, dtype=int)
-    scaler = standardize_fit(X)
-    X_std = standardize_apply(scaler, X)
-    folds = stratified_kfold_indices(zz, 3, seed)
-    all_idx = np.arange(len(zz))
-    pipelines: list[FoldPipeline] = []
-    for held_out in folds:
-        train_idx = np.setdiff1d(all_idx, held_out)
-        z_train, z_held = zz[train_idx], zz[held_out]
-        if len(np.unique(z_train)) < 2 or len(np.unique(z_held)) < 2:
-            raise DegenerateFold("a fold is missing one class")
-        weights = resolve_class_weights(cfg.class_weight, z_train)
-        w, b = fit_ridge_weighted(
-            X_std[train_idx], z_train, weights, cfg.alpha, "closed_form", cfg.tol, cfg.max_iter
-        )
-        raw = X_std[held_out] @ w + b
-        calibrator = _fit_calibrator(cfg.calibration, raw, z_held)
-        pipelines.append(FoldPipeline(w=w, b=b, calibrator=calibrator))
+    folds = _cross_fit_folds(np.asarray(X, dtype=float), np.asarray(z, dtype=int), seed)
+    ridges = _fold_ridges(folds, cfg.alpha, cfg.class_weight)
     return TrainedGate(
-        scaler=scaler,
-        folds=pipelines,
+        scaler=folds.scaler,
+        folds=_calibrated_folds(folds, ridges, cfg.calibration),
         chosen_config=cfg,
         feature_names=list(feature_names) if feature_names is not None else [],
     )
@@ -490,6 +526,13 @@ def minority_f1(decisions_trust: np.ndarray, z: np.ndarray) -> float:
     return 2 * tp / denom if denom else 0.0
 
 
+def distinct_configs(space: Sequence[RidgeConfig]) -> list[tuple[float, str, str]]:
+    """The (alpha, class_weight, calibration) keys of a search space, once
+    each in order of first appearance: everything a cross-fit reads from a
+    configuration."""
+    return list(dict.fromkeys((c.alpha, c.class_weight, c.calibration) for c in space))
+
+
 def grid_search(
     X: np.ndarray,
     z: Sequence[int],
@@ -502,6 +545,11 @@ def grid_search(
     Each outer fold trains a full cross-fit calibrated gate on the other
     two folds and scores the held-out fold. Ties keep the earlier
     configuration in enumeration order.
+
+    Points that differ only in tol/max_iter share one evaluation, the outer
+    folds' cross-fit set-up is built once, and each inner ridge fit serves
+    every calibrator of its (alpha, class_weight). The report still has one
+    row per point of ``space``, in order.
     """
     if space is None:
         space = default_grid()
@@ -509,18 +557,28 @@ def grid_search(
         raise ValueError("empty search space")
     X = np.asarray(X, dtype=float)
     zz = np.asarray(z, dtype=int)
-    outer = stratified_kfold_indices(zz, 3, seed)
-    all_idx = np.arange(len(zz))
+    outer = []
+    for train_idx, held_out in _fold_splits(zz, seed):
+        folds = _cross_fit_folds(X[train_idx], zz[train_idx], seed)
+        outer.append((folds, standardize_apply(folds.scaler, X[held_out]), zz[held_out]))
+
+    calibrations: dict[tuple[float, str], list[str]] = {}
+    for alpha, class_weight, calibration in distinct_configs(space):
+        calibrations.setdefault((alpha, class_weight), []).append(calibration)
+    fold_f1: dict[tuple[float, str, str], list[float]] = {}
+    for (alpha, class_weight), kinds in calibrations.items():
+        for folds, X_held, z_held in outer:
+            ridges = _fold_ridges(folds, alpha, class_weight)
+            for kind in kinds:
+                s = _fold_average(_calibrated_folds(folds, ridges, kind), X_held)
+                fold_f1.setdefault((alpha, class_weight, kind), []).append(
+                    minority_f1(s >= 0.5, z_held)
+                )
 
     report: list[dict] = []
     best_idx, best_score = 0, -np.inf
     for i, cfg in enumerate(space):
-        fold_scores = []
-        for held_out in outer:
-            train_idx = np.setdiff1d(all_idx, held_out)
-            gate = cross_fit_calibrated(X[train_idx], zz[train_idx], cfg, seed)
-            s = gate.predict_matrix(X[held_out])
-            fold_scores.append(minority_f1(s >= 0.5, zz[held_out]))
+        fold_scores = fold_f1[(cfg.alpha, cfg.class_weight, cfg.calibration)]
         mean_score = float(np.mean(fold_scores))
         report.append(
             {
@@ -530,7 +588,7 @@ def grid_search(
                 "class_weight": cfg.class_weight,
                 "calibration": cfg.calibration,
                 "minority_f1": mean_score,
-                "fold_f1": fold_scores,
+                "fold_f1": list(fold_scores),
             }
         )
         if mean_score > best_score:

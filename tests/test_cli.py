@@ -100,6 +100,26 @@ class TestPipelineArtifacts:
         actual = hashlib.sha256((workdir / "features.csv").read_bytes()).hexdigest()
         assert recorded == actual
 
+    def test_train_manifest_counts_distinct_configs(self, workdir, tmp_path):
+        manifest = json.loads((workdir / "train.manifest.json").read_text())
+        # the quick grid: 2 alpha x 2 class weights x 2 calibrators
+        assert manifest["extra"]["distinct_configs"] == 8
+        out = tmp_path / "full"
+        assert (
+            run_cli(
+                "train", "--out", out,
+                "--features", workdir / "features.csv",
+                "--features-sidecar", workdir / "features.families.json",
+                "--labels", workdir / "labels.csv",
+                "--train-ids", workdir / "train_ids.txt",
+            )
+            == 0
+        )
+        extra = json.loads((out / "train.manifest.json").read_text())["extra"]
+        assert extra["grid_size"] == 672
+        assert extra["distinct_configs"] == 56
+        assert "distinct_configs" not in json.loads((out / "train_report.json").read_text())
+
     def test_model_has_frozen_tau(self, workdir):
         model = json.loads((workdir / "model.json").read_text())
         assert model["tau_star"] is not None

@@ -33,6 +33,18 @@ class TestAuc:
         # one positive tied with one negative: AUC = (1 + 0.5) / 2
         assert auc_roc([0.9, 0.5, 0.5], [1, 1, 0]) == pytest.approx(0.75)
 
+    def test_heavy_ties_match_pairwise_count(self):
+        from fractions import Fraction
+
+        rng = np.random.default_rng(19)
+        s = rng.choice([0.1, 0.25, 0.5, 0.75, 0.9], size=301)
+        z = (rng.uniform(size=301) < 0.35 + 0.4 * s).astype(int)
+        pos, neg = s[z == 1], s[z == 0]
+        wins = sum(int(p > n) for p in pos for n in neg)
+        ties = sum(int(p == n) for p in pos for n in neg)
+        oracle = Fraction(2 * wins + ties, 2 * len(pos) * len(neg))
+        assert auc_roc(s, z) == float(oracle)
+
     @given(
         # coarse grid keeps the exp transform strictly increasing in floats
         st.lists(st.integers(min_value=-80, max_value=80), min_size=4, max_size=60),

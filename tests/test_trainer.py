@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lppgate import trainer
 from lppgate.trainer import (
     ALPHA_GRID,
     CALIBRATION_GRID,
@@ -20,6 +21,7 @@ from lppgate.trainer import (
     RidgeConfig,
     cross_fit_calibrated,
     default_grid,
+    distinct_configs,
     fit_isotonic,
     fit_platt,
     fit_ridge_weighted,
@@ -195,6 +197,45 @@ def _isotonic_oracle(z):
     return out
 
 
+def _fit_isotonic_reference(scores, z):
+    """fit_isotonic with equal scores pre-pooled by an explicit scan."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(z, dtype=float)
+    order = np.argsort(s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+
+    knots, sums, weights = [], [], []
+    i = 0
+    n = len(s_sorted)
+    while i < n:
+        j = i
+        while j < n and s_sorted[j] == s_sorted[i]:
+            j += 1
+        knots.append(float(s_sorted[i]))
+        sums.append(float(y_sorted[i:j].sum()))
+        weights.append(float(j - i))
+        i = j
+
+    block_sums, block_weights, block_count = [], [], []
+    for total, weight in zip(sums, weights):
+        block_sums.append(total)
+        block_weights.append(weight)
+        block_count.append(1)
+        while (
+            len(block_sums) > 1
+            and block_sums[-2] * block_weights[-1] > block_sums[-1] * block_weights[-2]
+        ):
+            block_sums[-2] += block_sums[-1]
+            block_weights[-2] += block_weights[-1]
+            block_count[-2] += block_count[-1]
+            del block_sums[-1], block_weights[-1], block_count[-1]
+
+    values = []
+    for total, weight, count in zip(block_sums, block_weights, block_count):
+        values.extend([total / weight] * count)
+    return tuple(knots), tuple(values)
+
+
 class TestIsotonic:
     def test_pool_first_two(self):
         cal = fit_isotonic([1.0, 2.0, 3.0], [1, 0, 1])
@@ -220,6 +261,50 @@ class TestIsotonic:
                 oracle = _isotonic_oracle(bits)
                 for got, want in zip(fitted, oracle):
                     assert got == float(want)
+
+    @given(
+        st.lists(
+            st.tuples(
+                # few distinct values (signed zeros included) make ties common
+                st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.125, 0.5, 1.0, 3.0]),
+                st.integers(min_value=0, max_value=1),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_pre_pooling_matches_scan_reference(self, pairs):
+        scores = [s for s, _ in pairs]
+        targets = [y for _, y in pairs]
+        cal = fit_isotonic(scores, targets)
+        knots, values = _fit_isotonic_reference(scores, targets)
+        assert cal.knots == knots and cal.values == values
+        # signed zeros compare equal; the knot keeps the first one seen
+        assert [math.copysign(1.0, k) for k in cal.knots] == [math.copysign(1.0, k) for k in knots]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([-1.0, 0.0, 0.5, 2.0]),
+                st.floats(min_value=0, max_value=1),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_pre_pooling_float_targets_within_rounding(self, pairs):
+        # block sums add in a different order than the scan's, so
+        # non-integer targets agree to rounding only
+        scores = [s for s, _ in pairs]
+        targets = [y for _, y in pairs]
+        cal = fit_isotonic(scores, targets)
+        knots, values = _fit_isotonic_reference(scores, targets)
+        assert cal.knots == knots
+        assert np.allclose(cal.values, values, rtol=1e-12, atol=1e-15)
+
+    def test_empty_input(self):
+        cal = fit_isotonic([], [])
+        assert cal.knots == () and cal.values == ()
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=40))
     def test_always_non_decreasing(self, targets):
@@ -280,6 +365,38 @@ class TestFoldsAndCrossFit:
         assert np.all((s >= 0.0) & (s <= 1.0))
 
 
+def _grid_search_reference(X, z, space, seed=42):
+    """grid_search as one full cross-fit per (point, outer fold)."""
+    X = np.asarray(X, dtype=float)
+    zz = np.asarray(z, dtype=int)
+    outer = stratified_kfold_indices(zz, 3, seed)
+    all_idx = np.arange(len(zz))
+    report = []
+    best_idx, best_score = 0, -np.inf
+    for i, cfg in enumerate(space):
+        fold_scores = []
+        for held_out in outer:
+            train_idx = np.setdiff1d(all_idx, held_out)
+            gate = cross_fit_calibrated(X[train_idx], zz[train_idx], cfg, seed)
+            s = gate.predict_matrix(X[held_out])
+            fold_scores.append(minority_f1(s >= 0.5, zz[held_out]))
+        mean_score = float(np.mean(fold_scores))
+        report.append(
+            {
+                "alpha": cfg.alpha,
+                "tol": cfg.tol,
+                "max_iter": cfg.max_iter,
+                "class_weight": cfg.class_weight,
+                "calibration": cfg.calibration,
+                "minority_f1": mean_score,
+                "fold_f1": fold_scores,
+            }
+        )
+        if mean_score > best_score:
+            best_idx, best_score = i, mean_score
+    return space[best_idx], report
+
+
 class TestGridSearch:
     def test_enumeration_size_and_order(self):
         space = default_grid()
@@ -314,6 +431,75 @@ class TestGridSearch:
         best, report = grid_search(X, z, space=[a, b])
         assert best == a
         assert report[0]["minority_f1"] == report[1]["minority_f1"]
+
+    def test_matches_per_point_reference(self):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(90, 4))
+        z = (X[:, 0] + 0.8 * rng.normal(size=90) > -0.4).astype(int)
+        space = [
+            RidgeConfig(alpha=10.0, tol=1e-3, max_iter=3000, class_weight="balanced", calibration="isotonic"),
+            RidgeConfig(alpha=0.1, class_weight="0.64:1", calibration="sigmoid"),
+            RidgeConfig(alpha=10.0, tol=1e-6, class_weight="balanced", calibration="sigmoid"),
+            RidgeConfig(alpha=0.1, tol=1e-4, max_iter=2000, class_weight="0.64:1", calibration="sigmoid"),
+            RidgeConfig(alpha=10.0, tol=1e-5, max_iter=2000, class_weight="balanced", calibration="isotonic"),
+            RidgeConfig(alpha=100.0, class_weight="2:1", calibration="isotonic"),
+            RidgeConfig(alpha=0.1, class_weight="0.64:1", calibration="isotonic"),
+            RidgeConfig(alpha=100.0, tol=1e-3, class_weight="2:1", calibration="sigmoid"),
+        ]
+        best, report = grid_search(X, z, space=space)
+        best_ref, report_ref = _grid_search_reference(X, z, space)
+        assert best == best_ref
+        assert report == report_ref
+        # points that differ only in tol/max_iter tie
+        scores = [row["minority_f1"] for row in report]
+        assert scores[1] == scores[3] and scores[0] == scores[4]
+
+    def test_separable_ties_keep_first_point(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(60, 3))
+        z = (X[:, 0] > 0).astype(int)
+        X[:, 0] += np.where(z == 1, 2.0, -2.0)
+        space = [
+            RidgeConfig(alpha=100.0, class_weight="1:0.5", calibration="isotonic"),
+            RidgeConfig(alpha=10.0, tol=1e-3, class_weight="2:1", calibration="sigmoid"),
+            RidgeConfig(alpha=0.1, class_weight="balanced", calibration="sigmoid"),
+            RidgeConfig(alpha=10.0, class_weight="2:1", calibration="sigmoid"),
+        ]
+        best, report = grid_search(X, z, space=space)
+        # distinct configurations tie at a perfect score after a worse first point
+        assert [row["minority_f1"] for row in report][1:] == [1.0, 1.0, 1.0]
+        assert report[0]["minority_f1"] < 1.0
+        assert (best, report) == _grid_search_reference(X, z, space)
+        assert best == space[1]
+
+    def test_distinct_configs_of_default_grid(self):
+        keys = distinct_configs(default_grid())
+        assert len(keys) == len(ALPHA_GRID) * len(CLASS_WEIGHT_GRID) * len(CALIBRATION_GRID) == 56
+        assert keys[0] == (ALPHA_GRID[0], CLASS_WEIGHT_GRID[0], CALIBRATION_GRID[0])
+
+    def test_one_ridge_solve_per_alpha_weight_and_fold(self, monkeypatch):
+        calls = {"ridge": 0, "calibrators": 0}
+        ridge, platt, isotonic = trainer.fit_ridge_weighted, trainer.fit_platt, trainer.fit_isotonic
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(trainer, "fit_ridge_weighted", counted(ridge, "ridge"))
+        monkeypatch.setattr(trainer, "fit_platt", counted(platt, "calibrators"))
+        monkeypatch.setattr(trainer, "fit_isotonic", counted(isotonic, "calibrators"))
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(60, 3))
+        z = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
+        _, report = grid_search(X, z)
+        assert len(report) == 672
+        # 4 alpha x 7 class weights x 3 outer x 3 inner folds
+        assert calls["ridge"] == len(ALPHA_GRID) * len(CLASS_WEIGHT_GRID) * 3 * 3 == 252
+        # both calibrators per ridge fit
+        assert calls["calibrators"] == 2 * 252
 
     def test_minority_f1_definition(self):
         decisions = np.array([True, True, False, False])
