@@ -29,6 +29,7 @@ the vector entirely rather than zeroed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -126,7 +127,7 @@ class FeatureVector:
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature names")
         for e in self.entries:
-            if not np.isfinite(e.value):
+            if not math.isfinite(e.value):
                 raise ValueError(f"non-finite value for {e.qualified_name}")
 
     def qualified_names(self) -> list[str]:
@@ -334,6 +335,13 @@ def compute_sequence_features(
     renormalized top-k candidates; quantiles interpolate linearly between
     closest ranks. An empty span yields zeros with perplexity 1, flagged
     absent.
+
+    The span is one (T, w) logprob array, w = min(k, longest candidate
+    list), padded with -inf; the max-shifted softmax, descending sort and
+    entropy run row-wise over it, so padding only appends zero terms. For
+    w <= 7 (the default k is 5) those leave each row's sum bit-identical to
+    the per-record sum in renormalize_topk; from 8 entries numpy sums in
+    unrolled blocks, and padding can change an entropy in its last digits.
     """
     if len(reasoning) == 0:
         zeros = (0.0,) * 5
@@ -341,15 +349,31 @@ def compute_sequence_features(
     chosen_lp = np.array([r.chosen.logprob for r in reasoning], dtype=float)
     nll = float(-chosen_lp.sum())
     ppl = float(np.exp(nll / len(reasoning)))
-    entropies = np.array(
-        [
-            _entropy_bits(np.asarray(renormalize_topk([c.logprob for c in r.candidates[:k]]).probs))
-            for r in reasoning
-        ]
+
+    rows = [r.candidates[:k] for r in reasoning]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    if not lengths.all():
+        raise EmptyCandidates("no candidate logprobs")
+    flat = np.fromiter(
+        (c.logprob for row in rows for c in row), dtype=float, count=int(lengths.sum())
     )
-    probs = np.exp(chosen_lp)
-    ent_q = tuple(float(v) for v in np.quantile(entropies, _QUANTILE_POINTS))
-    prob_q = tuple(float(v) for v in np.quantile(probs, _QUANTILE_POINTS))
+    if not np.isfinite(flat).all():
+        raise ValueError("non-finite logprob")
+    logprobs = np.full((len(rows), int(lengths.max())), -np.inf)
+    logprobs[np.arange(logprobs.shape[1]) < lengths[:, None]] = flat
+
+    shifted = np.exp(logprobs - logprobs.max(axis=1, keepdims=True))
+    probs = np.sort(shifted / shifted.sum(axis=1, keepdims=True), axis=1)[:, ::-1]
+    if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
+        raise ValueError("probabilities outside [0, 1]")
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
+        raise ValueError("probabilities do not sum to 1")
+    # zero-probability terms contribute 0
+    entropies = -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=1)
+
+    quantiles = np.quantile(np.stack([entropies, np.exp(chosen_lp)]), _QUANTILE_POINTS, axis=1)
+    ent_q = tuple(float(v) for v in quantiles[:, 0])
+    prob_q = tuple(float(v) for v in quantiles[:, 1])
     return SequenceStats(nll, ppl, float(entropies.mean()), ent_q, prob_q)
 
 
@@ -389,32 +413,59 @@ def compute_attribution_features(outcome: OutcomeLabel) -> dict[str, float]:
     }
 
 
-_SEQUENCE_NAMES = ("nll", "ppl", "absent")
-_TOKEN_NAMES = (
-    "mean_entropy",
-    "entropy_q0",
-    "entropy_q25",
-    "entropy_q50",
-    "entropy_q75",
-    "entropy_q100",
-    "prob_q0",
-    "prob_q25",
-    "prob_q50",
-    "prob_q75",
-    "prob_q100",
-)
+#: Short feature names per family, in catalog order. The one source of
+#: both catalog_names and the order of the assembled vector.
+_CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
+    FeatureFamily.OUTCOME_TOPK: (
+        "entropy",
+        "entropy_norm",
+        "effective_choices",
+        "confidence",
+        "msp",
+        "margin",
+        "margin_norm",
+        "top1_top2_ratio",
+    ),
+    FeatureFamily.FILTERED_OUTCOME: (
+        "entropy",
+        "entropy_norm",
+        "effective_choices",
+        "confidence",
+        "margin",
+        "margin_norm",
+        "top1_top2_ratio",
+    ),
+    FeatureFamily.LOGODDS_MARGIN: (
+        "margin",
+        "margin_norm",
+        "margin_valid",
+        "filtered_margin",
+        "filtered_margin_norm",
+        "filtered_margin_valid",
+    ),
+    FeatureFamily.SEQUENCE_COT: ("nll", "ppl", "absent"),
+    FeatureFamily.TOKEN_LEVEL_COT: (
+        "mean_entropy",
+        *(f"entropy_q{round(100 * p)}" for p in _QUANTILE_POINTS),
+        *(f"prob_q{round(100 * p)}" for p in _QUANTILE_POINTS),
+    ),
+    FeatureFamily.VERBALIZED: (
+        "confidence",
+        "confidence_missing",
+        *(f"band_{band.value.lower()}" for band in _BAND_ORDER),
+    ),
+    FeatureFamily.ATTRIBUTION: ("evidence_deficit", "policy_gap", "inconclusive"),
+}
 
 
 def _sequence_entries(stats: SequenceStats) -> dict[str, float]:
-    return {"nll": stats.nll, "ppl": stats.perplexity, "absent": 1.0 if stats.absent else 0.0}
+    values = (stats.nll, stats.perplexity, 1.0 if stats.absent else 0.0)
+    return dict(zip(_CATALOG[FeatureFamily.SEQUENCE_COT], values))
 
 
 def _token_entries(stats: SequenceStats) -> dict[str, float]:
-    out = {"mean_entropy": stats.mean_token_entropy_bits}
-    for suffix, values in (("entropy", stats.entropy_quantiles), ("prob", stats.prob_quantiles)):
-        for point, value in zip((0, 25, 50, 75, 100), values):
-            out[f"{suffix}_q{point}"] = value
-    return out
+    values = (stats.mean_token_entropy_bits, *stats.entropy_quantiles, *stats.prob_quantiles)
+    return dict(zip(_CATALOG[FeatureFamily.TOKEN_LEVEL_COT], values))
 
 
 def assemble_feature_vector(
@@ -440,7 +491,7 @@ def assemble_feature_vector(
     entries: list[FeatureEntry] = []
 
     def extend(family: FeatureFamily, metrics: Mapping[str, float]) -> None:
-        entries.extend(FeatureEntry(name, family, float(value)) for name, value in metrics.items())
+        entries.extend(FeatureEntry(name, family, float(metrics[name])) for name in _CATALOG[family])
 
     ldist = None
     if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
@@ -473,61 +524,9 @@ def assemble_feature_vector(
 def catalog_names(include: Iterable[FeatureFamily] = ALL_FAMILIES) -> list[str]:
     """Qualified feature names for the enabled families, in catalog order."""
     include_set = set(include)
-    names: list[str] = []
-    catalog: list[tuple[FeatureFamily, tuple[str, ...]]] = [
-        (
-            FeatureFamily.OUTCOME_TOPK,
-            (
-                "entropy",
-                "entropy_norm",
-                "effective_choices",
-                "confidence",
-                "msp",
-                "margin",
-                "margin_norm",
-                "top1_top2_ratio",
-            ),
-        ),
-        (
-            FeatureFamily.FILTERED_OUTCOME,
-            (
-                "entropy",
-                "entropy_norm",
-                "effective_choices",
-                "confidence",
-                "margin",
-                "margin_norm",
-                "top1_top2_ratio",
-            ),
-        ),
-        (
-            FeatureFamily.LOGODDS_MARGIN,
-            (
-                "margin",
-                "margin_norm",
-                "margin_valid",
-                "filtered_margin",
-                "filtered_margin_norm",
-                "filtered_margin_valid",
-            ),
-        ),
-        (FeatureFamily.SEQUENCE_COT, _SEQUENCE_NAMES),
-        (FeatureFamily.TOKEN_LEVEL_COT, _TOKEN_NAMES),
-        (
-            FeatureFamily.VERBALIZED,
-            (
-                "confidence",
-                "confidence_missing",
-                "band_vl",
-                "band_l",
-                "band_m",
-                "band_h",
-                "band_vh",
-            ),
-        ),
-        (FeatureFamily.ATTRIBUTION, ("evidence_deficit", "policy_gap", "inconclusive")),
+    return [
+        f"{family.value}.{name}"
+        for family, names in _CATALOG.items()
+        if family in include_set
+        for name in names
     ]
-    for family, short_names in catalog:
-        if family in include_set:
-            names.extend(f"{family.value}.{n}" for n in short_names)
-    return names

@@ -46,6 +46,7 @@ __all__ = [
     "ProviderResponse",
     "TransportError",
     "AuthFailure",
+    "ProviderRejected",
     "ProviderNoLogprobs",
     "MissingPlaceholder",
     "OutcomeTokenNotFound",
@@ -81,6 +82,11 @@ class TransportError(RuntimeError):
 
 class AuthFailure(RuntimeError):
     pass
+
+
+class ProviderRejected(RuntimeError):
+    """The provider refused the request itself (a 4xx other than 401, 403
+    or 429); resending it unchanged cannot succeed, so it is not retried."""
 
 
 class ProviderNoLogprobs(RuntimeError):
@@ -264,24 +270,30 @@ class HttpProvider:
             raise AuthFailure(f"provider rejected credentials (HTTP {resp.status_code})")
         if resp.status_code >= 500 or resp.status_code == 429:
             raise TransportError(f"HTTP {resp.status_code}")
+        if 400 <= resp.status_code < 500:
+            raise ProviderRejected(f"HTTP {resp.status_code}: {resp.text[:200]}")
         if resp.status_code != 200:
             raise TransportError(f"unexpected HTTP {resp.status_code}: {resp.text[:200]}")
-        body = resp.json()
-        choice = body["choices"][0]
-        content = choice["message"]["content"]
-        logprobs = (choice.get("logprobs") or {}).get("content")
-        if not logprobs:
-            raise ProviderNoLogprobs("provider response carries no token logprobs")
-        tokens = tuple(
-            RawToken(
-                surface=t["token"],
-                logprob=float(t["logprob"]),
-                top=tuple(
-                    (c["token"], float(c["logprob"])) for c in t.get("top_logprobs", [])
-                ),
+        try:
+            choice = resp.json()["choices"][0]
+            content = choice["message"]["content"]
+            if not isinstance(content, str):
+                raise TypeError(f"message content is {type(content).__name__}, not str")
+            logprobs = (choice.get("logprobs") or {}).get("content")
+            if not logprobs:
+                raise ProviderNoLogprobs("provider response carries no token logprobs")
+            tokens = tuple(
+                RawToken(
+                    surface=t["token"],
+                    logprob=float(t["logprob"]),
+                    top=tuple(
+                        (c["token"], float(c["logprob"])) for c in t.get("top_logprobs", [])
+                    ),
+                )
+                for t in logprobs
             )
-            for t in logprobs
-        )
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise TransportError(f"malformed response body: {exc!r}") from exc
         return ProviderResponse(content=content, tokens=tokens)
 
 
@@ -293,7 +305,8 @@ def dispatch(
 ) -> ProviderResponse:
     """Send one request, retrying transport errors with bounded backoff.
 
-    This budget is independent of the malformed-output retry budget.
+    This budget is independent of the malformed-output retry budget. Any
+    other error, such as AuthFailure or ProviderRejected, propagates at once.
     """
     last: TransportError | None = None
     for attempt in range(max_transport_retries + 1):

@@ -1,8 +1,7 @@
 """Cost-aware trust-or-escalate policy.
 
 A calibrated correctness score s in [0,1] is trusted when s >= tau and
-escalated to human review otherwise. Expected cost, relative to always
-trusting, is
+escalated to human review otherwise. The objective is
 
     C = c_mis * FP + (c_rev - c_mis) * TN + c_rev * FN
 
@@ -10,6 +9,11 @@ with the confusion counted against LLM correctness: trusting a correct
 prediction is free (TP), trusting an error misses it (FP, costs c_mis),
 escalating an error catches it (TN, review cost offset by the avoided
 miss), and escalating a correct prediction wastes a review (FN).
+
+C is not the cost relative to always trusting, which costs
+c_mis * (FP + TN). It is the absolute cost c_mis * FP + c_rev * (TN + FN),
+every miss plus every review, minus c_mis * TN: each caught error is
+credited with the miss it avoided.
 """
 
 from __future__ import annotations
@@ -118,7 +122,8 @@ def confusion(decisions: Sequence[bool], z: Sequence[int]) -> ConfusionCounts:
 
 
 def expected_cost(c: ConfusionCounts, m: CostModel) -> float:
-    """May be negative: escalating errors nets a saving versus always-trust."""
+    """The objective C; may be negative, because each caught error (TN)
+    is credited with the c_mis it avoided."""
     return m.c_mis * c.fp + (m.c_rev - m.c_mis) * c.tn + m.c_rev * c.fn
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lppgate import features
 from lppgate.features import (
     ALL_FAMILIES,
+    DEFAULT_TOP_K,
     FeatureFamily,
     LabelDistribution,
     NoLabelMass,
@@ -23,7 +26,9 @@ from lppgate.features import (
     compute_verbalized_features,
     renormalize_topk,
     EmptyCandidates,
+    _entropy_bits,
 )
+from lppgate.pipeline import extract_table
 from lppgate.schema import (
     ConfidenceBand,
     OutcomeLabel,
@@ -32,6 +37,7 @@ from lppgate.schema import (
     TokenCandidate,
     TokenRecord,
 )
+from lppgate.synth import SynthConfig, generate_corpus
 from tests.conftest import make_outcome_record, make_trace
 
 DYADIC = (0.5, 0.25, 0.125, 0.0625, 0.0625)
@@ -247,6 +253,90 @@ def _reasoning_record(p_chosen, n_candidates=1):
     return TokenRecord(chosen=chosen, candidates=cands, span=Span.REASONING)
 
 
+def _sequence_features_reference(reasoning, k=DEFAULT_TOP_K):
+    """The per-record path compute_sequence_features replaced: one
+    renormalize_topk per reasoning token, one np.quantile per summary."""
+    if len(reasoning) == 0:
+        zeros = (0.0,) * 5
+        return SequenceStats(0.0, 1.0, 0.0, zeros, zeros, absent=True)
+    chosen_lp = np.array([r.chosen.logprob for r in reasoning], dtype=float)
+    nll = float(-chosen_lp.sum())
+    ppl = float(np.exp(nll / len(reasoning)))
+    entropies = np.array(
+        [
+            _entropy_bits(np.asarray(renormalize_topk([c.logprob for c in r.candidates[:k]]).probs))
+            for r in reasoning
+        ]
+    )
+    points = (0.0, 0.25, 0.5, 0.75, 1.0)
+    ent_q = tuple(float(v) for v in np.quantile(entropies, points))
+    prob_q = tuple(float(v) for v in np.quantile(np.exp(chosen_lp), points))
+    return SequenceStats(nll, ppl, float(entropies.mean()), ent_q, prob_q)
+
+
+# ties, exp underflow (-800) and a log(1) candidate come up often
+_LOGPROBS = st.one_of(
+    st.floats(min_value=-30, max_value=0), st.sampled_from((0.0, -0.7, -800.0))
+)
+
+
+@st.composite
+def _reasoning_records(draw, max_candidates):
+    records = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        n = draw(st.integers(min_value=1, max_value=max_candidates))
+        cands = [TokenCandidate(f" c{j}", draw(_LOGPROBS)) for j in range(n)]
+        if draw(st.booleans()):
+            # a chosen token missing from its candidates is appended to them
+            chosen = TokenCandidate(" missing", draw(_LOGPROBS))
+        else:
+            chosen = cands[draw(st.integers(min_value=0, max_value=n - 1))]
+        records.append(TokenRecord(chosen=chosen, candidates=cands, span=Span.REASONING))
+    return records
+
+
+class TestSequenceFeaturesVectorised:
+    # a span whose chosen tokens all sit near -800 has perplexity inf on both paths
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(_reasoning_records(max_candidates=8))
+    def test_equals_per_record_reference(self, records):
+        assert compute_sequence_features(records, k=5) == _sequence_features_reference(records, k=5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @settings(max_examples=100, deadline=None)
+    @given(_reasoning_records(max_candidates=16))
+    def test_wide_rows_match_reference(self, records):
+        # numpy sums 8+ entries in blocks, where padding regroups the terms
+        got = compute_sequence_features(records, k=12)
+        want = _sequence_features_reference(records, k=12)
+        assert (got.nll, got.perplexity, got.prob_quantiles) == (want.nll, want.perplexity, want.prob_quantiles)
+        assert got.mean_token_entropy_bits == pytest.approx(want.mean_token_entropy_bits, rel=1e-12, abs=1e-15)
+        assert got.entropy_quantiles == pytest.approx(want.entropy_quantiles, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_logprob_raises(self, bad):
+        record = _reasoning_record(0.5, n_candidates=3)
+        object.__setattr__(record.candidates[1], "logprob", bad)
+        with pytest.raises(ValueError, match="non-finite logprob"):
+            compute_sequence_features([_reasoning_record(0.5, n_candidates=4), record])
+
+    def test_empty_candidate_list_raises(self):
+        record = _reasoning_record(0.5, n_candidates=2)
+        record.candidates = []
+        with pytest.raises(EmptyCandidates):
+            compute_sequence_features([_reasoning_record(0.5), record])
+
+    def test_extract_table_matches_reference_rows(self, monkeypatch):
+        traces, _ = generate_corpus(SynthConfig(n_items=300, cot=True, seed=42))
+        assert all(t.reasoning_records() for t in traces)
+        table = extract_table(traces)
+        by_id = {t.item_id: t for t in traces}
+        monkeypatch.setattr(features, "compute_sequence_features", _sequence_features_reference)
+        expected = np.stack([assemble_feature_vector(by_id[i]).values() for i in table.item_ids])
+        assert table.matrix.tobytes() == expected.tobytes()
+
+
 class TestSequenceFeatures:
     def test_uniform_halves(self):
         records = [_reasoning_record(0.5) for _ in range(4)]
@@ -360,6 +450,14 @@ class TestAssembleFeatureVector:
         a = assemble_feature_vector(make_trace(reasoning_logprobs=(-0.4, -0.9)))
         b = assemble_feature_vector(make_trace(reasoning_logprobs=(-0.4, -0.9)))
         assert a == b
+
+    @pytest.mark.parametrize("reasoning", [(), (-0.4, -0.9)], ids=["direct", "cot"])
+    def test_names_match_catalog_for_every_subset(self, reasoning):
+        trace = make_trace(reasoning_logprobs=reasoning)
+        for size in range(1, len(ALL_FAMILIES) + 1):
+            for include in itertools.combinations(ALL_FAMILIES, size):
+                fv = assemble_feature_vector(trace, include=include)
+                assert fv.qualified_names() == catalog_names(include)
 
     def test_token_outcome_wins_for_attribution(self):
         # structured says YES but the emitted token is the abstention "2"

@@ -13,6 +13,7 @@ from lppgate.gateway import (
     MissingPlaceholder,
     OutcomeTokenNotFound,
     ProviderNoLogprobs,
+    ProviderRejected,
     Request,
     StubProvider,
     TEMPLATE_IDS,
@@ -305,7 +306,8 @@ class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
-        self.wfile.write(json.dumps(response).encode())
+        # bytes go out as they are, to script bodies that are not JSON
+        self.wfile.write(response if isinstance(response, bytes) else json.dumps(response).encode())
 
     def log_message(self, *args):  # keep test output quiet
         pass
@@ -373,3 +375,34 @@ class TestHttpProvider:
         handler.script.append((200, {"choices": [{"message": {"content": VALID_CONTENT}}]}))
         with pytest.raises(ProviderNoLogprobs):
             HttpProvider(endpoint, model="m").complete(self._request())
+
+    @pytest.mark.parametrize("status", [400, 404, 422])
+    def test_client_error_rejected_without_retry(self, http_endpoint, monkeypatch, status):
+        endpoint, handler = http_endpoint
+        monkeypatch.setenv("LPP_API_KEY", "k")
+        handler.script.append((status, {"error": "bad request"}))
+        provider = HttpProvider(endpoint, model="m")
+        with pytest.raises(ProviderRejected, match=str(status)):
+            dispatch(self._request(), provider, max_transport_retries=3, sleep=NO_SLEEP)
+        assert len(handler.seen) == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"<html>gateway timeout</html>",
+            {"error": "no choices"},
+            {"choices": []},
+            {"choices": [{"message": {}}]},
+            {"choices": [{"message": {"content": None}}]},
+            {"choices": [{"message": {"content": VALID_CONTENT}, "logprobs": {"content": [{}]}}]},
+        ],
+        ids=["not-json", "no-choices", "empty-choices", "no-content", "null-content", "bad-token"],
+    )
+    def test_malformed_body_is_retried_transport_error(self, http_endpoint, monkeypatch, body):
+        endpoint, handler = http_endpoint
+        monkeypatch.setenv("LPP_API_KEY", "k")
+        handler.script.append((200, body))
+        provider = HttpProvider(endpoint, model="m")
+        with pytest.raises(TransportError, match="malformed response body"):
+            dispatch(self._request(), provider, max_transport_retries=2, sleep=NO_SLEEP)
+        assert len(handler.seen) == 2 + 1

@@ -70,6 +70,22 @@ class TestExpectedCost:
         c = confusion([False] * 5, z)
         assert expected_cost(c, m) == 64 * 5 - 100 * 2
 
+    @given(
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=0, max_value=500),
+        st.integers(min_value=1, max_value=100),
+        st.integers(min_value=1, max_value=100),
+    )
+    def test_absolute_cost_minus_avoided_misses(self, tp, fp, tn, fn, c_mis, c_rev):
+        c = ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn)
+        m = CostModel(c_mis=c_mis, c_rev=c_rev)
+        absolute = c_mis * fp + c_rev * (tn + fn)
+        assert expected_cost(c, m) == absolute - c_mis * tn
+        # not relative to always trusting, which costs c_mis * (fp + tn)
+        assert expected_cost(c, m) - (absolute - c_mis * (fp + tn)) == c_mis * fp
+
     def test_always_trust_no_errors(self):
         assert always_trust_cost([1, 1, 1], CostModel()) == 0.0
 
