@@ -5,7 +5,7 @@ trains a calibrated correctness meta-model, and routes each item to trust
 or human review by minimizing an explicit expected-cost objective.
 """
 
-from .dataset import LabeledExample, ResampleConfig, SplitSpec, label_correctness
+from .dataset import LabeledRows, ResampleConfig, SplitSpec, label_correctness
 from .features import (
     ALL_FAMILIES,
     FeatureFamily,
@@ -32,7 +32,7 @@ __all__ = [
     "CostModel",
     "FeatureFamily",
     "FeatureVector",
-    "LabeledExample",
+    "LabeledRows",
     "OutcomeLabel",
     "PolicyResult",
     "ResampleConfig",

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import evaluation, gateway, pipeline, policy, synth, trainer
-from .dataset import ResampleConfig, SplitSpec
+from .dataset import ResampleConfig, SplitSpec, stratified_split
 from .features import ALL_FAMILIES, FeatureFamily
 from .manifest import build_manifest, sha256_file, write_json_atomic, write_text_atomic
 from .policy import CostModel
@@ -211,8 +211,8 @@ def cmd_split(args, cfg: RunConfig, written: list[str]):
     inputs = _require_inputs(args.features, args.features_sidecar, args.labels)
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
-    examples = pipeline.build_examples(table, labels)
-    ids = pipeline.split_examples(examples, cfg.split_spec())
+    split = stratified_split(pipeline.build_examples(table, labels), cfg.split_spec())
+    ids = dict(zip(("train", "validation", "test"), split))
     outputs = []
     for name in ("train", "validation", "test"):
         path = _out(args, f"{name}_ids.txt")
@@ -258,19 +258,15 @@ def cmd_sweep(args, cfg: RunConfig, written: list[str]):
     labels = pipeline.load_labels(args.labels)
     validation_ids = pipeline.read_id_list(args.validation_ids)
     result = pipeline.sweep_gate(gate, table, labels, validation_ids, cfg.cost_model(), cfg.tau_grid())
-    trainer.save_gate(gate, args.model)
-    written.append(args.model)
-    report = policy.policy_report(result, _z_for(labels, validation_ids), cfg.cost_model(), cfg.sensitivity_ratios)
+    z_val = pipeline.build_examples(table, labels, validation_ids).z
+    report = policy.policy_report(result, z_val, cfg.cost_model(), cfg.sensitivity_ratios)
+    # The report goes first: a failure up to here leaves the trained model
+    # as it was, while the model rewrite below is atomic and the last step.
     report_path = _out(args, "policy_report.json")
     write_json_atomic(report_path, report)
     written.append(report_path)
+    trainer.save_gate(gate, args.model)
     return inputs, [args.model, report_path], {"tau_star": result.tau_star}
-
-
-def _z_for(labels, ids):
-    from .dataset import label_correctness
-
-    return [label_correctness(labels[i][1], labels[i][0]) for i in ids]
 
 
 def cmd_evaluate(args, cfg: RunConfig, written: list[str]):
@@ -326,15 +322,11 @@ def cmd_sensitivity(args, cfg: RunConfig, written: list[str]):
         args.model, args.features, args.features_sidecar, args.labels, args.test_ids
     )
     gate = trainer.load_gate(args.model)
-    if gate.tau_star is None:
-        raise ValueError("model has no frozen threshold; run sweep first")
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
     test_ids = pipeline.read_id_list(args.test_ids)
-    X_test = table.submatrix(test_ids)
-    z_test = _z_for(labels, test_ids)
-    scores = trainer.predict_score(gate, table.names, X_test)
-    counts = policy.confusion(policy.decisions_at(scores, gate.tau_star), z_test)
+    test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
+    counts = policy.confusion(trust, test.z)
     if args.r_grid:
         lo, hi, step = (float(v) for v in args.r_grid.split(":"))
         n = int(round((hi - lo) / step)) + 1

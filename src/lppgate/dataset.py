@@ -10,35 +10,36 @@ with abstention examples always retained. Splitting fixes the number of
 negative (error) cases in the test set and carves a validation fraction
 out of the remaining training pool, stratified on z.
 
-Every operation is a deterministic function of the example contents and
-the seed: internal processing uses item_id-sorted order, so permuting the
-input rows selects the same item_ids.
+Every operation takes a ``LabeledRows`` view (item_ids, feature matrix,
+z and abstention flags) and is a deterministic function of its contents
+and the seed: internal processing uses item_id-sorted order, so permuting
+the input rows selects the same item_ids.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .features import FeatureVector
 from .schema import OutcomeLabel
 
 __all__ = [
-    "LabeledExample",
+    "LabeledRows",
+    "ABSTENTIONS",
     "SplitSpec",
     "ResampleConfig",
     "InsufficientNegatives",
     "RatioUnreachableWarning",
     "label_correctness",
-    "make_example",
     "tomek_links",
     "random_undersample",
     "resample",
     "stratified_split",
 ]
+
+ABSTENTIONS = (OutcomeLabel.INCONCLUSIVE_EVIDENCE, OutcomeLabel.INCONCLUSIVE_DEFINITION)
 
 
 class InsufficientNegatives(ValueError):
@@ -50,19 +51,24 @@ class RatioUnreachableWarning(UserWarning):
     the target is relaxed upward instead of failing."""
 
 
-@dataclass
-class LabeledExample:
-    item_id: str
-    features: FeatureVector
-    llm_outcome: OutcomeLabel
-    ground_truth: int  # 1 = violating, 0 = non-violating
-    z: int
+@dataclass(frozen=True, eq=False)
+class LabeledRows:
+    """Feature rows paired with their labels: one row of X, one z (1 =
+    the LLM decision was correct) and one abstention flag per item_id."""
 
-    @property
-    def is_abstention(self) -> bool:
-        return self.llm_outcome in (
-            OutcomeLabel.INCONCLUSIVE_EVIDENCE,
-            OutcomeLabel.INCONCLUSIVE_DEFINITION,
+    item_ids: tuple[str, ...]
+    X: np.ndarray
+    z: np.ndarray
+    abstain: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.item_ids)
+
+    def take(self, idx) -> LabeledRows:
+        """The rows at positions idx, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return LabeledRows(
+            tuple(self.item_ids[i] for i in idx), self.X[idx], self.z[idx], self.abstain[idx]
         )
 
 
@@ -105,21 +111,9 @@ def label_correctness(llm_outcome: OutcomeLabel, ground_truth: int) -> int:
     return 0
 
 
-def make_example(
-    item_id: str, features: FeatureVector, llm_outcome: OutcomeLabel, ground_truth: int
-) -> LabeledExample:
-    return LabeledExample(
-        item_id=item_id,
-        features=features,
-        llm_outcome=llm_outcome,
-        ground_truth=int(ground_truth),
-        z=label_correctness(llm_outcome, int(ground_truth)),
-    )
-
-
-def _sorted_view(examples: Sequence[LabeledExample]) -> list[int]:
-    """Canonical processing order: indices sorted by item_id."""
-    return sorted(range(len(examples)), key=lambda i: examples[i].item_id)
+def _id_order(rows: LabeledRows) -> np.ndarray:
+    """Canonical processing order: positions sorted by item_id."""
+    return np.array(sorted(range(len(rows)), key=rows.item_ids.__getitem__), dtype=np.intp)
 
 
 def _majority_label(z: np.ndarray) -> int:
@@ -128,19 +122,20 @@ def _majority_label(z: np.ndarray) -> int:
     return 1 if int(np.sum(z == 1)) >= int(np.sum(z == 0)) else 0
 
 
-def tomek_links(examples: Sequence[LabeledExample]) -> set[int]:
-    """Indices of majority-class members of cross-class mutual-1-NN pairs.
+def tomek_links(rows: LabeledRows) -> np.ndarray:
+    """Ascending positions of majority-class members of cross-class
+    mutual-1-NN pairs.
 
     Distances are Euclidean over z-scored features (fit on the input set);
     distance ties resolve to the earlier item in item_id order.
     """
-    if len(examples) < 2:
-        return set()
-    order = _sorted_view(examples)
-    X = np.stack([examples[i].features.values() for i in order])
-    z = np.array([examples[i].z for i in order], dtype=int)
+    if len(rows) < 2:
+        return np.empty(0, dtype=np.intp)
+    order = _id_order(rows)
+    X = rows.X[order]
+    z = rows.z[order]
     if len(np.unique(z)) < 2:
-        return set()
+        return np.empty(0, dtype=np.intp)
 
     mean = X.mean(axis=0)
     std = X.std(axis=0)
@@ -152,45 +147,35 @@ def tomek_links(examples: Sequence[LabeledExample]) -> set[int]:
     np.fill_diagonal(d2, np.inf)
     nn = np.argmin(d2, axis=1)  # first minimum = lowest sorted index on ties
 
-    majority = _majority_label(z)
-    removed: set[int] = set()
-    for i in range(len(order)):
-        j = int(nn[i])
-        if nn[j] == i and z[i] != z[j]:
-            loser = i if z[i] == majority else j
-            removed.add(order[loser])
-    return removed
+    own = np.arange(len(order))
+    linked = (nn[nn] == own) & (z != z[nn])
+    losers = np.where(z == _majority_label(z), own, nn)[linked]
+    return np.unique(order[losers])
 
 
-def random_undersample(
-    examples: Sequence[LabeledExample], cfg: ResampleConfig
-) -> list[LabeledExample]:
-    """Uniformly drop majority-class examples until majority:minority is at
+def random_undersample(rows: LabeledRows, cfg: ResampleConfig) -> LabeledRows:
+    """Uniformly drop majority-class rows until majority:minority is at
     most the target ratio.
 
-    Abstention examples are never removed; when the protected examples
-    alone exceed the target, the target relaxes upward with a
-    RatioUnreachableWarning rather than an error. Minority examples are
-    never touched. Input order is preserved in the result.
+    Abstention rows are never removed; when the protected rows alone
+    exceed the target, the target relaxes upward with a
+    RatioUnreachableWarning rather than an error. Minority rows are never
+    touched. Input order is preserved in the result.
     """
-    z = np.array([e.z for e in examples], dtype=int)
-    majority = _majority_label(z)
-    maj_idx = [i for i, e in enumerate(examples) if e.z == majority]
-    n_min = int(np.sum(z != majority))
+    majority = rows.z == _majority_label(rows.z)
+    n_min = int(np.sum(~majority))
     if n_min == 0:
-        return list(examples)
+        return rows
     target_keep = int(cfg.target_majority_ratio * n_min)
-    if len(maj_idx) <= target_keep:
-        return list(examples)
+    if int(np.sum(majority)) <= target_keep:
+        return rows
 
-    protected = [
-        i for i in maj_idx if cfg.protect_abstentions and examples[i].is_abstention
-    ]
-    droppable = [i for i in maj_idx if i not in set(protected)]
-    n_sample = target_keep - len(protected)
+    protected = majority & rows.abstain if cfg.protect_abstentions else np.zeros(len(rows), bool)
+    n_protected = int(np.sum(protected))
+    n_sample = target_keep - n_protected
     if n_sample < 0:
         warnings.warn(
-            f"{len(protected)} protected abstention examples exceed the majority "
+            f"{n_protected} protected abstention examples exceed the majority "
             f"target of {target_keep}; keeping all of them",
             RatioUnreachableWarning,
         )
@@ -198,82 +183,85 @@ def random_undersample(
 
     # Seeded choice over the item_id-sorted droppable pool for permutation
     # invariance.
-    droppable_sorted = sorted(droppable, key=lambda i: examples[i].item_id)
+    order = _id_order(rows)
+    droppable = order[(majority & ~protected)[order]]
     rng = np.random.default_rng(cfg.seed)
-    chosen = rng.choice(len(droppable_sorted), size=min(n_sample, len(droppable_sorted)), replace=False)
-    keep = set(protected) | {droppable_sorted[i] for i in chosen}
-    return [e for i, e in enumerate(examples) if e.z != majority or i in keep]
+    chosen = rng.choice(len(droppable), size=min(n_sample, len(droppable)), replace=False)
+    keep = ~majority | protected
+    keep[droppable[chosen]] = True
+    return rows.take(np.flatnonzero(keep))
 
 
-def resample(
-    examples: Sequence[LabeledExample], cfg: ResampleConfig
-) -> tuple[list[LabeledExample], dict]:
+def resample(rows: LabeledRows, cfg: ResampleConfig) -> tuple[LabeledRows, dict]:
     """Tomek-link cleaning followed by random undersampling; returns the
-    reduced list plus a count report."""
-    links = tomek_links(examples)
-    cleaned = [e for i, e in enumerate(examples) if i not in links]
+    reduced rows plus a count report."""
+    links = tomek_links(rows)
+    cleaned = rows.take(np.setdiff1d(np.arange(len(rows)), links))
     reduced = random_undersample(cleaned, cfg)
-    z_in = np.array([e.z for e in examples], dtype=int)
-    z_out = np.array([e.z for e in reduced], dtype=int)
+
+    def counts(r: LabeledRows) -> dict:
+        return {"total": len(r), "z1": int(np.sum(r.z == 1)), "z0": int(np.sum(r.z == 0))}
+
     report = {
-        "input": {"total": len(examples), "z1": int(np.sum(z_in == 1)), "z0": int(np.sum(z_in == 0))},
+        "input": counts(rows),
         "tomek_removed": len(links),
         "undersampled": len(cleaned) - len(reduced),
-        "output": {"total": len(reduced), "z1": int(np.sum(z_out == 1)), "z0": int(np.sum(z_out == 0))},
+        "output": counts(reduced),
     }
     return reduced, report
 
 
-def _take(pool: list[LabeledExample], count: int, rng: np.random.Generator) -> set[str]:
-    """Seeded sample of item_ids from an item_id-sorted pool."""
-    pool_sorted = sorted(pool, key=lambda e: e.item_id)
-    idx = rng.choice(len(pool_sorted), size=count, replace=False)
-    return {pool_sorted[i].item_id for i in idx}
-
-
 def stratified_split(
-    examples: Sequence[LabeledExample], spec: SplitSpec
-) -> tuple[list[LabeledExample], list[LabeledExample], list[LabeledExample]]:
-    """Partition into (train, validation, test).
+    rows: LabeledRows, spec: SplitSpec
+) -> tuple[list[str], list[str], list[str]]:
+    """Partition into (train, validation, test) item_id lists, each in
+    item_id order.
 
-    The test set receives exactly spec.test_negative_count z=0 examples
-    plus positives matching the overall positive:negative proportion
-    (capped at availability); the remainder splits into train/validation
-    with the validation fraction stratified on z. Raises
-    InsufficientNegatives when the request would exhaust the negatives
-    entirely (an untrainable split).
+    The test set receives exactly spec.test_negative_count z=0 rows plus
+    positives matching the overall positive:negative proportion (capped at
+    availability); the remainder splits into train/validation with the
+    validation fraction stratified on z. Raises InsufficientNegatives when
+    the request would exhaust the negatives entirely (an untrainable
+    split).
     """
-    negatives = [e for e in examples if e.z == 0]
-    positives = [e for e in examples if e.z == 1]
+    order = _id_order(rows)
+    z = rows.z[order]
+    negatives = np.flatnonzero(z == 0)
+    positives = np.flatnonzero(z == 1)
     if spec.test_negative_count > len(negatives):
         raise InsufficientNegatives(
             f"requested {spec.test_negative_count} test negatives, have {len(negatives)}"
         )
     if spec.test_negative_count == len(negatives):
         raise InsufficientNegatives("split would leave zero negatives for training")
-    if not positives:
+    if positives.size == 0:
         raise ValueError("no positive (z=1) examples to split")
 
+    # Each draw is a seeded sample from an item_id-sorted pool, in the fixed
+    # order: test negatives, test positives, validation negatives, positives.
     rng = np.random.default_rng(spec.seed)
-    test_neg_ids = _take(negatives, spec.test_negative_count, rng)
 
+    def draw(pool: np.ndarray, count: int, into: np.ndarray) -> None:
+        into[pool[rng.choice(len(pool), size=count, replace=False)]] = True
+
+    test = np.zeros(len(order), dtype=bool)
+    draw(negatives, spec.test_negative_count, test)
     desired_pos = int(np.floor(spec.test_negative_count * len(positives) / len(negatives) + 0.5))
-    test_pos_count = min(desired_pos, max(len(positives) - 2, 0))
-    test_pos_ids = _take(positives, test_pos_count, rng)
-    test_ids = test_neg_ids | test_pos_ids
+    draw(positives, min(desired_pos, max(len(positives) - 2, 0)), test)
 
-    pool_neg = [e for e in negatives if e.item_id not in test_ids]
-    pool_pos = [e for e in positives if e.item_id not in test_ids]
+    pool_neg = negatives[~test[negatives]]
+    pool_pos = positives[~test[positives]]
     val_neg_count = int(np.floor(spec.validation_fraction * len(pool_neg) + 0.5))
     val_pos_count = int(np.floor(spec.validation_fraction * len(pool_pos) + 0.5))
     if val_neg_count >= len(pool_neg):
         raise InsufficientNegatives("validation split would leave zero negatives in train")
     if val_pos_count >= len(pool_pos):
         raise ValueError("validation split would leave zero positives in train")
-    val_ids = _take(pool_neg, val_neg_count, rng) | _take(pool_pos, val_pos_count, rng)
+    validation = np.zeros(len(order), dtype=bool)
+    draw(pool_neg, val_neg_count, validation)
+    draw(pool_pos, val_pos_count, validation)
 
-    by_id = sorted(examples, key=lambda e: e.item_id)
-    test = [e for e in by_id if e.item_id in test_ids]
-    validation = [e for e in by_id if e.item_id in val_ids]
-    train = [e for e in by_id if e.item_id not in test_ids and e.item_id not in val_ids]
-    return train, validation, test
+    def ids(mask: np.ndarray) -> list[str]:
+        return [rows.item_ids[i] for i in order[mask]]
+
+    return ids(~test & ~validation), ids(validation), ids(test)

@@ -24,7 +24,6 @@ from .policy import (
     CostModel,
     PolicyResult,
     confusion,
-    cost_ratio_sensitivity,
     expected_cost,
     sweep_threshold,
 )
@@ -242,12 +241,3 @@ def emit_report(results: Mapping[str, dict]) -> tuple[str, dict]:
         rows.append(",".join(_fmt(row[c]) for c in _CSV_COLUMNS))
     csv_text = "\n".join(rows) + "\n"
     return csv_text, {"methods": {m: results[m] for m in ordered}}
-
-
-def sensitivity_consistency(
-    counts: ConfusionCounts, m: CostModel
-) -> tuple[float, float]:
-    """(relative cost at r = c_rev/c_mis, expected cost / c_mis); the two
-    must agree, tying the sensitivity curve to the main cost report."""
-    [(_, relative)] = cost_ratio_sensitivity(counts, [m.ratio])
-    return relative, expected_cost(counts, m) / m.c_mis

@@ -57,6 +57,7 @@ __all__ = [
     "SequenceStats",
     "EmptyCandidates",
     "NoLabelMass",
+    "NonFiniteFeature",
     "renormalize_topk",
     "compute_topk_features",
     "collapse_to_labels",
@@ -94,6 +95,12 @@ class NoLabelMass(ValueError):
     item is escalated by default downstream."""
 
 
+class NonFiniteFeature(ValueError):
+    """A feature value is nan or infinite (e.g. the perplexity of a span
+    whose mean chosen logprob is below about -709); like NoLabelMass, the
+    row is invalid and the item is escalated by default downstream."""
+
+
 class FeatureFamily(str, enum.Enum):
     OUTCOME_TOPK = "outcome_topk"
     FILTERED_OUTCOME = "filtered"
@@ -128,7 +135,7 @@ class FeatureVector:
             raise ValueError("duplicate feature names")
         for e in self.entries:
             if not math.isfinite(e.value):
-                raise ValueError(f"non-finite value for {e.qualified_name}")
+                raise NonFiniteFeature(f"non-finite value for {e.qualified_name}")
 
     def qualified_names(self) -> list[str]:
         return [e.qualified_name for e in self.entries]
@@ -479,9 +486,9 @@ def assemble_feature_vector(
     Excluded families are absent from the vector entirely, which is what
     the ablation runner relies on. Direct-answer traces still carry the
     sequence/token families when enabled, with zero stats and the absent
-    flag set. NoLabelMass propagates to the caller as an invalid-row
-    marker. The outcome-span token, not the structured field, drives the
-    token-derived families.
+    flag set. NoLabelMass and NonFiniteFeature propagate to the caller as
+    invalid-row markers. The outcome-span token, not the structured field,
+    drives the token-derived families.
     """
     include_set = set(include)
     if not include_set:

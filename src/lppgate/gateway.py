@@ -8,8 +8,11 @@ returned token stream into outcome and reasoning spans by JSON field
 position, and writes response-trace JSONL.
 
 Transport failures retry with bounded backoff on a budget independent of
-the malformed-output budget. A fixture-backed stub provider ships in-repo
-so the whole pipeline runs with zero network access.
+the malformed-output budget. A transport failure that outlives that
+budget, or a request the provider rejects, is recorded as that item's
+give-up; only an authentication failure aborts the run. A fixture-backed
+stub provider ships in-repo so the whole pipeline runs with zero network
+access.
 """
 
 from __future__ import annotations
@@ -393,6 +396,9 @@ def _run_one(
             response = dispatch(request, provider, max_transport_retries, sleep)
         except ProviderNoLogprobs:
             return None, None, item_id
+        except (TransportError, ProviderRejected) as exc:
+            kind = "transport" if isinstance(exc, TransportError) else "rejected"
+            return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None
         failure: Exception | None = None
         structured: StructuredResponse | None = None
         records: list[TokenRecord] | None = None
@@ -425,8 +431,11 @@ def run_inference(
 
     Per-item retries are sequential; items run on a bounded thread pool and
     the results are sorted by item_id, so re-running against the stub
-    provider is byte-identical. Non-default decoding values require the
-    explicit override flag (recorded in the run manifest by the caller).
+    provider is byte-identical. An item whose transport retries run out, or
+    whose request the provider rejects, becomes a give-up with failure
+    "transport" or "rejected"; an AuthFailure aborts the run. Non-default
+    decoding values require the explicit override flag (recorded in the run
+    manifest by the caller).
     """
     if decoding != DEFAULT_DECODING and not allow_decoding_override:
         raise ValueError(

@@ -13,21 +13,20 @@ import numpy as np
 
 from . import evaluation, policy, trainer
 from .dataset import (
-    LabeledExample,
+    ABSTENTIONS,
+    LabeledRows,
     ResampleConfig,
     SplitSpec,
     label_correctness,
-    make_example,
     resample,
     stratified_split,
 )
 from .features import (
     ALL_FAMILIES,
     DEFAULT_TOP_K,
-    FeatureEntry,
     FeatureFamily,
-    FeatureVector,
     NoLabelMass,
+    NonFiniteFeature,
     assemble_feature_vector,
 )
 from .manifest import write_json_atomic, write_text_atomic
@@ -45,7 +44,7 @@ __all__ = [
     "write_id_list",
     "read_id_list",
     "build_examples",
-    "split_examples",
+    "score_and_route",
     "train_gate",
     "sweep_gate",
     "evaluate_methods",
@@ -81,8 +80,8 @@ def extract_table(
 ) -> FeatureTable:
     """Assemble one feature row per trace, in item_id order.
 
-    Rows that raise NoLabelMass are excluded from the matrix and listed in
-    invalid_ids, to be escalated by default downstream.
+    Rows that raise NoLabelMass or NonFiniteFeature are excluded from the
+    matrix and listed in invalid_ids, to be escalated by default downstream.
     """
     ordered = sorted(traces, key=lambda t: t.item_id)
     item_ids: list[str] = []
@@ -93,7 +92,7 @@ def extract_table(
     for trace in ordered:
         try:
             fv = assemble_feature_vector(trace, include, k=k)
-        except NoLabelMass:
+        except (NoLabelMass, NonFiniteFeature):
             invalid.append(trace.item_id)
             continue
         if names is None:
@@ -177,44 +176,42 @@ def read_id_list(path) -> list[str]:
 
 
 def build_examples(
-    table: FeatureTable, labels: Mapping[str, tuple[int, OutcomeLabel]]
-) -> list[LabeledExample]:
-    """Pair feature rows with labels; rows without labels are an error."""
-    examples = []
-    family_by_name = table.families
-    for item_id, row in zip(table.item_ids, table.matrix):
-        if item_id not in labels:
-            raise KeyError(f"no label for item {item_id!r}")
-        truth, outcome = labels[item_id]
-        entries = tuple(
-            FeatureEntry(
-                name.split(".", 1)[1], FeatureFamily(family_by_name[name]), float(value)
-            )
-            for name, value in zip(table.names, row)
-        )
-        examples.append(make_example(item_id, FeatureVector(entries), outcome, truth))
-    return examples
+    table: FeatureTable,
+    labels: Mapping[str, tuple[int, OutcomeLabel]],
+    ids: Sequence[str] | None = None,
+) -> LabeledRows:
+    """Pair the feature rows of ids (all rows by default, in table order)
+    with their correctness labels; a row without a label is a KeyError."""
+    if ids is None:
+        ids, X = table.item_ids, table.matrix
+    else:
+        X = table.submatrix(ids)
+    missing = [i for i in ids if i not in labels]
+    if missing:
+        raise KeyError(f"no label for item {missing[0]!r}")
+    outcomes = [labels[i][1] for i in ids]
+    z = [label_correctness(o, int(labels[i][0])) for i, o in zip(ids, outcomes)]
+    return LabeledRows(
+        tuple(ids),
+        X,
+        np.array(z, dtype=int),
+        np.array([o in ABSTENTIONS for o in outcomes], dtype=bool),
+    )
 
 
-def split_examples(
-    examples: Sequence[LabeledExample], spec: SplitSpec
-) -> dict[str, list[str]]:
-    train, validation, test = stratified_split(examples, spec)
-    return {
-        "train": [e.item_id for e in train],
-        "validation": [e.item_id for e in validation],
-        "test": [e.item_id for e in test],
-    }
-
-
-def _matrix_for(
+def score_and_route(
+    gate: TrainedGate,
     table: FeatureTable,
     labels: Mapping[str, tuple[int, OutcomeLabel]],
     ids: Sequence[str],
-) -> tuple[np.ndarray, np.ndarray]:
-    X = table.submatrix(ids)
-    z = np.array([label_correctness(labels[i][1], labels[i][0]) for i in ids], dtype=int)
-    return X, z
+) -> tuple[LabeledRows, np.ndarray, np.ndarray]:
+    """Score the rows of ids with the gate and route them at its frozen
+    tau*: (labelled rows, scores, trust decisions)."""
+    if gate.tau_star is None:
+        raise ValueError("gate has no frozen threshold; run the sweep first")
+    rows = build_examples(table, labels, ids)
+    scores = predict_score(gate, table.names, rows.X)
+    return rows, scores, decisions_at(scores, gate.tau_star)
 
 
 def train_gate(
@@ -227,16 +224,11 @@ def train_gate(
 ) -> tuple[TrainedGate, dict]:
     """Resample the training split, grid-search the configuration, and fit
     the final cross-fit calibrated gate (threshold still unset)."""
-    examples = build_examples(table, labels)
-    by_id = {e.item_id: e for e in examples}
-    train_examples = [by_id[i] for i in train_ids]
     if resample_cfg is None:
         resample_cfg = ResampleConfig(seed=seed)
-    reduced, resample_report = resample(train_examples, resample_cfg)
-    X = np.stack([e.features.values() for e in reduced])
-    z = np.array([e.z for e in reduced], dtype=int)
-    best_cfg, grid_report = grid_search(X, z, space=space, seed=seed)
-    gate = cross_fit_calibrated(X, z, best_cfg, seed=seed, feature_names=table.names)
+    reduced, resample_report = resample(build_examples(table, labels, train_ids), resample_cfg)
+    best_cfg, grid_report = grid_search(reduced.X, reduced.z, space=space, seed=seed)
+    gate = cross_fit_calibrated(reduced.X, reduced.z, best_cfg, seed=seed, feature_names=table.names)
     report = {
         "resample": resample_report,
         "grid_size": len(grid_report),
@@ -261,9 +253,8 @@ def sweep_gate(
     grid: np.ndarray | None = None,
 ) -> PolicyResult:
     """Choose tau* on validation scores and freeze it into the gate."""
-    X_val, z_val = _matrix_for(table, labels, validation_ids)
-    scores = predict_score(gate, table.names, X_val)
-    result = sweep_threshold(scores, z_val, cost, grid)
+    val = build_examples(table, labels, validation_ids)
+    result = sweep_threshold(predict_score(gate, table.names, val.X), val.z, cost, grid)
     gate.tau_star = result.tau_star
     return result
 
@@ -281,15 +272,11 @@ def evaluate_methods(
     """Meta-model at its frozen threshold plus the three single-feature
     baselines (thresholds swept on validation) plus always-trust, all
     evaluated on the test split."""
-    if gate.tau_star is None:
-        raise ValueError("gate has no frozen threshold; run the sweep first")
-    X_val, z_val = _matrix_for(table, labels, validation_ids)
-    X_test, z_test = _matrix_for(table, labels, test_ids)
+    test, scores, decisions = score_and_route(gate, table, labels, test_ids)
+    val = build_examples(table, labels, validation_ids)
 
     results: dict[str, dict] = {}
-    scores = predict_score(gate, table.names, X_test)
-    decisions = decisions_at(scores, gate.tau_star)
-    metrics = evaluation.compute_metrics(scores, decisions, z_test, cost)
+    metrics = evaluation.compute_metrics(scores, decisions, test.z, cost)
     results["meta_model"] = {
         "tau_star": gate.tau_star,
         "metrics": metrics.to_dict(),
@@ -301,7 +288,7 @@ def evaluate_methods(
 
     for spec in evaluation.BASELINES:
         val_policy, test_metrics = evaluation.run_baseline(
-            spec, table.names, X_val, z_val, X_test, z_test, cost, grid
+            spec, table.names, val.X, val.z, test.X, test.z, cost, grid
         )
         results[spec.feature] = {
             "tau_star": val_policy.tau_star,
@@ -312,7 +299,7 @@ def evaluate_methods(
             ],
         }
 
-    at_metrics = evaluation.always_trust_report(z_test, cost)
+    at_metrics = evaluation.always_trust_report(test.z, cost)
     results["always_trust"] = {"tau_star": None, "metrics": at_metrics.to_dict()}
     return results
 
@@ -336,14 +323,11 @@ def run_ablation(
 
     def end_to_end(families: Iterable[FeatureFamily]) -> float:
         table = extract_table(traces, families, k=k)
-        examples = build_examples(table, labels)
-        ids = split_examples(examples, split_spec)
-        gate, _ = train_gate(table, labels, ids["train"], resample_cfg, space, seed)
-        sweep_gate(gate, table, labels, ids["validation"], cost, grid)
-        X_test, z_test = _matrix_for(table, labels, ids["test"])
-        scores = predict_score(gate, table.names, X_test)
-        counts = policy.confusion(decisions_at(scores, gate.tau_star), z_test)
-        return policy.expected_cost(counts, cost)
+        train_ids, validation_ids, test_ids = stratified_split(build_examples(table, labels), split_spec)
+        gate, _ = train_gate(table, labels, train_ids, resample_cfg, space, seed)
+        sweep_gate(gate, table, labels, validation_ids, cost, grid)
+        test, _, trust = score_and_route(gate, table, labels, test_ids)
+        return policy.expected_cost(policy.confusion(trust, test.z), cost)
 
     full_cost = end_to_end(include)
     rows = []

@@ -18,18 +18,15 @@ credited with the miss it avoided.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
-    "Decision",
     "CostModel",
     "ConfusionCounts",
     "PolicyResult",
-    "route",
     "decisions_at",
     "confusion",
     "expected_cost",
@@ -46,11 +43,6 @@ __all__ = [
 DEFAULT_TAU_RANGE = (0.35, 0.70)
 DEFAULT_TAU_STEP = 0.005
 DEFAULT_SENSITIVITY_RATIOS = (0.4, 0.64, 0.9)
-
-
-class Decision(str, enum.Enum):
-    TRUST = "trust"
-    ESCALATE = "escalate"
 
 
 @dataclass(frozen=True)
@@ -93,13 +85,6 @@ class PolicyResult:
     escalations: int
     escalation_ratio: float
     counts: ConfusionCounts
-
-
-def route(score: float, tau: float) -> Decision:
-    """Trust iff score >= tau (boundary inclusive)."""
-    if not 0.0 <= score <= 1.0:
-        raise ValueError(f"score {score} outside [0, 1]")
-    return Decision.TRUST if score >= tau else Decision.ESCALATE
 
 
 def decisions_at(scores: Sequence[float], tau: float) -> np.ndarray:

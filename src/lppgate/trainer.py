@@ -5,21 +5,21 @@ The gate is a class-weighted ridge regressor on standardized features,
     min_{w,b}  sum_i omega_i (z_i - (w.x_i + b))^2 + alpha ||w||^2
 
 with the intercept unpenalized, solved in closed form by the normal
-equations (an iterative least-squares path exists for cross-checking; tol
-and max_iter bind only there). Raw scores are mapped to probabilities by
-cross-fit calibration: three stratified folds, ridge fit on two, the
-calibrator (Platt sigmoid or isotonic/PAVA) fit on the held-out fold, and
-the final score is the fold-pipeline average clamped to [0,1].
+equations. The grid's tol and max_iter are kept in the configuration and
+the reports, but no solver or calibrator reads them. Raw scores are
+mapped to probabilities by cross-fit calibration: three stratified folds,
+ridge fit on two, the calibrator (Platt sigmoid or isotonic/PAVA) fit on
+the held-out fold, and the final score is the fold-pipeline average
+clamped to [0,1].
 
 Hyperparameters are chosen by a grid over alpha, tol, max_iter, seven
 class-weight configurations, and the two calibrators (672 points), scored
 by stratified 3-fold cross-validated F1 of the minority (error) class at
 threshold 0.5; ties go to the earlier point in enumeration order
 (alpha, tol, max_iter, class_weight, calibration). All 672 points are
-enumerated and reported, but since tol and max_iter do not reach the
-closed-form fit, only the 56 distinct (alpha, class_weight, calibration)
-configurations are fitted, and each fold's ridge fit is shared by both
-calibrators.
+enumerated and reported, but since tol and max_iter bind nowhere, only
+the 56 distinct (alpha, class_weight, calibration) configurations are
+fitted, and each fold's ridge fit is shared by both calibrators.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse.linalg import lsqr as _scipy_lsqr
 from scipy.special import expit
+
+from .manifest import write_json_atomic
 
 __all__ = [
     "ALPHA_GRID",
@@ -53,7 +54,6 @@ __all__ = [
     "standardize_apply",
     "resolve_class_weights",
     "fit_ridge_weighted",
-    "ridge_objective",
     "SigmoidCalibrator",
     "IsotonicCalibrator",
     "IdentityCalibrator",
@@ -183,16 +183,11 @@ def fit_ridge_weighted(
     z: Sequence[int],
     weights: tuple[float, float] = (1.0, 1.0),
     alpha: float = 1.0,
-    solver: str = "closed_form",
-    tol: float = 1e-6,
-    max_iter: int = 1000,
 ) -> tuple[np.ndarray, float]:
     """Minimize the weighted ridge objective; returns (w, b).
 
-    closed_form solves the normal equations of the augmented system with an
-    unpenalized intercept and ignores tol/max_iter by design; lsqr solves
-    the equivalent regularized least-squares problem iteratively and is
-    used as a cross-check.
+    Solves the normal equations of the augmented system with an
+    unpenalized intercept.
     """
     X = np.asarray(X, dtype=float)
     zz = np.asarray(z, dtype=float)
@@ -201,46 +196,16 @@ def fit_ridge_weighted(
     omega = _sample_weights(zz, weights)
     n, d = X.shape
 
-    if solver == "closed_form":
-        Xa = np.hstack([X, np.ones((n, 1))])
-        penalty = np.zeros((d + 1, d + 1))
-        penalty[:d, :d] = alpha * np.eye(d)
-        gram = Xa.T @ (omega[:, None] * Xa) + penalty
-        rhs = Xa.T @ (omega * zz)
-        try:
-            beta = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystem(str(exc)) from exc
-        return beta[:d], float(beta[d])
-
-    if solver == "lsqr":
-        sw = np.sqrt(omega)
-        A = np.vstack(
-            [
-                sw[:, None] * np.hstack([X, np.ones((n, 1))]),
-                np.sqrt(alpha) * np.hstack([np.eye(d), np.zeros((d, 1))]),
-            ]
-        )
-        y = np.concatenate([sw * zz, np.zeros(d)])
-        beta = _scipy_lsqr(A, y, atol=tol, btol=tol, iter_lim=max_iter)[0]
-        return beta[:d], float(beta[d])
-
-    raise ValueError(f"unknown solver {solver!r}")
-
-
-def ridge_objective(
-    X: np.ndarray,
-    z: Sequence[int],
-    w: np.ndarray,
-    b: float,
-    weights: tuple[float, float] = (1.0, 1.0),
-    alpha: float = 1.0,
-) -> float:
-    X = np.asarray(X, dtype=float)
-    zz = np.asarray(z, dtype=float)
-    omega = _sample_weights(zz, weights)
-    resid = zz - (X @ w + b)
-    return float(np.sum(omega * resid**2) + alpha * np.dot(w, w))
+    Xa = np.hstack([X, np.ones((n, 1))])
+    penalty = np.zeros((d + 1, d + 1))
+    penalty[:d, :d] = alpha * np.eye(d)
+    gram = Xa.T @ (omega[:, None] * Xa) + penalty
+    rhs = Xa.T @ (omega * zz)
+    try:
+        beta = np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from exc
+    return beta[:d], float(beta[d])
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +440,7 @@ def _cross_fit_folds(X: np.ndarray, z: np.ndarray, seed: int) -> _CrossFitFolds:
 def _fold_ridges(
     folds: _CrossFitFolds, alpha: float, class_weight: str
 ) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Ridge on each fold's training rows: (w, b, held-out raw scores).
-
-    The closed-form solver ignores tol and max_iter, so they are not passed.
-    """
+    """Ridge on each fold's training rows: (w, b, held-out raw scores)."""
     out = []
     for train_idx, held_out in folds.splits:
         z_train = folds.z[train_idx]
@@ -675,9 +637,7 @@ def gate_from_dict(obj: dict) -> TrainedGate:
 
 
 def save_gate(gate: TrainedGate, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gate_to_dict(gate), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json_atomic(path, gate_to_dict(gate))
 
 
 def load_gate(path) -> TrainedGate:

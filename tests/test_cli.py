@@ -201,6 +201,31 @@ class TestErrors:
             pytest.skip("split unexpectedly succeeded")
         assert not (out / "train_ids.txt").exists()
 
+    def test_failed_sweep_keeps_trained_model(self, workdir, tmp_path, monkeypatch, capsys):
+        common = [
+            "--features", workdir / "features.csv",
+            "--features-sidecar", workdir / "features.families.json",
+            "--labels", workdir / "labels.csv",
+        ]
+        out = tmp_path / "run"
+        train_ids = workdir / "train_ids.txt"
+        assert run_cli("train", "--out", out, *common, "--train-ids", train_ids, "--quick-grid") == 0
+        trained = (out / "model.json").read_bytes()
+
+        def broken_report(*args, **kwargs):
+            raise RuntimeError("report failed")
+
+        monkeypatch.setattr(lppgate.policy, "policy_report", broken_report)
+        code = run_cli(
+            "sweep", "--out", out, *common,
+            "--model", out / "model.json",
+            "--validation-ids", workdir / "validation_ids.txt",
+        )
+        assert code == 1
+        assert "report failed" in capsys.readouterr().err
+        assert (out / "model.json").read_bytes() == trained
+        assert not (out / "policy_report.json").exists()
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = tmp_path / "cfg.json"

@@ -14,9 +14,8 @@ from lppgate.evaluation import (
     minmax_rescale,
     per_class_f1,
     run_baseline,
-    sensitivity_consistency,
 )
-from lppgate.policy import ConfusionCounts, CostModel
+from lppgate.policy import ConfusionCounts, CostModel, cost_ratio_sensitivity, expected_cost
 
 
 class TestAuc:
@@ -241,6 +240,13 @@ class TestEmitReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             emit_report({})
+
+
+def sensitivity_consistency(counts: ConfusionCounts, m: CostModel) -> tuple[float, float]:
+    """(relative cost at r = c_rev/c_mis, expected cost / c_mis); the two
+    must agree, tying the sensitivity curve to the main cost report."""
+    [(_, relative)] = cost_ratio_sensitivity(counts, [m.ratio])
+    return relative, expected_cost(counts, m) / m.c_mis
 
 
 class TestSensitivityConsistency:

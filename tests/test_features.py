@@ -13,6 +13,7 @@ from lppgate.features import (
     FeatureFamily,
     LabelDistribution,
     NoLabelMass,
+    NonFiniteFeature,
     SequenceStats,
     TopKDistribution,
     assemble_feature_vector,
@@ -438,6 +439,13 @@ class TestAssembleFeatureVector:
     def test_empty_include_rejected(self):
         with pytest.raises(ValueError):
             assemble_feature_vector(make_trace(), include=())
+
+    def test_overflowing_perplexity_is_a_non_finite_feature(self):
+        trace = make_trace(reasoning_logprobs=(-800.0,) * 3)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            NonFiniteFeature, match="sequence.ppl"
+        ):
+            assemble_feature_vector(trace)
 
     def test_no_label_mass_propagates(self):
         trace = make_trace(outcome_probs={"1": 0.6, "junk": 0.4})

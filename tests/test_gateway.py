@@ -269,6 +269,37 @@ class TestRunInference:
         )
         assert len(result.traces) == 1
 
+    def test_transport_give_up_is_per_item(self):
+        class FlakyForOne(StubProvider):
+            def __init__(self, fixtures, failing):
+                super().__init__(fixtures)
+                self.failing = failing
+                self.calls = 0
+
+            def complete(self, request):
+                if request.item_id == self.failing:
+                    self.calls += 1
+                    raise TransportError("HTTP 503")
+                return super().complete(request)
+
+        fixtures = {f"it-{i:02d}": [valid_payload()] for i in range(3)}
+        provider = FlakyForOne(fixtures, failing="it-01")
+        result = run_inference(
+            self._items(3), load_template("text-direct"), provider,
+            max_transport_retries=2, pool_width=3, sleep=NO_SLEEP,
+        )
+        assert [t.item_id for t in result.traces] == ["it-00", "it-02"]
+        assert result.give_ups == [{"item_id": "it-01", "attempts": 1, "failure": "transport"}]
+        assert provider.calls == 2 + 1
+
+    def test_auth_failure_still_aborts(self):
+        class Unauthorized(StubProvider):
+            def complete(self, request):
+                raise AuthFailure("provider rejected the credentials (HTTP 401)")
+
+        with pytest.raises(AuthFailure):
+            run_inference(self._items(2), load_template("text-direct"), Unauthorized({}), sleep=NO_SLEEP)
+
 
 def _chat_body(payload):
     """Wrap a stub payload in the chat-completion wire shape."""
@@ -384,6 +415,18 @@ class TestHttpProvider:
         provider = HttpProvider(endpoint, model="m")
         with pytest.raises(ProviderRejected, match=str(status)):
             dispatch(self._request(), provider, max_transport_retries=3, sleep=NO_SLEEP)
+        assert len(handler.seen) == 1
+
+    def test_rejected_request_is_a_give_up_after_one_request(self, http_endpoint, monkeypatch):
+        endpoint, handler = http_endpoint
+        monkeypatch.setenv("LPP_API_KEY", "k")
+        handler.script.append((400, {"error": "bad request"}))
+        item = {"item_id": "item-1", "text": "x", "concept_definition": "d"}
+        result = run_inference(
+            [item], load_template("text-direct"), HttpProvider(endpoint, model="m"), sleep=NO_SLEEP
+        )
+        assert not result.traces
+        assert result.give_ups == [{"item_id": "item-1", "attempts": 1, "failure": "rejected"}]
         assert len(handler.seen) == 1
 
     @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lppgate import pipeline, policy, trainer
-from lppgate.dataset import ResampleConfig, SplitSpec, label_correctness
+from lppgate.dataset import ResampleConfig, SplitSpec, label_correctness, stratified_split
 from lppgate.features import FeatureFamily
 from lppgate.schema import OutcomeLabel, TokenCandidate
 from lppgate.synth import SynthConfig, generate_corpus
@@ -27,8 +27,9 @@ def corpus(n=900, seed=42, **kwargs):
 def trained_setup():
     traces, labels = corpus()
     table = pipeline.extract_table(traces)
-    examples = pipeline.build_examples(table, labels)
-    ids = pipeline.split_examples(examples, SplitSpec(test_negative_count=45, seed=42))
+    rows = pipeline.build_examples(table, labels)
+    split = stratified_split(rows, SplitSpec(test_negative_count=45, seed=42))
+    ids = dict(zip(("train", "validation", "test"), split))
     gate, report = pipeline.train_gate(table, labels, ids["train"], ResampleConfig(seed=42), QUICK_SPACE, 42)
     return traces, labels, table, ids, gate, report
 
@@ -49,12 +50,56 @@ class TestExtractTable:
         assert table.invalid_ids == ["zzz-bad"]
         assert "zzz-bad" not in table.item_ids
 
+    def test_non_finite_feature_row_is_invalid(self):
+        # mean chosen logprob -800 makes the reasoning perplexity overflow
+        traces, labels = corpus(n=20)
+        bad = make_trace(item_id="item-overflow", reasoning_logprobs=(-800.0,) * 4)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            table = pipeline.extract_table(list(traces) + [bad])
+        assert table.invalid_ids == ["item-overflow"]
+        assert table.item_ids == sorted(t.item_id for t in traces)
+        assert np.isfinite(table.matrix).all()
+
     def test_family_subset(self):
         traces, _ = corpus(n=10)
         include = (FeatureFamily.OUTCOME_TOPK, FeatureFamily.ATTRIBUTION)
         table = pipeline.extract_table(traces, include)
         assert table.matrix.shape == (10, 11)
         assert set(table.families.values()) == {"outcome_topk", "attribution"}
+
+
+class TestBuildExamples:
+    def test_labels_meet_rows_once(self):
+        traces, labels = corpus(n=60, abstention_rate=0.2)
+        table = pipeline.extract_table(traces)
+        rows = pipeline.build_examples(table, labels)
+        assert rows.item_ids == tuple(table.item_ids)
+        assert rows.X is table.matrix
+        for item_id, z, abstain in zip(rows.item_ids, rows.z, rows.abstain):
+            truth, outcome = labels[item_id]
+            assert z == label_correctness(outcome, truth)
+            assert abstain == (outcome not in (OutcomeLabel.YES, OutcomeLabel.NO))
+        assert rows.abstain.any() and not rows.z[rows.abstain].any()
+
+    def test_ids_select_rows_in_the_given_order(self):
+        traces, labels = corpus(n=30)
+        table = pipeline.extract_table(traces)
+        ids = [table.item_ids[i] for i in (7, 2, 19)]
+        rows = pipeline.build_examples(table, labels, ids)
+        assert rows.item_ids == tuple(ids)
+        assert rows.X.tobytes() == table.matrix[[7, 2, 19]].tobytes()
+        assert rows.z.tolist() == [label_correctness(labels[i][1], labels[i][0]) for i in ids]
+
+    def test_row_without_label_raises(self):
+        traces, labels = corpus(n=10)
+        table = pipeline.extract_table(traces)
+        missing = table.item_ids[3]
+        del labels[missing]
+        with pytest.raises(KeyError, match=missing):
+            pipeline.build_examples(table, labels)
+        with pytest.raises(KeyError, match=missing):
+            pipeline.build_examples(table, labels, [table.item_ids[0], missing])
+        pipeline.build_examples(table, labels, table.item_ids[:3])
 
 
 class TestFileRoundTrips:

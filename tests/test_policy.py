@@ -1,3 +1,5 @@
+import enum
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,28 +8,46 @@ from hypothesis import strategies as st
 from lppgate.policy import (
     ConfusionCounts,
     CostModel,
-    Decision,
     always_trust_cost,
     confusion,
     cost_ratio_sensitivity,
     decisions_at,
     expected_cost,
     policy_report,
-    route,
     sweep_threshold,
     tau_grid,
 )
 
 
+class Decision(str, enum.Enum):
+    TRUST = "trust"
+    ESCALATE = "escalate"
+
+
+def route(score: float, tau: float) -> Decision:
+    """Scalar reference for decisions_at: trust iff score >= tau (boundary
+    inclusive), for a score that must lie in [0, 1]."""
+    if not 0.0 <= score <= 1.0:
+        raise ValueError(f"score {score} outside [0, 1]")
+    return Decision.TRUST if score >= tau else Decision.ESCALATE
+
+
+def _agrees(score: float, tau: float) -> bool:
+    return bool(decisions_at([score], tau)[0]) == (route(score, tau) is Decision.TRUST)
+
+
 class TestRoute:
     def test_boundary_inclusive(self):
         assert route(0.5, 0.5) is Decision.TRUST
+        assert _agrees(0.5, 0.5)
 
     def test_below_escalates(self):
         assert route(0.49, 0.5) is Decision.ESCALATE
+        assert _agrees(0.49, 0.5)
 
     def test_top_of_range(self):
         assert route(1.0, 0.70) is Decision.TRUST
+        assert _agrees(1.0, 0.70)
 
     def test_score_validated(self):
         with pytest.raises(ValueError):

@@ -32,12 +32,12 @@ from lppgate.trainer import (
     minority_f1,
     predict_score,
     resolve_class_weights,
-    ridge_objective,
     save_gate,
     standardize_apply,
     standardize_fit,
     stratified_kfold_indices,
 )
+from tests.ridge_oracle import fit_ridge_lsqr, ridge_objective
 
 
 class TestStandardize:
@@ -124,9 +124,7 @@ class TestRidge:
             X = rng.normal(size=(80, 7))
             z = rng.integers(0, 2, size=80)
             w1, b1 = fit_ridge_weighted(X, z, weights=(0.64, 1.0), alpha=1.0)
-            w2, b2 = fit_ridge_weighted(
-                X, z, weights=(0.64, 1.0), alpha=1.0, solver="lsqr", tol=1e-12, max_iter=3000
-            )
+            w2, b2 = fit_ridge_lsqr(X, z, weights=(0.64, 1.0), alpha=1.0)
             assert np.allclose(w1, w2, atol=1e-6)
             assert b1 == pytest.approx(b2, abs=1e-6)
 
@@ -552,6 +550,9 @@ class TestSerialization:
         loaded = load_gate(path)
         assert gate_to_dict(loaded) == gate_to_dict(gate)
         assert np.array_equal(loaded.predict_matrix(X), gate.predict_matrix(X))
+        # written whole through a temp file and a rename, in the same format
+        assert path.read_text() == json.dumps(gate_to_dict(gate), indent=2, sort_keys=True) + "\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_tamper_detected(self, tmp_path):
         rng = np.random.default_rng(15)
