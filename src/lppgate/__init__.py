@@ -6,12 +6,7 @@ or human review by minimizing an explicit expected-cost objective.
 """
 
 from .dataset import LabeledRows, ResampleConfig, SplitSpec, label_correctness
-from .features import (
-    ALL_FAMILIES,
-    FeatureFamily,
-    FeatureVector,
-    assemble_feature_vector,
-)
+from .features import ALL_FAMILIES, FeatureFamily, assemble_feature_vector
 from .policy import ConfusionCounts, CostModel, PolicyResult, expected_cost, sweep_threshold
 from .schema import (
     ConfidenceBand,
@@ -31,7 +26,6 @@ __all__ = [
     "ConfusionCounts",
     "CostModel",
     "FeatureFamily",
-    "FeatureVector",
     "LabeledRows",
     "OutcomeLabel",
     "PolicyResult",

@@ -22,14 +22,18 @@ Feature families, in fixed catalog order:
                       policy gap (outcome 3), and their union
 
 Entropies are in bits; sequence NLL/perplexity use natural logs. All
-computations are pure and deterministic; excluded families are absent from
-the vector entirely rather than zeroed.
+computations are pure and deterministic.
+
+assemble_feature_vector turns one trace into one float64 row whose columns
+are catalog_names(include): the enabled families in the order above, each
+family's values in _CATALOG order. Excluded families are absent from the
+row entirely rather than zeroed. A row holding a nan or infinite value
+raises NonFiniteFeature naming its first bad column.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -50,8 +54,6 @@ __all__ = [
     "DEFAULT_TOP_K",
     "FULL_SUPPORT",
     "FeatureFamily",
-    "FeatureEntry",
-    "FeatureVector",
     "TopKDistribution",
     "LabelDistribution",
     "SequenceStats",
@@ -112,42 +114,6 @@ class FeatureFamily(str, enum.Enum):
 
 
 ALL_FAMILIES: tuple[FeatureFamily, ...] = tuple(FeatureFamily)
-
-
-@dataclass(frozen=True)
-class FeatureEntry:
-    name: str
-    family: FeatureFamily
-    value: float
-
-    @property
-    def qualified_name(self) -> str:
-        return f"{self.family.value}.{self.name}"
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    entries: tuple[FeatureEntry, ...]
-
-    def __post_init__(self):
-        names = [e.qualified_name for e in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate feature names")
-        for e in self.entries:
-            if not math.isfinite(e.value):
-                raise NonFiniteFeature(f"non-finite value for {e.qualified_name}")
-
-    def qualified_names(self) -> list[str]:
-        return [e.qualified_name for e in self.entries]
-
-    def values(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries], dtype=float)
-
-    def as_mapping(self) -> dict[str, float]:
-        return {e.qualified_name: e.value for e in self.entries}
-
-    def families(self) -> dict[str, str]:
-        return {e.qualified_name: e.family.value for e in self.entries}
 
 
 @dataclass(frozen=True)
@@ -355,7 +321,10 @@ def compute_sequence_features(
         return SequenceStats(0.0, 1.0, 0.0, zeros, zeros, absent=True)
     chosen_lp = np.array([r.chosen.logprob for r in reasoning], dtype=float)
     nll = float(-chosen_lp.sum())
-    ppl = float(np.exp(nll / len(reasoning)))
+    # a mean chosen logprob below about -709 gives inf, which the row's
+    # isfinite check reports as NonFiniteFeature
+    with np.errstate(over="ignore"):
+        ppl = float(np.exp(nll / len(reasoning)))
 
     rows = [r.candidates[:k] for r in reasoning]
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
@@ -421,7 +390,7 @@ def compute_attribution_features(outcome: OutcomeLabel) -> dict[str, float]:
 
 
 #: Short feature names per family, in catalog order. The one source of
-#: both catalog_names and the order of the assembled vector.
+#: both catalog_names and the column order of the assembled row.
 _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
     FeatureFamily.OUTCOME_TOPK: (
         "entropy",
@@ -465,14 +434,8 @@ _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
 }
 
 
-def _sequence_entries(stats: SequenceStats) -> dict[str, float]:
-    values = (stats.nll, stats.perplexity, 1.0 if stats.absent else 0.0)
-    return dict(zip(_CATALOG[FeatureFamily.SEQUENCE_COT], values))
-
-
-def _token_entries(stats: SequenceStats) -> dict[str, float]:
-    values = (stats.mean_token_entropy_bits, *stats.entropy_quantiles, *stats.prob_quantiles)
-    return dict(zip(_CATALOG[FeatureFamily.TOKEN_LEVEL_COT], values))
+def _in_catalog_order(family: FeatureFamily, metrics: Mapping[str, float]) -> list[float]:
+    return [metrics[name] for name in _CATALOG[family]]
 
 
 def assemble_feature_vector(
@@ -480,13 +443,14 @@ def assemble_feature_vector(
     include: Iterable[FeatureFamily] = ALL_FAMILIES,
     k: int = DEFAULT_TOP_K,
     support: tuple[OutcomeLabel, ...] = FULL_SUPPORT,
-) -> FeatureVector:
-    """Concatenate the enabled feature families in fixed catalog order.
+) -> np.ndarray:
+    """One float64 feature row whose columns are catalog_names(include).
 
-    Excluded families are absent from the vector entirely, which is what
-    the ablation runner relies on. Direct-answer traces still carry the
+    Excluded families are absent from the row entirely, which is what the
+    ablation runner relies on. Direct-answer traces still carry the
     sequence/token families when enabled, with zero stats and the absent
-    flag set. NoLabelMass and NonFiniteFeature propagate to the caller as
+    flag set. NoLabelMass and NonFiniteFeature (one isfinite check over the
+    finished row, naming its first bad column) propagate to the caller as
     invalid-row markers. The outcome-span token, not the structured field,
     drives the token-derived families.
     """
@@ -495,10 +459,7 @@ def assemble_feature_vector(
         raise ValueError("at least one feature family must be included")
 
     outcome_rec = trace.outcome_record()
-    entries: list[FeatureEntry] = []
-
-    def extend(family: FeatureFamily, metrics: Mapping[str, float]) -> None:
-        entries.extend(FeatureEntry(name, family, float(metrics[name])) for name in _CATALOG[family])
+    values: list[float] = []
 
     ldist = None
     if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
@@ -506,26 +467,33 @@ def assemble_feature_vector(
 
     if FeatureFamily.OUTCOME_TOPK in include_set:
         dist = renormalize_topk([c.logprob for c in outcome_rec.candidates[:k]])
-        extend(FeatureFamily.OUTCOME_TOPK, compute_topk_features(dist))
+        values += _in_catalog_order(FeatureFamily.OUTCOME_TOPK, compute_topk_features(dist))
     if FeatureFamily.FILTERED_OUTCOME in include_set:
-        extend(FeatureFamily.FILTERED_OUTCOME, compute_filtered_features(ldist))
+        values += _in_catalog_order(FeatureFamily.FILTERED_OUTCOME, compute_filtered_features(ldist))
     if FeatureFamily.LOGODDS_MARGIN in include_set:
-        extend(FeatureFamily.LOGODDS_MARGIN, compute_logodds_features(outcome_rec.candidates, ldist))
+        metrics = compute_logodds_features(outcome_rec.candidates, ldist)
+        values += _in_catalog_order(FeatureFamily.LOGODDS_MARGIN, metrics)
 
-    needs_sequence = include_set & {FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT}
-    if needs_sequence:
+    if include_set & {FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT}:
         stats = compute_sequence_features(trace.reasoning_records(), k=k)
+        # in _CATALOG order: (nll, ppl, absent) and (mean_entropy, quantiles...)
         if FeatureFamily.SEQUENCE_COT in include_set:
-            extend(FeatureFamily.SEQUENCE_COT, _sequence_entries(stats))
+            values += (stats.nll, stats.perplexity, float(stats.absent))
         if FeatureFamily.TOKEN_LEVEL_COT in include_set:
-            extend(FeatureFamily.TOKEN_LEVEL_COT, _token_entries(stats))
+            values += (stats.mean_token_entropy_bits, *stats.entropy_quantiles, *stats.prob_quantiles)
 
     if FeatureFamily.VERBALIZED in include_set:
-        extend(FeatureFamily.VERBALIZED, compute_verbalized_features(trace.structured))
+        values += _in_catalog_order(FeatureFamily.VERBALIZED, compute_verbalized_features(trace.structured))
     if FeatureFamily.ATTRIBUTION in include_set:
-        extend(FeatureFamily.ATTRIBUTION, compute_attribution_features(trace.effective_outcome()))
+        metrics = compute_attribution_features(trace.effective_outcome())
+        values += _in_catalog_order(FeatureFamily.ATTRIBUTION, metrics)
 
-    return FeatureVector(tuple(entries))
+    row = np.array(values, dtype=float)
+    finite = np.isfinite(row)
+    if not finite.all():
+        bad = catalog_names(include_set)[int(np.argmin(finite))]
+        raise NonFiniteFeature(f"non-finite value for {bad}")
+    return row
 
 
 def catalog_names(include: Iterable[FeatureFamily] = ALL_FAMILIES) -> list[str]:

@@ -28,6 +28,7 @@ from .features import (
     NoLabelMass,
     NonFiniteFeature,
     assemble_feature_vector,
+    catalog_names,
 )
 from .manifest import write_json_atomic, write_text_atomic
 from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, decisions_at, sweep_threshold
@@ -78,31 +79,26 @@ def extract_table(
     include: Iterable[FeatureFamily] = ALL_FAMILIES,
     k: int = DEFAULT_TOP_K,
 ) -> FeatureTable:
-    """Assemble one feature row per trace, in item_id order.
+    """Stack one feature row per trace, in item_id order, under the column
+    names catalog_names(include).
 
     Rows that raise NoLabelMass or NonFiniteFeature are excluded from the
     matrix and listed in invalid_ids, to be escalated by default downstream.
     """
-    ordered = sorted(traces, key=lambda t: t.item_id)
+    include = frozenset(include)
+    names = catalog_names(include)
+    families = {name: name.split(".", 1)[0] for name in names}
     item_ids: list[str] = []
     rows: list[np.ndarray] = []
-    names: list[str] | None = None
-    families: dict[str, str] = {}
     invalid: list[str] = []
-    for trace in ordered:
+    for trace in sorted(traces, key=lambda t: t.item_id):
         try:
-            fv = assemble_feature_vector(trace, include, k=k)
+            rows.append(assemble_feature_vector(trace, include, k=k))
         except (NoLabelMass, NonFiniteFeature):
             invalid.append(trace.item_id)
-            continue
-        if names is None:
-            names = fv.qualified_names()
-            families = fv.families()
-        elif fv.qualified_names() != names:
-            raise ValueError(f"inconsistent feature names at {trace.item_id!r}")
-        item_ids.append(trace.item_id)
-        rows.append(fv.values())
-    if names is None:
+        else:
+            item_ids.append(trace.item_id)
+    if not rows:
         raise ValueError("no valid traces to extract features from")
     return FeatureTable(item_ids, names, np.stack(rows), families, invalid)
 

@@ -205,6 +205,36 @@ class ResponseTrace:
         return label if label is not None else self.structured.outcome
 
 
+def _match_bracket(raw: str, i: int, end: int) -> int | None:
+    """Index just past the bracket that closes ``raw[i]`` (``{`` or ``[``),
+    or None when it is unbalanced before ``end``. Only the opening
+    bracket's own kind is counted, and brackets inside JSON strings are
+    skipped."""
+    open_ = raw[i]
+    close = "}" if open_ == "{" else "]"
+    depth = 0
+    in_string = False
+    escape = False
+    for j in range(i, end):
+        c = raw[j]
+        if in_string:
+            if escape:
+                escape = False
+            elif c == "\\":
+                escape = True
+            elif c == '"':
+                in_string = False
+        elif c == '"':
+            in_string = True
+        elif c == open_:
+            depth += 1
+        elif c == close:
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return None
+
+
 def find_balanced_object(raw: str) -> tuple[int, int] | None:
     """Locate the first balanced top-level JSON object in ``raw``.
 
@@ -214,28 +244,8 @@ def find_balanced_object(raw: str) -> tuple[int, int] | None:
     start = raw.find("{")
     if start < 0:
         return None
-    depth = 0
-    in_string = False
-    escape = False
-    for i in range(start, len(raw)):
-        ch = raw[i]
-        if in_string:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return start, i + 1
-    return None
+    stop = _match_bracket(raw, start, len(raw))
+    return None if stop is None else (start, stop)
 
 
 @dataclass(frozen=True)
@@ -272,31 +282,8 @@ def _scan_value(raw: str, i: int, end: int) -> tuple[int, int, int]:
             j += 1
         return i + 1, end, end
     if ch in "{[":
-        close = "}" if ch == "{" else "]"
-        open_ = ch
-        depth = 0
-        in_string = False
-        escape = False
-        j = i
-        while j < end:
-            c = raw[j]
-            if in_string:
-                if escape:
-                    escape = False
-                elif c == "\\":
-                    escape = True
-                elif c == '"':
-                    in_string = False
-            elif c == '"':
-                in_string = True
-            elif c == open_:
-                depth += 1
-            elif c == close:
-                depth -= 1
-                if depth == 0:
-                    return i, j + 1, j + 1
-            j += 1
-        return i, end, end
+        stop = _match_bracket(raw, i, end)
+        return (i, end, end) if stop is None else (i, stop, stop)
     j = i
     while j < end and raw[j] not in ",}]":
         j += 1

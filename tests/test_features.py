@@ -1,5 +1,8 @@
 import itertools
 import math
+import warnings
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 import pytest
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 
 from lppgate import features
 from lppgate.features import (
+    _CATALOG,
     ALL_FAMILIES,
     DEFAULT_TOP_K,
+    FULL_SUPPORT,
     FeatureFamily,
     LabelDistribution,
     NoLabelMass,
@@ -334,7 +339,7 @@ class TestSequenceFeaturesVectorised:
         table = extract_table(traces)
         by_id = {t.item_id: t for t in traces}
         monkeypatch.setattr(features, "compute_sequence_features", _sequence_features_reference)
-        expected = np.stack([assemble_feature_vector(by_id[i]).values() for i in table.item_ids])
+        expected = np.stack([assemble_feature_vector(by_id[i]) for i in table.item_ids])
         assert table.matrix.tobytes() == expected.tobytes()
 
 
@@ -416,25 +421,109 @@ class TestAttributionFeatures:
         assert (f["evidence_deficit"], f["policy_gap"], f["inconclusive"]) == expected
 
 
+@dataclass(frozen=True)
+class _FeatureEntry:
+    name: str
+    family: FeatureFamily
+    value: float
+
+    @property
+    def qualified_name(self) -> str:
+        return f"{self.family.value}.{self.name}"
+
+
+@dataclass(frozen=True)
+class _FeatureVector:
+    entries: tuple[_FeatureEntry, ...]
+
+    def __post_init__(self):
+        names = [e.qualified_name for e in self.entries]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate feature names")
+        for e in self.entries:
+            if not math.isfinite(e.value):
+                raise NonFiniteFeature(f"non-finite value for {e.qualified_name}")
+
+    def qualified_names(self) -> list[str]:
+        return [e.qualified_name for e in self.entries]
+
+    def values(self) -> np.ndarray:
+        return np.array([e.value for e in self.entries], dtype=float)
+
+    def as_mapping(self) -> dict[str, float]:
+        return {e.qualified_name: e.value for e in self.entries}
+
+    def families(self) -> dict[str, str]:
+        return {e.qualified_name: e.family.value for e in self.entries}
+
+
+def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TOP_K, support=FULL_SUPPORT):
+    """The per-entry assembly that assemble_feature_vector's float row
+    replaced: one _FeatureEntry per feature, checked one by one."""
+    include_set = set(include)
+    if not include_set:
+        raise ValueError("at least one feature family must be included")
+
+    outcome_rec = trace.outcome_record()
+    entries = []
+
+    def extend(family: FeatureFamily, metrics: Mapping[str, float]) -> None:
+        entries.extend(_FeatureEntry(name, family, float(metrics[name])) for name in _CATALOG[family])
+
+    ldist = None
+    if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
+        ldist = collapse_to_labels(outcome_rec.candidates, support)
+
+    if FeatureFamily.OUTCOME_TOPK in include_set:
+        dist = renormalize_topk([c.logprob for c in outcome_rec.candidates[:k]])
+        extend(FeatureFamily.OUTCOME_TOPK, compute_topk_features(dist))
+    if FeatureFamily.FILTERED_OUTCOME in include_set:
+        extend(FeatureFamily.FILTERED_OUTCOME, compute_filtered_features(ldist))
+    if FeatureFamily.LOGODDS_MARGIN in include_set:
+        extend(FeatureFamily.LOGODDS_MARGIN, compute_logodds_features(outcome_rec.candidates, ldist))
+
+    if include_set & {FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT}:
+        stats = compute_sequence_features(trace.reasoning_records(), k=k)
+        if FeatureFamily.SEQUENCE_COT in include_set:
+            values = (stats.nll, stats.perplexity, 1.0 if stats.absent else 0.0)
+            extend(FeatureFamily.SEQUENCE_COT, dict(zip(_CATALOG[FeatureFamily.SEQUENCE_COT], values)))
+        if FeatureFamily.TOKEN_LEVEL_COT in include_set:
+            values = (stats.mean_token_entropy_bits, *stats.entropy_quantiles, *stats.prob_quantiles)
+            extend(FeatureFamily.TOKEN_LEVEL_COT, dict(zip(_CATALOG[FeatureFamily.TOKEN_LEVEL_COT], values)))
+
+    if FeatureFamily.VERBALIZED in include_set:
+        extend(FeatureFamily.VERBALIZED, compute_verbalized_features(trace.structured))
+    if FeatureFamily.ATTRIBUTION in include_set:
+        extend(FeatureFamily.ATTRIBUTION, compute_attribution_features(trace.effective_outcome()))
+
+    return _FeatureVector(tuple(entries))
+
+
 class TestAssembleFeatureVector:
     def test_direct_trace_all_families(self):
-        fv = assemble_feature_vector(make_trace())
-        names = fv.qualified_names()
-        assert names == catalog_names()
+        row = assemble_feature_vector(make_trace())
+        names = catalog_names()
+        assert row.shape == (45,) and row.dtype == np.float64
         assert len(names) == 45
-        m = fv.as_mapping()
+        m = dict(zip(names, row))
         assert m["sequence.absent"] == 1.0
         assert m["sequence.ppl"] == 1.0
 
+    def test_catalog_names_are_unique(self):
+        assert len(set(catalog_names())) == len(catalog_names())
+
     def test_single_family_cardinality(self):
-        fv = assemble_feature_vector(make_trace(), include={FeatureFamily.OUTCOME_TOPK})
-        assert len(fv.entries) == 8
+        include = {FeatureFamily.OUTCOME_TOPK}
+        row = assemble_feature_vector(make_trace(), include=include)
+        assert row.shape == (8,)
+        assert len(catalog_names(include)) == 8
 
     def test_exclusion_removes_names(self):
         include = [f for f in ALL_FAMILIES if f is not FeatureFamily.ATTRIBUTION]
-        fv = assemble_feature_vector(make_trace(), include=include)
-        assert not any(n.startswith("attribution.") for n in fv.qualified_names())
-        assert len(fv.entries) == 42
+        row = assemble_feature_vector(make_trace(), include=include)
+        assert not any(n.startswith("attribution.") for n in catalog_names(include))
+        assert row.shape == (42,)
+        assert len(catalog_names(include)) == 42
 
     def test_empty_include_rejected(self):
         with pytest.raises(ValueError):
@@ -442,10 +531,10 @@ class TestAssembleFeatureVector:
 
     def test_overflowing_perplexity_is_a_non_finite_feature(self):
         trace = make_trace(reasoning_logprobs=(-800.0,) * 3)
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-            NonFiniteFeature, match="sequence.ppl"
-        ):
-            assemble_feature_vector(trace)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteFeature, match="sequence.ppl"):
+                assemble_feature_vector(trace)
 
     def test_no_label_mass_propagates(self):
         trace = make_trace(outcome_probs={"1": 0.6, "junk": 0.4})
@@ -457,15 +546,28 @@ class TestAssembleFeatureVector:
     def test_deterministic(self):
         a = assemble_feature_vector(make_trace(reasoning_logprobs=(-0.4, -0.9)))
         b = assemble_feature_vector(make_trace(reasoning_logprobs=(-0.4, -0.9)))
-        assert a == b
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("reasoning", [(), (-0.4, -0.9)], ids=["direct", "cot"])
     def test_names_match_catalog_for_every_subset(self, reasoning):
+        # the row, read under catalog_names, is the per-entry reference
         trace = make_trace(reasoning_logprobs=reasoning)
         for size in range(1, len(ALL_FAMILIES) + 1):
             for include in itertools.combinations(ALL_FAMILIES, size):
-                fv = assemble_feature_vector(trace, include=include)
-                assert fv.qualified_names() == catalog_names(include)
+                row = assemble_feature_vector(trace, include=include)
+                reference = _assemble_feature_vector_reference(trace, include=include)
+                assert dict(zip(catalog_names(include), row)) == reference.as_mapping()
+                assert reference.qualified_names() == catalog_names(include)
+                assert row.tobytes() == reference.values().tobytes()
+
+    @pytest.mark.parametrize("cot", [False, True], ids=["direct", "cot"])
+    def test_extract_table_matches_entry_reference(self, cot):
+        traces, _ = generate_corpus(SynthConfig(n_items=200, cot=cot, seed=7))
+        table = extract_table(traces)
+        references = [_assemble_feature_vector_reference(t) for t in sorted(traces, key=lambda t: t.item_id)]
+        assert table.names == references[0].qualified_names()
+        assert table.families == references[0].families()
+        assert table.matrix.tobytes() == np.stack([r.values() for r in references]).tobytes()
 
     def test_token_outcome_wins_for_attribution(self):
         # structured says YES but the emitted token is the abstention "2"
@@ -474,8 +576,9 @@ class TestAssembleFeatureVector:
             outcome_probs={"2": 0.9, "1": 0.1},
         )
         trace.tokens[0] = make_outcome_record({"2": 0.9, "1": 0.1}, chosen_surface="2")
-        fv = assemble_feature_vector(trace, include={FeatureFamily.ATTRIBUTION})
-        assert fv.as_mapping()["attribution.evidence_deficit"] == 1.0
+        include = {FeatureFamily.ATTRIBUTION}
+        row = assemble_feature_vector(trace, include=include)
+        assert dict(zip(catalog_names(include), row))["attribution.evidence_deficit"] == 1.0
 
 
 class TestOracleEquivalence:

@@ -1,3 +1,4 @@
+import warnings
 from itertools import product
 
 import numpy as np
@@ -54,7 +55,8 @@ class TestExtractTable:
         # mean chosen logprob -800 makes the reasoning perplexity overflow
         traces, labels = corpus(n=20)
         bad = make_trace(item_id="item-overflow", reasoning_logprobs=(-800.0,) * 4)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             table = pipeline.extract_table(list(traces) + [bad])
         assert table.invalid_ids == ["item-overflow"]
         assert table.item_ids == sorted(t.item_id for t in traces)

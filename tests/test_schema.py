@@ -1,9 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lppgate import schema
 from lppgate.schema import (
     ConfidenceBand,
     FailureKind,
@@ -205,6 +207,108 @@ class TestBalancedObject:
 
     def test_unbalanced_returns_none(self):
         assert find_balanced_object('{"a": 1') is None
+
+
+def _find_balanced_object_reference(raw):
+    """find_balanced_object before both brace scanners became one helper."""
+    start = raw.find("{")
+    if start < 0:
+        return None
+    depth = 0
+    in_string = False
+    escape = False
+    for i in range(start, len(raw)):
+        ch = raw[i]
+        if in_string:
+            if escape:
+                escape = False
+            elif ch == "\\":
+                escape = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return start, i + 1
+    return None
+
+
+def _scan_value_reference(raw, i, end):
+    """_scan_value before its object/array branch shared find_balanced_object's scanner."""
+    ch = raw[i]
+    if ch == '"':
+        j = i + 1
+        escape = False
+        while j < end:
+            c = raw[j]
+            if escape:
+                escape = False
+            elif c == "\\":
+                escape = True
+            elif c == '"':
+                return i + 1, j, j + 1
+            j += 1
+        return i + 1, end, end
+    if ch in "{[":
+        close = "}" if ch == "{" else "]"
+        open_ = ch
+        depth = 0
+        in_string = False
+        escape = False
+        j = i
+        while j < end:
+            c = raw[j]
+            if in_string:
+                if escape:
+                    escape = False
+                elif c == "\\":
+                    escape = True
+                elif c == '"':
+                    in_string = False
+            elif c == '"':
+                in_string = True
+            elif c == open_:
+                depth += 1
+            elif c == close:
+                depth -= 1
+                if depth == 0:
+                    return i, j + 1, j + 1
+            j += 1
+        return i, end, end
+    j = i
+    while j < end and raw[j] not in ",}]":
+        j += 1
+    k = j
+    while k > i and raw[k - 1].isspace():
+        k -= 1
+    return i, k, j
+
+
+# every character the scanners treat specially, plus filler; the pairs make
+# escaped quotes and backslashes inside strings common
+_SCANNER_PIECES = st.sampled_from([*'{}[]":,\\ a1', '\\"', "\\\\", '{"', '"}', '"a":', '["', '"]'])
+
+
+class TestBraceScannerMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(_SCANNER_PIECES, max_size=30).map("".join))
+    @example('{"a\\"}"')
+    @example('{"a": "\\\\"}, "outcome": 1}')
+    # an array left open runs to the object's end
+    @example('{"reasoning_steps": [{"a": "]"}, "outcome": "1"}')
+    def test_find_and_locate_equal_references(self, raw):
+        assert find_balanced_object(raw) == _find_balanced_object_reference(raw)
+        got = locate_structured_fields(raw)
+        with mock.patch.object(schema, "find_balanced_object", _find_balanced_object_reference), mock.patch.object(
+            schema, "_scan_value", _scan_value_reference
+        ):
+            want = locate_structured_fields(raw)
+        assert got == want
 
 
 class TestLocateStructuredFields:
