@@ -47,6 +47,10 @@ class RunConfig:
     target_majority_ratio: float = 4.0
     sensitivity_ratios: list[float] = field(default_factory=lambda: [0.4, 0.64, 0.9])
 
+    def __post_init__(self):
+        if isinstance(self.top_k, bool) or not isinstance(self.top_k, int) or self.top_k < 1:
+            raise ValueError(f"top_k must be an integer of at least 1, got {self.top_k!r}")
+
     def cost_model(self) -> CostModel:
         return CostModel(c_mis=self.cost_mis, c_rev=self.cost_ratio * self.cost_mis)
 

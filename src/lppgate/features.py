@@ -24,6 +24,10 @@ Feature families, in fixed catalog order:
 Entropies are in bits; sequence NLL/perplexity use natural logs. All
 computations are pure and deterministic.
 
+The outcome token (one row) and the reasoning span (T rows) are both
+schema.TokenSpan arrays, and one row-wise kernel, renormalize_topk, turns
+the top-k candidate logprobs of either into sorted probabilities.
+
 assemble_feature_vector turns one trace into one float64 row whose columns
 are catalog_names(include): the enabled families in the order above, each
 family's values in _CATALOG order. Excluded families are absent from the
@@ -35,17 +39,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .schema import (
     ConfidenceBand,
     OutcomeLabel,
     ResponseTrace,
     StructuredResponse,
-    TokenCandidate,
-    TokenRecord,
+    TokenSpan,
     normalize_outcome_token,
 )
 
@@ -54,7 +58,6 @@ __all__ = [
     "DEFAULT_TOP_K",
     "FULL_SUPPORT",
     "FeatureFamily",
-    "TopKDistribution",
     "LabelDistribution",
     "SequenceStats",
     "EmptyCandidates",
@@ -117,30 +120,13 @@ ALL_FAMILIES: tuple[FeatureFamily, ...] = tuple(FeatureFamily)
 
 
 @dataclass(frozen=True)
-class TopKDistribution:
-    """Renormalized probabilities over the top-k candidates, descending."""
-
-    probs: tuple[float, ...]
-    k: int
-
-    def __post_init__(self):
-        if self.k < 1 or len(self.probs) != self.k:
-            raise ValueError("k must match the number of probabilities")
-        arr = np.asarray(self.probs)
-        if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
-            raise ValueError("probabilities outside [0, 1]")
-        if abs(float(arr.sum()) - 1.0) > 1e-9:
-            raise ValueError("probabilities do not sum to 1")
-        if np.any(np.diff(arr) > 1e-12):
-            raise ValueError("probabilities not sorted descending")
-
-
-@dataclass(frozen=True)
 class LabelDistribution:
-    """Token mass collapsed onto schema labels and renormalized."""
+    """Token mass collapsed onto schema labels and renormalized; ``masses``
+    keeps each label's summed exp(logprob) from before renormalization."""
 
     probs: Mapping[OutcomeLabel, float]
     support: tuple[OutcomeLabel, ...]
+    masses: Mapping[OutcomeLabel, float]
 
     def __post_init__(self):
         total = sum(self.probs.values())
@@ -163,33 +149,43 @@ class SequenceStats:
     absent: bool = False
 
 
-def _entropy_bits(probs: np.ndarray) -> float:
-    """-sum p log2 p with zero-probability terms contributing 0."""
-    p = probs[probs > 0.0]
-    return float(-(p * np.log2(p)).sum())
+def _entropy_bits(probs: np.ndarray) -> np.ndarray:
+    """-sum p log2 p along the last axis, zero-probability terms contributing 0."""
+    return -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=-1)
 
 
-def renormalize_topk(logprobs: Sequence[float]) -> TopKDistribution:
+def renormalize_topk(logprobs: ArrayLike) -> np.ndarray:
     """Renormalize natural-log probabilities via a max-shifted softmax.
 
-    p_i = exp(l_i) / sum_j exp(l_j), computed after subtracting the maximum
-    for stability; the result is sorted descending. Adding a constant to
-    every input leaves the output unchanged.
+    ``logprobs`` is one row, or a 2-D array holding one distribution per
+    row with unused entries padded by -inf. Each row becomes
+    p_i = exp(l_i) / sum_j exp(l_j), computed after subtracting the row
+    maximum for stability and sorted descending; padding becomes trailing
+    zeros. Adding a constant to every entry of a row leaves it unchanged.
+
+    Up to 7 entries per row numpy sums each row in order, so a padded 2-D
+    call equals the 1-D call on each row bit for bit; from 8 entries it sums
+    in unrolled blocks, and padding can change a row's last digits.
     """
-    if len(logprobs) == 0:
-        raise EmptyCandidates("no candidate logprobs")
     arr = np.asarray(logprobs, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if arr.size == 0:
+        raise EmptyCandidates("no candidate logprobs")
+    top = arr.max(axis=-1, keepdims=True)
+    # max propagates nan and +inf, and is -inf only for an all-padding row
+    if not np.isfinite(top).all():
         raise ValueError("non-finite logprob")
-    shifted = np.exp(arr - arr.max())
-    probs = shifted / shifted.sum()
-    probs = np.sort(probs)[::-1]
-    return TopKDistribution(tuple(float(p) for p in probs), k=len(probs))
+    shifted = np.exp(arr - top)
+    probs = np.sort(shifted / shifted.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+    if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
+        raise ValueError("probabilities outside [0, 1]")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
+        raise ValueError("probabilities do not sum to 1")
+    return probs
 
 
 def _distribution_metrics(probs: np.ndarray, k: int) -> dict[str, float]:
     """Shared entropy/margin metrics over a descending probability vector."""
-    h2 = _entropy_bits(probs)
+    h2 = float(_entropy_bits(probs))
     h2_norm = h2 / np.log2(k) if k > 1 else 0.0
     p1 = float(probs[0])
     p2 = float(probs[1]) if len(probs) > 1 else 0.0
@@ -205,43 +201,37 @@ def _distribution_metrics(probs: np.ndarray, k: int) -> dict[str, float]:
     }
 
 
-def compute_topk_features(dist: TopKDistribution) -> dict[str, float]:
-    """Family A: the eight top-k outcome-distribution metrics."""
-    return _distribution_metrics(np.asarray(dist.probs), dist.k)
+def compute_topk_features(probs: np.ndarray) -> dict[str, float]:
+    """Family A: the eight top-k outcome-distribution metrics over one
+    descending probability row (renormalize_topk's output), k its length."""
+    return _distribution_metrics(probs, len(probs))
 
 
 def collapse_to_labels(
-    candidates: Iterable[TokenCandidate],
+    candidates: Iterable[tuple[str, float]],
     support: tuple[OutcomeLabel, ...] = FULL_SUPPORT,
 ) -> LabelDistribution:
     """Collapse candidate token mass onto schema labels and renormalize.
 
-    Every candidate whose surface normalizes to a label in ``support``
-    contributes exp(logprob) to that label; labels with no matching
-    candidate keep mass 0 (and still participate downstream, so the support
-    size stays constant). Splitting one label's mass across several surface
-    forms therefore does not change the result.
+    ``candidates`` are (surface, logprob) pairs. Every candidate whose
+    surface normalizes to a label in ``support`` contributes exp(logprob)
+    to that label; labels with no matching candidate keep mass 0 (and still
+    participate downstream, so the support size stays constant). Splitting
+    one label's mass across several surface forms therefore does not change
+    the result.
 
     Raises NoLabelMass when no candidate maps to any supported label.
     """
-    masses = _label_masses(candidates, support)
+    masses = {label: 0.0 for label in support}
+    for surface, logprob in candidates:
+        label = normalize_outcome_token(surface)
+        if label is not None and label in masses:
+            masses[label] += float(np.exp(logprob))
     total = sum(masses.values())
     if total <= 0.0:
         raise NoLabelMass("no candidate surface maps to a schema label")
     probs = {label: mass / total for label, mass in masses.items()}
-    return LabelDistribution(probs, support)
-
-
-def _label_masses(
-    candidates: Iterable[TokenCandidate],
-    support: tuple[OutcomeLabel, ...],
-) -> dict[OutcomeLabel, float]:
-    masses = {label: 0.0 for label in support}
-    for cand in candidates:
-        label = normalize_outcome_token(cand.surface)
-        if label is not None and label in masses:
-            masses[label] += float(np.exp(cand.logprob))
-    return masses
+    return LabelDistribution(probs, support, masses)
 
 
 def compute_filtered_features(ldist: LabelDistribution) -> dict[str, float]:
@@ -259,17 +249,18 @@ def compute_filtered_features(ldist: LabelDistribution) -> dict[str, float]:
 
 
 def compute_logodds_features(
-    outcome_candidates: Sequence[TokenCandidate],
+    outcome_candidates: Iterable[tuple[str, float]],
     ldist: LabelDistribution,
 ) -> dict[str, float]:
     """Family C: top-2 log-space margins, raw and label-filtered.
 
-    margin = l(2) - l(1) <= 0; margin_norm divides by l(2) with l(2)
-    replaced by min(l(2), -eps) to avoid dividing by zero. The filtered
-    variant uses natural logs of the collapsed label masses before
-    renormalization. Degenerate inputs (fewer than two candidates, or fewer
-    than two labels with mass) emit 0 with the validity flag cleared so the
-    vector shape stays fixed.
+    ``outcome_candidates`` are (surface, logprob) pairs. margin = l(2) -
+    l(1) <= 0; margin_norm divides by l(2) with l(2) replaced by
+    min(l(2), -eps) to avoid dividing by zero. The filtered variant uses
+    natural logs of ldist.masses, the label masses before renormalization.
+    Degenerate inputs (fewer than two candidates, or fewer than two labels
+    with mass) emit 0 with the validity flag cleared so the vector shape
+    stays fixed.
     """
 
     def pair_metrics(l1: float, l2: float) -> tuple[float, float]:
@@ -277,15 +268,14 @@ def compute_logodds_features(
         return margin, margin / min(l2, -EPSILON)
 
     out: dict[str, float] = {}
-    logprobs = sorted((c.logprob for c in outcome_candidates), reverse=True)
+    logprobs = sorted((lp for _, lp in outcome_candidates), reverse=True)
     if len(logprobs) >= 2:
         margin, margin_norm = pair_metrics(logprobs[0], logprobs[1])
         out.update(margin=margin, margin_norm=margin_norm, margin_valid=1.0)
     else:
         out.update(margin=0.0, margin_norm=0.0, margin_valid=0.0)
 
-    masses = _label_masses(outcome_candidates, ldist.support)
-    positive = sorted((m for m in masses.values() if m > 0.0), reverse=True)
+    positive = sorted((m for m in ldist.masses.values() if m > 0.0), reverse=True)
     if len(positive) >= 2:
         margin, margin_norm = pair_metrics(float(np.log(positive[0])), float(np.log(positive[1])))
         out.update(filtered_margin=margin, filtered_margin_norm=margin_norm, filtered_margin_valid=1.0)
@@ -297,56 +287,28 @@ def compute_logodds_features(
 _QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
 
-def compute_sequence_features(
-    reasoning: Sequence[TokenRecord], k: int = DEFAULT_TOP_K
-) -> SequenceStats:
+def compute_sequence_features(reasoning: TokenSpan, k: int = DEFAULT_TOP_K) -> SequenceStats:
     """Families D-E inputs: reasoning-span NLL, perplexity, and per-token
     entropy/probability distributions.
 
     NLL sums the chosen-token negative logprobs in nats; perplexity is
-    exp(NLL/T). Per-token entropies are computed in bits over each record's
-    renormalized top-k candidates; quantiles interpolate linearly between
+    exp(NLL/T). Per-token entropies are computed in bits over each token's
+    renormalized top-k candidates, one renormalize_topk call over the
+    span's (T, k) logprob columns; quantiles interpolate linearly between
     closest ranks. An empty span yields zeros with perplexity 1, flagged
     absent.
-
-    The span is one (T, w) logprob array, w = min(k, longest candidate
-    list), padded with -inf; the max-shifted softmax, descending sort and
-    entropy run row-wise over it, so padding only appends zero terms. For
-    w <= 7 (the default k is 5) those leave each row's sum bit-identical to
-    the per-record sum in renormalize_topk; from 8 entries numpy sums in
-    unrolled blocks, and padding can change an entropy in its last digits.
     """
-    if len(reasoning) == 0:
+    chosen_lp = reasoning.chosen_logprobs
+    if len(chosen_lp) == 0:
         zeros = (0.0,) * 5
         return SequenceStats(0.0, 1.0, 0.0, zeros, zeros, absent=True)
-    chosen_lp = np.array([r.chosen.logprob for r in reasoning], dtype=float)
     nll = float(-chosen_lp.sum())
     # a mean chosen logprob below about -709 gives inf, which the row's
     # isfinite check reports as NonFiniteFeature
     with np.errstate(over="ignore"):
-        ppl = float(np.exp(nll / len(reasoning)))
+        ppl = float(np.exp(nll / len(chosen_lp)))
 
-    rows = [r.candidates[:k] for r in reasoning]
-    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
-    if not lengths.all():
-        raise EmptyCandidates("no candidate logprobs")
-    flat = np.fromiter(
-        (c.logprob for row in rows for c in row), dtype=float, count=int(lengths.sum())
-    )
-    if not np.isfinite(flat).all():
-        raise ValueError("non-finite logprob")
-    logprobs = np.full((len(rows), int(lengths.max())), -np.inf)
-    logprobs[np.arange(logprobs.shape[1]) < lengths[:, None]] = flat
-
-    shifted = np.exp(logprobs - logprobs.max(axis=1, keepdims=True))
-    probs = np.sort(shifted / shifted.sum(axis=1, keepdims=True), axis=1)[:, ::-1]
-    if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
-        raise ValueError("probabilities outside [0, 1]")
-    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-        raise ValueError("probabilities do not sum to 1")
-    # zero-probability terms contribute 0
-    entropies = -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=1)
-
+    entropies = _entropy_bits(renormalize_topk(reasoning.logprobs[:, :k]))
     quantiles = np.quantile(np.stack([entropies, np.exp(chosen_lp)]), _QUANTILE_POINTS, axis=1)
     ent_q = tuple(float(v) for v in quantiles[:, 0])
     prob_q = tuple(float(v) for v in quantiles[:, 1])
@@ -458,24 +420,25 @@ def assemble_feature_vector(
     if not include_set:
         raise ValueError("at least one feature family must be included")
 
-    outcome_rec = trace.outcome_record()
+    outcome = trace.outcome
+    candidates = list(zip(outcome.surfaces[0], outcome.logprobs[0].tolist()))
     values: list[float] = []
 
     ldist = None
     if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
-        ldist = collapse_to_labels(outcome_rec.candidates, support)
+        ldist = collapse_to_labels(candidates, support)
 
     if FeatureFamily.OUTCOME_TOPK in include_set:
-        dist = renormalize_topk([c.logprob for c in outcome_rec.candidates[:k]])
-        values += _in_catalog_order(FeatureFamily.OUTCOME_TOPK, compute_topk_features(dist))
+        probs = renormalize_topk(outcome.logprobs[0, :k])
+        values += _in_catalog_order(FeatureFamily.OUTCOME_TOPK, compute_topk_features(probs))
     if FeatureFamily.FILTERED_OUTCOME in include_set:
         values += _in_catalog_order(FeatureFamily.FILTERED_OUTCOME, compute_filtered_features(ldist))
     if FeatureFamily.LOGODDS_MARGIN in include_set:
-        metrics = compute_logodds_features(outcome_rec.candidates, ldist)
+        metrics = compute_logodds_features(candidates, ldist)
         values += _in_catalog_order(FeatureFamily.LOGODDS_MARGIN, metrics)
 
     if include_set & {FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT}:
-        stats = compute_sequence_features(trace.reasoning_records(), k=k)
+        stats = compute_sequence_features(trace.reasoning, k=k)
         # in _CATALOG order: (nll, ppl, absent) and (mean_entropy, quantiles...)
         if FeatureFamily.SEQUENCE_COT in include_set:
             values += (stats.nll, stats.perplexity, float(stats.absent))

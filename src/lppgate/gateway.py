@@ -26,17 +26,15 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .schema import (
-    FieldSpans,
     ParseFailure,
     ResponseTrace,
     RetryDecision,
-    Span,
     StructuredResponse,
-    TokenCandidate,
-    TokenRecord,
+    TokenSpan,
     decide_retry,
     locate_structured_fields,
     parse_structured_response,
+    token_span,
 )
 
 __all__ = [
@@ -322,50 +320,40 @@ def dispatch(
     raise last
 
 
-def _clamped_candidate(surface: str, logprob: float) -> TokenCandidate:
-    return TokenCandidate(surface, min(logprob, 0.0))
-
-
-def segment_spans(
-    content: str,
-    tokens: Sequence[RawToken],
-    spans: FieldSpans | None = None,
-) -> list[TokenRecord]:
-    """Tag tokens as outcome or reasoning by JSON field position.
+def segment_spans(content: str, tokens: Sequence[RawToken]) -> tuple[TokenSpan, TokenSpan]:
+    """Split tokens into the (outcome, reasoning) spans by JSON field position.
 
     Character offsets come from accumulating token surface lengths (a
     deterministic re-tokenization alignment against the raw text). The
     token covering the first character of the outcome field's value is the
-    single outcome record; tokens overlapping the reasoning_steps array are
-    reasoning records; everything else is dropped from feature extraction.
+    outcome span's single token; tokens overlapping the reasoning_steps
+    array form the reasoning span, in stream order; everything else is
+    dropped from feature extraction. Positive provider logprobs are clamped
+    to 0.
     """
-    if spans is None:
-        spans = locate_structured_fields(content)
+    spans = locate_structured_fields(content)
     if spans is None or spans.outcome_value is None:
         raise OutcomeTokenNotFound("no outcome field located in response text")
     outcome_pos = spans.outcome_value[0]
-    reasoning = spans.reasoning_array
+    reasoning_array = spans.reasoning_array
 
-    records: list[TokenRecord] = []
+    outcome: list = []  # at most one token
+    reasoning: list = []
     offset = 0
-    outcome_found = False
     for tok in tokens:
         start, end = offset, offset + len(tok.surface)
         offset = end
-        span = None
-        if start <= outcome_pos < end and not outcome_found:
-            span = Span.OUTCOME
-            outcome_found = True
-        elif reasoning is not None and start < reasoning[1] and end > reasoning[0]:
-            span = Span.REASONING
-        if span is None:
+        if start <= outcome_pos < end and not outcome:
+            span = outcome
+        elif reasoning_array is not None and start < reasoning_array[1] and end > reasoning_array[0]:
+            span = reasoning
+        else:
             continue
-        chosen = _clamped_candidate(tok.surface, tok.logprob)
-        candidates = [_clamped_candidate(s, lp) for s, lp in tok.top]
-        records.append(TokenRecord(chosen=chosen, candidates=candidates, span=span))
-    if not outcome_found:
+        top = [(s, min(lp, 0.0)) for s, lp in tok.top]
+        span.append((tok.surface, min(tok.logprob, 0.0), top))
+    if not outcome:
         raise OutcomeTokenNotFound("token stream does not cover the outcome field value")
-    return records
+    return token_span(outcome), token_span(reasoning)
 
 
 @dataclass
@@ -401,16 +389,16 @@ def _run_one(
             return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None
         failure: Exception | None = None
         structured: StructuredResponse | None = None
-        records: list[TokenRecord] | None = None
+        spans: tuple[TokenSpan, TokenSpan] | None = None
         try:
             structured = parse_structured_response(response.content, expect_steps=expected_steps)
-            records = segment_spans(response.content, response.tokens)
+            spans = segment_spans(response.content, response.tokens)
         except (ParseFailure, OutcomeTokenNotFound) as exc:
             failure = exc
 
         decision = decide_retry(attempt, failure)
         if decision is RetryDecision.ACCEPT:
-            return ResponseTrace(item_id, structured, records, attempt=attempt), None, None
+            return ResponseTrace(item_id, structured, *spans, attempt=attempt), None, None
         if decision is RetryDecision.GIVE_UP:
             kind = failure.kind.value if isinstance(failure, ParseFailure) else "outcome_token_not_found"
             return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None

@@ -4,8 +4,9 @@ The classification decision is constrained to a single integer token
 (0=no, 1=yes, 2=inconclusive_evidence, 3=inconclusive_definition) inside a
 small JSON object, so that the emitted token lines up with the provider's
 token-level log-probabilities. This module parses and normalizes those
-structured responses, models per-token log-probability records split into
-outcome and reasoning spans, and decides whether a malformed response is
+structured responses, holds each span of a trace's token log-probabilities
+(the single outcome token, and the reasoning tokens) as one TokenSpan of
+arrays built by token_span, and decides whether a malformed response is
 retried (deterministic re-request, at most three retries) or given up on.
 
 All functions here are pure and safe to call concurrently on distinct
@@ -18,7 +19,10 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "OutcomeLabel",
@@ -29,8 +33,7 @@ __all__ = [
     "ParseFailure",
     "ReasoningStep",
     "StructuredResponse",
-    "TokenCandidate",
-    "TokenRecord",
+    "TokenSpan",
     "ResponseTrace",
     "FieldSpans",
     "normalize_outcome_token",
@@ -39,6 +42,7 @@ __all__ = [
     "decide_retry",
     "find_balanced_object",
     "locate_structured_fields",
+    "token_span",
     "trace_to_dict",
     "trace_from_dict",
     "write_traces_jsonl",
@@ -143,65 +147,90 @@ class StructuredResponse:
     band: ConfidenceBand | None = None
 
 
-@dataclass(frozen=True)
-class TokenCandidate:
-    surface: str
-    logprob: float
+@dataclass(frozen=True, eq=False)
+class TokenSpan:
+    """The tokens of one span as arrays, T tokens by at most W candidates.
 
-    def __post_init__(self):
-        if not math.isfinite(self.logprob):
-            raise ValueError(f"non-finite logprob for {self.surface!r}")
-        if self.logprob > LOGPROB_TOLERANCE:
-            raise ValueError(f"positive logprob {self.logprob!r} beyond tolerance")
-        if self.logprob > 0.0:
-            object.__setattr__(self, "logprob", 0.0)
-
-
-@dataclass
-class TokenRecord:
-    """One generated token with its top-k alternatives, tagged by span.
-
-    The chosen token is guaranteed to appear among the candidates (appended
-    with its own logprob when the provider omitted it), and candidates are
-    kept sorted by descending logprob.
+    ``chosen`` and ``chosen_logprobs`` (shape (T,)) are the generated
+    tokens; row t of ``logprobs`` (shape (T, W)) holds token t's candidate
+    logprobs in descending order, padded on the right with -inf, and
+    ``surfaces[t]`` their surfaces in the same order. Build one with
+    token_span, which enforces those invariants.
     """
 
-    chosen: TokenCandidate
-    candidates: list[TokenCandidate] = field(default_factory=list)
-    span: Span = Span.REASONING
+    chosen: tuple[str, ...]
+    chosen_logprobs: np.ndarray
+    surfaces: tuple[tuple[str, ...], ...]
+    logprobs: np.ndarray
 
-    def __post_init__(self):
-        if all(c.surface != self.chosen.surface for c in self.candidates):
-            self.candidates = list(self.candidates) + [self.chosen]
-        self.candidates = sorted(self.candidates, key=lambda c: -c.logprob)
+
+def _checked_logprob(surface: str, logprob: float) -> float:
+    lp = float(logprob)
+    if not math.isfinite(lp):
+        raise ValueError(f"non-finite logprob for {surface!r}")
+    if lp > LOGPROB_TOLERANCE:
+        raise ValueError(f"positive logprob {lp!r} beyond tolerance")
+    return 0.0 if lp > 0.0 else lp
+
+
+#: Direct answers have no reasoning tokens, so they all share one empty span.
+_EMPTY_SPAN = TokenSpan((), np.empty(0), (), np.empty((0, 0)))
+
+
+def token_span(tokens: Iterable[tuple[str, float, Iterable[tuple[str, float]]]]) -> TokenSpan:
+    """Build a TokenSpan from (surface, logprob, [(surface, logprob), ...])
+    triples, one per token in stream order.
+
+    Every logprob must be finite and at most LOGPROB_TOLERANCE; one in
+    (0, tolerance] counts as 0. A chosen token missing from its candidates
+    is appended to them with its own logprob, and each token's candidates
+    are stably sorted by descending logprob.
+    """
+    chosen, chosen_lps, surfaces, rows = [], [], [], []
+    width = 0
+    for surface, logprob, candidates in tokens:
+        lp = _checked_logprob(surface, logprob)
+        srf, row = [], []
+        for s, l in candidates:
+            srf.append(s)
+            row.append(_checked_logprob(s, l))
+        if surface not in srf:
+            srf.append(surface)
+            row.append(lp)
+        order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+        chosen.append(surface)
+        chosen_lps.append(lp)
+        surfaces.append(tuple(srf[i] for i in order))
+        rows.append([row[i] for i in order])
+        width = max(width, len(row))
+    if not rows:
+        return _EMPTY_SPAN
+    padded = np.array([r + [-math.inf] * (width - len(r)) for r in rows], dtype=float)
+    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(surfaces), padded)
 
 
 @dataclass
 class ResponseTrace:
-    """One accepted LLM response: structured output plus token records."""
+    """One accepted LLM response: structured output plus the token spans of
+    its outcome field (exactly one token) and its reasoning steps."""
 
     item_id: str
     structured: StructuredResponse
-    tokens: list[TokenRecord]
+    outcome: TokenSpan
+    reasoning: TokenSpan
     attempt: int = 1
 
     def __post_init__(self):
         if not 1 <= self.attempt <= MAX_ATTEMPTS:
             raise ValueError(f"attempt {self.attempt} outside [1, {MAX_ATTEMPTS}]")
-        n_outcome = sum(1 for t in self.tokens if t.span is Span.OUTCOME)
+        n_outcome = len(self.outcome.chosen)
         if n_outcome != 1:
             raise ValueError(f"trace {self.item_id!r} has {n_outcome} outcome-span tokens, want 1")
-
-    def outcome_record(self) -> TokenRecord:
-        return next(t for t in self.tokens if t.span is Span.OUTCOME)
-
-    def reasoning_records(self) -> list[TokenRecord]:
-        return [t for t in self.tokens if t.span is Span.REASONING]
 
     def effective_outcome(self) -> OutcomeLabel:
         """The decision actually emitted: the outcome-span token wins over
         the structured field when the two disagree."""
-        label = normalize_outcome_token(self.outcome_record().chosen.surface)
+        label = normalize_outcome_token(self.outcome.chosen[0])
         return label if label is not None else self.structured.outcome
 
 
@@ -416,8 +445,17 @@ def decide_retry(attempt: int, failure: Exception | None) -> RetryDecision:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_to_dict(c: TokenCandidate) -> dict:
-    return {"surface": c.surface, "logprob": c.logprob}
+def _token_dicts(span: TokenSpan, name: str) -> list[dict]:
+    return [
+        {
+            "span": name,
+            "chosen": {"surface": surface, "logprob": logprob},
+            "candidates": [{"surface": s, "logprob": l} for s, l in zip(srf, row)],
+        }
+        for surface, logprob, srf, row in zip(
+            span.chosen, span.chosen_logprobs.tolist(), span.surfaces, span.logprobs.tolist()
+        )
+    ]
 
 
 def trace_to_dict(trace: ResponseTrace) -> dict:
@@ -434,14 +472,9 @@ def trace_to_dict(trace: ResponseTrace) -> dict:
             "p_correct": s.p_correct,
             "band": s.band.value if s.band is not None else None,
         },
-        "tokens": [
-            {
-                "span": t.span.value,
-                "chosen": _candidate_to_dict(t.chosen),
-                "candidates": [_candidate_to_dict(c) for c in t.candidates],
-            }
-            for t in trace.tokens
-        ],
+        # the outcome token first, then the reasoning tokens in stream order
+        "tokens": _token_dicts(trace.outcome, Span.OUTCOME.value)
+        + _token_dicts(trace.reasoning, Span.REASONING.value),
     }
 
 
@@ -456,15 +489,13 @@ def trace_from_dict(obj: dict) -> ResponseTrace:
         p_correct=s.get("p_correct"),
         band=ConfidenceBand(s["band"]) if s.get("band") is not None else None,
     )
-    tokens = [
-        TokenRecord(
-            chosen=TokenCandidate(**t["chosen"]),
-            candidates=[TokenCandidate(**c) for c in t.get("candidates", [])],
-            span=Span(t["span"]),
-        )
-        for t in obj.get("tokens", [])
-    ]
-    return ResponseTrace(obj["item_id"], structured, tokens, obj.get("attempt", 1))
+    spans: dict[Span, list] = {Span.OUTCOME: [], Span.REASONING: []}
+    for t in obj.get("tokens", []):
+        chosen = t["chosen"]
+        candidates = [(c["surface"], c["logprob"]) for c in t.get("candidates", [])]
+        spans[Span(t["span"])].append((chosen["surface"], chosen["logprob"], candidates))
+    outcome, reasoning = (token_span(tokens) for tokens in spans.values())
+    return ResponseTrace(obj["item_id"], structured, outcome, reasoning, obj.get("attempt", 1))
 
 
 def write_traces_jsonl(traces, path) -> None:

@@ -29,11 +29,9 @@ from .schema import (
     OutcomeLabel,
     ReasoningStep,
     ResponseTrace,
-    Span,
     StructuredResponse,
-    TokenCandidate,
-    TokenRecord,
     snap_confidence,
+    token_span,
 )
 
 __all__ = ["SynthConfig", "LabelRow", "generate_corpus", "DEFAULT_SIGNAL"]
@@ -87,9 +85,8 @@ def _band_for(confidence: float) -> ConfidenceBand:
     return ConfidenceBand.VH
 
 
-def _outcome_distribution(
-    rng: np.random.Generator, peaked: bool, chosen_surface: str, split_rate: float
-) -> tuple[list[TokenCandidate], TokenCandidate]:
+def _outcome_token(rng: np.random.Generator, peaked: bool, chosen_surface: str, split_rate: float) -> tuple:
+    """One token_span triple for the outcome token."""
     probs = np.sort(rng.dirichlet(_PEAKED_ALPHA if peaked else _FLAT_ALPHA))[::-1]
     digits = ["0", "1", "2", "3"]
     digits.remove(chosen_surface)
@@ -97,36 +94,30 @@ def _outcome_distribution(
     surfaces = [chosen_surface] + others
 
     candidates = []
-    chosen = None
     do_split = rng.random() < split_rate and 0.7 * probs[0] > probs[1]
     for surface, p in zip(surfaces, probs):
         if surface == chosen_surface and do_split:
             # split the winning label's mass across two surface forms
-            chosen = TokenCandidate(surface, float(np.log(0.7 * p)))
-            candidates.append(chosen)
-            candidates.append(TokenCandidate(" " + surface, float(np.log(0.3 * p))))
+            candidates.append((surface, float(np.log(0.7 * p))))
+            candidates.append((" " + surface, float(np.log(0.3 * p))))
         else:
-            cand = TokenCandidate(surface, float(np.log(p)))
-            if surface == chosen_surface:
-                chosen = cand
-            candidates.append(cand)
-    return candidates, chosen
+            candidates.append((surface, float(np.log(p))))
+    # the chosen surface is always the first candidate
+    return chosen_surface, candidates[0][1], candidates
 
 
-def _reasoning_records(rng: np.random.Generator, z: int, strength: float) -> list[TokenRecord]:
-    records = []
+def _reasoning_tokens(rng: np.random.Generator, z: int, strength: float) -> list[tuple]:
+    tokens = []
     informative = rng.random() < strength
     fluent = bool(z) if informative else bool(rng.integers(0, 2))
     lo, hi = (0.6, 0.95) if fluent else (0.2, 0.8)
     for t in range(int(rng.integers(15, 40))):
         p_chosen = float(rng.uniform(lo, hi))
         rest = rng.dirichlet((1.0,) * 4) * (1.0 - p_chosen)
-        chosen = TokenCandidate(f" w{t}", float(np.log(p_chosen)))
-        candidates = [chosen] + [
-            TokenCandidate(f" v{t}_{j}", float(np.log(p))) for j, p in enumerate(rest)
-        ]
-        records.append(TokenRecord(chosen=chosen, candidates=candidates, span=Span.REASONING))
-    return records
+        chosen = (f" w{t}", float(np.log(p_chosen)))
+        candidates = [chosen] + [(f" v{t}_{j}", float(np.log(p))) for j, p in enumerate(rest)]
+        tokens.append((*chosen, candidates))
+    return tokens
 
 
 def generate_corpus(cfg: SynthConfig) -> tuple[list[ResponseTrace], list[LabelRow]]:
@@ -159,10 +150,7 @@ def generate_corpus(cfg: SynthConfig) -> tuple[list[ResponseTrace], list[LabelRo
             peaked = z == 1
         else:
             peaked = bool(rng.integers(0, 2))
-        candidates, chosen = _outcome_distribution(
-            rng, peaked, str(int(outcome)), cfg.surface_split_rate
-        )
-        outcome_record = TokenRecord(chosen=chosen, candidates=candidates, span=Span.OUTCOME)
+        outcome_span = token_span([_outcome_token(rng, peaked, str(int(outcome)), cfg.surface_split_rate)])
 
         if rng.random() < signal["verbalized"]:
             conf = rng.uniform(0.78, 0.96) if z == 1 else rng.uniform(0.45, 0.75)
@@ -172,12 +160,12 @@ def generate_corpus(cfg: SynthConfig) -> tuple[list[ResponseTrace], list[LabelRo
         band = _band_for(conf)
 
         steps: tuple[ReasoningStep, ...] = ()
-        tokens = [outcome_record]
+        reasoning = []
         if cfg.cot:
             steps = tuple(ReasoningStep(k + 1, f"consider aspect {k + 1}") for k in range(3))
-            tokens = tokens + _reasoning_records(rng, z, signal["sequence"])
+            reasoning = _reasoning_tokens(rng, z, signal["sequence"])
 
         structured = StructuredResponse(outcome, steps, p_correct, band)
-        traces.append(ResponseTrace(item_id, structured, tokens, attempt=1))
+        traces.append(ResponseTrace(item_id, structured, outcome_span, token_span(reasoning), attempt=1))
         labels.append(LabelRow(item_id, truth, int(outcome)))
     return traces, labels

@@ -7,27 +7,25 @@ from lppgate.schema import (
     OutcomeLabel,
     ReasoningStep,
     ResponseTrace,
-    Span,
     StructuredResponse,
-    TokenCandidate,
-    TokenRecord,
+    TokenSpan,
+    token_span,
 )
 
 
-def make_outcome_record(surface_logprobs, chosen_surface=None):
-    """Build an outcome-span TokenRecord from {surface: prob-or-logprob}.
+def make_outcome_span(surface_logprobs, chosen_surface=None) -> TokenSpan:
+    """Build a one-token outcome span from {surface: prob-or-logprob}.
 
     Values <= 0 are treated as logprobs, values in (0, 1] as probabilities.
     """
-    candidates = []
-    for surface, value in surface_logprobs.items():
-        logprob = value if value <= 0 else math.log(value)
-        candidates.append(TokenCandidate(surface, logprob))
+    candidates = [
+        (surface, value if value <= 0 else math.log(value)) for surface, value in surface_logprobs.items()
+    ]
     if chosen_surface is None:
-        chosen = max(candidates, key=lambda c: c.logprob)
+        chosen = max(candidates, key=lambda c: c[1])
     else:
-        chosen = next(c for c in candidates if c.surface == chosen_surface)
-    return TokenRecord(chosen=chosen, candidates=candidates, span=Span.OUTCOME)
+        chosen = next(c for c in candidates if c[0] == chosen_surface)
+    return token_span([(*chosen, candidates)])
 
 
 def make_trace(
@@ -42,24 +40,15 @@ def make_trace(
 ):
     if outcome_probs is None:
         outcome_probs = {str(int(outcome)): 0.7, "0" if outcome else "1": 0.2, "2": 0.1}
-    record = make_outcome_record(outcome_probs, chosen_surface=str(int(outcome)))
-    tokens = [record]
-    for lp in reasoning_logprobs:
-        chosen = TokenCandidate(" tok", lp)
-        tokens.append(
-            TokenRecord(
-                chosen=chosen,
-                candidates=[chosen, TokenCandidate(" alt", lp - 1.0)],
-                span=Span.REASONING,
-            )
-        )
+    outcome_span = make_outcome_span(outcome_probs, chosen_surface=str(int(outcome)))
+    reasoning = token_span([(" tok", lp, [(" tok", lp), (" alt", lp - 1.0)]) for lp in reasoning_logprobs])
     structured = StructuredResponse(
         outcome=outcome,
         reasoning_steps=tuple(ReasoningStep(i + 1, s) for i, s in enumerate(steps)),
         p_correct=p_correct,
         band=band,
     )
-    return ResponseTrace(item_id, structured, tokens, attempt=attempt)
+    return ResponseTrace(item_id, structured, outcome_span, reasoning, attempt=attempt)
 
 
 @pytest.fixture

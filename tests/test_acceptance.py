@@ -22,7 +22,7 @@ from lppgate.features import (
     renormalize_topk,
 )
 from lppgate.policy import ConfusionCounts, CostModel, always_trust_cost, confusion, expected_cost
-from lppgate.schema import OutcomeLabel, TokenCandidate, normalize_outcome_token
+from lppgate.schema import OutcomeLabel, normalize_outcome_token
 from lppgate.trainer import fit_isotonic, fit_platt, fit_ridge_weighted
 from tests.ridge_oracle import fit_ridge_lsqr, ridge_objective
 
@@ -113,16 +113,15 @@ def test_criterion_1_feature_oracle_equivalence():
         surfaces = [str(s) for s in rng.choice(LABEL_SURFACES, size=n_labels, replace=False)]
         surfaces += [str(s) for s in rng.choice(JUNK_SURFACES, size=n_junk, replace=False)]
         logprobs = rng.uniform(-8.0, 0.0, size=len(surfaces))
-        candidates = [TokenCandidate(s, float(lp)) for s, lp in zip(surfaces, logprobs)]
-        candidates.sort(key=lambda c: -c.logprob)
+        candidates = [(s, float(lp)) for s, lp in zip(surfaces, logprobs)]
+        candidates.sort(key=lambda c: -c[1])
 
-        dist = renormalize_topk([c.logprob for c in candidates[:5]])
-        got_a = compute_topk_features(dist)
+        got_a = compute_topk_features(renormalize_topk([lp for _, lp in candidates[:5]]))
         ldist = collapse_to_labels(candidates)
         got_b = compute_filtered_features(ldist)
         got_c = compute_logodds_features(candidates, ldist)
 
-        ref_a, ref_b, ref_c = _mp_reference([(c.surface, c.logprob) for c in candidates])
+        ref_a, ref_b, ref_c = _mp_reference(candidates)
         for name, ref in ref_a.items():
             assert abs(got_a[name] - float(ref)) < 1e-9, f"A.{name}"
         for name, ref in ref_b.items():

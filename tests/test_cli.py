@@ -234,6 +234,19 @@ class TestErrors:
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top_k", [-2, 0])
+    def test_top_k_below_one_rejected(self, tmp_path, capsys, top_k):
+        out = tmp_path / "run"
+        assert run_cli("synth", "--out", out, "--n-items", 50) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"top_k": top_k}))
+        capsys.readouterr()
+        code = run_cli("extract", "--out", out, "--traces", out / "traces.jsonl", "--config", cfg)
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "top_k" in error["message"]
+        assert not (out / "features.csv").exists()
+
 
 class TestFamiliesFlag:
     def test_extract_with_family_subset(self, tmp_path):

@@ -20,7 +20,6 @@ from lppgate.features import (
     NoLabelMass,
     NonFiniteFeature,
     SequenceStats,
-    TopKDistribution,
     assemble_feature_vector,
     catalog_names,
     collapse_to_labels,
@@ -32,39 +31,53 @@ from lppgate.features import (
     compute_verbalized_features,
     renormalize_topk,
     EmptyCandidates,
-    _entropy_bits,
 )
 from lppgate.pipeline import extract_table
 from lppgate.schema import (
     ConfidenceBand,
     OutcomeLabel,
-    Span,
     StructuredResponse,
-    TokenCandidate,
-    TokenRecord,
+    TokenSpan,
+    token_span,
 )
 from lppgate.synth import SynthConfig, generate_corpus
-from tests.conftest import make_outcome_record, make_trace
+from tests.conftest import make_outcome_span, make_trace
+from tests.token_reference import record
 
 DYADIC = (0.5, 0.25, 0.125, 0.0625, 0.0625)
 
 
+def _renormalize_topk_reference(logprobs):
+    """renormalize_topk's softmax before it took padded rows."""
+    arr = np.asarray(logprobs, dtype=float)
+    shifted = np.exp(arr - arr.max())
+    return np.sort(shifted / shifted.sum())[::-1]
+
+
+# ties, exp underflow (-800) and a log(1) candidate come up often
+_LOGPROBS = st.one_of(
+    st.floats(min_value=-30, max_value=0), st.sampled_from((0.0, -0.7, -800.0))
+)
+
+
 class TestRenormalizeTopk:
     def test_equal_logprobs_uniform(self):
-        dist = renormalize_topk([-3.2] * 5)
-        assert dist.probs == pytest.approx([0.2] * 5, abs=1e-12)
+        probs = renormalize_topk([-3.2] * 5)
+        assert probs == pytest.approx([0.2] * 5, abs=1e-12)
 
     def test_already_normalized_dyadic(self):
-        dist = renormalize_topk([math.log(p) for p in DYADIC])
-        assert dist.probs == pytest.approx(DYADIC, abs=1e-12)
+        probs = renormalize_topk([math.log(p) for p in DYADIC])
+        assert probs == pytest.approx(DYADIC, abs=1e-12)
 
     def test_near_delta(self):
-        dist = renormalize_topk([0.0, -50.0, -50.0, -50.0, -50.0])
-        assert dist.probs[0] == pytest.approx(1.0, abs=1e-9)
+        probs = renormalize_topk([0.0, -50.0, -50.0, -50.0, -50.0])
+        assert probs[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyCandidates):
             renormalize_topk([])
+        with pytest.raises(EmptyCandidates):
+            renormalize_topk(np.zeros((3, 0)))
 
     @given(
         st.lists(st.floats(min_value=-30, max_value=0), min_size=1, max_size=20),
@@ -73,12 +86,36 @@ class TestRenormalizeTopk:
     def test_shift_invariance(self, logprobs, c):
         base = renormalize_topk(logprobs)
         shifted = renormalize_topk([lp + c for lp in logprobs])
-        assert np.allclose(base.probs, shifted.probs, atol=1e-9)
+        assert np.allclose(base, shifted, atol=1e-9)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(_LOGPROBS, min_size=1, max_size=7), min_size=1, max_size=10))
+    def test_padded_rows_equal_row_calls(self, rows):
+        width = max(map(len, rows))
+        padded = np.array([r + [-np.inf] * (width - len(r)) for r in rows])
+        got = renormalize_topk(padded)
+        assert got.shape == padded.shape
+        for row, probs in zip(rows, got):
+            want = renormalize_topk(row)
+            assert probs[: len(row)].tobytes() == want.tobytes()
+            assert probs[len(row):].tobytes() == np.zeros(width - len(row)).tobytes()
+            assert want.tobytes() == _renormalize_topk_reference(row).tobytes()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("two_d", [False, True], ids=["row", "padded"])
+    def test_nan_and_positive_infinity_raise(self, bad, two_d):
+        logprobs = np.array([[-0.5, bad, -np.inf], [-0.1, -0.2, -0.3]])
+        with pytest.raises(ValueError, match="non-finite logprob"):
+            renormalize_topk(logprobs if two_d else logprobs[0, :2])
+
+    def test_all_padding_row_raises(self):
+        with pytest.raises(ValueError, match="non-finite logprob"):
+            renormalize_topk(np.array([[-0.1, -0.2], [-np.inf, -np.inf]]))
 
 
 class TestTopkFeatures:
     def test_uniform_five(self):
-        f = compute_topk_features(TopKDistribution((0.2,) * 5, 5))
+        f = compute_topk_features(np.array((0.2,) * 5))
         assert f["entropy"] == pytest.approx(math.log2(5), abs=1e-12)
         assert f["entropy_norm"] == pytest.approx(1.0, abs=1e-12)
         assert f["effective_choices"] == pytest.approx(5.0, abs=1e-9)
@@ -87,7 +124,7 @@ class TestTopkFeatures:
         assert f["top1_top2_ratio"] == pytest.approx(1.0)
 
     def test_dyadic_exact(self):
-        f = compute_topk_features(TopKDistribution(DYADIC, 5))
+        f = compute_topk_features(np.array(DYADIC))
         assert f["entropy"] == 1.875
         assert f["effective_choices"] == 2.0**1.875
         assert f["msp"] == 0.5
@@ -96,7 +133,7 @@ class TestTopkFeatures:
         assert f["top1_top2_ratio"] == pytest.approx(2.0)
 
     def test_delta(self):
-        f = compute_topk_features(TopKDistribution((1.0, 0.0, 0.0, 0.0, 0.0), 5))
+        f = compute_topk_features(np.array((1.0, 0.0, 0.0, 0.0, 0.0)))
         assert f["entropy"] == 0.0
         assert f["effective_choices"] == 1.0
         assert f["confidence"] == 1.0
@@ -104,15 +141,14 @@ class TestTopkFeatures:
         assert f["margin"] == 1.0
 
     def test_single_candidate_entropy_norm_defined(self):
-        f = compute_topk_features(TopKDistribution((1.0,), 1))
+        f = compute_topk_features(np.array((1.0,)))
         assert f["entropy_norm"] == 0.0
         assert f["confidence"] == 1.0
 
     @given(st.lists(st.floats(min_value=-20, max_value=0), min_size=2, max_size=5))
     def test_bounds(self, logprobs):
-        dist = renormalize_topk(logprobs)
-        f = compute_topk_features(dist)
-        k = dist.k
+        f = compute_topk_features(renormalize_topk(logprobs))
+        k = len(logprobs)
         assert -1e-12 <= f["entropy"] <= math.log2(k) + 1e-9
         assert 1.0 - 1e-9 <= f["effective_choices"] <= k + 1e-9
         assert 1.0 / k - 1e-9 <= f["msp"] <= 1.0 + 1e-12
@@ -137,7 +173,7 @@ COLLAPSE_EXAMPLE = {
 
 
 def _candidates(mapping):
-    return [TokenCandidate(s, lp) for s, lp in mapping.items()]
+    return list(mapping.items())
 
 
 class TestCollapseToLabels:
@@ -147,6 +183,10 @@ class TestCollapseToLabels:
         assert ldist.probs[OutcomeLabel.YES] == pytest.approx(6 / 19, abs=1e-12)
         assert ldist.probs[OutcomeLabel.INCONCLUSIVE_EVIDENCE] == pytest.approx(1 / 19, abs=1e-12)
         assert ldist.probs[OutcomeLabel.INCONCLUSIVE_DEFINITION] == 0.0
+        # the raw masses, before renormalization, stay on the distribution
+        assert ldist.masses[OutcomeLabel.NO] == pytest.approx(0.6, abs=1e-12)
+        assert ldist.masses[OutcomeLabel.YES] == pytest.approx(0.3, abs=1e-12)
+        assert ldist.masses[OutcomeLabel.INCONCLUSIVE_DEFINITION] == 0.0
 
     def test_already_normalized(self):
         ldist = collapse_to_labels(_candidates({"0": math.log(0.5), "1": math.log(0.5)}))
@@ -199,9 +239,8 @@ class TestFilteredFeatures:
         assert f["top1_top2_ratio"] == pytest.approx(2.0, abs=1e-9)
 
     def test_uniform_four_labels(self):
-        ldist = LabelDistribution(
-            {label: 0.25 for label in OutcomeLabel}, tuple(OutcomeLabel)
-        )
+        probs = {label: 0.25 for label in OutcomeLabel}
+        ldist = LabelDistribution(probs, tuple(OutcomeLabel), probs)
         f = compute_filtered_features(ldist)
         assert f["entropy"] == pytest.approx(2.0, abs=1e-12)
         assert f["entropy_norm"] == pytest.approx(1.0, abs=1e-12)
@@ -210,14 +249,14 @@ class TestFilteredFeatures:
     def test_delta_distribution(self):
         probs = {label: 0.0 for label in OutcomeLabel}
         probs[OutcomeLabel.YES] = 1.0
-        f = compute_filtered_features(LabelDistribution(probs, tuple(OutcomeLabel)))
+        f = compute_filtered_features(LabelDistribution(probs, tuple(OutcomeLabel), probs))
         assert f["entropy"] == 0.0
         assert f["confidence"] == 1.0
 
 
 class TestLogOddsFeatures:
     def test_hand_arithmetic(self):
-        cands = [TokenCandidate("1", -0.1), TokenCandidate("0", -2.1)]
+        cands = [("1", -0.1), ("0", -2.1)]
         ldist = collapse_to_labels(cands)
         f = compute_logodds_features(cands, ldist)
         assert f["margin"] == pytest.approx(-2.0, abs=1e-12)
@@ -225,13 +264,13 @@ class TestLogOddsFeatures:
         assert f["margin_valid"] == 1.0
 
     def test_tie(self):
-        cands = [TokenCandidate("1", -0.7), TokenCandidate("0", -0.7)]
+        cands = [("1", -0.7), ("0", -0.7)]
         f = compute_logodds_features(cands, collapse_to_labels(cands))
         assert f["margin"] == 0.0
         assert f["margin_norm"] == pytest.approx(0.0)
 
     def test_single_candidate_flagged_invalid(self):
-        cands = [TokenCandidate("1", -0.05)]
+        cands = [("1", -0.05)]
         f = compute_logodds_features(cands, collapse_to_labels(cands))
         assert f["margin"] == 0.0
         assert f["margin_norm"] == 0.0
@@ -240,81 +279,82 @@ class TestLogOddsFeatures:
 
     def test_filtered_uses_pre_normalization_masses(self):
         # one label split across two surfaces: filtered margin uses summed mass
-        cands = [
-            TokenCandidate("0", math.log(0.3)),
-            TokenCandidate(" 0", math.log(0.3)),
-            TokenCandidate("1", math.log(0.3)),
-        ]
+        cands = [("0", math.log(0.3)), (" 0", math.log(0.3)), ("1", math.log(0.3))]
         f = compute_logodds_features(cands, collapse_to_labels(cands))
         assert f["filtered_margin"] == pytest.approx(math.log(0.3) - math.log(0.6), abs=1e-12)
+        assert f["filtered_margin_norm"] == pytest.approx((math.log(0.3) - math.log(0.6)) / math.log(0.3), abs=1e-12)
         assert f["filtered_margin_valid"] == 1.0
 
 
-def _reasoning_record(p_chosen, n_candidates=1):
+def _reasoning_token(p_chosen, n_candidates=1):
     # n_candidates equally likely alternatives fix the per-token entropy at
     # log2(n_candidates); the chosen surface matches a candidate so nothing
     # extra is appended
-    cands = [TokenCandidate(f" c{j}", math.log(1.0 / n_candidates)) for j in range(n_candidates)]
-    chosen = TokenCandidate(" c0", math.log(p_chosen))
-    return TokenRecord(chosen=chosen, candidates=cands, span=Span.REASONING)
+    cands = [(f" c{j}", math.log(1.0 / n_candidates)) for j in range(n_candidates)]
+    return " c0", math.log(p_chosen), cands
+
+
+def _span(*tokens):
+    return token_span(tokens)
 
 
 def _sequence_features_reference(reasoning, k=DEFAULT_TOP_K):
-    """The per-record path compute_sequence_features replaced: one
-    renormalize_topk per reasoning token, one np.quantile per summary."""
+    """The per-record path compute_sequence_features replaced: one softmax
+    and masked entropy per reasoning record, one np.quantile per summary."""
     if len(reasoning) == 0:
         zeros = (0.0,) * 5
         return SequenceStats(0.0, 1.0, 0.0, zeros, zeros, absent=True)
     chosen_lp = np.array([r.chosen.logprob for r in reasoning], dtype=float)
     nll = float(-chosen_lp.sum())
     ppl = float(np.exp(nll / len(reasoning)))
-    entropies = np.array(
-        [
-            _entropy_bits(np.asarray(renormalize_topk([c.logprob for c in r.candidates[:k]]).probs))
-            for r in reasoning
-        ]
-    )
+    entropies = []
+    for r in reasoning:
+        p = _renormalize_topk_reference([c.logprob for c in r.candidates[:k]])
+        p = p[p > 0.0]
+        entropies.append(float(-(p * np.log2(p)).sum()))
+    entropies = np.array(entropies)
     points = (0.0, 0.25, 0.5, 0.75, 1.0)
     ent_q = tuple(float(v) for v in np.quantile(entropies, points))
     prob_q = tuple(float(v) for v in np.quantile(np.exp(chosen_lp), points))
     return SequenceStats(nll, ppl, float(entropies.mean()), ent_q, prob_q)
 
 
-# ties, exp underflow (-800) and a log(1) candidate come up often
-_LOGPROBS = st.one_of(
-    st.floats(min_value=-30, max_value=0), st.sampled_from((0.0, -0.7, -800.0))
-)
-
-
 @st.composite
-def _reasoning_records(draw, max_candidates):
-    records = []
+def _reasoning_tokens(draw, max_candidates):
+    tokens = []
     for _ in range(draw(st.integers(min_value=1, max_value=12))):
         n = draw(st.integers(min_value=1, max_value=max_candidates))
-        cands = [TokenCandidate(f" c{j}", draw(_LOGPROBS)) for j in range(n)]
+        cands = [(f" c{j}", draw(_LOGPROBS)) for j in range(n)]
         if draw(st.booleans()):
             # a chosen token missing from its candidates is appended to them
-            chosen = TokenCandidate(" missing", draw(_LOGPROBS))
+            chosen = (" missing", draw(_LOGPROBS))
         else:
             chosen = cands[draw(st.integers(min_value=0, max_value=n - 1))]
-        records.append(TokenRecord(chosen=chosen, candidates=cands, span=Span.REASONING))
-    return records
+        tokens.append((*chosen, cands))
+    return tokens
+
+
+def _span_records(span):
+    """A span's tokens as the reference records they stand for."""
+    return [record(c, lp, zip(srf, row)) for c, lp, srf, row in zip(span.chosen, span.chosen_logprobs, span.surfaces, span.logprobs)]
 
 
 class TestSequenceFeaturesVectorised:
     # a span whose chosen tokens all sit near -800 has perplexity inf on both paths
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @settings(max_examples=200, deadline=None)
-    @given(_reasoning_records(max_candidates=8))
-    def test_equals_per_record_reference(self, records):
-        assert compute_sequence_features(records, k=5) == _sequence_features_reference(records, k=5)
+    @given(_reasoning_tokens(max_candidates=8))
+    def test_equals_per_record_reference(self, tokens):
+        records = [record(*t) for t in tokens]
+        assert compute_sequence_features(token_span(tokens), k=5) == _sequence_features_reference(records, k=5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
-    @given(_reasoning_records(max_candidates=16))
-    def test_wide_rows_match_reference(self, records):
+    @given(_reasoning_tokens(max_candidates=16))
+    def test_wide_rows_match_reference(self, tokens):
         # numpy sums 8+ entries in blocks, where padding regroups the terms
-        got = compute_sequence_features(records, k=12)
+        records = [record(*t) for t in tokens]
+        got = compute_sequence_features(token_span(tokens), k=12)
         want = _sequence_features_reference(records, k=12)
         assert (got.nll, got.perplexity, got.prob_quantiles) == (want.nll, want.perplexity, want.prob_quantiles)
         assert got.mean_token_entropy_bits == pytest.approx(want.mean_token_entropy_bits, rel=1e-12, abs=1e-15)
@@ -322,66 +362,72 @@ class TestSequenceFeaturesVectorised:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_logprob_raises(self, bad):
-        record = _reasoning_record(0.5, n_candidates=3)
-        object.__setattr__(record.candidates[1], "logprob", bad)
+        token = (" c0", math.log(0.5), [(" c0", -0.7), (" c1", bad), (" c2", -1.1)])
         with pytest.raises(ValueError, match="non-finite logprob"):
-            compute_sequence_features([_reasoning_record(0.5, n_candidates=4), record])
+            _span(_reasoning_token(0.5, n_candidates=4), token)
+        if bad == float("-inf"):
+            return  # in a span's arrays -inf is padding
+        span = _span(_reasoning_token(0.5, n_candidates=4), _reasoning_token(0.5, n_candidates=3))
+        logprobs = span.logprobs.copy()
+        logprobs[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite logprob"):
+            compute_sequence_features(TokenSpan(span.chosen, span.chosen_logprobs, span.surfaces, logprobs))
 
     def test_empty_candidate_list_raises(self):
-        record = _reasoning_record(0.5, n_candidates=2)
-        record.candidates = []
+        # a token without candidates keeps its chosen one; k=0 leaves none
+        span = _span(_reasoning_token(0.5), (" c0", math.log(0.5), []))
+        assert span.surfaces[1] == (" c0",)
         with pytest.raises(EmptyCandidates):
-            compute_sequence_features([_reasoning_record(0.5), record])
+            compute_sequence_features(span, k=0)
 
     def test_extract_table_matches_reference_rows(self, monkeypatch):
         traces, _ = generate_corpus(SynthConfig(n_items=300, cot=True, seed=42))
-        assert all(t.reasoning_records() for t in traces)
+        assert all(len(t.reasoning.chosen) for t in traces)
         table = extract_table(traces)
         by_id = {t.item_id: t for t in traces}
-        monkeypatch.setattr(features, "compute_sequence_features", _sequence_features_reference)
+
+        def reference(span, k=DEFAULT_TOP_K):
+            return _sequence_features_reference(_span_records(span), k)
+
+        monkeypatch.setattr(features, "compute_sequence_features", reference)
         expected = np.stack([assemble_feature_vector(by_id[i]) for i in table.item_ids])
         assert table.matrix.tobytes() == expected.tobytes()
 
 
 class TestSequenceFeatures:
     def test_uniform_halves(self):
-        records = [_reasoning_record(0.5) for _ in range(4)]
-        stats = compute_sequence_features(records)
+        stats = compute_sequence_features(_span(*[_reasoning_token(0.5)] * 4))
         assert stats.nll == pytest.approx(4 * math.log(2), abs=1e-12)
         assert stats.perplexity == pytest.approx(2.0, abs=1e-12)
         assert not stats.absent
 
     def test_entropy_quantiles_exact_ranks(self):
         # entropies 0, 1, 2 from 1, 2, 4 equally likely candidates
-        records = [
-            _reasoning_record(0.5, n_candidates=1),
-            _reasoning_record(0.5, n_candidates=2),
-            _reasoning_record(0.5, n_candidates=4),
-        ]
-        stats = compute_sequence_features(records)
+        span = _span(
+            _reasoning_token(0.5, n_candidates=1),
+            _reasoning_token(0.5, n_candidates=2),
+            _reasoning_token(0.5, n_candidates=4),
+        )
+        stats = compute_sequence_features(span)
         assert stats.entropy_quantiles == pytest.approx((0.0, 0.5, 1.0, 1.5, 2.0), abs=1e-9)
         assert stats.mean_token_entropy_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_interpolated_quantile(self):
-        records = [
-            _reasoning_record(0.5, n_candidates=1),
-            _reasoning_record(0.5, n_candidates=2),
-        ]
-        stats = compute_sequence_features(records)
+        span = _span(_reasoning_token(0.5, n_candidates=1), _reasoning_token(0.5, n_candidates=2))
+        stats = compute_sequence_features(span)
         assert stats.entropy_quantiles[1] == pytest.approx(0.25, abs=1e-12)
 
     def test_prob_quantiles_exact(self):
-        records = [_reasoning_record(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5)]
-        stats = compute_sequence_features(records)
+        stats = compute_sequence_features(_span(*[_reasoning_token(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5)]))
         assert stats.prob_quantiles == pytest.approx((0.1, 0.2, 0.3, 0.4, 0.5), abs=1e-9)
 
     def test_empty_span(self):
-        stats = compute_sequence_features([])
+        stats = compute_sequence_features(token_span([]))
         assert stats == SequenceStats(0.0, 1.0, 0.0, (0.0,) * 5, (0.0,) * 5, absent=True)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=30))
     def test_perplexity_at_least_one(self, probs):
-        stats = compute_sequence_features([_reasoning_record(p) for p in probs])
+        stats = compute_sequence_features(_span(*[_reasoning_token(p) for p in probs]))
         assert stats.perplexity >= 1.0 - 1e-12
         assert stats.nll >= -1e-12
 
@@ -464,7 +510,8 @@ def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TO
     if not include_set:
         raise ValueError("at least one feature family must be included")
 
-    outcome_rec = trace.outcome_record()
+    outcome = trace.outcome
+    candidates = list(zip(outcome.surfaces[0], outcome.logprobs[0].tolist()))
     entries = []
 
     def extend(family: FeatureFamily, metrics: Mapping[str, float]) -> None:
@@ -472,18 +519,17 @@ def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TO
 
     ldist = None
     if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
-        ldist = collapse_to_labels(outcome_rec.candidates, support)
+        ldist = collapse_to_labels(candidates, support)
 
     if FeatureFamily.OUTCOME_TOPK in include_set:
-        dist = renormalize_topk([c.logprob for c in outcome_rec.candidates[:k]])
-        extend(FeatureFamily.OUTCOME_TOPK, compute_topk_features(dist))
+        extend(FeatureFamily.OUTCOME_TOPK, compute_topk_features(renormalize_topk(outcome.logprobs[0, :k])))
     if FeatureFamily.FILTERED_OUTCOME in include_set:
         extend(FeatureFamily.FILTERED_OUTCOME, compute_filtered_features(ldist))
     if FeatureFamily.LOGODDS_MARGIN in include_set:
-        extend(FeatureFamily.LOGODDS_MARGIN, compute_logodds_features(outcome_rec.candidates, ldist))
+        extend(FeatureFamily.LOGODDS_MARGIN, compute_logodds_features(candidates, ldist))
 
     if include_set & {FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT}:
-        stats = compute_sequence_features(trace.reasoning_records(), k=k)
+        stats = compute_sequence_features(trace.reasoning, k=k)
         if FeatureFamily.SEQUENCE_COT in include_set:
             values = (stats.nll, stats.perplexity, 1.0 if stats.absent else 0.0)
             extend(FeatureFamily.SEQUENCE_COT, dict(zip(_CATALOG[FeatureFamily.SEQUENCE_COT], values)))
@@ -538,8 +584,7 @@ class TestAssembleFeatureVector:
 
     def test_no_label_mass_propagates(self):
         trace = make_trace(outcome_probs={"1": 0.6, "junk": 0.4})
-        trace.outcome_record().candidates = [TokenCandidate("junk", math.log(1.0))]
-        trace.outcome_record().chosen = TokenCandidate("junk", math.log(1.0))
+        trace.outcome = make_outcome_span({"junk": math.log(1.0)})
         with pytest.raises(NoLabelMass):
             assemble_feature_vector(trace)
 
@@ -575,7 +620,7 @@ class TestAssembleFeatureVector:
             outcome=OutcomeLabel.YES,
             outcome_probs={"2": 0.9, "1": 0.1},
         )
-        trace.tokens[0] = make_outcome_record({"2": 0.9, "1": 0.1}, chosen_surface="2")
+        trace.outcome = make_outcome_span({"2": 0.9, "1": 0.1}, chosen_surface="2")
         include = {FeatureFamily.ATTRIBUTION}
         row = assemble_feature_vector(trace, include=include)
         assert dict(zip(catalog_names(include), row))["attribution.evidence_deficit"] == 1.0
@@ -588,8 +633,7 @@ class TestOracleEquivalence:
         import mpmath
 
         mpmath.mp.dps = 50
-        dist = renormalize_topk(logprobs)
-        f = compute_topk_features(dist)
+        f = compute_topk_features(renormalize_topk(logprobs))
 
         exps = [mpmath.exp(mpmath.mpf(repr(lp))) for lp in logprobs]
         total = sum(exps)

@@ -25,7 +25,7 @@ from lppgate.gateway import (
     segment_spans,
     RawToken,
 )
-from lppgate.schema import OutcomeLabel, Span, locate_structured_fields
+from lppgate.schema import OutcomeLabel, locate_structured_fields, trace_to_dict
 
 NO_SLEEP = lambda _: None  # noqa: E731
 
@@ -102,19 +102,18 @@ class TestTemplates:
 class TestSegmentSpans:
     def test_single_outcome_record(self):
         payload = valid_payload()
-        records = segment_spans(payload["content"], [RawToken(t["surface"], t["logprob"], tuple((c["surface"], c["logprob"]) for c in t.get("top", ()))) for t in payload["tokens"]])
-        outcome = [r for r in records if r.span is Span.OUTCOME]
-        assert len(outcome) == 1
-        assert outcome[0].chosen.surface == "1"
-        assert len(outcome[0].candidates) == 3
+        outcome, reasoning = segment_spans(payload["content"], [RawToken(t["surface"], t["logprob"], tuple((c["surface"], c["logprob"]) for c in t.get("top", ()))) for t in payload["tokens"]])
+        assert outcome.chosen == ("1",)
+        assert len(outcome.surfaces[0]) == 3
+        assert len(reasoning.chosen) == 0
 
     def test_direct_answer_has_no_reasoning_records(self):
         payload = valid_payload()
-        records = segment_spans(
+        outcome, reasoning = segment_spans(
             payload["content"],
             [RawToken(t["surface"], t["logprob"]) for t in payload["tokens"]],
         )
-        assert [r.span for r in records] == [Span.OUTCOME]
+        assert (len(outcome.chosen), len(reasoning.chosen)) == (1, 0)
 
     def test_digit_inside_reasoning_not_tagged_outcome(self):
         content = (
@@ -123,9 +122,34 @@ class TestSegmentSpans:
         spans = locate_structured_fields(content)
         vs = spans.outcome_value[0]
         pieces = [content[:vs], content[vs : vs + 1], content[vs + 1 :]]
-        records = segment_spans(content, [RawToken(p, -0.2) for p in pieces if p])
-        assert [r.span for r in records] == [Span.REASONING, Span.OUTCOME]
-        assert records[1].chosen.surface == "1"
+        outcome, reasoning = segment_spans(content, [RawToken(p, -0.2) for p in pieces if p])
+        assert reasoning.chosen == (pieces[0],)
+        assert outcome.chosen == ("1",)
+
+    def test_reasoning_before_outcome_is_written_outcome_first(self):
+        steps = [{"step_number": i, "description": f"step {i} 1"} for i in (1, 2, 3)]
+        content = json.dumps({"reasoning_steps": steps, "outcome": "1", "p_correct": 85})
+        spans = locate_structured_fields(content)
+        (rs, re_), vs = spans.reasoning_array, spans.outcome_value[0]
+        mid = (rs + re_) // 2
+        pieces = [content[:rs], content[rs:mid], content[mid:re_], content[re_:vs], content[vs], content[vs + 1 :]]
+        digit_top = [{"surface": "0", "logprob": -2.0}, {"surface": "1", "logprob": 5e-10}]
+        tokens = [{"surface": p, "logprob": -0.05} for p in pieces]
+        # positive provider logprobs, even beyond the tolerance, are clamped to 0
+        tokens[1]["top"] = [{"surface": "x", "logprob": 0.25}]
+        tokens[4] = {"surface": "1", "logprob": 5e-10, "top": digit_top}
+        provider = StubProvider({"item-1": [{"content": content, "tokens": tokens}]})
+        item = {"item_id": "item-1", "text": "abc", "concept_definition": "d"}
+        (trace,) = run_inference([item], load_template("text-cot"), provider, sleep=NO_SLEEP).traces
+        assert trace.outcome.chosen == ("1",)
+        assert trace.outcome.surfaces == (("1", "0"),)
+        assert trace.outcome.logprobs.tolist() == [[0.0, -2.0]]
+        assert trace.reasoning.chosen == (pieces[1], pieces[2])
+        assert trace.reasoning.surfaces[0] == ("x", pieces[1])
+        assert trace.reasoning.logprobs[0].tolist() == [0.0, -0.05]
+        written = trace_to_dict(trace)["tokens"]
+        assert [t["span"] for t in written] == ["outcome", "reasoning", "reasoning"]
+        assert [t["chosen"]["surface"] for t in written] == ["1", pieces[1], pieces[2]]
 
     def test_tokens_not_covering_outcome(self):
         content = VALID_CONTENT
@@ -148,7 +172,7 @@ class TestStubAndDispatch:
         assert trace.attempt == 1
         assert trace.structured.outcome is OutcomeLabel.YES
         assert trace.structured.p_correct == 85
-        assert trace.outcome_record().chosen.surface == "1"
+        assert trace.outcome.chosen == ("1",)
 
     def test_transport_retries_do_not_consume_parse_budget(self):
         provider = StubProvider(

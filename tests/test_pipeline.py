@@ -7,9 +7,9 @@ import pytest
 from lppgate import pipeline, policy, trainer
 from lppgate.dataset import ResampleConfig, SplitSpec, label_correctness, stratified_split
 from lppgate.features import FeatureFamily
-from lppgate.schema import OutcomeLabel, TokenCandidate
+from lppgate.schema import OutcomeLabel
 from lppgate.synth import SynthConfig, generate_corpus
-from tests.conftest import make_trace
+from tests.conftest import make_outcome_span, make_trace
 
 QUICK_SPACE = [
     trainer.RidgeConfig(alpha=a, class_weight=cw, calibration=c)
@@ -45,8 +45,7 @@ class TestExtractTable:
     def test_invalid_rows_collected(self):
         traces, labels = corpus(n=20)
         bad = make_trace(item_id="zzz-bad")
-        bad.tokens[0].candidates = [TokenCandidate("junk", 0.0)]
-        bad.tokens[0].chosen = TokenCandidate("junk", 0.0)
+        bad.outcome = make_outcome_span({"junk": 0.0})
         table = pipeline.extract_table(list(traces) + [bad])
         assert table.invalid_ids == ["zzz-bad"]
         assert "zzz-bad" not in table.item_ids

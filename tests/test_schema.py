@@ -1,6 +1,7 @@
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,8 +10,10 @@ from lppgate import schema
 from lppgate.schema import (
     ConfidenceBand,
     FailureKind,
+    LOGPROB_TOLERANCE,
     OutcomeLabel,
     ParseFailure,
+    ResponseTrace,
     RetryDecision,
     Span,
     decide_retry,
@@ -20,10 +23,13 @@ from lppgate.schema import (
     parse_structured_response,
     read_traces_jsonl,
     snap_confidence,
+    token_span,
     trace_from_dict,
     trace_to_dict,
     write_traces_jsonl,
 )
+from lppgate.synth import SynthConfig, generate_corpus
+from tests.token_reference import record, records_view, span_view, token_records_from_dict
 
 
 class TestNormalizeOutcomeToken:
@@ -337,29 +343,28 @@ class TestLocateStructuredFields:
 class TestTraceInvariantsAndRoundTrip:
     def test_exactly_one_outcome_record(self, trace_factory):
         trace = trace_factory()
-        assert trace.outcome_record().span is Span.OUTCOME
-        token_label = normalize_outcome_token(trace.outcome_record().chosen.surface)
+        assert len(trace.outcome.chosen) == 1
+        token_label = normalize_outcome_token(trace.outcome.chosen[0])
         assert token_label is trace.structured.outcome
+        for outcome in (token_span([]), token_span([("1", -0.1, []), ("0", -0.2, [])])):
+            with pytest.raises(ValueError, match="outcome-span tokens, want 1"):
+                ResponseTrace("x", trace.structured, outcome, trace.reasoning)
 
     def test_attempt_bounds(self, trace_factory):
         with pytest.raises(ValueError):
             trace_factory(attempt=5)
 
     def test_candidates_sorted_and_chosen_appended(self):
-        from lppgate.schema import TokenCandidate, TokenRecord
-
-        rec = TokenRecord(
-            chosen=TokenCandidate("1", -0.5),
-            candidates=[TokenCandidate("0", -2.0), TokenCandidate("2", -1.0)],
-        )
-        assert [c.surface for c in rec.candidates] == ["1", "2", "0"]
+        span = token_span([("1", -0.5, [("0", -2.0), ("2", -1.0)]), ("a", -0.1, [("a", -0.1)])])
+        assert span.surfaces == (("1", "2", "0"), ("a",))
+        assert span.logprobs.tolist() == [[-0.5, -1.0, -2.0], [-0.1, -np.inf, -np.inf]]
+        assert span.chosen == ("1", "a") and span.chosen_logprobs.tolist() == [-0.5, -0.1]
 
     def test_positive_logprob_clamped(self):
-        from lppgate.schema import TokenCandidate
-
-        assert TokenCandidate("x", 5e-10).logprob == 0.0
+        span = token_span([("x", 5e-10, [("x", 5e-10)])])
+        assert span.chosen_logprobs[0] == 0.0 and span.logprobs[0, 0] == 0.0
         with pytest.raises(ValueError):
-            TokenCandidate("x", 0.1)
+            token_span([("x", 0.1, [])])
 
     def test_jsonl_round_trip(self, tmp_path, trace_factory):
         traces = [
@@ -375,4 +380,67 @@ class TestTraceInvariantsAndRoundTrip:
     def test_dict_round_trip_preserves_spans(self, trace_factory):
         trace = trace_factory(reasoning_logprobs=(-1.0,))
         again = trace_from_dict(trace_to_dict(trace))
-        assert [t.span for t in again.tokens] == [t.span for t in trace.tokens]
+        assert [t["span"] for t in trace_to_dict(again)["tokens"]] == [Span.OUTCOME.value, Span.REASONING.value]
+        assert span_view(again.outcome) == span_view(trace.outcome)
+        assert span_view(again.reasoning) == span_view(trace.reasoning)
+
+    @pytest.mark.parametrize("cot", [False, True], ids=["direct", "cot"])
+    def test_write_of_read_is_byte_identical(self, tmp_path, cot):
+        traces, _ = generate_corpus(SynthConfig(n_items=300, cot=cot, seed=42))
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        write_traces_jsonl(traces, first)
+        write_traces_jsonl(read_traces_jsonl(first), second)
+        assert first.read_bytes() == second.read_bytes()
+        # each span holds what the per-token records held
+        for line in first.read_text().splitlines():
+            obj = json.loads(line)
+            trace = trace_from_dict(obj)
+            records = token_records_from_dict(obj)
+            assert span_view(trace.outcome) == records_view([r for r in records if r.span is Span.OUTCOME])
+            assert span_view(trace.reasoning) == records_view([r for r in records if r.span is Span.REASONING])
+
+
+_SURFACES = st.sampled_from(["0", "1", " 1", "a"])
+# ties (0.0 against -0.0 included), values the tolerance clamps to 0, and
+# the values both builders must reject
+_TOKEN_LOGPROBS = st.one_of(
+    st.floats(min_value=-30, max_value=0),
+    st.sampled_from((0.0, -0.0, -0.7, -800.0)),
+    st.floats(min_value=0.0, max_value=LOGPROB_TOLERANCE, exclude_min=True),
+)
+_BAD_LOGPROBS = st.sampled_from((float("nan"), float("inf"), float("-inf"), 2 * LOGPROB_TOLERANCE, 0.5))
+
+
+@st.composite
+def _token_triples(draw):
+    logprobs = st.one_of(_TOKEN_LOGPROBS, _BAD_LOGPROBS) if draw(st.integers(0, 9)) == 0 else _TOKEN_LOGPROBS
+    tokens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        surface = draw(_SURFACES)
+        logprob = draw(logprobs)
+        candidates = draw(st.lists(st.tuples(_SURFACES, logprobs), max_size=8))
+        if draw(st.booleans()):
+            # the chosen token among its candidates, possibly with another logprob
+            at = draw(st.integers(min_value=0, max_value=len(candidates)))
+            candidates.insert(at, (surface, draw(st.sampled_from((logprob, draw(logprobs))))))
+        tokens.append((surface, logprob, candidates))
+    return tokens
+
+
+class TestTokenSpanMatchesReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_token_triples())
+    @example([("1", 0.0, [("0", -0.0), ("1", -0.0), ("1", 5e-10)])])
+    @example([("1", -0.5, []), ("a", -0.1, [("0", -3.0), ("1", -0.2)])])
+    def test_chosen_and_candidate_order_equal_records(self, tokens):
+        try:
+            records = [record(*t) for t in tokens]
+        except ValueError:
+            with pytest.raises(ValueError):
+                token_span(tokens)
+            return
+        span = token_span(tokens)
+        assert span_view(span) == records_view(records)
+        assert span.logprobs.shape == (len(tokens), max((len(r.candidates) for r in records), default=0))
+        for row, srf in zip(span.logprobs, span.surfaces):
+            assert np.all(row[len(srf):] == -np.inf)

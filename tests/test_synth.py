@@ -52,19 +52,19 @@ class TestTraceShape:
         traces, labels = generate_corpus(SynthConfig(n_items=120, seed=11))
         for trace, row in zip(traces, labels):
             assert trace.item_id == row.item_id
-            record = trace.outcome_record()
-            assert record.chosen.surface == str(row.llm_outcome)
-            assert record.chosen.logprob == max(c.logprob for c in record.candidates)
+            outcome = trace.outcome
+            assert outcome.chosen == (str(row.llm_outcome),)
+            assert outcome.chosen_logprobs[0] == outcome.logprobs[0].max()
             assert trace.structured.p_correct is None or trace.structured.p_correct % 5 == 0
 
     def test_direct_mode_has_no_reasoning(self):
         traces, _ = generate_corpus(SynthConfig(n_items=50, cot=False, seed=5))
-        assert all(not t.reasoning_records() for t in traces)
+        assert all(len(t.reasoning.chosen) == 0 for t in traces)
 
     def test_cot_mode_has_three_steps_and_reasoning_tokens(self):
         traces, _ = generate_corpus(SynthConfig(n_items=50, cot=True, seed=5))
         assert all(len(t.structured.reasoning_steps) == 3 for t in traces)
-        assert all(len(t.reasoning_records()) >= 15 for t in traces)
+        assert all(len(t.reasoning.chosen) >= 15 for t in traces)
 
     def test_confident_abstentions_when_complementary(self):
         cfg = SynthConfig(n_items=2000, signal={"attribution": 1.0}, seed=42)
@@ -74,9 +74,7 @@ class TestTraceShape:
             if row.llm_outcome >= 2:
                 from lppgate.features import compute_topk_features, renormalize_topk
 
-                dist = renormalize_topk(
-                    [c.logprob for c in trace.outcome_record().candidates[:5]]
-                )
-                msp.append(compute_topk_features(dist)["msp"])
+                probs = renormalize_topk(trace.outcome.logprobs[0, :5])
+                msp.append(compute_topk_features(probs)["msp"])
         # peaked regime: abstained errors look confident
         assert np.mean(msp) > 0.6

@@ -1,0 +1,85 @@
+"""The per-token classes that schema.TokenSpan replaced, kept as the
+reference that token_span, trace_from_dict and the feature kernels are
+checked against."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+from lppgate.schema import LOGPROB_TOLERANCE, Span, TokenSpan
+
+
+@dataclass(frozen=True)
+class TokenCandidate:
+    surface: str
+    logprob: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.logprob):
+            raise ValueError(f"non-finite logprob for {self.surface!r}")
+        if self.logprob > LOGPROB_TOLERANCE:
+            raise ValueError(f"positive logprob {self.logprob!r} beyond tolerance")
+        if self.logprob > 0.0:
+            object.__setattr__(self, "logprob", 0.0)
+
+
+@dataclass
+class TokenRecord:
+    """One generated token with its top-k alternatives, tagged by span.
+
+    The chosen token is guaranteed to appear among the candidates (appended
+    with its own logprob when the provider omitted it), and candidates are
+    kept sorted by descending logprob.
+    """
+
+    chosen: TokenCandidate
+    candidates: list[TokenCandidate] = field(default_factory=list)
+    span: Span = Span.REASONING
+
+    def __post_init__(self):
+        if all(c.surface != self.chosen.surface for c in self.candidates):
+            self.candidates = list(self.candidates) + [self.chosen]
+        self.candidates = sorted(self.candidates, key=lambda c: -c.logprob)
+
+
+def record(surface, logprob, candidates, span=Span.REASONING) -> TokenRecord:
+    """The reference record for one token_span triple."""
+    return TokenRecord(TokenCandidate(surface, logprob), [TokenCandidate(s, lp) for s, lp in candidates], span)
+
+
+def token_records_from_dict(obj: dict) -> list[TokenRecord]:
+    """The token half of trace_from_dict before TokenSpan: one record per
+    JSONL token, in file order."""
+    return [
+        TokenRecord(
+            chosen=TokenCandidate(**t["chosen"]),
+            candidates=[TokenCandidate(**c) for c in t.get("candidates", [])],
+            span=Span(t["span"]),
+        )
+        for t in obj.get("tokens", [])
+    ]
+
+
+def span_view(span: TokenSpan) -> list:
+    """Each token of a span as (chosen surface, chosen logprob, candidate
+    surfaces, candidate logprobs), padding dropped; repr keeps -0.0 apart
+    from 0.0."""
+    rows = span.logprobs.tolist()
+    return [
+        (c, repr(lp), srf, repr(rows[t][: len(srf)]))
+        for t, (c, lp, srf) in enumerate(zip(span.chosen, span.chosen_logprobs.tolist(), span.surfaces))
+    ]
+
+
+def records_view(records) -> list:
+    """span_view's form for a list of reference records."""
+    return [
+        (
+            r.chosen.surface,
+            repr(r.chosen.logprob),
+            tuple(c.surface for c in r.candidates),
+            repr([c.logprob for c in r.candidates]),
+        )
+        for r in records
+    ]
