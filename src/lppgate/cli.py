@@ -23,7 +23,7 @@ import numpy as np
 
 from . import evaluation, gateway, pipeline, policy, synth, trainer
 from .dataset import ResampleConfig, SplitSpec, stratified_split
-from .features import ALL_FAMILIES, FeatureFamily
+from .features import ALL_FAMILIES, FeatureFamily, family_of
 from .manifest import build_manifest, sha256_file, write_json_atomic, write_text_atomic
 from .policy import CostModel
 from .schema import read_traces_jsonl, write_traces_jsonl
@@ -205,7 +205,7 @@ def cmd_extract(args, cfg: RunConfig, written: list[str]):
     extra = {
         "rows": len(table.item_ids),
         "columns": len(table.names),
-        "families": sorted({v for v in table.families.values()}),
+        "families": sorted({family_of(name) for name in table.names}),
         "invalid_items": sorted(table.invalid_ids),
     }
     return inputs, [features_path, sidecar_path], extra
@@ -303,15 +303,12 @@ def cmd_ablate(args, cfg: RunConfig, written: list[str]):
     traces = read_traces_jsonl(args.traces)
     labels = pipeline.load_labels(args.labels)
     include = cfg.family_set()
-    if args.family == "all":
-        drop = list(include)
-    else:
-        drop = [FeatureFamily(args.family)]
+    table = pipeline.extract_table(traces, include, k=cfg.top_k)
+    drop = list(include) if args.family == "all" else [FeatureFamily(args.family)]
     space = trainer.default_grid() if not args.quick_grid else _quick_grid()
     rows = pipeline.run_ablation(
-        traces, labels, drop, cfg.split_spec(), cfg.cost_model(),
-        include=include, resample_cfg=cfg.resample_config(), space=space,
-        grid=cfg.tau_grid(), seed=cfg.seed, k=cfg.top_k,
+        table, labels, drop, cfg.split_spec(), cfg.cost_model(),
+        resample_cfg=cfg.resample_config(), space=space, grid=cfg.tau_grid(), seed=cfg.seed,
     )
     lines = ["dropped_family,expected_cost,delta_vs_full"]
     lines += [f"{r['dropped_family']},{r['expected_cost']!r},{r['delta_vs_full']!r}" for r in rows]
@@ -345,7 +342,7 @@ def cmd_sensitivity(args, cfg: RunConfig, written: list[str]):
     curve = policy.cost_ratio_sensitivity(counts, r_values)
     doc = {
         "tau_star": gate.tau_star,
-        "counts": {"tp": counts.tp, "fp": counts.fp, "tn": counts.tn, "fn": counts.fn},
+        "counts": dataclasses.asdict(counts),
         "curve": [{"r": r, "relative_cost": rel} for r, rel in curve],
         "expected_cost": policy.expected_cost(counts, m),
         "cost_model": {"c_mis": m.c_mis, "c_rev": m.c_rev, "ratio": m.ratio},
@@ -460,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--validation-ids", required=True)
     p.add_argument("--test-ids", required=True)
 
-    p = sub.add_parser("ablate", help="re-run the pipeline with a family dropped")
+    p = sub.add_parser("ablate", help="retrain the gate with each feature family dropped")
     common(p)
     p.add_argument("--traces", required=True)
     p.add_argument("--labels", required=True)

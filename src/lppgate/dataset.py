@@ -90,7 +90,6 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class ResampleConfig:
-    strategy: str = "tomek_plus_random"
     target_majority_ratio: float = 4.0
     protect_abstentions: bool = True
     seed: int = 42
@@ -98,8 +97,6 @@ class ResampleConfig:
     def __post_init__(self):
         if self.target_majority_ratio <= 0:
             raise ValueError("target_majority_ratio must be positive")
-        if self.strategy != "tomek_plus_random":
-            raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 def label_correctness(llm_outcome: OutcomeLabel, ground_truth: int) -> int:

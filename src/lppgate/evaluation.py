@@ -14,7 +14,7 @@ machinery of the meta-model so the comparison is like for like.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -63,21 +63,7 @@ class MetricsReport:
     counts: ConfusionCounts
 
     def to_dict(self) -> dict:
-        return {
-            "f1_trust_class": self.f1_trust_class,
-            "f1_error_class": self.f1_error_class,
-            "macro_f1": self.macro_f1,
-            "auc_roc": self.auc_roc,
-            "expected_cost": self.expected_cost,
-            "escalations": self.escalations,
-            "escalation_ratio": self.escalation_ratio,
-            "counts": {
-                "tp": self.counts.tp,
-                "fp": self.counts.fp,
-                "tn": self.counts.tn,
-                "fn": self.counts.fn,
-            },
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

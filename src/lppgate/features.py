@@ -32,7 +32,8 @@ assemble_feature_vector turns one trace into one float64 row whose columns
 are catalog_names(include): the enabled families in the order above, each
 family's values in _CATALOG order. Excluded families are absent from the
 row entirely rather than zeroed. A row holding a nan or infinite value
-raises NonFiniteFeature naming its first bad column.
+raises NonFiniteFeature naming its first bad column. A column name is
+"family.feature", and family_of reads the family back from it.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "compute_attribution_features",
     "assemble_feature_vector",
     "catalog_names",
+    "family_of",
     "ALL_FAMILIES",
 ]
 
@@ -82,7 +84,7 @@ EPSILON = 1e-12
 #: Family A is computed over the five most probable candidates by default.
 DEFAULT_TOP_K = 5
 
-#: Expanded schema label support; the binary variant is (NO, YES).
+#: The schema labels that outcome-token mass is collapsed onto.
 FULL_SUPPORT = (
     OutcomeLabel.NO,
     OutcomeLabel.YES,
@@ -125,15 +127,12 @@ class LabelDistribution:
     keeps each label's summed exp(logprob) from before renormalization."""
 
     probs: Mapping[OutcomeLabel, float]
-    support: tuple[OutcomeLabel, ...]
     masses: Mapping[OutcomeLabel, float]
 
     def __post_init__(self):
         total = sum(self.probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError("label probabilities do not sum to 1")
-        if any(label not in self.support for label in self.probs):
-            raise ValueError("probability mass outside the declared support")
 
 
 @dataclass(frozen=True)
@@ -207,14 +206,11 @@ def compute_topk_features(probs: np.ndarray) -> dict[str, float]:
     return _distribution_metrics(probs, len(probs))
 
 
-def collapse_to_labels(
-    candidates: Iterable[tuple[str, float]],
-    support: tuple[OutcomeLabel, ...] = FULL_SUPPORT,
-) -> LabelDistribution:
+def collapse_to_labels(candidates: Iterable[tuple[str, float]]) -> LabelDistribution:
     """Collapse candidate token mass onto schema labels and renormalize.
 
     ``candidates`` are (surface, logprob) pairs. Every candidate whose
-    surface normalizes to a label in ``support`` contributes exp(logprob)
+    surface normalizes to a label in FULL_SUPPORT contributes exp(logprob)
     to that label; labels with no matching candidate keep mass 0 (and still
     participate downstream, so the support size stays constant). Splitting
     one label's mass across several surface forms therefore does not change
@@ -222,7 +218,7 @@ def collapse_to_labels(
 
     Raises NoLabelMass when no candidate maps to any supported label.
     """
-    masses = {label: 0.0 for label in support}
+    masses = {label: 0.0 for label in FULL_SUPPORT}
     for surface, logprob in candidates:
         label = normalize_outcome_token(surface)
         if label is not None and label in masses:
@@ -231,7 +227,7 @@ def collapse_to_labels(
     if total <= 0.0:
         raise NoLabelMass("no candidate surface maps to a schema label")
     probs = {label: mass / total for label, mass in masses.items()}
-    return LabelDistribution(probs, support, masses)
+    return LabelDistribution(probs, masses)
 
 
 def compute_filtered_features(ldist: LabelDistribution) -> dict[str, float]:
@@ -241,9 +237,9 @@ def compute_filtered_features(ldist: LabelDistribution) -> dict[str, float]:
     entropy normalization is stable. The filtered catalog carries seven
     metrics; there is no separate max-probability entry.
     """
-    probs = np.array([ldist.probs[label] for label in ldist.support], dtype=float)
+    probs = np.array([ldist.probs[label] for label in FULL_SUPPORT], dtype=float)
     probs = np.sort(probs)[::-1]
-    metrics = _distribution_metrics(probs, k=len(ldist.support))
+    metrics = _distribution_metrics(probs, k=len(FULL_SUPPORT))
     del metrics["msp"]
     return metrics
 
@@ -404,14 +400,12 @@ def assemble_feature_vector(
     trace: ResponseTrace,
     include: Iterable[FeatureFamily] = ALL_FAMILIES,
     k: int = DEFAULT_TOP_K,
-    support: tuple[OutcomeLabel, ...] = FULL_SUPPORT,
 ) -> np.ndarray:
     """One float64 feature row whose columns are catalog_names(include).
 
-    Excluded families are absent from the row entirely, which is what the
-    ablation runner relies on. Direct-answer traces still carry the
-    sequence/token families when enabled, with zero stats and the absent
-    flag set. NoLabelMass and NonFiniteFeature (one isfinite check over the
+    Excluded families are absent from the row entirely. Direct-answer
+    traces still carry the sequence/token families when enabled, with zero
+    stats and the absent flag set. NoLabelMass and NonFiniteFeature (one isfinite check over the
     finished row, naming its first bad column) propagate to the caller as
     invalid-row markers. The outcome-span token, not the structured field,
     drives the token-derived families.
@@ -426,7 +420,7 @@ def assemble_feature_vector(
 
     ldist = None
     if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
-        ldist = collapse_to_labels(candidates, support)
+        ldist = collapse_to_labels(candidates)
 
     if FeatureFamily.OUTCOME_TOPK in include_set:
         probs = renormalize_topk(outcome.logprobs[0, :k])
@@ -468,3 +462,9 @@ def catalog_names(include: Iterable[FeatureFamily] = ALL_FAMILIES) -> list[str]:
         if family in include_set
         for name in names
     ]
+
+
+def family_of(name: str) -> str:
+    """The family value of a qualified feature name: the part before its
+    first '.'."""
+    return name.split(".", 1)[0]

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .schema import (
+    InvalidLogprob,
     ParseFailure,
     ResponseTrace,
     RetryDecision,
@@ -393,14 +394,17 @@ def _run_one(
         try:
             structured = parse_structured_response(response.content, expect_steps=expected_steps)
             spans = segment_spans(response.content, response.tokens)
-        except (ParseFailure, OutcomeTokenNotFound) as exc:
+        except (ParseFailure, OutcomeTokenNotFound, InvalidLogprob) as exc:
             failure = exc
 
         decision = decide_retry(attempt, failure)
         if decision is RetryDecision.ACCEPT:
             return ResponseTrace(item_id, structured, *spans, attempt=attempt), None, None
         if decision is RetryDecision.GIVE_UP:
-            kind = failure.kind.value if isinstance(failure, ParseFailure) else "outcome_token_not_found"
+            if isinstance(failure, ParseFailure):
+                kind = failure.kind.value
+            else:
+                kind = "invalid_logprob" if isinstance(failure, InvalidLogprob) else "outcome_token_not_found"
             return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None
         # RETRY: byte-identical re-request under deterministic decoding
 
@@ -421,7 +425,9 @@ def run_inference(
     the results are sorted by item_id, so re-running against the stub
     provider is byte-identical. An item whose transport retries run out, or
     whose request the provider rejects, becomes a give-up with failure
-    "transport" or "rejected"; an AuthFailure aborts the run. Non-default
+    "transport" or "rejected"; a response with a nan or infinite token
+    logprob is a failed attempt under the retry contract, and gives up as
+    "invalid_logprob". An AuthFailure aborts the run. Non-default
     decoding values require the explicit override flag (recorded in the run
     manifest by the caller).
     """

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +29,7 @@ from .features import (
     NonFiniteFeature,
     assemble_feature_vector,
     catalog_names,
+    family_of,
 )
 from .manifest import write_json_atomic, write_text_atomic
 from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, decisions_at, sweep_threshold
@@ -60,10 +61,12 @@ PROFILE_TEST_NEGATIVES = {"openai-mod": 150, "multimodal": 45}
 
 @dataclass
 class FeatureTable:
+    """One feature row per valid item; column j is feature names[j], whose
+    family is family_of(names[j])."""
+
     item_ids: list[str]
     names: list[str]
     matrix: np.ndarray
-    families: dict[str, str]
     invalid_ids: list[str] = field(default_factory=list)
 
     def row_map(self) -> dict[str, int]:
@@ -72,6 +75,16 @@ class FeatureTable:
     def submatrix(self, ids: Sequence[str]) -> np.ndarray:
         rows = self.row_map()
         return self.matrix[[rows[i] for i in ids]]
+
+    def without(self, family: FeatureFamily) -> FeatureTable:
+        """The same rows without the columns of one family."""
+        keep = [j for j, name in enumerate(self.names) if family_of(name) != family.value]
+        if len(keep) == len(self.names):
+            raise ValueError(f"family {family.value!r} not in the included set")
+        if not keep:
+            raise ValueError("cannot drop every feature family")
+        names = [self.names[j] for j in keep]
+        return FeatureTable(self.item_ids, names, self.matrix[:, keep], self.invalid_ids)
 
 
 def extract_table(
@@ -86,8 +99,6 @@ def extract_table(
     matrix and listed in invalid_ids, to be escalated by default downstream.
     """
     include = frozenset(include)
-    names = catalog_names(include)
-    families = {name: name.split(".", 1)[0] for name in names}
     item_ids: list[str] = []
     rows: list[np.ndarray] = []
     invalid: list[str] = []
@@ -100,7 +111,7 @@ def extract_table(
             item_ids.append(trace.item_id)
     if not rows:
         raise ValueError("no valid traces to extract features from")
-    return FeatureTable(item_ids, names, np.stack(rows), families, invalid)
+    return FeatureTable(item_ids, catalog_names(include), np.stack(rows), invalid)
 
 
 def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
@@ -110,17 +121,10 @@ def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
     for item_id, row in zip(table.item_ids, table.matrix):
         writer.writerow([item_id] + [repr(float(v)) for v in row])
     write_text_atomic(csv_path, buf.getvalue())
-    write_json_atomic(
-        sidecar_path,
-        {
-            "families": {
-                fam.value: [n for n in table.names if table.families[n] == fam.value]
-                for fam in ALL_FAMILIES
-                if any(v == fam.value for v in table.families.values())
-            },
-            "invalid_items": sorted(table.invalid_ids),
-        },
-    )
+    families: dict[str, list[str]] = {}
+    for name in table.names:
+        families.setdefault(family_of(name), []).append(name)
+    write_json_atomic(sidecar_path, {"families": families, "invalid_items": sorted(table.invalid_ids)})
 
 
 def load_features(csv_path, sidecar_path) -> FeatureTable:
@@ -135,11 +139,8 @@ def load_features(csv_path, sidecar_path) -> FeatureTable:
             item_ids.append(record[0])
             rows.append([float(v) for v in record[1:]])
     with open(sidecar_path, encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    families = {n: fam for fam, ns in sidecar["families"].items() for n in ns}
-    return FeatureTable(
-        item_ids, names, np.asarray(rows, dtype=float), families, sidecar.get("invalid_items", [])
-    )
+        invalid_ids = json.load(fh).get("invalid_items", [])
+    return FeatureTable(item_ids, names, np.asarray(rows, dtype=float), invalid_ids)
 
 
 def save_labels(rows: Sequence, path) -> None:
@@ -228,13 +229,7 @@ def train_gate(
     report = {
         "resample": resample_report,
         "grid_size": len(grid_report),
-        "chosen_config": {
-            "alpha": best_cfg.alpha,
-            "tol": best_cfg.tol,
-            "max_iter": best_cfg.max_iter,
-            "class_weight": best_cfg.class_weight,
-            "calibration": best_cfg.calibration,
-        },
+        "chosen_config": asdict(best_cfg),
         "grid": grid_report,
     }
     return gate, report
@@ -301,39 +296,32 @@ def evaluate_methods(
 
 
 def run_ablation(
-    traces: Sequence[ResponseTrace],
+    table: FeatureTable,
     labels: Mapping[str, tuple[int, OutcomeLabel]],
     drop_families: Sequence[FeatureFamily],
     split_spec: SplitSpec,
     cost: CostModel,
-    include: Iterable[FeatureFamily] = ALL_FAMILIES,
     resample_cfg: ResampleConfig | None = None,
     space: Sequence[trainer.RidgeConfig] | None = None,
     grid: np.ndarray | None = None,
     seed: int = 42,
-    k: int = DEFAULT_TOP_K,
 ) -> list[dict]:
-    """Re-run the full pipeline once per dropped family with the same seeds
-    and report the test-cost delta against the full feature set."""
-    include = tuple(include)
+    """Retrain, sweep and route the table once whole and once without each
+    dropped family's columns, all on one split of its rows, and report the
+    test-cost delta against the full feature set."""
+    subsets = [table.without(family) for family in drop_families]
+    train_ids, validation_ids, test_ids = stratified_split(build_examples(table, labels), split_spec)
 
-    def end_to_end(families: Iterable[FeatureFamily]) -> float:
-        table = extract_table(traces, families, k=k)
-        train_ids, validation_ids, test_ids = stratified_split(build_examples(table, labels), split_spec)
-        gate, _ = train_gate(table, labels, train_ids, resample_cfg, space, seed)
-        sweep_gate(gate, table, labels, validation_ids, cost, grid)
-        test, _, trust = score_and_route(gate, table, labels, test_ids)
+    def test_cost(t: FeatureTable) -> float:
+        gate, _ = train_gate(t, labels, train_ids, resample_cfg, space, seed)
+        sweep_gate(gate, t, labels, validation_ids, cost, grid)
+        test, _, trust = score_and_route(gate, t, labels, test_ids)
         return policy.expected_cost(policy.confusion(trust, test.z), cost)
 
-    full_cost = end_to_end(include)
+    full_cost = test_cost(table)
     rows = []
-    for family in drop_families:
-        if family not in include:
-            raise ValueError(f"family {family.value!r} not in the included set")
-        remaining = tuple(f for f in include if f is not family)
-        if not remaining:
-            raise ValueError("cannot drop every feature family")
-        cost_without = end_to_end(remaining)
+    for family, subset in zip(drop_families, subsets):
+        cost_without = test_cost(subset)
         rows.append(
             {
                 "dropped_family": family.value,

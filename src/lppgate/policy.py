@@ -18,7 +18,7 @@ credited with the miss it avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -180,7 +180,7 @@ def policy_report(
         "tau_star": result.tau_star,
         "expected_cost": result.expected_cost,
         "always_trust_cost": always_trust_cost(z, m),
-        "counts": {"tp": c.tp, "fp": c.fp, "tn": c.tn, "fn": c.fn},
+        "counts": asdict(c),
         "escalations": result.escalations,
         "escalation_ratio": result.escalation_ratio,
         "cost_model": {"c_mis": m.c_mis, "c_rev": m.c_rev, "ratio": m.ratio},

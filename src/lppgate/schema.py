@@ -31,6 +31,7 @@ __all__ = [
     "RetryDecision",
     "FailureKind",
     "ParseFailure",
+    "InvalidLogprob",
     "ReasoningStep",
     "StructuredResponse",
     "TokenSpan",
@@ -164,12 +165,16 @@ class TokenSpan:
     logprobs: np.ndarray
 
 
+class InvalidLogprob(ValueError):
+    """A token logprob that is nan, infinite or above LOGPROB_TOLERANCE."""
+
+
 def _checked_logprob(surface: str, logprob: float) -> float:
     lp = float(logprob)
     if not math.isfinite(lp):
-        raise ValueError(f"non-finite logprob for {surface!r}")
+        raise InvalidLogprob(f"non-finite logprob for {surface!r}")
     if lp > LOGPROB_TOLERANCE:
-        raise ValueError(f"positive logprob {lp!r} beyond tolerance")
+        raise InvalidLogprob(f"positive logprob {lp!r} beyond tolerance")
     return 0.0 if lp > 0.0 else lp
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -542,17 +542,7 @@ def grid_search(
     for i, cfg in enumerate(space):
         fold_scores = fold_f1[(cfg.alpha, cfg.class_weight, cfg.calibration)]
         mean_score = float(np.mean(fold_scores))
-        report.append(
-            {
-                "alpha": cfg.alpha,
-                "tol": cfg.tol,
-                "max_iter": cfg.max_iter,
-                "class_weight": cfg.class_weight,
-                "calibration": cfg.calibration,
-                "minority_f1": mean_score,
-                "fold_f1": list(fold_scores),
-            }
-        )
+        report.append({**asdict(cfg), "minority_f1": mean_score, "fold_f1": list(fold_scores)})
         if mean_score > best_score:
             best_idx, best_score = i, mean_score
     return space[best_idx], report
@@ -580,13 +570,7 @@ def gate_to_dict(gate: TrainedGate) -> dict:
     payload = {
         "version": _ARTIFACT_VERSION,
         "feature_names": list(gate.feature_names),
-        "config": {
-            "alpha": gate.chosen_config.alpha,
-            "tol": gate.chosen_config.tol,
-            "max_iter": gate.chosen_config.max_iter,
-            "class_weight": gate.chosen_config.class_weight,
-            "calibration": gate.chosen_config.calibration,
-        },
+        "config": asdict(gate.chosen_config),
         "tau_star": gate.tau_star,
         "scaler": {
             "mean": [float(v) for v in gate.scaler.mean],

@@ -29,6 +29,7 @@ from lppgate.features import (
     compute_sequence_features,
     compute_topk_features,
     compute_verbalized_features,
+    family_of,
     renormalize_topk,
     EmptyCandidates,
 )
@@ -214,7 +215,7 @@ class TestCollapseToLabels:
         }
         a = collapse_to_labels(_candidates(base))
         b = collapse_to_labels(_candidates(split))
-        for label in a.support:
+        for label in FULL_SUPPORT:
             assert a.probs[label] == pytest.approx(b.probs[label], abs=1e-9)
         fa = compute_filtered_features(a)
         fb = compute_filtered_features(b)
@@ -240,7 +241,7 @@ class TestFilteredFeatures:
 
     def test_uniform_four_labels(self):
         probs = {label: 0.25 for label in OutcomeLabel}
-        ldist = LabelDistribution(probs, tuple(OutcomeLabel), probs)
+        ldist = LabelDistribution(probs, probs)
         f = compute_filtered_features(ldist)
         assert f["entropy"] == pytest.approx(2.0, abs=1e-12)
         assert f["entropy_norm"] == pytest.approx(1.0, abs=1e-12)
@@ -249,7 +250,7 @@ class TestFilteredFeatures:
     def test_delta_distribution(self):
         probs = {label: 0.0 for label in OutcomeLabel}
         probs[OutcomeLabel.YES] = 1.0
-        f = compute_filtered_features(LabelDistribution(probs, tuple(OutcomeLabel), probs))
+        f = compute_filtered_features(LabelDistribution(probs, probs))
         assert f["entropy"] == 0.0
         assert f["confidence"] == 1.0
 
@@ -503,7 +504,7 @@ class _FeatureVector:
         return {e.qualified_name: e.family.value for e in self.entries}
 
 
-def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TOP_K, support=FULL_SUPPORT):
+def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TOP_K):
     """The per-entry assembly that assemble_feature_vector's float row
     replaced: one _FeatureEntry per feature, checked one by one."""
     include_set = set(include)
@@ -519,7 +520,7 @@ def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TO
 
     ldist = None
     if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
-        ldist = collapse_to_labels(candidates, support)
+        ldist = collapse_to_labels(candidates)
 
     if FeatureFamily.OUTCOME_TOPK in include_set:
         extend(FeatureFamily.OUTCOME_TOPK, compute_topk_features(renormalize_topk(outcome.logprobs[0, :k])))
@@ -611,7 +612,7 @@ class TestAssembleFeatureVector:
         table = extract_table(traces)
         references = [_assemble_feature_vector_reference(t) for t in sorted(traces, key=lambda t: t.item_id)]
         assert table.names == references[0].qualified_names()
-        assert table.families == references[0].families()
+        assert {name: family_of(name) for name in table.names} == references[0].families()
         assert table.matrix.tobytes() == np.stack([r.values() for r in references]).tobytes()
 
     def test_token_outcome_wins_for_attribution(self):

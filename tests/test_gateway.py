@@ -324,6 +324,26 @@ class TestRunInference:
         with pytest.raises(AuthFailure):
             run_inference(self._items(2), load_template("text-direct"), Unauthorized({}), sleep=NO_SLEEP)
 
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_invalid_logprob_gives_up_one_item(self, bad):
+        # item a's outcome token carries the bad logprob on every attempt
+        top = [{"surface": "1", "logprob": bad}, {"surface": "0", "logprob": math.log(0.2)}]
+        fixtures = {"a": [make_payload(VALID_CONTENT, outcome_top=top)], "b": [valid_payload()]}
+        items = [{"item_id": i, "text": "x", "concept_definition": "d"} for i in ("a", "b")]
+        template = load_template("text-direct")
+        result = run_inference(items, template, StubProvider(fixtures), pool_width=2, sleep=NO_SLEEP)
+        assert [t.item_id for t in result.traces] == ["b"]
+        assert result.give_ups == [{"item_id": "a", "attempts": 4, "failure": "invalid_logprob"}]
+
+        class UnauthorizedForB(StubProvider):
+            def complete(self, request):
+                if request.item_id == "b":
+                    raise AuthFailure("provider rejected the credentials (HTTP 401)")
+                return super().complete(request)
+
+        with pytest.raises(AuthFailure):
+            run_inference(items, template, UnauthorizedForB(fixtures), pool_width=2, sleep=NO_SLEEP)
+
 
 def _chat_body(payload):
     """Wrap a stub payload in the chat-completion wire shape."""

@@ -1,12 +1,13 @@
+import json
 import warnings
 from itertools import product
 
 import numpy as np
 import pytest
 
-from lppgate import pipeline, policy, trainer
+from lppgate import cli, pipeline, policy, trainer
 from lppgate.dataset import ResampleConfig, SplitSpec, label_correctness, stratified_split
-from lppgate.features import FeatureFamily
+from lppgate.features import ALL_FAMILIES, DEFAULT_TOP_K, FeatureFamily, family_of
 from lppgate.schema import OutcomeLabel
 from lppgate.synth import SynthConfig, generate_corpus
 from tests.conftest import make_outcome_span, make_trace
@@ -66,7 +67,7 @@ class TestExtractTable:
         include = (FeatureFamily.OUTCOME_TOPK, FeatureFamily.ATTRIBUTION)
         table = pipeline.extract_table(traces, include)
         assert table.matrix.shape == (10, 11)
-        assert set(table.families.values()) == {"outcome_topk", "attribution"}
+        assert {family_of(name) for name in table.names} == {"outcome_topk", "attribution"}
 
 
 class TestBuildExamples:
@@ -113,7 +114,10 @@ class TestFileRoundTrips:
         assert loaded.item_ids == table.item_ids
         assert loaded.names == table.names
         assert np.array_equal(loaded.matrix, table.matrix)
-        assert loaded.families == table.families
+        families = {name: family_of(name) for name in table.names}
+        assert {name: family_of(name) for name in loaded.names} == families
+        sidecar_families = json.loads(sidecar.read_text())["families"]
+        assert {name: fam for fam, names in sidecar_families.items() for name in names} == families
 
     def test_labels_round_trip(self, tmp_path):
         _, rows = generate_corpus(SynthConfig(n_items=30, seed=1))
@@ -170,11 +174,56 @@ class TestTrainSweepEvaluate:
             )
 
 
+def _run_ablation_reference(
+    traces,
+    labels,
+    drop_families,
+    split_spec,
+    cost,
+    include=ALL_FAMILIES,
+    resample_cfg=None,
+    space=None,
+    grid=None,
+    seed=42,
+    k=DEFAULT_TOP_K,
+):
+    """The per-subset ablation that run_ablation's column masks replaced:
+    extract and split the traces again for every family subset."""
+    include = tuple(include)
+
+    def end_to_end(families):
+        table = pipeline.extract_table(traces, families, k=k)
+        train_ids, validation_ids, test_ids = stratified_split(pipeline.build_examples(table, labels), split_spec)
+        gate, _ = pipeline.train_gate(table, labels, train_ids, resample_cfg, space, seed)
+        pipeline.sweep_gate(gate, table, labels, validation_ids, cost, grid)
+        test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
+        return policy.expected_cost(policy.confusion(trust, test.z), cost)
+
+    full_cost = end_to_end(include)
+    rows = []
+    for family in drop_families:
+        if family not in include:
+            raise ValueError(f"family {family.value!r} not in the included set")
+        remaining = tuple(f for f in include if f is not family)
+        if not remaining:
+            raise ValueError("cannot drop every feature family")
+        cost_without = end_to_end(remaining)
+        rows.append(
+            {
+                "dropped_family": family.value,
+                "expected_cost": cost_without,
+                "delta_vs_full": cost_without - full_cost,
+                "full_cost": full_cost,
+            }
+        )
+    return rows
+
+
 class TestAblation:
     def test_signal_bearing_family_increases_cost(self):
         traces, labels = corpus(n=1200, signal={"outcome_topk": 0.9, "attribution": 1.0})
         rows = pipeline.run_ablation(
-            traces,
+            pipeline.extract_table(traces),
             labels,
             [FeatureFamily.ATTRIBUTION],
             SplitSpec(test_negative_count=60, seed=42),
@@ -192,7 +241,7 @@ class TestAblation:
         z = [label_correctness(v[1], v[0]) for v in labels.values()]
         at = policy.always_trust_cost(z, policy.CostModel())
         rows = pipeline.run_ablation(
-            traces,
+            pipeline.extract_table(traces),
             labels,
             [FeatureFamily.VERBALIZED],
             SplitSpec(test_negative_count=60, seed=42),
@@ -207,12 +256,11 @@ class TestAblation:
         traces, labels = corpus(n=100)
         with pytest.raises(ValueError, match="every feature family"):
             pipeline.run_ablation(
-                traces,
+                pipeline.extract_table(traces, (FeatureFamily.OUTCOME_TOPK,)),
                 labels,
                 [FeatureFamily.OUTCOME_TOPK],
                 SplitSpec(test_negative_count=5, seed=42),
                 policy.CostModel(),
-                include=(FeatureFamily.OUTCOME_TOPK,),
                 space=QUICK_SPACE[:1],
                 seed=42,
             )
@@ -221,12 +269,75 @@ class TestAblation:
         traces, labels = corpus(n=100)
         with pytest.raises(ValueError, match="not in the included set"):
             pipeline.run_ablation(
-                traces,
+                pipeline.extract_table(traces, (FeatureFamily.OUTCOME_TOPK, FeatureFamily.ATTRIBUTION)),
                 labels,
                 [FeatureFamily.VERBALIZED],
                 SplitSpec(test_negative_count=5, seed=42),
                 policy.CostModel(),
-                include=(FeatureFamily.OUTCOME_TOPK, FeatureFamily.ATTRIBUTION),
                 space=QUICK_SPACE[:1],
                 seed=42,
             )
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=[f.value for f in ALL_FAMILIES])
+    def test_without_equals_extraction_without_the_family(self, family):
+        traces, _ = corpus(n=60, cot=True)
+        dropped = pipeline.extract_table(traces).without(family)
+        reference = pipeline.extract_table(traces, [f for f in ALL_FAMILIES if f is not family])
+        assert dropped.item_ids == reference.item_ids
+        assert dropped.names == reference.names
+        assert dropped.matrix.tobytes() == reference.matrix.tobytes()
+
+    def test_masks_equal_per_subset_reference(self):
+        traces, labels = corpus(n=600, cot=True)
+        args = (labels, ALL_FAMILIES, SplitSpec(test_negative_count=45, seed=42), policy.CostModel())
+        kwargs = {"space": QUICK_SPACE[:1], "grid": policy.tau_grid(), "seed": 42}
+        rows = pipeline.run_ablation(pipeline.extract_table(traces), *args, **kwargs)
+        assert len(rows) == len(ALL_FAMILIES)
+        assert rows == _run_ablation_reference(traces, *args, **kwargs)
+
+    def test_ablate_extracts_and_splits_once(self, tmp_path, monkeypatch):
+        calls = {"extract_table": 0, "stratified_split": 0}
+
+        def counted(name):
+            inner = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        counted("extract_table")
+        counted("stratified_split")
+        out = tmp_path / "run"
+        assert cli.main(["synth", "--out", str(out), "--n-items", "300"]) == 0
+        argv = ["ablate", "--out", str(out), "--traces", str(out / "traces.jsonl"), "--labels", str(out / "labels.csv")]
+        assert cli.main(argv + ["--family", "all", "--test-negatives", "20", "--quick-grid"]) == 0
+        assert len((out / "ablation.csv").read_text().splitlines()) == 1 + len(ALL_FAMILIES)
+        assert calls == {"extract_table": 1, "stratified_split": 1}
+
+    def test_overflow_row_keeps_one_split_for_every_subset(self, monkeypatch):
+        # dropping sequence would make this row valid if each subset were
+        # extracted on its own, and so change that subset's split
+        traces, labels = corpus(n=600, cot=True)
+        bad = make_trace(item_id="item-overflow", reasoning_logprobs=(-800.0,) * 4)
+        labels[bad.item_id] = (1, OutcomeLabel.YES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = pipeline.extract_table(list(traces) + [bad])
+        assert table.invalid_ids == [bad.item_id]
+
+        seen = []
+        train_gate = pipeline.train_gate
+
+        def recording(t, labels, train_ids, *args):
+            seen.append(list(train_ids))
+            return train_gate(t, labels, train_ids, *args)
+
+        monkeypatch.setattr(pipeline, "train_gate", recording)
+        pipeline.run_ablation(
+            table, labels, ALL_FAMILIES, SplitSpec(test_negative_count=45, seed=42),
+            policy.CostModel(), space=QUICK_SPACE[:1], seed=42,
+        )
+        assert len(seen) == 1 + len(ALL_FAMILIES)
+        assert all(ids == seen[0] for ids in seen)
