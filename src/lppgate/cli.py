@@ -5,8 +5,12 @@ Configuration precedence is flags > config file > defaults; the defaults
 encode the experiment constants (seed 42, top-k 5, top-20 logprobs, tau in
 [0.35, 0.70] step 0.005, cost ratio 0.64, and the full hyperparameter
 grids). Every artifact-writing command emits exactly one manifest that
-hash-chains outputs to inputs. Module errors exit nonzero with a
-machine-readable error JSON on stderr and remove partial outputs.
+hash-chains outputs to inputs.
+
+Each subcommand declares its input files once in `build_parser`; `main`
+checks and hashes them before the command runs. A command takes each output
+path from `out(name)` just before writing it. On error `main` prints a JSON
+error to stderr, exits 1 and removes every path `out()` handed out.
 """
 
 from __future__ import annotations
@@ -74,57 +78,52 @@ class RunConfig:
         return tuple(FeatureFamily(f) for f in self.families)
 
 
+def _floats(flag: str, text: str, n: int) -> list[float]:
+    """Parse a colon-separated flag value of exactly n numbers."""
+    try:
+        values = [float(v) for v in text.split(":")]
+    except ValueError:
+        values = []
+    if len(values) != n:
+        raise ValueError(f"{flag} takes {n} colon-separated numbers, got {text!r}")
+    return values
+
+
 def _load_config(args) -> RunConfig:
     values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values.update(json.load(fh))
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    unknown = set(values) - known
+    unknown = set(values) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    cfg = RunConfig(**values)
-
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "cost_ratio", None) is not None:
-        cfg.cost_ratio = args.cost_ratio
-    if getattr(args, "cost_mis", None) is not None:
-        cfg.cost_mis = args.cost_mis
-    if getattr(args, "tau_range", None) is not None:
-        lo, hi = (float(v) for v in args.tau_range.split(":"))
-        cfg.tau_min, cfg.tau_max = lo, hi
-    if getattr(args, "tau_step", None) is not None:
-        cfg.tau_step = args.tau_step
-    if getattr(args, "families", None) is not None:
-        cfg.families = [f.strip() for f in args.families.split(",") if f.strip()]
-    if getattr(args, "dataset_profile", None) is not None:
-        cfg.dataset_profile = args.dataset_profile
-    if getattr(args, "test_negatives", None) is not None:
-        cfg.test_negatives = args.test_negatives
-    return cfg
+    for name in ("seed", "cost_ratio", "cost_mis", "tau_step", "dataset_profile", "test_negatives"):
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+    if args.tau_range is not None:
+        values["tau_min"], values["tau_max"] = _floats("--tau-range", args.tau_range, 2)
+    if args.families is not None:
+        values["families"] = [f.strip() for f in args.families.split(",") if f.strip()]
+    return RunConfig(**values)
 
 
-def _out(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
-def _require_inputs(*paths) -> dict[str, str]:
-    """Check declared inputs exist and snapshot their hashes immediately, so
-    the manifest chains to the bytes that were actually read."""
-    missing = [str(p) for p in paths if not os.path.exists(p)]
+def _require_inputs(args) -> dict[str, str]:
+    """Check the command's declared input files exist and snapshot their
+    hashes before it runs, so the manifest chains to the bytes it read."""
+    paths = [getattr(args, dest) for dest in args.inputs if getattr(args, dest) is not None]
+    missing = [p for p in paths if not os.path.exists(p)]
     if missing:
         raise FileNotFoundError(f"declared inputs missing: {missing}")
-    return {str(p): sha256_file(p) for p in paths}
+    return {p: sha256_file(p) for p in paths}
 
 
 # ---------------------------------------------------------------------------
-# Commands: each returns (inputs, outputs, extra) for the manifest
+# Commands: each gets out(name), the path to write an output to, and returns
+# (outputs, extra) for the manifest
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, cfg: RunConfig, written: list[str]):
+def cmd_synth(args, cfg: RunConfig, out):
     signal = dict(synth.DEFAULT_SIGNAL)
     if args.signal:
         signal.update(json.loads(args.signal))
@@ -137,21 +136,17 @@ def cmd_synth(args, cfg: RunConfig, written: list[str]):
         seed=cfg.seed,
     )
     traces, labels = synth.generate_corpus(scfg)
-    traces_path = _out(args, "traces.jsonl")
-    labels_path = _out(args, "labels.csv")
+    traces_path = out("traces.jsonl")
     write_traces_jsonl(traces, traces_path)
-    written.append(traces_path)
+    labels_path = out("labels.csv")
     pipeline.save_labels(labels, labels_path)
-    written.append(labels_path)
     extra = {"n_items": scfg.n_items, "synth_config": dataclasses.asdict(scfg)}
-    return [], [traces_path, labels_path], extra
+    return [traces_path, labels_path], extra
 
 
-def cmd_generate(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(args.items)
+def cmd_generate(args, cfg: RunConfig, out):
     template = gateway.load_template(args.template)
     if args.stub:
-        inputs.update(_require_inputs(args.stub))
         provider = gateway.StubProvider.from_file(args.stub)
     else:
         if not (args.endpoint and args.model_name):
@@ -179,9 +174,8 @@ def cmd_generate(args, cfg: RunConfig, written: list[str]):
         allow_decoding_override=args.allow_decoding_override,
         pool_width=args.pool_width,
     )
-    traces_path = _out(args, "traces.jsonl")
+    traces_path = out("traces.jsonl")
     write_traces_jsonl(result.traces, traces_path)
-    written.append(traces_path)
     extra = {
         "template": template.id,
         "decoding": dataclasses.asdict(decoding),
@@ -191,47 +185,41 @@ def cmd_generate(args, cfg: RunConfig, written: list[str]):
         "give_ups": result.give_ups,
         "gray_box_unavailable": result.no_logprobs,
     }
-    return inputs, [traces_path], extra
+    return [traces_path], extra
 
 
-def cmd_extract(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(args.traces)
+def cmd_extract(args, cfg: RunConfig, out):
     traces = read_traces_jsonl(args.traces)
     table = pipeline.extract_table(traces, cfg.family_set(), k=cfg.top_k)
-    features_path = _out(args, "features.csv")
-    sidecar_path = _out(args, "features.families.json")
-    pipeline.save_features(table, features_path, sidecar_path)
-    written += [features_path, sidecar_path]
+    paths = [out("features.csv"), out("features.families.json")]
+    pipeline.save_features(table, *paths)
     extra = {
         "rows": len(table.item_ids),
         "columns": len(table.names),
         "families": sorted({family_of(name) for name in table.names}),
         "invalid_items": sorted(table.invalid_ids),
     }
-    return inputs, [features_path, sidecar_path], extra
+    return paths, extra
 
 
-def cmd_split(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(args.features, args.features_sidecar, args.labels)
+def cmd_split(args, cfg: RunConfig, out):
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
     split = stratified_split(pipeline.build_examples(table, labels), cfg.split_spec())
     ids = dict(zip(("train", "validation", "test"), split))
     outputs = []
     for name in ("train", "validation", "test"):
-        path = _out(args, f"{name}_ids.txt")
+        path = out(f"{name}_ids.txt")
         pipeline.write_id_list(ids[name], path)
-        written.append(path)
         outputs.append(path)
     extra = {
         "counts": {name: len(ids[name]) for name in ids},
         "split": dataclasses.asdict(cfg.split_spec()),
     }
-    return inputs, outputs, extra
+    return outputs, extra
 
 
-def cmd_train(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(args.features, args.features_sidecar, args.labels, args.train_ids)
+def cmd_train(args, cfg: RunConfig, out):
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
     train_ids = pipeline.read_id_list(args.train_ids)
@@ -239,45 +227,34 @@ def cmd_train(args, cfg: RunConfig, written: list[str]):
     gate, report = pipeline.train_gate(
         table, labels, train_ids, cfg.resample_config(), space, cfg.seed
     )
-    model_path = _out(args, "model.json")
-    report_path = _out(args, "train_report.json")
+    model_path = out("model.json")
     trainer.save_gate(gate, model_path)
-    written.append(model_path)
+    report_path = out("train_report.json")
     write_json_atomic(report_path, report)
-    written.append(report_path)
     extra = {
         "chosen_config": report["chosen_config"],
         "grid_size": report["grid_size"],
         "distinct_configs": len(trainer.distinct_configs(space)),
     }
-    return inputs, [model_path, report_path], extra
+    return [model_path, report_path], extra
 
 
-def cmd_sweep(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(
-        args.model, args.features, args.features_sidecar, args.labels, args.validation_ids
-    )
+def cmd_sweep(args, cfg: RunConfig, out):
     gate = trainer.load_gate(args.model)
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
     validation_ids = pipeline.read_id_list(args.validation_ids)
     result = pipeline.sweep_gate(gate, table, labels, validation_ids, cfg.cost_model(), cfg.tau_grid())
-    z_val = pipeline.build_examples(table, labels, validation_ids).z
-    report = policy.policy_report(result, z_val, cfg.cost_model(), cfg.sensitivity_ratios)
+    report = policy.policy_report(result, cfg.cost_model(), cfg.sensitivity_ratios)
     # The report goes first: a failure up to here leaves the trained model
     # as it was, while the model rewrite below is atomic and the last step.
-    report_path = _out(args, "policy_report.json")
+    report_path = out("policy_report.json")
     write_json_atomic(report_path, report)
-    written.append(report_path)
     trainer.save_gate(gate, args.model)
-    return inputs, [args.model, report_path], {"tau_star": result.tau_star}
+    return [args.model, report_path], {"tau_star": result.tau_star}
 
 
-def cmd_evaluate(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(
-        args.model, args.features, args.features_sidecar, args.labels,
-        args.validation_ids, args.test_ids,
-    )
+def cmd_evaluate(args, cfg: RunConfig, out):
     gate = trainer.load_gate(args.model)
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
@@ -288,18 +265,15 @@ def cmd_evaluate(args, cfg: RunConfig, written: list[str]):
         cfg.cost_model(), cfg.tau_grid(), cfg.sensitivity_ratios,
     )
     csv_text, json_doc = evaluation.emit_report(results)
-    csv_path = _out(args, "evaluation.csv")
-    json_path = _out(args, "evaluation.json")
+    csv_path = out("evaluation.csv")
     write_text_atomic(csv_path, csv_text)
-    written.append(csv_path)
+    json_path = out("evaluation.json")
     write_json_atomic(json_path, json_doc)
-    written.append(json_path)
     meta_cost = results["meta_model"]["metrics"]["expected_cost"]
-    return inputs, [csv_path, json_path], {"meta_expected_cost": meta_cost}
+    return [csv_path, json_path], {"meta_expected_cost": meta_cost}
 
 
-def cmd_ablate(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(args.traces, args.labels)
+def cmd_ablate(args, cfg: RunConfig, out):
     traces = read_traces_jsonl(args.traces)
     labels = pipeline.load_labels(args.labels)
     include = cfg.family_set()
@@ -312,28 +286,20 @@ def cmd_ablate(args, cfg: RunConfig, written: list[str]):
     )
     lines = ["dropped_family,expected_cost,delta_vs_full"]
     lines += [f"{r['dropped_family']},{r['expected_cost']!r},{r['delta_vs_full']!r}" for r in rows]
-    csv_path = _out(args, "ablation.csv")
+    csv_path = out("ablation.csv")
     write_text_atomic(csv_path, "\n".join(lines) + "\n")
-    written.append(csv_path)
-    return inputs, [csv_path], {"rows": rows}
+    return [csv_path], {"rows": rows}
 
 
-def cmd_sensitivity(args, cfg: RunConfig, written: list[str]):
-    inputs = _require_inputs(
-        args.model, args.features, args.features_sidecar, args.labels, args.test_ids
-    )
+def cmd_sensitivity(args, cfg: RunConfig, out):
     gate = trainer.load_gate(args.model)
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
     test_ids = pipeline.read_id_list(args.test_ids)
     test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
     counts = policy.confusion(trust, test.z)
-    if args.r_grid:
-        lo, hi, step = (float(v) for v in args.r_grid.split(":"))
-        n = int(round((hi - lo) / step)) + 1
-        r_values = [round(lo + step * i, 9) for i in range(n)]
-    else:
-        r_values = [round(0.4 + 0.05 * i, 9) for i in range(11)]
+    r_grid = _floats("--r-grid", args.r_grid, 3) if args.r_grid else (0.4, 0.9, 0.05)
+    r_values = policy.tau_grid(*r_grid).tolist()
     m = cfg.cost_model()
     # the operating ratio is always on the curve so the main expected cost
     # is recoverable from the sensitivity report
@@ -347,14 +313,12 @@ def cmd_sensitivity(args, cfg: RunConfig, written: list[str]):
         "expected_cost": policy.expected_cost(counts, m),
         "cost_model": {"c_mis": m.c_mis, "c_rev": m.c_rev, "ratio": m.ratio},
     }
-    json_path = _out(args, "sensitivity.json")
+    json_path = out("sensitivity.json")
     write_json_atomic(json_path, doc)
-    written.append(json_path)
     lines = ["r,relative_cost"] + [f"{r!r},{rel!r}" for r, rel in curve]
-    csv_path = _out(args, "sensitivity.csv")
+    csv_path = out("sensitivity.csv")
     write_text_atomic(csv_path, "\n".join(lines) + "\n")
-    written.append(csv_path)
-    return inputs, [json_path, csv_path], {"tau_star": gate.tau_star}
+    return [json_path, csv_path], {"tau_star": gate.tau_star}
 
 
 def _quick_grid() -> list[trainer.RidgeConfig]:
@@ -367,17 +331,9 @@ def _quick_grid() -> list[trainer.RidgeConfig]:
     ]
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "generate": cmd_generate,
-    "extract": cmd_extract,
-    "split": cmd_split,
-    "train": cmd_train,
-    "sweep": cmd_sweep,
-    "evaluate": cmd_evaluate,
-    "ablate": cmd_ablate,
-    "sensitivity": cmd_sensitivity,
-}
+# Help text of the file flags that have any; every file flag is required
+# except --stub.
+_INPUT_HELP = {"items": "items JSONL", "stub": "stub provider fixture file"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, run, summary, *inputs):
+        """Add a subcommand with the common flags and one --flag per input
+        file dest; main checks and hashes those files before run()."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run, inputs=inputs)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True, help="output directory")
@@ -399,20 +359,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--dataset-profile", dest="dataset_profile", choices=("openai-mod", "multimodal")
         )
         p.add_argument("--test-negatives", type=int, dest="test_negatives")
+        for dest in inputs:
+            p.add_argument(
+                "--" + dest.replace("_", "-"), required=dest != "stub", help=_INPUT_HELP.get(dest)
+            )
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with known truth")
-    common(p)
+    labelled = ("features", "features_sidecar", "labels")
+
+    p = command("synth", cmd_synth, "generate a synthetic corpus with known truth")
     p.add_argument("--n-items", type=int, default=3000)
     p.add_argument("--error-rate", type=float, default=0.15)
     p.add_argument("--abstention-rate", type=float, default=0.03)
     p.add_argument("--signal", help="JSON mapping family -> signal strength")
     p.add_argument("--cot", action="store_true")
 
-    p = sub.add_parser("generate", help="run inference and capture traces")
-    common(p)
-    p.add_argument("--items", required=True, help="items JSONL")
+    p = command("generate", cmd_generate, "run inference and capture traces", "items", "stub")
     p.add_argument("--template", default="text-direct", choices=gateway.TEMPLATE_IDS)
-    p.add_argument("--stub", help="stub provider fixture file")
     p.add_argument("--endpoint")
     p.add_argument("--model-name", dest="model_name")
     p.add_argument("--pool-width", type=int, default=4)
@@ -422,55 +385,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-output-tokens", type=int, default=8096)
     p.add_argument("--top-logprobs", type=int, default=20)
 
-    p = sub.add_parser("extract", help="compute the feature matrix from traces")
-    common(p)
-    p.add_argument("--traces", required=True)
+    command("extract", cmd_extract, "compute the feature matrix from traces", "traces")
+    command("split", cmd_split, "deterministic stratified split", *labelled)
 
-    p = sub.add_parser("split", help="deterministic stratified split")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--features-sidecar", required=True)
-    p.add_argument("--labels", required=True)
-
-    p = sub.add_parser("train", help="grid search and fit the gate")
-    common(p)
-    p.add_argument("--features", required=True)
-    p.add_argument("--features-sidecar", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--train-ids", required=True)
+    p = command("train", cmd_train, "grid search and fit the gate", *labelled, "train_ids")
     p.add_argument("--quick-grid", action="store_true", help="reduced grid for smoke runs")
 
-    p = sub.add_parser("sweep", help="choose tau* on validation and freeze it")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--features-sidecar", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--validation-ids", required=True)
+    command(
+        "sweep", cmd_sweep, "choose tau* on validation and freeze it",
+        "model", *labelled, "validation_ids",
+    )
+    command(
+        "evaluate", cmd_evaluate, "meta-model vs baselines on the test split",
+        "model", *labelled, "validation_ids", "test_ids",
+    )
 
-    p = sub.add_parser("evaluate", help="meta-model vs baselines on the test split")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--features-sidecar", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--validation-ids", required=True)
-    p.add_argument("--test-ids", required=True)
-
-    p = sub.add_parser("ablate", help="retrain the gate with each feature family dropped")
-    common(p)
-    p.add_argument("--traces", required=True)
-    p.add_argument("--labels", required=True)
+    p = command(
+        "ablate", cmd_ablate, "retrain the gate with each feature family dropped",
+        "traces", "labels",
+    )
     p.add_argument("--family", default="all")
     p.add_argument("--quick-grid", action="store_true")
 
-    p = sub.add_parser("sensitivity", help="cost-ratio sensitivity at the frozen tau*")
-    common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--features", required=True)
-    p.add_argument("--features-sidecar", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--test-ids", required=True)
+    p = command(
+        "sensitivity", cmd_sensitivity, "cost-ratio sensitivity at the frozen tau*",
+        "model", *labelled, "test_ids",
+    )
     p.add_argument("--r-grid", dest="r_grid", help="LO:HI:STEP, default 0.4:0.9:0.05")
 
     return parser
@@ -479,10 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     written: list[str] = []
+
+    def out(name: str) -> str:
+        """Path of an output about to be written; removed if the command fails."""
+        os.makedirs(args.out, exist_ok=True)
+        written.append(os.path.join(args.out, name))
+        return written[-1]
+
     start = time.perf_counter()
     try:
         cfg = _load_config(args)
-        inputs, outputs, extra = COMMANDS[args.command](args, cfg, written)
+        inputs = _require_inputs(args)
+        outputs, extra = args.run(args, cfg, out)
         manifest = build_manifest(
             command=args.command,
             config=dataclasses.asdict(cfg),
@@ -491,8 +439,7 @@ def main(argv=None) -> int:
             timing_s=time.perf_counter() - start,
             extra=extra,
         )
-        manifest_path = _out(args, f"{args.command}.manifest.json")
-        write_json_atomic(manifest_path, manifest)
+        write_json_atomic(out(f"{args.command}.manifest.json"), manifest)
         return 0
     except Exception as exc:  # noqa: BLE001 - single CLI error boundary
         for path in written:

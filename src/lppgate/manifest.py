@@ -10,6 +10,7 @@ lives only in the manifest.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -43,9 +44,14 @@ def sha256_obj(obj) -> str:
 def write_text_atomic(path, text: str) -> None:
     path = str(path)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_json_atomic(path, obj) -> None:
@@ -55,15 +61,13 @@ def write_json_atomic(path, obj) -> None:
 def build_manifest(
     command: str,
     config: Mapping,
-    inputs: Mapping[str, str] | Sequence[str],
+    inputs: Mapping[str, str],
     outputs: Sequence[str],
     timing_s: float,
     extra: Mapping | None = None,
 ) -> dict:
-    """Inputs may be pre-hashed ({path: sha256}) so the recorded hash is the
-    file as read, even when a command rewrites one of its own inputs."""
-    if not isinstance(inputs, Mapping):
-        inputs = {str(p): sha256_file(p) for p in inputs}
+    """Inputs come hashed ({path: sha256}) as the files were before the
+    command ran, even when it rewrites one of its own inputs."""
     manifest = {
         "version": MANIFEST_VERSION,
         "command": command,

@@ -123,6 +123,8 @@ def tau_grid(
     step: float = DEFAULT_TAU_STEP,
 ) -> np.ndarray:
     """Inclusive threshold grid; 71 points for the default range and step."""
+    if not (step > 0 and lo <= hi):
+        raise ValueError(f"threshold grid needs step > 0 and lo <= hi, got {lo}:{hi} step {step}")
     n = int(round((hi - lo) / step)) + 1
     return np.round(lo + step * np.arange(n), 9)
 
@@ -141,6 +143,8 @@ def sweep_threshold(
     """
     if grid is None:
         grid = tau_grid()
+    if len(grid) == 0:
+        raise ValueError("empty threshold grid")
     s = np.asarray(scores, dtype=float)
     best = None
     for tau in grid:
@@ -170,7 +174,6 @@ def cost_ratio_sensitivity(
 
 def policy_report(
     result: PolicyResult,
-    z: Sequence[int],
     m: CostModel,
     r_values: Sequence[float] = DEFAULT_SENSITIVITY_RATIOS,
 ) -> dict:
@@ -179,7 +182,7 @@ def policy_report(
     return {
         "tau_star": result.tau_star,
         "expected_cost": result.expected_cost,
-        "always_trust_cost": always_trust_cost(z, m),
+        "always_trust_cost": m.c_mis * (c.fp + c.tn),
         "counts": asdict(c),
         "escalations": result.escalations,
         "escalation_ratio": result.escalation_ratio,

@@ -1,5 +1,8 @@
+import argparse
+import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from importlib.metadata import EntryPoint, PackageNotFoundError, distribution
@@ -8,61 +11,65 @@ from pathlib import Path
 import pytest
 
 import lppgate
-from lppgate.cli import main
+from lppgate.cli import build_parser, main
+
+# Every flag that names a file a command reads.
+FILE_FLAGS = {
+    "--items", "--stub", "--traces", "--features", "--features-sidecar", "--labels",
+    "--train-ids", "--validation-ids", "--test-ids", "--model",
+}
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
-@pytest.fixture(scope="module")
-def workdir(tmp_path_factory):
-    """One full CLI pipeline run shared by the assertions below."""
-    root = tmp_path_factory.mktemp("cli")
-    out = root / "run"
-    assert run_cli("synth", "--out", out, "--n-items", 400, "--seed", "42") == 0
-    assert (
-        run_cli("extract", "--out", out, "--traces", out / "traces.jsonl") == 0
-    )
-    common = [
-        "--features", out / "features.csv",
-        "--features-sidecar", out / "features.families.json",
-        "--labels", out / "labels.csv",
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def file_inputs(argv):
+    """{path: sha256} of each file flag's value in argv, as the file is now."""
+    argv = [str(a) for a in argv]
+    return {value: sha256(value) for flag, value in zip(argv, argv[1:]) if flag in FILE_FLAGS}
+
+
+def labelled(run_dir):
+    return [
+        "--features", run_dir / "features.csv",
+        "--features-sidecar", run_dir / "features.families.json",
+        "--labels", run_dir / "labels.csv",
     ]
-    assert run_cli("split", "--out", out, *common, "--test-negatives", 30) == 0
-    assert (
-        run_cli(
-            "train", "--out", out, *common,
-            "--train-ids", out / "train_ids.txt", "--quick-grid",
-        )
-        == 0
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """One full CLI pipeline run shared by the assertions below, with each
+    command's file inputs hashed just before it ran."""
+    out = tmp_path_factory.mktemp("cli") / "run"
+    expected_inputs = {}
+
+    def stage(command, *argv):
+        expected_inputs[command] = file_inputs(argv)
+        assert run_cli(command, "--out", out, *argv) == 0
+
+    common = labelled(out)
+    stage("synth", "--n-items", 400, "--seed", "42")
+    stage("extract", "--traces", out / "traces.jsonl")
+    stage("split", *common, "--test-negatives", 30)
+    stage("train", *common, "--train-ids", out / "train_ids.txt", "--quick-grid")
+    stage("sweep", *common, "--model", out / "model.json", "--validation-ids", out / "validation_ids.txt")
+    stage(
+        "evaluate", *common, "--model", out / "model.json",
+        "--validation-ids", out / "validation_ids.txt", "--test-ids", out / "test_ids.txt",
     )
-    assert (
-        run_cli(
-            "sweep", "--out", out, *common,
-            "--model", out / "model.json",
-            "--validation-ids", out / "validation_ids.txt",
-        )
-        == 0
-    )
-    assert (
-        run_cli(
-            "evaluate", "--out", out, *common,
-            "--model", out / "model.json",
-            "--validation-ids", out / "validation_ids.txt",
-            "--test-ids", out / "test_ids.txt",
-        )
-        == 0
-    )
-    assert (
-        run_cli(
-            "sensitivity", "--out", out, *common,
-            "--model", out / "model.json",
-            "--test-ids", out / "test_ids.txt",
-        )
-        == 0
-    )
-    return out
+    stage("sensitivity", *common, "--model", out / "model.json", "--test-ids", out / "test_ids.txt")
+    return out, expected_inputs
+
+
+@pytest.fixture(scope="module")
+def workdir(chain):
+    return chain[0]
 
 
 class TestPipelineArtifacts:
@@ -92,13 +99,23 @@ class TestPipelineArtifacts:
             assert "config_hash" in manifest and "timing_s" in manifest
 
     def test_manifest_hash_chains_inputs(self, workdir):
-        import hashlib
-
         manifest = json.loads((workdir / "train.manifest.json").read_text())
         features_path = str(workdir / "features.csv")
         recorded = manifest["inputs"][features_path]
         actual = hashlib.sha256((workdir / "features.csv").read_bytes()).hexdigest()
         assert recorded == actual
+
+    def test_manifest_inputs_are_the_file_flags(self, chain):
+        out, expected_inputs = chain
+        assert set(expected_inputs) == {
+            "synth", "extract", "split", "train", "sweep", "evaluate", "sensitivity"
+        }
+        for command, inputs in expected_inputs.items():
+            manifest = json.loads((out / f"{command}.manifest.json").read_text())
+            assert manifest["inputs"] == inputs, command
+        # sweep recorded the model as it read it, before freezing tau* into it
+        sweep_model = expected_inputs["sweep"][str(out / "model.json")]
+        assert sweep_model != sha256(out / "model.json")
 
     def test_train_manifest_counts_distinct_configs(self, workdir, tmp_path):
         manifest = json.loads((workdir / "train.manifest.json").read_text())
@@ -188,18 +205,17 @@ class TestErrors:
 
     def test_partial_outputs_removed_on_failure(self, tmp_path, capsys):
         out = tmp_path / "run"
-        assert run_cli("synth", "--out", out, "--n-items", 120) == 0
-        # corrupt labels so split fails after loading features
-        (out / "labels.csv").write_text("item_id,ground_truth,llm_outcome\nxxx,9,9\n")
-        code = run_cli(
-            "split", "--out", out,
-            "--features", out / "features.csv",
-            "--features-sidecar", out / "features.families.json",
-            "--labels", out / "labels.csv",
-        ) if (out / "features.csv").exists() else 1
-        if code != 1:
-            pytest.skip("split unexpectedly succeeded")
-        assert not (out / "train_ids.txt").exists()
+        assert run_cli("synth", "--out", out, "--n-items", 100) == 0
+        # a directory where the sidecar goes: extract fails after writing
+        # features.csv, while moving the sidecar's temp file into place
+        (out / "features.families.json").mkdir()
+        capsys.readouterr()
+        code = run_cli("extract", "--out", out, "--traces", out / "traces.jsonl")
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "IsADirectoryError"
+        assert not (out / "features.csv").exists()
+        assert not list(out.glob("*.tmp"))
+        assert not (out / "extract.manifest.json").exists()
 
     def test_failed_sweep_keeps_trained_model(self, workdir, tmp_path, monkeypatch, capsys):
         common = [
@@ -225,6 +241,49 @@ class TestErrors:
         assert "report failed" in capsys.readouterr().err
         assert (out / "model.json").read_bytes() == trained
         assert not (out / "policy_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tau-range", "0.7:0.35", "lo <= hi"),
+            ("--tau-step", "-0.005", "step > 0"),
+            ("--tau-step", "0", "step > 0"),
+            ("--tau-range", "0.35:0.70:0.1", "--tau-range"),
+        ],
+    )
+    def test_invalid_tau_grid_rejected(self, workdir, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "run"
+        out.mkdir()
+        model = shutil.copy(workdir / "model.json", out / "model.json")
+        before = Path(model).read_bytes()
+        capsys.readouterr()
+        code = run_cli(
+            "sweep", "--out", out, *labelled(workdir),
+            "--model", model, "--validation-ids", workdir / "validation_ids.txt",
+            flag, value,
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and message in error["message"]
+        assert not (out / "policy_report.json").exists()
+        assert Path(model).read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "r_grid, message",
+        [("0.9:0.4:0.05", "lo <= hi"), ("0.4:0.9:0", "step > 0"), ("0.4:0.9", "--r-grid")],
+    )
+    def test_invalid_r_grid_rejected(self, workdir, tmp_path, capsys, r_grid, message):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run_cli(
+            "sensitivity", "--out", out, *labelled(workdir),
+            "--model", workdir / "model.json", "--test-ids", workdir / "test_ids.txt",
+            "--r-grid", r_grid,
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and message in error["message"]
+        assert not (out / "sensitivity.json").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -362,3 +421,117 @@ class TestConfigPrecedence:
         assert config["cost_ratio"] == 0.64
         assert (config["tau_min"], config["tau_max"], config["tau_step"]) == (0.35, 0.70, 0.005)
         assert config["dataset_profile"] == "openai-mod"
+
+
+class TestGenerateManifest:
+    @pytest.mark.parametrize("stub", [True, False])
+    def test_inputs_are_the_file_flags(self, tmp_path, monkeypatch, stub):
+        from tests.test_gateway import valid_payload
+
+        fixtures = tmp_path / "fixtures.json"
+        fixtures.write_text(json.dumps({"a": [valid_payload()]}))
+        items = tmp_path / "items.jsonl"
+        items.write_text(json.dumps({"item_id": "a", "text": "x", "concept_definition": "d"}) + "\n")
+        if stub:
+            argv = ["--items", items, "--stub", fixtures]
+        else:
+            # the HTTP provider is swapped for the stub, so nothing is contacted
+            monkeypatch.setattr(
+                lppgate.gateway, "HttpProvider",
+                lambda endpoint, model: lppgate.gateway.StubProvider.from_file(fixtures),
+            )
+            argv = ["--items", items, "--endpoint", "http://localhost:9", "--model-name", "m"]
+        out = tmp_path / "run"
+        assert run_cli("generate", "--out", out, *argv) == 0
+        manifest = json.loads((out / "generate.manifest.json").read_text())
+        assert manifest["inputs"] == file_inputs(argv)
+        assert len(manifest["inputs"]) == (2 if stub else 1)
+        assert manifest["extra"]["accepted"] == 1
+
+
+# (option string, dest, required, default, help, type, choices) of every flag
+# but --help, per subcommand, as the parser declared them before the file
+# flags were declared once per command.
+_COMMON_FLAGS = {
+    ("--config", "config", False, None, "JSON config file; flags override it", None, None),
+    ("--cost-mis", "cost_mis", False, None, None, "float", None),
+    ("--cost-ratio", "cost_ratio", False, None, None, "float", None),
+    ("--dataset-profile", "dataset_profile", False, None, None, None, ("openai-mod", "multimodal")),
+    ("--families", "families", False, None, "comma-separated feature families", None, None),
+    ("--out", "out", True, None, "output directory", None, None),
+    ("--seed", "seed", False, None, None, "int", None),
+    ("--tau-range", "tau_range", False, None, "LO:HI, e.g. 0.35:0.70", None, None),
+    ("--tau-step", "tau_step", False, None, None, "float", None),
+    ("--test-negatives", "test_negatives", False, None, None, "int", None),
+}
+_LABELLED_FLAGS = {
+    ("--features", "features", True, None, None, None, None),
+    ("--features-sidecar", "features_sidecar", True, None, None, None, None),
+    ("--labels", "labels", True, None, None, None, None),
+}
+_MODEL = ("--model", "model", True, None, None, None, None)
+_TEST_IDS = ("--test-ids", "test_ids", True, None, None, None, None)
+_VALIDATION_IDS = ("--validation-ids", "validation_ids", True, None, None, None, None)
+PARSER_SNAPSHOT = {
+    "synth": {
+        ("--abstention-rate", "abstention_rate", False, 0.03, None, "float", None),
+        ("--cot", "cot", False, False, None, None, None),
+        ("--error-rate", "error_rate", False, 0.15, None, "float", None),
+        ("--n-items", "n_items", False, 3000, None, "int", None),
+        ("--signal", "signal", False, None, "JSON mapping family -> signal strength", None, None),
+    },
+    "generate": {
+        ("--allow-decoding-override", "allow_decoding_override", False, False, None, None, None),
+        ("--endpoint", "endpoint", False, None, None, None, None),
+        ("--items", "items", True, None, "items JSONL", None, None),
+        ("--max-output-tokens", "max_output_tokens", False, 8096, None, "int", None),
+        ("--model-name", "model_name", False, None, None, None, None),
+        ("--pool-width", "pool_width", False, 4, None, "int", None),
+        ("--stub", "stub", False, None, "stub provider fixture file", None, None),
+        ("--temperature", "temperature", False, 0.0, None, "float", None),
+        (
+            "--template", "template", False, "text-direct", None, None,
+            ("text-direct", "text-cot", "multimodal-direct", "multimodal-cot"),
+        ),
+        ("--top-logprobs", "top_logprobs", False, 20, None, "int", None),
+        ("--top-p", "top_p", False, 1.0, None, "float", None),
+    },
+    "extract": {("--traces", "traces", True, None, None, None, None)},
+    "split": _LABELLED_FLAGS,
+    "train": _LABELLED_FLAGS | {
+        ("--quick-grid", "quick_grid", False, False, "reduced grid for smoke runs", None, None),
+        ("--train-ids", "train_ids", True, None, None, None, None),
+    },
+    "sweep": _LABELLED_FLAGS | {_MODEL, _VALIDATION_IDS},
+    "evaluate": _LABELLED_FLAGS | {_MODEL, _VALIDATION_IDS, _TEST_IDS},
+    "ablate": {
+        ("--family", "family", False, "all", None, None, None),
+        ("--labels", "labels", True, None, None, None, None),
+        ("--quick-grid", "quick_grid", False, False, None, None, None),
+        ("--traces", "traces", True, None, None, None, None),
+    },
+    "sensitivity": _LABELLED_FLAGS | {
+        _MODEL,
+        _TEST_IDS,
+        ("--r-grid", "r_grid", False, None, "LO:HI:STEP, default 0.4:0.9:0.05", None, None),
+    },
+}
+
+
+class TestParserSnapshot:
+    def test_every_flag_unchanged(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(PARSER_SNAPSHOT)
+        for name, p in sub.choices.items():
+            flags = set()
+            for a in p._actions:
+                if isinstance(a, argparse._HelpAction):
+                    continue
+                assert len(a.option_strings) == 1, a.option_strings
+                choices = tuple(a.choices) if a.choices is not None else None
+                flags.add((
+                    a.option_strings[0], a.dest, a.required, a.default, a.help,
+                    getattr(a.type, "__name__", None), choices,
+                ))
+            assert flags == _COMMON_FLAGS | PARSER_SNAPSHOT[name], name

@@ -117,8 +117,23 @@ class TestTauGrid:
         assert grid[0] == 0.35 and grid[-1] == 0.70
         assert grid[11] == 0.405
 
+    def test_single_point_when_range_is_empty(self):
+        assert tau_grid(0.5, 0.5, 0.01).tolist() == [0.5]
+
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [(0.7, 0.35, 0.005), (0.35, 0.7, -0.005), (0.35, 0.7, 0.0), (0.35, 0.7, float("nan"))],
+    )
+    def test_invalid_grid_rejected(self, lo, hi, step):
+        with pytest.raises(ValueError, match="step > 0 and lo <= hi"):
+            tau_grid(lo, hi, step)
+
 
 class TestSweep:
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty threshold grid"):
+            sweep_threshold([0.4, 0.6], [0, 1], CostModel(), np.array([]))
+
     def test_hand_swept_example(self):
         m = CostModel(c_mis=1.0, c_rev=0.64)
         result = sweep_threshold([0.4, 0.5, 0.6], [0, 1, 1], m)
@@ -210,7 +225,7 @@ class TestPolicyReport:
     def test_shape(self):
         m = CostModel()
         result = sweep_threshold([0.2, 0.6, 0.9], [0, 1, 1], m)
-        report = policy_report(result, [0, 1, 1], m)
+        report = policy_report(result, m)
         assert set(report) == {
             "tau_star",
             "expected_cost",
@@ -222,3 +237,15 @@ class TestPolicyReport:
             "sensitivity",
         }
         assert [s["r"] for s in report["sensitivity"]] == [0.4, 0.64, 0.9]
+
+    @given(
+        st.lists(st.floats(0, 1), min_size=1, max_size=30),
+        st.integers(0, 2**31 - 1),
+        st.floats(0.1, 10),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_always_trust_cost_from_counts(self, scores, seed, c_mis):
+        z = np.random.default_rng(seed).integers(0, 2, size=len(scores))
+        m = CostModel(c_mis=c_mis, c_rev=0.64 * c_mis)
+        report = policy_report(sweep_threshold(scores, z, m), m)
+        assert report["always_trust_cost"] == always_trust_cost(z, m)
