@@ -21,6 +21,8 @@ import json
 import os
 import sys
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,7 +54,12 @@ class RunConfig:
     sensitivity_ratios: list[float] = field(default_factory=lambda: [0.4, 0.64, 0.9])
 
     def __post_init__(self):
-        if isinstance(self.top_k, bool) or not isinstance(self.top_k, int) or self.top_k < 1:
+        for name, hint in typing.get_type_hints(type(self)).items():
+            value = getattr(self, name)
+            if not _conforms(value, hint):
+                expected = hint.__name__ if isinstance(hint, type) else str(hint)
+                raise ValueError(f"config key {name!r} must be {expected}, got {value!r}")
+        if self.top_k < 1:
             raise ValueError(f"top_k must be an integer of at least 1, got {self.top_k!r}")
 
     def cost_model(self) -> CostModel:
@@ -76,6 +83,23 @@ class RunConfig:
 
     def family_set(self) -> tuple[FeatureFamily, ...]:
         return tuple(FeatureFamily(f) for f in self.families)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation. A bool is not a number,
+    and an int is a float."""
+    if typing.get_origin(hint) is types.UnionType:
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is list:
+        (item,) = typing.get_args(hint)
+        return isinstance(value, list) and all(_conforms(v, item) for v in value)
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _floats(flag: str, text: str, n: int) -> list[float]:
@@ -104,7 +128,13 @@ def _load_config(args) -> RunConfig:
         values["tau_min"], values["tau_max"] = _floats("--tau-range", args.tau_range, 2)
     if args.families is not None:
         values["families"] = [f.strip() for f in args.families.split(",") if f.strip()]
-    return RunConfig(**values)
+    try:
+        return RunConfig(**values)
+    except ValueError as exc:
+        # flags arrive typed, so a rejected value came from the file
+        if args.config:
+            raise ValueError(f"{exc} (--config {args.config})") from None
+        raise
 
 
 def _require_inputs(args) -> dict[str, str]:
@@ -244,14 +274,17 @@ def cmd_sweep(args, cfg: RunConfig, out):
     table = pipeline.load_features(args.features, args.features_sidecar)
     labels = pipeline.load_labels(args.labels)
     validation_ids = pipeline.read_id_list(args.validation_ids)
-    result = pipeline.sweep_gate(gate, table, labels, validation_ids, cfg.cost_model(), cfg.tau_grid())
+    grid = cfg.tau_grid()
+    result = pipeline.sweep_gate(gate, table, labels, validation_ids, cfg.cost_model(), grid)
     report = policy.policy_report(result, cfg.cost_model(), cfg.sensitivity_ratios)
     # The report goes first: a failure up to here leaves the trained model
     # as it was, while the model rewrite below is atomic and the last step.
     report_path = out("policy_report.json")
     write_json_atomic(report_path, report)
     trainer.save_gate(gate, args.model)
-    return [args.model, report_path], {"tau_star": result.tau_star}
+    # a tau* on the grid's edge says the optimum may lie outside the grid
+    on_edge = bool(result.tau_star in (grid.min(), grid.max()))
+    return [args.model, report_path], {"tau_star": result.tau_star, "tau_star_on_grid_edge": on_edge}
 
 
 def cmd_evaluate(args, cfg: RunConfig, out):

@@ -92,12 +92,23 @@ def decisions_at(scores: Sequence[float], tau: float) -> np.ndarray:
     return np.asarray(scores, dtype=float) >= tau
 
 
+def _correctness(z: Sequence[int], shape: tuple) -> np.ndarray:
+    """Correctness labels as ints, checked to be 0/1 and to match the
+    decisions' (or scores') shape."""
+    zz = np.asarray(z)
+    binary = (zz == 0) | (zz == 1)
+    if not np.all(binary):
+        bad = sorted({repr(v) for v in zz[~binary].tolist()})
+        raise ValueError(f"correctness labels must be 0 or 1, got {', '.join(bad[:5])}")
+    if tuple(shape) != zz.shape:
+        raise ValueError(f"length mismatch: {tuple(shape)} decisions vs {zz.shape} labels")
+    return zz.astype(int)
+
+
 def confusion(decisions: Sequence[bool], z: Sequence[int]) -> ConfusionCounts:
     """Count selector decisions against correctness (positive = trust)."""
     d = np.asarray(decisions, dtype=bool)
-    zz = np.asarray(z, dtype=int)
-    if d.shape != zz.shape:
-        raise ValueError(f"length mismatch: {d.shape} decisions vs {zz.shape} labels")
+    zz = _correctness(z, d.shape)
     return ConfusionCounts(
         tp=int(np.sum(d & (zz == 1))),
         fp=int(np.sum(d & (zz == 0))),
@@ -137,27 +148,42 @@ def sweep_threshold(
 ) -> PolicyResult:
     """Pick tau* minimizing expected cost over the grid.
 
-    Ties are broken by fewer escalations, then by lower tau; the scores are
-    expected to come from the validation split, and tau* is frozen for test
-    evaluation afterwards.
+    Every threshold is counted in one pass: the scores are sorted once, one
+    searchsorted gives each tau's escalations (the scores below it, plus
+    every nan score, which fails s >= tau), and a cumulative sum of z in
+    score order gives FN; TN, TP and FP follow from the totals. The costs
+    are `expected_cost`'s expression over those count vectors, so tau* and
+    its cost are exactly those of recounting the split at every tau.
+
+    Ties are broken by fewer escalations, then by lower tau, then by the
+    earlier grid point; the scores are expected to come from the validation
+    split, and tau* is frozen for test evaluation afterwards.
     """
     if grid is None:
         grid = tau_grid()
     if len(grid) == 0:
         raise ValueError("empty threshold grid")
+    taus = np.asarray(grid, dtype=float)
     s = np.asarray(scores, dtype=float)
-    best = None
-    for tau in grid:
-        counts = confusion(s >= tau, z)
-        key = (expected_cost(counts, m), counts.escalations, float(tau))
-        if best is None or key < best[0]:
-            best = (key, counts)
-    (cost, escalations, tau_star), counts = best
+    zz = _correctness(z, s.shape)
+    order = np.argsort(s)  # nan scores sort last, and searchsorted agrees
+    below = np.searchsorted(s[order], taus, side="left")
+    correct_before = np.concatenate(([0], np.cumsum(zz[order])))
+    n_nan = int(np.isnan(s).sum())
+    n_correct = int(correct_before[-1])
+    escalations = below + n_nan
+    fn = correct_before[below] + (n_correct - correct_before[len(s) - n_nan])
+    tn = escalations - fn
+    tp = n_correct - fn
+    fp = (len(s) - n_correct) - tn
+    cost = m.c_mis * fp + (m.c_rev - m.c_mis) * tn + m.c_rev * fn
+    i = np.lexsort((taus, escalations, cost))[0]
+    counts = ConfusionCounts(tp=int(tp[i]), fp=int(fp[i]), tn=int(tn[i]), fn=int(fn[i]))
     return PolicyResult(
-        tau_star=tau_star,
-        expected_cost=cost,
-        escalations=escalations,
-        escalation_ratio=escalations / counts.total if counts.total else 0.0,
+        tau_star=float(taus[i]),
+        expected_cost=cost[i].item(),
+        escalations=counts.escalations,
+        escalation_ratio=counts.escalations / counts.total if counts.total else 0.0,
         counts=counts,
     )
 

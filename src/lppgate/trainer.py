@@ -234,11 +234,18 @@ class IsotonicCalibrator:
 
     knots: tuple[float, ...]
     values: tuple[float, ...]
+    # predict's lookup tables, built once: the knots and the clamped values
+    _knot_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _value_array: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_knot_array", np.asarray(self.knots, dtype=float))
+        object.__setattr__(self, "_value_array", np.clip(np.asarray(self.values, dtype=float), 0.0, 1.0))
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         s = np.asarray(scores, dtype=float)
-        idx = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, len(self.knots) - 1)
-        return np.clip(np.asarray(self.values)[idx], 0.0, 1.0)
+        idx = np.clip(np.searchsorted(self._knot_array, s, side="right") - 1, 0, len(self.knots) - 1)
+        return self._value_array[idx]
 
     def to_dict(self) -> dict:
         return {"kind": "isotonic", "knots": list(self.knots), "values": list(self.values)}
@@ -384,6 +391,8 @@ class TrainedGate:
     chosen_config: RidgeConfig
     feature_names: list[str] = field(default_factory=list)
     tau_star: float | None = None
+    # predict_score's column order for the last (feature_names, names) key
+    _column_order: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Average of the calibrated fold pipelines, clamped to [0,1]."""
@@ -548,17 +557,28 @@ def grid_search(
     return space[best_idx], report
 
 
-def predict_score(gate: TrainedGate, names: Sequence[str], X: np.ndarray) -> np.ndarray:
-    """Score a feature matrix, aligning columns to training order by name."""
-    if not gate.feature_names:
+def _align_columns(gate_names: tuple[str, ...], names: tuple[str, ...]) -> np.ndarray:
+    """Indices that put the columns named `names` in the gate's training order."""
+    if not gate_names:
         raise FeatureMismatch("gate has no recorded feature names")
-    if sorted(names) != sorted(gate.feature_names):
-        missing = set(gate.feature_names) - set(names)
-        extra = set(names) - set(gate.feature_names)
+    if sorted(names) != sorted(gate_names):
+        missing = set(gate_names) - set(names)
+        extra = set(names) - set(gate_names)
         raise FeatureMismatch(f"feature names differ (missing={sorted(missing)}, extra={sorted(extra)})")
     index = {n: i for i, n in enumerate(names)}
-    cols = [index[n] for n in gate.feature_names]
-    return gate.predict_matrix(np.asarray(X, dtype=float)[:, cols])
+    return np.array([index[n] for n in gate_names], dtype=np.intp)
+
+
+def predict_score(gate: TrainedGate, names: Sequence[str], X: np.ndarray) -> np.ndarray:
+    """Score a feature matrix, aligning columns to training order by name.
+
+    The column order is worked out once per (gate feature names, table
+    names) pair and kept on the gate, so a stream of same-shaped tables
+    checks and sorts the names only once."""
+    key = (tuple(gate.feature_names), tuple(names))
+    if gate._column_order is None or gate._column_order[0] != key:
+        gate._column_order = (key, _align_columns(*key))
+    return gate.predict_matrix(np.asarray(X, dtype=float)[:, gate._column_order[1]])
 
 
 # ---------------------------------------------------------------------------

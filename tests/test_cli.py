@@ -137,6 +137,25 @@ class TestPipelineArtifacts:
         assert extra["distinct_configs"] == 56
         assert "distinct_configs" not in json.loads((out / "train_report.json").read_text())
 
+    @pytest.mark.parametrize("tau_range, on_edge", [(None, True), ("0.0:1.0", False)])
+    def test_sweep_manifest_flags_tau_star_on_grid_edge(self, workdir, tmp_path, tau_range, on_edge):
+        # on this corpus the default grid's optimum is its lowest point; on
+        # the full unit interval it lies inside
+        out = tmp_path / "run"
+        out.mkdir()
+        model = shutil.copy(workdir / "model.json", out / "model.json")
+        flags = [] if tau_range is None else ["--tau-range", tau_range]
+        code = run_cli(
+            "sweep", "--out", out, *labelled(workdir),
+            "--model", model, "--validation-ids", workdir / "validation_ids.txt", *flags,
+        )
+        assert code == 0
+        extra = json.loads((out / "sweep.manifest.json").read_text())["extra"]
+        report = json.loads((out / "policy_report.json").read_text())
+        assert extra["tau_star_on_grid_edge"] is on_edge
+        assert extra["tau_star"] == report["tau_star"]
+        assert "tau_star_on_grid_edge" not in report
+
     def test_model_has_frozen_tau(self, workdir):
         model = json.loads((workdir / "model.json").read_text())
         assert model["tau_star"] is not None
@@ -292,6 +311,46 @@ class TestErrors:
         code = run_cli("synth", "--out", out, "--config", cfg)
         assert code == 1
         assert "not_a_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("split", {"seed": "7"}),
+            ("evaluate", {"tau_step": "0.01"}),
+            ("split", {"seed": True}),
+            ("split", {"test_negatives": 30.0}),
+            ("evaluate", {"sensitivity_ratios": [0.4, "0.9"]}),
+        ],
+    )
+    def test_config_value_types_checked(self, workdir, tmp_path, capsys, command, config):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        inputs = {
+            "split": [],
+            "evaluate": [
+                "--model", workdir / "model.json",
+                "--validation-ids", workdir / "validation_ids.txt",
+                "--test-ids", workdir / "test_ids.txt",
+            ],
+        }[command]
+        capsys.readouterr()
+        code = run_cli(command, "--out", out, *labelled(workdir), *inputs, "--config", cfg)
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        [(key, value)] = config.items()
+        assert error["type"] == "ValueError"
+        assert f"config key {key!r}" in error["message"]
+        assert repr(value) in error["message"] and str(cfg) in error["message"]
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_config_int_for_float_and_null_accepted(self, tmp_path):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cost_mis": 2, "test_negatives": None, "sensitivity_ratios": [1, 0.5]}))
+        assert run_cli("synth", "--out", out, "--n-items", 50, "--config", cfg) == 0
+        config = json.loads((out / "synth.manifest.json").read_text())["config"]
+        assert (config["cost_mis"], config["test_negatives"]) == (2, None)
 
     @pytest.mark.parametrize("top_k", [-2, 0])
     def test_top_k_below_one_rejected(self, tmp_path, capsys, top_k):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lppgate.policy import (
     ConfusionCounts,
     CostModel,
+    PolicyResult,
     always_trust_cost,
     confusion,
     cost_ratio_sensitivity,
@@ -17,6 +18,55 @@ from lppgate.policy import (
     sweep_threshold,
     tau_grid,
 )
+
+
+def _sweep_threshold_reference(scores, z, m, grid=None):
+    """The loop `sweep_threshold` replaced: recount the split at every grid
+    point and keep the least (cost, escalations, tau), the first on a tie."""
+    if grid is None:
+        grid = tau_grid()
+    if len(grid) == 0:
+        raise ValueError("empty threshold grid")
+    s = np.asarray(scores, dtype=float)
+    best = None
+    for tau in grid:
+        counts = confusion(s >= tau, z)
+        key = (expected_cost(counts, m), counts.escalations, float(tau))
+        if best is None or key < best[0]:
+            best = (key, counts)
+    (cost, escalations, tau_star), counts = best
+    return PolicyResult(
+        tau_star=tau_star,
+        expected_cost=cost,
+        escalations=escalations,
+        escalation_ratio=escalations / counts.total if counts.total else 0.0,
+        counts=counts,
+    )
+
+
+# Scores on a coarse lattice tie often, hit 0 and 1 exactly, and land on
+# grid points, where `s >= tau` decides the boundary.
+_LATTICE = sorted({k / 20 for k in range(21)} | set(tau_grid()[::7].tolist()))
+_SCORE = st.one_of(st.sampled_from(_LATTICE), st.just(float("nan")), st.floats(0, 1))
+
+
+@st.composite
+def _sweep_cases(draw):
+    scores = draw(st.lists(_SCORE, max_size=40))
+    if draw(st.booleans()):
+        z = [draw(st.integers(0, 1))] * len(scores)
+    else:
+        z = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    grid = draw(
+        st.one_of(
+            st.none(),
+            st.permutations(tau_grid().tolist()).map(np.array),
+            st.lists(st.sampled_from(_LATTICE), min_size=1, max_size=25).map(np.array),
+        )
+    )
+    c_mis = draw(st.sampled_from([1.0, 0.5, 3.0, 100.0]))
+    ratio = draw(st.sampled_from([0.3, 0.4, 0.64, 0.9]))
+    return scores, z, CostModel(c_mis=c_mis, c_rev=ratio * c_mis), grid
 
 
 class Decision(str, enum.Enum):
@@ -70,6 +120,11 @@ class TestConfusion:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             confusion([True], [1, 0])
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+    def test_non_binary_labels_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            confusion([True, False, True], [1, 0, bad])
 
 
 class TestExpectedCost:
@@ -133,6 +188,24 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty threshold grid"):
             sweep_threshold([0.4, 0.6], [0, 1], CostModel(), np.array([]))
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
+    def test_non_binary_labels_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            sweep_threshold([0.4, 0.5, 0.6], [1, 0, bad], CostModel())
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            sweep_threshold([0.4, 0.6], [1], CostModel())
+
+    @given(_sweep_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_reference_loop(self, case):
+        scores, z, m, grid = case
+        result = sweep_threshold(scores, z, m, grid)
+        reference = _sweep_threshold_reference(scores, z, m, grid)
+        assert result == reference
+        assert repr(result.expected_cost) == repr(reference.expected_cost)
 
     def test_hand_swept_example(self):
         m = CostModel(c_mis=1.0, c_rev=0.64)

@@ -529,6 +529,44 @@ class TestPredictScore:
         with pytest.raises(FeatureMismatch):
             predict_score(gate, ["f0", "other"], X[:5])
 
+    def test_shuffled_table_scores_like_aligned_one(self):
+        # 45 columns, as extraction gives; each call switches the table order
+        rng = np.random.default_rng(7)
+        names = [f"family{i % 7}.feature_{i}" for i in range(45)]
+        X = rng.normal(size=(120, 45))
+        z = (X[:, 3] + 0.5 * rng.normal(size=120) > 0).astype(int)
+        gate = cross_fit_calibrated(X, z, RidgeConfig(calibration="isotonic"), seed=42, feature_names=names)
+        aligned = predict_score(gate, names, X)
+        for seed in range(3):
+            perm = np.random.default_rng(seed).permutation(45)
+            shuffled = predict_score(gate, [names[i] for i in perm], X[:, perm])
+            assert shuffled.tobytes() == aligned.tobytes()
+            assert predict_score(gate, names, X).tobytes() == aligned.tobytes()
+
+    def test_second_gate_never_gets_first_gates_order(self):
+        gate, X, z = self._gate()
+        swapped = cross_fit_calibrated(
+            X[:, [1, 0]], z, RidgeConfig(alpha=0.1), seed=42, feature_names=["f1", "f0"]
+        )
+        names = ["f0", "f1"]
+        # each gate scored on a table already in its own column order
+        expected = [
+            predict_score(g, g.feature_names, X[:, [names.index(n) for n in g.feature_names]])
+            for g in (gate, swapped)
+        ]
+        for _ in range(2):
+            for g, want in zip((gate, swapped), expected):
+                assert predict_score(g, names, X).tobytes() == want.tobytes()
+
+    def test_mismatch_message_after_a_cached_order(self):
+        gate, X, z = self._gate()
+        predict_score(gate, ["f0", "f1"], X[:5])
+        with pytest.raises(FeatureMismatch, match=r"missing=\['f1'\], extra=\['other'\]"):
+            predict_score(gate, ["f0", "other"], X[:5])
+        gate.feature_names = []
+        with pytest.raises(FeatureMismatch, match="no recorded feature names"):
+            predict_score(gate, ["f0", "f1"], X[:5])
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=2))
     def test_scores_in_unit_interval(self, row):
         gate, _, _ = self._gate()
