@@ -61,6 +61,13 @@ class RunConfig:
                 raise ValueError(f"config key {name!r} must be {expected}, got {value!r}")
         if self.top_k < 1:
             raise ValueError(f"top_k must be an integer of at least 1, got {self.top_k!r}")
+        if self.dataset_profile not in pipeline.PROFILE_TEST_NEGATIVES:
+            profiles = sorted(pipeline.PROFILE_TEST_NEGATIVES)
+            raise ValueError(f"config key 'dataset_profile' must be one of {profiles}, got {self.dataset_profile!r}")
+        families = [f.value for f in ALL_FAMILIES]
+        for family in self.families:
+            if family not in families:
+                raise ValueError(f"config key 'families' must hold values of {families}, got {family!r}")
 
     def cost_model(self) -> CostModel:
         return CostModel(c_mis=self.cost_mis, c_rev=self.cost_ratio * self.cost_mis)
@@ -121,20 +128,21 @@ def _load_config(args) -> RunConfig:
     unknown = set(values) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    flags: dict = {}
     for name in ("seed", "cost_ratio", "cost_mis", "tau_step", "dataset_profile", "test_negatives"):
         if getattr(args, name) is not None:
-            values[name] = getattr(args, name)
+            flags[name] = getattr(args, name)
     if args.tau_range is not None:
-        values["tau_min"], values["tau_max"] = _floats("--tau-range", args.tau_range, 2)
+        flags["tau_min"], flags["tau_max"] = _floats("--tau-range", args.tau_range, 2)
     if args.families is not None:
-        values["families"] = [f.strip() for f in args.families.split(",") if f.strip()]
+        flags["families"] = [f.strip() for f in args.families.split(",") if f.strip()]
+    # a value set by a flag is rejected here, so a value rejected below came
+    # from the file
+    RunConfig(**flags)
     try:
-        return RunConfig(**values)
+        return RunConfig(**{**values, **flags})
     except ValueError as exc:
-        # flags arrive typed, so a rejected value came from the file
-        if args.config:
-            raise ValueError(f"{exc} (--config {args.config})") from None
-        raise
+        raise ValueError(f"{exc} (--config {args.config})") from None
 
 
 def _require_inputs(args) -> dict[str, str]:

@@ -1,4 +1,5 @@
-"""Performance-predictor features computed from one response trace.
+"""Performance-predictor features, computed for a whole corpus of response
+traces at once.
 
 Feature families, in fixed catalog order:
 
@@ -24,23 +25,37 @@ Feature families, in fixed catalog order:
 Entropies are in bits; sequence NLL/perplexity use natural logs. All
 computations are pure and deterministic.
 
-The outcome token (one row) and the reasoning span (T rows) are both
-schema.TokenSpan arrays, and one row-wise kernel, renormalize_topk, turns
-the top-k candidate logprobs of either into sorted probabilities.
-
-assemble_feature_vector turns one trace into one float64 row whose columns
-are catalog_names(include): the enabled families in the order above, each
+Each family is a column kernel over the whole corpus: assemble_feature_vector
+turns N traces into one (N, F) float64 matrix whose columns are
+catalog_names(include), the enabled families in the order above, each
 family's values in _CATALOG order. Excluded families are absent from the
-row entirely rather than zeroed. A row holding a nan or infinite value
-raises NonFiniteFeature naming its first bad column. A column name is
-"family.feature", and family_of reads the family back from it.
+matrix entirely rather than zeroed. The outcome tokens of all N traces are
+stacked into one -inf padded array and the reasoning tokens of all spans
+into another, and one renormalize_topk call turns each into sorted
+probabilities. The online path is the same code with N = 1.
+
+A row's bits do not depend on N or on the rest of the corpus as long as no
+token has more than 7 top-k candidates (k is 5 by default):
+
+  * every exp/log/log2 runs on a C-contiguous array, because numpy may take
+    a different code path, with different last bits, on a strided view;
+  * sums run over rows of the true length (renormalize_topk's padded rows
+    are exact up to 7 entries; spans are grouped by length rather than
+    zero-padded, since numpy sums 8 or more terms in blocks);
+  * 2^H2 is Python's float power per element; numpy's array power differs
+    from it in the last bit for some entropies.
+
+A row with no outcome mass on any schema label (when family B or C is
+enabled) is invalid with NoLabelMass; a row holding a nan or infinite value
+is invalid with NonFiniteFeature naming its first bad column. A column name
+is "family.feature", and family_of reads the family back from it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+import functools
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -49,7 +64,6 @@ from .schema import (
     ConfidenceBand,
     OutcomeLabel,
     ResponseTrace,
-    StructuredResponse,
     TokenSpan,
     normalize_outcome_token,
 )
@@ -59,19 +73,11 @@ __all__ = [
     "DEFAULT_TOP_K",
     "FULL_SUPPORT",
     "FeatureFamily",
-    "LabelDistribution",
-    "SequenceStats",
     "EmptyCandidates",
     "NoLabelMass",
     "NonFiniteFeature",
     "renormalize_topk",
-    "compute_topk_features",
-    "collapse_to_labels",
-    "compute_filtered_features",
-    "compute_logodds_features",
     "compute_sequence_features",
-    "compute_verbalized_features",
-    "compute_attribution_features",
     "assemble_feature_vector",
     "catalog_names",
     "family_of",
@@ -84,7 +90,8 @@ EPSILON = 1e-12
 #: Family A is computed over the five most probable candidates by default.
 DEFAULT_TOP_K = 5
 
-#: The schema labels that outcome-token mass is collapsed onto.
+#: The schema labels that outcome-token mass is collapsed onto; label l's
+#: mass is column int(l) of the label-mass array.
 FULL_SUPPORT = (
     OutcomeLabel.NO,
     OutcomeLabel.YES,
@@ -120,196 +127,7 @@ class FeatureFamily(str, enum.Enum):
 
 ALL_FAMILIES: tuple[FeatureFamily, ...] = tuple(FeatureFamily)
 
-
-@dataclass(frozen=True)
-class LabelDistribution:
-    """Token mass collapsed onto schema labels and renormalized; ``masses``
-    keeps each label's summed exp(logprob) from before renormalization."""
-
-    probs: Mapping[OutcomeLabel, float]
-    masses: Mapping[OutcomeLabel, float]
-
-    def __post_init__(self):
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError("label probabilities do not sum to 1")
-
-
-@dataclass(frozen=True)
-class SequenceStats:
-    """Reasoning-span summary; all-zero with perplexity 1 when the span is
-    empty (absent=True)."""
-
-    nll: float
-    perplexity: float
-    mean_token_entropy_bits: float
-    entropy_quantiles: tuple[float, float, float, float, float]
-    prob_quantiles: tuple[float, float, float, float, float]
-    absent: bool = False
-
-
-def _entropy_bits(probs: np.ndarray) -> np.ndarray:
-    """-sum p log2 p along the last axis, zero-probability terms contributing 0."""
-    return -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=-1)
-
-
-def renormalize_topk(logprobs: ArrayLike) -> np.ndarray:
-    """Renormalize natural-log probabilities via a max-shifted softmax.
-
-    ``logprobs`` is one row, or a 2-D array holding one distribution per
-    row with unused entries padded by -inf. Each row becomes
-    p_i = exp(l_i) / sum_j exp(l_j), computed after subtracting the row
-    maximum for stability and sorted descending; padding becomes trailing
-    zeros. Adding a constant to every entry of a row leaves it unchanged.
-
-    Up to 7 entries per row numpy sums each row in order, so a padded 2-D
-    call equals the 1-D call on each row bit for bit; from 8 entries it sums
-    in unrolled blocks, and padding can change a row's last digits.
-    """
-    arr = np.asarray(logprobs, dtype=float)
-    if arr.size == 0:
-        raise EmptyCandidates("no candidate logprobs")
-    top = arr.max(axis=-1, keepdims=True)
-    # max propagates nan and +inf, and is -inf only for an all-padding row
-    if not np.isfinite(top).all():
-        raise ValueError("non-finite logprob")
-    shifted = np.exp(arr - top)
-    probs = np.sort(shifted / shifted.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
-    if np.any(probs < -1e-12) or np.any(probs > 1 + 1e-12):
-        raise ValueError("probabilities outside [0, 1]")
-    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > 1e-9):
-        raise ValueError("probabilities do not sum to 1")
-    return probs
-
-
-def _distribution_metrics(probs: np.ndarray, k: int) -> dict[str, float]:
-    """Shared entropy/margin metrics over a descending probability vector."""
-    h2 = float(_entropy_bits(probs))
-    h2_norm = h2 / np.log2(k) if k > 1 else 0.0
-    p1 = float(probs[0])
-    p2 = float(probs[1]) if len(probs) > 1 else 0.0
-    return {
-        "entropy": h2,
-        "entropy_norm": float(h2_norm),
-        "effective_choices": float(2.0**h2),
-        "confidence": float(1.0 - h2_norm),
-        "msp": p1,
-        "margin": p1 - p2,
-        "margin_norm": (p1 - p2) / max(p1, EPSILON),
-        "top1_top2_ratio": p1 / max(p2, EPSILON),
-    }
-
-
-def compute_topk_features(probs: np.ndarray) -> dict[str, float]:
-    """Family A: the eight top-k outcome-distribution metrics over one
-    descending probability row (renormalize_topk's output), k its length."""
-    return _distribution_metrics(probs, len(probs))
-
-
-def collapse_to_labels(candidates: Iterable[tuple[str, float]]) -> LabelDistribution:
-    """Collapse candidate token mass onto schema labels and renormalize.
-
-    ``candidates`` are (surface, logprob) pairs. Every candidate whose
-    surface normalizes to a label in FULL_SUPPORT contributes exp(logprob)
-    to that label; labels with no matching candidate keep mass 0 (and still
-    participate downstream, so the support size stays constant). Splitting
-    one label's mass across several surface forms therefore does not change
-    the result.
-
-    Raises NoLabelMass when no candidate maps to any supported label.
-    """
-    masses = {label: 0.0 for label in FULL_SUPPORT}
-    for surface, logprob in candidates:
-        label = normalize_outcome_token(surface)
-        if label is not None and label in masses:
-            masses[label] += float(np.exp(logprob))
-    total = sum(masses.values())
-    if total <= 0.0:
-        raise NoLabelMass("no candidate surface maps to a schema label")
-    probs = {label: mass / total for label, mass in masses.items()}
-    return LabelDistribution(probs, masses)
-
-
-def compute_filtered_features(ldist: LabelDistribution) -> dict[str, float]:
-    """Family B: family-A metrics over the collapsed label distribution.
-
-    k is the support size (constant even for zero-mass labels), so the
-    entropy normalization is stable. The filtered catalog carries seven
-    metrics; there is no separate max-probability entry.
-    """
-    probs = np.array([ldist.probs[label] for label in FULL_SUPPORT], dtype=float)
-    probs = np.sort(probs)[::-1]
-    metrics = _distribution_metrics(probs, k=len(FULL_SUPPORT))
-    del metrics["msp"]
-    return metrics
-
-
-def compute_logodds_features(
-    outcome_candidates: Iterable[tuple[str, float]],
-    ldist: LabelDistribution,
-) -> dict[str, float]:
-    """Family C: top-2 log-space margins, raw and label-filtered.
-
-    ``outcome_candidates`` are (surface, logprob) pairs. margin = l(2) -
-    l(1) <= 0; margin_norm divides by l(2) with l(2) replaced by
-    min(l(2), -eps) to avoid dividing by zero. The filtered variant uses
-    natural logs of ldist.masses, the label masses before renormalization.
-    Degenerate inputs (fewer than two candidates, or fewer than two labels
-    with mass) emit 0 with the validity flag cleared so the vector shape
-    stays fixed.
-    """
-
-    def pair_metrics(l1: float, l2: float) -> tuple[float, float]:
-        margin = l2 - l1
-        return margin, margin / min(l2, -EPSILON)
-
-    out: dict[str, float] = {}
-    logprobs = sorted((lp for _, lp in outcome_candidates), reverse=True)
-    if len(logprobs) >= 2:
-        margin, margin_norm = pair_metrics(logprobs[0], logprobs[1])
-        out.update(margin=margin, margin_norm=margin_norm, margin_valid=1.0)
-    else:
-        out.update(margin=0.0, margin_norm=0.0, margin_valid=0.0)
-
-    positive = sorted((m for m in ldist.masses.values() if m > 0.0), reverse=True)
-    if len(positive) >= 2:
-        margin, margin_norm = pair_metrics(float(np.log(positive[0])), float(np.log(positive[1])))
-        out.update(filtered_margin=margin, filtered_margin_norm=margin_norm, filtered_margin_valid=1.0)
-    else:
-        out.update(filtered_margin=0.0, filtered_margin_norm=0.0, filtered_margin_valid=0.0)
-    return out
-
-
 _QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
-
-
-def compute_sequence_features(reasoning: TokenSpan, k: int = DEFAULT_TOP_K) -> SequenceStats:
-    """Families D-E inputs: reasoning-span NLL, perplexity, and per-token
-    entropy/probability distributions.
-
-    NLL sums the chosen-token negative logprobs in nats; perplexity is
-    exp(NLL/T). Per-token entropies are computed in bits over each token's
-    renormalized top-k candidates, one renormalize_topk call over the
-    span's (T, k) logprob columns; quantiles interpolate linearly between
-    closest ranks. An empty span yields zeros with perplexity 1, flagged
-    absent.
-    """
-    chosen_lp = reasoning.chosen_logprobs
-    if len(chosen_lp) == 0:
-        zeros = (0.0,) * 5
-        return SequenceStats(0.0, 1.0, 0.0, zeros, zeros, absent=True)
-    nll = float(-chosen_lp.sum())
-    # a mean chosen logprob below about -709 gives inf, which the row's
-    # isfinite check reports as NonFiniteFeature
-    with np.errstate(over="ignore"):
-        ppl = float(np.exp(nll / len(chosen_lp)))
-
-    entropies = _entropy_bits(renormalize_topk(reasoning.logprobs[:, :k]))
-    quantiles = np.quantile(np.stack([entropies, np.exp(chosen_lp)]), _QUANTILE_POINTS, axis=1)
-    ent_q = tuple(float(v) for v in quantiles[:, 0])
-    prob_q = tuple(float(v) for v in quantiles[:, 1])
-    return SequenceStats(nll, ppl, float(entropies.mean()), ent_q, prob_q)
-
 
 _BAND_ORDER = (
     ConfidenceBand.VL,
@@ -319,36 +137,8 @@ _BAND_ORDER = (
     ConfidenceBand.VH,
 )
 
-
-def compute_verbalized_features(s: StructuredResponse) -> dict[str, float]:
-    """Family F: self-reported confidence scalar plus one-hot band.
-
-    A missing p_correct is imputed at 0.5 with the missing flag raised; a
-    missing band leaves the one-hot all zero.
-    """
-    out = {
-        "confidence": s.p_correct / 100.0 if s.p_correct is not None else 0.5,
-        "confidence_missing": 0.0 if s.p_correct is not None else 1.0,
-    }
-    for band in _BAND_ORDER:
-        out[f"band_{band.value.lower()}"] = 1.0 if s.band is band else 0.0
-    return out
-
-
-def compute_attribution_features(outcome: OutcomeLabel) -> dict[str, float]:
-    """Family G: abstention indicators distinguishing evidence deficits
-    (aleatoric, outcome 2) from policy gaps (epistemic, outcome 3)."""
-    evidence = 1.0 if outcome is OutcomeLabel.INCONCLUSIVE_EVIDENCE else 0.0
-    policy = 1.0 if outcome is OutcomeLabel.INCONCLUSIVE_DEFINITION else 0.0
-    return {
-        "evidence_deficit": evidence,
-        "policy_gap": policy,
-        "inconclusive": max(evidence, policy),
-    }
-
-
 #: Short feature names per family, in catalog order. The one source of
-#: both catalog_names and the column order of the assembled row.
+#: both catalog_names and the column order of the assembled matrix.
 _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
     FeatureFamily.OUTCOME_TOPK: (
         "entropy",
@@ -391,77 +181,345 @@ _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
     FeatureFamily.ATTRIBUTION: ("evidence_deficit", "policy_gap", "inconclusive"),
 }
 
+_OUTCOME_FAMILIES = frozenset(
+    (FeatureFamily.OUTCOME_TOPK, FeatureFamily.FILTERED_OUTCOME, FeatureFamily.LOGODDS_MARGIN)
+)
+_REASONING_FAMILIES = frozenset((FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT))
+#: Family B's columns among the eight distribution metrics: all but msp.
+_FILTERED_METRICS = [j for j, name in enumerate(_CATALOG[FeatureFamily.OUTCOME_TOPK]) if name != "msp"]
 
-def _in_catalog_order(family: FeatureFamily, metrics: Mapping[str, float]) -> list[float]:
-    return [metrics[name] for name in _CATALOG[family]]
+
+def _entropy_bits(probs: np.ndarray) -> np.ndarray:
+    """-sum p log2 p along the last axis, zero-probability terms contributing 0."""
+    return -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=-1)
+
+
+def renormalize_topk(logprobs: ArrayLike) -> np.ndarray:
+    """Renormalize natural-log probabilities via a max-shifted softmax.
+
+    ``logprobs`` is one row, or a 2-D array holding one distribution per
+    row with unused entries padded by -inf. Each row becomes
+    p_i = exp(l_i) / sum_j exp(l_j), computed after subtracting the row
+    maximum for stability and sorted descending; padding becomes trailing
+    zeros. Adding a constant to every entry of a row leaves it unchanged.
+
+    Up to 7 entries per row numpy sums each row in order, so a padded 2-D
+    call equals the 1-D call on each row bit for bit; from 8 entries it sums
+    in unrolled blocks, and padding can change a row's last digits.
+    """
+    arr = np.asarray(logprobs, dtype=float)
+    if arr.size == 0:
+        raise EmptyCandidates("no candidate logprobs")
+    top = arr.max(axis=-1, keepdims=True)
+    # max propagates nan and +inf, and is -inf only for an all-padding row
+    if not np.isfinite(top).all():
+        raise ValueError("non-finite logprob")
+    shifted = np.exp(arr - top)
+    probs = np.sort(shifted / shifted.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+    if (probs < -1e-12).any() or (probs > 1 + 1e-12).any():
+        raise ValueError("probabilities outside [0, 1]")
+    if (np.abs(probs.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("probabilities do not sum to 1")
+    return probs
+
+
+def _stack_rows(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """The first ``width`` columns of each 2-D block, stacked into one
+    C-contiguous array; blocks narrower than ``width`` are padded with -inf."""
+    if all(b.shape[1] >= width for b in blocks):
+        return np.concatenate([b[:, :width] for b in blocks])
+    out = np.full((sum(len(b) for b in blocks), width), -np.inf)
+    row = 0
+    for b in blocks:
+        out[row : row + len(b), : b.shape[1]] = b[:, :width]
+        row += len(b)
+    return out
+
+
+def _distribution_metrics(probs: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Family A's eight metrics, one row per descending probability row.
+
+    ``probs`` may carry trailing zero padding; ``support`` is each row's
+    k, the length of its distribution before padding, which normalizes
+    the entropy (a one-candidate row has normalized entropy 0).
+    """
+    h2 = _entropy_bits(probs)
+    h2_norm = np.where(support > 1, h2 / np.log2(np.maximum(support, 2)), 0.0)
+    p1 = probs[:, 0]
+    p2 = probs[:, 1] if probs.shape[1] > 1 else np.zeros(len(probs))
+    out = np.empty((len(probs), len(_CATALOG[FeatureFamily.OUTCOME_TOPK])))
+    out[:, 0] = h2
+    out[:, 1] = h2_norm
+    out[:, 2] = [2.0**h for h in h2.tolist()]
+    out[:, 3] = 1.0 - h2_norm
+    out[:, 4] = p1
+    out[:, 5] = p1 - p2
+    out[:, 6] = out[:, 5] / np.maximum(p1, EPSILON)
+    out[:, 7] = p1 / np.maximum(p2, EPSILON)
+    return out
+
+
+def _pair_margins(l1: np.ndarray, l2: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Family C's (margin, margin_norm, valid) for each pair of top-2 log
+    values l1 >= l2, along a new last axis: margin = l2 - l1 <= 0, and
+    margin_norm divides it by min(l2, -eps). Pairs that are not valid get
+    zeros."""
+    l2 = np.where(valid, l2, l1)
+    margin = l2 - l1
+    out = np.empty(valid.shape + (3,))
+    out[..., 0] = np.where(valid, margin, 0.0)
+    out[..., 1] = np.where(valid, margin / np.minimum(l2, -EPSILON), 0.0)
+    out[..., 2] = valid
+    return out
+
+
+#: The label-mass bin of a surface that is no schema label, and of padding.
+_NO_LABEL = len(FULL_SUPPORT)
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _label_code(surface: str) -> int:
+    """The schema label a surface normalizes to, as an int, or _NO_LABEL."""
+    label = normalize_outcome_token(surface)
+    return _NO_LABEL if label is None else int(label)
+
+
+def _label_masses(traces: Sequence[ResponseTrace], logprobs: np.ndarray) -> np.ndarray:
+    """Each trace's outcome-token mass per schema label, as an (N, 4) array
+    in FULL_SUPPORT order: the summed exp(logprob) of the candidates whose
+    surface normalizes to that label, added in candidate order. ``logprobs``
+    holds the traces' outcome rows, padded on the right with -inf."""
+    n, width = logprobs.shape
+    codes = [
+        [_label_code(s) for s in t.outcome.surfaces[0]] + [_NO_LABEL] * (width - len(t.outcome.surfaces[0]))
+        for t in traces
+    ]
+    bins = np.arange(0, (_NO_LABEL + 1) * n, _NO_LABEL + 1)[:, None] + np.array(codes)
+    masses = np.bincount(bins.ravel(), weights=np.exp(logprobs).ravel(), minlength=(_NO_LABEL + 1) * n)
+    return masses.reshape(n, _NO_LABEL + 1)[:, :_NO_LABEL]
+
+
+def _outcome_columns(
+    traces: Sequence[ResponseTrace], include: frozenset, k: int
+) -> tuple[dict[FeatureFamily, np.ndarray], np.ndarray]:
+    """Families A-C for every trace, and the rows whose outcome token has no
+    mass on a schema label (all False unless B or C is enabled).
+
+    A renormalizes each outcome row's top-k candidates. B collapses every
+    candidate's exp(logprob) onto the label its surface normalizes to,
+    summed in candidate order, and renormalizes over the four labels (a
+    label without candidates keeps mass 0, so the support stays 4). C
+    takes the top-2 raw logprobs and the logs of the top-2 label masses.
+    """
+    n = len(traces)
+    widths = [t.outcome.logprobs.shape[1] for t in traces]
+    width = max(widths)
+    logprobs = _stack_rows([t.outcome.logprobs for t in traces], width)
+    columns: dict[FeatureFamily, np.ndarray] = {}
+    dists, supports = [], []
+    if FeatureFamily.OUTCOME_TOPK in include:
+        dists.append(renormalize_topk(logprobs[:, :k]))
+        supports += [min(w, k) for w in widths]
+
+    no_mass = np.zeros(n, dtype=bool)
+    if include & {FeatureFamily.FILTERED_OUTCOME, FeatureFamily.LOGODDS_MARGIN}:
+        masses = _label_masses(traces, logprobs)
+        total = masses.sum(axis=1)
+        no_mass = total <= 0.0
+        # dividing by a positive total keeps the order, so one sort serves B and C
+        ascending = np.sort(masses, axis=1)
+        if FeatureFamily.FILTERED_OUTCOME in include:
+            dists.append((ascending / np.where(no_mass, 1.0, total)[:, None])[:, ::-1])
+            supports += [len(FULL_SUPPORT)] * n
+        if FeatureFamily.LOGODDS_MARGIN in include:
+            logs = np.log(np.where(ascending > 0.0, ascending, 1.0))
+            # column 0 pairs the raw logprobs, column 1 the label masses' logs
+            l1, l2, valid = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2), dtype=bool)
+            l1[:, 0], l2[:, 0], valid[:, 0] = logprobs[:, 0], logprobs[:, min(1, width - 1)], [w >= 2 for w in widths]
+            l1[:, 1], l2[:, 1], valid[:, 1] = logs[:, 3], logs[:, 2], ascending[:, 2] > 0.0
+            columns[FeatureFamily.LOGODDS_MARGIN] = _pair_margins(l1, l2, valid).reshape(n, -1)
+
+    if dists:
+        # A and B share one metrics call: B's rows follow A's, zero padded
+        probs = np.zeros((n * len(dists), max(d.shape[1] for d in dists)))
+        for j, d in enumerate(dists):
+            probs[j * n : (j + 1) * n, : d.shape[1]] = d
+        metrics = _distribution_metrics(probs, np.array(supports))
+        if FeatureFamily.OUTCOME_TOPK in include:
+            columns[FeatureFamily.OUTCOME_TOPK] = metrics[:n]
+        if FeatureFamily.FILTERED_OUTCOME in include:
+            columns[FeatureFamily.FILTERED_OUTCOME] = metrics[-n:, _FILTERED_METRICS]
+    if no_mass.any():
+        for family in include & {FeatureFamily.FILTERED_OUTCOME, FeatureFamily.LOGODDS_MARGIN}:
+            columns[family][no_mass] = np.nan
+    return columns, no_mass
+
+
+@functools.lru_cache(maxsize=1024)
+def _quantile_rule(n: int) -> tuple[np.ndarray, ...]:
+    """numpy's linear quantile rule at _QUANTILE_POINTS for n sorted values:
+    the lower and upper positions, the weight t of each point (taken against
+    the lower position after numpy clips it to -1 at the top), 1 - t, and
+    whether t >= 0.5."""
+    virtual = (n - 1) * np.array(_QUANTILE_POINTS)
+    lower = np.floor(virtual)
+    upper = lower + 1
+    top = virtual >= n - 1
+    lower[top] = upper[top] = -1
+    t = virtual - lower
+    return lower.astype(np.intp), upper.astype(np.intp), t, 1 - t, t >= 0.5
+
+
+def _sorted_quantiles(values: np.ndarray) -> np.ndarray:
+    """The _QUANTILE_POINTS quantiles of each row of ``values`` (sorted
+    along the last axis), interpolated exactly as np.quantile's _lerp:
+    a + (b - a)·t, or b - (b - a)·(1 - t) when t >= 0.5."""
+    lower, upper, t, one_minus_t, upper_half = _quantile_rule(values.shape[-1])
+    a, b = values[..., lower], values[..., upper]
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * one_minus_t, out=out, where=upper_half)
+    return out
+
+
+def compute_sequence_features(spans: Sequence[TokenSpan], k: int = DEFAULT_TOP_K) -> np.ndarray:
+    """Families D-E for N reasoning spans: an (N, 14) array whose columns
+    are D's then E's catalog names.
+
+    NLL sums a span's chosen-token negative logprobs in nats; perplexity is
+    exp(NLL/T). Per-token entropies are in bits over each token's
+    renormalized top-k candidates, one renormalize_topk call over every
+    span's tokens stacked; the quantiles interpolate linearly between
+    closest ranks, as np.quantile does. Spans are summed, averaged and
+    sorted in groups of equal length, so each span's values are those of
+    the span on its own. An empty span yields zeros with perplexity 1,
+    flagged absent.
+    """
+    lengths = [len(s.chosen_logprobs) for s in spans]
+    out = np.zeros((len(spans), len(_CATALOG[FeatureFamily.SEQUENCE_COT]) + len(_CATALOG[FeatureFamily.TOKEN_LEVEL_COT])))
+    out[:, 1] = 1.0
+    groups: dict[int, list[int]] = {}
+    for i, length in enumerate(lengths):
+        groups.setdefault(length, []).append(i)
+    if 0 in groups:
+        out[groups.pop(0), 2] = 1.0
+    if not groups:
+        return out
+
+    present = [s for s in spans if len(s.chosen_logprobs)]
+    width = min(k, max(s.logprobs.shape[1] for s in present))
+    # one row each of chosen logprobs, entropies and chosen probabilities
+    tokens = np.empty((3, sum(lengths)))
+    tokens[0] = np.concatenate([s.chosen_logprobs for s in present])
+    tokens[1] = _entropy_bits(renormalize_topk(_stack_rows([s.logprobs for s in present], width)))
+    tokens[2] = np.exp(tokens[0])
+    starts = np.cumsum(lengths) - lengths
+    # a mean chosen logprob below about -709 gives inf, which the row's
+    # isfinite check reports as NonFiniteFeature
+    with np.errstate(over="ignore"):
+        for length, rows in groups.items():
+            group = tokens[:, starts[rows, None] + np.arange(length)]
+            nll = -group[0].sum(axis=1)
+            out[rows, 0] = nll
+            out[rows, 1] = np.exp(nll / length)
+            out[rows, 3] = group[1].sum(axis=1) / length
+            quantiles = _sorted_quantiles(np.sort(group[1:], axis=-1))
+            out[rows, 4:] = quantiles.transpose(1, 0, 2).reshape(len(rows), -1)
+    return out
+
+
+def _verbalized_columns(traces: Sequence[ResponseTrace]) -> np.ndarray:
+    """Family F: self-reported confidence scalar plus one-hot band.
+
+    A missing p_correct is imputed at 0.5 with the missing flag raised; a
+    missing band leaves the one-hot all zero.
+    """
+    out = np.zeros((len(traces), len(_CATALOG[FeatureFamily.VERBALIZED])))
+    for i, t in enumerate(traces):
+        s = t.structured
+        out[i, 0] = s.p_correct / 100.0 if s.p_correct is not None else 0.5
+        out[i, 1] = s.p_correct is None
+        if s.band is not None:
+            out[i, 2 + _BAND_ORDER.index(s.band)] = 1.0
+    return out
+
+
+def _attribution_columns(traces: Sequence[ResponseTrace]) -> np.ndarray:
+    """Family G: abstention indicators distinguishing evidence deficits
+    (aleatoric, outcome 2) from policy gaps (epistemic, outcome 3), read
+    from each trace's effective outcome: the outcome-span token, or the
+    structured field when that token is no label."""
+    out = np.zeros((len(traces), len(_CATALOG[FeatureFamily.ATTRIBUTION])))
+    for i, t in enumerate(traces):
+        code = _label_code(t.outcome.chosen[0])
+        outcome = t.structured.outcome if code == _NO_LABEL else code
+        if outcome == OutcomeLabel.INCONCLUSIVE_EVIDENCE:
+            out[i, [0, 2]] = 1.0
+        elif outcome == OutcomeLabel.INCONCLUSIVE_DEFINITION:
+            out[i, [1, 2]] = 1.0
+    return out
 
 
 def assemble_feature_vector(
-    trace: ResponseTrace,
+    traces: Sequence[ResponseTrace],
     include: Iterable[FeatureFamily] = ALL_FAMILIES,
     k: int = DEFAULT_TOP_K,
-) -> np.ndarray:
-    """One float64 feature row whose columns are catalog_names(include).
+) -> tuple[np.ndarray, dict[int, ValueError]]:
+    """One float64 feature row per trace, as an (N, F) C-contiguous matrix
+    whose columns are catalog_names(include), plus the invalid rows.
 
-    Excluded families are absent from the row entirely. Direct-answer
+    Excluded families are absent from the matrix entirely. Direct-answer
     traces still carry the sequence/token families when enabled, with zero
-    stats and the absent flag set. NoLabelMass and NonFiniteFeature (one isfinite check over the
-    finished row, naming its first bad column) propagate to the caller as
-    invalid-row markers. The outcome-span token, not the structured field,
-    drives the token-derived families.
+    stats and the absent flag set. The outcome-span token, not the
+    structured field, drives the token-derived families. The second value
+    maps the index of each invalid row to its NoLabelMass or, for a row
+    holding a nan or infinite value, its NonFiniteFeature naming the first
+    bad column; a row with no label mass holds nan in its B and C columns.
     """
-    include_set = set(include)
+    include_set = frozenset(include)
     if not include_set:
         raise ValueError("at least one feature family must be included")
 
-    outcome = trace.outcome
-    candidates = list(zip(outcome.surfaces[0], outcome.logprobs[0].tolist()))
-    values: list[float] = []
-
-    ldist = None
-    if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
-        ldist = collapse_to_labels(candidates)
-
-    if FeatureFamily.OUTCOME_TOPK in include_set:
-        probs = renormalize_topk(outcome.logprobs[0, :k])
-        values += _in_catalog_order(FeatureFamily.OUTCOME_TOPK, compute_topk_features(probs))
-    if FeatureFamily.FILTERED_OUTCOME in include_set:
-        values += _in_catalog_order(FeatureFamily.FILTERED_OUTCOME, compute_filtered_features(ldist))
-    if FeatureFamily.LOGODDS_MARGIN in include_set:
-        metrics = compute_logodds_features(candidates, ldist)
-        values += _in_catalog_order(FeatureFamily.LOGODDS_MARGIN, metrics)
-
-    if include_set & {FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT}:
-        stats = compute_sequence_features(trace.reasoning, k=k)
-        # in _CATALOG order: (nll, ppl, absent) and (mean_entropy, quantiles...)
-        if FeatureFamily.SEQUENCE_COT in include_set:
-            values += (stats.nll, stats.perplexity, float(stats.absent))
-        if FeatureFamily.TOKEN_LEVEL_COT in include_set:
-            values += (stats.mean_token_entropy_bits, *stats.entropy_quantiles, *stats.prob_quantiles)
-
+    columns: dict[FeatureFamily, np.ndarray] = {}
+    no_mass = np.zeros(len(traces), dtype=bool)
+    if include_set & _OUTCOME_FAMILIES:
+        outcome_columns, no_mass = _outcome_columns(traces, include_set, k)
+        columns.update(outcome_columns)
+    if include_set & _REASONING_FAMILIES:
+        stats = compute_sequence_features([t.reasoning for t in traces], k=k)
+        n_sequence = len(_CATALOG[FeatureFamily.SEQUENCE_COT])
+        columns[FeatureFamily.SEQUENCE_COT] = stats[:, :n_sequence]
+        columns[FeatureFamily.TOKEN_LEVEL_COT] = stats[:, n_sequence:]
     if FeatureFamily.VERBALIZED in include_set:
-        values += _in_catalog_order(FeatureFamily.VERBALIZED, compute_verbalized_features(trace.structured))
+        columns[FeatureFamily.VERBALIZED] = _verbalized_columns(traces)
     if FeatureFamily.ATTRIBUTION in include_set:
-        metrics = compute_attribution_features(trace.effective_outcome())
-        values += _in_catalog_order(FeatureFamily.ATTRIBUTION, metrics)
+        columns[FeatureFamily.ATTRIBUTION] = _attribution_columns(traces)
 
-    row = np.array(values, dtype=float)
-    finite = np.isfinite(row)
+    matrix = np.concatenate([columns[f] for f in ALL_FAMILIES if f in include_set], axis=1)
+    invalid: dict[int, ValueError] = {}
+    finite = np.isfinite(matrix)
     if not finite.all():
-        bad = catalog_names(include_set)[int(np.argmin(finite))]
-        raise NonFiniteFeature(f"non-finite value for {bad}")
-    return row
+        names = catalog_names(include_set)
+        for i in np.flatnonzero(no_mass).tolist():
+            invalid[i] = NoLabelMass("no candidate surface maps to a schema label")
+        for i in np.flatnonzero(~finite.all(axis=1)).tolist():
+            invalid.setdefault(i, NonFiniteFeature(f"non-finite value for {names[int(np.argmin(finite[i]))]}"))
+    return matrix, invalid
 
 
 def catalog_names(include: Iterable[FeatureFamily] = ALL_FAMILIES) -> list[str]:
     """Qualified feature names for the enabled families, in catalog order."""
-    include_set = set(include)
-    return [
+    return list(_catalog_names(frozenset(include)))
+
+
+@functools.lru_cache(maxsize=None)
+def _catalog_names(include: frozenset) -> tuple[str, ...]:
+    return tuple(
         f"{family.value}.{name}"
         for family, names in _CATALOG.items()
-        if family in include_set
+        if family in include
         for name in names
-    ]
+    )
 
 
 def family_of(name: str) -> str:

@@ -25,8 +25,6 @@ from .features import (
     ALL_FAMILIES,
     DEFAULT_TOP_K,
     FeatureFamily,
-    NoLabelMass,
-    NonFiniteFeature,
     assemble_feature_vector,
     catalog_names,
     family_of,
@@ -92,26 +90,28 @@ def extract_table(
     include: Iterable[FeatureFamily] = ALL_FAMILIES,
     k: int = DEFAULT_TOP_K,
 ) -> FeatureTable:
-    """Stack one feature row per trace, in item_id order, under the column
-    names catalog_names(include).
+    """One feature row per trace, in item_id order, under the column names
+    catalog_names(include), all computed in one pass over the corpus; the
+    online path is the same call with one trace.
 
-    Rows that raise NoLabelMass or NonFiniteFeature are excluded from the
-    matrix and listed in invalid_ids, to be escalated by default downstream.
+    Rows that are invalid with NoLabelMass or NonFiniteFeature are excluded
+    from the matrix and listed in invalid_ids, to be escalated by default
+    downstream.
     """
     include = frozenset(include)
-    item_ids: list[str] = []
-    rows: list[np.ndarray] = []
-    invalid: list[str] = []
-    for trace in sorted(traces, key=lambda t: t.item_id):
-        try:
-            rows.append(assemble_feature_vector(trace, include, k=k))
-        except (NoLabelMass, NonFiniteFeature):
-            invalid.append(trace.item_id)
-        else:
-            item_ids.append(trace.item_id)
-    if not rows:
+    traces = sorted(traces, key=lambda t: t.item_id)
+    matrix, invalid = assemble_feature_vector(traces, include, k=k) if traces else (None, {})
+    if len(invalid) == len(traces):
         raise ValueError("no valid traces to extract features from")
-    return FeatureTable(item_ids, catalog_names(include), np.stack(rows), invalid)
+    keep = [i for i in range(len(traces)) if i not in invalid]
+    if invalid:
+        matrix = matrix[keep]
+    return FeatureTable(
+        [traces[i].item_id for i in keep],
+        catalog_names(include),
+        matrix,
+        [traces[i].item_id for i in sorted(invalid)],
+    )
 
 
 def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:

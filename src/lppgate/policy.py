@@ -30,7 +30,6 @@ __all__ = [
     "decisions_at",
     "confusion",
     "expected_cost",
-    "always_trust_cost",
     "tau_grid",
     "sweep_threshold",
     "cost_ratio_sensitivity",
@@ -121,11 +120,6 @@ def expected_cost(c: ConfusionCounts, m: CostModel) -> float:
     """The objective C; may be negative, because each caught error (TN)
     is credited with the c_mis it avoided."""
     return m.c_mis * c.fp + (m.c_rev - m.c_mis) * c.tn + m.c_rev * c.fn
-
-
-def always_trust_cost(z: Sequence[int], m: CostModel) -> float:
-    errors = int(np.sum(np.asarray(z, dtype=int) == 0))
-    return m.c_mis * errors
 
 
 def tau_grid(

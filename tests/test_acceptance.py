@@ -14,16 +14,12 @@ import numpy as np
 
 from lppgate import policy, trainer
 from lppgate.cli import main as cli_main
-from lppgate.features import (
-    collapse_to_labels,
-    compute_filtered_features,
-    compute_logodds_features,
-    compute_topk_features,
-    renormalize_topk,
-)
-from lppgate.policy import ConfusionCounts, CostModel, always_trust_cost, confusion, expected_cost
-from lppgate.schema import OutcomeLabel, normalize_outcome_token
+from lppgate.features import _CATALOG, FeatureFamily
+from lppgate.pipeline import extract_table
+from lppgate.policy import ConfusionCounts, CostModel, confusion, expected_cost
+from lppgate.schema import OutcomeLabel, ResponseTrace, StructuredResponse, normalize_outcome_token, token_span
 from lppgate.trainer import fit_isotonic, fit_platt, fit_ridge_weighted
+from tests.policy_reference import always_trust_cost
 from tests.ridge_oracle import fit_ridge_lsqr, ridge_objective
 
 
@@ -104,9 +100,33 @@ def _mp_reference(candidates):
     return a_ref, b_ref, c_ref
 
 
+def _outcome_families(candidate_lists, include):
+    """Families A-C of one trace per (surface, logprob) candidate list,
+    extracted in one extract_table call, as {family: {short name: value}}
+    per list, in list order."""
+    traces = [
+        ResponseTrace(
+            f"item-{i:04d}",
+            StructuredResponse(OutcomeLabel.YES),
+            token_span([(*candidates[0], candidates)]),
+            token_span([]),
+        )
+        for i, candidates in enumerate(candidate_lists)
+    ]
+    table = extract_table(traces, include=include)
+    assert table.item_ids == [t.item_id for t in traces]
+    out = []
+    for row in table.matrix.tolist():
+        values = dict(zip(table.names, row))
+        out.append({f: {n: values[f"{f.value}.{n}"] for n in _CATALOG[f]} for f in include})
+    return out
+
+
 def test_criterion_1_feature_oracle_equivalence():
     rng = np.random.default_rng(42)
+    outcome_families = (FeatureFamily.OUTCOME_TOPK, FeatureFamily.FILTERED_OUTCOME, FeatureFamily.LOGODDS_MARGIN)
     start = time.perf_counter()
+    candidate_lists = []
     for _ in range(1000):
         n_labels = int(rng.integers(1, 6))
         n_junk = int(rng.integers(0, 3))
@@ -115,11 +135,12 @@ def test_criterion_1_feature_oracle_equivalence():
         logprobs = rng.uniform(-8.0, 0.0, size=len(surfaces))
         candidates = [(s, float(lp)) for s, lp in zip(surfaces, logprobs)]
         candidates.sort(key=lambda c: -c[1])
+        candidate_lists.append(candidates)
 
-        got_a = compute_topk_features(renormalize_topk([lp for _, lp in candidates[:5]]))
-        ldist = collapse_to_labels(candidates)
-        got_b = compute_filtered_features(ldist)
-        got_c = compute_logodds_features(candidates, ldist)
+    for candidates, got in zip(candidate_lists, _outcome_families(candidate_lists, outcome_families)):
+        got_a = got[FeatureFamily.OUTCOME_TOPK]
+        got_b = got[FeatureFamily.FILTERED_OUTCOME]
+        got_c = got[FeatureFamily.LOGODDS_MARGIN]
 
         ref_a, ref_b, ref_c = _mp_reference(candidates)
         for name, ref in ref_a.items():
@@ -132,11 +153,17 @@ def test_criterion_1_feature_oracle_equivalence():
     duration = time.perf_counter() - start
 
     # closed-form cases are bit-exact
-    dyadic = compute_topk_features(
-        renormalize_topk([math.log(p) for p in (0.5, 0.25, 0.125, 0.0625, 0.0625)])
+    dyadic, uniform = (
+        got[FeatureFamily.OUTCOME_TOPK]
+        for got in _outcome_families(
+            [
+                [(str(i), math.log(p)) for i, p in enumerate((0.5, 0.25, 0.125, 0.0625, 0.0625))],
+                [(str(i), -1.7) for i in range(5)],
+            ],
+            [FeatureFamily.OUTCOME_TOPK],
+        )
     )
     assert dyadic["entropy"] == 1.875
-    uniform = compute_topk_features(renormalize_topk([-1.7] * 5))
     assert uniform["entropy"] == math.log2(5)
 
     assert duration < 5.0, f"oracle sweep took {duration:.2f}s"

@@ -344,6 +344,27 @@ class TestErrors:
         assert repr(value) in error["message"] and str(cfg) in error["message"]
         assert not out.exists() or not list(out.iterdir())
 
+    @pytest.mark.parametrize(
+        "key, config",
+        [
+            ("dataset_profile", {"dataset_profile": "multi-modal"}),
+            ("families", {"families": ["outcome_topk", "tokens"]}),
+        ],
+    )
+    def test_config_values_checked(self, tmp_path, capsys, key, config):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        code = run_cli("synth", "--out", out, "--n-items", 50, "--config", cfg)
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        bad = {"dataset_profile": "multi-modal", "families": "tokens"}[key]
+        assert error["type"] == "ValueError"
+        assert f"config key {key!r}" in error["message"]
+        assert repr(bad) in error["message"] and str(cfg) in error["message"]
+        assert not out.exists() or not list(out.iterdir())
+
     def test_config_int_for_float_and_null_accepted(self, tmp_path):
         out = tmp_path / "run"
         cfg = tmp_path / "cfg.json"
@@ -394,6 +415,9 @@ class TestFamiliesFlag:
             "--families", "nonsense",
         )
         assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        # the value came from a flag, so the message names no config file
+        assert "'nonsense'" in error["message"] and "--config" not in error["message"]
 
 
 class TestConsoleScript:

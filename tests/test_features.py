@@ -16,19 +16,11 @@ from lppgate.features import (
     DEFAULT_TOP_K,
     FULL_SUPPORT,
     FeatureFamily,
-    LabelDistribution,
     NoLabelMass,
     NonFiniteFeature,
-    SequenceStats,
     assemble_feature_vector,
     catalog_names,
-    collapse_to_labels,
-    compute_attribution_features,
-    compute_filtered_features,
-    compute_logodds_features,
     compute_sequence_features,
-    compute_topk_features,
-    compute_verbalized_features,
     family_of,
     renormalize_topk,
     EmptyCandidates,
@@ -37,15 +29,90 @@ from lppgate.pipeline import extract_table
 from lppgate.schema import (
     ConfidenceBand,
     OutcomeLabel,
+    ResponseTrace,
     StructuredResponse,
     TokenSpan,
     token_span,
 )
 from lppgate.synth import SynthConfig, generate_corpus
+from tests import feature_reference
 from tests.conftest import make_outcome_span, make_trace
+from tests.feature_reference import LabelDistribution, SequenceStats
 from tests.token_reference import record
 
 DYADIC = (0.5, 0.25, 0.125, 0.0625, 0.0625)
+
+
+# Each family's tests read the corpus kernels through one trace (or one
+# distribution row) and name the values by their catalog names.
+
+
+def _row(trace, include=ALL_FAMILIES, k=DEFAULT_TOP_K):
+    """The feature row of one trace; its invalid marker is raised."""
+    matrix, invalid = assemble_feature_vector([trace], include, k)
+    if invalid:
+        raise invalid[0]
+    return matrix[0]
+
+
+def _family(trace, family):
+    """One family's values for one trace, by short name."""
+    return dict(zip(_CATALOG[family], _row(trace, include=[family]).tolist()))
+
+
+def _outcome_trace(candidates):
+    """A trace whose outcome token has these (surface, logprob) candidates."""
+    trace = make_trace()
+    trace.outcome = make_outcome_span(dict(candidates))
+    return trace
+
+
+def compute_topk_features(probs):
+    """Family A's metrics of one descending probability row, k its length."""
+    metrics = features._distribution_metrics(np.asarray(probs, dtype=float)[None, :], np.array([len(probs)]))
+    return dict(zip(_CATALOG[FeatureFamily.OUTCOME_TOPK], metrics[0].tolist()))
+
+
+def collapse_to_labels(candidates):
+    """The outcome mass of the candidates per label, from the label-mass
+    kernel, and renormalized; NoLabelMass is the row's invalid marker."""
+    trace = _outcome_trace(candidates)
+    _row(trace, include=[FeatureFamily.FILTERED_OUTCOME])
+    masses = features._label_masses([trace], trace.outcome.logprobs)[0].tolist()
+    total = sum(masses)
+    return LabelDistribution(
+        {label: m / total for label, m in zip(FULL_SUPPORT, masses)}, dict(zip(FULL_SUPPORT, masses))
+    )
+
+
+def compute_filtered_features(ldist):
+    """Family B's metrics of a label distribution: family A's kernel over
+    the sorted label probabilities with support 4, without msp."""
+    probs = np.sort([ldist.probs[label] for label in FULL_SUPPORT])[::-1]
+    metrics = features._distribution_metrics(probs[None, :], np.array([len(FULL_SUPPORT)]))
+    return dict(zip(_CATALOG[FeatureFamily.FILTERED_OUTCOME], metrics[0, features._FILTERED_METRICS].tolist()))
+
+
+def compute_logodds_features(candidates, ldist):
+    """Family C of a trace whose outcome token has these candidates; the
+    kernel collapses them onto the labels itself, so ldist goes unread."""
+    return _family(_outcome_trace(candidates), FeatureFamily.LOGODDS_MARGIN)
+
+
+def _stats(span, k=DEFAULT_TOP_K):
+    """The sequence/token columns of one span as SequenceStats."""
+    row = compute_sequence_features([span], k=k)[0].tolist()
+    return SequenceStats(row[0], row[1], row[3], tuple(row[4:9]), tuple(row[9:14]), absent=bool(row[2]))
+
+
+def compute_verbalized_features(s):
+    """Family F of a trace with this structured response."""
+    return _family(make_trace(outcome=s.outcome, p_correct=s.p_correct, band=s.band), FeatureFamily.VERBALIZED)
+
+
+def compute_attribution_features(outcome):
+    """Family G of a trace whose outcome token is this label."""
+    return _family(make_trace(outcome=outcome), FeatureFamily.ATTRIBUTION)
 
 
 def _renormalize_topk_reference(logprobs):
@@ -347,7 +414,7 @@ class TestSequenceFeaturesVectorised:
     @given(_reasoning_tokens(max_candidates=8))
     def test_equals_per_record_reference(self, tokens):
         records = [record(*t) for t in tokens]
-        assert compute_sequence_features(token_span(tokens), k=5) == _sequence_features_reference(records, k=5)
+        assert _stats(token_span(tokens), k=5) == _sequence_features_reference(records, k=5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @settings(max_examples=100, deadline=None)
@@ -355,7 +422,7 @@ class TestSequenceFeaturesVectorised:
     def test_wide_rows_match_reference(self, tokens):
         # numpy sums 8+ entries in blocks, where padding regroups the terms
         records = [record(*t) for t in tokens]
-        got = compute_sequence_features(token_span(tokens), k=12)
+        got = _stats(token_span(tokens), k=12)
         want = _sequence_features_reference(records, k=12)
         assert (got.nll, got.perplexity, got.prob_quantiles) == (want.nll, want.perplexity, want.prob_quantiles)
         assert got.mean_token_entropy_bits == pytest.approx(want.mean_token_entropy_bits, rel=1e-12, abs=1e-15)
@@ -372,14 +439,14 @@ class TestSequenceFeaturesVectorised:
         logprobs = span.logprobs.copy()
         logprobs[1, 1] = bad
         with pytest.raises(ValueError, match="non-finite logprob"):
-            compute_sequence_features(TokenSpan(span.chosen, span.chosen_logprobs, span.surfaces, logprobs))
+            _stats(TokenSpan(span.chosen, span.chosen_logprobs, span.surfaces, logprobs))
 
     def test_empty_candidate_list_raises(self):
         # a token without candidates keeps its chosen one; k=0 leaves none
         span = _span(_reasoning_token(0.5), (" c0", math.log(0.5), []))
         assert span.surfaces[1] == (" c0",)
         with pytest.raises(EmptyCandidates):
-            compute_sequence_features(span, k=0)
+            _stats(span, k=0)
 
     def test_extract_table_matches_reference_rows(self, monkeypatch):
         traces, _ = generate_corpus(SynthConfig(n_items=300, cot=True, seed=42))
@@ -387,17 +454,20 @@ class TestSequenceFeaturesVectorised:
         table = extract_table(traces)
         by_id = {t.item_id: t for t in traces}
 
-        def reference(span, k=DEFAULT_TOP_K):
-            return _sequence_features_reference(_span_records(span), k)
+        def reference(spans, k=DEFAULT_TOP_K):
+            rows = [_sequence_features_reference(_span_records(span), k) for span in spans]
+            return np.array(
+                [(s.nll, s.perplexity, float(s.absent), s.mean_token_entropy_bits, *s.entropy_quantiles, *s.prob_quantiles) for s in rows]
+            )
 
         monkeypatch.setattr(features, "compute_sequence_features", reference)
-        expected = np.stack([assemble_feature_vector(by_id[i]) for i in table.item_ids])
+        expected, _ = assemble_feature_vector([by_id[i] for i in table.item_ids])
         assert table.matrix.tobytes() == expected.tobytes()
 
 
 class TestSequenceFeatures:
     def test_uniform_halves(self):
-        stats = compute_sequence_features(_span(*[_reasoning_token(0.5)] * 4))
+        stats = _stats(_span(*[_reasoning_token(0.5)] * 4))
         assert stats.nll == pytest.approx(4 * math.log(2), abs=1e-12)
         assert stats.perplexity == pytest.approx(2.0, abs=1e-12)
         assert not stats.absent
@@ -409,26 +479,26 @@ class TestSequenceFeatures:
             _reasoning_token(0.5, n_candidates=2),
             _reasoning_token(0.5, n_candidates=4),
         )
-        stats = compute_sequence_features(span)
+        stats = _stats(span)
         assert stats.entropy_quantiles == pytest.approx((0.0, 0.5, 1.0, 1.5, 2.0), abs=1e-9)
         assert stats.mean_token_entropy_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_interpolated_quantile(self):
         span = _span(_reasoning_token(0.5, n_candidates=1), _reasoning_token(0.5, n_candidates=2))
-        stats = compute_sequence_features(span)
+        stats = _stats(span)
         assert stats.entropy_quantiles[1] == pytest.approx(0.25, abs=1e-12)
 
     def test_prob_quantiles_exact(self):
-        stats = compute_sequence_features(_span(*[_reasoning_token(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5)]))
+        stats = _stats(_span(*[_reasoning_token(p) for p in (0.1, 0.2, 0.3, 0.4, 0.5)]))
         assert stats.prob_quantiles == pytest.approx((0.1, 0.2, 0.3, 0.4, 0.5), abs=1e-9)
 
     def test_empty_span(self):
-        stats = compute_sequence_features(token_span([]))
+        stats = _stats(token_span([]))
         assert stats == SequenceStats(0.0, 1.0, 0.0, (0.0,) * 5, (0.0,) * 5, absent=True)
 
     @given(st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=30))
     def test_perplexity_at_least_one(self, probs):
-        stats = compute_sequence_features(_span(*[_reasoning_token(p) for p in probs]))
+        stats = _stats(_span(*[_reasoning_token(p) for p in probs]))
         assert stats.perplexity >= 1.0 - 1e-12
         assert stats.nll >= -1e-12
 
@@ -505,8 +575,9 @@ class _FeatureVector:
 
 
 def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TOP_K):
-    """The per-entry assembly that assemble_feature_vector's float row
-    replaced: one _FeatureEntry per feature, checked one by one."""
+    """The per-trace path the corpus kernels replaced: one dict per family
+    from the reference functions, one _FeatureEntry per feature, checked
+    one by one."""
     include_set = set(include)
     if not include_set:
         raise ValueError("at least one feature family must be included")
@@ -520,17 +591,17 @@ def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TO
 
     ldist = None
     if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
-        ldist = collapse_to_labels(candidates)
+        ldist = feature_reference.collapse_to_labels(candidates)
 
     if FeatureFamily.OUTCOME_TOPK in include_set:
-        extend(FeatureFamily.OUTCOME_TOPK, compute_topk_features(renormalize_topk(outcome.logprobs[0, :k])))
+        extend(FeatureFamily.OUTCOME_TOPK, feature_reference.compute_topk_features(renormalize_topk(outcome.logprobs[0, :k])))
     if FeatureFamily.FILTERED_OUTCOME in include_set:
-        extend(FeatureFamily.FILTERED_OUTCOME, compute_filtered_features(ldist))
+        extend(FeatureFamily.FILTERED_OUTCOME, feature_reference.compute_filtered_features(ldist))
     if FeatureFamily.LOGODDS_MARGIN in include_set:
-        extend(FeatureFamily.LOGODDS_MARGIN, compute_logodds_features(candidates, ldist))
+        extend(FeatureFamily.LOGODDS_MARGIN, feature_reference.compute_logodds_features(candidates, ldist))
 
     if include_set & {FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT}:
-        stats = compute_sequence_features(trace.reasoning, k=k)
+        stats = feature_reference.compute_sequence_features(trace.reasoning, k=k)
         if FeatureFamily.SEQUENCE_COT in include_set:
             values = (stats.nll, stats.perplexity, 1.0 if stats.absent else 0.0)
             extend(FeatureFamily.SEQUENCE_COT, dict(zip(_CATALOG[FeatureFamily.SEQUENCE_COT], values)))
@@ -539,16 +610,16 @@ def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TO
             extend(FeatureFamily.TOKEN_LEVEL_COT, dict(zip(_CATALOG[FeatureFamily.TOKEN_LEVEL_COT], values)))
 
     if FeatureFamily.VERBALIZED in include_set:
-        extend(FeatureFamily.VERBALIZED, compute_verbalized_features(trace.structured))
+        extend(FeatureFamily.VERBALIZED, feature_reference.compute_verbalized_features(trace.structured))
     if FeatureFamily.ATTRIBUTION in include_set:
-        extend(FeatureFamily.ATTRIBUTION, compute_attribution_features(trace.effective_outcome()))
+        extend(FeatureFamily.ATTRIBUTION, feature_reference.compute_attribution_features(trace.effective_outcome()))
 
     return _FeatureVector(tuple(entries))
 
 
 class TestAssembleFeatureVector:
     def test_direct_trace_all_families(self):
-        row = assemble_feature_vector(make_trace())
+        row = _row(make_trace())
         names = catalog_names()
         assert row.shape == (45,) and row.dtype == np.float64
         assert len(names) == 45
@@ -561,37 +632,37 @@ class TestAssembleFeatureVector:
 
     def test_single_family_cardinality(self):
         include = {FeatureFamily.OUTCOME_TOPK}
-        row = assemble_feature_vector(make_trace(), include=include)
+        row = _row(make_trace(), include=include)
         assert row.shape == (8,)
         assert len(catalog_names(include)) == 8
 
     def test_exclusion_removes_names(self):
         include = [f for f in ALL_FAMILIES if f is not FeatureFamily.ATTRIBUTION]
-        row = assemble_feature_vector(make_trace(), include=include)
+        row = _row(make_trace(), include=include)
         assert not any(n.startswith("attribution.") for n in catalog_names(include))
         assert row.shape == (42,)
         assert len(catalog_names(include)) == 42
 
     def test_empty_include_rejected(self):
         with pytest.raises(ValueError):
-            assemble_feature_vector(make_trace(), include=())
+            _row(make_trace(), include=())
 
     def test_overflowing_perplexity_is_a_non_finite_feature(self):
         trace = make_trace(reasoning_logprobs=(-800.0,) * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteFeature, match="sequence.ppl"):
-                assemble_feature_vector(trace)
+                _row(trace)
 
     def test_no_label_mass_propagates(self):
         trace = make_trace(outcome_probs={"1": 0.6, "junk": 0.4})
         trace.outcome = make_outcome_span({"junk": math.log(1.0)})
         with pytest.raises(NoLabelMass):
-            assemble_feature_vector(trace)
+            _row(trace)
 
     def test_deterministic(self):
-        a = assemble_feature_vector(make_trace(reasoning_logprobs=(-0.4, -0.9)))
-        b = assemble_feature_vector(make_trace(reasoning_logprobs=(-0.4, -0.9)))
+        a = _row(make_trace(reasoning_logprobs=(-0.4, -0.9)))
+        b = _row(make_trace(reasoning_logprobs=(-0.4, -0.9)))
         assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("reasoning", [(), (-0.4, -0.9)], ids=["direct", "cot"])
@@ -600,7 +671,7 @@ class TestAssembleFeatureVector:
         trace = make_trace(reasoning_logprobs=reasoning)
         for size in range(1, len(ALL_FAMILIES) + 1):
             for include in itertools.combinations(ALL_FAMILIES, size):
-                row = assemble_feature_vector(trace, include=include)
+                row = _row(trace, include=include)
                 reference = _assemble_feature_vector_reference(trace, include=include)
                 assert dict(zip(catalog_names(include), row)) == reference.as_mapping()
                 assert reference.qualified_names() == catalog_names(include)
@@ -623,8 +694,103 @@ class TestAssembleFeatureVector:
         )
         trace.outcome = make_outcome_span({"2": 0.9, "1": 0.1}, chosen_surface="2")
         include = {FeatureFamily.ATTRIBUTION}
-        row = assemble_feature_vector(trace, include=include)
+        row = _row(trace, include=include)
         assert dict(zip(catalog_names(include), row))["attribution.evidence_deficit"] == 1.0
+
+
+_SURFACES = ("0", "1", "2", "3", " 0", ' "1"', "yes", "NO", "inconclusive_evidence", " the", "foo", "xx")
+_JUNK = (" the", "foo", "xx")
+# few distinct values, so entropies and probabilities tie often
+_TIED_LOGPROBS = st.sampled_from((0.0, -0.25, -0.7, -0.7, -1.5, -3.0, -800.0))
+
+
+@st.composite
+def _corpus_traces(draw, max_candidates):
+    """Direct and CoT traces mixed: outcome rows of 1..7 candidates, some
+    with no label mass; reasoning spans of 1..60 tokens with tied entropies,
+    some whose mean chosen logprob overflows the perplexity."""
+    traces = []
+    for i in range(draw(st.integers(min_value=1, max_value=8))):
+        surfaces = _JUNK if draw(st.booleans()) and draw(st.booleans()) else _SURFACES
+        width = draw(st.integers(min_value=1, max_value=7))
+        candidates = [(draw(st.sampled_from(surfaces)), draw(_LOGPROBS)) for _ in range(width)]
+        outcome = token_span([(*candidates[draw(st.integers(min_value=0, max_value=width - 1))], candidates)])
+        tokens = []
+        if draw(st.booleans()):
+            overflow = draw(st.integers(min_value=0, max_value=4)) == 0
+            for _ in range(draw(st.integers(min_value=1, max_value=60))):
+                n = draw(st.integers(min_value=1, max_value=max_candidates))
+                cands = [(f" c{j}", draw(_TIED_LOGPROBS)) for j in range(n)]
+                chosen = (" missing", -800.0) if overflow else cands[draw(st.integers(min_value=0, max_value=n - 1))]
+                tokens.append((*chosen, cands))
+        structured = StructuredResponse(
+            draw(st.sampled_from(list(OutcomeLabel))),
+            (),
+            draw(st.one_of(st.none(), st.integers(min_value=0, max_value=20).map(lambda v: 5 * v))),
+            draw(st.one_of(st.none(), st.sampled_from(list(ConfidenceBand)))),
+        )
+        traces.append(ResponseTrace(f"item-{i:02d}", structured, outcome, token_span(tokens)))
+    return traces
+
+
+def _reference_rows(traces, include, k):
+    """Per trace, the reference row's bytes, or its invalid marker."""
+    out = {}
+    for t in traces:
+        try:
+            out[t.item_id] = _assemble_feature_vector_reference(t, include, k).values().tobytes()
+        except (NoLabelMass, NonFiniteFeature) as exc:
+            out[t.item_id] = (type(exc), str(exc))
+    return out
+
+
+class TestCorpusKernels:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _corpus_traces(max_candidates=7),
+        st.sampled_from((1, 2, 5)),
+        st.sampled_from((ALL_FAMILIES, (FeatureFamily.LOGODDS_MARGIN, FeatureFamily.TOKEN_LEVEL_COT), (FeatureFamily.OUTCOME_TOPK,))),
+    )
+    def test_batch_equals_single_traces_and_reference(self, traces, k, include):
+        matrix, invalid = assemble_feature_vector(traces, include, k)
+        reference = _reference_rows(traces, include, k)
+        for i, t in enumerate(traces):
+            single, single_invalid = assemble_feature_vector([t], include, k)
+            if i in invalid:
+                assert (type(invalid[i]), str(invalid[i])) == reference[t.item_id]
+                assert (type(single_invalid[0]), str(single_invalid[0])) == reference[t.item_id]
+                with pytest.raises(ValueError, match="no valid traces"):
+                    extract_table([t], include, k)
+            else:
+                assert not single_invalid
+                assert matrix[i].tobytes() == single[0].tobytes() == reference[t.item_id]
+                assert extract_table([t], include, k).matrix.tobytes() == single.tobytes()
+        valid_ids = [t.item_id for i, t in enumerate(traces) if i not in invalid]
+        if not valid_ids:
+            with pytest.raises(ValueError, match="no valid traces"):
+                extract_table(traces, include, k)
+            return
+        table = extract_table(traces, include, k)
+        assert table.item_ids == valid_ids
+        assert table.invalid_ids == [t.item_id for i, t in enumerate(traces) if i in invalid]
+        assert table.matrix.tobytes() == b"".join(reference[i] for i in valid_ids)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(_corpus_traces(max_candidates=20))
+    def test_wide_rows_match_within_rounding(self, traces):
+        # from 8 candidates numpy sums a row in blocks, so padding the
+        # stacked rows to the corpus width may move a value's last digits
+        k = 20
+        matrix, invalid = assemble_feature_vector(traces, ALL_FAMILIES, k)
+        reference = _reference_rows(traces, ALL_FAMILIES, k)
+        for i, t in enumerate(traces):
+            single, single_invalid = assemble_feature_vector([t], ALL_FAMILIES, k)
+            assert (i in invalid) == bool(single_invalid) == isinstance(reference[t.item_id], tuple)
+            if i not in invalid:
+                want = np.frombuffer(reference[t.item_id])
+                np.testing.assert_allclose(matrix[i], want, rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(single[0], want, rtol=1e-12, atol=1e-15)
 
 
 class TestOracleEquivalence:

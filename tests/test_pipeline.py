@@ -11,6 +11,7 @@ from lppgate.features import ALL_FAMILIES, DEFAULT_TOP_K, FeatureFamily, family_
 from lppgate.schema import OutcomeLabel
 from lppgate.synth import SynthConfig, generate_corpus
 from tests.conftest import make_outcome_span, make_trace
+from tests.policy_reference import always_trust_cost
 
 QUICK_SPACE = [
     trainer.RidgeConfig(alpha=a, class_weight=cw, calibration=c)
@@ -161,7 +162,7 @@ class TestTrainSweepEvaluate:
             )
         at = out["always_trust"]["metrics"]
         z_test = [label_correctness(labels[i][1], labels[i][0]) for i in ids["test"]]
-        assert at["expected_cost"] == policy.always_trust_cost(z_test, cost)
+        assert at["expected_cost"] == always_trust_cost(z_test, cost)
 
     def test_evaluate_requires_frozen_tau(self, trained_setup):
         traces, labels, table, ids, _, _ = trained_setup
@@ -239,7 +240,7 @@ class TestAblation:
         # most a noise band of 10% of the always-trust cost
         traces, labels = corpus(n=1200, signal={"outcome_topk": 0.9, "verbalized": 0.0, "attribution": 1.0})
         z = [label_correctness(v[1], v[0]) for v in labels.values()]
-        at = policy.always_trust_cost(z, policy.CostModel())
+        at = always_trust_cost(z, policy.CostModel())
         rows = pipeline.run_ablation(
             pipeline.extract_table(traces),
             labels,

@@ -9,7 +9,6 @@ from lppgate.policy import (
     ConfusionCounts,
     CostModel,
     PolicyResult,
-    always_trust_cost,
     confusion,
     cost_ratio_sensitivity,
     decisions_at,
@@ -18,6 +17,7 @@ from lppgate.policy import (
     sweep_threshold,
     tau_grid,
 )
+from tests.policy_reference import always_trust_cost
 
 
 def _sweep_threshold_reference(scores, z, m, grid=None):

@@ -1,6 +1,8 @@
 import numpy as np
 
 from lppgate.dataset import label_correctness
+from lppgate.features import FeatureFamily
+from lppgate.pipeline import extract_table
 from lppgate.schema import OutcomeLabel, trace_to_dict
 from lppgate.synth import SynthConfig, generate_corpus
 
@@ -69,12 +71,12 @@ class TestTraceShape:
     def test_confident_abstentions_when_complementary(self):
         cfg = SynthConfig(n_items=2000, signal={"attribution": 1.0}, seed=42)
         traces, labels = generate_corpus(cfg)
+        table = extract_table(traces, include=[FeatureFamily.OUTCOME_TOPK], k=5)
+        rows = table.row_map()
+        column = table.names.index("outcome_topk.msp")
         msp = []
-        for trace, row in zip(traces, labels):
+        for row in labels:
             if row.llm_outcome >= 2:
-                from lppgate.features import compute_topk_features, renormalize_topk
-
-                probs = renormalize_topk(trace.outcome.logprobs[0, :5])
-                msp.append(compute_topk_features(probs)["msp"])
+                msp.append(table.matrix[rows[row.item_id], column])
         # peaked regime: abstained errors look confident
         assert np.mean(msp) > 0.6
