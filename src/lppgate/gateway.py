@@ -7,6 +7,11 @@ contract (byte-identical re-requests, at most three retries), segments the
 returned token stream into outcome and reasoning spans by JSON field
 position, and writes response-trace JSONL.
 
+A token has one shape from provider to trace: the ``(surface, logprob,
+((surface, logprob), ...))`` triple that ``schema.token_span`` takes. Both
+providers build it with ``_provider_token``, the one place that clamps a
+finite positive provider logprob to 0; nan and ±inf reach ``token_span``.
+
 Transport failures retry with bounded backoff on a budget independent of
 the malformed-output budget. A transport failure that outlives that
 budget, or a request the provider rejects, is recorded as that item's
@@ -19,10 +24,14 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 import os
+import re
 import time
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from .schema import (
@@ -42,9 +51,7 @@ __all__ = [
     "DecodingConfig",
     "DEFAULT_DECODING",
     "PromptTemplate",
-    "RenderedPrompt",
     "Request",
-    "RawToken",
     "ProviderResponse",
     "TransportError",
     "AuthFailure",
@@ -76,6 +83,7 @@ PLACEHOLDER_FIELDS = {
     "{{VIDEO\\FRAMES}}": "video_frames",
     "{{CONCEPT_DEFINITION}}": "concept_definition",
 }
+_PLACEHOLDER = re.compile("|".join(map(re.escape, PLACEHOLDER_FIELDS)))
 
 
 class TransportError(RuntimeError):
@@ -133,28 +141,26 @@ class PromptTemplate:
 
 
 @dataclass(frozen=True)
-class RenderedPrompt:
-    messages: tuple[dict, ...]
-
-
-@dataclass(frozen=True)
 class Request:
     item_id: str
-    prompt: RenderedPrompt
+    messages: tuple[dict, dict]  # (system, user)
     decoding: DecodingConfig
-
-
-@dataclass(frozen=True)
-class RawToken:
-    surface: str
-    logprob: float
-    top: tuple[tuple[str, float], ...] = ()
 
 
 @dataclass(frozen=True)
 class ProviderResponse:
     content: str
-    tokens: tuple[RawToken, ...]
+    tokens: tuple[tuple, ...]  # _provider_token triples, in stream order
+
+
+def _clamped(value) -> float:
+    lp = float(value)
+    return 0.0 if 0.0 < lp < math.inf else lp
+
+
+def _provider_token(surface: str, logprob, top) -> tuple:
+    """A provider token as a token_span triple, each logprob _clamped."""
+    return surface, _clamped(logprob), tuple((s, _clamped(lp)) for s, lp in top)
 
 
 def load_template(template_id: str) -> PromptTemplate:
@@ -165,26 +171,29 @@ def load_template(template_id: str) -> PromptTemplate:
     return PromptTemplate(id=obj["id"], system=obj["system"], user=obj["user"], cot=obj["cot"])
 
 
-def render_prompt(template: PromptTemplate, fields: Mapping[str, str]) -> RenderedPrompt:
-    """Byte-deterministic placeholder substitution.
+def render_prompt(template: PromptTemplate, fields: Mapping[str, str]) -> tuple[dict, dict]:
+    """Byte-deterministic placeholder substitution into the (system, user)
+    chat messages.
 
     Every placeholder appearing in the template must have a non-None value
     in ``fields`` (media are passed as opaque URIs); otherwise
-    MissingPlaceholder is raised.
+    MissingPlaceholder is raised. All placeholders are filled in one pass,
+    so a value is inserted verbatim even when it contains placeholder text.
     """
-    system, user = template.system, template.user
+    values = {}
     for placeholder in template.placeholders():
         key = PLACEHOLDER_FIELDS[placeholder]
         value = fields.get(key)
         if value is None:
             raise MissingPlaceholder(f"template {template.id!r} needs field {key!r}")
-        system = system.replace(placeholder, str(value))
-        user = user.replace(placeholder, str(value))
-    return RenderedPrompt(
-        messages=(
-            {"role": "system", "content": system},
-            {"role": "user", "content": user},
-        )
+        values[placeholder] = str(value)
+
+    def fill(match: re.Match) -> str:
+        return values[match[0]]
+
+    return (
+        {"role": "system", "content": _PLACEHOLDER.sub(fill, template.system)},
+        {"role": "user", "content": _PLACEHOLDER.sub(fill, template.user)},
     )
 
 
@@ -214,10 +223,8 @@ class StubProvider:
         if raw_tokens is None:
             raise ProviderNoLogprobs(f"no logprobs scripted for {request.item_id!r}")
         tokens = tuple(
-            RawToken(
-                surface=t["surface"],
-                logprob=float(t["logprob"]),
-                top=tuple((c["surface"], float(c["logprob"])) for c in t.get("top", [])),
+            _provider_token(
+                t["surface"], t["logprob"], ((c["surface"], c["logprob"]) for c in t.get("top", ()))
             )
             for t in raw_tokens
         )
@@ -251,7 +258,7 @@ class HttpProvider:
         d = request.decoding
         payload = {
             "model": self.model,
-            "messages": list(request.prompt.messages),
+            "messages": list(request.messages),
             "temperature": d.temperature,
             "top_p": d.top_p,
             "n": d.n,
@@ -285,12 +292,8 @@ class HttpProvider:
             if not logprobs:
                 raise ProviderNoLogprobs("provider response carries no token logprobs")
             tokens = tuple(
-                RawToken(
-                    surface=t["token"],
-                    logprob=float(t["logprob"]),
-                    top=tuple(
-                        (c["token"], float(c["logprob"])) for c in t.get("top_logprobs", [])
-                    ),
+                _provider_token(
+                    t["token"], t["logprob"], ((c["token"], c["logprob"]) for c in t.get("top_logprobs", ()))
                 )
                 for t in logprobs
             )
@@ -321,40 +324,34 @@ def dispatch(
     raise last
 
 
-def segment_spans(content: str, tokens: Sequence[RawToken]) -> tuple[TokenSpan, TokenSpan]:
-    """Split tokens into the (outcome, reasoning) spans by JSON field position.
+def segment_spans(content: str, tokens: Sequence[tuple]) -> tuple[TokenSpan, TokenSpan]:
+    """Split token triples into the (outcome, reasoning) spans by JSON
+    field position.
 
     Character offsets come from accumulating token surface lengths (a
     deterministic re-tokenization alignment against the raw text). The
     token covering the first character of the outcome field's value is the
-    outcome span's single token; tokens overlapping the reasoning_steps
-    array form the reasoning span, in stream order; everything else is
-    dropped from feature extraction. Positive provider logprobs are clamped
-    to 0.
+    outcome span's single token; the other tokens overlapping the
+    reasoning_steps array (zero-length ones strictly inside it included)
+    form the reasoning span, in stream order; the rest are dropped.
     """
     spans = locate_structured_fields(content)
     if spans is None or spans.outcome_value is None:
         raise OutcomeTokenNotFound("no outcome field located in response text")
-    outcome_pos = spans.outcome_value[0]
-    reasoning_array = spans.reasoning_array
-
-    outcome: list = []  # at most one token
-    reasoning: list = []
-    offset = 0
-    for tok in tokens:
-        start, end = offset, offset + len(tok.surface)
-        offset = end
-        if start <= outcome_pos < end and not outcome:
-            span = outcome
-        elif reasoning_array is not None and start < reasoning_array[1] and end > reasoning_array[0]:
-            span = reasoning
-        else:
-            continue
-        top = [(s, min(lp, 0.0)) for s, lp in tok.top]
-        span.append((tok.surface, min(tok.logprob, 0.0), top))
-    if not outcome:
+    # offsets[i] and offsets[i + 1] are where token i starts and ends.
+    offsets = list(accumulate((len(t[0]) for t in tokens), initial=0))
+    n = len(tokens)
+    o = bisect_right(offsets, spans.outcome_value[0]) - 1
+    if o >= n:
         raise OutcomeTokenNotFound("token stream does not cover the outcome field value")
-    return token_span(outcome), token_span(reasoning)
+    outcome = token_span((tokens[o],))
+    if spans.reasoning_array is None:
+        return outcome, token_span(())
+    start, end = spans.reasoning_array
+    lo = bisect_right(offsets, start) - 1  # first token ending after start
+    hi = bisect_left(offsets, end, 0, n)  # tokens from here on start at or after end
+    run = tokens[lo:o] + tokens[o + 1 : hi] if lo <= o < hi else tokens[lo:hi]
+    return outcome, token_span(run)
 
 
 @dataclass
@@ -374,8 +371,7 @@ def _run_one(
 ) -> tuple[ResponseTrace | None, dict | None, str | None]:
     """Returns (trace, give_up record, no-logprobs item id); one is set."""
     item_id = str(item["item_id"])
-    prompt = render_prompt(template, item)
-    request = Request(item_id=item_id, prompt=prompt, decoding=decoding)
+    request = Request(item_id, render_prompt(template, item), decoding)
     expected_steps = 3 if template.cot else 0
 
     attempt = 0

@@ -50,8 +50,10 @@ __all__ = [
     "read_traces_jsonl",
 ]
 
-#: Providers occasionally report logprobs a hair above zero; anything inside
-#: this tolerance is clamped to 0, anything beyond is rejected.
+#: Governs trace files and synth: token_span clamps a logprob a hair above
+#: zero, inside this tolerance, to 0 and rejects one beyond it. Provider
+#: logprobs never reach it positive, since the gateway clamps every finite
+#: positive one to 0.
 LOGPROB_TOLERANCE = 1e-9
 
 #: Retry budget: one initial attempt plus at most three deterministic retries.

@@ -361,15 +361,14 @@ def stratified_kfold_indices(
     """Deterministic stratified folds: per-class seeded shuffle, then deal."""
     zz = np.asarray(z, dtype=int)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(n_splits)]
+    shuffled = []
     for cls in (0, 1):
         idx = np.flatnonzero(zz == cls)
         if len(idx) < n_splits:
             raise DegenerateFold(f"class {cls} has {len(idx)} examples, need >= {n_splits}")
         rng.shuffle(idx)
-        for i, value in enumerate(idx):
-            folds[i % n_splits].append(int(value))
-    return [np.array(sorted(f), dtype=int) for f in folds]
+        shuffled.append(idx)
+    return [np.sort(np.concatenate([idx[f::n_splits] for idx in shuffled])) for f in range(n_splits)]
 
 
 @dataclass
@@ -431,10 +430,11 @@ class _CrossFitFolds:
 
 def _fold_splits(z: np.ndarray, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Three stratified (train, held-out) index pairs."""
-    all_idx = np.arange(len(z))
     splits = []
     for held_out in stratified_kfold_indices(z, 3, seed):
-        train_idx = np.setdiff1d(all_idx, held_out)
+        in_train = np.ones(len(z), dtype=bool)
+        in_train[held_out] = False
+        train_idx = np.flatnonzero(in_train)
         if len(np.unique(z[train_idx])) < 2 or len(np.unique(z[held_out])) < 2:
             raise DegenerateFold("a fold is missing one class")
         splits.append((train_idx, held_out))

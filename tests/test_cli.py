@@ -531,6 +531,24 @@ class TestGenerateManifest:
         assert len(manifest["inputs"]) == (2 if stub else 1)
         assert manifest["extra"]["accepted"] == 1
 
+    def test_committed_stub_corpus(self, tmp_path):
+        # The corpus CI runs through `generate` in separate processes: six
+        # accepted items (one after a malformed first response, one with a
+        # 0.25 provider logprob), a give-up after four malformed responses
+        # and an item without logprobs.
+        fixture = Path(__file__).parent / "fixtures" / "stub"
+        out = tmp_path / "run"
+        argv = ["--items", fixture / "items.jsonl", "--stub", fixture / "stub.json"]
+        assert run_cli("generate", "--out", out, *argv, "--template", "text-cot", "--pool-width", 4) == 0
+        extra = json.loads((out / "generate.manifest.json").read_text())["extra"]
+        assert (extra["items"], extra["accepted"]) == (8, 6)
+        assert extra["give_ups"] == [{"item_id": "it-04", "attempts": 4, "failure": "malformed_json"}]
+        assert extra["gray_box_unavailable"] == ["it-05"]
+        traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+        assert [(t["item_id"], t["attempt"]) for t in traces] == [
+            ("it-01", 1), ("it-02", 1), ("it-03", 2), ("it-06", 1), ("it-07", 1), ("it-08", 1)
+        ]
+
 
 # (option string, dest, required, default, help, type, choices) of every flag
 # but --help, per subcommand, as the parser declared them before the file

@@ -4,7 +4,10 @@ import math
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lppgate import gateway
 from lppgate.gateway import (
     DEFAULT_DECODING,
     AuthFailure,
@@ -12,6 +15,7 @@ from lppgate.gateway import (
     HttpProvider,
     MissingPlaceholder,
     OutcomeTokenNotFound,
+    PLACEHOLDER_FIELDS,
     ProviderNoLogprobs,
     ProviderRejected,
     Request,
@@ -23,9 +27,9 @@ from lppgate.gateway import (
     render_prompt,
     run_inference,
     segment_spans,
-    RawToken,
 )
-from lppgate.schema import OutcomeLabel, locate_structured_fields, trace_to_dict
+from lppgate.schema import InvalidLogprob, OutcomeLabel, locate_structured_fields, trace_to_dict
+from tests.token_reference import segment_spans_reference, span_view
 
 NO_SLEEP = lambda _: None  # noqa: E731
 
@@ -75,9 +79,9 @@ class TestTemplates:
     def test_text_direct_render(self):
         t = load_template("text-direct")
         r = render_prompt(t, {"text": "abc", "concept_definition": "no weapons"})
-        assert "--- CONTENT START ---\nabc" in r.messages[1]["content"]
-        assert "no weapons" in r.messages[0]["content"]
-        assert "{{" not in r.messages[0]["content"] + r.messages[1]["content"]
+        assert "--- CONTENT START ---\nabc" in r[1]["content"]
+        assert "no weapons" in r[0]["content"]
+        assert "{{" not in r[0]["content"] + r[1]["content"]
 
     def test_multimodal_requires_all_fields(self):
         t = load_template("multimodal-direct")
@@ -91,7 +95,23 @@ class TestTemplates:
             render_prompt(t, fields)  # transcript missing
         fields["transcript"] = "hello"
         r = render_prompt(t, fields)
-        assert "<TRANSCRIPT> hello </TRANSCRIPT>" in r.messages[1]["content"]
+        assert "<TRANSCRIPT> hello </TRANSCRIPT>" in r[1]["content"]
+
+    @pytest.mark.parametrize("template_id", TEMPLATE_IDS)
+    def test_item_text_is_sent_verbatim(self, template_id):
+        # every value quotes every placeholder, and none may be filled in
+        quoted = " ".join(PLACEHOLDER_FIELDS)
+        fields = {key: f"<{key}: {quoted}>" for key in PLACEHOLDER_FIELDS.values()}
+        t = load_template(template_id)
+        expected = []
+        for text in (t.system, t.user):
+            for i, placeholder in enumerate(PLACEHOLDER_FIELDS):
+                text = text.replace(placeholder, f"\0{i}\0")
+            for i, key in enumerate(PLACEHOLDER_FIELDS.values()):
+                text = text.replace(f"\0{i}\0", fields[key])
+            expected.append(text)
+        assert [m["content"] for m in render_prompt(t, fields)] == expected
+        assert quoted in expected[1]
 
     def test_render_deterministic(self):
         t = load_template("text-cot")
@@ -102,7 +122,7 @@ class TestTemplates:
 class TestSegmentSpans:
     def test_single_outcome_record(self):
         payload = valid_payload()
-        outcome, reasoning = segment_spans(payload["content"], [RawToken(t["surface"], t["logprob"], tuple((c["surface"], c["logprob"]) for c in t.get("top", ()))) for t in payload["tokens"]])
+        outcome, reasoning = segment_spans(payload["content"], [(t["surface"], t["logprob"], tuple((c["surface"], c["logprob"]) for c in t.get("top", ()))) for t in payload["tokens"]])
         assert outcome.chosen == ("1",)
         assert len(outcome.surfaces[0]) == 3
         assert len(reasoning.chosen) == 0
@@ -111,7 +131,7 @@ class TestSegmentSpans:
         payload = valid_payload()
         outcome, reasoning = segment_spans(
             payload["content"],
-            [RawToken(t["surface"], t["logprob"]) for t in payload["tokens"]],
+            [(t["surface"], t["logprob"], ()) for t in payload["tokens"]],
         )
         assert (len(outcome.chosen), len(reasoning.chosen)) == (1, 0)
 
@@ -122,7 +142,7 @@ class TestSegmentSpans:
         spans = locate_structured_fields(content)
         vs = spans.outcome_value[0]
         pieces = [content[:vs], content[vs : vs + 1], content[vs + 1 :]]
-        outcome, reasoning = segment_spans(content, [RawToken(p, -0.2) for p in pieces if p])
+        outcome, reasoning = segment_spans(content, [(p, -0.2, ()) for p in pieces if p])
         assert reasoning.chosen == (pieces[0],)
         assert outcome.chosen == ("1",)
 
@@ -154,7 +174,66 @@ class TestSegmentSpans:
     def test_tokens_not_covering_outcome(self):
         content = VALID_CONTENT
         with pytest.raises(OutcomeTokenNotFound):
-            segment_spans(content, [RawToken(content[:3], -0.1)])
+            segment_spans(content, [(content[:3], -0.1, ())])
+
+
+_FINITE_LOGPROBS = st.one_of(st.floats(-30.0, 0.0), st.sampled_from([0.0, -0.0, 5e-10, 0.25]))
+_BAD_LOGPROBS = st.sampled_from([math.nan, -math.inf, math.inf])
+
+
+@st.composite
+def _cut_responses(draw):
+    """A structured response cut into tokens at random points, with extra
+    cuts on the edges of the outcome value and the reasoning array;
+    repeated cuts make zero-length tokens, and the stream may stop early."""
+    obj = {"outcome": draw(st.sampled_from(["0", "1", "2", 1])), "p_correct": 85, "band": "H"}
+    steps = draw(st.lists(st.text("ab 1{}[]\",:", max_size=6), max_size=3))
+    if draw(st.integers(0, 2)):  # two in three responses carry reasoning
+        obj["reasoning_steps"] = [{"step_number": i + 1, "description": d} for i, d in enumerate(steps)]
+    keys = draw(st.permutations(list(obj)))
+    body = json.dumps({k: obj[k] for k in keys}, indent=draw(st.sampled_from([None, 1])))
+    content = draw(st.sampled_from(["", "Sure: "])) + body + draw(st.sampled_from(["", " ok"]))
+
+    spans = locate_structured_fields(content)
+    edges = [spans.outcome_value[0] + d for d in (-1, 0, 1)]
+    if spans.reasoning_array is not None:
+        edges += [e + d for e in spans.reasoning_array for d in (-1, 0, 1)]
+    edges = [e for e in edges if 0 <= e <= len(content)]
+    cuts = draw(st.lists(st.integers(0, len(content)) | st.sampled_from(edges), max_size=12))
+    bounds = [0, *sorted(cuts), len(content)]
+    pieces = [content[i:j] for i, j in zip(bounds, bounds[1:])]
+    kept = len(pieces) if draw(st.integers(0, 2)) else draw(st.integers(0, len(pieces)))
+
+    logprobs = _FINITE_LOGPROBS | _BAD_LOGPROBS if draw(st.booleans()) else _FINITE_LOGPROBS
+    top = st.lists(st.tuples(st.sampled_from(["0", "1", "x"]), logprobs), max_size=3)
+    tokens = [(piece, draw(logprobs), draw(top)) for piece in pieces[:kept]]
+    return content, tokens
+
+
+def _spans_or_error(fn, content, tokens):
+    try:
+        return [span_view(span) for span in fn(content, tokens)]
+    except (OutcomeTokenNotFound, InvalidLogprob) as exc:
+        return type(exc), str(exc)
+
+
+class TestSegmentSpansReference:
+    @settings(max_examples=400, deadline=None)
+    @given(_cut_responses())
+    def test_slices_like_the_per_token_loop(self, response):
+        content, raw = response
+        tokens = tuple(gateway._provider_token(*t) for t in raw)
+        # The loop's min(lp, 0.0) turned +inf into 0; the gateway now leaves
+        # +inf for token_span, which rejects it as it rejects nan, with the
+        # same message, so the loop is fed nan wherever the stream holds +inf.
+        def nan_for_inf(lp):
+            return math.nan if lp == math.inf else lp
+
+        no_inf = [(s, nan_for_inf(lp), [(c, nan_for_inf(v)) for c, v in top]) for s, lp, top in raw]
+        got = _spans_or_error(segment_spans, content, tokens)
+        assert got == _spans_or_error(segment_spans_reference, content, no_inf)
+        if got != _spans_or_error(segment_spans_reference, content, raw):
+            assert got[0] is InvalidLogprob  # a kept +inf is the only difference
 
 
 class TestStubAndDispatch:
@@ -324,7 +403,7 @@ class TestRunInference:
         with pytest.raises(AuthFailure):
             run_inference(self._items(2), load_template("text-direct"), Unauthorized({}), sleep=NO_SLEEP)
 
-    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf], ids=["nan", "-inf", "+inf"])
     def test_invalid_logprob_gives_up_one_item(self, bad):
         # item a's outcome token carries the bad logprob on every attempt
         top = [{"surface": "1", "logprob": bad}, {"surface": "0", "logprob": math.log(0.2)}]
@@ -413,8 +492,8 @@ class TestHttpProvider:
         provider = HttpProvider(endpoint, model="test-model")
         response = provider.complete(self._request())
         assert response.content == VALID_CONTENT
-        assert response.tokens[1].surface == "1"
-        assert len(response.tokens[1].top) == 3
+        assert response.tokens[1][0] == "1"
+        assert len(response.tokens[1][2]) == 3
 
         path, auth, body = handler.seen[0]
         assert path == "/chat/completions"
@@ -422,6 +501,15 @@ class TestHttpProvider:
         assert body["temperature"] == 0.0 and body["top_p"] == 1.0 and body["n"] == 1
         assert body["max_tokens"] == 8096
         assert body["logprobs"] is True and body["top_logprobs"] == 20
+
+    def test_positive_wire_logprob_clamped(self, http_endpoint, monkeypatch):
+        endpoint, handler = http_endpoint
+        monkeypatch.setenv("LPP_API_KEY", "k")
+        payload = valid_payload()
+        payload["tokens"][1]["top"][1]["logprob"] = 0.25
+        handler.script.append((200, _chat_body(payload)))
+        response = HttpProvider(endpoint, model="m").complete(self._request())
+        assert response.tokens[1][2][1] == ("0", 0.0)
 
     def test_missing_credentials(self, http_endpoint, monkeypatch):
         endpoint, _ = http_endpoint

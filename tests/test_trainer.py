@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppgate import trainer
@@ -310,7 +310,47 @@ class TestIsotonic:
         assert np.all(np.diff(cal.values) >= -1e-12)
 
 
+def _stratified_kfold_indices_reference(z, n_splits=3, seed=42):
+    """stratified_kfold_indices as a Python deal, one index at a time."""
+    zz = np.asarray(z, dtype=int)
+    rng = np.random.default_rng(seed)
+    folds = [[] for _ in range(n_splits)]
+    for cls in (0, 1):
+        idx = np.flatnonzero(zz == cls)
+        if len(idx) < n_splits:
+            raise DegenerateFold(f"class {cls} has {len(idx)} examples, need >= {n_splits}")
+        rng.shuffle(idx)
+        for i, value in enumerate(idx):
+            folds[i % n_splits].append(int(value))
+    return [np.array(sorted(f), dtype=int) for f in folds]
+
+
+def _folds_or_error(fn, *args):
+    try:
+        return [(f.dtype, f.tolist()) for f in fn(*args)]
+    except DegenerateFold as exc:
+        return str(exc)
+
+
 class TestFoldsAndCrossFit:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1), max_size=60),
+        st.integers(2, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_sliced_deal_equals_reference(self, z, n_splits, seed):
+        z = np.array(z, dtype=int)
+        folds = _folds_or_error(stratified_kfold_indices, z, n_splits, seed)
+        assert folds == _folds_or_error(_stratified_kfold_indices_reference, z, n_splits, seed)
+        try:
+            splits = trainer._fold_splits(z, seed)
+        except DegenerateFold:
+            return
+        for (train_idx, held_out), fold in zip(splits, _stratified_kfold_indices_reference(z, 3, seed)):
+            assert held_out.tolist() == fold.tolist()
+            assert train_idx.tolist() == np.setdiff1d(np.arange(len(z)), fold).tolist()
+
     def test_folds_partition_and_stratify(self):
         z = np.array([0] * 9 + [1] * 21)
         folds = stratified_kfold_indices(z, 3, seed=42)

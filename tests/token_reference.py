@@ -1,13 +1,15 @@
 """The per-token classes that schema.TokenSpan replaced, kept as the
 reference that token_span, trace_from_dict and the feature kernels are
-checked against."""
+checked against, and the per-token loop that gateway.segment_spans
+replaced."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from lppgate.schema import LOGPROB_TOLERANCE, Span, TokenSpan
+from lppgate.gateway import OutcomeTokenNotFound
+from lppgate.schema import LOGPROB_TOLERANCE, Span, TokenSpan, locate_structured_fields, token_span
 
 
 @dataclass(frozen=True)
@@ -83,3 +85,30 @@ def records_view(records) -> list:
         )
         for r in records
     ]
+
+
+def segment_spans_reference(content: str, tokens) -> tuple[TokenSpan, TokenSpan]:
+    """segment_spans as one loop over (surface, logprob, top) tokens,
+    clamping each kept logprob with min(lp, 0.0), which turns +inf into 0."""
+    spans = locate_structured_fields(content)
+    if spans is None or spans.outcome_value is None:
+        raise OutcomeTokenNotFound("no outcome field located in response text")
+    outcome_pos = spans.outcome_value[0]
+    reasoning_array = spans.reasoning_array
+
+    outcome: list = []  # at most one token
+    reasoning: list = []
+    offset = 0
+    for surface, logprob, top in tokens:
+        start, end = offset, offset + len(surface)
+        offset = end
+        if start <= outcome_pos < end and not outcome:
+            span = outcome
+        elif reasoning_array is not None and start < reasoning_array[1] and end > reasoning_array[0]:
+            span = reasoning
+        else:
+            continue
+        span.append((surface, min(logprob, 0.0), [(s, min(lp, 0.0)) for s, lp in top]))
+    if not outcome:
+        raise OutcomeTokenNotFound("token stream does not cover the outcome field value")
+    return token_span(outcome), token_span(reasoning)
