@@ -104,8 +104,9 @@ class ProviderNoLogprobs(RuntimeError):
     gray-box-unavailable and flagged for default escalation downstream."""
 
 
-class MissingPlaceholder(KeyError):
-    pass
+class MissingPlaceholder(ValueError):
+    """An item lacks a field its template needs; that item gives up as
+    "missing_field" without a request being sent."""
 
 
 class OutcomeTokenNotFound(ValueError):
@@ -371,7 +372,10 @@ def _run_one(
 ) -> tuple[ResponseTrace | None, dict | None, str | None]:
     """Returns (trace, give_up record, no-logprobs item id); one is set."""
     item_id = str(item["item_id"])
-    request = Request(item_id, render_prompt(template, item), decoding)
+    try:
+        request = Request(item_id, render_prompt(template, item), decoding)
+    except MissingPlaceholder:
+        return None, {"item_id": item_id, "attempts": 0, "failure": "missing_field"}, None
     expected_steps = 3 if template.cot else 0
 
     attempt = 0
@@ -423,9 +427,10 @@ def run_inference(
     whose request the provider rejects, becomes a give-up with failure
     "transport" or "rejected"; a response with a nan or infinite token
     logprob is a failed attempt under the retry contract, and gives up as
-    "invalid_logprob". An AuthFailure aborts the run. Non-default
-    decoding values require the explicit override flag (recorded in the run
-    manifest by the caller).
+    "invalid_logprob". An item lacking a field the template needs gives up
+    as "missing_field" after 0 attempts. An AuthFailure aborts the run.
+    Non-default decoding values require the explicit override flag
+    (recorded in the run manifest by the caller).
     """
     if decoding != DEFAULT_DECODING and not allow_decoding_override:
         raise ValueError(

@@ -9,6 +9,11 @@ structured responses, holds each span of a trace's token log-probabilities
 arrays built by token_span, and decides whether a malformed response is
 retried (deterministic re-request, at most three retries) or given up on.
 
+A response has one reader: the JSON object at its first ``{``, decoded by
+json's own scanner, which yields each field's value and its offsets in the
+response together. A later duplicate key wins, as in json.loads, for the
+parsed fields and the located spans alike.
+
 All functions here are pure and safe to call concurrently on distinct
 traces.
 """
@@ -41,7 +46,6 @@ __all__ = [
     "snap_confidence",
     "parse_structured_response",
     "decide_retry",
-    "find_balanced_object",
     "locate_structured_fields",
     "token_span",
     "trace_to_dict",
@@ -241,49 +245,6 @@ class ResponseTrace:
         return label if label is not None else self.structured.outcome
 
 
-def _match_bracket(raw: str, i: int, end: int) -> int | None:
-    """Index just past the bracket that closes ``raw[i]`` (``{`` or ``[``),
-    or None when it is unbalanced before ``end``. Only the opening
-    bracket's own kind is counted, and brackets inside JSON strings are
-    skipped."""
-    open_ = raw[i]
-    close = "}" if open_ == "{" else "]"
-    depth = 0
-    in_string = False
-    escape = False
-    for j in range(i, end):
-        c = raw[j]
-        if in_string:
-            if escape:
-                escape = False
-            elif c == "\\":
-                escape = True
-            elif c == '"':
-                in_string = False
-        elif c == '"':
-            in_string = True
-        elif c == open_:
-            depth += 1
-        elif c == close:
-            depth -= 1
-            if depth == 0:
-                return j + 1
-    return None
-
-
-def find_balanced_object(raw: str) -> tuple[int, int] | None:
-    """Locate the first balanced top-level JSON object in ``raw``.
-
-    Returns (start, end) character indices, or None when no balanced object
-    exists. Tolerates text before and after the object.
-    """
-    start = raw.find("{")
-    if start < 0:
-        return None
-    stop = _match_bracket(raw, start, len(raw))
-    return None if stop is None else (start, stop)
-
-
 @dataclass(frozen=True)
 class FieldSpans:
     """Character spans of schema fields inside a raw response text.
@@ -298,95 +259,82 @@ class FieldSpans:
     reasoning_array: tuple[int, int] | None
 
 
-def _scan_value(raw: str, i: int, end: int) -> tuple[int, int, int]:
-    """Scan one JSON value starting at non-ws ``i``; return (vstart, vend, next).
+_DECODER = json.JSONDecoder()
+_skip_ws = json.decoder.WHITESPACE.match
 
-    For quoted strings, (vstart, vend) covers the content between the quotes.
+
+def _object_fields(raw: str) -> tuple[tuple[int, int], dict[str, tuple[object, int, int]]]:
+    """Decode the JSON object at the first ``{`` of ``raw``.
+
+    Returns the object's (start, end) span and ``{key: (value, start,
+    end)}``, each value's span taken from the same decode; a later
+    duplicate key replaces an earlier one, as in json.loads. Raises
+    ValueError (JSONDecodeError for malformed text) on any decoding error.
     """
-    ch = raw[i]
-    if ch == '"':
-        j = i + 1
-        escape = False
-        while j < end:
-            c = raw[j]
-            if escape:
-                escape = False
-            elif c == "\\":
-                escape = True
-            elif c == '"':
-                return i + 1, j, j + 1
-            j += 1
-        return i + 1, end, end
-    if ch in "{[":
-        stop = _match_bracket(raw, i, end)
-        return (i, end, end) if stop is None else (i, stop, stop)
-    j = i
-    while j < end and raw[j] not in ",}]":
-        j += 1
-    # trim trailing whitespace off bare scalars
-    k = j
-    while k > i and raw[k - 1].isspace():
-        k -= 1
-    return i, k, j
+    start = raw.find("{")
+    if start < 0:
+        raise json.JSONDecodeError("Expecting '{'", raw, len(raw))
+    fields = {}
+    i = _skip_ws(raw, start + 1).end()
+    if raw[i : i + 1] == "}":
+        return (start, i + 1), fields
+    while True:
+        if raw[i : i + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", raw, i)
+        key, i = json.decoder.scanstring(raw, i + 1)
+        i = _skip_ws(raw, i).end()
+        if raw[i : i + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", raw, i)
+        value_start = _skip_ws(raw, i + 1).end()
+        value, i = _DECODER.raw_decode(raw, value_start)
+        fields[key] = (value, value_start, i)
+        i = _skip_ws(raw, i).end()
+        if raw[i : i + 1] == "}":
+            return (start, i + 1), fields
+        if raw[i : i + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", raw, i)
+        i = _skip_ws(raw, i + 1).end()
 
 
 def locate_structured_fields(raw: str) -> FieldSpans | None:
-    """Find the spans of the ``outcome`` and ``reasoning_steps`` fields.
+    """Find the spans of the ``outcome`` and ``reasoning_steps`` fields, or
+    None when ``raw`` holds no valid object at its first ``{``.
 
-    Walks the first balanced object at depth 1 only, so an outcome digit
-    appearing inside reasoning text is never mistaken for the field value.
+    Only the object's own keys are read, so an outcome digit appearing
+    inside reasoning text is never mistaken for the field value.
     """
-    span = find_balanced_object(raw)
-    if span is None:
+    try:
+        span, fields = _object_fields(raw)
+    except ValueError:
         return None
-    start, end = span
-    outcome_span = None
-    reasoning_span = None
-    i = start + 1
-    while i < end - 1:
-        while i < end - 1 and raw[i] in ", \t\r\n":
-            i += 1
-        if i >= end - 1 or raw[i] != '"':
-            break
-        kstart, kend, i = _scan_value(raw, i, end)
-        key = raw[kstart:kend]
-        while i < end - 1 and raw[i] in " \t\r\n":
-            i += 1
-        if i >= end - 1 or raw[i] != ":":
-            break
-        i += 1
-        while i < end - 1 and raw[i] in " \t\r\n":
-            i += 1
-        vstart, vend, i = _scan_value(raw, i, end)
-        if key == "outcome" and outcome_span is None:
-            outcome_span = (vstart, vend)
-        elif key == "reasoning_steps" and reasoning_span is None:
-            reasoning_span = (vstart, vend)
-    return FieldSpans((start, end), outcome_span, reasoning_span)
+
+    def value_span(key: str) -> tuple[int, int] | None:
+        if key not in fields:
+            return None
+        value, start, end = fields[key]
+        return (start + 1, end - 1) if isinstance(value, str) else (start, end)
+
+    return FieldSpans(span, value_span("outcome"), value_span("reasoning_steps"))
 
 
 def parse_structured_response(raw: str, expect_steps: int | None = None) -> StructuredResponse:
     """Parse and validate a raw model response under the integer-token schema.
 
-    Extracts the first balanced JSON object (providers sometimes wrap the
-    object in prose), normalizes the outcome token, snaps ``p_correct`` to
-    the nearest multiple of 5, and validates the confidence band and
-    reasoning steps. ``expect_steps`` pins the required number of reasoning
-    steps (3 for chain-of-thought prompts, 0 for direct answers); None
-    accepts any consecutive numbering.
+    Decodes the JSON object at the first ``{`` (providers sometimes wrap
+    the object in prose), normalizes the outcome token, snaps a finite
+    ``p_correct`` to the nearest multiple of 5, and validates the
+    confidence band and reasoning steps. ``expect_steps`` pins the required
+    number of reasoning steps (3 for chain-of-thought prompts, 0 for direct
+    answers); None accepts any consecutive numbering.
 
     Raises ParseFailure with a kind describing what went wrong; every kind
     is a retry candidate.
     """
-    span = find_balanced_object(raw)
-    if span is None:
-        raise ParseFailure(FailureKind.MALFORMED_JSON, "no balanced JSON object")
     try:
-        obj = json.loads(raw[span[0] : span[1]])
-    except json.JSONDecodeError as exc:
+        _, fields = _object_fields(raw)
+    except ValueError as exc:
         raise ParseFailure(FailureKind.MALFORMED_JSON, str(exc)) from exc
-    if not isinstance(obj, dict):
-        raise ParseFailure(FailureKind.MALFORMED_JSON, "top-level value is not an object")
+    obj = {key: value for key, (value, _, _) in fields.items()}
 
     raw_outcome = obj.get("outcome")
     if raw_outcome is None:
@@ -395,11 +343,11 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
     if outcome is None:
         raise ParseFailure(FailureKind.MISSING_OUTCOME, f"unrecognized outcome {raw_outcome!r}")
 
-    steps_raw = obj.get("reasoning_steps") or []
-    if not isinstance(steps_raw, list):
+    steps_raw = obj.get("reasoning_steps")
+    if not isinstance(steps_raw, (list, type(None))):
         raise ParseFailure(FailureKind.INVALID_STEPS, "reasoning_steps is not a list")
     steps = []
-    for entry in steps_raw:
+    for entry in steps_raw or ():
         if not isinstance(entry, dict):
             raise ParseFailure(FailureKind.INVALID_STEPS, "step entry is not an object")
         number = entry.get("step_number")
@@ -416,7 +364,7 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
 
     p_raw = obj.get("p_correct")
     p_correct = None
-    if isinstance(p_raw, (int, float)) and not isinstance(p_raw, bool):
+    if isinstance(p_raw, (int, float)) and not isinstance(p_raw, bool) and math.isfinite(p_raw):
         p_correct = snap_confidence(p_raw)
 
     band_raw = obj.get("band")

@@ -534,15 +534,18 @@ class TestGenerateManifest:
     def test_committed_stub_corpus(self, tmp_path):
         # The corpus CI runs through `generate` in separate processes: six
         # accepted items (one after a malformed first response, one with a
-        # 0.25 provider logprob), a give-up after four malformed responses
-        # and an item without logprobs.
+        # 0.25 provider logprob), a give-up after four malformed responses,
+        # an item without logprobs and one lacking its concept definition.
         fixture = Path(__file__).parent / "fixtures" / "stub"
         out = tmp_path / "run"
         argv = ["--items", fixture / "items.jsonl", "--stub", fixture / "stub.json"]
         assert run_cli("generate", "--out", out, *argv, "--template", "text-cot", "--pool-width", 4) == 0
         extra = json.loads((out / "generate.manifest.json").read_text())["extra"]
-        assert (extra["items"], extra["accepted"]) == (8, 6)
-        assert extra["give_ups"] == [{"item_id": "it-04", "attempts": 4, "failure": "malformed_json"}]
+        assert (extra["items"], extra["accepted"]) == (9, 6)
+        assert extra["give_ups"] == [
+            {"item_id": "it-04", "attempts": 4, "failure": "malformed_json"},
+            {"item_id": "it-09", "attempts": 0, "failure": "missing_field"},
+        ]
         assert extra["gray_box_unavailable"] == ["it-05"]
         traces = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
         assert [(t["item_id"], t["attempt"]) for t in traces] == [

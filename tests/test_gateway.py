@@ -91,8 +91,9 @@ class TestTemplates:
             "video_frames": "gs://frames",
             "concept_definition": "def",
         }
-        with pytest.raises(MissingPlaceholder):
+        with pytest.raises(MissingPlaceholder) as err:
             render_prompt(t, fields)  # transcript missing
+        assert str(err.value) == "template 'multimodal-direct' needs field 'transcript'"
         fields["transcript"] = "hello"
         r = render_prompt(t, fields)
         assert "<TRANSCRIPT> hello </TRANSCRIPT>" in r[1]["content"]
@@ -422,6 +423,32 @@ class TestRunInference:
 
         with pytest.raises(AuthFailure):
             run_inference(items, template, UnauthorizedForB(fixtures), pool_width=2, sleep=NO_SLEEP)
+
+
+    def test_missing_field_gives_up_one_item(self):
+        items = [{"item_id": "a", "text": "x"}, *self._items(1)]
+        fixtures = {"it-00": [valid_payload()]}
+        result = run_inference(items, load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
+        assert [t.item_id for t in result.traces] == ["it-00"]
+        assert result.give_ups == [{"item_id": "a", "attempts": 0, "failure": "missing_field"}]
+
+    @staticmethod
+    def _one_token_per_character(content):
+        return {"content": content, "tokens": [{"surface": c, "logprob": -0.1} for c in content]}
+
+    def test_duplicate_outcome_key_the_last_one_wins(self):
+        fixtures = {"it-00": [self._one_token_per_character('{"outcome": "1", "outcome": "0"}')]}
+        result = run_inference(self._items(1), load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
+        (trace,) = result.traces
+        assert trace.outcome.chosen == ("0",)
+        assert trace.structured.outcome is trace.effective_outcome() is OutcomeLabel.NO
+
+    def test_escaped_outcome_key_is_located(self):
+        fixtures = {"it-00": [self._one_token_per_character('{"outc\\u006fme": "2", "p_correct": 85}')]}
+        result = run_inference(self._items(1), load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
+        (trace,) = result.traces
+        assert (trace.attempt, trace.outcome.chosen) == (1, ("2",))
+        assert trace.structured.outcome is OutcomeLabel.INCONCLUSIVE_EVIDENCE
 
 
 def _chat_body(payload):

@@ -1,12 +1,12 @@
+import dataclasses
 import json
-from unittest import mock
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lppgate import schema
 from lppgate.schema import (
     ConfidenceBand,
     FailureKind,
@@ -17,7 +17,6 @@ from lppgate.schema import (
     RetryDecision,
     Span,
     decide_retry,
-    find_balanced_object,
     locate_structured_fields,
     normalize_outcome_token,
     parse_structured_response,
@@ -29,6 +28,7 @@ from lppgate.schema import (
     write_traces_jsonl,
 )
 from lppgate.synth import SynthConfig, generate_corpus
+from tests import response_reference as reference
 from tests.token_reference import record, records_view, span_view, token_records_from_dict
 
 
@@ -175,8 +175,27 @@ class TestParseStructuredResponse:
         assert [r.step_number for r in s.reasoning_steps] == [1, 2, 3]
 
     def test_non_numeric_p_correct_treated_as_absent(self):
-        s = parse_structured_response('{"outcome":"1","p_correct":"high"}')
-        assert s.p_correct is None
+        for value in ('"high"', "NaN", "Infinity", "-Infinity"):
+            s = parse_structured_response('{"outcome":"1","p_correct":%s}' % value)
+            assert s.p_correct is None, value
+
+    @pytest.mark.parametrize("steps", ['""', "{}", "0", "false", '"abc"'])
+    def test_reasoning_steps_must_be_a_list_or_null(self, steps):
+        with pytest.raises(ParseFailure) as err:
+            parse_structured_response('{"outcome":"1","reasoning_steps":%s}' % steps)
+        assert err.value.kind is FailureKind.INVALID_STEPS
+        assert parse_structured_response('{"outcome":"1","reasoning_steps":null}').reasoning_steps == ()
+
+    def test_integer_past_the_digit_limit_is_malformed(self):
+        # json hands the digits to int(), which raises a bare ValueError
+        with pytest.raises(ParseFailure) as err:
+            parse_structured_response('{"outcome":"1","p_correct":%s}' % ("1" * 5000))
+        assert err.value.kind is FailureKind.MALFORMED_JSON
+
+    def test_malformed_message_counts_in_the_whole_response(self):
+        with pytest.raises(ParseFailure, match=r"char 23\)$") as err:
+            parse_structured_response('Here it is: {"outcome" 1}')
+        assert err.value.kind is FailureKind.MALFORMED_JSON
 
 
 class TestDecideRetry:
@@ -203,118 +222,135 @@ class TestDecideRetry:
 class TestBalancedObject:
     def test_finds_first_object(self):
         raw = 'noise {"a": {"b": 1}} trailing'
-        start, end = find_balanced_object(raw)
+        start, end = locate_structured_fields(raw).object_span
         assert raw[start:end] == '{"a": {"b": 1}}'
 
     def test_braces_inside_strings_ignored(self):
         raw = '{"a": "}{", "b": 2}'
-        start, end = find_balanced_object(raw)
+        start, end = locate_structured_fields(raw).object_span
         assert raw[start:end] == raw
 
     def test_unbalanced_returns_none(self):
-        assert find_balanced_object('{"a": 1') is None
+        assert locate_structured_fields('{"a": 1') is None
 
 
-def _find_balanced_object_reference(raw):
-    """find_balanced_object before both brace scanners became one helper."""
-    start = raw.find("{")
-    if start < 0:
-        return None
-    depth = 0
-    in_string = False
-    escape = False
-    for i in range(start, len(raw)):
-        ch = raw[i]
-        if in_string:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return start, i + 1
-    return None
-
-
-def _scan_value_reference(raw, i, end):
-    """_scan_value before its object/array branch shared find_balanced_object's scanner."""
-    ch = raw[i]
-    if ch == '"':
-        j = i + 1
-        escape = False
-        while j < end:
-            c = raw[j]
-            if escape:
-                escape = False
-            elif c == "\\":
-                escape = True
-            elif c == '"':
-                return i + 1, j, j + 1
-            j += 1
-        return i + 1, end, end
-    if ch in "{[":
-        close = "}" if ch == "{" else "]"
-        open_ = ch
-        depth = 0
-        in_string = False
-        escape = False
-        j = i
-        while j < end:
-            c = raw[j]
-            if in_string:
-                if escape:
-                    escape = False
-                elif c == "\\":
-                    escape = True
-                elif c == '"':
-                    in_string = False
-            elif c == '"':
-                in_string = True
-            elif c == open_:
-                depth += 1
-            elif c == close:
-                depth -= 1
-                if depth == 0:
-                    return i, j + 1, j + 1
-            j += 1
-        return i, end, end
-    j = i
-    while j < end and raw[j] not in ",}]":
-        j += 1
-    k = j
-    while k > i and raw[k - 1].isspace():
-        k -= 1
-    return i, k, j
-
-
-# every character the scanners treat specially, plus filler; the pairs make
-# escaped quotes and backslashes inside strings common
+# every character the old scanners treated specially, plus filler; the
+# pairs make escaped quotes and backslashes inside strings common
 _SCANNER_PIECES = st.sampled_from([*'{}[]":,\\ a1', '\\"', "\\\\", '{"', '"}', '"a":', '["', '"]'])
+_WS = st.sampled_from(["", " ", "\n", "\t ", "\r\n  "])
+# braces, brackets, quotes and backslashes inside string values
+_TEXT = st.text(alphabet='{}[]"\\:, a1', max_size=10)
+_OUTCOMES = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "yes", "No", " 2 ", "maybe", ""]),
+    st.integers(min_value=-1, max_value=4),
+    st.sampled_from([None, True, [], {}]),
+)
+_STEPS = st.one_of(
+    st.lists(
+        st.fixed_dictionaries({"step_number": st.integers(1, 4), "description": _TEXT}), max_size=4
+    ).map(lambda steps: sorted(steps, key=lambda s: s["step_number"])),
+    st.integers(1, 4).map(lambda n: [{"step_number": i, "description": f"s{i}"} for i in range(1, n + 1)]),
+    st.sampled_from([None, "", {}, 0, False, 0.0, "abc", [1], [{"step_number": True}]]),
+)
+_P_CORRECT = st.one_of(
+    st.integers(-10, 200),
+    st.floats(-10, 200),
+    st.sampled_from([None, "high", True, math.nan, math.inf, -math.inf]),
+)
+_BANDS = st.sampled_from([None, "H", "vh", " m ", "HUGE", 3])
 
 
-class TestBraceScannerMatchesReference:
-    @settings(max_examples=500, deadline=None)
-    @given(st.lists(_SCANNER_PIECES, max_size=30).map("".join))
-    @example('{"a\\"}"')
-    @example('{"a": "\\\\"}, "outcome": 1}')
-    # an array left open runs to the object's end
-    @example('{"reasoning_steps": [{"a": "]"}, "outcome": "1"}')
-    def test_find_and_locate_equal_references(self, raw):
-        assert find_balanced_object(raw) == _find_balanced_object_reference(raw)
-        got = locate_structured_fields(raw)
-        with mock.patch.object(schema, "find_balanced_object", _find_balanced_object_reference), mock.patch.object(
-            schema, "_scan_value", _scan_value_reference
-        ):
-            want = locate_structured_fields(raw)
-        assert got == want
+@st.composite
+def _responses(draw):
+    """(raw, plain, outcome text): a structured response in random key order
+    and whitespace, wrapped in prose, sometimes cut short or with one
+    scanner piece inserted. ``plain`` is
+    False when the outcome key is repeated or written with an escape; the
+    outcome text is what the last outcome key's span must hold."""
+    fields = [("outcome", draw(_OUTCOMES))]
+    for key, values in (("reasoning_steps", _STEPS), ("p_correct", _P_CORRECT), ("band", _BANDS), ("note", _TEXT)):
+        if draw(st.booleans()):
+            fields.append((key, draw(values)))
+    fields = draw(st.permutations(fields))
+    plain = True
+    if draw(st.integers(0, 3)) == 0:
+        # a second outcome key, later in the object
+        fields.insert(draw(st.integers(1, len(fields))), ("outcome", draw(_OUTCOMES)))
+        plain = False
+    keys = [json.dumps(k) for k, _ in fields]
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.sampled_from([i for i, (k, _) in enumerate(fields) if k == "outcome"]))
+        keys[at] = '"outc\\u006fme"'
+        plain = False
+    ws = lambda: draw(_WS)  # noqa: E731
+    members = [f"{ws()}{key}{ws()}:{ws()}{json.dumps(v)}{ws()}" for key, (_, v) in zip(keys, fields)]
+    prefix = draw(st.sampled_from(["", "Sure:\n", "[1] answer: "]))
+    suffix = draw(st.sampled_from(["", "\nthanks", " {x} }"]))
+    outcome = json.dumps([v for k, v in fields if k == "outcome"][-1])
+    outcome_text = outcome[1:-1] if outcome.startswith('"') else outcome
+    raw = prefix + "{" + ",".join(members) + "}" + suffix
+    at, edit = draw(st.integers(0, len(raw))), draw(st.integers(0, 9))
+    if edit == 0:
+        raw = raw[:at]  # decodes only when the cut falls after the object
+    elif edit == 1:
+        raw, outcome_text = raw[:at] + draw(_SCANNER_PIECES) + raw[at:], None
+    return raw, plain, outcome_text
+
+
+def _parsed(parse, raw, expect_steps):
+    try:
+        return parse(raw, expect_steps), None
+    except ParseFailure as exc:
+        return None, exc.kind
+
+
+def _reference_object(raw):
+    span = reference.find_balanced_object(raw)
+    return json.loads(raw[span[0] : span[1]])
+
+
+class TestResponseReaderMatchesReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(_SCANNER_PIECES, max_size=30).map(lambda pieces: ("".join(pieces), True, None)),
+            _responses(),
+        ),
+        st.sampled_from([None, 0, 3]),
+    )
+    @example(('{"a\\"}"', True, None), None)
+    @example(('{"a": "\\\\"}, "outcome": 1}', True, None), None)
+    @example(('{"reasoning_steps": [{"a": "]"}, "outcome": "1"}', True, None), None)
+    @example(('{"outcome": "1", "outcome": "0"}', False, "0"), None)
+    @example(('{"outc\\u006fme": 2}', False, "2"), None)
+    @example(('{"outcome": 1,}', True, "1"), None)
+    @example(('{"outcome": 1 "band": "H"}', True, "1"), None)
+    def test_parse_and_locate_equal_references(self, case, expect_steps):
+        raw, plain, outcome_text = case
+        want, want_kind = _parsed(reference.parse_structured_response, raw, expect_steps)
+        got, got_kind = _parsed(parse_structured_response, raw, expect_steps)
+        decodes = want_kind is not FailureKind.MALFORMED_JSON
+        if decodes and want_kind is not FailureKind.MISSING_OUTCOME:
+            obj = _reference_object(raw)
+            steps, p = obj.get("reasoning_steps"), obj.get("p_correct")
+            # the two changes made on purpose: falsy non-list steps are
+            # invalid, and a non-finite p_correct is absent
+            if not isinstance(steps, (list, type(None))):
+                want, want_kind = None, FailureKind.INVALID_STEPS
+            elif want is not None and isinstance(p, float) and not math.isfinite(p):
+                want = dataclasses.replace(want, p_correct=None)
+        assert (got, got_kind) == (want, want_kind)
+
+        spans = locate_structured_fields(raw)
+        if not decodes:
+            assert spans is None
+            return
+        if plain:
+            assert spans == reference.locate_structured_fields(raw)
+        if outcome_text is not None:
+            # the last outcome key, escaped or not, is the one located
+            vs, ve = spans.outcome_value
+            assert raw[vs:ve] == outcome_text
 
 
 class TestLocateStructuredFields:
@@ -338,6 +374,17 @@ class TestLocateStructuredFields:
         vs, ve = spans.outcome_value
         assert raw[vs:ve] == "0"
         assert vs > spans.reasoning_array[1]
+
+    def test_last_duplicate_and_escaped_keys_located(self):
+        raw = '{"outcome": "1", "reasoning_steps": [], "outc\\u006fme": 2, "reasoning_steps": null}'
+        spans = locate_structured_fields(raw)
+        vs, ve = spans.outcome_value
+        rs, re_ = spans.reasoning_array
+        assert (raw[vs:ve], raw[rs:re_]) == ("2", "null")
+
+    @pytest.mark.parametrize("raw", ['{"outcome": 1,,}', '{"outcome" 1}', "no object", '{"outcome": "1}'])
+    def test_invalid_object_is_not_located(self, raw):
+        assert locate_structured_fields(raw) is None
 
 
 class TestTraceInvariantsAndRoundTrip:
