@@ -269,7 +269,9 @@ def _object_fields(raw: str) -> tuple[tuple[int, int], dict[str, tuple[object, i
     Returns the object's (start, end) span and ``{key: (value, start,
     end)}``, each value's span taken from the same decode; a later
     duplicate key replaces an earlier one, as in json.loads. Raises
-    ValueError (JSONDecodeError for malformed text) on any decoding error.
+    ValueError (JSONDecodeError for malformed text) on any decoding error,
+    and RecursionError, from json's scanner, for a value nested past the
+    interpreter's recursion limit.
     """
     start = raw.find("{")
     if start < 0:
@@ -305,7 +307,7 @@ def locate_structured_fields(raw: str) -> FieldSpans | None:
     """
     try:
         span, fields = _object_fields(raw)
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
 
     def value_span(key: str) -> tuple[int, int] | None:
@@ -322,7 +324,8 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
 
     Decodes the JSON object at the first ``{`` (providers sometimes wrap
     the object in prose), normalizes the outcome token, snaps a finite
-    ``p_correct`` to the nearest multiple of 5, and validates the
+    ``p_correct`` to the nearest multiple of 5 (one that is not a number,
+    or nan, infinite or past float range, counts as absent), and validates the
     confidence band and reasoning steps. ``expect_steps`` pins the required
     number of reasoning steps (3 for chain-of-thought prompts, 0 for direct
     answers); None accepts any consecutive numbering.
@@ -332,7 +335,7 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
     """
     try:
         _, fields = _object_fields(raw)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseFailure(FailureKind.MALFORMED_JSON, str(exc)) from exc
     obj = {key: value for key, (value, _, _) in fields.items()}
 
@@ -364,8 +367,13 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
 
     p_raw = obj.get("p_correct")
     p_correct = None
-    if isinstance(p_raw, (int, float)) and not isinstance(p_raw, bool) and math.isfinite(p_raw):
-        p_correct = snap_confidence(p_raw)
+    if isinstance(p_raw, (int, float)) and not isinstance(p_raw, bool):
+        try:
+            p_float = float(p_raw)
+        except OverflowError:  # an integer past float range
+            p_float = math.nan
+        if math.isfinite(p_float):
+            p_correct = snap_confidence(p_float)
 
     band_raw = obj.get("band")
     band = None

@@ -20,6 +20,15 @@ threshold 0.5; ties go to the earlier point in enumeration order
 enumerated and reported, but since tol and max_iter bind nowhere, only
 the 56 distinct (alpha, class_weight, calibration) configurations are
 fitted, and each fold's ridge fit is shared by both calibrators.
+
+The search does each kind of fit in bulk. fit_ridge_weighted takes a
+sequence of alphas and solves them from one Gram matrix per (outer fold,
+class weight, inner fold); fit_platt takes many score vectors, and one
+call fits every held-out fold of every sigmoid configuration, running the
+Newton steps of equal-length fits in lockstep. Each ridge and each Platt
+fit is bit-identical to fitting it alone, and a Platt fit that fails falls
+back to identity on its own. cross_fit_calibrated, for the final gate and
+every refit, calls the same two functions with one alpha and three fits.
 """
 
 from __future__ import annotations
@@ -182,12 +191,16 @@ def fit_ridge_weighted(
     X: np.ndarray,
     z: Sequence[int],
     weights: tuple[float, float] = (1.0, 1.0),
-    alpha: float = 1.0,
-) -> tuple[np.ndarray, float]:
+    alpha: float | Sequence[float] = 1.0,
+) -> tuple[np.ndarray, float] | list[tuple[np.ndarray, float]]:
     """Minimize the weighted ridge objective; returns (w, b).
 
     Solves the normal equations of the augmented system with an
-    unpenalized intercept.
+    unpenalized intercept. ``alpha`` may be a 1-D sequence: the Gram
+    matrix and right-hand side are then built once, each alpha's penalty
+    is added to its own copy, all systems are solved by one stacked solve,
+    and one (w, b) is returned per alpha, each bit-identical to a
+    scalar-alpha fit.
     """
     X = np.asarray(X, dtype=float)
     zz = np.asarray(z, dtype=float)
@@ -195,17 +208,21 @@ def fit_ridge_weighted(
         raise ValueError("X must be n x d with matching labels")
     omega = _sample_weights(zz, weights)
     n, d = X.shape
+    alphas = np.asarray(alpha, dtype=float)
 
-    Xa = np.hstack([X, np.ones((n, 1))])
-    penalty = np.zeros((d + 1, d + 1))
-    penalty[:d, :d] = alpha * np.eye(d)
+    Xa = np.empty((n, d + 1))
+    Xa[:, :d] = X
+    Xa[:, d] = 1.0
+    penalty = np.zeros((alphas.size, d + 1, d + 1))
+    penalty[:, :d, :d] = alphas.reshape(-1, 1, 1) * np.eye(d)
     gram = Xa.T @ (omega[:, None] * Xa) + penalty
     rhs = Xa.T @ (omega * zz)
     try:
-        beta = np.linalg.solve(gram, rhs)
+        beta = np.linalg.solve(gram, rhs[:, None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    return beta[:d], float(beta[d])
+    fits = [(row[:d], float(row[d])) for row in beta]
+    return fits[0] if alphas.ndim == 0 else fits
 
 
 # ---------------------------------------------------------------------------
@@ -274,39 +291,92 @@ def _calibrator_from_dict(obj: dict):
 
 
 def fit_platt(
-    scores: Sequence[float], z: Sequence[int], grad_tol: float = 1e-9, max_iter: int = 100
-) -> SigmoidCalibrator:
-    """Fit sigmoid calibration by Newton iterations on smoothed targets.
+    scores: Sequence[Sequence[float]],
+    z: Sequence[Sequence[int]],
+    grad_tol: float = 1e-9,
+    max_iter: int = 100,
+) -> list[SigmoidCalibrator | NonConvergence]:
+    """Fit sigmoid calibration by Newton iterations on smoothed targets, for
+    many (scores, labels) pairs at once; returns one result per pair, in
+    order: the fitted calibrator, or the NonConvergence that pair's fit
+    ended with (returned, not raised, so one failure spares the others).
 
     Targets are t+ = (N+ + 1)/(N+ + 2) and t- = 1/(N- + 2), which keeps the
     likelihood bounded on separable folds. Convergence is declared when the
     gradient infinity-norm drops below grad_tol; a constant-score input has
     a flat likelihood direction resolved by a = 0.
+
+    Fits of equal length run their Newton steps in lockstep on one
+    (fits, length) array, so every row sum runs over a row of its true
+    length and each fit's steps are bit-identical to fitting it alone. A
+    fit leaves the loop when its own gradient test passes; it fails after
+    max_iter steps, or when its own Hessian is singular.
     """
-    s = np.asarray(scores, dtype=float)
-    zz = np.asarray(z, dtype=int)
-    n_pos = int(np.sum(zz == 1))
-    n_neg = len(zz) - n_pos
-    t = np.where(zz == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+    results: list[SigmoidCalibrator | NonConvergence | None] = [None] * len(scores)
+    by_length: dict[int, list[int]] = {}
+    for i, (s_i, z_i) in enumerate(zip(scores, z, strict=True)):
+        s_i = np.asarray(s_i, dtype=float)
+        if np.all(s_i == s_i[0]):
+            zz = np.asarray(z_i, dtype=int)
+            mean_t = float(_platt_targets(zz[None])[0].mean())
+            results[i] = SigmoidCalibrator(a=0.0, b=float(np.log(mean_t / (1.0 - mean_t))))
+        else:
+            by_length.setdefault(len(s_i), []).append(i)
 
-    if np.all(s == s[0]):
-        mean_t = float(t.mean())
-        return SigmoidCalibrator(a=0.0, b=float(np.log(mean_t / (1.0 - mean_t))))
+    for fits in by_length.values():
+        S = np.array([scores[i] for i in fits], dtype=float)
+        T = _platt_targets(np.array([z[i] for i in fits], dtype=int))
+        ab = np.zeros((len(fits), 2))
+        ids = np.array(fits)
+        for _ in range(max_iter):
+            p = expit(ab[:, :1] * S + ab[:, 1:])
+            grad = np.stack([np.sum((p - T) * S, axis=1), np.sum(p - T, axis=1)], axis=1)
+            done = np.max(np.abs(grad), axis=1) < grad_tol
+            for i, (a, b) in zip(ids[done], ab[done]):
+                results[i] = SigmoidCalibrator(a=float(a), b=float(b))
+            if done.any():
+                keep = ~done
+                S, T, ab, ids, p, grad = S[keep], T[keep], ab[keep], ids[keep], p[keep], grad[keep]
+            if not len(ids):
+                break
+            r = p * (1.0 - p) + 1e-12
+            h_ab = np.sum(r * S, axis=1)
+            hess = np.stack([np.sum(r * S * S, axis=1), h_ab, h_ab, np.sum(r, axis=1)], axis=1)
+            steps, singular = _solve_each(hess.reshape(-1, 2, 2), grad)
+            for i in ids[singular]:
+                results[i] = NonConvergence("singular Hessian in Platt fit")
+            ab = ab - steps
+            if singular.any():
+                keep = ~singular
+                S, T, ab, ids = S[keep], T[keep], ab[keep], ids[keep]
+        for i in ids:
+            results[i] = NonConvergence(f"Platt fit did not reach gradient tolerance {grad_tol}")
+    return results
 
-    a, b = 0.0, 0.0
-    for _ in range(max_iter):
-        p = expit(a * s + b)
-        grad = np.array([np.sum((p - t) * s), np.sum(p - t)])
-        if np.max(np.abs(grad)) < grad_tol:
-            return SigmoidCalibrator(a=float(a), b=float(b))
-        r = p * (1.0 - p) + 1e-12
-        hess = np.array([[np.sum(r * s * s), np.sum(r * s)], [np.sum(r * s), np.sum(r)]])
+
+def _platt_targets(z: np.ndarray) -> np.ndarray:
+    """Each row's smoothed targets, from that row's class counts."""
+    n_pos = np.sum(z == 1, axis=1, keepdims=True)
+    n_neg = z.shape[1] - n_pos
+    return np.where(z == 1, (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0))
+
+
+def _solve_each(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve each 2x2 system; returns the steps and a mask of the singular
+    systems. A stacked solve raises when any matrix is singular, so only
+    then is each system solved on its own to find which."""
+    try:
+        return np.linalg.solve(hess, grad[:, :, None])[:, :, 0], np.zeros(len(hess), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    steps = np.zeros_like(grad)
+    singular = np.zeros(len(hess), dtype=bool)
+    for k in range(len(hess)):
         try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergence("singular Hessian in Platt fit") from exc
-        a, b = a - step[0], b - step[1]
-    raise NonConvergence(f"Platt fit did not reach gradient tolerance {grad_tol}")
+            steps[k] = np.linalg.solve(hess[k], grad[k])
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return steps, singular
 
 
 def fit_isotonic(scores: Sequence[float], z: Sequence[float]) -> IsotonicCalibrator:
@@ -403,17 +473,22 @@ def _fold_average(pipelines: Sequence[FoldPipeline], X_std: np.ndarray) -> np.nd
     return np.clip(stacked.mean(axis=0), 0.0, 1.0)
 
 
-def _fit_calibrator(kind: str, scores: np.ndarray, z: np.ndarray):
+def _fit_calibrators(kind: str, fits: Sequence[tuple[np.ndarray, np.ndarray]]) -> list:
+    """One calibrator per (scores, labels) pair; every Platt fit of the list
+    runs in one fit_platt call, and each that fails falls back to identity
+    with a warning."""
     if kind == "sigmoid":
-        try:
-            return fit_platt(scores, z)
-        except NonConvergence as exc:
-            warnings.warn(f"Platt calibration fell back to identity: {exc}")
-            return IdentityCalibrator()
+        calibrators = []
+        for result in fit_platt([s for s, _ in fits], [z for _, z in fits]):
+            if isinstance(result, NonConvergence):
+                warnings.warn(f"Platt calibration fell back to identity: {result}")
+                result = IdentityCalibrator()
+            calibrators.append(result)
+        return calibrators
     if kind == "isotonic":
-        return fit_isotonic(scores, z)
+        return [fit_isotonic(s, z) for s, z in fits]
     if kind == "identity":
-        return IdentityCalibrator()
+        return [IdentityCalibrator() for _ in fits]
     raise ValueError(f"unknown calibration {kind!r}")
 
 
@@ -435,7 +510,7 @@ def _fold_splits(z: np.ndarray, seed: int) -> list[tuple[np.ndarray, np.ndarray]
         in_train = np.ones(len(z), dtype=bool)
         in_train[held_out] = False
         train_idx = np.flatnonzero(in_train)
-        if len(np.unique(z[train_idx])) < 2 or len(np.unique(z[held_out])) < 2:
+        if any(labels.min() == labels.max() for labels in (z[train_idx], z[held_out])):
             raise DegenerateFold("a fold is missing one class")
         splits.append((train_idx, held_out))
     return splits
@@ -447,26 +522,28 @@ def _cross_fit_folds(X: np.ndarray, z: np.ndarray, seed: int) -> _CrossFitFolds:
 
 
 def _fold_ridges(
-    folds: _CrossFitFolds, alpha: float, class_weight: str
-) -> list[tuple[np.ndarray, float, np.ndarray]]:
-    """Ridge on each fold's training rows: (w, b, held-out raw scores)."""
-    out = []
+    folds: _CrossFitFolds, alphas: Sequence[float], class_weight: str
+) -> list[list[tuple[np.ndarray, float, np.ndarray]]]:
+    """Ridge on each fold's training rows, for every alpha from one Gram
+    matrix per fold: per alpha, one (w, b, held-out raw scores) per fold."""
+    per_fold = []
     for train_idx, held_out in folds.splits:
         z_train = folds.z[train_idx]
         weights = resolve_class_weights(class_weight, z_train)
-        w, b = fit_ridge_weighted(folds.X_std[train_idx], z_train, weights, alpha)
-        out.append((w, b, folds.X_std[held_out] @ w + b))
-    return out
+        fits = fit_ridge_weighted(folds.X_std[train_idx], z_train, weights, alphas)
+        per_fold.append([(w, b, folds.X_std[held_out] @ w + b) for w, b in fits])
+    return [list(ridges) for ridges in zip(*per_fold)]
 
 
-def _calibrated_folds(
-    folds: _CrossFitFolds, ridges: list[tuple[np.ndarray, float, np.ndarray]], calibration: str
-) -> list[FoldPipeline]:
-    """Fit one calibrator per fold on that fold's held-out raw scores."""
-    return [
-        FoldPipeline(w=w, b=b, calibrator=_fit_calibrator(calibration, raw, folds.z[held_out]))
-        for (w, b, raw), (_, held_out) in zip(ridges, folds.splits)
-    ]
+def _held_out_fits(
+    folds: _CrossFitFolds, ridges: list[tuple[np.ndarray, float, np.ndarray]]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each fold's (held-out raw scores, held-out labels): a calibrator's data."""
+    return [(raw, folds.z[held_out]) for (_, _, raw), (_, held_out) in zip(ridges, folds.splits)]
+
+
+def _pipelines(ridges: list[tuple[np.ndarray, float, np.ndarray]], calibrators: list) -> list[FoldPipeline]:
+    return [FoldPipeline(w=w, b=b, calibrator=cal) for (w, b, _), cal in zip(ridges, calibrators)]
 
 
 def cross_fit_calibrated(
@@ -479,10 +556,10 @@ def cross_fit_calibrated(
     """Train the gate without its threshold: ridge on two folds, calibrator
     on the held-out fold, for each of three stratified folds."""
     folds = _cross_fit_folds(np.asarray(X, dtype=float), np.asarray(z, dtype=int), seed)
-    ridges = _fold_ridges(folds, cfg.alpha, cfg.class_weight)
+    (ridges,) = _fold_ridges(folds, [cfg.alpha], cfg.class_weight)
     return TrainedGate(
         scaler=folds.scaler,
-        folds=_calibrated_folds(folds, ridges, cfg.calibration),
+        folds=_pipelines(ridges, _fit_calibrators(cfg.calibration, _held_out_fits(folds, ridges))),
         chosen_config=cfg,
         feature_names=list(feature_names) if feature_names is not None else [],
     )
@@ -519,8 +596,12 @@ def grid_search(
 
     Points that differ only in tol/max_iter share one evaluation, the outer
     folds' cross-fit set-up is built once, and each inner ridge fit serves
-    every calibrator of its (alpha, class_weight). The report still has one
-    row per point of ``space``, in order.
+    every calibrator of its (alpha, class_weight). Every ridge is fitted
+    first, one Gram matrix per (outer fold, class weight, inner fold)
+    serving every alpha; then one fit_platt call fits every held-out fold
+    of every sigmoid configuration in lockstep; isotonic fits, fold
+    averages and F1 follow per configuration. The report still has one row
+    per point of ``space``, in order.
     """
     if space is None:
         space = default_grid()
@@ -536,15 +617,34 @@ def grid_search(
     calibrations: dict[tuple[float, str], list[str]] = {}
     for alpha, class_weight, calibration in distinct_configs(space):
         calibrations.setdefault((alpha, class_weight), []).append(calibration)
+    alphas: dict[str, list[float]] = {}
+    for alpha, class_weight in calibrations:
+        alphas.setdefault(class_weight, []).append(alpha)
+
+    # Every ridge of the search first: ridges[(alpha, class_weight), o] holds
+    # outer fold o's inner-fold ridges, each fold's Gram serving every alpha.
+    ridges: dict[tuple[tuple[float, str], int], list] = {}
+    for class_weight, weight_alphas in alphas.items():
+        for o, (folds, _, _) in enumerate(outer):
+            for alpha, fold_ridges in zip(weight_alphas, _fold_ridges(folds, weight_alphas, class_weight)):
+                ridges[(alpha, class_weight), o] = fold_ridges
+    held = {(key, o): _held_out_fits(outer[o][0], r) for (key, o), r in ridges.items()}
+
+    # Then every Platt fit of the search, in one call.
+    sigmoid = [(key, o) for key, kinds in calibrations.items() if "sigmoid" in kinds for o in range(len(outer))]
+    platt = iter(_fit_calibrators("sigmoid", [fit for key_o in sigmoid for fit in held[key_o]]))
+    platt_calibrators = {key_o: [next(platt) for _ in held[key_o]] for key_o in sigmoid}
+
     fold_f1: dict[tuple[float, str, str], list[float]] = {}
-    for (alpha, class_weight), kinds in calibrations.items():
-        for folds, X_held, z_held in outer:
-            ridges = _fold_ridges(folds, alpha, class_weight)
+    for key, kinds in calibrations.items():
+        for o, (_, X_held, z_held) in enumerate(outer):
             for kind in kinds:
-                s = _fold_average(_calibrated_folds(folds, ridges, kind), X_held)
-                fold_f1.setdefault((alpha, class_weight, kind), []).append(
-                    minority_f1(s >= 0.5, z_held)
-                )
+                if kind == "sigmoid":
+                    calibrators = platt_calibrators[key, o]
+                else:
+                    calibrators = _fit_calibrators(kind, held[key, o])
+                s = _fold_average(_pipelines(ridges[key, o], calibrators), X_held)
+                fold_f1.setdefault((*key, kind), []).append(minority_f1(s >= 0.5, z_held))
 
     report: list[dict] = []
     best_idx, best_score = 0, -np.inf

@@ -327,7 +327,7 @@ def test_criterion_6_calibration_sanity():
     s_fit, z_fit = sample()
     s_eval, z_eval = sample()
 
-    platt = fit_platt(s_fit, z_fit)
+    (platt,) = fit_platt([s_fit], [z_fit])
     ece_platt = _ece_equal_mass(platt.predict(s_eval), z_eval)
     assert ece_platt < 0.05, f"Platt ECE {ece_platt:.4f}"
 

@@ -432,6 +432,28 @@ class TestRunInference:
         assert [t.item_id for t in result.traces] == ["it-00"]
         assert result.give_ups == [{"item_id": "a", "attempts": 0, "failure": "missing_field"}]
 
+    def test_nesting_past_the_recursion_limit_gives_up_one_item(self):
+        # json's scanner raises RecursionError on a value this deep
+        content = '{"outcome": "1", "x": ' + "[" * 5000 + "]" * 5000 + "}"
+        steps = [{"step_number": i, "description": f"step {i}"} for i in (1, 2, 3)]
+        fixtures = {
+            "a": [{"content": content, "tokens": [{"surface": content, "logprob": -0.1}]}],
+            "b": [make_payload(json.dumps({"reasoning_steps": steps, "outcome": "1"}))],
+        }
+        items = [{"item_id": i, "text": "x", "concept_definition": "d"} for i in ("a", "b")]
+        result = run_inference(items, load_template("text-cot"), StubProvider(fixtures), sleep=NO_SLEEP)
+        assert [t.item_id for t in result.traces] == ["b"]
+        assert result.give_ups == [{"item_id": "a", "attempts": 4, "failure": "malformed_json"}]
+
+    def test_p_correct_past_float_range_counts_as_absent(self):
+        content = '{"outcome": "1", "p_correct": 1' + "0" * 400 + "}"
+        fixtures = {"a": [make_payload(content)], "b": [valid_payload()]}
+        items = [{"item_id": i, "text": "x", "concept_definition": "d"} for i in ("a", "b")]
+        result = run_inference(items, load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
+        assert [t.item_id for t in result.traces] == ["a", "b"]
+        assert [t.structured.p_correct for t in result.traces] == [None, 85]
+        assert result.give_ups == []
+
     @staticmethod
     def _one_token_per_character(content):
         return {"content": content, "tokens": [{"surface": c, "logprob": -0.1} for c in content]}

@@ -18,7 +18,10 @@ from lppgate.trainer import (
     DegenerateFold,
     FeatureMismatch,
     IdentityCalibrator,
+    NonConvergence,
     RidgeConfig,
+    SigmoidCalibrator,
+    SingularSystem,
     cross_fit_calibrated,
     default_grid,
     distinct_configs,
@@ -38,6 +41,7 @@ from lppgate.trainer import (
     stratified_kfold_indices,
 )
 from tests.ridge_oracle import fit_ridge_lsqr, ridge_objective
+from tests.trainer_reference import fit_platt_reference, fit_ridge_weighted_reference
 
 
 class TestStandardize:
@@ -147,18 +151,18 @@ class TestRidge:
 class TestPlatt:
     def test_symmetric_two_point_solution(self):
         # gradient tolerance 1e-9 pins the parameters to ~1e-6
-        cal = fit_platt([-1.0, 1.0], [0, 1])
+        (cal,) = fit_platt([[-1.0, 1.0]], [[0, 1]])
         assert cal.a == pytest.approx(math.log(2), abs=1e-6)
         assert cal.b == pytest.approx(0.0, abs=1e-6)
 
     def test_all_same_label_near_flat(self):
-        cal = fit_platt([0.1, 0.4, 0.9], [1, 1, 1])
+        (cal,) = fit_platt([[0.1, 0.4, 0.9]], [[1, 1, 1]])
         target = 4.0 / 5.0  # (N+ + 1)/(N+ + 2)
         preds = cal.predict(np.array([0.1, 0.4, 0.9]))
         assert np.all(np.abs(preds - target) < 0.02)
 
     def test_constant_scores_pick_zero_slope(self):
-        cal = fit_platt([0.3, 0.3, 0.3, 0.3], [0, 1, 1, 0])
+        (cal,) = fit_platt([[0.3, 0.3, 0.3, 0.3]], [[0, 1, 1, 0]])
         assert cal.a == 0.0
         # sigmoid(b) equals the mean smoothed target
         t = np.array([1 / 4, 3 / 4, 3 / 4, 1 / 4]).mean()
@@ -168,10 +172,151 @@ class TestPlatt:
         rng = np.random.default_rng(6)
         s = rng.uniform(size=100)
         z = (s + rng.normal(scale=0.2, size=100) > 0.5).astype(int)
-        cal = fit_platt(s, z)
+        (cal,) = fit_platt([s], [z])
         assert cal.a > 0
         p = cal.predict(np.sort(s))
         assert np.all(np.diff(p) >= 0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A fit's result in comparable form: the exact (w, b) or (a, b) bits
+    (a list of them for a list of fits), or the exception's type and
+    message."""
+    try:
+        result = fn(*args, **kwargs)
+    except (NonConvergence, SingularSystem) as exc:
+        return type(exc), str(exc)
+    return [_bits(r) for r in result] if isinstance(result, list) else _bits(result)
+
+
+def _floating_point_error(fn, *args, **kwargs) -> bool:
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            fn(*args, **kwargs)
+        except FloatingPointError:
+            return True
+        except NonConvergence:
+            pass
+    return False
+
+
+def _bits(result):
+    if isinstance(result, NonConvergence):
+        return type(result), str(result)
+    if isinstance(result, SigmoidCalibrator):
+        return repr((result.a, result.b))
+    w, b = result
+    return w.tobytes(), repr(b)
+
+
+# score vectors whose Hessian is exactly singular at the first step:
+# r*s and r*s*s underflow to 0 for the subnormal 5e-324
+_SINGULAR_SCORES = st.lists(st.sampled_from([0.0, 5e-324]), min_size=0, max_size=7).map(
+    lambda rest: [0.0, 5e-324, *rest]
+)
+
+
+@st.composite
+def _platt_fit(draw, n):
+    kind = draw(st.sampled_from(["random", "constant", "separable", "singular"]))
+    if kind == "singular":
+        s = draw(_SINGULAR_SCORES)
+        return s, [1] * len(s)
+    z = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if kind == "random":
+        s = draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n))
+    elif kind == "constant":
+        s = [draw(st.floats(-5.0, 5.0))] * n
+    else:  # labels split by a score threshold
+        s = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n, unique=True)))
+        cut = draw(st.integers(1, n - 1))
+        z = [0] * cut + [1] * (n - cut)
+    return s, z
+
+
+@st.composite
+def _platt_fit_sets(draw):
+    """1-10 fits whose lengths repeat, so some share a lockstep group."""
+    lengths = draw(st.lists(st.sampled_from([2, 3, 3, 5, 9, 40]), min_size=1, max_size=10))
+    return [draw(_platt_fit(n)) for n in lengths]
+
+
+class TestBatchedFitsMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_platt_fit_sets(), st.sampled_from([100, 100, 8, 2, 1]))
+    def test_platt_batch_equals_per_fit_loop(self, fits, max_iter):
+        scores, labels = [s for s, _ in fits], [z for _, z in fits]
+        # a batch meets a floating-point error (a RuntimeWarning, which the
+        # suite's filterwarnings turns into an error) exactly when one of its
+        # fits alone does
+        assert _floating_point_error(fit_platt, scores, labels, max_iter=max_iter) == any(
+            _floating_point_error(fit_platt_reference, s, z, max_iter=max_iter) for s, z in fits
+        )
+        with np.errstate(all="ignore"):
+            results = fit_platt(scores, labels, max_iter=max_iter)
+            assert len(results) == len(fits)
+            for (s, z), result in zip(fits, results):
+                assert type(result) in (SigmoidCalibrator, NonConvergence)
+                assert _bits(result) == _outcome(fit_platt_reference, s, z, max_iter=max_iter)
+
+    def test_singular_hessian_fails_only_its_own_fit(self):
+        rng = np.random.default_rng(19)
+        good = [(rng.normal(size=n), rng.integers(0, 2, size=n)) for n in (2, 3, 3, 2)]
+        fits = [good[0], ([0.0, 5e-324], [1, 1]), *good[1:], ([0.0, 5e-324, 0.0], [1, 1, 1])]
+        results = fit_platt([s for s, _ in fits], [z for _, z in fits])
+        assert [str(r) for r in results if isinstance(r, NonConvergence)] == ["singular Hessian in Platt fit"] * 2
+        assert isinstance(results[1], NonConvergence) and isinstance(results[-1], NonConvergence)
+        for (s, z), result in zip(fits, results):
+            assert _bits(result) == _outcome(fit_platt_reference, s, z)
+
+    def test_each_failed_platt_fit_warns_and_falls_back(self):
+        fits = [(np.array([-1.0, 1.0]), np.array([0, 1])), (np.array([0.0, 5e-324]), np.array([1, 1]))]
+        with pytest.warns(UserWarning, match="^Platt calibration fell back to identity: singular Hessian") as caught:
+            calibrators = trainer._fit_calibrators("sigmoid", fits)
+        assert len(caught) == 1
+        assert isinstance(calibrators[0], SigmoidCalibrator)
+        assert isinstance(calibrators[1], IdentityCalibrator)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(3, 30),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.sampled_from([(1.0, 1.0), (0.64, 1.0), (2.0, 1.0), (1.0, 0.5), (0.37, 2.9)]),
+        st.lists(st.sampled_from([0.0, 1e-300, 0.1, 1.0, 10.0, 100.0]), min_size=1, max_size=5),
+    )
+    def test_ridge_alphas_equal_one_solve_each(self, n, d, seed, collinear, weights, alphas):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        if collinear:
+            X[:, -1] = 2.0 * X[:, 0]
+        z = rng.integers(0, 2, size=n)
+        each = [_outcome(fit_ridge_weighted_reference, X, z, weights, a) for a in alphas]
+        errors = [e for e in each if isinstance(e[0], type)]
+        # a stacked solve fails as a whole when any alpha's system is singular
+        assert _outcome(fit_ridge_weighted, X, z, weights, alphas) == (errors[0] if errors else each)
+        assert _outcome(fit_ridge_weighted, X, z, weights, alphas[0]) == each[0]
+
+    def test_grid_search_batches_its_fits(self, monkeypatch):
+        calls = {"ridge": 0, "platt": 0}
+        ridge, platt = trainer.fit_ridge_weighted, trainer.fit_platt
+
+        def counted(fn, name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(trainer, "fit_ridge_weighted", counted(ridge, "ridge"))
+        monkeypatch.setattr(trainer, "fit_platt", counted(platt, "platt"))
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(60, 3))
+        z = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
+        grid_search(X, z)
+        # one Gram per class weight, outer and inner fold; one Platt call
+        assert calls == {"ridge": len(CLASS_WEIGHT_GRID) * 3 * 3, "platt": 1}
 
 
 def _isotonic_oracle(z):
@@ -519,16 +664,17 @@ class TestGridSearch:
         calls = {"ridge": 0, "calibrators": 0}
         ridge, platt, isotonic = trainer.fit_ridge_weighted, trainer.fit_platt, trainer.fit_isotonic
 
-        def counted(fn, name):
+        def counted(fn, name, fits_in_call):
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                calls[name] += fits_in_call(*args)
                 return fn(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(trainer, "fit_ridge_weighted", counted(ridge, "ridge"))
-        monkeypatch.setattr(trainer, "fit_platt", counted(platt, "calibrators"))
-        monkeypatch.setattr(trainer, "fit_isotonic", counted(isotonic, "calibrators"))
+        # ridge systems solved (one per alpha) and calibrators fitted
+        monkeypatch.setattr(trainer, "fit_ridge_weighted", counted(ridge, "ridge", lambda X, z, w, alpha: np.size(alpha)))
+        monkeypatch.setattr(trainer, "fit_platt", counted(platt, "calibrators", lambda scores, z: len(scores)))
+        monkeypatch.setattr(trainer, "fit_isotonic", counted(isotonic, "calibrators", lambda scores, z: 1))
         rng = np.random.default_rng(18)
         X = rng.normal(size=(60, 3))
         z = (X[:, 0] + rng.normal(size=60) > 0).astype(int)
