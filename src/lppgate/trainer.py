@@ -21,14 +21,13 @@ enumerated and reported, but since tol and max_iter bind nowhere, only
 the 56 distinct (alpha, class_weight, calibration) configurations are
 fitted, and each fold's ridge fit is shared by both calibrators.
 
-The search does each kind of fit in bulk. fit_ridge_weighted takes a
-sequence of alphas and solves them from one Gram matrix per (outer fold,
-class weight, inner fold); fit_platt takes many score vectors, and one
-call fits every held-out fold of every sigmoid configuration, running the
-Newton steps of equal-length fits in lockstep. Each ridge and each Platt
+One routine, _fit_pipelines, fits the fold pipelines of the search and of
+the final gate alike, each kind of fit in bulk: one fit_ridge_weighted
+call per (cross-fit, class weight, fold) solves every alpha from one Gram
+matrix, then one calibrator call per calibration kind fits every held-out
+fold of that kind, fit_platt running equal-length fits in lockstep. Each
 fit is bit-identical to fitting it alone, and a Platt fit that fails falls
-back to identity on its own. cross_fit_calibrated, for the final gate and
-every refit, calls the same two functions with one alpha and three fits.
+back to identity on its own.
 """
 
 from __future__ import annotations
@@ -191,16 +190,16 @@ def fit_ridge_weighted(
     X: np.ndarray,
     z: Sequence[int],
     weights: tuple[float, float] = (1.0, 1.0),
-    alpha: float | Sequence[float] = 1.0,
-) -> tuple[np.ndarray, float] | list[tuple[np.ndarray, float]]:
-    """Minimize the weighted ridge objective; returns (w, b).
+    alphas: Sequence[float] = (1.0,),
+) -> list[tuple[np.ndarray, float]]:
+    """Minimize the weighted ridge objective for each alpha; returns one
+    (w, b) per alpha.
 
     Solves the normal equations of the augmented system with an
-    unpenalized intercept. ``alpha`` may be a 1-D sequence: the Gram
-    matrix and right-hand side are then built once, each alpha's penalty
-    is added to its own copy, all systems are solved by one stacked solve,
-    and one (w, b) is returned per alpha, each bit-identical to a
-    scalar-alpha fit.
+    unpenalized intercept. The Gram matrix and right-hand side are built
+    once, each alpha's penalty is added to its own copy, and all systems
+    are solved by one stacked solve; each (w, b) is bit-identical to
+    solving its system alone.
     """
     X = np.asarray(X, dtype=float)
     zz = np.asarray(z, dtype=float)
@@ -208,7 +207,7 @@ def fit_ridge_weighted(
         raise ValueError("X must be n x d with matching labels")
     omega = _sample_weights(zz, weights)
     n, d = X.shape
-    alphas = np.asarray(alpha, dtype=float)
+    alphas = np.asarray(alphas, dtype=float)
 
     Xa = np.empty((n, d + 1))
     Xa[:, :d] = X
@@ -221,8 +220,7 @@ def fit_ridge_weighted(
         beta = np.linalg.solve(gram, rhs[:, None])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
-    fits = [(row[:d], float(row[d])) for row in beta]
-    return fits[0] if alphas.ndim == 0 else fits
+    return [(row[:d], float(row[d])) for row in beta]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +308,8 @@ def fit_platt(
     (fits, length) array, so every row sum runs over a row of its true
     length and each fit's steps are bit-identical to fitting it alone. A
     fit leaves the loop when its own gradient test passes; it fails after
-    max_iter steps, or when its own Hessian is singular.
+    max_iter steps, when its own Hessian is singular, or as soon as a step
+    leaves its (a, b) non-finite.
     """
     results: list[SigmoidCalibrator | NonConvergence | None] = [None] * len(scores)
     by_length: dict[int, list[int]] = {}
@@ -343,11 +342,14 @@ def fit_platt(
             h_ab = np.sum(r * S, axis=1)
             hess = np.stack([np.sum(r * S * S, axis=1), h_ab, h_ab, np.sum(r, axis=1)], axis=1)
             steps, singular = _solve_each(hess.reshape(-1, 2, 2), grad)
-            for i in ids[singular]:
-                results[i] = NonConvergence("singular Hessian in Platt fit")
             ab = ab - steps
-            if singular.any():
-                keep = ~singular
+            # a singular fit takes a zero step, so its (a, b) stays finite
+            failed = singular | ~np.isfinite(ab).all(axis=1)
+            for i, is_singular in zip(ids[failed], singular[failed]):
+                why = "singular Hessian" if is_singular else "Newton step left (a, b) non-finite"
+                results[i] = NonConvergence(f"{why} in Platt fit")
+            if failed.any():
+                keep = ~failed
                 S, T, ab, ids = S[keep], T[keep], ab[keep], ids[keep]
         for i in ids:
             results[i] = NonConvergence(f"Platt fit did not reach gradient tolerance {grad_tol}")
@@ -521,29 +523,38 @@ def _cross_fit_folds(X: np.ndarray, z: np.ndarray, seed: int) -> _CrossFitFolds:
     return _CrossFitFolds(scaler, standardize_apply(scaler, X), z, _fold_splits(z, seed))
 
 
-def _fold_ridges(
-    folds: _CrossFitFolds, alphas: Sequence[float], class_weight: str
-) -> list[list[tuple[np.ndarray, float, np.ndarray]]]:
-    """Ridge on each fold's training rows, for every alpha from one Gram
-    matrix per fold: per alpha, one (w, b, held-out raw scores) per fold."""
-    per_fold = []
-    for train_idx, held_out in folds.splits:
-        z_train = folds.z[train_idx]
-        weights = resolve_class_weights(class_weight, z_train)
-        fits = fit_ridge_weighted(folds.X_std[train_idx], z_train, weights, alphas)
-        per_fold.append([(w, b, folds.X_std[held_out] @ w + b) for w, b in fits])
-    return [list(ridges) for ridges in zip(*per_fold)]
+def _fit_pipelines(
+    cross_fits: Sequence[_CrossFitFolds], configs: Sequence[tuple[float, str, str]]
+) -> dict[tuple[tuple[float, str, str], int], list[FoldPipeline]]:
+    """The three fold pipelines of every (alpha, class_weight, calibration)
+    configuration on every cross-fit, keyed (configuration, cross-fit index).
 
+    First one fit_ridge_weighted call per (class weight, cross-fit, fold)
+    solves every alpha of that class weight, and each ridge scores its
+    fold's held-out rows; then one _fit_calibrators call per calibration
+    kind fits every held-out fold of every configuration of that kind."""
+    alphas: dict[str, dict[float, None]] = {}
+    for alpha, class_weight, _ in configs:
+        alphas.setdefault(class_weight, {})[alpha] = None
+    # ridges[(alpha, class_weight), i]: per fold, (w, b, held-out raw scores, held-out labels)
+    ridges: dict[tuple[tuple[float, str], int], list] = {}
+    for (class_weight, weight_alphas), (i, folds) in product(alphas.items(), enumerate(cross_fits)):
+        for train_idx, held_out in folds.splits:
+            z_train = folds.z[train_idx]
+            weights = resolve_class_weights(class_weight, z_train)
+            fits = fit_ridge_weighted(folds.X_std[train_idx], z_train, weights, list(weight_alphas))
+            for alpha, (w, b) in zip(weight_alphas, fits):
+                fold = (w, b, folds.X_std[held_out] @ w + b, folds.z[held_out])
+                ridges.setdefault(((alpha, class_weight), i), []).append(fold)
 
-def _held_out_fits(
-    folds: _CrossFitFolds, ridges: list[tuple[np.ndarray, float, np.ndarray]]
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each fold's (held-out raw scores, held-out labels): a calibrator's data."""
-    return [(raw, folds.z[held_out]) for (_, _, raw), (_, held_out) in zip(ridges, folds.splits)]
-
-
-def _pipelines(ridges: list[tuple[np.ndarray, float, np.ndarray]], calibrators: list) -> list[FoldPipeline]:
-    return [FoldPipeline(w=w, b=b, calibrator=cal) for (w, b, _), cal in zip(ridges, calibrators)]
+    pipelines = {}
+    for kind in dict.fromkeys(calibration for _, _, calibration in configs):
+        keys = [(config, i) for config in configs if config[2] == kind for i in range(len(cross_fits))]
+        held = [(raw, z) for config, i in keys for _, _, raw, z in ridges[config[:2], i]]
+        calibrators = iter(_fit_calibrators(kind, held))
+        for config, i in keys:
+            pipelines[config, i] = [FoldPipeline(w, b, next(calibrators)) for w, b, _, _ in ridges[config[:2], i]]
+    return pipelines
 
 
 def cross_fit_calibrated(
@@ -556,10 +567,10 @@ def cross_fit_calibrated(
     """Train the gate without its threshold: ridge on two folds, calibrator
     on the held-out fold, for each of three stratified folds."""
     folds = _cross_fit_folds(np.asarray(X, dtype=float), np.asarray(z, dtype=int), seed)
-    (ridges,) = _fold_ridges(folds, [cfg.alpha], cfg.class_weight)
+    key = (cfg.alpha, cfg.class_weight, cfg.calibration)
     return TrainedGate(
         scaler=folds.scaler,
-        folds=_pipelines(ridges, _fit_calibrators(cfg.calibration, _held_out_fits(folds, ridges))),
+        folds=_fit_pipelines([folds], [key])[key, 0],
         chosen_config=cfg,
         feature_names=list(feature_names) if feature_names is not None else [],
     )
@@ -594,14 +605,11 @@ def grid_search(
     two folds and scores the held-out fold. Ties keep the earlier
     configuration in enumeration order.
 
-    Points that differ only in tol/max_iter share one evaluation, the outer
-    folds' cross-fit set-up is built once, and each inner ridge fit serves
-    every calibrator of its (alpha, class_weight). Every ridge is fitted
-    first, one Gram matrix per (outer fold, class weight, inner fold)
-    serving every alpha; then one fit_platt call fits every held-out fold
-    of every sigmoid configuration in lockstep; isotonic fits, fold
-    averages and F1 follow per configuration. The report still has one row
-    per point of ``space``, in order.
+    Points that differ only in tol/max_iter share one evaluation. The
+    outer folds' cross-fit set-ups are built once, and one _fit_pipelines
+    call fits the pipelines of every distinct configuration on all three
+    (see the module docstring); F1 per configuration follows. The report
+    still has one row per point of ``space``, in order.
     """
     if space is None:
         space = default_grid()
@@ -614,44 +622,23 @@ def grid_search(
         folds = _cross_fit_folds(X[train_idx], zz[train_idx], seed)
         outer.append((folds, standardize_apply(folds.scaler, X[held_out]), zz[held_out]))
 
-    calibrations: dict[tuple[float, str], list[str]] = {}
-    for alpha, class_weight, calibration in distinct_configs(space):
-        calibrations.setdefault((alpha, class_weight), []).append(calibration)
-    alphas: dict[str, list[float]] = {}
-    for alpha, class_weight in calibrations:
-        alphas.setdefault(class_weight, []).append(alpha)
-
-    # Every ridge of the search first: ridges[(alpha, class_weight), o] holds
-    # outer fold o's inner-fold ridges, each fold's Gram serving every alpha.
-    ridges: dict[tuple[tuple[float, str], int], list] = {}
-    for class_weight, weight_alphas in alphas.items():
-        for o, (folds, _, _) in enumerate(outer):
-            for alpha, fold_ridges in zip(weight_alphas, _fold_ridges(folds, weight_alphas, class_weight)):
-                ridges[(alpha, class_weight), o] = fold_ridges
-    held = {(key, o): _held_out_fits(outer[o][0], r) for (key, o), r in ridges.items()}
-
-    # Then every Platt fit of the search, in one call.
-    sigmoid = [(key, o) for key, kinds in calibrations.items() if "sigmoid" in kinds for o in range(len(outer))]
-    platt = iter(_fit_calibrators("sigmoid", [fit for key_o in sigmoid for fit in held[key_o]]))
-    platt_calibrators = {key_o: [next(platt) for _ in held[key_o]] for key_o in sigmoid}
-
-    fold_f1: dict[tuple[float, str, str], list[float]] = {}
-    for key, kinds in calibrations.items():
-        for o, (_, X_held, z_held) in enumerate(outer):
-            for kind in kinds:
-                if kind == "sigmoid":
-                    calibrators = platt_calibrators[key, o]
-                else:
-                    calibrators = _fit_calibrators(kind, held[key, o])
-                s = _fold_average(_pipelines(ridges[key, o], calibrators), X_held)
-                fold_f1.setdefault((*key, kind), []).append(minority_f1(s >= 0.5, z_held))
+    configs = distinct_configs(space)
+    pipelines = _fit_pipelines([folds for folds, _, _ in outer], configs)
+    fold_f1 = {
+        config: [
+            minority_f1(_fold_average(pipelines[config, o], X_held) >= 0.5, z_held)
+            for o, (_, X_held, z_held) in enumerate(outer)
+        ]
+        for config in configs
+    }
 
     report: list[dict] = []
     best_idx, best_score = 0, -np.inf
     for i, cfg in enumerate(space):
         fold_scores = fold_f1[(cfg.alpha, cfg.class_weight, cfg.calibration)]
         mean_score = float(np.mean(fold_scores))
-        report.append({**asdict(cfg), "minority_f1": mean_score, "fold_f1": list(fold_scores)})
+        # vars(cfg): the five fields in order, without asdict's deep copy
+        report.append({**vars(cfg), "minority_f1": mean_score, "fold_f1": list(fold_scores)})
         if mean_score > best_score:
             best_idx, best_score = i, mean_score
     return space[best_idx], report

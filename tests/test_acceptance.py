@@ -219,7 +219,7 @@ def test_criterion_3_sensitivity_consistency():
 
 
 def test_criterion_4_ridge_correctness():
-    w, b = fit_ridge_weighted(np.array([[1.0], [-1.0]]), [1, 0], alpha=2.0)
+    [(w, b)] = fit_ridge_weighted(np.array([[1.0], [-1.0]]), [1, 0], alphas=[2.0])
     assert abs(w[0] - 0.25) < 1e-12
     assert abs(b - 0.5) < 1e-12
 
@@ -233,7 +233,7 @@ def test_criterion_4_ridge_correctness():
             z[0] = 1 - z[0]
         weights = (float(rng.uniform(0.3, 3.0)), float(rng.uniform(0.3, 3.0)))
         alpha = float(rng.uniform(0.1, 50.0))
-        w, b = fit_ridge_weighted(X, z, weights, alpha)
+        [(w, b)] = fit_ridge_weighted(X, z, weights, [alpha])
 
         # finite-difference gradient at the reported optimum
         eps = 1e-6

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lppgate import trainer
@@ -64,7 +64,7 @@ class TestRidge:
     def test_hand_solved_case(self):
         X = np.array([[1.0], [-1.0]])
         z = [1, 0]
-        w, b = fit_ridge_weighted(X, z, alpha=2.0)
+        [(w, b)] = fit_ridge_weighted(X, z, alphas=[2.0])
         assert w[0] == pytest.approx(0.25, abs=1e-12)
         assert b == pytest.approx(0.5, abs=1e-12)
 
@@ -72,7 +72,7 @@ class TestRidge:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 3))
         z = rng.integers(0, 2, size=40)
-        w, b = fit_ridge_weighted(X, z, weights=(2.0, 1.0), alpha=1e9)
+        [(w, b)] = fit_ridge_weighted(X, z, weights=(2.0, 1.0), alphas=[1e9])
         assert np.linalg.norm(w) < 1e-6
         omega = np.where(z == 1, 1.0, 2.0)
         assert b == pytest.approx(float(np.sum(omega * z) / omega.sum()), abs=1e-6)
@@ -81,10 +81,10 @@ class TestRidge:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(25, 4))
         z = rng.integers(0, 2, size=25)
-        w1, b1 = fit_ridge_weighted(X, z, alpha=3.0)
-        w2, b2 = fit_ridge_weighted(np.vstack([X, X]), np.concatenate([z, z]), alpha=3.0)
+        [(w1, b1)] = fit_ridge_weighted(X, z, alphas=[3.0])
+        [(w2, b2)] = fit_ridge_weighted(np.vstack([X, X]), np.concatenate([z, z]), alphas=[3.0])
         # duplicating rows scales the data term by 2; match by scaling alpha
-        w3, b3 = fit_ridge_weighted(np.vstack([X, X]), np.concatenate([z, z]), alpha=6.0)
+        [(w3, b3)] = fit_ridge_weighted(np.vstack([X, X]), np.concatenate([z, z]), alphas=[6.0])
         assert np.allclose(w1, w3, atol=1e-9) and b1 == pytest.approx(b3, abs=1e-9)
         assert not np.allclose(w1, w2, atol=1e-12) or True  # alpha fixed shifts solution
 
@@ -94,7 +94,7 @@ class TestRidge:
         z = rng.integers(0, 2, size=60)
         weights = (1.5, 1.0)
         alpha = 4.0
-        w, b = fit_ridge_weighted(X, z, weights, alpha)
+        [(w, b)] = fit_ridge_weighted(X, z, weights, [alpha])
         eps = 1e-6
         grads = []
         for j in range(len(w)):
@@ -118,7 +118,7 @@ class TestRidge:
         X = rng.normal(size=(50, 6))
         z = rng.integers(0, 2, size=50)
         norms = [
-            np.linalg.norm(fit_ridge_weighted(X, z, alpha=a)[0]) for a in (0.1, 1.0, 10.0, 100.0)
+            np.linalg.norm(fit_ridge_weighted(X, z, alphas=[a])[0][0]) for a in (0.1, 1.0, 10.0, 100.0)
         ]
         assert all(norms[i] >= norms[i + 1] - 1e-12 for i in range(len(norms) - 1))
 
@@ -127,7 +127,7 @@ class TestRidge:
         for _ in range(10):
             X = rng.normal(size=(80, 7))
             z = rng.integers(0, 2, size=80)
-            w1, b1 = fit_ridge_weighted(X, z, weights=(0.64, 1.0), alpha=1.0)
+            [(w1, b1)] = fit_ridge_weighted(X, z, weights=(0.64, 1.0), alphas=[1.0])
             w2, b2 = fit_ridge_lsqr(X, z, weights=(0.64, 1.0), alpha=1.0)
             assert np.allclose(w1, w2, atol=1e-6)
             assert b1 == pytest.approx(b2, abs=1e-6)
@@ -136,8 +136,8 @@ class TestRidge:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         z = rng.integers(0, 2, size=40)
-        w1, b1 = fit_ridge_weighted(X, z, weights=(0.5, 1.0), alpha=2.0)
-        w2, b2 = fit_ridge_weighted(X, z, weights=(1.5, 3.0), alpha=6.0)
+        [(w1, b1)] = fit_ridge_weighted(X, z, weights=(0.5, 1.0), alphas=[2.0])
+        [(w2, b2)] = fit_ridge_weighted(X, z, weights=(1.5, 3.0), alphas=[6.0])
         assert np.allclose(w1, w2, atol=1e-9)
         assert b1 == pytest.approx(b2, abs=1e-9)
 
@@ -277,6 +277,16 @@ class TestBatchedFitsMatchReference:
         assert isinstance(calibrators[0], SigmoidCalibrator)
         assert isinstance(calibrators[1], IdentityCalibrator)
 
+    def test_diverging_platt_fit_falls_back(self):
+        # the third Newton step sends a to -inf; another expit(a*s + b)
+        # would meet -inf * 0, a RuntimeWarning that the suite turns into
+        # an error
+        fits = [(np.array([0.0, 0.0, 1.43e-298]), np.array([0, 0, 1]))]
+        with pytest.warns(UserWarning, match=r"^Platt calibration fell back to identity: Newton step left \(a, b\) non-finite in Platt fit") as caught:
+            calibrators = trainer._fit_calibrators("sigmoid", fits)
+        assert len(caught) == 1
+        assert calibrators == [IdentityCalibrator()]
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(3, 30),
@@ -296,7 +306,7 @@ class TestBatchedFitsMatchReference:
         errors = [e for e in each if isinstance(e[0], type)]
         # a stacked solve fails as a whole when any alpha's system is singular
         assert _outcome(fit_ridge_weighted, X, z, weights, alphas) == (errors[0] if errors else each)
-        assert _outcome(fit_ridge_weighted, X, z, weights, alphas[0]) == each[0]
+        assert _outcome(lambda *args: fit_ridge_weighted(*args)[0], X, z, weights, [alphas[0]]) == each[0]
 
     def test_grid_search_batches_its_fits(self, monkeypatch):
         calls = {"ridge": 0, "platt": 0}
@@ -580,6 +590,24 @@ def _grid_search_reference(X, z, space, seed=42):
     return space[best_idx], report
 
 
+@st.composite
+def _search_spaces(draw):
+    """1-8 points over few (alpha, class weight) pairs, so points repeat up
+    to tol/max_iter and an isotonic point often comes before a sigmoid
+    point of another pair; a third of the spaces hold sigmoid points only
+    and a third isotonic points only."""
+    calibrations = draw(st.sampled_from([CALIBRATION_GRID, ("sigmoid",), ("isotonic",)]))
+    point = st.builds(
+        RidgeConfig,
+        alpha=st.sampled_from([0.1, 10.0, 100.0]),
+        tol=st.sampled_from(TOL_GRID),
+        max_iter=st.sampled_from(MAX_ITER_GRID),
+        class_weight=st.sampled_from(["1:1", "0.64:1", "balanced", "2:1"]),
+        calibration=st.sampled_from(calibrations),
+    )
+    return draw(st.lists(point, min_size=1, max_size=8))
+
+
 class TestGridSearch:
     def test_enumeration_size_and_order(self):
         space = default_grid()
@@ -615,11 +643,12 @@ class TestGridSearch:
         assert best == a
         assert report[0]["minority_f1"] == report[1]["minority_f1"]
 
-    def test_matches_per_point_reference(self):
-        rng = np.random.default_rng(16)
-        X = rng.normal(size=(90, 4))
-        z = (X[:, 0] + 0.8 * rng.normal(size=90) > -0.4).astype(int)
-        space = [
+    @settings(max_examples=60, deadline=None)
+    @given(_search_spaces(), st.integers(0, 2**16))
+    @example(
+        # an isotonic point of (10, balanced) before a sigmoid point of
+        # (0.1, 0.64:1), and points that differ only in tol/max_iter
+        space=[
             RidgeConfig(alpha=10.0, tol=1e-3, max_iter=3000, class_weight="balanced", calibration="isotonic"),
             RidgeConfig(alpha=0.1, class_weight="0.64:1", calibration="sigmoid"),
             RidgeConfig(alpha=10.0, tol=1e-6, class_weight="balanced", calibration="sigmoid"),
@@ -628,14 +657,21 @@ class TestGridSearch:
             RidgeConfig(alpha=100.0, class_weight="2:1", calibration="isotonic"),
             RidgeConfig(alpha=0.1, class_weight="0.64:1", calibration="isotonic"),
             RidgeConfig(alpha=100.0, tol=1e-3, class_weight="2:1", calibration="sigmoid"),
-        ]
+        ],
+        seed=16,
+    )
+    def test_matches_per_point_reference(self, space, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(90, 4))
+        z = (X[:, 0] + 0.8 * rng.normal(size=90) > -0.4).astype(int)
         best, report = grid_search(X, z, space=space)
         best_ref, report_ref = _grid_search_reference(X, z, space)
         assert best == best_ref
         assert report == report_ref
         # points that differ only in tol/max_iter tie
-        scores = [row["minority_f1"] for row in report]
-        assert scores[1] == scores[3] and scores[0] == scores[4]
+        scores = {}
+        for cfg, row in zip(space, report):
+            assert scores.setdefault((cfg.alpha, cfg.class_weight, cfg.calibration), row["minority_f1"]) == row["minority_f1"]
 
     def test_separable_ties_keep_first_point(self):
         rng = np.random.default_rng(17)

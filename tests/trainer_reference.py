@@ -62,4 +62,6 @@ def fit_platt_reference(
         except np.linalg.LinAlgError as exc:
             raise NonConvergence("singular Hessian in Platt fit") from exc
         a, b = a - step[0], b - step[1]
+        if not (np.isfinite(a) and np.isfinite(b)):
+            raise NonConvergence("Newton step left (a, b) non-finite in Platt fit")
     raise NonConvergence(f"Platt fit did not reach gradient tolerance {grad_tol}")
