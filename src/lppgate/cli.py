@@ -350,13 +350,13 @@ def cmd_sensitivity(args, cfg: RunConfig, out):
     doc = {
         "tau_star": gate.tau_star,
         "counts": dataclasses.asdict(counts),
-        "curve": [{"r": r, "relative_cost": rel} for r, rel in curve],
+        "curve": curve,
         "expected_cost": policy.expected_cost(counts, m),
-        "cost_model": {"c_mis": m.c_mis, "c_rev": m.c_rev, "ratio": m.ratio},
+        "cost_model": m.to_dict(),
     }
     json_path = out("sensitivity.json")
     write_json_atomic(json_path, doc)
-    lines = ["r,relative_cost"] + [f"{r!r},{rel!r}" for r, rel in curve]
+    lines = ["r,relative_cost"] + [f"{row['r']!r},{row['relative_cost']!r}" for row in curve]
     csv_path = out("sensitivity.csv")
     write_text_atomic(csv_path, "\n".join(lines) + "\n")
     return [json_path, csv_path], {"tau_star": gate.tau_star}

@@ -91,7 +91,6 @@ class SplitSpec:
 @dataclass(frozen=True)
 class ResampleConfig:
     target_majority_ratio: float = 4.0
-    protect_abstentions: bool = True
     seed: int = 42
 
     def __post_init__(self):
@@ -167,7 +166,7 @@ def random_undersample(rows: LabeledRows, cfg: ResampleConfig) -> LabeledRows:
     if int(np.sum(majority)) <= target_keep:
         return rows
 
-    protected = majority & rows.abstain if cfg.protect_abstentions else np.zeros(len(rows), bool)
+    protected = majority & rows.abstain
     n_protected = int(np.sum(protected))
     n_sample = target_keep - n_protected
     if n_sample < 0:

@@ -105,12 +105,11 @@ def _f1(tp: int, fp: int, fn: int) -> float | None:
     return 2 * tp / denom if denom else None
 
 
-def per_class_f1(decisions: Sequence[bool], z: Sequence[int]) -> tuple[float | None, float | None]:
-    """(trust-class F1, error-class F1); None when the class is absent."""
-    c = confusion(decisions, z)
-    zz = np.asarray(z, dtype=int)
-    f1_trust = _f1(c.tp, c.fp, c.fn) if np.any(zz == 1) else None
-    f1_error = _f1(c.tn, c.fn, c.fp) if np.any(zz == 0) else None
+def per_class_f1(c: ConfusionCounts) -> tuple[float | None, float | None]:
+    """(trust-class F1, error-class F1) of counted decisions; None when the
+    class is absent."""
+    f1_trust = _f1(c.tp, c.fp, c.fn) if c.tp + c.fn else None
+    f1_error = _f1(c.tn, c.fn, c.fp) if c.tn + c.fp else None
     return f1_trust, f1_error
 
 
@@ -120,9 +119,9 @@ def compute_metrics(
     z: Sequence[int],
     m: CostModel,
 ) -> MetricsReport:
-    f1_trust, f1_error = per_class_f1(decisions, z)
-    macro = (f1_trust + f1_error) / 2.0 if f1_trust is not None and f1_error is not None else None
     counts = confusion(decisions, z)
+    f1_trust, f1_error = per_class_f1(counts)
+    macro = (f1_trust + f1_error) / 2.0 if f1_trust is not None and f1_error is not None else None
     return MetricsReport(
         f1_trust_class=f1_trust,
         f1_error_class=f1_error,
@@ -130,7 +129,7 @@ def compute_metrics(
         auc_roc=auc_roc(scores, z),
         expected_cost=expected_cost(counts, m),
         escalations=counts.escalations,
-        escalation_ratio=counts.escalations / counts.total if counts.total else 0.0,
+        escalation_ratio=counts.escalation_ratio,
         counts=counts,
     )
 

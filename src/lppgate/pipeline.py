@@ -266,29 +266,17 @@ def evaluate_methods(
     test, scores, decisions = score_and_route(gate, table, labels, test_ids)
     val = build_examples(table, labels, validation_ids)
 
-    results: dict[str, dict] = {}
-    metrics = evaluation.compute_metrics(scores, decisions, test.z, cost)
-    results["meta_model"] = {
-        "tau_star": gate.tau_star,
-        "metrics": metrics.to_dict(),
-        "sensitivity": [
-            {"r": r, "relative_cost": rel}
-            for r, rel in cost_ratio_sensitivity(metrics.counts, r_values)
-        ],
-    }
+    def entry(tau_star: float, metrics: evaluation.MetricsReport) -> dict:
+        sensitivity = cost_ratio_sensitivity(metrics.counts, r_values)
+        return {"tau_star": tau_star, "metrics": metrics.to_dict(), "sensitivity": sensitivity}
 
+    meta = evaluation.compute_metrics(scores, decisions, test.z, cost)
+    results = {"meta_model": entry(gate.tau_star, meta)}
     for spec in evaluation.BASELINES:
         val_policy, test_metrics = evaluation.run_baseline(
             spec, table.names, val.X, val.z, test.X, test.z, cost, grid
         )
-        results[spec.feature] = {
-            "tau_star": val_policy.tau_star,
-            "metrics": test_metrics.to_dict(),
-            "sensitivity": [
-                {"r": r, "relative_cost": rel}
-                for r, rel in cost_ratio_sensitivity(test_metrics.counts, r_values)
-            ],
-        }
+        results[spec.feature] = entry(val_policy.tau_star, test_metrics)
 
     at_metrics = evaluation.always_trust_report(test.z, cost)
     results["always_trust"] = {"tau_star": None, "metrics": at_metrics.to_dict()}

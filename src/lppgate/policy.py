@@ -14,12 +14,17 @@ C is not the cost relative to always trusting, which costs
 c_mis * (FP + TN). It is the absolute cost c_mis * FP + c_rev * (TN + FN),
 every miss plus every review, minus c_mis * TN: each caught error is
 credited with the miss it avoided.
+
+`expected_cost` is the one expression of C: the tau sweep applies it to
+the counts of every threshold at once, the sensitivity curve at c_mis = 1
+and c_rev = r, and evaluate and ablate to their test splits. The cost
+rows of every report (sensitivity, cost model) are built here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,6 +65,13 @@ class CostModel:
     def ratio(self) -> float:
         return self.c_rev / self.c_mis
 
+    def to_dict(self) -> dict:
+        return {"c_mis": self.c_mis, "c_rev": self.c_rev, "ratio": self.ratio}
+
+
+# (c_mis, c_rev) without CostModel's positivity check: the curve prices r = 0 too
+_Prices = NamedTuple("_Prices", [("c_mis", float), ("c_rev", float)])
+
 
 @dataclass(frozen=True)
 class ConfusionCounts:
@@ -76,13 +88,15 @@ class ConfusionCounts:
     def escalations(self) -> int:
         return self.tn + self.fn
 
+    @property
+    def escalation_ratio(self) -> float:
+        return self.escalations / self.total if self.total else 0.0
+
 
 @dataclass(frozen=True)
 class PolicyResult:
     tau_star: float
     expected_cost: float
-    escalations: int
-    escalation_ratio: float
     counts: ConfusionCounts
 
 
@@ -116,9 +130,10 @@ def confusion(decisions: Sequence[bool], z: Sequence[int]) -> ConfusionCounts:
     )
 
 
-def expected_cost(c: ConfusionCounts, m: CostModel) -> float:
-    """The objective C; may be negative, because each caught error (TN)
-    is credited with the c_mis it avoided."""
+def expected_cost(c: ConfusionCounts, m: CostModel | _Prices) -> float:
+    """The objective C, elementwise for counts held as arrays; may be
+    negative, because each caught error (TN) is credited with the c_mis it
+    avoided."""
     return m.c_mis * c.fp + (m.c_rev - m.c_mis) * c.tn + m.c_rev * c.fn
 
 
@@ -170,26 +185,23 @@ def sweep_threshold(
     tn = escalations - fn
     tp = n_correct - fn
     fp = (len(s) - n_correct) - tn
-    cost = m.c_mis * fp + (m.c_rev - m.c_mis) * tn + m.c_rev * fn
+    cost = expected_cost(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn), m)
     i = np.lexsort((taus, escalations, cost))[0]
     counts = ConfusionCounts(tp=int(tp[i]), fp=int(fp[i]), tn=int(tn[i]), fn=int(fn[i]))
-    return PolicyResult(
-        tau_star=float(taus[i]),
-        expected_cost=cost[i].item(),
-        escalations=counts.escalations,
-        escalation_ratio=counts.escalations / counts.total if counts.total else 0.0,
-        counts=counts,
-    )
+    return PolicyResult(tau_star=float(taus[i]), expected_cost=cost[i].item(), counts=counts)
 
 
 def cost_ratio_sensitivity(
     counts: ConfusionCounts,
     r_values: Sequence[float] = DEFAULT_SENSITIVITY_RATIOS,
-) -> list[tuple[float, float]]:
-    """Relative cost C/c_mis at the frozen operating point, as a function of
-    the cost ratio r = c_rev/c_mis: FP + (r-1)*TN + r*FN. Affine in r with
-    slope TN+FN."""
-    return [(float(r), counts.fp + (r - 1.0) * counts.tn + r * counts.fn) for r in r_values]
+) -> list[dict]:
+    """The {"r", "relative_cost"} rows of the frozen operating point: C/c_mis
+    as a function of the cost ratio r = c_rev/c_mis, i.e. C at c_mis = 1 and
+    c_rev = r, FP + (r-1)*TN + r*FN. Affine in r with slope TN+FN."""
+    return [
+        {"r": float(r), "relative_cost": expected_cost(counts, _Prices(1.0, float(r)))}
+        for r in r_values
+    ]
 
 
 def policy_report(
@@ -204,10 +216,8 @@ def policy_report(
         "expected_cost": result.expected_cost,
         "always_trust_cost": m.c_mis * (c.fp + c.tn),
         "counts": asdict(c),
-        "escalations": result.escalations,
-        "escalation_ratio": result.escalation_ratio,
-        "cost_model": {"c_mis": m.c_mis, "c_rev": m.c_rev, "ratio": m.ratio},
-        "sensitivity": [
-            {"r": r, "relative_cost": rel} for r, rel in cost_ratio_sensitivity(c, r_values)
-        ],
+        "escalations": c.escalations,
+        "escalation_ratio": c.escalation_ratio,
+        "cost_model": m.to_dict(),
+        "sensitivity": cost_ratio_sensitivity(c, r_values),
     }

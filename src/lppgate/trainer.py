@@ -243,27 +243,26 @@ class SigmoidCalibrator:
         return {"kind": "sigmoid", "a": self.a, "b": self.b}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsotonicCalibrator:
-    """Non-decreasing step function; left-constant between knots, clamped."""
+    """Non-decreasing step function; left-constant between knots, clamped.
+    The knots and values are kept only as the float arrays predict reads,
+    the values clamped to [0, 1]."""
 
-    knots: tuple[float, ...]
-    values: tuple[float, ...]
-    # predict's lookup tables, built once: the knots and the clamped values
-    _knot_array: np.ndarray = field(init=False, repr=False, compare=False)
-    _value_array: np.ndarray = field(init=False, repr=False, compare=False)
+    knots: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_knot_array", np.asarray(self.knots, dtype=float))
-        object.__setattr__(self, "_value_array", np.clip(np.asarray(self.values, dtype=float), 0.0, 1.0))
+        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
+        object.__setattr__(self, "values", np.clip(np.asarray(self.values, dtype=float), 0.0, 1.0))
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         s = np.asarray(scores, dtype=float)
-        idx = np.clip(np.searchsorted(self._knot_array, s, side="right") - 1, 0, len(self.knots) - 1)
-        return self._value_array[idx]
+        idx = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, len(self.knots) - 1)
+        return self.values[idx]
 
     def to_dict(self) -> dict:
-        return {"kind": "isotonic", "knots": list(self.knots), "values": list(self.values)}
+        return {"kind": "isotonic", "knots": self.knots.tolist(), "values": self.values.tolist()}
 
 
 @dataclass(frozen=True)
@@ -282,7 +281,7 @@ def _calibrator_from_dict(obj: dict):
     if kind == "sigmoid":
         return SigmoidCalibrator(obj["a"], obj["b"])
     if kind == "isotonic":
-        return IsotonicCalibrator(tuple(obj["knots"]), tuple(obj["values"]))
+        return IsotonicCalibrator(obj["knots"], obj["values"])
     if kind == "identity":
         return IdentityCalibrator()
     raise ValueError(f"unknown calibrator kind {kind!r}")
@@ -308,8 +307,8 @@ def fit_platt(
     (fits, length) array, so every row sum runs over a row of its true
     length and each fit's steps are bit-identical to fitting it alone. A
     fit leaves the loop when its own gradient test passes; it fails after
-    max_iter steps, when its own Hessian is singular, or as soon as a step
-    leaves its (a, b) non-finite.
+    max_iter steps, when its own Hessian overflows or is singular, or as
+    soon as a step leaves its (a, b) non-finite.
     """
     results: list[SigmoidCalibrator | NonConvergence | None] = [None] * len(scores)
     by_length: dict[int, list[int]] = {}
@@ -339,15 +338,18 @@ def fit_platt(
             if not len(ids):
                 break
             r = p * (1.0 - p) + 1e-12
-            h_ab = np.sum(r * S, axis=1)
-            hess = np.stack([np.sum(r * S * S, axis=1), h_ab, h_ab, np.sum(r, axis=1)], axis=1)
+            with np.errstate(over="ignore"):  # an overflow fails only its own fit, below
+                h_ab = np.sum(r * S, axis=1)
+                hess = np.stack([np.sum(r * S * S, axis=1), h_ab, h_ab, np.sum(r, axis=1)], axis=1)
+            overflow = ~np.isfinite(hess).all(axis=1)
+            hess[overflow] = (1.0, 0.0, 0.0, 1.0)  # a stand-in that keeps the stacked solve finite
             steps, singular = _solve_each(hess.reshape(-1, 2, 2), grad)
             ab = ab - steps
             # a singular fit takes a zero step, so its (a, b) stays finite
-            failed = singular | ~np.isfinite(ab).all(axis=1)
-            for i, is_singular in zip(ids[failed], singular[failed]):
+            failed = overflow | singular | ~np.isfinite(ab).all(axis=1)
+            for i, over, is_singular in zip(ids[failed], overflow[failed], singular[failed]):
                 why = "singular Hessian" if is_singular else "Newton step left (a, b) non-finite"
-                results[i] = NonConvergence(f"{why} in Platt fit")
+                results[i] = NonConvergence(f"{'non-finite Hessian' if over else why} in Platt fit")
             if failed.any():
                 keep = ~failed
                 S, T, ab, ids = S[keep], T[keep], ab[keep], ids[keep]
@@ -394,7 +396,7 @@ def fit_isotonic(scores: Sequence[float], z: Sequence[float]) -> IsotonicCalibra
     s_sorted, y_sorted = s[order], y[order]
 
     _, starts = np.unique(s_sorted, return_index=True)
-    knots = s_sorted[starts].tolist()
+    knots = s_sorted[starts]
     sums = np.add.reduceat(y_sorted, starts).tolist()
     weights = np.diff(starts, append=len(s_sorted)).astype(float).tolist()
 
@@ -416,10 +418,8 @@ def fit_isotonic(scores: Sequence[float], z: Sequence[float]) -> IsotonicCalibra
             block_count[-2] += block_count[-1]
             del block_sums[-1], block_weights[-1], block_count[-1]
 
-    values: list[float] = []
-    for total, weight, count in zip(block_sums, block_weights, block_count):
-        values.extend([total / weight] * count)
-    return IsotonicCalibrator(tuple(knots), tuple(values))
+    values = np.repeat(np.array(block_sums) / np.array(block_weights), block_count)
+    return IsotonicCalibrator(knots, values)
 
 
 # ---------------------------------------------------------------------------

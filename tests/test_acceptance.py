@@ -208,8 +208,8 @@ def test_criterion_3_sensitivity_consistency():
             fn=int(rng.integers(0, 500)),
         )
         m = CostModel(c_mis=float(rng.uniform(1, 200)), c_rev=float(rng.uniform(1, 200)))
-        [(_, relative)] = policy.cost_ratio_sensitivity(counts, [m.ratio])
-        assert abs(relative - expected_cost(counts, m) / m.c_mis) < 1e-9
+        [row] = policy.cost_ratio_sensitivity(counts, [m.ratio])
+        assert abs(row["relative_cost"] - expected_cost(counts, m) / m.c_mis) < 1e-9
     _announce(3, "sensitivity consistency at the operating ratio")
 
 

@@ -105,7 +105,7 @@ def _random_undersample_reference(examples, cfg: ResampleConfig) -> list:
     target_keep = int(cfg.target_majority_ratio * n_min)
     if len(maj_idx) <= target_keep:
         return list(examples)
-    protected = [i for i in maj_idx if cfg.protect_abstentions and examples[i].is_abstention]
+    protected = [i for i in maj_idx if examples[i].is_abstention]
     droppable = [i for i in maj_idx if i not in set(protected)]
     n_sample = target_keep - len(protected)
     if n_sample < 0:
@@ -378,12 +378,11 @@ class TestArrayFunctionsMatchReference:
     @given(
         shuffled_examples(),
         st.sampled_from([0.5, 1.0, 2.0, 4.0]),
-        st.booleans(),
         st.integers(0, 2**31 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_resampling_selects_the_same_rows_in_the_same_order(self, examples, ratio, protect, seed):
-        cfg = ResampleConfig(target_majority_ratio=ratio, protect_abstentions=protect, seed=seed)
+    def test_resampling_selects_the_same_rows_in_the_same_order(self, examples, ratio, seed):
+        cfg = ResampleConfig(target_majority_ratio=ratio, seed=seed)
         rows = rows_of(examples)
 
         assert tomek_links(rows).tolist() == sorted(_tomek_links_reference(examples))

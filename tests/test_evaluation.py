@@ -15,7 +15,7 @@ from lppgate.evaluation import (
     per_class_f1,
     run_baseline,
 )
-from lppgate.policy import ConfusionCounts, CostModel, cost_ratio_sensitivity, expected_cost
+from lppgate.policy import ConfusionCounts, CostModel, confusion, cost_ratio_sensitivity, expected_cost
 
 
 class TestAuc:
@@ -63,20 +63,20 @@ class TestAuc:
 
 class TestPerClassF1:
     def test_hand_confusion(self):
-        f1_trust, f1_error = per_class_f1([True, True, False, False], [1, 0, 0, 1])
+        f1_trust, f1_error = per_class_f1(confusion([True, True, False, False], [1, 0, 0, 1]))
         assert f1_trust == pytest.approx(0.5)
         assert f1_error == pytest.approx(0.5)
 
     def test_macro_symmetry(self):
         decisions = np.array([True, True, False, True, False])
         z = np.array([1, 0, 0, 1, 1])
-        f1_trust, f1_error = per_class_f1(decisions, z)
-        swapped_trust, swapped_error = per_class_f1(~decisions, 1 - z)
+        f1_trust, f1_error = per_class_f1(confusion(decisions, z))
+        swapped_trust, swapped_error = per_class_f1(confusion(~decisions, 1 - z))
         assert f1_trust == pytest.approx(swapped_error)
         assert f1_error == pytest.approx(swapped_trust)
 
     def test_absent_class_reported_as_none(self):
-        f1_trust, f1_error = per_class_f1([True, True], [1, 1])
+        f1_trust, f1_error = per_class_f1(confusion([True, True], [1, 1]))
         assert f1_trust is not None
         assert f1_error is None
 
@@ -245,8 +245,8 @@ class TestEmitReport:
 def sensitivity_consistency(counts: ConfusionCounts, m: CostModel) -> tuple[float, float]:
     """(relative cost at r = c_rev/c_mis, expected cost / c_mis); the two
     must agree, tying the sensitivity curve to the main cost report."""
-    [(_, relative)] = cost_ratio_sensitivity(counts, [m.ratio])
-    return relative, expected_cost(counts, m) / m.c_mis
+    [row] = cost_ratio_sensitivity(counts, [m.ratio])
+    return row["relative_cost"], expected_cost(counts, m) / m.c_mis
 
 
 class TestSensitivityConsistency:

@@ -34,14 +34,8 @@ def _sweep_threshold_reference(scores, z, m, grid=None):
         key = (expected_cost(counts, m), counts.escalations, float(tau))
         if best is None or key < best[0]:
             best = (key, counts)
-    (cost, escalations, tau_star), counts = best
-    return PolicyResult(
-        tau_star=tau_star,
-        expected_cost=cost,
-        escalations=escalations,
-        escalation_ratio=escalations / counts.total if counts.total else 0.0,
-        counts=counts,
-    )
+    (cost, _, tau_star), counts = best
+    return PolicyResult(tau_star=tau_star, expected_cost=cost, counts=counts)
 
 
 # Scores on a coarse lattice tie often, hit 0 and 1 exactly, and land on
@@ -212,7 +206,7 @@ class TestSweep:
         result = sweep_threshold([0.4, 0.5, 0.6], [0, 1, 1], m)
         assert result.tau_star == 0.405
         assert result.expected_cost == pytest.approx(-0.36)
-        assert result.escalations == 1
+        assert result.counts.escalations == 1
 
     def test_all_scores_equal_tie_rule(self):
         m = CostModel(c_mis=1.0, c_rev=0.64)
@@ -220,7 +214,7 @@ class TestSweep:
         # trusting everything is free; fewest escalations then lowest tau
         assert result.tau_star == 0.35
         assert result.expected_cost == 0.0
-        assert result.escalations == 0
+        assert result.counts.escalations == 0
 
     def test_all_correct_lowest_grid_point(self):
         m = CostModel()
@@ -261,7 +255,7 @@ class TestSweep:
 class TestSensitivity:
     def test_linear_in_ratio(self):
         counts = ConfusionCounts(tp=0, fp=0, tn=1, fn=1)
-        curve = dict(cost_ratio_sensitivity(counts, (0.4, 0.64, 0.9)))
+        curve = {row["r"]: row["relative_cost"] for row in cost_ratio_sensitivity(counts, (0.4, 0.64, 0.9))}
         assert curve[0.4] == pytest.approx(-0.2)
         assert curve[0.64] == pytest.approx(0.28)
         assert curve[0.9] == pytest.approx(0.8)
@@ -269,12 +263,12 @@ class TestSensitivity:
     def test_constant_when_no_escalations(self):
         counts = ConfusionCounts(tp=5, fp=3, tn=0, fn=0)
         curve = cost_ratio_sensitivity(counts, (0.4, 0.64, 0.9))
-        assert all(rel == 3 for _, rel in curve)
+        assert all(row["relative_cost"] == 3 for row in curve)
 
     def test_unit_ratio(self):
         counts = ConfusionCounts(tp=1, fp=2, tn=5, fn=3)
-        [(_, rel)] = cost_ratio_sensitivity(counts, (1.0,))
-        assert rel == counts.fp + counts.fn
+        [row] = cost_ratio_sensitivity(counts, (1.0,))
+        assert row == {"r": 1.0, "relative_cost": counts.fp + counts.fn}
 
     @given(
         st.integers(min_value=0, max_value=500),
@@ -284,14 +278,34 @@ class TestSensitivity:
     def test_affine_slope_is_escalations(self, fp, tn, fn):
         counts = ConfusionCounts(tp=0, fp=fp, tn=tn, fn=fn)
         curve = cost_ratio_sensitivity(counts, (0.4, 0.5, 0.9))
-        slope = (curve[2][1] - curve[0][1]) / (0.9 - 0.4)
+        slope = (curve[2]["relative_cost"] - curve[0]["relative_cost"]) / (0.9 - 0.4)
         assert slope == pytest.approx(tn + fn, abs=1e-6)
 
     def test_consistency_with_main_cost(self):
         counts = ConfusionCounts(tp=10, fp=4, tn=7, fn=2)
         m = CostModel(c_mis=100, c_rev=64)
-        [(_, rel)] = cost_ratio_sensitivity(counts, (m.ratio,))
-        assert rel == pytest.approx(expected_cost(counts, m) / m.c_mis, abs=1e-9)
+        [row] = cost_ratio_sensitivity(counts, (m.ratio,))
+        assert row["relative_cost"] == pytest.approx(expected_cost(counts, m) / m.c_mis, abs=1e-9)
+
+    def test_zero_ratio_is_priced(self):
+        # review is free at r = 0, which CostModel rejects but the curve prices
+        counts = ConfusionCounts(tp=1, fp=2, tn=5, fn=3)
+        assert cost_ratio_sensitivity(counts, (0,)) == [{"r": 0.0, "relative_cost": 2 - 5}]
+
+
+class TestOneObjective:
+    @given(_sweep_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_sweep_and_unit_curve_price_with_expected_cost(self, case):
+        scores, z, m, grid = case
+        result = sweep_threshold(scores, z, m, grid)
+        assert result.expected_cost == expected_cost(result.counts, m)
+        # the curve is C at c_mis = 1 and c_rev = r, so at r = m.ratio with
+        # c_mis = 1 it is exactly the operating point's cost
+        unit = CostModel(c_mis=1.0, c_rev=m.ratio)
+        [row] = cost_ratio_sensitivity(result.counts, (unit.ratio,))
+        assert row["relative_cost"] == expected_cost(result.counts, unit)
+        assert repr(row["relative_cost"]) == repr(expected_cost(result.counts, unit))
 
 
 class TestPolicyReport:

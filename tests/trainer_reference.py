@@ -56,7 +56,10 @@ def fit_platt_reference(
         if np.max(np.abs(grad)) < grad_tol:
             return SigmoidCalibrator(a=float(a), b=float(b))
         r = p * (1.0 - p) + 1e-12
-        hess = np.array([[np.sum(r * s * s), np.sum(r * s)], [np.sum(r * s), np.sum(r)]])
+        with np.errstate(over="ignore"):
+            hess = np.array([[np.sum(r * s * s), np.sum(r * s)], [np.sum(r * s), np.sum(r)]])
+        if not np.isfinite(hess).all():
+            raise NonConvergence("non-finite Hessian in Platt fit")
         try:
             step = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError as exc:
