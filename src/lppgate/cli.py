@@ -190,15 +190,14 @@ def cmd_generate(args, cfg: RunConfig, out):
         if not (args.endpoint and args.model_name):
             raise ValueError("--endpoint and --model-name are required without --stub")
         provider = gateway.HttpProvider(args.endpoint, args.model_name)
-    decoding = gateway.DEFAULT_DECODING
-    if args.allow_decoding_override:
-        decoding = gateway.DecodingConfig(
-            temperature=args.temperature,
-            top_p=args.top_p,
-            n=1,
-            max_output_tokens=args.max_output_tokens,
-            top_logprobs=args.top_logprobs,
-        )
+    # run_inference refuses non-default values without the override flag.
+    decoding = gateway.DecodingConfig(
+        temperature=args.temperature,
+        top_p=args.top_p,
+        n=1,
+        max_output_tokens=args.max_output_tokens,
+        top_logprobs=args.top_logprobs,
+    )
     items = []
     with open(args.items, encoding="utf-8") as fh:
         for line in fh:

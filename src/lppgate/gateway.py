@@ -2,10 +2,14 @@
 
 Renders prompt templates, dispatches chat-completion requests under fixed
 deterministic decoding (temperature 0, top-p 1, n 1, 8096 max output
-tokens, top-20 logprobs per token), enforces the malformed-output retry
-contract (byte-identical re-requests, at most three retries), segments the
-returned token stream into outcome and reasoning spans by JSON field
-position, and writes response-trace JSONL.
+tokens, top-20 logprobs per token), segments the returned token stream
+into outcome and reasoning spans by JSON field position, and writes
+response-trace JSONL.
+
+The malformed-output retry contract is ``_run_one``'s loop: an item is
+requested at most ``schema.MAX_ATTEMPTS`` times (one attempt plus three
+byte-identical retries). The first attempt that parses and segments is its
+trace; after the last failed one it gives up with that failure's kind.
 
 A token has one shape from provider to trace: the ``(surface, logprob,
 ((surface, logprob), ...))`` triple that ``schema.token_span`` takes. Both
@@ -35,13 +39,11 @@ from itertools import accumulate
 from typing import Callable, Mapping, Sequence
 
 from .schema import (
+    MAX_ATTEMPTS,
     InvalidLogprob,
     ParseFailure,
     ResponseTrace,
-    RetryDecision,
-    StructuredResponse,
     TokenSpan,
-    decide_retry,
     locate_structured_fields,
     parse_structured_response,
     token_span,
@@ -378,9 +380,7 @@ def _run_one(
         return None, {"item_id": item_id, "attempts": 0, "failure": "missing_field"}, None
     expected_steps = 3 if template.cot else 0
 
-    attempt = 0
-    while True:
-        attempt += 1
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             response = dispatch(request, provider, max_transport_retries, sleep)
         except ProviderNoLogprobs:
@@ -388,25 +388,18 @@ def _run_one(
         except (TransportError, ProviderRejected) as exc:
             kind = "transport" if isinstance(exc, TransportError) else "rejected"
             return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None
-        failure: Exception | None = None
-        structured: StructuredResponse | None = None
-        spans: tuple[TokenSpan, TokenSpan] | None = None
         try:
             structured = parse_structured_response(response.content, expect_steps=expected_steps)
             spans = segment_spans(response.content, response.tokens)
-        except (ParseFailure, OutcomeTokenNotFound, InvalidLogprob) as exc:
-            failure = exc
-
-        decision = decide_retry(attempt, failure)
-        if decision is RetryDecision.ACCEPT:
+        except ParseFailure as exc:
+            kind = exc.kind.value
+        except InvalidLogprob:
+            kind = "invalid_logprob"
+        except OutcomeTokenNotFound:
+            kind = "outcome_token_not_found"
+        else:
             return ResponseTrace(item_id, structured, *spans, attempt=attempt), None, None
-        if decision is RetryDecision.GIVE_UP:
-            if isinstance(failure, ParseFailure):
-                kind = failure.kind.value
-            else:
-                kind = "invalid_logprob" if isinstance(failure, InvalidLogprob) else "outcome_token_not_found"
-            return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None
-        # RETRY: byte-identical re-request under deterministic decoding
+    return None, {"item_id": item_id, "attempts": MAX_ATTEMPTS, "failure": kind}, None
 
 
 def run_inference(
@@ -423,7 +416,8 @@ def run_inference(
 
     Per-item retries are sequential; items run on a bounded thread pool and
     the results are sorted by item_id, so re-running against the stub
-    provider is byte-identical. An item whose transport retries run out, or
+    provider is byte-identical. The retry contract is ``_run_one``'s loop
+    (see the module docstring). An item whose transport retries run out, or
     whose request the provider rejects, becomes a give-up with failure
     "transport" or "rejected"; a response with a nan or infinite token
     logprob is a failed attempt under the retry contract, and gives up as

@@ -96,10 +96,13 @@ def extract_table(
 
     Rows that are invalid with NoLabelMass or NonFiniteFeature are excluded
     from the matrix and listed in invalid_ids, to be escalated by default
-    downstream.
+    downstream. An item_id that appears twice is a ValueError.
     """
     include = frozenset(include)
     traces = sorted(traces, key=lambda t: t.item_id)
+    repeated = next((a.item_id for a, b in zip(traces, traces[1:]) if a.item_id == b.item_id), None)
+    if repeated is not None:
+        raise ValueError(f"item_id {repeated!r} appears more than once in the traces")
     matrix, invalid = assemble_feature_vector(traces, include, k=k) if traces else (None, {})
     if len(invalid) == len(traces):
         raise ValueError("no valid traces to extract features from")
@@ -156,10 +159,10 @@ def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
     labels: dict[str, tuple[int, OutcomeLabel]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         for record in csv.DictReader(fh):
-            labels[record["item_id"]] = (
-                int(record["ground_truth"]),
-                OutcomeLabel(int(record["llm_outcome"])),
-            )
+            truth = int(record["ground_truth"])
+            if truth not in (0, 1):
+                raise ValueError(f"item {record['item_id']!r} has ground_truth {truth}, not 0 or 1")
+            labels[record["item_id"]] = (truth, OutcomeLabel(int(record["llm_outcome"])))
     return labels
 
 
@@ -169,7 +172,8 @@ def write_id_list(ids: Sequence[str], path) -> None:
 
 def read_id_list(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+        # only the terminator goes: an id keeps any spaces it has
+        return [line.rstrip("\n") for line in fh if line != "\n"]
 
 
 def build_examples(

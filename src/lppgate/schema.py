@@ -1,4 +1,4 @@
-"""Integer-token response schema: parsing, validation, and the retry contract.
+"""Integer-token response schema: parsing and validation.
 
 The classification decision is constrained to a single integer token
 (0=no, 1=yes, 2=inconclusive_evidence, 3=inconclusive_definition) inside a
@@ -6,8 +6,8 @@ small JSON object, so that the emitted token lines up with the provider's
 token-level log-probabilities. This module parses and normalizes those
 structured responses, holds each span of a trace's token log-probabilities
 (the single outcome token, and the reasoning tokens) as one TokenSpan of
-arrays built by token_span, and decides whether a malformed response is
-retried (deterministic re-request, at most three retries) or given up on.
+arrays built by token_span. A response that fails to parse raises
+ParseFailure; the gateway's retry loop decides what to do with it.
 
 A response has one reader: the JSON object at its first ``{``, decoded by
 json's own scanner, which yields each field's value and its offsets in the
@@ -33,7 +33,6 @@ __all__ = [
     "OutcomeLabel",
     "ConfidenceBand",
     "Span",
-    "RetryDecision",
     "FailureKind",
     "ParseFailure",
     "InvalidLogprob",
@@ -45,7 +44,6 @@ __all__ = [
     "normalize_outcome_token",
     "snap_confidence",
     "parse_structured_response",
-    "decide_retry",
     "locate_structured_fields",
     "token_span",
     "trace_to_dict",
@@ -61,6 +59,8 @@ __all__ = [
 LOGPROB_TOLERANCE = 1e-9
 
 #: Retry budget: one initial attempt plus at most three deterministic retries.
+#: gateway._run_one's loop spends it; ResponseTrace checks a trace's attempt
+#: against it.
 MAX_ATTEMPTS = 4
 
 
@@ -82,12 +82,6 @@ class ConfidenceBand(str, enum.Enum):
 class Span(str, enum.Enum):
     OUTCOME = "outcome"
     REASONING = "reasoning"
-
-
-class RetryDecision(str, enum.Enum):
-    ACCEPT = "accept"
-    RETRY = "retry"
-    GIVE_UP = "give_up"
 
 
 class FailureKind(str, enum.Enum):
@@ -386,21 +380,6 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
             raise ParseFailure(FailureKind.INVALID_BAND, f"unknown band {band_raw!r}") from None
 
     return StructuredResponse(outcome, tuple(steps), p_correct, band)
-
-
-def decide_retry(attempt: int, failure: Exception | None) -> RetryDecision:
-    """Apply the deterministic retry contract to one attempt's outcome.
-
-    Accept on success; retry a failed attempt while the three-retry budget
-    remains (attempt <= 3); give up from attempt 4 onward.
-    """
-    if attempt < 1:
-        raise ValueError("attempt counts from 1")
-    if failure is None:
-        return RetryDecision.ACCEPT
-    if attempt <= MAX_ATTEMPTS - 1:
-        return RetryDecision.RETRY
-    return RetryDecision.GIVE_UP
 
 
 # ---------------------------------------------------------------------------

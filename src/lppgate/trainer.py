@@ -247,14 +247,24 @@ class SigmoidCalibrator:
 class IsotonicCalibrator:
     """Non-decreasing step function; left-constant between knots, clamped.
     The knots and values are kept only as the float arrays predict reads,
-    the values clamped to [0, 1]."""
+    the values clamped to [0, 1]. A calibrator needs at least one knot, one
+    value per knot and strictly increasing knots; anything else raises
+    ValueError here rather than misbehaving at predict."""
 
     knots: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "knots", np.asarray(self.knots, dtype=float))
-        object.__setattr__(self, "values", np.clip(np.asarray(self.values, dtype=float), 0.0, 1.0))
+        knots = np.asarray(self.knots, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if knots.ndim != 1 or len(knots) == 0:
+            raise ValueError("isotonic calibrator needs a non-empty list of knots")
+        if values.shape != knots.shape:
+            raise ValueError(f"isotonic calibrator has {len(knots)} knots but {values.size} values")
+        if not np.all(knots[1:] > knots[:-1]):
+            raise ValueError("isotonic knots must be strictly increasing")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "values", np.clip(values, 0.0, 1.0))
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         s = np.asarray(scores, dtype=float)

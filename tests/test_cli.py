@@ -531,6 +531,22 @@ class TestGenerateManifest:
         assert len(manifest["inputs"]) == (2 if stub else 1)
         assert manifest["extra"]["accepted"] == 1
 
+    @pytest.mark.parametrize("flags", [["--temperature", 0.7], ["--top-logprobs", 5]])
+    def test_decoding_flag_needs_the_override(self, tmp_path, capsys, flags):
+        fixture = Path(__file__).parent / "fixtures" / "stub"
+        argv = ["--items", fixture / "items.jsonl", "--stub", fixture / "stub.json", *flags]
+        out = tmp_path / "run"
+        assert run_cli("generate", "--out", out, *argv) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "allow_decoding_override" in error["message"]
+        assert not (out / "traces.jsonl").exists()
+
+        assert run_cli("generate", "--out", out, *argv, "--allow-decoding-override") == 0
+        extra = json.loads((out / "generate.manifest.json").read_text())["extra"]
+        assert extra["decoding_override"] is True
+        name = flags[0][2:].replace("-", "_")
+        assert extra["decoding"][name] == flags[1]
+
     def test_committed_stub_corpus(self, tmp_path):
         # The corpus CI runs through `generate` in separate processes: six
         # accepted items (one after a malformed first response, one with a

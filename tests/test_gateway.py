@@ -28,7 +28,13 @@ from lppgate.gateway import (
     run_inference,
     segment_spans,
 )
-from lppgate.schema import InvalidLogprob, OutcomeLabel, locate_structured_fields, trace_to_dict
+from lppgate.schema import (
+    MAX_ATTEMPTS,
+    InvalidLogprob,
+    OutcomeLabel,
+    locate_structured_fields,
+    trace_to_dict,
+)
 from tests.token_reference import segment_spans_reference, span_view
 
 NO_SLEEP = lambda _: None  # noqa: E731
@@ -300,6 +306,41 @@ class TestStubAndDispatch:
         assert not result.traces
         assert result.give_ups == [
             {"item_id": "item-1", "attempts": 4, "failure": "malformed_json"}
+        ]
+
+    def test_never_requests_past_max_attempts(self):
+        class CountingProvider(StubProvider):
+            requests = 0
+
+            def complete(self, request):
+                self.requests += 1
+                return super().complete(request)
+
+        malformed = {"content": "not json at all", "tokens": []}
+        provider = CountingProvider({"item-1": [malformed]})
+        result = run_inference(
+            [{"item_id": "item-1", "text": "abc", "concept_definition": "d"}],
+            load_template("text-direct"),
+            provider,
+            sleep=NO_SLEEP,
+        )
+        assert provider.requests == MAX_ATTEMPTS == 4
+        assert result.give_ups == [
+            {"item_id": "item-1", "attempts": 4, "failure": "malformed_json"}
+        ]
+
+    def test_give_up_names_the_last_failure(self):
+        malformed = {"content": "not json at all", "tokens": []}
+        uncovered = {"content": VALID_CONTENT, "tokens": [{"surface": "{", "logprob": -0.1}]}
+        provider = StubProvider({"item-1": [malformed, malformed, malformed, uncovered]})
+        result = run_inference(
+            [{"item_id": "item-1", "text": "abc", "concept_definition": "d"}],
+            load_template("text-direct"),
+            provider,
+            sleep=NO_SLEEP,
+        )
+        assert result.give_ups == [
+            {"item_id": "item-1", "attempts": 4, "failure": "outcome_token_not_found"}
         ]
 
     def test_no_logprobs_flagged(self):

@@ -63,6 +63,11 @@ class TestExtractTable:
         assert table.item_ids == sorted(t.item_id for t in traces)
         assert np.isfinite(table.matrix).all()
 
+    def test_repeated_item_id_rejected(self):
+        traces, _ = corpus(n=20)
+        with pytest.raises(ValueError, match=repr(traces[3].item_id)):
+            pipeline.extract_table(list(traces) + [traces[3]])
+
     def test_family_subset(self):
         traces, _ = corpus(n=10)
         include = (FeatureFamily.OUTCOME_TOPK, FeatureFamily.ATTRIBUTION)
@@ -133,6 +138,20 @@ class TestFileRoundTrips:
         path = tmp_path / "ids.txt"
         pipeline.write_id_list(["a", "b", "c"], path)
         assert pipeline.read_id_list(path) == ["a", "b", "c"]
+
+    def test_id_list_keeps_spaces_and_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        pipeline.write_id_list([" synth-000007", "b ", "c"], path)
+        assert pipeline.read_id_list(path) == [" synth-000007", "b ", "c"]
+        path.write_text("a\n\n b\n")
+        assert pipeline.read_id_list(path) == ["a", " b"]
+
+    @pytest.mark.parametrize("truth", [2, -1])
+    def test_ground_truth_outside_zero_one_rejected(self, tmp_path, truth):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"item_id,ground_truth,llm_outcome\na,1,1\nb,{truth},0\n")
+        with pytest.raises(ValueError, match=f"'b' has ground_truth {truth}"):
+            pipeline.load_labels(path)
 
 
 class TestTrainSweepEvaluate:

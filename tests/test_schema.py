@@ -14,9 +14,7 @@ from lppgate.schema import (
     OutcomeLabel,
     ParseFailure,
     ResponseTrace,
-    RetryDecision,
     Span,
-    decide_retry,
     locate_structured_fields,
     normalize_outcome_token,
     parse_structured_response,
@@ -196,27 +194,6 @@ class TestParseStructuredResponse:
         with pytest.raises(ParseFailure, match=r"char 23\)$") as err:
             parse_structured_response('Here it is: {"outcome" 1}')
         assert err.value.kind is FailureKind.MALFORMED_JSON
-
-
-class TestDecideRetry:
-    def test_accept_on_success(self):
-        assert decide_retry(1, None) is RetryDecision.ACCEPT
-
-    def test_retry_within_budget(self):
-        failure = ParseFailure(FailureKind.MALFORMED_JSON)
-        assert decide_retry(3, failure) is RetryDecision.RETRY
-
-    def test_give_up_when_budget_exhausted(self):
-        failure = ParseFailure(FailureKind.MALFORMED_JSON)
-        assert decide_retry(4, failure) is RetryDecision.GIVE_UP
-
-    @given(st.integers(min_value=1, max_value=50))
-    def test_never_retry_past_three(self, attempt):
-        decision = decide_retry(attempt, ParseFailure(FailureKind.MALFORMED_JSON))
-        if attempt > 3:
-            assert decision is RetryDecision.GIVE_UP
-        else:
-            assert decision is RetryDecision.RETRY
 
 
 class TestBalancedObject:

@@ -19,6 +19,7 @@ from lppgate.trainer import (
     DegenerateFold,
     FeatureMismatch,
     IdentityCalibrator,
+    IsotonicCalibrator,
     NonConvergence,
     RidgeConfig,
     SigmoidCalibrator,
@@ -485,8 +486,16 @@ class TestIsotonic:
         assert loaded.predict(probe).tobytes() == cal.predict(probe).tobytes()
 
     def test_empty_input(self):
-        cal = fit_isotonic([], [])
-        assert cal.knots.tolist() == [] and cal.values.tolist() == []
+        with pytest.raises(ValueError, match="knots"):
+            fit_isotonic([], [])
+
+    @pytest.mark.parametrize(
+        "knots,values",
+        [([], []), ([0.1, 0.2], [0.5]), ([0.5, 0.1], [0.2, 0.8]), ([0.3, 0.3], [0.2, 0.8])],
+    )
+    def test_malformed_calibrator_rejected_on_construction(self, knots, values):
+        with pytest.raises(ValueError, match="knots"):
+            IsotonicCalibrator(knots, values)
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=40))
     def test_always_non_decreasing(self, targets):
@@ -854,6 +863,24 @@ class TestSerialization:
         doc["tau_star"] = 0.66
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="hash"):
+            load_gate(path)
+
+    @pytest.mark.parametrize(
+        "knots,values", [([], []), ([0.1, 0.2], [0.5]), ([0.5, 0.1], [0.2, 0.8])]
+    )
+    def test_malformed_isotonic_block_rejected_on_load(self, tmp_path, knots, values):
+        rng = np.random.default_rng(16)
+        X = rng.normal(size=(90, 2))
+        z = (X[:, 0] > 0).astype(int)
+        gate = cross_fit_calibrated(
+            X, z, RidgeConfig(calibration="isotonic"), seed=42, feature_names=["a", "b"]
+        )
+        doc = gate_to_dict(gate)
+        doc["folds"][1]["calibrator"] = {"kind": "isotonic", "knots": knots, "values": values}
+        del doc["content_hash"]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="knots"):
             load_gate(path)
 
     def test_identity_fallback_round_trips(self):
