@@ -5,10 +5,11 @@ truth (yes on violating, no on non-violating); abstentions never match and
 count as incorrect, which keeps them escalate-prone downstream.
 
 Class imbalance on the training portion is handled by Tomek-link boundary
-cleaning followed by seeded random undersampling of the majority class,
-with abstention examples always retained. Splitting fixes the number of
-negative (error) cases in the test set and carves a validation fraction
-out of the remaining training pool, stratified on z.
+cleaning, over features z-scored as the trainer z-scores them, followed
+by seeded random undersampling of the majority class, with abstention
+examples always retained. Splitting fixes the number of negative (error)
+cases in the test set and carves a validation fraction out of the
+remaining training pool, stratified on z.
 
 Every operation takes a ``LabeledRows`` view (item_ids, feature matrix,
 z and abstention flags) and is a deterministic function of its contents
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .schema import OutcomeLabel
+from .trainer import standardize_apply, standardize_fit
 
 __all__ = [
     "LabeledRows",
@@ -122,8 +124,9 @@ def tomek_links(rows: LabeledRows) -> np.ndarray:
     """Ascending positions of majority-class members of cross-class
     mutual-1-NN pairs.
 
-    Distances are Euclidean over z-scored features (fit on the input set);
-    distance ties resolve to the earlier item in item_id order.
+    Distances are Euclidean over features z-scored by the trainer's
+    standardize_fit/standardize_apply (fit on the input set); distance ties
+    resolve to the earlier item in item_id order.
     """
     if len(rows) < 2:
         return np.empty(0, dtype=np.intp)
@@ -133,11 +136,7 @@ def tomek_links(rows: LabeledRows) -> np.ndarray:
     if len(np.unique(z)) < 2:
         return np.empty(0, dtype=np.intp)
 
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    Xs = (X - mean) / std
-
+    Xs = standardize_apply(standardize_fit(X), X)
     sq = np.sum(Xs**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
     np.fill_diagonal(d2, np.inf)

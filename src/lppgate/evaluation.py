@@ -6,10 +6,12 @@ decision; Macro-F1 averages the two classes. AUC-ROC uses the rank
 increasing transform of the scores leaves it unchanged. A metric whose
 class is absent is reported as absent (None), never as 0.
 
-Baselines score items by a single feature (MSP, top-2 margin, or entropy
-with the low-is-confident orientation flipped), min-max rescaled to [0,1]
-on the validation split, and then reuse the exact threshold-sweep
-machinery of the meta-model so the comparison is like for like.
+The baselines are one table, BASELINES: method -> (feature column, sign).
+A baseline scores items by its column times its sign (entropy's -1 makes
+low entropy look confident), min-max rescaled to [0,1] on the validation
+split; its threshold is swept on validation by the meta-model's
+sweep_threshold and the test split is routed at it by decisions_at, so
+the comparison is like for like.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ from .policy import (
     CostModel,
     PolicyResult,
     confusion,
+    decisions_at,
     expected_cost,
     sweep_threshold,
 )
 
 __all__ = [
     "MetricsReport",
-    "BaselineSpec",
     "BASELINES",
-    "BASELINE_FEATURE_COLUMNS",
     "MissingFeature",
     "auc_roc",
     "per_class_f1",
@@ -66,22 +67,12 @@ class MetricsReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class BaselineSpec:
-    feature: str
-    orientation: str  # "higher_is_correct" or "lower_is_correct"
-
-
-BASELINES = (
-    BaselineSpec("msp", "higher_is_correct"),
-    BaselineSpec("top2_margin", "higher_is_correct"),
-    BaselineSpec("entropy", "lower_is_correct"),
-)
-
-BASELINE_FEATURE_COLUMNS = {
-    "msp": "outcome_topk.msp",
-    "top2_margin": "outcome_topk.margin",
-    "entropy": "outcome_topk.entropy",
+# method -> (feature column, sign): a baseline's score is column * sign,
+# so that higher means more likely correct
+BASELINES = {
+    "msp": ("outcome_topk.msp", 1.0),
+    "top2_margin": ("outcome_topk.margin", 1.0),
+    "entropy": ("outcome_topk.entropy", -1.0),
 }
 
 
@@ -144,14 +135,8 @@ def minmax_rescale(fit_values: np.ndarray, apply_values: np.ndarray) -> np.ndarr
     return np.clip((np.asarray(apply_values, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
 
-def _oriented(values: np.ndarray, orientation: str) -> np.ndarray:
-    if orientation == "lower_is_correct":
-        return -np.asarray(values, dtype=float)
-    return np.asarray(values, dtype=float)
-
-
 def run_baseline(
-    spec: BaselineSpec,
+    method: str,
     names: Sequence[str],
     X_val: np.ndarray,
     z_val: Sequence[int],
@@ -160,19 +145,18 @@ def run_baseline(
     m: CostModel,
     grid: np.ndarray | None = None,
 ) -> tuple[PolicyResult, MetricsReport]:
-    """Sweep the baseline's threshold on validation and evaluate the frozen
-    threshold on test; returns (validation policy, test metrics)."""
-    column = BASELINE_FEATURE_COLUMNS[spec.feature]
+    """Sweep the BASELINES method's threshold on validation and route the
+    test split at it; returns (validation policy, test metrics)."""
+    column, sign = BASELINES[method]
     if column not in names:
         raise MissingFeature(column)
     col = list(names).index(column)
-    raw_val = _oriented(np.asarray(X_val, dtype=float)[:, col], spec.orientation)
-    raw_test = _oriented(np.asarray(X_test, dtype=float)[:, col], spec.orientation)
+    raw_val = sign * np.asarray(X_val, dtype=float)[:, col]
+    raw_test = sign * np.asarray(X_test, dtype=float)[:, col]
     s_val = minmax_rescale(raw_val, raw_val)
     s_test = minmax_rescale(raw_val, raw_test)
     policy = sweep_threshold(s_val, z_val, m, grid)
-    decisions = s_test >= policy.tau_star
-    return policy, compute_metrics(s_test, decisions, z_test, m)
+    return policy, compute_metrics(s_test, decisions_at(s_test, policy.tau_star), z_test, m)
 
 
 def always_trust_report(z_test: Sequence[int], m: CostModel) -> MetricsReport:

@@ -162,6 +162,8 @@ def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
             truth = int(record["ground_truth"])
             if truth not in (0, 1):
                 raise ValueError(f"item {record['item_id']!r} has ground_truth {truth}, not 0 or 1")
+            if record["item_id"] in labels:
+                raise ValueError(f"item_id {record['item_id']!r} appears more than once in {path}")
             labels[record["item_id"]] = (truth, OutcomeLabel(int(record["llm_outcome"])))
     return labels
 
@@ -173,7 +175,13 @@ def write_id_list(ids: Sequence[str], path) -> None:
 def read_id_list(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         # only the terminator goes: an id keeps any spaces it has
-        return [line.rstrip("\n") for line in fh if line != "\n"]
+        ids = [line.rstrip("\n") for line in fh if line != "\n"]
+    seen: set[str] = set()
+    for i in ids:
+        if i in seen:
+            raise ValueError(f"item_id {i!r} appears more than once in {path}")
+        seen.add(i)
+    return ids
 
 
 def build_examples(
@@ -276,11 +284,11 @@ def evaluate_methods(
 
     meta = evaluation.compute_metrics(scores, decisions, test.z, cost)
     results = {"meta_model": entry(gate.tau_star, meta)}
-    for spec in evaluation.BASELINES:
+    for method in evaluation.BASELINES:
         val_policy, test_metrics = evaluation.run_baseline(
-            spec, table.names, val.X, val.z, test.X, test.z, cost, grid
+            method, table.names, val.X, val.z, test.X, test.z, cost, grid
         )
-        results[spec.feature] = entry(val_policy.tau_star, test_metrics)
+        results[method] = entry(val_policy.tau_star, test_metrics)
 
     at_metrics = evaluation.always_trust_report(test.z, cost)
     results["always_trust"] = {"tau_star": None, "metrics": at_metrics.to_dict()}

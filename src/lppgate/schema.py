@@ -232,12 +232,6 @@ class ResponseTrace:
         if n_outcome != 1:
             raise ValueError(f"trace {self.item_id!r} has {n_outcome} outcome-span tokens, want 1")
 
-    def effective_outcome(self) -> OutcomeLabel:
-        """The decision actually emitted: the outcome-span token wins over
-        the structured field when the two disagree."""
-        label = normalize_outcome_token(self.outcome.chosen[0])
-        return label if label is not None else self.structured.outcome
-
 
 @dataclass(frozen=True)
 class FieldSpans:

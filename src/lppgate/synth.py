@@ -69,6 +69,11 @@ class SynthConfig:
         ):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
+        for family, value in self.signal.items():
+            if family not in DEFAULT_SIGNAL:
+                raise ValueError(f"signal family {family!r} is not one of {sorted(DEFAULT_SIGNAL)}")
+            if not 0.0 <= value <= 1.0:  # nan fails too
+                raise ValueError(f"signal[{family!r}] must be within [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,14 @@ clamped to [0,1].
 Hyperparameters are chosen by a grid over alpha, tol, max_iter, seven
 class-weight configurations, and the two calibrators (672 points), scored
 by stratified 3-fold cross-validated F1 of the minority (error) class at
-threshold 0.5; ties go to the earlier point in enumeration order
-(alpha, tol, max_iter, class_weight, calibration). All 672 points are
-enumerated and reported, but since tol and max_iter bind nowhere, only
-the 56 distinct (alpha, class_weight, calibration) configurations are
-fitted, and each fold's ridge fit is shared by both calibrators.
+threshold 0.5. A fold is judged by the rule evaluate applies to the test
+split: policy.decisions_at routes it, policy.confusion counts it and
+evaluation.per_class_f1 gives the F1. Ties go to the earlier point in
+enumeration order (alpha, tol, max_iter, class_weight, calibration).
+All 672 points are enumerated and reported, but since tol and max_iter
+bind nowhere, only the 56 distinct (alpha, class_weight, calibration)
+configurations are fitted, and each fold's ridge fit is shared by both
+calibrators.
 
 One routine, _fit_pipelines, fits the fold pipelines of the search and of
 the final gate alike, each kind of fit in bulk: one fit_ridge_weighted
@@ -42,7 +45,9 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
+from .evaluation import per_class_f1
 from .manifest import write_json_atomic
+from .policy import confusion, decisions_at
 
 __all__ = [
     "ALPHA_GRID",
@@ -73,7 +78,6 @@ __all__ = [
     "distinct_configs",
     "grid_search",
     "predict_score",
-    "minority_f1",
     "gate_to_dict",
     "gate_from_dict",
     "save_gate",
@@ -586,15 +590,6 @@ def cross_fit_calibrated(
     )
 
 
-def minority_f1(decisions_trust: np.ndarray, z: np.ndarray) -> float:
-    """F1 of the error class (z=0, predicted by escalation); 0 if undefined."""
-    pred0 = ~np.asarray(decisions_trust, dtype=bool)
-    actual0 = np.asarray(z, dtype=int) == 0
-    tp = int(np.sum(pred0 & actual0))
-    denom = 2 * tp + int(np.sum(pred0 & ~actual0)) + int(np.sum(~pred0 & actual0))
-    return 2 * tp / denom if denom else 0.0
-
-
 def distinct_configs(space: Sequence[RidgeConfig]) -> list[tuple[float, str, str]]:
     """The (alpha, class_weight, calibration) keys of a search space, once
     each in order of first appearance: everything a cross-fit reads from a
@@ -612,7 +607,9 @@ def grid_search(
     best minority-class F1 at threshold 0.5.
 
     Each outer fold trains a full cross-fit calibrated gate on the other
-    two folds and scores the held-out fold. Ties keep the earlier
+    two folds, routes the held-out fold at 0.5 with policy.decisions_at,
+    and scores it by the error-class F1 of evaluation.per_class_f1 over
+    policy.confusion, the counts evaluate reports. Ties keep the earlier
     configuration in enumeration order.
 
     Points that differ only in tol/max_iter share one evaluation. The
@@ -634,9 +631,10 @@ def grid_search(
 
     configs = distinct_configs(space)
     pipelines = _fit_pipelines([folds for folds, _, _ in outer], configs)
+    # each held-out fold holds both classes (_fold_splits), so its error-class F1 is never None
     fold_f1 = {
         config: [
-            minority_f1(_fold_average(pipelines[config, o], X_held) >= 0.5, z_held)
+            per_class_f1(confusion(decisions_at(_fold_average(pipelines[config, o], X_held), 0.5), z_held))[1]
             for o, (_, X_held, z_held) in enumerate(outer)
         ]
         for config in configs

@@ -158,6 +158,13 @@ def compute_verbalized_features(s: StructuredResponse) -> dict[str, float]:
     return out
 
 
+def effective_outcome(trace) -> OutcomeLabel:
+    """The decision a trace actually emitted: the outcome-span token wins
+    over the structured field when the two disagree."""
+    label = normalize_outcome_token(trace.outcome.chosen[0])
+    return label if label is not None else trace.structured.outcome
+
+
 def compute_attribution_features(outcome: OutcomeLabel) -> dict[str, float]:
     """Family G: evidence deficit (outcome 2), policy gap (outcome 3), and
     their union."""

@@ -4,8 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppgate.evaluation import (
-    BASELINES,
-    BaselineSpec,
     MissingFeature,
     always_trust_report,
     auc_roc,
@@ -137,27 +135,24 @@ class TestRunBaseline:
 
         z_val = np.array([1, 1, 0, 0])
         X_val, X_test = self._matrices(entropy_val, entropy_val)
-        spec = next(b for b in BASELINES if b.feature == "entropy")
         policy_result, metrics = run_baseline(
-            spec, self.NAMES, X_val, z_val, X_test, z_val, CostModel()
+            "entropy", self.NAMES, X_val, z_val, X_test, z_val, CostModel()
         )
         assert policy_result.tau_star <= 1.0
         # the delta item is z=1 and trusted: it can never be a false negative
         assert metrics.counts.fn == 0
 
     def test_missing_feature(self):
-        spec = BaselineSpec("msp", "higher_is_correct")
         with pytest.raises(MissingFeature):
             run_baseline(
-                spec, ["other.column"], np.zeros((2, 1)), [0, 1], np.zeros((2, 1)), [0, 1], CostModel()
+                "msp", ["other.column"], np.zeros((2, 1)), [0, 1], np.zeros((2, 1)), [0, 1], CostModel()
             )
 
     def test_two_point_minmax_exact(self):
         X_val = np.column_stack([[0.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         z_val = np.array([0, 1])
-        spec = BaselineSpec("top2_margin", "higher_is_correct")
         policy_result, _ = run_baseline(
-            spec, self.NAMES, X_val, z_val, X_val, z_val, CostModel()
+            "top2_margin", self.NAMES, X_val, z_val, X_val, z_val, CostModel()
         )
         # margins {0,1} rescale to {0,1}: escalating the 0 and trusting the 1
         # is achievable and optimal

@@ -612,7 +612,7 @@ def _assemble_feature_vector_reference(trace, include=ALL_FAMILIES, k=DEFAULT_TO
     if FeatureFamily.VERBALIZED in include_set:
         extend(FeatureFamily.VERBALIZED, feature_reference.compute_verbalized_features(trace.structured))
     if FeatureFamily.ATTRIBUTION in include_set:
-        extend(FeatureFamily.ATTRIBUTION, feature_reference.compute_attribution_features(trace.effective_outcome()))
+        extend(FeatureFamily.ATTRIBUTION, feature_reference.compute_attribution_features(feature_reference.effective_outcome(trace)))
 
     return _FeatureVector(tuple(entries))
 

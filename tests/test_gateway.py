@@ -33,6 +33,7 @@ from lppgate.schema import (
     InvalidLogprob,
     OutcomeLabel,
     locate_structured_fields,
+    normalize_outcome_token,
     trace_to_dict,
 )
 from tests.token_reference import segment_spans_reference, span_view
@@ -504,7 +505,7 @@ class TestRunInference:
         result = run_inference(self._items(1), load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
         (trace,) = result.traces
         assert trace.outcome.chosen == ("0",)
-        assert trace.structured.outcome is trace.effective_outcome() is OutcomeLabel.NO
+        assert trace.structured.outcome is normalize_outcome_token(trace.outcome.chosen[0]) is OutcomeLabel.NO
 
     def test_escaped_outcome_key_is_located(self):
         fixtures = {"it-00": [self._one_token_per_character('{"outc\\u006fme": "2", "p_correct": 85}')]}

@@ -146,6 +146,18 @@ class TestFileRoundTrips:
         path.write_text("a\n\n b\n")
         assert pipeline.read_id_list(path) == ["a", " b"]
 
+    def test_repeated_label_id_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("item_id,ground_truth,llm_outcome\na,1,1\nb,1,1\na,0,1\n")
+        with pytest.raises(ValueError, match="item_id 'a' appears more than once"):
+            pipeline.load_labels(path)
+
+    def test_repeated_id_in_list_rejected(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        path.write_text("a\nb\na\n")
+        with pytest.raises(ValueError, match="item_id 'a' appears more than once"):
+            pipeline.read_id_list(path)
+
     @pytest.mark.parametrize("truth", [2, -1])
     def test_ground_truth_outside_zero_one_rejected(self, tmp_path, truth):
         path = tmp_path / "labels.csv"

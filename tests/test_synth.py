@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from lppgate.dataset import label_correctness
 from lppgate.features import FeatureFamily
@@ -80,3 +81,22 @@ class TestTraceShape:
                 msp.append(table.matrix[rows[row.item_id], column])
         # peaked regime: abstained errors look confident
         assert np.mean(msp) > 0.6
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "signal, match",
+        [
+            ({"sequnce": 0.9}, "signal family 'sequnce'"),
+            ({"sequence": 7.0}, r"signal\['sequence'\] must be within \[0, 1\], got 7.0"),
+            ({"verbalized": -1.0}, r"signal\['verbalized'\] must be within \[0, 1\], got -1.0"),
+            ({"outcome_topk": float("nan")}, r"signal\['outcome_topk'\] must be within \[0, 1\], got nan"),
+        ],
+        ids=["unknown-family", "above-one", "below-zero", "nan"],
+    )
+    def test_signal_checked(self, signal, match):
+        with pytest.raises(ValueError, match=match):
+            SynthConfig(signal=signal)
+
+    def test_signal_edges_accepted(self):
+        SynthConfig(signal={"outcome_topk": 0.0, "attribution": 1.0})

@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lppgate import trainer
+from lppgate.evaluation import per_class_f1
+from lppgate.policy import confusion
 from lppgate.trainer import (
     ALPHA_GRID,
     CALIBRATION_GRID,
@@ -34,7 +36,6 @@ from lppgate.trainer import (
     gate_to_dict,
     grid_search,
     load_gate,
-    minority_f1,
     predict_score,
     resolve_class_weights,
     save_gate,
@@ -596,6 +597,15 @@ class TestFoldsAndCrossFit:
         assert np.all((s >= 0.0) & (s <= 1.0))
 
 
+def _minority_f1_reference(decisions_trust, z):
+    """F1 of the error class (z=0, predicted by escalation), counted by hand."""
+    pred0 = ~np.asarray(decisions_trust, dtype=bool)
+    actual0 = np.asarray(z, dtype=int) == 0
+    tp = int(np.sum(pred0 & actual0))
+    denom = 2 * tp + int(np.sum(pred0 & ~actual0)) + int(np.sum(~pred0 & actual0))
+    return 2 * tp / denom if denom else 0.0
+
+
 def _grid_search_reference(X, z, space, seed=42):
     """grid_search as one full cross-fit per (point, outer fold)."""
     X = np.asarray(X, dtype=float)
@@ -610,7 +620,7 @@ def _grid_search_reference(X, z, space, seed=42):
             train_idx = np.setdiff1d(all_idx, held_out)
             gate = cross_fit_calibrated(X[train_idx], zz[train_idx], cfg, seed)
             s = gate.predict_matrix(X[held_out])
-            fold_scores.append(minority_f1(s >= 0.5, zz[held_out]))
+            fold_scores.append(_minority_f1_reference(s >= 0.5, zz[held_out]))
         mean_score = float(np.mean(fold_scores))
         report.append(
             {
@@ -763,7 +773,8 @@ class TestGridSearch:
         decisions = np.array([True, True, False, False])
         z = np.array([1, 0, 0, 1])
         # escalations predict z=0: tp=1 (idx2), fp=1 (idx3), fn=1 (idx1)
-        assert minority_f1(decisions, z) == pytest.approx(0.5)
+        assert per_class_f1(confusion(decisions, z))[1] == 0.5
+        assert _minority_f1_reference(decisions, z) == 0.5
 
 
 class TestPredictScore:
