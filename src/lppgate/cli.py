@@ -164,7 +164,13 @@ def _require_inputs(args) -> dict[str, str]:
 def cmd_synth(args, cfg: RunConfig, out):
     signal = dict(synth.DEFAULT_SIGNAL)
     if args.signal:
-        signal.update(json.loads(args.signal))
+        try:
+            given = json.loads(args.signal)
+        except ValueError as exc:
+            raise ValueError(f"--signal is not valid JSON: {exc}") from None
+        if not isinstance(given, dict):
+            raise ValueError(f"--signal must be a JSON object of family -> strength, got {args.signal}")
+        signal.update(given)
     scfg = synth.SynthConfig(
         n_items=args.n_items,
         error_rate=args.error_rate,

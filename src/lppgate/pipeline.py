@@ -274,7 +274,11 @@ def evaluate_methods(
 ) -> dict[str, dict]:
     """Meta-model at its frozen threshold plus the three single-feature
     baselines (thresholds swept on validation) plus always-trust, all
-    evaluated on the test split."""
+    evaluated on the test split. The two id lists must be disjoint."""
+    test_set = set(test_ids)
+    shared = next((i for i in validation_ids if i in test_set), None)
+    if shared is not None:
+        raise ValueError(f"item_id {shared!r} is in both the validation and the test ids")
     test, scores, decisions = score_and_route(gate, table, labels, test_ids)
     val = build_examples(table, labels, validation_ids)
 

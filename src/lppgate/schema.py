@@ -6,8 +6,15 @@ small JSON object, so that the emitted token lines up with the provider's
 token-level log-probabilities. This module parses and normalizes those
 structured responses, holds each span of a trace's token log-probabilities
 (the single outcome token, and the reasoning tokens) as one TokenSpan of
-arrays built by token_span. A response that fails to parse raises
+arrays, which token_span builds from synth and provider tokens. A response that fails to parse raises
 ParseFailure; the gateway's retry loop decides what to do with it.
+
+A trace file holds one JSON line per trace, and each span of a line is one
+record of four parallel lists, its candidate rows sorted and unpadded (see
+_span_record). A record that passes one bulk check becomes a TokenSpan
+as it stands; any other is rebuilt by token_span, so the clamp, append and
+sort rules and their errors live in one place. Lines in trace_to_dict's
+per-token form, which older trace files hold, still read.
 
 A response has one reader: the JSON object at its first ``{``, decoded by
 json's own scanner, which yields each field's value and its offsets in the
@@ -23,8 +30,10 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -394,27 +403,74 @@ def _token_dicts(span: TokenSpan, name: str) -> list[dict]:
     ]
 
 
+def _structured_dict(s: StructuredResponse) -> dict:
+    return {
+        "outcome": int(s.outcome),
+        "reasoning_steps": [
+            {"step_number": r.step_number, "description": r.description} for r in s.reasoning_steps
+        ],
+        "p_correct": s.p_correct,
+        "band": s.band.value if s.band is not None else None,
+    }
+
+
 def trace_to_dict(trace: ResponseTrace) -> dict:
-    s = trace.structured
+    """A trace as one dict per token, each naming its span; the form that
+    read_traces_jsonl reads from older trace files."""
     return {
         "item_id": trace.item_id,
         "attempt": trace.attempt,
-        "structured": {
-            "outcome": int(s.outcome),
-            "reasoning_steps": [
-                {"step_number": r.step_number, "description": r.description}
-                for r in s.reasoning_steps
-            ],
-            "p_correct": s.p_correct,
-            "band": s.band.value if s.band is not None else None,
-        },
+        "structured": _structured_dict(trace.structured),
         # the outcome token first, then the reasoning tokens in stream order
         "tokens": _token_dicts(trace.outcome, Span.OUTCOME.value)
         + _token_dicts(trace.reasoning, Span.REASONING.value),
     }
 
 
+def _span_record(span: TokenSpan) -> dict:
+    """A span as four parallel lists, each candidate row sorted and unpadded."""
+    rows = span.logprobs.tolist()
+    return {
+        "chosen": span.chosen,
+        "chosen_logprobs": span.chosen_logprobs.tolist(),
+        "surfaces": span.surfaces,
+        "logprobs": [row[: len(srf)] for row, srf in zip(rows, span.surfaces)],
+    }
+
+
+def _span_from_record(rec: dict) -> TokenSpan:
+    """Read a span record. One that passes the checks below is the span
+    token_span would build from its triples; any other is rebuilt by
+    token_span, which clamps, appends, sorts or raises as it does for the
+    gateway."""
+    chosen, chosen_lps, surfaces, rows = rec["chosen"], rec["chosen_logprobs"], rec["surfaces"], rec["logprobs"]
+    widths = list(map(len, rows))
+    if not len(chosen) == len(chosen_lps) == len(surfaces) or list(map(len, surfaces)) != widths:
+        raise ValueError("span record lists differ in length")
+    if not chosen:
+        return _EMPTY_SPAN
+    flat = list(chain(chosen_lps, *rows))
+    try:
+        # at most 0, finite (nan, inf and an overflowing sum all fail),
+        # and each chosen surface among its candidates
+        passed = (
+            max(flat) <= 0.0
+            and math.isfinite(sum(flat))
+            and all(map(operator.contains, surfaces, chosen))
+        )
+    except TypeError:  # a logprob that is not a number; token_span's float() decides
+        passed = False
+    if passed:
+        width = max(widths)
+        pad = np.array([row + [-math.inf] * (width - w) for row, w in zip(rows, widths)], dtype=float)
+        if (pad[:, :-1] >= pad[:, 1:]).all():
+            return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(map(tuple, surfaces)), pad)
+    return token_span(zip(chosen, chosen_lps, map(zip, surfaces, rows)))
+
+
 def trace_from_dict(obj: dict) -> ResponseTrace:
+    """Read a trace from either form: span records under ``"spans"``, as
+    write_traces_jsonl writes them, or trace_to_dict's per-token dicts."""
     s = obj["structured"]
     structured = StructuredResponse(
         outcome=OutcomeLabel(int(s["outcome"])),
@@ -425,19 +481,34 @@ def trace_from_dict(obj: dict) -> ResponseTrace:
         p_correct=s.get("p_correct"),
         band=ConfidenceBand(s["band"]) if s.get("band") is not None else None,
     )
-    spans: dict[Span, list] = {Span.OUTCOME: [], Span.REASONING: []}
-    for t in obj.get("tokens", []):
-        chosen = t["chosen"]
-        candidates = [(c["surface"], c["logprob"]) for c in t.get("candidates", [])]
-        spans[Span(t["span"])].append((chosen["surface"], chosen["logprob"], candidates))
-    outcome, reasoning = (token_span(tokens) for tokens in spans.values())
+    if "spans" in obj:
+        records = obj["spans"]
+        outcome = _span_from_record(records[Span.OUTCOME.value])
+        reasoning = _span_from_record(records[Span.REASONING.value])
+    else:
+        spans: dict[Span, list] = {Span.OUTCOME: [], Span.REASONING: []}
+        for t in obj.get("tokens", []):
+            chosen = t["chosen"]
+            candidates = [(c["surface"], c["logprob"]) for c in t.get("candidates", [])]
+            spans[Span(t["span"])].append((chosen["surface"], chosen["logprob"], candidates))
+        outcome, reasoning = (token_span(tokens) for tokens in spans.values())
     return ResponseTrace(obj["item_id"], structured, outcome, reasoning, obj.get("attempt", 1))
 
 
 def write_traces_jsonl(traces, path) -> None:
+    """One line per trace, each span as one record (see _span_record)."""
     with open(path, "w", encoding="utf-8") as fh:
         for trace in traces:
-            fh.write(json.dumps(trace_to_dict(trace), separators=(",", ":")) + "\n")
+            obj = {
+                "item_id": trace.item_id,
+                "attempt": trace.attempt,
+                "structured": _structured_dict(trace.structured),
+                "spans": {
+                    Span.OUTCOME.value: _span_record(trace.outcome),
+                    Span.REASONING.value: _span_record(trace.reasoning),
+                },
+            }
+            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def read_traces_jsonl(path) -> list[ResponseTrace]:

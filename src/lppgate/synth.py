@@ -19,6 +19,7 @@ detectable only through the abstention flags.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -72,6 +73,8 @@ class SynthConfig:
         for family, value in self.signal.items():
             if family not in DEFAULT_SIGNAL:
                 raise ValueError(f"signal family {family!r} is not one of {sorted(DEFAULT_SIGNAL)}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"signal[{family!r}] must be a number, got {value!r}")
             if not 0.0 <= value <= 1.0:  # nan fails too
                 raise ValueError(f"signal[{family!r}] must be within [0, 1], got {value!r}")
 

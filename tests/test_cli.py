@@ -373,6 +373,39 @@ class TestErrors:
         config = json.loads((out / "synth.manifest.json").read_text())["config"]
         assert (config["cost_mis"], config["test_negatives"]) == (2, None)
 
+    def test_evaluate_rejects_overlapping_splits(self, workdir, tmp_path, capsys):
+        out = tmp_path / "run"
+        ids = workdir / "validation_ids.txt"
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--out", out, *labelled(workdir), "--model", workdir / "model.json",
+            "--validation-ids", ids, "--test-ids", ids,
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        first = ids.read_text().split()[0]
+        assert error["type"] == "ValueError"
+        assert f"item_id {first!r} is in both the validation and the test ids" == error["message"]
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "signal, message",
+        [
+            ('{"sequence": true}', "signal['sequence'] must be a number, got True"),
+            ('{"sequence": "0.9"}', "signal['sequence'] must be a number, got '0.9'"),
+            ("[1]", "--signal must be a JSON object of family -> strength, got [1]"),
+            ("{sequence: 1}", "--signal is not valid JSON"),
+        ],
+        ids=["bool", "text", "array", "not-json"],
+    )
+    def test_signal_values_checked(self, tmp_path, capsys, signal, message):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("synth", "--out", out, "--n-items", 50, "--signal", signal) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and error["message"].startswith(message)
+        assert not out.exists() or not list(out.iterdir())
+
     @pytest.mark.parametrize("top_k", [-2, 0])
     def test_top_k_below_one_rejected(self, tmp_path, capsys, top_k):
         out = tmp_path / "run"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from lppgate.schema import (
@@ -13,8 +13,10 @@ from lppgate.schema import (
     LOGPROB_TOLERANCE,
     OutcomeLabel,
     ParseFailure,
+    ReasoningStep,
     ResponseTrace,
     Span,
+    StructuredResponse,
     locate_structured_fields,
     normalize_outcome_token,
     parse_structured_response,
@@ -417,9 +419,8 @@ class TestTraceInvariantsAndRoundTrip:
         assert first.read_bytes() == second.read_bytes()
         # each span holds what the per-token records held
         for line in first.read_text().splitlines():
-            obj = json.loads(line)
-            trace = trace_from_dict(obj)
-            records = token_records_from_dict(obj)
+            trace = trace_from_dict(json.loads(line))
+            records = token_records_from_dict(trace_to_dict(trace))
             assert span_view(trace.outcome) == records_view([r for r in records if r.span is Span.OUTCOME])
             assert span_view(trace.reasoning) == records_view([r for r in records if r.span is Span.REASONING])
 
@@ -468,3 +469,139 @@ class TestTokenSpanMatchesReference:
         assert span.logprobs.shape == (len(tokens), max((len(r.candidates) for r in records), default=0))
         for row, srf in zip(span.logprobs, span.surfaces):
             assert np.all(row[len(srf):] == -np.inf)
+
+
+# values a written span can hold: ties (0.0 against -0.0 included), and
+# one so large in magnitude that a sum over two of them overflows
+_SPAN_LOGPROBS = st.one_of(
+    st.floats(min_value=-30, max_value=0),
+    st.sampled_from((0.0, -0.0, -0.7, -1.7e308)),
+)
+
+
+@st.composite
+def _spans(draw, min_tokens=0, max_tokens=4):
+    """A span as token_span builds it: ragged widths, and 1-token and
+    empty spans among them."""
+    n = draw(st.integers(min_value=min_tokens, max_value=max_tokens))
+    candidates = st.lists(st.tuples(_SURFACES, _SPAN_LOGPROBS), max_size=6)
+    return token_span([(draw(_SURFACES), draw(_SPAN_LOGPROBS), draw(candidates)) for _ in range(n)])
+
+
+@st.composite
+def _traces(draw):
+    traces = []
+    for i in range(draw(st.integers(min_value=1, max_value=3))):
+        outcome = draw(st.sampled_from(list(OutcomeLabel)))
+        steps = tuple(ReasoningStep(n + 1, draw(st.text(max_size=5))) for n in range(draw(st.integers(0, 3))))
+        p_correct = draw(st.one_of(st.none(), st.sampled_from((0, 55, 100))))
+        band = draw(st.one_of(st.none(), st.sampled_from(list(ConfidenceBand))))
+        structured = StructuredResponse(outcome, steps, p_correct, band)
+        attempt = draw(st.integers(min_value=1, max_value=4))
+        traces.append(ResponseTrace(f"item-{i}", structured, draw(_spans(1, 1)), draw(_spans()), attempt))
+    return traces
+
+
+def _bits(span):
+    """A span with its arrays as (dtype, shape, bytes): bytes keep -0.0
+    apart from 0.0 and nan payloads apart."""
+    arrays = (span.chosen_logprobs, span.logprobs)
+    return (span.chosen, span.surfaces, *((a.dtype, a.shape, a.tobytes()) for a in arrays))
+
+
+def _trace_bits(trace):
+    return (trace.item_id, trace.attempt, trace.structured, _bits(trace.outcome), _bits(trace.reasoning))
+
+
+# each fault the span reader checks for, as token_span triples
+_FAULTY_SPANS = [
+    [("a", math.nan, [("a", -0.1)])],
+    [("a", -0.1, [("a", -0.1), ("b", math.inf)])],
+    [("a", -math.inf, [("a", -0.5)])],
+    [("a", -0.1, [("b", 0.25), ("a", -0.1)])],
+    [("a", 5e-10, [("a", 5e-10), ("b", -1.0)])],
+    [("a", -0.5, [("a", -0.5), ("b", -0.1)])],
+    [("a", -0.5, [("b", -0.1)])],
+    [("a", -1.7e308, [("a", -1.7e308), ("b", -1.7e308)])],
+    [("a", -0.1, [("a", -0.1)]), ("b", -0.2, [("b", -0.2), ("c", -1.0), ("d", -2.0)]), ("c", -0.0, [])],
+    [("a", "-0.5", [("a", "-0.5")])],
+]
+_RECORD_LOGPROBS = st.one_of(
+    _SPAN_LOGPROBS,
+    st.sampled_from((math.nan, math.inf, -math.inf, 0.25, 5e-10)),
+)
+
+
+@st.composite
+def _record_triples(draw):
+    """token_span triples as a file might hold them: mostly sorted with the
+    chosen surface among its candidates, sometimes not, sometimes with a
+    value token_span clamps or rejects."""
+    logprobs = _RECORD_LOGPROBS if draw(st.booleans()) else _SPAN_LOGPROBS
+    tokens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        surface, logprob = draw(_SURFACES), draw(logprobs)
+        candidates = draw(st.lists(st.tuples(_SURFACES, logprobs), max_size=6))
+        if draw(st.integers(0, 3)):
+            candidates.append((surface, draw(st.sampled_from((logprob, draw(logprobs))))))
+        if draw(st.integers(0, 3)):
+            candidates.sort(key=lambda c: c[1], reverse=True)
+        tokens.append((surface, logprob, candidates))
+    return tokens
+
+
+def _record(tokens) -> dict:
+    """The span record of token_span triples, with nothing checked or sorted."""
+    return {
+        "chosen": [surface for surface, _, _ in tokens],
+        "chosen_logprobs": [logprob for _, logprob, _ in tokens],
+        "surfaces": [[s for s, _ in candidates] for _, _, candidates in tokens],
+        "logprobs": [[lp for _, lp in candidates] for _, _, candidates in tokens],
+    }
+
+
+def _outcome(build):
+    """build() as a span's bits, or the type and message of what it raised."""
+    try:
+        return _bits(build())
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_reads_like_token_span(tokens):
+    outcome = _record([("1", -0.1, [("1", -0.1)])])
+    obj = {"item_id": "x", "structured": {"outcome": 1}, "spans": {"outcome": outcome, "reasoning": _record(tokens)}}
+    obj = json.loads(json.dumps(obj))
+    assert _outcome(lambda: trace_from_dict(obj).reasoning) == _outcome(lambda: token_span(tokens))
+
+
+class TestSpanRecords:
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_traces())
+    def test_written_traces_read_back_bit_equal(self, tmp_path, traces):
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        assert all("spans" in json.loads(line) for line in path.read_text().splitlines())
+        assert [_trace_bits(t) for t in read_traces_jsonl(path)] == [_trace_bits(t) for t in traces]
+        # a file of per-token lines, as trace files were once written, still reads
+        path.write_text("".join(json.dumps(trace_to_dict(t)) + "\n" for t in traces))
+        assert [_trace_bits(t) for t in read_traces_jsonl(path)] == [_trace_bits(t) for t in traces]
+
+    @settings(max_examples=400, deadline=None)
+    @given(_record_triples())
+    def test_record_reads_like_token_span(self, tokens):
+        _assert_reads_like_token_span(tokens)
+
+    @pytest.mark.parametrize("tokens", _FAULTY_SPANS, ids=[
+        "nan", "inf", "minus-inf", "positive", "clamped", "unsorted", "chosen-missing", "sum-overflows", "ragged", "text",
+    ])
+    def test_faulty_record_reads_like_token_span(self, tokens):
+        _assert_reads_like_token_span(tokens)
+
+    def test_record_lists_of_different_lengths_rejected(self):
+        record = _record([("a", -0.1, [("a", -0.1), ("b", -0.2)])])
+        record["logprobs"] = [[-0.1]]
+        obj = {"item_id": "x", "structured": {"outcome": 1},
+               "spans": {"outcome": _record([("1", -0.1, [("1", -0.1)])]), "reasoning": record}}
+        with pytest.raises(ValueError, match="span record lists differ in length"):
+            trace_from_dict(obj)

@@ -91,8 +91,11 @@ class TestConfig:
             ({"sequence": 7.0}, r"signal\['sequence'\] must be within \[0, 1\], got 7.0"),
             ({"verbalized": -1.0}, r"signal\['verbalized'\] must be within \[0, 1\], got -1.0"),
             ({"outcome_topk": float("nan")}, r"signal\['outcome_topk'\] must be within \[0, 1\], got nan"),
+            ({"sequence": True}, r"signal\['sequence'\] must be a number, got True"),
+            ({"verbalized": "0.9"}, r"signal\['verbalized'\] must be a number, got '0.9'"),
+            ({"attribution": None}, r"signal\['attribution'\] must be a number, got None"),
         ],
-        ids=["unknown-family", "above-one", "below-zero", "nan"],
+        ids=["unknown-family", "above-one", "below-zero", "nan", "bool", "text", "null"],
     )
     def test_signal_checked(self, signal, match):
         with pytest.raises(ValueError, match=match):
