@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -382,7 +383,11 @@ def _quick_grid() -> list[trainer.RidgeConfig]:
 _INPUT_HELP = {"items": "items JSONL", "stub": "stub provider fixture file"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use: parse_args reads
+    it and changes nothing in it, so each call of main starts from the same
+    flags and defaults."""
     parser = argparse.ArgumentParser(
         prog="lppgate", description="trust-or-escalate gate pipeline"
     )

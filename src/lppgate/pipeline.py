@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -117,12 +118,24 @@ def extract_table(
     )
 
 
+def _refuse_line_breaks(item_ids: Iterable[str]) -> None:
+    """Raise for the first id holding a line break: no id-keyed file can
+    hold one, since its reader splits lines at a carriage return as well as
+    at a newline."""
+    bad = next((i for i in item_ids if "\n" in i or "\r" in i), None)
+    if bad is not None:
+        raise ValueError(f"item_id {bad!r} holds a line break")
+
+
 def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
+    """Write features.csv, one row per item of its id and repr(float) of
+    each value, and the family sidecar."""
+    _refuse_line_breaks(table.item_ids)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["item_id"] + table.names)
-    for item_id, row in zip(table.item_ids, table.matrix):
-        writer.writerow([item_id] + [repr(float(v)) for v in row])
+    rows = np.asarray(table.matrix, dtype=float).tolist()
+    writer.writerows([item_id, *map(repr, row)] for item_id, row in zip(table.item_ids, rows))
     write_text_atomic(csv_path, buf.getvalue())
     families: dict[str, list[str]] = {}
     for name in table.names:
@@ -130,23 +143,46 @@ def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
     write_json_atomic(sidecar_path, {"families": families, "invalid_items": sorted(table.invalid_ids)})
 
 
-def load_features(csv_path, sidecar_path) -> FeatureTable:
-    import json
+def _ignore(_field: str) -> float:
+    """np.loadtxt converter of the id column: counted, never parsed."""
+    return 0.0
 
-    with open(csv_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = header[1:]
-        item_ids, rows = [], []
-        for record in reader:
-            item_ids.append(record[0])
-            rows.append([float(v) for v in record[1:]])
+
+def load_features(csv_path, sidecar_path) -> FeatureTable:
+    """Read what save_features wrote. One np.loadtxt parses every row,
+    quoted ids included; each id is its line's first field, which
+    csv.reader unquotes when it starts with a quote."""
+    # universal newlines: \r\n and \r end a line, as they do for csv.reader
+    with open(csv_path, encoding="utf-8") as fh:
+        # not splitlines(): it also splits at characters an id may hold
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    names = next(csv.reader(lines[:1]))[1:]
+    rows = lines[1:]
+    item_ids = [
+        next(csv.reader([line]))[0] if line.startswith('"') else line.partition(",")[0] for line in rows
+    ]
+    malformed = f"every row of {csv_path} must hold an item_id and {len(names)} values"
+    matrix = np.empty((0, len(names) + 1))
+    if rows:
+        try:
+            # comments=None: an id may hold a '#'
+            matrix = np.loadtxt(
+                rows, delimiter=",", quotechar='"', converters={0: _ignore}, ndmin=2, comments=None
+            )
+        except ValueError as err:  # a row wider or narrower than the first, or a value no float
+            raise ValueError(f"{malformed}: {err}") from None
+    # loadtxt skips blank lines
+    if matrix.shape != (len(rows), len(names) + 1):
+        raise ValueError(malformed)
     with open(sidecar_path, encoding="utf-8") as fh:
         invalid_ids = json.load(fh).get("invalid_items", [])
-    return FeatureTable(item_ids, names, np.asarray(rows, dtype=float), invalid_ids)
+    return FeatureTable(item_ids, names, np.ascontiguousarray(matrix[:, 1:]), invalid_ids)
 
 
 def save_labels(rows: Sequence, path) -> None:
+    _refuse_line_breaks(row.item_id for row in rows)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["item_id", "ground_truth", "llm_outcome"])
@@ -158,17 +194,32 @@ def save_labels(rows: Sequence, path) -> None:
 def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
     labels: dict[str, tuple[int, OutcomeLabel]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            truth = int(record["ground_truth"])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        columns = ("item_id", "ground_truth", "llm_outcome")
+        missing = [name for name in columns if name not in header]
+        if missing:
+            raise ValueError(f"{path} has no column {missing[0]!r}")
+        i_item, i_truth, i_outcome = (header.index(name) for name in columns)
+        width = max(i_item, i_truth, i_outcome) + 1
+        for record in reader:
+            if not record:
+                continue
+            if len(record) < width:
+                item = record[i_item] if i_item < len(record) else None
+                raise ValueError(f"item {item!r} in {path} has {len(record)} fields, not {len(header)}")
+            item = record[i_item]
+            truth = int(record[i_truth])
             if truth not in (0, 1):
-                raise ValueError(f"item {record['item_id']!r} has ground_truth {truth}, not 0 or 1")
-            if record["item_id"] in labels:
-                raise ValueError(f"item_id {record['item_id']!r} appears more than once in {path}")
-            labels[record["item_id"]] = (truth, OutcomeLabel(int(record["llm_outcome"])))
+                raise ValueError(f"item {item!r} has ground_truth {truth}, not 0 or 1")
+            if item in labels:
+                raise ValueError(f"item_id {item!r} appears more than once in {path}")
+            labels[item] = (truth, OutcomeLabel(int(record[i_outcome])))
     return labels
 
 
 def write_id_list(ids: Sequence[str], path) -> None:
+    _refuse_line_breaks(ids)
     write_text_atomic(path, "".join(f"{i}\n" for i in ids))
 
 

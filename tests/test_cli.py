@@ -12,6 +12,8 @@ import pytest
 
 import lppgate
 from lppgate.cli import build_parser, main
+from lppgate.schema import write_traces_jsonl
+from lppgate.synth import SynthConfig, generate_corpus
 
 # Every flag that names a file a command reads.
 FILE_FLAGS = {
@@ -235,6 +237,18 @@ class TestErrors:
         assert not (out / "features.csv").exists()
         assert not list(out.glob("*.tmp"))
         assert not (out / "extract.manifest.json").exists()
+
+    @pytest.mark.parametrize("bad", ["n\nl", "r\rx"])
+    def test_extract_refuses_line_break_id(self, tmp_path, capsys, bad):
+        out = tmp_path / "run"
+        traces, _ = generate_corpus(SynthConfig(n_items=30, seed=3))
+        traces[4].item_id = bad
+        out.mkdir()
+        write_traces_jsonl(traces, out / "traces.jsonl")
+        assert run_cli("extract", "--out", out, "--traces", out / "traces.jsonl") == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"item_id {bad!r} holds a line break"}
+        assert not (out / "features.csv").exists()
 
     def test_failed_sweep_keeps_trained_model(self, workdir, tmp_path, monkeypatch, capsys):
         common = [
@@ -688,3 +702,16 @@ class TestParserSnapshot:
                     getattr(a.type, "__name__", None), choices,
                 ))
             assert flags == _COMMON_FLAGS | PARSER_SNAPSHOT[name], name
+
+
+class TestParserCache:
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_carry_over_between_calls(self, workdir, tmp_path):
+        common = [*labelled(workdir), "--train-ids", workdir / "train_ids.txt"]
+        quick, full = tmp_path / "quick", tmp_path / "full"
+        assert run_cli("train", "--out", quick, *common, "--quick-grid") == 0
+        assert run_cli("train", "--out", full, *common) == 0
+        assert json.loads((quick / "train_report.json").read_text())["grid_size"] == 8
+        assert json.loads((full / "train_report.json").read_text())["grid_size"] == 672

@@ -1,15 +1,22 @@
+import dataclasses
 import json
+import re
+import tempfile
 import warnings
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lppgate import cli, pipeline, policy, trainer
 from lppgate.dataset import ResampleConfig, SplitSpec, label_correctness, stratified_split
-from lppgate.features import ALL_FAMILIES, DEFAULT_TOP_K, FeatureFamily, family_of
+from lppgate.features import ALL_FAMILIES, DEFAULT_TOP_K, FeatureFamily, catalog_names, family_of
 from lppgate.schema import OutcomeLabel
 from lppgate.synth import SynthConfig, generate_corpus
+from tests import feature_file_reference
 from tests.conftest import make_outcome_span, make_trace
 from tests.policy_reference import always_trust_cost
 
@@ -164,6 +171,113 @@ class TestFileRoundTrips:
         path.write_text(f"item_id,ground_truth,llm_outcome\na,1,1\nb,{truth},0\n")
         with pytest.raises(ValueError, match=f"'b' has ground_truth {truth}"):
             pipeline.load_labels(path)
+
+    def test_short_label_row_names_file_and_item(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("item_id,ground_truth,llm_outcome\na,1,1\nb,0\n")
+        with pytest.raises(ValueError, match=re.escape(f"item 'b' in {path} has 2 fields, not 3")):
+            pipeline.load_labels(path)
+
+    @pytest.mark.parametrize("bad", ["n\nl", "r\rx"])
+    def test_features_refuse_line_break_id(self, tmp_path, bad):
+        traces, _ = corpus(n=10)
+        table = pipeline.extract_table(traces)
+        table.item_ids[3] = bad
+        csv_path, sidecar = tmp_path / "f.csv", tmp_path / "f.json"
+        with pytest.raises(ValueError, match=re.escape(f"item_id {bad!r} holds a line break")):
+            pipeline.save_features(table, csv_path, sidecar)
+        assert not csv_path.exists() and not sidecar.exists()
+
+    @pytest.mark.parametrize("bad", ["n\nl", "r\rx"])
+    def test_labels_refuse_line_break_id(self, tmp_path, bad):
+        _, rows = generate_corpus(SynthConfig(n_items=10, seed=1))
+        rows[2] = dataclasses.replace(rows[2], item_id=bad)
+        path = tmp_path / "labels.csv"
+        with pytest.raises(ValueError, match=re.escape(f"item_id {bad!r} holds a line break")):
+            pipeline.save_labels(rows, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", ["n\nl", "r\rx"])
+    def test_id_list_refuses_line_break_id(self, tmp_path, bad):
+        path = tmp_path / "ids.txt"
+        with pytest.raises(ValueError, match=re.escape(f"item_id {bad!r} holds a line break")):
+            pipeline.write_id_list(["a", bad, "zz"], path)
+        assert not path.exists()
+
+
+# Characters csv writes unquoted but str.splitlines() splits at, and '#',
+# loadtxt's default comment marker; ',' and '"' make csv quote the field.
+_ID_CHARS = [",", '"', "#", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "a", "7", "-"]
+_IDS = st.one_of(
+    st.sampled_from(["", '""', "synth-000001"]),
+    st.text(st.sampled_from(_ID_CHARS), max_size=5),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00"), max_size=5),
+)
+_SPECIAL_VALUES = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7e308, -1.7e308]
+_VALUES = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats())
+
+
+@st.composite
+def _feature_tables(draw):
+    ids = draw(st.lists(_IDS, max_size=6))
+    names = draw(st.lists(st.sampled_from(catalog_names()), min_size=1, max_size=4, unique=True))
+    values = draw(st.lists(_VALUES, min_size=len(ids) * len(names), max_size=len(ids) * len(names)))
+    matrix = np.array(values, dtype=float).reshape(len(ids), len(names))
+    return pipeline.FeatureTable(ids, names, matrix, draw(st.lists(_IDS, max_size=2)))
+
+
+def _table(ids, n_names=3):
+    names = catalog_names()[:n_names]
+    values = (_SPECIAL_VALUES * len(ids) * n_names)[: len(ids) * n_names]
+    return pipeline.FeatureTable(ids, names, np.array(values).reshape(len(ids), n_names))
+
+
+class TestFeatureFileReference:
+    """save_features / load_features against the csv-module versions they
+    replaced (tests/feature_file_reference.py): the same bytes, and the same
+    ids, names and matrix bits read back."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_feature_tables())
+    @example(_table(["", " a\tb ", "#x", "x#", "\x0b\x0c\x1c\x85\u2028", "synth-000001"]))
+    @example(_table(['a,b', '""', 'q"', ",", "#,"]))
+    def test_matches_reference(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            new, ref = Path(tmp, "new"), Path(tmp, "ref")
+            pipeline.save_features(table, new.with_suffix(".csv"), new.with_suffix(".json"))
+            feature_file_reference.save_features(table, ref.with_suffix(".csv"), ref.with_suffix(".json"))
+            for suffix in (".csv", ".json"):
+                assert new.with_suffix(suffix).read_bytes() == ref.with_suffix(suffix).read_bytes()
+            loaded = pipeline.load_features(new.with_suffix(".csv"), new.with_suffix(".json"))
+            expected = feature_file_reference.load_features(ref.with_suffix(".csv"), ref.with_suffix(".json"))
+        assert loaded.item_ids == expected.item_ids == table.item_ids
+        assert loaded.names == expected.names == table.names
+        assert loaded.invalid_ids == expected.invalid_ids
+        assert loaded.matrix.tobytes() == expected.matrix.tobytes()
+        assert np.array_equal(loaded.matrix.reshape(table.matrix.shape), table.matrix, equal_nan=True)
+
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_read_as_csv_reads_them(self, tmp_path, end):
+        csv_path, sidecar = tmp_path / "f.csv", tmp_path / "f.json"
+        lines = [b"item_id,sequence.nll,sequence.perplexity", b"a,1.0,2.0", b'"b,""",nan,-0.0', b""]
+        csv_path.write_bytes(end.join(lines))
+        sidecar.write_text("{}")
+        loaded = pipeline.load_features(csv_path, sidecar)
+        expected = feature_file_reference.load_features(csv_path, sidecar)
+        assert (loaded.item_ids, loaded.names) == (expected.item_ids, expected.names)
+        assert loaded.matrix.tobytes() == expected.matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "body",
+        ["a,1.0,2.0\n\nb,3.0,4.0\n", "a,1.0,2.0,9.0\nb,3.0,4.0\n", "a,1.0,2.0,9.0\n\n"],
+        ids=["blank line", "extra value", "blank line and extra value"],
+    )
+    def test_ragged_rows_rejected(self, tmp_path, body):
+        csv_path, sidecar = tmp_path / "f.csv", tmp_path / "f.json"
+        csv_path.write_text("item_id,sequence.nll,sequence.perplexity\n" + body)
+        sidecar.write_text("{}")
+        with pytest.raises(ValueError, match="must hold an item_id and 2 values"):
+            pipeline.load_features(csv_path, sidecar)
 
 
 class TestTrainSweepEvaluate:
