@@ -10,7 +10,8 @@ the reports, but no solver or calibrator reads them. Raw scores are
 mapped to probabilities by cross-fit calibration: three stratified folds,
 ridge fit on two, the calibrator (Platt sigmoid or isotonic/PAVA) fit on
 the held-out fold, and the final score is the fold-pipeline average
-clamped to [0,1].
+clamped to [0,1]. The Platt sigmoid is numpy's own 1 / (1 + exp(-x)),
+with exp overflow ignored on purpose, so lppgate runs on numpy alone.
 
 Hyperparameters are chosen by a grid over alpha, tol, max_iter, seven
 class-weight configurations, and the two calibrators (672 points), scored
@@ -43,7 +44,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .evaluation import per_class_f1
 from .manifest import write_json_atomic
@@ -232,16 +232,31 @@ def fit_ridge_weighted(
 # ---------------------------------------------------------------------------
 
 
+def _sigmoid(x):
+    """The logistic function 1 / (1 + exp(-x)), elementwise, within 2 ulp
+    of the exact value wherever that value is a normal float.
+
+    For x below about -709.78, exp(-x) overflows to inf and the result is
+    0.0, less than 1e-307 from the exact value; that overflow is expected,
+    so it is ignored on purpose. Only overflow is: a nan in x gives nan,
+    and a nan made before the call (a * s with a = -inf and s = 0) still
+    raises its invalid-operation warning where it is made."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
 @dataclass(frozen=True)
 class SigmoidCalibrator:
-    """Platt scaling p = sigmoid(a*s + b); a > 0 preserves score order."""
+    """Platt scaling p = sigmoid(a*s + b); a > 0 preserves score order.
+    The sigmoid is `_sigmoid`, whose exp overflow for very negative a*s + b
+    is ignored on purpose: it gives p = 0.0, not a warning."""
 
     a: float
     b: float
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         s = np.asarray(scores, dtype=float)
-        return expit(self.a * s + self.b)
+        return _sigmoid(self.a * s + self.b)
 
     def to_dict(self) -> dict:
         return {"kind": "sigmoid", "a": self.a, "b": self.b}
@@ -315,7 +330,9 @@ def fit_platt(
     Targets are t+ = (N+ + 1)/(N+ + 2) and t- = 1/(N- + 2), which keeps the
     likelihood bounded on separable folds. Convergence is declared when the
     gradient infinity-norm drops below grad_tol; a constant-score input has
-    a flat likelihood direction resolved by a = 0.
+    a flat likelihood direction resolved by a = 0. Each step's p comes from
+    `_sigmoid`, which ignores exp overflow on purpose (p = 0.0 there); a
+    non-finite a*s + b is left to the failure tests below.
 
     Fits of equal length run their Newton steps in lockstep on one
     (fits, length) array, so every row sum runs over a row of its true
@@ -341,7 +358,7 @@ def fit_platt(
         ab = np.zeros((len(fits), 2))
         ids = np.array(fits)
         for _ in range(max_iter):
-            p = expit(ab[:, :1] * S + ab[:, 1:])
+            p = _sigmoid(ab[:, :1] * S + ab[:, 1:])
             grad = np.stack([np.sum((p - T) * S, axis=1), np.sum(p - T, axis=1)], axis=1)
             done = np.max(np.abs(grad), axis=1) < grad_tol
             for i, (a, b) in zip(ids[done], ab[done]):

@@ -715,3 +715,46 @@ class TestParserCache:
         assert run_cli("train", "--out", full, *common) == 0
         assert json.loads((quick / "train_report.json").read_text())["grid_size"] == 8
         assert json.loads((full / "train_report.json").read_text())["grid_size"] == 672
+
+
+# Runs the chain in a fresh interpreter and prints each stage's exit code and
+# every scipy module loaded. With "blocked", scipy is made unimportable first:
+# a None entry in sys.modules makes any import of it raise ImportError.
+_CHAIN_WITHOUT_SCIPY = """
+import json, sys
+if sys.argv[2] == "blocked":
+    sys.modules["scipy"] = None
+from lppgate.cli import main
+
+out = sys.argv[1]
+common = ["--features", out + "/features.csv", "--features-sidecar", out + "/features.families.json",
+          "--labels", out + "/labels.csv"]
+stages = [
+    ["synth", "--n-items", "300", "--seed", "42"],
+    ["extract", "--traces", out + "/traces.jsonl"],
+    ["split", *common, "--test-negatives", "20"],
+    ["train", *common, "--train-ids", out + "/train_ids.txt", "--quick-grid"],
+    ["sweep", *common, "--model", out + "/model.json", "--validation-ids", out + "/validation_ids.txt"],
+    ["evaluate", *common, "--model", out + "/model.json", "--validation-ids", out + "/validation_ids.txt",
+     "--test-ids", out + "/test_ids.txt"],
+    ["sensitivity", *common, "--model", out + "/model.json", "--test-ids", out + "/test_ids.txt"],
+]
+codes = {argv[0]: main([argv[0], "--out", out, *argv[1:]]) for argv in stages}
+loaded = sorted(name for name, module in sys.modules.items()
+                if module is not None and (name == "scipy" or name.startswith("scipy.")))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+class TestRuntimeNeedsNoScipy:
+    @pytest.mark.parametrize("scipy", ["importable", "blocked"])
+    def test_chain_runs_without_loading_scipy(self, tmp_path, scipy):
+        env = dict(os.environ, PYTHONPATH=str(Path(lppgate.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", _CHAIN_WITHOUT_SCIPY, str(tmp_path / "run"), scipy],
+            capture_output=True, text=True, env=env, timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert set(result["codes"].values()) == {0}, (result, proc.stderr)
+        assert result["scipy"] == []

@@ -151,6 +151,56 @@ class TestRidge:
         assert w1 == pytest.approx(6 / (2 * 4))
 
 
+def _exact_sigmoid(x: float):
+    import mpmath as mp
+
+    with mp.workprec(200):
+        return 1 / (1 + mp.exp(-mp.mpf(x)))
+
+
+def _close_to_exact(value: float, exact) -> bool:
+    """Within 1e-15 relative where the exact value is a normal float, and
+    within 1e-300 absolute below that."""
+    import mpmath as mp
+
+    with mp.workprec(200):
+        error = abs(mp.mpf(float(value)) - exact)
+        if exact >= np.finfo(float).tiny:
+            return error <= 1e-15 * exact
+        return error <= 1e-300
+
+
+class TestSigmoid:
+    @given(st.floats(min_value=-745.0, max_value=745.0))
+    @example(-745.0)
+    @example(-709.79)  # exp(-x) overflows from here down
+    @example(-708.5)  # the exact value is subnormal from here down
+    @example(-36.8)
+    @example(0.0)
+    @example(36.8)
+    @example(745.0)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_value_and_scipy(self, x):
+        import mpmath as mp
+        from scipy.special import expit
+
+        exact = _exact_sigmoid(x)
+        ours = trainer._sigmoid(np.float64(x))
+        assert _close_to_exact(ours, exact)
+        assert trainer._sigmoid(np.array([x]))[0] == ours
+        assert _close_to_exact(expit(x), exact)
+        assert _close_to_exact(ours, mp.mpf(expit(x)))
+
+    def test_extremes_are_exact_and_silent(self):
+        x = np.array([-np.inf, -1e308, 1e308, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert trainer._sigmoid(x).tolist() == [0.0, 0.0, 1.0, 1.0]
+            assert [float(trainer._sigmoid(v)) for v in x] == [0.0, 0.0, 1.0, 1.0]
+            assert np.isnan(trainer._sigmoid(np.array([np.nan]))).all()
+            assert np.isnan(trainer._sigmoid(np.nan))
+
+
 class TestPlatt:
     def test_symmetric_two_point_solution(self):
         # gradient tolerance 1e-9 pins the parameters to ~1e-6

@@ -7,9 +7,8 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from lppgate.trainer import NonConvergence, SigmoidCalibrator, SingularSystem, _sample_weights
+from lppgate.trainer import NonConvergence, SigmoidCalibrator, SingularSystem, _sample_weights, _sigmoid
 
 
 def fit_ridge_weighted_reference(
@@ -51,7 +50,7 @@ def fit_platt_reference(
 
     a, b = 0.0, 0.0
     for _ in range(max_iter):
-        p = expit(a * s + b)
+        p = _sigmoid(a * s + b)
         grad = np.array([np.sum((p - t) * s), np.sum(p - t)])
         if np.max(np.abs(grad)) < grad_tol:
             return SigmoidCalibrator(a=float(a), b=float(b))
