@@ -31,7 +31,7 @@ import numpy as np
 from . import evaluation, gateway, pipeline, policy, synth, trainer
 from .dataset import ResampleConfig, SplitSpec, stratified_split
 from .features import ALL_FAMILIES, FeatureFamily, family_of
-from .manifest import build_manifest, sha256_file, write_json_atomic, write_text_atomic
+from .manifest import build_manifest, sha256_file, write_csv_atomic, write_json_atomic
 from .policy import CostModel
 from .schema import read_traces_jsonl, write_traces_jsonl
 
@@ -207,9 +207,18 @@ def cmd_generate(args, cfg: RunConfig, out):
     )
     items = []
     with open(args.items, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                items.append(json.loads(line))
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                item = json.loads(line)
+            except ValueError:
+                item = None
+            if not isinstance(item, dict) or "item_id" not in item:
+                raise ValueError(f"line {n} of {args.items} is not a JSON object with an item_id")
+            items.append(item)
+    # before any request: a repeated id would be sent twice and traced twice
+    pipeline.check_item_ids([str(item["item_id"]) for item in items], args.items)
     result = gateway.run_inference(
         items,
         template,
@@ -252,15 +261,11 @@ def cmd_split(args, cfg: RunConfig, out):
     split = stratified_split(pipeline.build_examples(table, labels), cfg.split_spec())
     ids = dict(zip(("train", "validation", "test"), split))
     outputs = []
-    for name in ("train", "validation", "test"):
-        path = out(f"{name}_ids.txt")
-        pipeline.write_id_list(ids[name], path)
-        outputs.append(path)
-    extra = {
-        "counts": {name: len(ids[name]) for name in ids},
-        "split": dataclasses.asdict(cfg.split_spec()),
-    }
-    return outputs, extra
+    for name, name_ids in ids.items():
+        outputs.append(out(f"{name}_ids.txt"))
+        pipeline.write_id_list(name_ids, outputs[-1])
+    counts = {name: len(name_ids) for name, name_ids in ids.items()}
+    return outputs, {"counts": counts, "split": dataclasses.asdict(cfg.split_spec())}
 
 
 def cmd_train(args, cfg: RunConfig, out):
@@ -311,11 +316,10 @@ def cmd_evaluate(args, cfg: RunConfig, out):
         gate, table, labels, validation_ids, test_ids,
         cfg.cost_model(), cfg.tau_grid(), cfg.sensitivity_ratios,
     )
-    csv_text, json_doc = evaluation.emit_report(results)
     csv_path = out("evaluation.csv")
-    write_text_atomic(csv_path, csv_text)
+    write_csv_atomic(csv_path, evaluation.REPORT_COLUMNS, evaluation.emit_report(results))
     json_path = out("evaluation.json")
-    write_json_atomic(json_path, json_doc)
+    write_json_atomic(json_path, {"methods": results})
     meta_cost = results["meta_model"]["metrics"]["expected_cost"]
     return [csv_path, json_path], {"meta_expected_cost": meta_cost}
 
@@ -331,10 +335,9 @@ def cmd_ablate(args, cfg: RunConfig, out):
         table, labels, drop, cfg.split_spec(), cfg.cost_model(),
         resample_cfg=cfg.resample_config(), space=space, grid=cfg.tau_grid(), seed=cfg.seed,
     )
-    lines = ["dropped_family,expected_cost,delta_vs_full"]
-    lines += [f"{r['dropped_family']},{r['expected_cost']!r},{r['delta_vs_full']!r}" for r in rows]
+    columns = ("dropped_family", "expected_cost", "delta_vs_full")
     csv_path = out("ablation.csv")
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_csv_atomic(csv_path, columns, ([r[c] for c in columns] for r in rows))
     return [csv_path], {"rows": rows}
 
 
@@ -362,9 +365,8 @@ def cmd_sensitivity(args, cfg: RunConfig, out):
     }
     json_path = out("sensitivity.json")
     write_json_atomic(json_path, doc)
-    lines = ["r,relative_cost"] + [f"{row['r']!r},{row['relative_cost']!r}" for row in curve]
     csv_path = out("sensitivity.csv")
-    write_text_atomic(csv_path, "\n".join(lines) + "\n")
+    write_csv_atomic(csv_path, ("r", "relative_cost"), ([row["r"], row["relative_cost"]] for row in curve))
     return [json_path, csv_path], {"tau_star": gate.tau_star}
 
 

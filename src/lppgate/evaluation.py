@@ -43,6 +43,7 @@ __all__ = [
     "always_trust_report",
     "emit_report",
     "METHOD_ORDER",
+    "REPORT_COLUMNS",
 ]
 
 METHOD_ORDER = ("msp", "top2_margin", "entropy", "meta_model", "always_trust")
@@ -167,46 +168,23 @@ def always_trust_report(z_test: Sequence[int], m: CostModel) -> MetricsReport:
     return compute_metrics(scores, decisions, z_test, m)
 
 
-_CSV_COLUMNS = (
-    "method",
-    "tau_star",
-    "f1_trust_class",
-    "f1_error_class",
-    "macro_f1",
-    "auc_roc",
-    "expected_cost",
-    "escalations",
-    "escalation_ratio",
+REPORT_COLUMNS = (
+    "method", "tau_star", "f1_trust_class", "f1_error_class", "macro_f1",
+    "auc_roc", "expected_cost", "escalations", "escalation_ratio",
 )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def emit_report(results: Mapping[str, dict]) -> tuple[str, dict]:
-    """Render the method comparison as CSV text plus a JSON-ready dict.
+def emit_report(results: Mapping[str, dict]) -> list[list]:
+    """The method comparison as rows of evaluation.csv under REPORT_COLUMNS.
 
     Rows follow the fixed method order (MSP, top-2 margin, entropy,
     meta-model, then always-trust) for whichever methods are present.
     """
     if not results:
         raise ValueError("no method results to report")
-    rows = [",".join(_CSV_COLUMNS)]
     ordered = [m for m in METHOD_ORDER if m in results]
     ordered += [m for m in results if m not in METHOD_ORDER]
-    for method in ordered:
-        entry = results[method]
-        metrics = entry["metrics"]
-        row = {
-            "method": method,
-            "tau_star": entry.get("tau_star"),
-            **{k: metrics[k] for k in _CSV_COLUMNS[2:]},
-        }
-        rows.append(",".join(_fmt(row[c]) for c in _CSV_COLUMNS))
-    csv_text = "\n".join(rows) + "\n"
-    return csv_text, {"methods": {m: results[m] for m in ordered}}
+    return [
+        [m, results[m].get("tau_star"), *(results[m]["metrics"][k] for k in REPORT_COLUMNS[2:])]
+        for m in ordered
+    ]

@@ -11,16 +11,19 @@ lives only in the manifest.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "sha256_file",
     "sha256_obj",
     "write_text_atomic",
     "write_json_atomic",
+    "write_csv_atomic",
     "build_manifest",
     "MANIFEST_VERSION",
 ]
@@ -56,6 +59,17 @@ def write_text_atomic(path, text: str) -> None:
 
 def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_csv_atomic(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one CSV dialect of every table artifact: csv's default, quoting
+    only the fields that need it, with "\n" line ends. A float is written
+    as its repr and None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text_atomic(path, buf.getvalue())
 
 
 def build_manifest(

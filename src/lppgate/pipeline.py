@@ -5,7 +5,6 @@ acceptance suite: feature tables, file formats, and the stage functions
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -30,13 +29,14 @@ from .features import (
     catalog_names,
     family_of,
 )
-from .manifest import write_json_atomic, write_text_atomic
+from .manifest import write_csv_atomic, write_json_atomic, write_text_atomic
 from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, decisions_at, sweep_threshold
 from .schema import OutcomeLabel, ResponseTrace
 from .trainer import TrainedGate, cross_fit_calibrated, grid_search, predict_score
 
 __all__ = [
     "FeatureTable",
+    "check_item_ids",
     "extract_table",
     "save_features",
     "load_features",
@@ -72,8 +72,15 @@ class FeatureTable:
         return {item: i for i, item in enumerate(self.item_ids)}
 
     def submatrix(self, ids: Sequence[str]) -> np.ndarray:
+        """The rows of ids, in their order; an id with no row is a KeyError
+        naming it."""
         rows = self.row_map()
-        return self.matrix[[rows[i] for i in ids]]
+        try:
+            return self.matrix[[rows[i] for i in ids]]
+        except KeyError as err:
+            (item,) = err.args
+            invalid = " (extract listed it as invalid)" if item in self.invalid_ids else ""
+            raise KeyError(f"item {item!r} has no feature row{invalid}") from None
 
     def without(self, family: FeatureFamily) -> FeatureTable:
         """The same rows without the columns of one family."""
@@ -97,13 +104,11 @@ def extract_table(
 
     Rows that are invalid with NoLabelMass or NonFiniteFeature are excluded
     from the matrix and listed in invalid_ids, to be escalated by default
-    downstream. An item_id that appears twice is a ValueError.
+    downstream. An item_id that check_item_ids refuses is a ValueError.
     """
     include = frozenset(include)
     traces = sorted(traces, key=lambda t: t.item_id)
-    repeated = next((a.item_id for a, b in zip(traces, traces[1:]) if a.item_id == b.item_id), None)
-    if repeated is not None:
-        raise ValueError(f"item_id {repeated!r} appears more than once in the traces")
+    check_item_ids([t.item_id for t in traces], "the traces")
     matrix, invalid = assemble_feature_vector(traces, include, k=k) if traces else (None, {})
     if len(invalid) == len(traces):
         raise ValueError("no valid traces to extract features from")
@@ -118,25 +123,26 @@ def extract_table(
     )
 
 
-def _refuse_line_breaks(item_ids: Iterable[str]) -> None:
-    """Raise for the first id holding a line break: no id-keyed file can
-    hold one, since its reader splits lines at a carriage return as well as
-    at a newline."""
-    bad = next((i for i in item_ids if "\n" in i or "\r" in i), None)
-    if bad is not None:
-        raise ValueError(f"item_id {bad!r} holds a line break")
+def check_item_ids(item_ids: Iterable[str], where: str) -> None:
+    """The id rule of every id-keyed file: raise for the first id that
+    has a line break or repeats an earlier one. No such file can hold a
+    line break, since its reader splits lines at a carriage return as well
+    as at a newline, and an item gets one decision, so one row."""
+    seen: set[str] = set()
+    for item in item_ids:
+        if "\n" in item or "\r" in item:
+            raise ValueError(f"item_id {item!r} holds a line break")
+        if item in seen:
+            raise ValueError(f"item_id {item!r} appears more than once in {where}")
+        seen.add(item)
 
 
 def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
     """Write features.csv, one row per item of its id and repr(float) of
     each value, and the family sidecar."""
-    _refuse_line_breaks(table.item_ids)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["item_id"] + table.names)
-    rows = np.asarray(table.matrix, dtype=float).tolist()
-    writer.writerows([item_id, *map(repr, row)] for item_id, row in zip(table.item_ids, rows))
-    write_text_atomic(csv_path, buf.getvalue())
+    check_item_ids(table.item_ids, "the feature table")
+    rows = zip(table.item_ids, np.asarray(table.matrix, dtype=float).tolist())
+    write_csv_atomic(csv_path, ["item_id", *table.names], ([item_id, *row] for item_id, row in rows))
     families: dict[str, list[str]] = {}
     for name in table.names:
         families.setdefault(family_of(name), []).append(name)
@@ -163,6 +169,7 @@ def load_features(csv_path, sidecar_path) -> FeatureTable:
     item_ids = [
         next(csv.reader([line]))[0] if line.startswith('"') else line.partition(",")[0] for line in rows
     ]
+    check_item_ids(item_ids, csv_path)
     malformed = f"every row of {csv_path} must hold an item_id and {len(names)} values"
     matrix = np.empty((0, len(names) + 1))
     if rows:
@@ -182,17 +189,14 @@ def load_features(csv_path, sidecar_path) -> FeatureTable:
 
 
 def save_labels(rows: Sequence, path) -> None:
-    _refuse_line_breaks(row.item_id for row in rows)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["item_id", "ground_truth", "llm_outcome"])
-    for row in rows:
-        writer.writerow([row.item_id, row.ground_truth, row.llm_outcome])
-    write_text_atomic(path, buf.getvalue())
+    check_item_ids([row.item_id for row in rows], "the labels")
+    header = ["item_id", "ground_truth", "llm_outcome"]
+    write_csv_atomic(path, header, ([r.item_id, r.ground_truth, r.llm_outcome] for r in rows))
 
 
 def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
     labels: dict[str, tuple[int, OutcomeLabel]] = {}
+    item_ids: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -208,18 +212,19 @@ def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
             if len(record) < width:
                 item = record[i_item] if i_item < len(record) else None
                 raise ValueError(f"item {item!r} in {path} has {len(record)} fields, not {len(header)}")
-            item = record[i_item]
-            truth = int(record[i_truth])
-            if truth not in (0, 1):
-                raise ValueError(f"item {item!r} has ground_truth {truth}, not 0 or 1")
-            if item in labels:
-                raise ValueError(f"item_id {item!r} appears more than once in {path}")
-            labels[item] = (truth, OutcomeLabel(int(record[i_outcome])))
+            item, truth, outcome = record[i_item], record[i_truth], record[i_outcome]
+            if truth not in ("0", "1"):
+                raise ValueError(f"item {item!r} has ground_truth {truth}, not 0 or 1, in {path}")
+            if outcome not in ("0", "1", "2", "3"):
+                raise ValueError(f"item {item!r} has llm_outcome {outcome}, not one of 0-3, in {path}")
+            item_ids.append(item)
+            labels[item] = (int(truth), OutcomeLabel(int(outcome)))
+    check_item_ids(item_ids, path)
     return labels
 
 
 def write_id_list(ids: Sequence[str], path) -> None:
-    _refuse_line_breaks(ids)
+    check_item_ids(ids, "the id list")
     write_text_atomic(path, "".join(f"{i}\n" for i in ids))
 
 
@@ -227,11 +232,7 @@ def read_id_list(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         # only the terminator goes: an id keeps any spaces it has
         ids = [line.rstrip("\n") for line in fh if line != "\n"]
-    seen: set[str] = set()
-    for i in ids:
-        if i in seen:
-            raise ValueError(f"item_id {i!r} appears more than once in {path}")
-        seen.add(i)
+    check_item_ids(ids, path)
     return ids
 
 

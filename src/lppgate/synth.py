@@ -63,6 +63,8 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if isinstance(self.n_items, bool) or not isinstance(self.n_items, int) or self.n_items < 1:
+            raise ValueError(f"n_items must be an integer of at least 1, got {self.n_items!r}")
         for name, value in (
             ("error_rate", self.error_rate),
             ("abstention_rate", self.abstention_rate),

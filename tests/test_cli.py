@@ -433,6 +433,86 @@ class TestErrors:
         assert error["type"] == "ValueError" and "top_k" in error["message"]
         assert not (out / "features.csv").exists()
 
+    def test_split_refuses_a_repeated_feature_row(self, workdir, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("features.csv", "features.families.json", "labels.csv"):
+            shutil.copy(workdir / name, run / name)
+        lines = (run / "features.csv").read_text().splitlines(keepends=True)
+        (run / "features.csv").write_text("".join(lines + lines[1:2]))
+        capsys.readouterr()
+        assert run_cli("split", "--out", run, *labelled(run), "--test-negatives", 30) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        first = lines[1].partition(",")[0]
+        assert error == {
+            "type": "ValueError",
+            "message": f"item_id {first!r} appears more than once in {run / 'features.csv'}",
+        }
+        assert not list(run.glob("*_ids.txt"))
+
+    def test_train_names_an_id_without_a_feature_row(self, workdir, tmp_path, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text((workdir / "train_ids.txt").read_text() + "no-such-item\n")
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run_cli("train", "--out", out, *labelled(workdir), "--train-ids", ids, "--quick-grid")
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "KeyError"
+        assert "item 'no-such-item' has no feature row" in error["message"]
+        assert not out.exists() or not list(out.iterdir())
+
+    @pytest.mark.parametrize("n_items", [0, -3])
+    def test_synth_refuses_fewer_than_one_item(self, tmp_path, capsys, n_items):
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("synth", "--out", out, "--n-items", n_items) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"n_items must be an integer of at least 1, got {n_items}"}
+        assert not out.exists() or not list(out.iterdir())
+
+
+class TestGenerateRefusesBadItems:
+    """Bad item lines fail generate before any request is sent."""
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "stub"
+
+    @pytest.fixture
+    def no_requests(self, monkeypatch):
+        def run_inference(*args, **kwargs):
+            raise AssertionError("a request was sent")
+
+        monkeypatch.setattr(lppgate.gateway, "run_inference", run_inference)
+
+    def _generate(self, tmp_path, capsys, extra_lines, pool_width=4):
+        items = tmp_path / "items.jsonl"
+        items.write_text((self.FIXTURE / "items.jsonl").read_text() + "".join(extra_lines))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run_cli(
+            "generate", "--out", out, "--items", items, "--stub", self.FIXTURE / "stub.json",
+            "--template", "text-cot", "--pool-width", pool_width,
+        )
+        assert code == 1
+        assert not out.exists() or not list(out.iterdir())
+        return items, json.loads(capsys.readouterr().err)["error"]
+
+    @pytest.mark.parametrize("pool_width", [1, 4])
+    def test_repeated_item_id(self, tmp_path, capsys, no_requests, pool_width):
+        first = (self.FIXTURE / "items.jsonl").read_text().splitlines(keepends=True)[0]
+        items, error = self._generate(tmp_path, capsys, [first], pool_width)
+        assert error == {"type": "ValueError", "message": f"item_id 'it-01' appears more than once in {items}"}
+
+    def test_line_break_in_item_id(self, tmp_path, capsys, no_requests):
+        _, error = self._generate(tmp_path, capsys, [json.dumps({"item_id": "a\nb", "text": "x"}) + "\n"])
+        assert error == {"type": "ValueError", "message": "item_id 'a\\nb' holds a line break"}
+
+    @pytest.mark.parametrize("line", ['{"text": "no id"}', "[1, 2]", '"it-99"', "{not json"])
+    def test_line_without_an_item_id(self, tmp_path, capsys, no_requests, line):
+        items, error = self._generate(tmp_path, capsys, ["\n", line + "\n"])
+        # the fixture's nine lines, then a blank line
+        assert error == {"type": "ValueError", "message": f"line 11 of {items} is not a JSON object with an item_id"}
+
 
 class TestFamiliesFlag:
     def test_extract_with_family_subset(self, tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lppgate.evaluation import (
+    REPORT_COLUMNS,
     MissingFeature,
     always_trust_report,
     auc_roc,
@@ -220,17 +221,14 @@ class TestEmitReport:
         }
 
     def test_single_method(self):
-        csv_text, doc = emit_report({"meta_model": self._entry(5.0)})
-        lines = csv_text.strip().splitlines()
-        assert len(lines) == 2
-        assert lines[1].startswith("meta_model,")
+        rows = emit_report({"meta_model": self._entry(5.0)})
+        assert rows == [["meta_model", 0.5, 0.9, 0.5, 0.7, 0.8, 5.0, 10, 0.1]]
+        assert len(rows[0]) == len(REPORT_COLUMNS)
 
     def test_fixed_method_order(self):
         results = {name: self._entry(i) for i, name in enumerate(("entropy", "meta_model", "msp", "top2_margin"))}
-        csv_text, doc = emit_report(results)
-        methods = [line.split(",")[0] for line in csv_text.strip().splitlines()[1:]]
+        methods = [row[0] for row in emit_report(results)]
         assert methods == ["msp", "top2_margin", "entropy", "meta_model"]
-        assert list(doc["methods"]) == methods
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -205,6 +205,72 @@ class TestFileRoundTrips:
         assert not path.exists()
 
 
+class TestCheckItemIds:
+    def test_distinct_ids_pass(self):
+        pipeline.check_item_ids(["a", "b", " a", "", "\x85\u2028"], "x")
+        pipeline.check_item_ids([], "x")
+
+    @pytest.mark.parametrize("bad", ["n\nl", "r\rx", "\r\n", "\n"])
+    def test_line_break_refused(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"item_id {bad!r} holds a line break")):
+            pipeline.check_item_ids(["a", bad], "x")
+
+    def test_repeat_refused_naming_where(self):
+        with pytest.raises(ValueError, match=re.escape("item_id 'b' appears more than once in ids.txt")):
+            pipeline.check_item_ids(iter(["a", "b", "c", "b"]), "ids.txt")
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [
+            (["a", "b\n", "a"], "'b\\n' holds a line break"),
+            (["a", "a", "b\n"], "'a' appears more than once"),
+            (["a\n", "a\n"], "'a\\n' holds a line break"),
+            (["b", "a", "a", "b"], "'a' appears more than once"),
+        ],
+        ids=["break-first", "repeat-first", "repeated-break", "first-repeat-in-order"],
+    )
+    def test_first_failure_in_order_is_reported(self, ids, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.check_item_ids(ids, "x")
+
+
+class TestInputsNameTheItem:
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,1,7", "item 'a' has llm_outcome 7, not one of 0-3, in {path}"),
+            ("a,1,-1", "item 'a' has llm_outcome -1, not one of 0-3, in {path}"),
+            ("a,1,x", "item 'a' has llm_outcome x, not one of 0-3, in {path}"),
+            ("a,yes,1", "item 'a' has ground_truth yes, not 0 or 1, in {path}"),
+            ("a,,1", "item 'a' has ground_truth , not 0 or 1, in {path}"),
+        ],
+    )
+    def test_label_value_errors_name_item_and_file(self, tmp_path, row, message):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"item_id,ground_truth,llm_outcome\nb,0,0\n{row}\n")
+        with pytest.raises(ValueError, match=re.escape(message.format(path=path))):
+            pipeline.load_labels(path)
+
+    def test_repeated_feature_row_refused(self, tmp_path):
+        traces, _ = corpus(n=10)
+        csv_path, sidecar = tmp_path / "f.csv", tmp_path / "f.json"
+        pipeline.save_features(pipeline.extract_table(traces), csv_path, sidecar)
+        lines = csv_path.read_text().splitlines(keepends=True)
+        csv_path.write_text("".join(lines + lines[1:2]))
+        first = lines[1].partition(",")[0]
+        with pytest.raises(ValueError, match=re.escape(f"item_id {first!r} appears more than once in {csv_path}")):
+            pipeline.load_features(csv_path, sidecar)
+
+    def test_submatrix_names_an_id_without_a_row(self):
+        table = pipeline.FeatureTable(["a", "b"], catalog_names()[:1], np.array([[1.0], [2.0]]), ["gone"])
+        assert table.submatrix(["b", "a"]).tolist() == [[2.0], [1.0]]
+        with pytest.raises(KeyError, match=re.escape("item 'no-such-item' has no feature row")) as err:
+            table.submatrix(["a", "no-such-item"])
+        assert "invalid" not in str(err.value)
+        with pytest.raises(KeyError, match=re.escape("item 'gone' has no feature row (extract listed it as invalid)")):
+            table.submatrix(["gone"])
+
+
 # Characters csv writes unquoted but str.splitlines() splits at, and '#',
 # loadtxt's default comment marker; ',' and '"' make csv quote the field.
 _ID_CHARS = [",", '"', "#", " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "a", "7", "-"]
@@ -219,7 +285,8 @@ _VALUES = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats())
 
 @st.composite
 def _feature_tables(draw):
-    ids = draw(st.lists(_IDS, max_size=6))
+    # unique: save_features and load_features refuse a repeated id
+    ids = draw(st.lists(_IDS, max_size=6, unique=True))
     names = draw(st.lists(st.sampled_from(catalog_names()), min_size=1, max_size=4, unique=True))
     values = draw(st.lists(_VALUES, min_size=len(ids) * len(names), max_size=len(ids) * len(names)))
     matrix = np.array(values, dtype=float).reshape(len(ids), len(names))

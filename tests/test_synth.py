@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,15 @@ class TestConfig:
     def test_signal_checked(self, signal, match):
         with pytest.raises(ValueError, match=match):
             SynthConfig(signal=signal)
+
+    @pytest.mark.parametrize("n_items", [0, -3, True, 2.0, "10", None])
+    def test_n_items_must_be_a_positive_int(self, n_items):
+        with pytest.raises(ValueError, match=re.escape(f"n_items must be an integer of at least 1, got {n_items!r}")):
+            SynthConfig(n_items=n_items)
+
+    def test_one_item_accepted(self):
+        traces, labels = generate_corpus(SynthConfig(n_items=1))
+        assert len(traces) == len(labels) == 1
 
     def test_signal_edges_accepted(self):
         SynthConfig(signal={"outcome_topk": 0.0, "attribution": 1.0})
