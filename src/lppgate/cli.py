@@ -284,6 +284,8 @@ def cmd_train(args, cfg: RunConfig, out):
         "chosen_config": report["chosen_config"],
         "grid_size": report["grid_size"],
         "distinct_configs": len(trainer.distinct_configs(space)),
+        "tomek_removed": report["resample"]["tomek_removed"],
+        "undersampled": report["resample"]["undersampled"],
     }
     return [model_path, report_path], extra
 

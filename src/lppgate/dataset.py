@@ -7,7 +7,11 @@ count as incorrect, which keeps them escalate-prone downstream.
 Class imbalance on the training portion is handled by Tomek-link boundary
 cleaning, over features z-scored as the trainer z-scores them, followed
 by seeded random undersampling of the majority class, with abstention
-examples always retained. Splitting fixes the number of negative (error)
+examples always retained. The nearest neighbours behind the Tomek links
+are found one block of rows at a time, at most ``_TOMEK_BLOCK_ENTRIES``
+(2**16) distances per block, so memory grows linearly in the number of
+rows; a distance within a rounding tolerance of a row's minimum counts as
+a tie (see ``tomek_links``). Splitting fixes the number of negative (error)
 cases in the test set and carves a validation fraction out of the
 remaining training pool, stratified on z.
 
@@ -42,6 +46,9 @@ __all__ = [
 ]
 
 ABSTENTIONS = (OutcomeLabel.INCONCLUSIVE_EVIDENCE, OutcomeLabel.INCONCLUSIVE_DEFINITION)
+
+#: Most squared distances one row block of tomek_links holds at a time.
+_TOMEK_BLOCK_ENTRIES = 1 << 16
 
 
 class InsufficientNegatives(ValueError):
@@ -127,6 +134,17 @@ def tomek_links(rows: LabeledRows) -> np.ndarray:
     Distances are Euclidean over features z-scored by the trainer's
     standardize_fit/standardize_apply (fit on the input set); distance ties
     resolve to the earlier item in item_id order.
+
+    Squared distances come from the Gram form
+    ``sq_i + sq_j - 2 x_i.x_j`` over blocks of rows, each block holding at
+    most ``_TOMEK_BLOCK_ENTRIES`` entries, so the memory beyond the
+    z-scored copy of X is O(n*d + _TOMEK_BLOCK_ENTRIES) floats rather than
+    O(n^2). That form carries a rounding error, and its last bits change
+    with how BLAS splits the product, so two neighbours at exactly equal
+    distance need not come out equal. Row i's neighbour is therefore the
+    earliest column whose squared distance lies within
+    ``4 * (d + 3) * eps * (sq_i + max_j sq_j)`` of the row's minimum, a
+    bound on the Gram form's error for d features.
     """
     if len(rows) < 2:
         return np.empty(0, dtype=np.intp)
@@ -137,12 +155,19 @@ def tomek_links(rows: LabeledRows) -> np.ndarray:
         return np.empty(0, dtype=np.intp)
 
     Xs = standardize_apply(standardize_fit(X), X)
+    n, d = Xs.shape
     sq = np.sum(Xs**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.argmin(d2, axis=1)  # first minimum = lowest sorted index on ties
+    tol = 4.0 * (d + 3) * np.finfo(float).eps * (sq + sq.max())
+    step = max(1, _TOMEK_BLOCK_ENTRIES // n)
+    nn = np.empty(n, dtype=np.intp)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        d2 = sq[lo:hi, None] + sq[None, :] - 2.0 * (Xs[lo:hi] @ Xs.T)
+        d2[np.arange(hi - lo), np.arange(lo, hi)] = np.inf
+        near = d2.min(axis=1) + tol[lo:hi]
+        nn[lo:hi] = np.argmax(d2 <= near[:, None], axis=1)  # first True = earliest item
 
-    own = np.arange(len(order))
+    own = np.arange(n)
     linked = (nn[nn] == own) & (z != z[nn])
     losers = np.where(z == _majority_label(z), own, nn)[linked]
     return np.unique(order[losers])

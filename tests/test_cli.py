@@ -139,6 +139,13 @@ class TestPipelineArtifacts:
         assert extra["distinct_configs"] == 56
         assert "distinct_configs" not in json.loads((out / "train_report.json").read_text())
 
+    def test_train_manifest_counts_resampling(self, workdir):
+        extra = json.loads((workdir / "train.manifest.json").read_text())["extra"]
+        resampled = json.loads((workdir / "train_report.json").read_text())["resample"]
+        assert extra["tomek_removed"] == resampled["tomek_removed"]
+        assert extra["undersampled"] == resampled["undersampled"]
+        assert extra["undersampled"] > 0
+
     @pytest.mark.parametrize("tau_range, on_edge", [(None, True), ("0.0:1.0", False)])
     def test_sweep_manifest_flags_tau_star_on_grid_edge(self, workdir, tmp_path, tau_range, on_edge):
         # on this corpus the default grid's optimum is its lowest point; on

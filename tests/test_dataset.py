@@ -1,11 +1,15 @@
+import tracemalloc
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lppgate import dataset
 from lppgate.dataset import (
     InsufficientNegatives,
     LabeledRows,
@@ -19,6 +23,7 @@ from lppgate.dataset import (
     tomek_links,
 )
 from lppgate.schema import OutcomeLabel
+from lppgate.trainer import standardize_apply, standardize_fit
 
 
 @dataclass
@@ -70,29 +75,59 @@ def _majority_label_reference(z):
 
 
 def _tomek_links_reference(examples) -> set[int]:
+    """The documented rule in exact arithmetic: squared distances of the
+    z-scored rows are Fractions (each column's squared differences over its
+    exact variance, a zero-variance column counting 0), and each row's
+    neighbour is the earliest item, in item_id order, at the least one."""
     if len(examples) < 2:
         return set()
     order = sorted(range(len(examples)), key=lambda i: examples[i].item_id)
-    X = _matrix([examples[i] for i in order])
+    X = [[Fraction(v) for v in examples[i].values] for i in order]
     z = np.array([examples[i].z for i in order], dtype=int)
     if len(np.unique(z)) < 2:
         return set()
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    Xs = (X - mean) / std
-    sq = np.sum(Xs**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
-    np.fill_diagonal(d2, np.inf)
-    nn = np.argmin(d2, axis=1)
+    n = len(X)
+    variances = []
+    for column in zip(*X):
+        mean = sum(column) / n
+        variances.append(sum((v - mean) ** 2 for v in column) / n)
+    scale = [1 / v if v else Fraction(0) for v in variances]
+
+    def d2(i, j):
+        return sum((a - b) ** 2 * s for a, b, s in zip(X[i], X[j], scale))
+
+    nn = [min((j for j in range(n) if j != i), key=lambda j: (d2(i, j), j)) for i in range(n)]
     majority = _majority_label_reference(z)
     removed: set[int] = set()
     for i in range(len(order)):
-        j = int(nn[i])
+        j = nn[i]
         if nn[j] == i and z[i] != z[j]:
             loser = i if z[i] == majority else j
             removed.add(order[loser])
     return removed
+
+
+def _tomek_links_full_matrix(rows: LabeledRows) -> np.ndarray:
+    """tomek_links as it was before row blocks: the whole n x n distance
+    matrix at once, the first minimum of each row its neighbour."""
+    if len(rows) < 2:
+        return np.empty(0, dtype=np.intp)
+    order = dataset._id_order(rows)
+    X = rows.X[order]
+    z = rows.z[order]
+    if len(np.unique(z)) < 2:
+        return np.empty(0, dtype=np.intp)
+
+    Xs = standardize_apply(standardize_fit(X), X)
+    sq = np.sum(Xs**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (Xs @ Xs.T)
+    np.fill_diagonal(d2, np.inf)
+    nn = np.argmin(d2, axis=1)  # first minimum = lowest sorted index on ties
+
+    own = np.arange(len(order))
+    linked = (nn[nn] == own) & (z != z[nn])
+    losers = np.where(z == dataset._majority_label(z), own, nn)[linked]
+    return np.unique(order[losers])
 
 
 def _random_undersample_reference(examples, cfg: ResampleConfig) -> list:
@@ -379,24 +414,27 @@ class TestArrayFunctionsMatchReference:
         shuffled_examples(),
         st.sampled_from([0.5, 1.0, 2.0, 4.0]),
         st.integers(0, 2**31 - 1),
+        # the default fits n <= 40 rows in one block; the small budgets
+        # put block edges between rows, down to one row per block
+        st.sampled_from([1, 2, 7, dataset._TOMEK_BLOCK_ENTRIES]),
     )
     @settings(max_examples=150, deadline=None)
-    def test_resampling_selects_the_same_rows_in_the_same_order(self, examples, ratio, seed):
+    def test_resampling_selects_the_same_rows_in_the_same_order(self, examples, ratio, seed, budget):
         cfg = ResampleConfig(target_majority_ratio=ratio, seed=seed)
         rows = rows_of(examples)
+        with mock.patch.object(dataset, "_TOMEK_BLOCK_ENTRIES", budget):
+            assert tomek_links(rows).tolist() == sorted(_tomek_links_reference(examples))
 
-        assert tomek_links(rows).tolist() == sorted(_tomek_links_reference(examples))
+            reduced, n_warn = _outcome(random_undersample, rows, cfg)
+            expected, n_warn_ref = _outcome(_random_undersample_reference, examples, cfg)
+            assert ids_of(reduced) == [e.item_id for e in expected]
+            assert n_warn == n_warn_ref
 
-        reduced, n_warn = _outcome(random_undersample, rows, cfg)
-        expected, n_warn_ref = _outcome(_random_undersample_reference, examples, cfg)
-        assert ids_of(reduced) == [e.item_id for e in expected]
-        assert n_warn == n_warn_ref
-
-        (reduced, _), _ = _outcome(resample, rows, cfg)
-        expected, _ = _outcome(_resample_reference, examples, cfg)
-        assert ids_of(reduced) == [e.item_id for e in expected]
-        assert reduced.X.tobytes() == _matrix(expected).tobytes()
-        assert reduced.z.tolist() == [e.z for e in expected]
+            (reduced, _), _ = _outcome(resample, rows, cfg)
+            expected, _ = _outcome(_resample_reference, examples, cfg)
+            assert ids_of(reduced) == [e.item_id for e in expected]
+            assert reduced.X.tobytes() == _matrix(expected).tobytes()
+            assert reduced.z.tolist() == [e.z for e in expected]
 
     @given(
         shuffled_examples(),
@@ -412,3 +450,42 @@ class TestArrayFunctionsMatchReference:
         assert _outcome(stratified_split, rows_of(examples), spec) == _outcome(
             _stratified_split_reference, examples, spec
         )
+
+
+class TestTomekLinksAtScale:
+    @given(
+        st.integers(2, 300),
+        st.integers(1, 45),
+        st.sampled_from([0.2, 0.5, 0.8]),
+        st.sampled_from([1, 7, 4096, dataset._TOMEK_BLOCK_ENTRIES]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_continuous_rows_link_as_the_full_matrix_does(self, n, d, share_correct, budget, seed):
+        rng = np.random.default_rng(seed)
+        z = (rng.random(n) < share_correct).astype(int)
+        rows = LabeledRows(
+            tuple(f"it-{i:03d}" for i in rng.permutation(n)),
+            rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d),
+            z,
+            (z == 0) & (rng.random(n) < 0.3),
+        )
+        with mock.patch.object(dataset, "_TOMEK_BLOCK_ENTRIES", budget):
+            assert tomek_links(rows).tolist() == _tomek_links_full_matrix(rows).tolist()
+
+    def test_peak_memory_stays_bounded(self):
+        # the full 3000 x 3000 distance matrix and its temporaries took
+        # about 140 MB here; row blocks keep the call near the size of X
+        rng = np.random.default_rng(0)
+        n = 3000
+        z = (rng.random(n) < 0.8).astype(int)
+        rows = LabeledRows(
+            tuple(f"it-{i:04d}" for i in range(n)), rng.standard_normal((n, 45)), z, np.zeros(n, dtype=bool)
+        )
+        tracemalloc.start()
+        try:
+            tomek_links(rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
