@@ -21,9 +21,11 @@ the file records:
 
 Each corpus uses seed 42 and ``--test-negatives`` n/20, and ``train``
 searches the full 672-point grid; the file records the grid size ``train``
-reports. Each stage runs three times in a row on the same inputs, and each
-number is the median of the three, which damps a shared host's noise in
-the wall times; the file names the host's CPU count.
+reports. The chains run in three rounds: round r runs every corpus's whole
+chain once before round r+1 starts, so the three runs of one stage lie
+minutes apart and a noisy spell of a shared host lands on one of them
+rather than on all three. Each number is the median of the three runs;
+the file names the host's CPU count.
 """
 
 from __future__ import annotations
@@ -82,29 +84,39 @@ def run_stage(argv: list[str]) -> tuple[float, float]:
     return wall, usage.ru_maxrss / 1024.0
 
 
-def run_corpus(work: Path, n_items: int, cot: bool) -> dict:
-    out = work / f"{n_items}-{'cot' if cot else 'direct'}"
-    stages, manifests = {}, {}
-    for stage in STAGES:
-        runs = []
-        for _ in range(REPEATS):
-            wall, rss = run_stage(stage_argv(stage, out, n_items, cot))
-            manifests[stage] = json.loads((out / f"{stage}.manifest.json").read_text())
-            runs.append((manifests[stage]["timing_s"], wall, rss))
-        timing, wall, rss = np.median(runs, axis=0)
-        stages[stage] = {
-            "timing_s": round(float(timing), 4),
-            "process_s": round(float(wall), 4),
-            "peak_rss_mb": round(float(rss), 1),
-        }
-        print(f"{n_items:>6} {'cot' if cot else 'direct':<6} {stage:<12} {stages[stage]}", file=sys.stderr)
-    return {
-        "n_items": n_items,
-        "cot": cot,
-        "split_counts": manifests["split"]["extra"]["counts"],
-        "grid_size": manifests["train"]["extra"]["grid_size"],
-        "stages": stages,
-    }
+def run_ladder(work: Path) -> list[dict]:
+    """Every corpus's chain REPEATS times, in rounds; one row per corpus
+    with each stage's medians."""
+    corpora = [(n_items, cot) for n_items in SIZES for cot in (False, True)]
+    runs = {(n_items, cot, stage): [] for n_items, cot in corpora for stage in STAGES}
+    manifests = {}
+    for round_no in range(1, REPEATS + 1):
+        for n_items, cot in corpora:
+            out = work / f"{n_items}-{'cot' if cot else 'direct'}"
+            for stage in STAGES:
+                wall, rss = run_stage(stage_argv(stage, out, n_items, cot))
+                manifest = manifests[n_items, cot, stage] = json.loads((out / f"{stage}.manifest.json").read_text())
+                runs[n_items, cot, stage].append((manifest["timing_s"], wall, rss))
+                kind = "cot" if cot else "direct"
+                print(f"round {round_no} {n_items:>6} {kind:<6} {stage:<12} {runs[n_items, cot, stage][-1]}", file=sys.stderr)
+    rows = []
+    for n_items, cot in corpora:
+        stages = {}
+        for stage in STAGES:
+            timing, wall, rss = np.median(runs[n_items, cot, stage], axis=0)
+            stages[stage] = {
+                "timing_s": round(float(timing), 4),
+                "process_s": round(float(wall), 4),
+                "peak_rss_mb": round(float(rss), 1),
+            }
+        rows.append({
+            "n_items": n_items,
+            "cot": cot,
+            "split_counts": manifests[n_items, cot, "split"]["extra"]["counts"],
+            "grid_size": manifests[n_items, cot, "train"]["extra"]["grid_size"],
+            "stages": stages,
+        })
+    return rows
 
 
 def git_commit() -> str | None:
@@ -123,11 +135,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench-ladder-") as work:
-        rows = [
-            run_corpus(Path(work), n_items, cot)
-            for n_items in SIZES
-            for cot in (False, True)
-        ]
+        rows = run_ladder(Path(work))
     result = {
         "benchmark": "ladder",
         "command": "python scripts/bench_ladder.py",

