@@ -125,7 +125,10 @@ def _load_config(args) -> RunConfig:
     values: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            values.update(json.load(fh))
+            values = json.load(fh)
+        if not isinstance(values, dict):
+            kind = type(values).__name__
+            raise ValueError(f"--config must hold a JSON object of config keys, got {kind} ({args.config})")
     unknown = set(values) - {f.name for f in dataclasses.fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -2,9 +2,9 @@
 
 Renders prompt templates, dispatches chat-completion requests under fixed
 deterministic decoding (temperature 0, top-p 1, n 1, 8096 max output
-tokens, top-20 logprobs per token), segments the returned token stream
-into outcome and reasoning spans by JSON field position, and writes
-response-trace JSONL.
+tokens, top-20 logprobs per token), decodes each response once, segments
+its token stream into outcome and reasoning spans by JSON field position,
+and writes response-trace JSONL.
 
 The malformed-output retry contract is ``_run_one``'s loop: an item is
 requested at most ``schema.MAX_ATTEMPTS`` times (one attempt plus three
@@ -40,6 +40,7 @@ from typing import Callable, Mapping, Sequence
 
 from .schema import (
     MAX_ATTEMPTS,
+    FieldSpans,
     InvalidLogprob,
     ParseFailure,
     ResponseTrace,
@@ -327,9 +328,9 @@ def dispatch(
     raise last
 
 
-def segment_spans(content: str, tokens: Sequence[tuple]) -> tuple[TokenSpan, TokenSpan]:
-    """Split token triples into the (outcome, reasoning) spans by JSON
-    field position.
+def segment_spans(fields: FieldSpans, tokens: Sequence[tuple]) -> tuple[TokenSpan, TokenSpan]:
+    """Split token triples into the (outcome, reasoning) spans by the JSON
+    field positions that ``locate_structured_fields`` found in the text.
 
     Character offsets come from accumulating token surface lengths (a
     deterministic re-tokenization alignment against the raw text). The
@@ -338,19 +339,18 @@ def segment_spans(content: str, tokens: Sequence[tuple]) -> tuple[TokenSpan, Tok
     reasoning_steps array (zero-length ones strictly inside it included)
     form the reasoning span, in stream order; the rest are dropped.
     """
-    spans = locate_structured_fields(content)
-    if spans is None or spans.outcome_value is None:
+    if fields.outcome_value is None:
         raise OutcomeTokenNotFound("no outcome field located in response text")
     # offsets[i] and offsets[i + 1] are where token i starts and ends.
     offsets = list(accumulate((len(t[0]) for t in tokens), initial=0))
     n = len(tokens)
-    o = bisect_right(offsets, spans.outcome_value[0]) - 1
+    o = bisect_right(offsets, fields.outcome_value[0]) - 1
     if o >= n:
         raise OutcomeTokenNotFound("token stream does not cover the outcome field value")
     outcome = token_span((tokens[o],))
-    if spans.reasoning_array is None:
+    if fields.reasoning_array is None:
         return outcome, token_span(())
-    start, end = spans.reasoning_array
+    start, end = fields.reasoning_array
     lo = bisect_right(offsets, start) - 1  # first token ending after start
     hi = bisect_left(offsets, end, 0, n)  # tokens from here on start at or after end
     run = tokens[lo:o] + tokens[o + 1 : hi] if lo <= o < hi else tokens[lo:hi]
@@ -389,8 +389,9 @@ def _run_one(
             kind = "transport" if isinstance(exc, TransportError) else "rejected"
             return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None
         try:
-            structured = parse_structured_response(response.content, expect_steps=expected_steps)
-            spans = segment_spans(response.content, response.tokens)
+            fields = locate_structured_fields(response.content)
+            structured = parse_structured_response(fields, expect_steps=expected_steps)
+            spans = segment_spans(fields, response.tokens)
         except ParseFailure as exc:
             kind = exc.kind.value
         except InvalidLogprob:

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping, Sequence
 __all__ = [
     "sha256_file",
     "sha256_obj",
+    "open_atomic",
     "write_text_atomic",
     "write_json_atomic",
     "write_csv_atomic",
@@ -44,17 +45,26 @@ def sha256_obj(obj) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def write_text_atomic(path, text: str) -> None:
+@contextlib.contextmanager
+def open_atomic(path):
+    """A text handle on a temp file that replaces ``path`` when the block
+    ends; on any exception, KeyboardInterrupt included, the temp file is
+    removed and ``path`` is left as it was."""
     path = str(path)
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    with open_atomic(path) as fh:
+        fh.write(text)
 
 
 def write_json_atomic(path, obj) -> None:

@@ -23,6 +23,7 @@ rows of every report (sensitivity, cost model) are built here too.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
@@ -148,11 +149,14 @@ def tau_grid(
     hi: float = DEFAULT_TAU_RANGE[1],
     step: float = DEFAULT_TAU_STEP,
 ) -> np.ndarray:
-    """Inclusive threshold grid; 71 points for the default range and step."""
+    """Grid from lo in steps of step, each point rounded to 9 decimals, up
+    to hi inclusive and never past it (a hi within 1e-9 steps of a grid
+    point counts as on it); 71 points for the default range and step."""
     if not (step > 0 and lo <= hi):
         raise ValueError(f"threshold grid needs step > 0 and lo <= hi, got {lo}:{hi} step {step}")
-    n = int(round((hi - lo) / step)) + 1
-    return np.round(lo + step * np.arange(n), 9)
+    n = math.floor((hi - lo) / step + 1e-9) + 1
+    # rounding to 9 decimals can lift the last point above a hi that has more
+    return np.minimum(np.round(lo + step * np.arange(n), 9), hi)
 
 
 def sweep_threshold(

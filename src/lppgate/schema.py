@@ -16,10 +16,12 @@ as it stands; any other is rebuilt by token_span, so the clamp, append and
 sort rules and their errors live in one place. Lines in trace_to_dict's
 per-token form, which older trace files hold, still read.
 
-A response has one reader: the JSON object at its first ``{``, decoded by
-json's own scanner, which yields each field's value and its offsets in the
-response together. A later duplicate key wins, as in json.loads, for the
-parsed fields and the located spans alike.
+A response has one reader, locate_structured_fields: the JSON object at
+its first ``{``, decoded by json's own scanner, which yields each field's
+value and its offsets in the response together, once per response for
+parse_structured_response and gateway.segment_spans to share. A later
+duplicate key wins, as in json.loads, for the parsed fields and the
+located spans alike.
 
 All functions here are pure and safe to call concurrently on distinct
 traces.
@@ -32,11 +34,13 @@ import json
 import math
 import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Mapping
 
 import numpy as np
+
+from .manifest import open_atomic
 
 __all__ = [
     "OutcomeLabel",
@@ -244,7 +248,8 @@ class ResponseTrace:
 
 @dataclass(frozen=True)
 class FieldSpans:
-    """Character spans of schema fields inside a raw response text.
+    """A decoded response: its top-level ``values`` (left out of equality)
+    and the character spans of its schema fields inside the raw text.
 
     ``outcome_value`` points at the value content (inside quotes for quoted
     values) so token alignment can use the JSON field position rather than
@@ -254,29 +259,30 @@ class FieldSpans:
     object_span: tuple[int, int]
     outcome_value: tuple[int, int] | None
     reasoning_array: tuple[int, int] | None
+    values: Mapping[str, object] = field(default_factory=dict, compare=False)
 
 
 _DECODER = json.JSONDecoder()
 _skip_ws = json.decoder.WHITESPACE.match
 
 
-def _object_fields(raw: str) -> tuple[tuple[int, int], dict[str, tuple[object, int, int]]]:
+def _object_fields(raw: str) -> tuple[tuple[int, int], dict[str, object], dict[str, tuple[int, int]]]:
     """Decode the JSON object at the first ``{`` of ``raw``.
 
-    Returns the object's (start, end) span and ``{key: (value, start,
-    end)}``, each value's span taken from the same decode; a later
-    duplicate key replaces an earlier one, as in json.loads. Raises
-    ValueError (JSONDecodeError for malformed text) on any decoding error,
-    and RecursionError, from json's scanner, for a value nested past the
-    interpreter's recursion limit.
+    Returns the object's (start, end) span, ``{key: value}`` and ``{key:
+    (start, end)}``, each value's span taken from the same decode and, for
+    a string, inside its quotes; a later duplicate key replaces an earlier
+    one, as in json.loads. Raises ValueError (JSONDecodeError for malformed
+    text) on any decoding error, and RecursionError, from json's scanner,
+    for a value nested past the interpreter's recursion limit.
     """
     start = raw.find("{")
     if start < 0:
         raise json.JSONDecodeError("Expecting '{'", raw, len(raw))
-    fields = {}
+    values, spans = {}, {}
     i = _skip_ws(raw, start + 1).end()
     if raw[i : i + 1] == "}":
-        return (start, i + 1), fields
+        return (start, i + 1), values, spans
     while True:
         if raw[i : i + 1] != '"':
             raise json.JSONDecodeError("Expecting property name enclosed in double quotes", raw, i)
@@ -285,57 +291,50 @@ def _object_fields(raw: str) -> tuple[tuple[int, int], dict[str, tuple[object, i
         if raw[i : i + 1] != ":":
             raise json.JSONDecodeError("Expecting ':' delimiter", raw, i)
         value_start = _skip_ws(raw, i + 1).end()
-        value, i = _DECODER.raw_decode(raw, value_start)
-        fields[key] = (value, value_start, i)
+        values[key], i = _DECODER.raw_decode(raw, value_start)
+        spans[key] = (value_start + 1, i - 1) if isinstance(values[key], str) else (value_start, i)
         i = _skip_ws(raw, i).end()
         if raw[i : i + 1] == "}":
-            return (start, i + 1), fields
+            return (start, i + 1), values, spans
         if raw[i : i + 1] != ",":
             raise json.JSONDecodeError("Expecting ',' delimiter", raw, i)
         i = _skip_ws(raw, i + 1).end()
 
 
-def locate_structured_fields(raw: str) -> FieldSpans | None:
-    """Find the spans of the ``outcome`` and ``reasoning_steps`` fields, or
-    None when ``raw`` holds no valid object at its first ``{``.
+def locate_structured_fields(raw: str) -> FieldSpans:
+    """Decode ``raw`` once: the spans of its ``outcome`` and
+    ``reasoning_steps`` fields, and its values.
 
     Only the object's own keys are read, so an outcome digit appearing
-    inside reasoning text is never mistaken for the field value.
+    inside reasoning text is never mistaken for the field value. Text with
+    no valid object at its first ``{``, or one nested past the recursion
+    limit, raises ParseFailure(MALFORMED_JSON) with json's own message,
+    whose offset counts in the whole of ``raw``.
     """
     try:
-        span, fields = _object_fields(raw)
-    except (ValueError, RecursionError):
-        return None
-
-    def value_span(key: str) -> tuple[int, int] | None:
-        if key not in fields:
-            return None
-        value, start, end = fields[key]
-        return (start + 1, end - 1) if isinstance(value, str) else (start, end)
-
-    return FieldSpans(span, value_span("outcome"), value_span("reasoning_steps"))
+        span, values, spans = _object_fields(raw)
+    except (ValueError, RecursionError) as exc:
+        raise ParseFailure(FailureKind.MALFORMED_JSON, str(exc)) from exc
+    return FieldSpans(span, spans.get("outcome"), spans.get("reasoning_steps"), values)
 
 
-def parse_structured_response(raw: str, expect_steps: int | None = None) -> StructuredResponse:
-    """Parse and validate a raw model response under the integer-token schema.
+def parse_structured_response(response: str | FieldSpans, expect_steps: int | None = None) -> StructuredResponse:
+    """Validate a decoded response under the integer-token schema.
 
-    Decodes the JSON object at the first ``{`` (providers sometimes wrap
-    the object in prose), normalizes the outcome token, snaps a finite
+    ``response`` is locate_structured_fields' result, or the raw text,
+    which it decodes first. Normalizes the outcome token, snaps a finite
     ``p_correct`` to the nearest multiple of 5 (one that is not a number,
-    or nan, infinite or past float range, counts as absent), and validates the
-    confidence band and reasoning steps. ``expect_steps`` pins the required
-    number of reasoning steps (3 for chain-of-thought prompts, 0 for direct
-    answers); None accepts any consecutive numbering.
+    or nan, infinite or past float range, counts as absent), and validates
+    the confidence band and reasoning steps. ``expect_steps`` pins the
+    required number of reasoning steps (3 for chain-of-thought prompts, 0
+    for direct answers); None accepts any consecutive numbering.
 
     Raises ParseFailure with a kind describing what went wrong; every kind
     is a retry candidate.
     """
-    try:
-        _, fields = _object_fields(raw)
-    except (ValueError, RecursionError) as exc:
-        raise ParseFailure(FailureKind.MALFORMED_JSON, str(exc)) from exc
-    obj = {key: value for key, (value, _, _) in fields.items()}
-
+    if isinstance(response, str):
+        response = locate_structured_fields(response)
+    obj = response.values
     raw_outcome = obj.get("outcome")
     if raw_outcome is None:
         raise ParseFailure(FailureKind.MISSING_OUTCOME, "outcome field absent")
@@ -496,8 +495,10 @@ def trace_from_dict(obj: dict) -> ResponseTrace:
 
 
 def write_traces_jsonl(traces, path) -> None:
-    """One line per trace, each span as one record (see _span_record)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """One line per trace, each span as one record (see _span_record),
+    streamed to a temp file that replaces ``path`` once every line is
+    written (manifest.open_atomic)."""
+    with open_atomic(path) as fh:
         for trace in traces:
             obj = {
                 "item_id": trace.item_id,

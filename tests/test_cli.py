@@ -325,6 +325,20 @@ class TestErrors:
         assert error["type"] == "ValueError" and message in error["message"]
         assert not (out / "sensitivity.json").exists()
 
+    @pytest.mark.parametrize(
+        "config, kind", [([["seed", 7]], "list"), ([1, 2], "list"), ("seed", "str"), (7, "int"), (None, "NoneType")]
+    )
+    def test_config_must_be_an_object(self, tmp_path, capsys, config, kind):
+        out = tmp_path / "run"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        capsys.readouterr()
+        assert run_cli("synth", "--out", out, "--n-items", 50, "--config", cfg) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        message = f"--config must hold a JSON object of config keys, got {kind} ({cfg})"
+        assert error == {"type": "ValueError", "message": message}
+        assert not out.exists() or not list(out.iterdir())
+
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         out = tmp_path / "run"
         cfg = tmp_path / "cfg.json"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lppgate import gateway
+from lppgate import gateway, schema
 from lppgate.gateway import (
     DEFAULT_DECODING,
     AuthFailure,
@@ -130,7 +130,7 @@ class TestTemplates:
 class TestSegmentSpans:
     def test_single_outcome_record(self):
         payload = valid_payload()
-        outcome, reasoning = segment_spans(payload["content"], [(t["surface"], t["logprob"], tuple((c["surface"], c["logprob"]) for c in t.get("top", ()))) for t in payload["tokens"]])
+        outcome, reasoning = segment_spans(locate_structured_fields(payload["content"]), [(t["surface"], t["logprob"], tuple((c["surface"], c["logprob"]) for c in t.get("top", ()))) for t in payload["tokens"]])
         assert outcome.chosen == ("1",)
         assert len(outcome.surfaces[0]) == 3
         assert len(reasoning.chosen) == 0
@@ -138,7 +138,7 @@ class TestSegmentSpans:
     def test_direct_answer_has_no_reasoning_records(self):
         payload = valid_payload()
         outcome, reasoning = segment_spans(
-            payload["content"],
+            locate_structured_fields(payload["content"]),
             [(t["surface"], t["logprob"], ()) for t in payload["tokens"]],
         )
         assert (len(outcome.chosen), len(reasoning.chosen)) == (1, 0)
@@ -150,7 +150,7 @@ class TestSegmentSpans:
         spans = locate_structured_fields(content)
         vs = spans.outcome_value[0]
         pieces = [content[:vs], content[vs : vs + 1], content[vs + 1 :]]
-        outcome, reasoning = segment_spans(content, [(p, -0.2, ()) for p in pieces if p])
+        outcome, reasoning = segment_spans(spans, [(p, -0.2, ()) for p in pieces if p])
         assert reasoning.chosen == (pieces[0],)
         assert outcome.chosen == ("1",)
 
@@ -182,7 +182,7 @@ class TestSegmentSpans:
     def test_tokens_not_covering_outcome(self):
         content = VALID_CONTENT
         with pytest.raises(OutcomeTokenNotFound):
-            segment_spans(content, [(content[:3], -0.1, ())])
+            segment_spans(locate_structured_fields(content), [(content[:3], -0.1, ())])
 
 
 _FINITE_LOGPROBS = st.one_of(st.floats(-30.0, 0.0), st.sampled_from([0.0, -0.0, 5e-10, 0.25]))
@@ -218,6 +218,10 @@ def _cut_responses(draw):
     return content, tokens
 
 
+def _segment_text(content, tokens):
+    return segment_spans(locate_structured_fields(content), tokens)
+
+
 def _spans_or_error(fn, content, tokens):
     try:
         return [span_view(span) for span in fn(content, tokens)]
@@ -238,7 +242,7 @@ class TestSegmentSpansReference:
             return math.nan if lp == math.inf else lp
 
         no_inf = [(s, nan_for_inf(lp), [(c, nan_for_inf(v)) for c, v in top]) for s, lp, top in raw]
-        got = _spans_or_error(segment_spans, content, tokens)
+        got = _spans_or_error(_segment_text, content, tokens)
         assert got == _spans_or_error(segment_spans_reference, content, no_inf)
         if got != _spans_or_error(segment_spans_reference, content, raw):
             assert got[0] is InvalidLogprob  # a kept +inf is the only difference
@@ -473,6 +477,24 @@ class TestRunInference:
         result = run_inference(items, load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
         assert [t.item_id for t in result.traces] == ["it-00"]
         assert result.give_ups == [{"item_id": "a", "attempts": 0, "failure": "missing_field"}]
+
+    def test_each_attempt_decodes_its_response_once(self, monkeypatch):
+        decoded = []
+        decode = schema._object_fields
+
+        def counted(raw):
+            decoded.append(raw)
+            return decode(raw)
+
+        bad = '{"outcome" 1}'
+        malformed = {"content": bad, "tokens": [{"surface": bad, "logprob": -0.1}]}
+        fixtures = {"a": [valid_payload()], "b": [malformed, valid_payload()]}
+        monkeypatch.setattr(schema, "_object_fields", counted)
+        items = [{"item_id": i, "text": "x", "concept_definition": "d"} for i in ("a", "b")]
+        template = load_template("text-direct")
+        result = run_inference(items, template, StubProvider(fixtures), pool_width=1, sleep=NO_SLEEP)
+        assert [(t.item_id, t.attempt) for t in result.traces] == [("a", 1), ("b", 2)]
+        assert decoded == [VALID_CONTENT, bad, VALID_CONTENT]
 
     def test_nesting_past_the_recursion_limit_gives_up_one_item(self):
         # json's scanner raises RecursionError on a value this deep

@@ -187,6 +187,24 @@ class TestTauGrid:
     def test_single_point_when_range_is_empty(self):
         assert tau_grid(0.5, 0.5, 0.01).tolist() == [0.5]
 
+    def test_step_that_overshoots_hi_is_not_taken(self):
+        assert tau_grid(0.35, 0.70, 0.4).tolist() == [0.35]
+        assert tau_grid(0.4, 0.9, 0.3).tolist() == [0.4, 0.7]
+        # sensitivity's default r grid keeps its 11 points
+        assert len(tau_grid(0.4, 0.9, 0.05)) == 11 and tau_grid(0.4, 0.9, 0.05)[-1] == 0.9
+        # a hi of ten decimals, which rounding to nine would overshoot
+        assert tau_grid(0.0, 0.1234567896, 0.1234567896).tolist() == [0.0, 0.1234567896]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 1000))
+    def test_never_steps_past_hi(self, a, b, k):
+        # the thousandths a range or step flag is usually written in
+        lo, hi = sorted((a / 1000, b / 1000))
+        step = k / 1000
+        grid = tau_grid(lo, hi, step)
+        assert grid[0] == lo and (grid <= hi).all()
+        assert hi - grid[-1] < step
+
     @pytest.mark.parametrize(
         "lo, hi, step",
         [(0.7, 0.35, 0.005), (0.35, 0.7, -0.005), (0.35, 0.7, 0.0), (0.35, 0.7, float("nan"))],

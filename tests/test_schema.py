@@ -209,8 +209,10 @@ class TestBalancedObject:
         start, end = locate_structured_fields(raw).object_span
         assert raw[start:end] == raw
 
-    def test_unbalanced_returns_none(self):
-        assert locate_structured_fields('{"a": 1') is None
+    def test_unbalanced_is_malformed(self):
+        with pytest.raises(ParseFailure) as err:
+            locate_structured_fields('{"a": 1')
+        assert err.value.kind is FailureKind.MALFORMED_JSON
 
 
 # every character the old scanners treated specially, plus filler; the
@@ -320,10 +322,12 @@ class TestResponseReaderMatchesReference:
                 want = dataclasses.replace(want, p_correct=None)
         assert (got, got_kind) == (want, want_kind)
 
-        spans = locate_structured_fields(raw)
         if not decodes:
-            assert spans is None
+            with pytest.raises(ParseFailure) as err:
+                locate_structured_fields(raw)
+            assert err.value.kind is FailureKind.MALFORMED_JSON
             return
+        spans = locate_structured_fields(raw)
         if plain:
             assert spans == reference.locate_structured_fields(raw)
         if outcome_text is not None:
@@ -363,7 +367,30 @@ class TestLocateStructuredFields:
 
     @pytest.mark.parametrize("raw", ['{"outcome": 1,,}', '{"outcome" 1}', "no object", '{"outcome": "1}'])
     def test_invalid_object_is_not_located(self, raw):
-        assert locate_structured_fields(raw) is None
+        with pytest.raises(ParseFailure) as err:
+            locate_structured_fields(raw)
+        assert err.value.kind is FailureKind.MALFORMED_JSON
+
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            ('Here it is: {"outcome" 1}', r"char 23\)$"),
+            ('Here: {"outcome": "1", "x": ' + "[" * 5000 + "]" * 5000 + "}", "recursion"),
+        ],
+        ids=["offset", "nesting"],
+    )
+    def test_malformed_message_counts_in_the_whole_response(self, raw, message):
+        with pytest.raises(ParseFailure, match=message) as err:
+            locate_structured_fields(raw)
+        assert err.value.kind is FailureKind.MALFORMED_JSON
+
+    def test_values_are_decoded_but_not_compared(self):
+        raw = 'Sure: {"outcome": "1", "p_correct": 85, "reasoning_steps": [], "outcome": 2} ok'
+        spans = locate_structured_fields(raw)
+        assert spans.values == {"outcome": 2, "p_correct": 85, "reasoning_steps": []}
+        assert spans == dataclasses.replace(spans, values={})
+        # parsing the located fields is parsing the text
+        assert parse_structured_response(spans) == parse_structured_response(raw)
 
 
 class TestTraceInvariantsAndRoundTrip:
@@ -409,6 +436,21 @@ class TestTraceInvariantsAndRoundTrip:
         assert [t["span"] for t in trace_to_dict(again)["tokens"]] == [Span.OUTCOME.value, Span.REASONING.value]
         assert span_view(again.outcome) == span_view(trace.outcome)
         assert span_view(again.reasoning) == span_view(trace.reasoning)
+
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path):
+        traces, _ = generate_corpus(SynthConfig(n_items=5, cot=True, seed=3))
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces[:2], path)
+        before = path.read_bytes()
+
+        def interrupted():
+            yield traces[4]
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_traces_jsonl(interrupted(), path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("cot", [False, True], ids=["direct", "cot"])
     def test_write_of_read_is_byte_identical(self, tmp_path, cot):
