@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import os
 from typing import Iterable, Mapping, Sequence
@@ -75,11 +74,10 @@ def write_csv_atomic(path, header: Sequence[str], rows: Iterable[Sequence]) -> N
     """The one CSV dialect of every table artifact: csv's default, quoting
     only the fields that need it, with "\n" line ends. A float is written
     as its repr and None as an empty field."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    write_text_atomic(path, buf.getvalue())
+    with open_atomic(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def build_manifest(

@@ -164,6 +164,8 @@ def load_features(csv_path, sidecar_path) -> FeatureTable:
         lines = fh.read().split("\n")
     if lines[-1] == "":
         lines.pop()
+    if not lines or not lines[0]:
+        raise ValueError(f"{csv_path} has no header line")
     names = next(csv.reader(lines[:1]))[1:]
     rows = lines[1:]
     item_ids = [

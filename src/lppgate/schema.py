@@ -13,8 +13,8 @@ A trace file holds one JSON line per trace, and each span of a line is one
 record of four parallel lists, its candidate rows sorted and unpadded (see
 _span_record). A record that passes one bulk check becomes a TokenSpan
 as it stands; any other is rebuilt by token_span, so the clamp, append and
-sort rules and their errors live in one place. Lines in trace_to_dict's
-per-token form, which older trace files hold, still read.
+sort rules and their errors live in one place. A line without span
+records is refused; read_traces_jsonl names the line and file of an error.
 
 A response has one reader, locate_structured_fields: the JSON object at
 its first ``{``, decoded by json's own scanner, which yields each field's
@@ -414,8 +414,8 @@ def _structured_dict(s: StructuredResponse) -> dict:
 
 
 def trace_to_dict(trace: ResponseTrace) -> dict:
-    """A trace as one dict per token, each naming its span; the form that
-    read_traces_jsonl reads from older trace files."""
+    """A trace as one dict per token, each naming its span: the form the
+    benchmark builds its stub fixtures from in memory, never read back."""
     return {
         "item_id": trace.item_id,
         "attempt": trace.attempt,
@@ -468,8 +468,10 @@ def _span_from_record(rec: dict) -> TokenSpan:
 
 
 def trace_from_dict(obj: dict) -> ResponseTrace:
-    """Read a trace from either form: span records under ``"spans"``, as
-    write_traces_jsonl writes them, or trace_to_dict's per-token dicts."""
+    """Read one line of a trace file: its span records under ``"spans"``,
+    as write_traces_jsonl writes them. A line without them is refused."""
+    if "spans" not in obj:
+        raise ValueError(f"trace {obj.get('item_id')!r} has no 'spans' key")
     s = obj["structured"]
     structured = StructuredResponse(
         outcome=OutcomeLabel(int(s["outcome"])),
@@ -480,17 +482,9 @@ def trace_from_dict(obj: dict) -> ResponseTrace:
         p_correct=s.get("p_correct"),
         band=ConfidenceBand(s["band"]) if s.get("band") is not None else None,
     )
-    if "spans" in obj:
-        records = obj["spans"]
-        outcome = _span_from_record(records[Span.OUTCOME.value])
-        reasoning = _span_from_record(records[Span.REASONING.value])
-    else:
-        spans: dict[Span, list] = {Span.OUTCOME: [], Span.REASONING: []}
-        for t in obj.get("tokens", []):
-            chosen = t["chosen"]
-            candidates = [(c["surface"], c["logprob"]) for c in t.get("candidates", [])]
-            spans[Span(t["span"])].append((chosen["surface"], chosen["logprob"], candidates))
-        outcome, reasoning = (token_span(tokens) for tokens in spans.values())
+    records = obj["spans"]
+    outcome = _span_from_record(records[Span.OUTCOME.value])
+    reasoning = _span_from_record(records[Span.REASONING.value])
     return ResponseTrace(obj["item_id"], structured, outcome, reasoning, obj.get("attempt", 1))
 
 
@@ -513,10 +507,15 @@ def write_traces_jsonl(traces, path) -> None:
 
 
 def read_traces_jsonl(path) -> list[ResponseTrace]:
+    """The traces write_traces_jsonl wrote. A line that does not decode or
+    read as a trace raises ValueError naming its number and the file."""
     traces = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                traces.append(trace_from_dict(json.loads(line)))
+                try:
+                    traces.append(trace_from_dict(json.loads(line)))
+                except (ValueError, KeyError, TypeError) as err:
+                    raise ValueError(f"line {n} of {path}: {err}") from err
     return traces

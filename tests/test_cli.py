@@ -12,7 +12,7 @@ import pytest
 
 import lppgate
 from lppgate.cli import build_parser, main
-from lppgate.schema import write_traces_jsonl
+from lppgate.schema import trace_to_dict, write_traces_jsonl
 from lppgate.synth import SynthConfig, generate_corpus
 
 # Every flag that names a file a command reads.
@@ -255,6 +255,26 @@ class TestErrors:
         assert run_cli("extract", "--out", out, "--traces", out / "traces.jsonl") == 1
         error = json.loads(capsys.readouterr().err)["error"]
         assert error == {"type": "ValueError", "message": f"item_id {bad!r} holds a line break"}
+        assert not (out / "features.csv").exists()
+
+    @pytest.mark.parametrize("bad", ["malformed", "per-token"])
+    def test_bad_trace_line_names_its_line_and_file(self, tmp_path, capsys, bad):
+        out = tmp_path / "run"
+        out.mkdir()
+        traces, _ = generate_corpus(SynthConfig(n_items=5, seed=3))
+        path = out / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        lines = path.read_text().splitlines(keepends=True)
+        if bad == "malformed":
+            lines.insert(3, "{not json\n")
+            reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        else:
+            lines[3] = json.dumps(trace_to_dict(traces[3])) + "\n"
+            reason = f"trace {traces[3].item_id!r} has no 'spans' key"
+        path.write_text("".join(lines))
+        assert run_cli("extract", "--out", out, "--traces", path) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"line 4 of {path}: {reason}"}
         assert not (out / "features.csv").exists()
 
     def test_failed_sweep_keeps_trained_model(self, workdir, tmp_path, monkeypatch, capsys):

@@ -132,6 +132,18 @@ class TestFileRoundTrips:
         sidecar_families = json.loads(sidecar.read_text())["families"]
         assert {name: fam for fam, names in sidecar_families.items() for name in names} == families
 
+    def test_features_without_header_refused(self, tmp_path):
+        csv_path, sidecar = tmp_path / "f.csv", tmp_path / "f.json"
+        sidecar.write_text("{}")
+        for text in ("", "\n"):
+            csv_path.write_text(text)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(csv_path))} has no header line$"):
+                pipeline.load_features(csv_path, sidecar)
+        # a header with no rows is a table of no rows
+        csv_path.write_text("item_id,a,b\n")
+        table = pipeline.load_features(csv_path, sidecar)
+        assert table.item_ids == [] and table.names == ["a", "b"] and table.matrix.shape == (0, 2)
+
     def test_labels_round_trip(self, tmp_path):
         _, rows = generate_corpus(SynthConfig(n_items=30, seed=1))
         path = tmp_path / "labels.csv"

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -430,12 +431,13 @@ class TestTraceInvariantsAndRoundTrip:
         loaded = read_traces_jsonl(path)
         assert [trace_to_dict(t) for t in loaded] == [trace_to_dict(t) for t in traces]
 
-    def test_dict_round_trip_preserves_spans(self, trace_factory):
-        trace = trace_factory(reasoning_logprobs=(-1.0,))
-        again = trace_from_dict(trace_to_dict(trace))
-        assert [t["span"] for t in trace_to_dict(again)["tokens"]] == [Span.OUTCOME.value, Span.REASONING.value]
-        assert span_view(again.outcome) == span_view(trace.outcome)
-        assert span_view(again.reasoning) == span_view(trace.reasoning)
+    def test_token_dicts_list_the_outcome_then_the_reasoning(self, trace_factory):
+        # the order the benchmark's stub fixtures are built in
+        trace = trace_factory(reasoning_logprobs=(-1.0, -0.3, -0.6))
+        records = token_records_from_dict(trace_to_dict(trace))
+        assert [r.span for r in records] == [Span.OUTCOME] + [Span.REASONING] * 3
+        assert records_view(records[:1]) == span_view(trace.outcome)
+        assert records_view(records[1:]) == span_view(trace.reasoning)
 
     def test_interrupted_write_keeps_the_previous_file(self, tmp_path):
         traces, _ = generate_corpus(SynthConfig(n_items=5, cot=True, seed=3))
@@ -625,9 +627,10 @@ class TestSpanRecords:
         write_traces_jsonl(traces, path)
         assert all("spans" in json.loads(line) for line in path.read_text().splitlines())
         assert [_trace_bits(t) for t in read_traces_jsonl(path)] == [_trace_bits(t) for t in traces]
-        # a file of per-token lines, as trace files were once written, still reads
+        # a file of per-token lines, as trace files were once written, is refused at its first line
         path.write_text("".join(json.dumps(trace_to_dict(t)) + "\n" for t in traces))
-        assert [_trace_bits(t) for t in read_traces_jsonl(path)] == [_trace_bits(t) for t in traces]
+        with pytest.raises(ValueError, match=f"^line 1 of {re.escape(str(path))}: .* has no 'spans' key$"):
+            read_traces_jsonl(path)
 
     @settings(max_examples=400, deadline=None)
     @given(_record_triples())
@@ -639,6 +642,11 @@ class TestSpanRecords:
     ])
     def test_faulty_record_reads_like_token_span(self, tokens):
         _assert_reads_like_token_span(tokens)
+
+    def test_line_without_spans_refused(self, trace_factory):
+        obj = trace_to_dict(trace_factory(item_id="a", reasoning_logprobs=(-0.5,)))
+        with pytest.raises(ValueError, match="^trace 'a' has no 'spans' key$"):
+            trace_from_dict(obj)
 
     def test_record_lists_of_different_lengths_rejected(self):
         record = _record([("a", -0.1, [("a", -0.1), ("b", -0.2)])])

@@ -1,7 +1,7 @@
 """The per-token classes that schema.TokenSpan replaced, kept as the
-reference that token_span, trace_from_dict and the feature kernels are
-checked against, and the per-token loop that gateway.segment_spans
-replaced."""
+reference that token_span, the span records trace_from_dict reads and the
+feature kernels are checked against, and the per-token loop that
+gateway.segment_spans replaced."""
 
 from __future__ import annotations
 
@@ -51,8 +51,8 @@ def record(surface, logprob, candidates, span=Span.REASONING) -> TokenRecord:
 
 
 def token_records_from_dict(obj: dict) -> list[TokenRecord]:
-    """The token half of trace_from_dict before TokenSpan: one record per
-    JSONL token, in file order."""
+    """One reference record per token of a trace_to_dict dict, in its
+    order: what trace_from_dict built before TokenSpan."""
     return [
         TokenRecord(
             chosen=TokenCandidate(**t["chosen"]),
