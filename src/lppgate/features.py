@@ -25,14 +25,14 @@ Feature families, in fixed catalog order:
 Entropies are in bits; sequence NLL/perplexity use natural logs. All
 computations are pure and deterministic.
 
-Each family is a column kernel over the whole corpus: assemble_feature_vector
-turns N traces into one (N, F) float64 matrix whose columns are
-catalog_names(include), the enabled families in the order above, each
-family's values in _CATALOG order. Excluded families are absent from the
-matrix entirely rather than zeroed. The outcome tokens of all N traces are
-stacked into one -inf padded array and the reasoning tokens of all spans
-into another, and one renormalize_topk call turns each into sorted
-probabilities. The online path is the same code with N = 1.
+Each family is a column kernel over the whole corpus, and every call
+computes every family: assemble_feature_vector builds the (N, F) float64
+matrix of all catalog columns, families in the order above, and keeps the
+columns catalog_names(include), so a family's bits do not depend on which
+others are included. The outcome tokens of all N traces are stacked into
+one -inf padded array and the reasoning tokens of all spans into another,
+and one renormalize_topk call turns each into sorted probabilities. The
+online path is the same code with N = 1.
 
 A row's bits do not depend on N or on the rest of the corpus as long as no
 token has more than 7 top-k candidates (k is 5 by default):
@@ -46,7 +46,7 @@ token has more than 7 top-k candidates (k is 5 by default):
     from it in the last bit for some entropies.
 
 A row with no outcome mass on any schema label (when family B or C is
-enabled) is invalid with NoLabelMass; a row holding a nan or infinite value
+included) is invalid with NoLabelMass; a row holding a nan or infinite value
 is invalid with NonFiniteFeature naming its first bad column. A column name
 is "family.feature", and family_of reads the family back from it.
 """
@@ -181,10 +181,6 @@ _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
     FeatureFamily.ATTRIBUTION: ("evidence_deficit", "policy_gap", "inconclusive"),
 }
 
-_OUTCOME_FAMILIES = frozenset(
-    (FeatureFamily.OUTCOME_TOPK, FeatureFamily.FILTERED_OUTCOME, FeatureFamily.LOGODDS_MARGIN)
-)
-_REASONING_FAMILIES = frozenset((FeatureFamily.SEQUENCE_COT, FeatureFamily.TOKEN_LEVEL_COT))
 #: Family B's columns among the eight distribution metrics: all but msp.
 _FILTERED_METRICS = [j for j, name in enumerate(_CATALOG[FeatureFamily.OUTCOME_TOPK]) if name != "msp"]
 
@@ -299,11 +295,10 @@ def _label_masses(traces: Sequence[ResponseTrace], logprobs: np.ndarray) -> np.n
     return masses.reshape(n, _NO_LABEL + 1)[:, :_NO_LABEL]
 
 
-def _outcome_columns(
-    traces: Sequence[ResponseTrace], include: frozenset, k: int
-) -> tuple[dict[FeatureFamily, np.ndarray], np.ndarray]:
-    """Families A-C for every trace, and the rows whose outcome token has no
-    mass on a schema label (all False unless B or C is enabled).
+def _outcome_columns(traces: Sequence[ResponseTrace], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Families A-C for every trace, as one block of columns in catalog
+    order, and the rows whose outcome token has no mass on a schema label;
+    such a row holds nan in its B and C columns.
 
     A renormalizes each outcome row's top-k candidates. B collapses every
     candidate's exp(logprob) onto the label its surface normalizes to,
@@ -315,44 +310,28 @@ def _outcome_columns(
     widths = [t.outcome.logprobs.shape[1] for t in traces]
     width = max(widths)
     logprobs = _stack_rows([t.outcome.logprobs for t in traces], width)
-    columns: dict[FeatureFamily, np.ndarray] = {}
-    dists, supports = [], []
-    if FeatureFamily.OUTCOME_TOPK in include:
-        dists.append(renormalize_topk(logprobs[:, :k]))
-        supports += [min(w, k) for w in widths]
-
-    no_mass = np.zeros(n, dtype=bool)
-    if include & {FeatureFamily.FILTERED_OUTCOME, FeatureFamily.LOGODDS_MARGIN}:
-        masses = _label_masses(traces, logprobs)
-        total = masses.sum(axis=1)
-        no_mass = total <= 0.0
-        # dividing by a positive total keeps the order, so one sort serves B and C
-        ascending = np.sort(masses, axis=1)
-        if FeatureFamily.FILTERED_OUTCOME in include:
-            dists.append((ascending / np.where(no_mass, 1.0, total)[:, None])[:, ::-1])
-            supports += [len(FULL_SUPPORT)] * n
-        if FeatureFamily.LOGODDS_MARGIN in include:
-            logs = np.log(np.where(ascending > 0.0, ascending, 1.0))
-            # column 0 pairs the raw logprobs, column 1 the label masses' logs
-            l1, l2, valid = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2), dtype=bool)
-            l1[:, 0], l2[:, 0], valid[:, 0] = logprobs[:, 0], logprobs[:, min(1, width - 1)], [w >= 2 for w in widths]
-            l1[:, 1], l2[:, 1], valid[:, 1] = logs[:, 3], logs[:, 2], ascending[:, 2] > 0.0
-            columns[FeatureFamily.LOGODDS_MARGIN] = _pair_margins(l1, l2, valid).reshape(n, -1)
-
-    if dists:
-        # A and B share one metrics call: B's rows follow A's, zero padded
-        probs = np.zeros((n * len(dists), max(d.shape[1] for d in dists)))
-        for j, d in enumerate(dists):
-            probs[j * n : (j + 1) * n, : d.shape[1]] = d
-        metrics = _distribution_metrics(probs, np.array(supports))
-        if FeatureFamily.OUTCOME_TOPK in include:
-            columns[FeatureFamily.OUTCOME_TOPK] = metrics[:n]
-        if FeatureFamily.FILTERED_OUTCOME in include:
-            columns[FeatureFamily.FILTERED_OUTCOME] = metrics[-n:, _FILTERED_METRICS]
-    if no_mass.any():
-        for family in include & {FeatureFamily.FILTERED_OUTCOME, FeatureFamily.LOGODDS_MARGIN}:
-            columns[family][no_mass] = np.nan
-    return columns, no_mass
+    topk = renormalize_topk(logprobs[:, :k])
+    masses = _label_masses(traces, logprobs)
+    total = masses.sum(axis=1)
+    no_mass = total <= 0.0
+    # dividing by a positive total keeps the order, so one sort serves B and C
+    ascending = np.sort(masses, axis=1)
+    # A and B share one metrics call: B's rows follow A's, both zero padded
+    # to the wider of the two
+    labels = len(FULL_SUPPORT)
+    probs = np.zeros((2 * n, max(topk.shape[1], labels)))
+    probs[:n, : topk.shape[1]] = topk
+    probs[n:, :labels] = (ascending / np.where(no_mass, 1.0, total)[:, None])[:, ::-1]
+    metrics = _distribution_metrics(probs, np.array([min(w, k) for w in widths] + [labels] * n))
+    logs = np.log(np.where(ascending > 0.0, ascending, 1.0))
+    # column 0 pairs the raw logprobs, column 1 the label masses' logs
+    l1, l2, valid = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2), dtype=bool)
+    l1[:, 0], l2[:, 0], valid[:, 0] = logprobs[:, 0], logprobs[:, min(1, width - 1)], [w >= 2 for w in widths]
+    l1[:, 1], l2[:, 1], valid[:, 1] = logs[:, 3], logs[:, 2], ascending[:, 2] > 0.0
+    margins = _pair_margins(l1, l2, valid).reshape(n, -1)
+    out = np.concatenate([metrics[:n], metrics[n:, _FILTERED_METRICS], margins], axis=1)
+    out[no_mass, len(_CATALOG[FeatureFamily.OUTCOME_TOPK]) :] = np.nan
+    return out, no_mass
 
 
 @functools.lru_cache(maxsize=1024)
@@ -468,43 +447,43 @@ def assemble_feature_vector(
     """One float64 feature row per trace, as an (N, F) C-contiguous matrix
     whose columns are catalog_names(include), plus the invalid rows.
 
-    Excluded families are absent from the matrix entirely. Direct-answer
-    traces still carry the sequence/token families when enabled, with zero
-    stats and the absent flag set. The outcome-span token, not the
-    structured field, drives the token-derived families. The second value
-    maps the index of each invalid row to its NoLabelMass or, for a row
-    holding a nan or infinite value, its NonFiniteFeature naming the first
-    bad column; a row with no label mass holds nan in its B and C columns.
+    Every family is computed, then the included families' columns are
+    kept. Direct-answer traces carry zero sequence/token stats with the
+    absent flag set. The outcome-span token, not the structured field,
+    drives the token-derived families. The second value maps the index of
+    each invalid row to its NoLabelMass (when B or C, which then hold nan,
+    is included) or, for a row holding a nan or infinite kept value, its
+    NonFiniteFeature naming the first bad column.
     """
     include_set = frozenset(include)
     if not include_set:
         raise ValueError("at least one feature family must be included")
 
-    columns: dict[FeatureFamily, np.ndarray] = {}
-    no_mass = np.zeros(len(traces), dtype=bool)
-    if include_set & _OUTCOME_FAMILIES:
-        outcome_columns, no_mass = _outcome_columns(traces, include_set, k)
-        columns.update(outcome_columns)
-    if include_set & _REASONING_FAMILIES:
-        stats = compute_sequence_features([t.reasoning for t in traces], k=k)
-        n_sequence = len(_CATALOG[FeatureFamily.SEQUENCE_COT])
-        columns[FeatureFamily.SEQUENCE_COT] = stats[:, :n_sequence]
-        columns[FeatureFamily.TOKEN_LEVEL_COT] = stats[:, n_sequence:]
-    if FeatureFamily.VERBALIZED in include_set:
-        columns[FeatureFamily.VERBALIZED] = _verbalized_columns(traces)
-    if FeatureFamily.ATTRIBUTION in include_set:
-        columns[FeatureFamily.ATTRIBUTION] = _attribution_columns(traces)
-
-    matrix = np.concatenate([columns[f] for f in ALL_FAMILIES if f in include_set], axis=1)
+    outcome, no_mass = _outcome_columns(traces, k)
+    reasoning = compute_sequence_features([t.reasoning for t in traces], k=k)
+    matrix = np.concatenate([outcome, reasoning, _verbalized_columns(traces), _attribution_columns(traces)], axis=1)
+    kept = _kept_columns(include_set)
+    if kept is not None:
+        matrix = matrix.take(kept, axis=1)
     invalid: dict[int, ValueError] = {}
     finite = np.isfinite(matrix)
     if not finite.all():
         names = catalog_names(include_set)
-        for i in np.flatnonzero(no_mass).tolist():
-            invalid[i] = NoLabelMass("no candidate surface maps to a schema label")
+        if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
+            for i in np.flatnonzero(no_mass).tolist():
+                invalid[i] = NoLabelMass("no candidate surface maps to a schema label")
         for i in np.flatnonzero(~finite.all(axis=1)).tolist():
             invalid.setdefault(i, NonFiniteFeature(f"non-finite value for {names[int(np.argmin(finite[i]))]}"))
     return matrix, invalid
+
+
+@functools.lru_cache(maxsize=None)
+def _kept_columns(include: frozenset) -> np.ndarray | None:
+    """The included families' column positions in the full catalog, or None
+    when they are all of its columns."""
+    names = _catalog_names(frozenset(ALL_FAMILIES))
+    kept = [names.index(name) for name in _catalog_names(include)]
+    return None if len(kept) == len(names) else np.array(kept, dtype=np.intp)
 
 
 def catalog_names(include: Iterable[FeatureFamily] = ALL_FAMILIES) -> list[str]:

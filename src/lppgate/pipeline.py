@@ -186,7 +186,12 @@ def load_features(csv_path, sidecar_path) -> FeatureTable:
     if matrix.shape != (len(rows), len(names) + 1):
         raise ValueError(malformed)
     with open(sidecar_path, encoding="utf-8") as fh:
-        invalid_ids = json.load(fh).get("invalid_items", [])
+        sidecar = json.load(fh)
+    if not isinstance(sidecar, dict):
+        raise ValueError(f"{sidecar_path} must hold a JSON object, got {type(sidecar).__name__}")
+    invalid_ids = sidecar.get("invalid_items", [])
+    if not isinstance(invalid_ids, list) or not all(isinstance(i, str) for i in invalid_ids):
+        raise ValueError(f"'invalid_items' in {sidecar_path} must be a list of item ids, got {invalid_ids!r}")
     return FeatureTable(item_ids, names, np.ascontiguousarray(matrix[:, 1:]), invalid_ids)
 
 

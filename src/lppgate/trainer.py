@@ -271,25 +271,12 @@ class SigmoidCalibrator:
 @dataclass(frozen=True, eq=False)
 class IsotonicCalibrator:
     """Non-decreasing step function; left-constant between knots, clamped.
-    The knots and values are kept only as the float arrays predict reads,
-    the values clamped to [0, 1]. A calibrator needs at least one knot, one
-    value per knot and strictly increasing knots; anything else raises
-    ValueError here rather than misbehaving at predict."""
+    The knots and values are the float arrays predict reads: one or more
+    strictly increasing knots and one value in [0, 1] per knot, as
+    fit_isotonic builds them and _calibrator_from_dict checks them."""
 
     knots: np.ndarray
     values: np.ndarray
-
-    def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if knots.ndim != 1 or len(knots) == 0:
-            raise ValueError("isotonic calibrator needs a non-empty list of knots")
-        if values.shape != knots.shape:
-            raise ValueError(f"isotonic calibrator has {len(knots)} knots but {values.size} values")
-        if not np.all(knots[1:] > knots[:-1]):
-            raise ValueError("isotonic knots must be strictly increasing")
-        object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "values", np.clip(values, 0.0, 1.0))
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         s = np.asarray(scores, dtype=float)
@@ -316,7 +303,15 @@ def _calibrator_from_dict(obj: dict):
     if kind == "sigmoid":
         return SigmoidCalibrator(obj["a"], obj["b"])
     if kind == "isotonic":
-        return IsotonicCalibrator(obj["knots"], obj["values"])
+        knots = np.asarray(obj["knots"], dtype=float)
+        values = np.asarray(obj["values"], dtype=float)
+        if knots.ndim != 1 or len(knots) == 0:
+            raise ValueError("isotonic calibrator needs a non-empty list of knots")
+        if values.shape != knots.shape:
+            raise ValueError(f"isotonic calibrator has {len(knots)} knots but {values.size} values")
+        if not np.all(knots[1:] > knots[:-1]):
+            raise ValueError("isotonic knots must be strictly increasing")
+        return IsotonicCalibrator(knots, np.clip(values, 0.0, 1.0))
     if kind == "identity":
         return IdentityCalibrator()
     raise ValueError(f"unknown calibrator kind {kind!r}")
@@ -451,6 +446,8 @@ def fit_isotonic(
     for i, (s_i, z_i) in enumerate(zip(scores, z, strict=True)):
         if len(s_i) != len(z_i):
             raise ValueError(f"fit {i} has {len(s_i)} scores but {len(z_i)} targets")
+        if not len(s_i):
+            raise ValueError(f"fit {i} has no scores, so no knots")
         by_length.setdefault(len(s_i), []).append(i)
 
     for fits in by_length.values():
@@ -479,10 +476,10 @@ def _fit_isotonic_rows(scores: list, targets: list) -> list[IsotonicCalibrator]:
     del Y
     values = _pool_adjacent_violators(sums, np.diff(starts, append=first.size), starts % first.shape[1] == 0)
     del starts, sums
+    np.clip(values, 0.0, 1.0, out=values)
     bounds = np.concatenate(([0], np.cumsum(first.sum(axis=1))))
-    # knots copied (values are copied by the clip on construction), so that
-    # a kept calibrator does not pin the whole batch
-    return [IsotonicCalibrator(knots[lo:hi].copy(), values[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # slices copied, so that a kept calibrator does not pin the whole batch
+    return [IsotonicCalibrator(knots[lo:hi].copy(), values[lo:hi].copy()) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _pool_adjacent_violators(sums: np.ndarray, weights: np.ndarray, fit_start: np.ndarray) -> np.ndarray:
@@ -788,6 +785,9 @@ def gate_to_dict(gate: TrainedGate) -> dict:
 
 
 def gate_from_dict(obj: dict) -> TrainedGate:
+    """The gate of gate_to_dict's dict. A bad hash, version or calibrator,
+    no folds, or a scaler or fold vector without one value per feature name
+    is a ValueError naming what is wrong."""
     obj = dict(obj)
     stored_hash = obj.pop("content_hash", None)
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -796,23 +796,34 @@ def gate_from_dict(obj: dict) -> TrainedGate:
     if obj.get("version") != _ARTIFACT_VERSION:
         raise ValueError(f"unsupported artifact version {obj.get('version')!r}")
     cfg = RidgeConfig(**obj["config"])
+    feature_names = list(obj["feature_names"])
+    shape = (len(feature_names),)
+
+    def vector(value, key: str) -> np.ndarray:
+        v = np.asarray(value, dtype=float)
+        if v.shape != shape:
+            raise ValueError(f"model artifact {key} has shape {v.shape}, not {shape}: one value per feature name")
+        return v
+
     scaler = Scaler(
-        mean=np.asarray(obj["scaler"]["mean"], dtype=float),
-        std=np.asarray(obj["scaler"]["std"], dtype=float),
+        mean=vector(obj["scaler"]["mean"], "scaler 'mean'"),
+        std=vector(obj["scaler"]["std"], "scaler 'std'"),
     )
+    if not obj["folds"]:
+        raise ValueError("model artifact has no 'folds'")
     folds = [
         FoldPipeline(
-            w=np.asarray(f["w"], dtype=float),
+            w=vector(f["w"], f"fold {i} 'w'"),
             b=float(f["b"]),
             calibrator=_calibrator_from_dict(f["calibrator"]),
         )
-        for f in obj["folds"]
+        for i, f in enumerate(obj["folds"])
     ]
     return TrainedGate(
         scaler=scaler,
         folds=folds,
         chosen_config=cfg,
-        feature_names=list(obj["feature_names"]),
+        feature_names=feature_names,
         tau_star=obj.get("tau_star"),
     )
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from lppgate import cli, pipeline, policy, trainer
 from lppgate.dataset import ResampleConfig, SplitSpec, label_correctness, stratified_split
 from lppgate.features import ALL_FAMILIES, DEFAULT_TOP_K, FeatureFamily, catalog_names, family_of
-from lppgate.schema import OutcomeLabel
+from lppgate.schema import OutcomeLabel, token_span
 from lppgate.synth import SynthConfig, generate_corpus
 from tests import feature_file_reference
 from tests.conftest import make_outcome_span, make_trace
@@ -143,6 +143,20 @@ class TestFileRoundTrips:
         csv_path.write_text("item_id,a,b\n")
         table = pipeline.load_features(csv_path, sidecar)
         assert table.item_ids == [] and table.names == ["a", "b"] and table.matrix.shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "text,match",
+        [("[]", "must hold a JSON object, got list"), ('{"invalid_items": "abc"}', "'invalid_items'"),
+         ('{"invalid_items": ["a", 1]}', "'invalid_items'")],
+        ids=["list", "string", "non-string-id"],
+    )
+    def test_bad_sidecar_refused(self, tmp_path, text, match):
+        csv_path, sidecar = tmp_path / "f.csv", tmp_path / "f.json"
+        csv_path.write_text("item_id,a\nx,1.0\n")
+        sidecar.write_text(text)
+        with pytest.raises(ValueError, match=match) as err:
+            pipeline.load_features(csv_path, sidecar)
+        assert str(sidecar) in str(err.value)
 
     def test_labels_round_trip(self, tmp_path):
         _, rows = generate_corpus(SynthConfig(n_items=30, seed=1))
@@ -444,6 +458,17 @@ def _run_ablation_reference(
     return rows
 
 
+def _wide_outcome_corpus(n=60):
+    """A CoT synth corpus whose outcome tokens carry 20 candidates: each
+    token's own candidates, then junk surfaces of small mass."""
+    traces, _ = corpus(n=n, cot=True)
+    for t in traces:
+        own = list(zip(t.outcome.surfaces[0], t.outcome.logprobs[0].tolist()))
+        junk = [(f" pad{j}", -7.0 - 0.37 * j) for j in range(20 - len(own))]
+        t.outcome = token_span([(t.outcome.chosen[0], float(t.outcome.chosen_logprobs[0]), own + junk)])
+    return traces
+
+
 class TestAblation:
     def test_signal_bearing_family_increases_cost(self):
         traces, labels = corpus(n=1200, signal={"outcome_topk": 0.9, "attribution": 1.0})
@@ -503,11 +528,18 @@ class TestAblation:
                 seed=42,
             )
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES, ids=[f.value for f in ALL_FAMILIES])
-    def test_without_equals_extraction_without_the_family(self, family):
-        traces, _ = corpus(n=60, cot=True)
-        dropped = pipeline.extract_table(traces).without(family)
-        reference = pipeline.extract_table(traces, [f for f in ALL_FAMILIES if f is not family])
+    @pytest.mark.parametrize(
+        "family,wide",
+        [(f, False) for f in ALL_FAMILIES] + [(f, True) for f in ALL_FAMILIES],
+        ids=[f.value for f in ALL_FAMILIES] + [f"wide-outcome-k10-{f.value}" for f in ALL_FAMILIES],
+    )
+    def test_without_equals_extraction_without_the_family(self, family, wide):
+        # the wide corpus pads the filtered family's 4 label probabilities
+        # to 10 columns when outcome_topk is computed alongside it, where
+        # numpy sums a row in blocks; the columns must not depend on that
+        traces, k = (_wide_outcome_corpus(), 10) if wide else (corpus(n=60, cot=True)[0], DEFAULT_TOP_K)
+        dropped = pipeline.extract_table(traces, k=k).without(family)
+        reference = pipeline.extract_table(traces, [f for f in ALL_FAMILIES if f is not family], k=k)
         assert dropped.item_ids == reference.item_ids
         assert dropped.names == reference.names
         assert dropped.matrix.tobytes() == reference.matrix.tobytes()

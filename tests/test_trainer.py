@@ -22,7 +22,6 @@ from lppgate.trainer import (
     DegenerateFold,
     FeatureMismatch,
     IdentityCalibrator,
-    IsotonicCalibrator,
     NonConvergence,
     RidgeConfig,
     SigmoidCalibrator,
@@ -548,8 +547,9 @@ class TestIsotonic:
         [([], []), ([0.1, 0.2], [0.5]), ([0.5, 0.1], [0.2, 0.8]), ([0.3, 0.3], [0.2, 0.8])],
     )
     def test_malformed_calibrator_rejected_on_construction(self, knots, values):
+        # a calibrator is checked where model.json is read
         with pytest.raises(ValueError, match="knots"):
-            IsotonicCalibrator(knots, values)
+            trainer._calibrator_from_dict({"kind": "isotonic", "knots": knots, "values": values})
 
     @given(
         st.lists(
@@ -1042,6 +1042,29 @@ class TestSerialization:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="knots"):
+            load_gate(path)
+
+    @pytest.mark.parametrize(
+        "edit,match",
+        [
+            (lambda doc: doc["folds"][0]["w"].pop(), "fold 0 'w'"),
+            (lambda doc: doc["folds"][2]["w"].append(0.5), "fold 2 'w'"),
+            (lambda doc: doc["scaler"]["mean"].pop(), "scaler 'mean'"),
+            (lambda doc: doc["scaler"].update(std=[[1.0, 1.0]]), "scaler 'std'"),
+            (lambda doc: doc.update(folds=[]), "no 'folds'"),
+        ],
+        ids=["short-w", "long-w", "short-mean", "nested-std", "no-folds"],
+    )
+    def test_shapes_that_disagree_rejected_on_load(self, tmp_path, edit, match):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(90, 2))
+        z = (X[:, 0] > 0).astype(int)
+        doc = gate_to_dict(cross_fit_calibrated(X, z, RidgeConfig(), seed=42, feature_names=["a", "b"]))
+        del doc["content_hash"]
+        edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
             load_gate(path)
 
     def test_identity_fallback_round_trips(self):
