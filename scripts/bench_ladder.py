@@ -26,12 +26,24 @@ chain once before round r+1 starts, so the three runs of one stage lie
 minutes apart and a noisy spell of a shared host lands on one of them
 rather than on all three. Each number is the median of the three runs;
 the file names the host's CPU count.
+
+The file also records each stage's layers (``layers``). After the
+timed rounds, one more chain per corpus runs in a child process that
+calls every stage in-process under perfbench's span tracer, with
+``perfbench.tracer.TRACED`` extended by ``EXTRA_TRACED`` before it wraps
+anything. Per stage and layer the file records calls, total seconds and
+self seconds (the time no traced child covers); ``cli.<stage>`` is the
+stage's own span, so the self seconds of a stage's spans add up to its
+total. Per layer it records the growth of its chain total from 3k to 10k
+items, and flags a layer whose growth exceeds ``GROWTH_FLAG`` times the
+items' growth. The timed rounds run untraced.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -47,6 +59,16 @@ SIZES = (1000, 3000, 10000)
 SEED = 42
 STAGES = ("synth", "extract", "split", "train", "sweep", "evaluate", "sensitivity")
 REPEATS = 3
+#: Layers the traced chain wraps on top of perfbench.tracer.TRACED.
+EXTRA_TRACED = (
+    "pipeline.load_features",
+    "pipeline.save_features",
+    "manifest.write_csv_atomic",
+    "manifest.sha256_file",
+    "schema.read_traces_jsonl",
+)
+GROWTH_SIZES = (3000, 10000)
+GROWTH_FLAG = 1.2
 
 
 def stage_argv(stage: str, out: Path, n_items: int, cot: bool) -> list[str]:
@@ -119,6 +141,74 @@ def run_ladder(work: Path) -> list[dict]:
     return rows
 
 
+def traced_chain(out: str, n_items: int, cot: bool) -> tuple[list[str], dict]:
+    """Run one corpus's chain in this process, each stage under its own
+    tracer; returns the traced names and {stage: {span: summary}}. Meant
+    for a fresh child process: it imports lppgate and perfbench from the
+    checkout and wraps their functions for good."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+    from lppgate import cli
+    from perfbench import tracer
+
+    tracer.TRACED += tuple(name for name in EXTRA_TRACED if name not in tracer.TRACED)
+    stages = {}
+    for stage in STAGES:
+        t = tracer.Tracer()
+        uninstall = t.install()
+        try:
+            with t.span(f"cli.{stage}"):
+                code = cli.main(stage_argv(stage, Path(out), n_items, cot))
+        finally:
+            uninstall()
+        if code != 0:
+            raise RuntimeError(f"traced lppgate {stage} exited with {code}")
+        stages[stage] = {
+            name: {"calls": e["calls"], "s": round(e["s"], 5), "self_s": round(e["self_s"], 5)}
+            for name, e in sorted(t.summary().items())
+        }
+    return list(tracer.TRACED), stages
+
+
+def run_layers(work: Path) -> dict:
+    """One traced chain per corpus, each in a spawned child process, and
+    each layer's growth from the first to the second of GROWTH_SIZES."""
+    corpora = [(n_items, cot) for n_items in SIZES for cot in (False, True)]
+    rows = []
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        for n_items, cot in corpora:
+            out = work / f"{n_items}-{'cot' if cot else 'direct'}-traced"
+            traced, stages = pool.apply(traced_chain, (str(out), n_items, cot))
+            print(f"traced {n_items:>6} {'cot' if cot else 'direct'}", file=sys.stderr)
+            rows.append({"n_items": n_items, "cot": cot, "stages": stages})
+    small, large = GROWTH_SIZES
+    limit = GROWTH_FLAG * large / small
+    growth = []
+    for cot in (False, True):
+        totals = {}
+        for row in rows:
+            if row["cot"] == cot and row["n_items"] in GROWTH_SIZES:
+                for layers in row["stages"].values():
+                    for name, e in layers.items():
+                        totals.setdefault(name, dict.fromkeys(GROWTH_SIZES, 0.0))[row["n_items"]] += e["s"]
+        for name, s in sorted(totals.items()):
+            ratio = s[large] / s[small] if s[small] > 0 else None
+            growth.append({
+                "layer": name,
+                "cot": cot,
+                f"s_{small}": round(s[small], 5),
+                f"s_{large}": round(s[large], 5),
+                "growth": None if ratio is None else round(ratio, 3),
+                "flagged": ratio is not None and ratio > limit,
+            })
+    return {
+        "traced": traced,
+        "growth_items": [small, large],
+        "growth_flag_above": round(limit, 3),
+        "rows": rows,
+        "growth": growth,
+    }
+
+
 def git_commit() -> str | None:
     """HEAD's hash, with "-dirty" appended when the checkout has changes."""
     done = subprocess.run(
@@ -136,6 +226,7 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-ladder-") as work:
         rows = run_ladder(Path(work))
+        layers = run_layers(Path(work))
     result = {
         "benchmark": "ladder",
         "command": "python scripts/bench_ladder.py",
@@ -148,6 +239,7 @@ def main(argv=None) -> int:
         },
         "seed": SEED,
         "rows": rows,
+        "layers": layers,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     return 0

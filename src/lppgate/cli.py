@@ -149,6 +149,12 @@ def _load_config(args) -> RunConfig:
         raise ValueError(f"{exc} (--config {args.config})") from None
 
 
+def _load_features(args) -> pipeline.FeatureTable:
+    """The table of --features and --features-sidecar; the CSV's sha256
+    comes from main's input snapshot, so each stage hashes it once."""
+    return pipeline.load_features(args.features, args.features_sidecar, csv_sha256=args.snapshot[args.features])
+
+
 def _require_inputs(args) -> dict[str, str]:
     """Check the command's declared input files exist and snapshot their
     hashes before it runs, so the manifest chains to the bytes it read."""
@@ -247,8 +253,10 @@ def cmd_generate(args, cfg: RunConfig, out):
 def cmd_extract(args, cfg: RunConfig, out):
     traces = read_traces_jsonl(args.traces)
     table = pipeline.extract_table(traces, cfg.family_set(), k=cfg.top_k)
-    paths = [out("features.csv"), out("features.families.json")]
-    pipeline.save_features(table, *paths)
+    csv_path = out("features.csv")
+    copy_name = os.path.basename(pipeline.binary_copy_path(csv_path))
+    paths = [csv_path, out("features.families.json"), out(copy_name)]
+    pipeline.save_features(table, *paths[:2])
     extra = {
         "rows": len(table.item_ids),
         "columns": len(table.names),
@@ -259,7 +267,7 @@ def cmd_extract(args, cfg: RunConfig, out):
 
 
 def cmd_split(args, cfg: RunConfig, out):
-    table = pipeline.load_features(args.features, args.features_sidecar)
+    table = _load_features(args)
     labels = pipeline.load_labels(args.labels)
     split = stratified_split(pipeline.build_examples(table, labels), cfg.split_spec())
     ids = dict(zip(("train", "validation", "test"), split))
@@ -272,7 +280,7 @@ def cmd_split(args, cfg: RunConfig, out):
 
 
 def cmd_train(args, cfg: RunConfig, out):
-    table = pipeline.load_features(args.features, args.features_sidecar)
+    table = _load_features(args)
     labels = pipeline.load_labels(args.labels)
     train_ids = pipeline.read_id_list(args.train_ids)
     space = trainer.default_grid() if not args.quick_grid else _quick_grid()
@@ -295,7 +303,7 @@ def cmd_train(args, cfg: RunConfig, out):
 
 def cmd_sweep(args, cfg: RunConfig, out):
     gate = trainer.load_gate(args.model)
-    table = pipeline.load_features(args.features, args.features_sidecar)
+    table = _load_features(args)
     labels = pipeline.load_labels(args.labels)
     validation_ids = pipeline.read_id_list(args.validation_ids)
     grid = cfg.tau_grid()
@@ -313,7 +321,7 @@ def cmd_sweep(args, cfg: RunConfig, out):
 
 def cmd_evaluate(args, cfg: RunConfig, out):
     gate = trainer.load_gate(args.model)
-    table = pipeline.load_features(args.features, args.features_sidecar)
+    table = _load_features(args)
     labels = pipeline.load_labels(args.labels)
     validation_ids = pipeline.read_id_list(args.validation_ids)
     test_ids = pipeline.read_id_list(args.test_ids)
@@ -348,7 +356,7 @@ def cmd_ablate(args, cfg: RunConfig, out):
 
 def cmd_sensitivity(args, cfg: RunConfig, out):
     gate = trainer.load_gate(args.model)
-    table = pipeline.load_features(args.features, args.features_sidecar)
+    table = _load_features(args)
     labels = pipeline.load_labels(args.labels)
     test_ids = pipeline.read_id_list(args.test_ids)
     test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
@@ -487,7 +495,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         cfg = _load_config(args)
-        inputs = _require_inputs(args)
+        inputs = args.snapshot = _require_inputs(args)
         outputs, extra = args.run(args, cfg, out)
         manifest = build_manifest(
             command=args.command,

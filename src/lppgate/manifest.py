@@ -45,14 +45,17 @@ def sha256_obj(obj) -> str:
 
 
 @contextlib.contextmanager
-def open_atomic(path):
-    """A text handle on a temp file that replaces ``path`` when the block
-    ends; on any exception, KeyboardInterrupt included, the temp file is
-    removed and ``path`` is left as it was."""
+def open_atomic(path, mode: str = "w"):
+    """A handle on a temp file that replaces ``path`` when the block ends:
+    UTF-8 text for mode "w", bytes for "wb". On any exception,
+    KeyboardInterrupt included, the temp file is removed and ``path`` is
+    left as it was."""
+    if mode not in ("w", "wb"):
+        raise ValueError(f"open_atomic writes with mode 'w' or 'wb', not {mode!r}")
     path = str(path)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, mode, encoding=None if mode == "wb" else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -5,13 +5,16 @@ acceptance suite: feature tables, file formats, and the stage functions
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from . import evaluation, policy, trainer
+from . import evaluation, manifest, policy, trainer
 from .dataset import (
     ABSTENTIONS,
     LabeledRows,
@@ -29,7 +32,7 @@ from .features import (
     catalog_names,
     family_of,
 )
-from .manifest import write_csv_atomic, write_json_atomic, write_text_atomic
+from .manifest import open_atomic, write_csv_atomic, write_json_atomic, write_text_atomic
 from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, decisions_at, sweep_threshold
 from .schema import OutcomeLabel, ResponseTrace
 from .trainer import TrainedGate, cross_fit_calibrated, grid_search, predict_score
@@ -40,6 +43,8 @@ __all__ = [
     "extract_table",
     "save_features",
     "load_features",
+    "binary_copy_path",
+    "BINARY_COPY_KEY",
     "save_labels",
     "load_labels",
     "write_id_list",
@@ -137,16 +142,46 @@ def check_item_ids(item_ids: Iterable[str], where: str) -> None:
         seen.add(item)
 
 
+#: The sidecar key that records the binary copy of features.csv.
+BINARY_COPY_KEY = "binary_copy"
+
+
+def binary_copy_path(csv_path) -> str:
+    """Where save_features puts the binary copy: beside the CSV, under its
+    stem with the suffix .npy (features.csv -> features.npy)."""
+    return os.path.splitext(os.fspath(csv_path))[0] + ".npy"
+
+
 def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
     """Write features.csv, one row per item of its id and repr(float) of
-    each value, and the family sidecar."""
+    each value, a binary copy of the table beside it (binary_copy_path),
+    and the family sidecar.
+
+    The binary copy holds what the CSV reads back as, in two .npy records:
+    the UTF-8 JSON of {"item_ids": [...], "names": [...]} as uint8, then
+    the C-ordered float64 matrix, with every NaN stored as the one NaN that
+    the CSV's "nan" parses to. JSON keeps each id exactly, a trailing NUL
+    included, and the row count with it. The sidecar's BINARY_COPY_KEY
+    records the sha256 of the CSV the copy was written with and the copy's
+    own sha256; load_features reads the copy only while both hold."""
     check_item_ids(table.item_ids, "the feature table")
-    rows = zip(table.item_ids, np.asarray(table.matrix, dtype=float).tolist())
-    write_csv_atomic(csv_path, ["item_id", *table.names], ([item_id, *row] for item_id, row in rows))
+    matrix = np.ascontiguousarray(table.matrix, dtype=float)
+    rows = ([item_id, *row.tolist()] for item_id, row in zip(table.item_ids, matrix))
+    write_csv_atomic(csv_path, ["item_id", *table.names], rows)
+    nan = np.isnan(matrix)
+    if nan.any():
+        matrix = np.where(nan, np.nan, matrix)
+    header = json.dumps({"item_ids": table.item_ids, "names": table.names}).encode()
+    binary_path = binary_copy_path(csv_path)
+    with open_atomic(binary_path, "wb") as fh:
+        np.save(fh, np.frombuffer(header, dtype=np.uint8), allow_pickle=False)
+        np.save(fh, matrix, allow_pickle=False)
     families: dict[str, list[str]] = {}
     for name in table.names:
         families.setdefault(family_of(name), []).append(name)
-    write_json_atomic(sidecar_path, {"families": families, "invalid_items": sorted(table.invalid_ids)})
+    copy = {"csv_sha256": manifest.sha256_file(csv_path), "sha256": manifest.sha256_file(binary_path)}
+    sidecar = {"families": families, "invalid_items": sorted(table.invalid_ids), BINARY_COPY_KEY: copy}
+    write_json_atomic(sidecar_path, sidecar)
 
 
 def _ignore(_field: str) -> float:
@@ -154,10 +189,10 @@ def _ignore(_field: str) -> float:
     return 0.0
 
 
-def load_features(csv_path, sidecar_path) -> FeatureTable:
-    """Read what save_features wrote. One np.loadtxt parses every row,
-    quoted ids included; each id is its line's first field, which
-    csv.reader unquotes when it starts with a quote."""
+def _parse_csv(csv_path) -> tuple[list[str], list[str], np.ndarray]:
+    """Item ids, names and matrix of features.csv. One np.loadtxt parses
+    every row, quoted ids included; each id is its line's first field,
+    which csv.reader unquotes when it starts with a quote."""
     # universal newlines: \r\n and \r end a line, as they do for csv.reader
     with open(csv_path, encoding="utf-8") as fh:
         # not splitlines(): it also splits at characters an id may hold
@@ -185,14 +220,55 @@ def load_features(csv_path, sidecar_path) -> FeatureTable:
     # loadtxt skips blank lines
     if matrix.shape != (len(rows), len(names) + 1):
         raise ValueError(malformed)
+    return item_ids, names, np.ascontiguousarray(matrix[:, 1:])
+
+
+def _read_binary_copy(csv_path, sidecar, csv_sha256: str | None):
+    """Item ids, names and matrix of the binary copy at
+    binary_copy_path(csv_path), or None unless the sidecar records it and
+    the CSV's sha256 and the copy's own both equal the recorded ones."""
+    copy = sidecar.get(BINARY_COPY_KEY) if isinstance(sidecar, dict) else None
+    if not isinstance(copy, dict) or not all(isinstance(copy.get(k), str) for k in ("csv_sha256", "sha256")):
+        return None
+    if (csv_sha256 if csv_sha256 is not None else manifest.sha256_file(csv_path)) != copy["csv_sha256"]:
+        return None
+    path = binary_copy_path(csv_path)
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError:
+        return None
+    if hashlib.sha256(data).hexdigest() != copy["sha256"]:
+        return None
+    buf = io.BytesIO(data)
+    header = json.loads(np.load(buf, allow_pickle=False).tobytes())
+    matrix = np.load(buf, allow_pickle=False)
+    item_ids, names = header["item_ids"], header["names"]
+    check_item_ids(item_ids, path)
+    if matrix.dtype != np.float64 or matrix.shape != (len(item_ids), len(names)):
+        raise ValueError(f"{path} must hold {len(item_ids)} rows of {len(names)} float64 values")
+    return item_ids, names, np.ascontiguousarray(matrix)
+
+
+def load_features(csv_path, sidecar_path, *, csv_sha256: str | None = None) -> FeatureTable:
+    """Read what save_features wrote: the binary copy the sidecar records
+    when the sha256 of features.csv (csv_sha256 if given, else hashed
+    here) and of the copy both equal the recorded ones; otherwise the CSV
+    itself (_parse_csv). So the CSV stays the source of truth: an edited
+    CSV, a changed or missing copy, or a sidecar without the record gives
+    the CSV's own rows. Either way the ids pass check_item_ids, the matrix
+    must hold one value per name on every row, and the sidecar must be a
+    JSON object whose invalid_items is a list of strings."""
     with open(sidecar_path, encoding="utf-8") as fh:
         sidecar = json.load(fh)
+    read = _read_binary_copy(csv_path, sidecar, csv_sha256)
+    item_ids, names, matrix = read if read is not None else _parse_csv(csv_path)
     if not isinstance(sidecar, dict):
         raise ValueError(f"{sidecar_path} must hold a JSON object, got {type(sidecar).__name__}")
     invalid_ids = sidecar.get("invalid_items", [])
     if not isinstance(invalid_ids, list) or not all(isinstance(i, str) for i in invalid_ids):
         raise ValueError(f"'invalid_items' in {sidecar_path} must be a list of item ids, got {invalid_ids!r}")
-    return FeatureTable(item_ids, names, np.ascontiguousarray(matrix[:, 1:]), invalid_ids)
+    return FeatureTable(item_ids, names, matrix, invalid_ids)
 
 
 def save_labels(rows: Sequence, path) -> None:

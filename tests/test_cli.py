@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import lppgate
+from lppgate import pipeline
 from lppgate.cli import build_parser, main
+from lppgate.dataset import label_correctness
 from lppgate.schema import trace_to_dict, write_traces_jsonl
 from lppgate.synth import SynthConfig, generate_corpus
 
@@ -55,18 +57,35 @@ def chain(tmp_path_factory):
         expected_inputs[command] = file_inputs(argv)
         assert run_cli(command, "--out", out, *argv) == 0
 
-    common = labelled(out)
     stage("synth", "--n-items", 400, "--seed", "42")
     stage("extract", "--traces", out / "traces.jsonl")
-    stage("split", *common, "--test-negatives", 30)
-    stage("train", *common, "--train-ids", out / "train_ids.txt", "--quick-grid")
-    stage("sweep", *common, "--model", out / "model.json", "--validation-ids", out / "validation_ids.txt")
-    stage(
-        "evaluate", *common, "--model", out / "model.json",
-        "--validation-ids", out / "validation_ids.txt", "--test-ids", out / "test_ids.txt",
-    )
-    stage("sensitivity", *common, "--model", out / "model.json", "--test-ids", out / "test_ids.txt")
+    for command, argv in fit_stages(out):
+        stage(command, *argv)
     return out, expected_inputs
+
+
+def fit_stages(out):
+    """(command, argv) of split..sensitivity on the files in out, as the
+    chain fixture runs them."""
+    common = labelled(out)
+    model = ["--model", out / "model.json"]
+    return [
+        ("split", [*common, "--test-negatives", 30]),
+        ("train", [*common, "--train-ids", out / "train_ids.txt", "--quick-grid"]),
+        ("sweep", [*common, *model, "--validation-ids", out / "validation_ids.txt"]),
+        ("evaluate", [*common, *model, "--validation-ids", out / "validation_ids.txt", "--test-ids", out / "test_ids.txt"]),
+        ("sensitivity", [*common, *model, "--test-ids", out / "test_ids.txt"]),
+    ]
+
+
+def artifacts(run_dir):
+    """{name: bytes} of every file in run_dir but the manifests and the
+    binary feature copy."""
+    return {
+        p.name: p.read_bytes()
+        for p in sorted(run_dir.iterdir())
+        if not p.name.endswith(".manifest.json") and p.name != "features.npy"
+    }
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +100,7 @@ class TestPipelineArtifacts:
             "labels.csv",
             "features.csv",
             "features.families.json",
+            "features.npy",
             "train_ids.txt",
             "validation_ids.txt",
             "test_ids.txt",
@@ -189,6 +209,58 @@ class TestPipelineArtifacts:
         assert (workdir / "features.csv").read_bytes() == before
 
 
+class TestBinaryFeatureCopy:
+    """Every stage after extract reads the binary copy of features.csv
+    only while it matches; a changed copy or an edited CSV gives the run
+    the CSV alone gives."""
+
+    @staticmethod
+    def fit(run):
+        for command, argv in fit_stages(run):
+            assert run_cli(command, "--out", run, *argv) == 0, command
+
+    @staticmethod
+    def extracted(workdir, run):
+        run.mkdir()
+        for name in ("features.csv", "features.families.json", "features.npy", "labels.csv"):
+            shutil.copy(workdir / name, run / name)
+        return run
+
+    @pytest.mark.parametrize("change", ["flip", "truncate", "delete"])
+    def test_changed_copy_gives_the_same_run(self, workdir, tmp_path, change):
+        run = self.extracted(workdir, tmp_path / "run")
+        copy = run / "features.npy"
+        data = copy.read_bytes()
+        if change == "flip":
+            copy.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        elif change == "truncate":
+            copy.write_bytes(data[: len(data) // 2])
+        else:
+            copy.unlink()
+        self.fit(run)
+        expected = artifacts(workdir)
+        del expected["traces.jsonl"]
+        assert artifacts(run) == expected
+
+    def test_edited_csv_is_what_every_stage_reads(self, workdir, tmp_path):
+        # a training row of the minority class, which resampling keeps, so
+        # its value reaches the scaler in model.json
+        labels = pipeline.load_labels(workdir / "labels.csv")
+        train_ids = pipeline.read_id_list(workdir / "train_ids.txt")
+        item = next(i for i in train_ids if label_correctness(labels[i][1], labels[i][0]) == 0)
+        runs = [self.extracted(workdir, tmp_path / name) for name in ("stale-copy", "no-copy")]
+        (runs[1] / "features.npy").unlink()
+        for run in runs:
+            lines = (run / "features.csv").read_text().split("\n")
+            row = next(n for n, line in enumerate(lines) if line.startswith(item + ","))
+            head, _, values = lines[row].partition(",")
+            lines[row] = f"{head},{'9' if values[0] != '9' else '8'}{values[1:]}"
+            (run / "features.csv").write_text("\n".join(lines))
+            self.fit(run)
+        assert artifacts(runs[0]) == artifacts(runs[1])
+        assert artifacts(runs[0])["model.json"] != (workdir / "model.json").read_bytes()
+
+
 class TestAblateCommand:
     def test_single_family_row(self, tmp_path):
         out = tmp_path / "run"
@@ -242,6 +314,7 @@ class TestErrors:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "IsADirectoryError"
         assert not (out / "features.csv").exists()
+        assert not (out / "features.npy").exists()
         assert not list(out.glob("*.tmp"))
         assert not (out / "extract.manifest.json").exists()
 
@@ -477,7 +550,8 @@ class TestErrors:
     def test_split_refuses_a_repeated_feature_row(self, workdir, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()
-        for name in ("features.csv", "features.families.json", "labels.csv"):
+        # the binary copy too: it no longer matches the CSV, so is not read
+        for name in ("features.csv", "features.families.json", "features.npy", "labels.csv"):
             shutil.copy(workdir / name, run / name)
         lines = (run / "features.csv").read_text().splitlines(keepends=True)
         (run / "features.csv").write_text("".join(lines + lines[1:2]))

@@ -1,10 +1,15 @@
 import dataclasses
+import hashlib
+import io
 import json
 import re
+import sys
 import tempfile
+import tracemalloc
 import warnings
 from itertools import product
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -305,6 +310,11 @@ _IDS = st.one_of(
     st.text(st.sampled_from(_ID_CHARS), max_size=5),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n\x00"), max_size=5),
 )
+if sys.version_info >= (3, 11):
+    # Ids ending in NUL: check_item_ids allows them and a numpy "<U" array
+    # would strip them. csv reads a NUL only from Python 3.11 on; before
+    # that csv.reader refuses the line.
+    _IDS = st.one_of(_IDS, st.text(st.sampled_from(_ID_CHARS), max_size=4).map(lambda i: i + "\x00"))
 _SPECIAL_VALUES = [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7e308, -1.7e308]
 _VALUES = st.one_of(st.sampled_from(_SPECIAL_VALUES), st.floats())
 
@@ -327,27 +337,43 @@ def _table(ids, n_names=3):
 
 class TestFeatureFileReference:
     """save_features / load_features against the csv-module versions they
-    replaced (tests/feature_file_reference.py): the same bytes, and the same
-    ids, names and matrix bits read back."""
+    replaced (tests/feature_file_reference.py): the same CSV bytes, the same
+    sidecar bytes apart from the binary copy's record, and the same ids,
+    names and matrix bits read back, through the binary copy and through
+    the CSV alone."""
 
     @settings(max_examples=300, deadline=None)
     @given(_feature_tables())
     @example(_table(["", " a\tb ", "#x", "x#", "\x0b\x0c\x1c\x85\u2028", "synth-000001"]))
     @example(_table(['a,b', '""', 'q"', ",", "#,"]))
+    @example(_table([""]))
+    @example(_table([]))
     def test_matches_reference(self, table):
         with tempfile.TemporaryDirectory() as tmp:
             new, ref = Path(tmp, "new"), Path(tmp, "ref")
-            pipeline.save_features(table, new.with_suffix(".csv"), new.with_suffix(".json"))
+            csv_path, sidecar = new.with_suffix(".csv"), new.with_suffix(".json")
+            pipeline.save_features(table, csv_path, sidecar)
             feature_file_reference.save_features(table, ref.with_suffix(".csv"), ref.with_suffix(".json"))
-            for suffix in (".csv", ".json"):
-                assert new.with_suffix(suffix).read_bytes() == ref.with_suffix(suffix).read_bytes()
-            loaded = pipeline.load_features(new.with_suffix(".csv"), new.with_suffix(".json"))
+            assert csv_path.read_bytes() == ref.with_suffix(".csv").read_bytes()
+            written = sidecar.read_text()
+            doc = json.loads(written)
+            assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == written
+            assert set(doc.pop(pipeline.BINARY_COPY_KEY)) == {"csv_sha256", "sha256"}
+            assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == ref.with_suffix(".json").read_text()
             expected = feature_file_reference.load_features(ref.with_suffix(".csv"), ref.with_suffix(".json"))
-        assert loaded.item_ids == expected.item_ids == table.item_ids
-        assert loaded.names == expected.names == table.names
-        assert loaded.invalid_ids == expected.invalid_ids
-        assert loaded.matrix.tobytes() == expected.matrix.tobytes()
-        assert np.array_equal(loaded.matrix.reshape(table.matrix.shape), table.matrix, equal_nan=True)
+            # the first read takes the binary copy, so the CSV parser must not run
+            with mock.patch.object(pipeline, "_parse_csv", side_effect=AssertionError("CSV parsed")):
+                from_copy = pipeline.load_features(csv_path, sidecar)
+            new.with_suffix(".npy").unlink()
+            from_csv = pipeline.load_features(csv_path, sidecar)
+        for loaded in (from_copy, from_csv):
+            assert loaded.item_ids == expected.item_ids == table.item_ids
+            assert loaded.names == expected.names == table.names
+            assert loaded.invalid_ids == expected.invalid_ids
+            assert loaded.matrix.flags.c_contiguous and loaded.matrix.dtype == np.float64
+            assert loaded.matrix.shape == (len(table.item_ids), len(table.names))
+            assert loaded.matrix.tobytes() == expected.matrix.tobytes()
+            assert np.array_equal(loaded.matrix, table.matrix, equal_nan=True)
 
     @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
     def test_line_ends_read_as_csv_reads_them(self, tmp_path, end):
@@ -370,6 +396,153 @@ class TestFeatureFileReference:
         csv_path.write_text("item_id,sequence.nll,sequence.perplexity\n" + body)
         sidecar.write_text("{}")
         with pytest.raises(ValueError, match="must hold an item_id and 2 values"):
+            pipeline.load_features(csv_path, sidecar)
+
+
+def _saved_table(tmp_path, n=10):
+    traces, _ = corpus(n=n)
+    table = pipeline.extract_table(traces)
+    csv_path, sidecar = tmp_path / "features.csv", tmp_path / "features.families.json"
+    pipeline.save_features(table, csv_path, sidecar)
+    return table, csv_path, sidecar
+
+
+def _flip_value_byte(csv_path):
+    """Change one digit of the first row's first value in place."""
+    text = csv_path.read_text()
+    start = text.index(",", text.index("\n")) + 1
+    i = next(j for j in range(start, len(text)) if text[j].isdigit())
+    csv_path.write_text(text[:i] + ("2" if text[i] == "1" else "1") + text[i + 1:])
+
+
+def _forge_copy(csv_path, sidecar, item_ids, names, matrix):
+    """Replace the binary copy and record its new hash, so the copy is read
+    whatever it holds."""
+    buf = io.BytesIO()
+    header = json.dumps({"item_ids": item_ids, "names": names}).encode()
+    np.save(buf, np.frombuffer(header, dtype=np.uint8))
+    np.save(buf, matrix)
+    copy = csv_path.with_suffix(".npy")
+    copy.write_bytes(buf.getvalue())
+    doc = json.loads(sidecar.read_text())
+    doc[pipeline.BINARY_COPY_KEY]["sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
+    sidecar.write_text(json.dumps(doc))
+    return copy
+
+
+class TestBinaryCopy:
+    """load_features reads the binary copy only while the sidecar's record
+    of it holds; otherwise it parses the CSV, which stays the source of
+    truth."""
+
+    def no_parse(self):
+        return mock.patch.object(pipeline, "_parse_csv", side_effect=AssertionError("CSV parsed"))
+
+    def counting_parse(self):
+        return mock.patch.object(pipeline, "_parse_csv", wraps=pipeline._parse_csv)
+
+    def test_copy_read_while_its_record_holds(self, tmp_path):
+        table, csv_path, sidecar = _saved_table(tmp_path)
+        record = json.loads(sidecar.read_text())[pipeline.BINARY_COPY_KEY]
+        assert record == {
+            "csv_sha256": hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+            "sha256": hashlib.sha256((tmp_path / "features.npy").read_bytes()).hexdigest(),
+        }
+        with self.no_parse():
+            loaded = pipeline.load_features(csv_path, sidecar)
+        assert (loaded.item_ids, loaded.names) == (table.item_ids, table.names)
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+
+    def test_given_csv_hash_is_not_recomputed(self, tmp_path):
+        table, csv_path, sidecar = _saved_table(tmp_path)
+        digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
+        with self.no_parse(), mock.patch.object(pipeline.manifest, "sha256_file", side_effect=AssertionError("hashed")):
+            loaded = pipeline.load_features(csv_path, sidecar, csv_sha256=digest)
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+        with self.counting_parse() as parse:
+            pipeline.load_features(csv_path, sidecar, csv_sha256="0" * 64)
+        assert parse.call_count == 1
+
+    def test_edited_csv_is_read(self, tmp_path):
+        table, csv_path, sidecar = _saved_table(tmp_path)
+        _flip_value_byte(csv_path)
+        loaded = pipeline.load_features(csv_path, sidecar)
+        expected = feature_file_reference.load_features(csv_path, sidecar)
+        assert loaded.matrix.tobytes() == expected.matrix.tobytes() != table.matrix.tobytes()
+        (tmp_path / "features.npy").unlink()
+        assert pipeline.load_features(csv_path, sidecar).matrix.tobytes() == loaded.matrix.tobytes()
+
+    @pytest.mark.parametrize("change", ["flip", "truncate", "delete"])
+    def test_changed_copy_is_not_read(self, tmp_path, change):
+        table, csv_path, sidecar = _saved_table(tmp_path)
+        copy = tmp_path / "features.npy"
+        data = copy.read_bytes()
+        if change == "flip":
+            copy.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        elif change == "truncate":
+            copy.write_bytes(data[: len(data) // 2])
+        else:
+            copy.unlink()
+        with self.counting_parse() as parse:
+            loaded = pipeline.load_features(csv_path, sidecar)
+        assert parse.call_count == 1
+        assert (loaded.item_ids, loaded.names) == (table.item_ids, table.names)
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+
+    @pytest.mark.parametrize(
+        "record",
+        [None, "features.npy", {"sha256": ""}],
+        ids=["absent", "not an object", "incomplete"],
+    )
+    def test_sidecar_without_a_usable_record_reads_csv(self, tmp_path, record):
+        table, csv_path, sidecar = _saved_table(tmp_path)
+        doc = json.loads(sidecar.read_text())
+        if record is None:
+            del doc[pipeline.BINARY_COPY_KEY]
+        else:
+            doc[pipeline.BINARY_COPY_KEY] = record
+        sidecar.write_text(json.dumps(doc))
+        with self.counting_parse() as parse:
+            loaded = pipeline.load_features(csv_path, sidecar)
+        assert parse.call_count == 1
+        assert loaded.matrix.tobytes() == table.matrix.tobytes()
+
+    def test_rows_stream_to_the_file(self, tmp_path):
+        # 2000 x 45 values, about 1.7 MB of text, built before tracing starts
+        rng = np.random.default_rng(0)
+        table = pipeline.FeatureTable([f"item-{i}" for i in range(2000)], catalog_names(), rng.random((2000, 45)))
+        csv_path = tmp_path / "features.csv"
+        tracemalloc.start()
+        try:
+            pipeline.save_features(table, csv_path, tmp_path / "features.families.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a writer that holds the whole text, or the matrix as floats, peaks
+        # above the file's size
+        assert peak < csv_path.stat().st_size / 4
+
+    def test_copy_runs_the_id_check(self, tmp_path):
+        table, csv_path, sidecar = _saved_table(tmp_path)
+        ids = [table.item_ids[0]] * len(table.item_ids)
+        copy = _forge_copy(csv_path, sidecar, ids, table.names, table.matrix)
+        message = f"item_id {ids[0]!r} appears more than once in {copy}"
+        with self.no_parse(), pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.load_features(csv_path, sidecar)
+
+    def test_copy_runs_the_shape_check(self, tmp_path):
+        table, csv_path, sidecar = _saved_table(tmp_path)
+        copy = _forge_copy(csv_path, sidecar, table.item_ids, table.names, table.matrix[:, 1:])
+        message = f"{copy} must hold {len(table.item_ids)} rows of {len(table.names)} float64 values"
+        with self.no_parse(), pytest.raises(ValueError, match=re.escape(message)):
+            pipeline.load_features(csv_path, sidecar)
+
+    def test_copy_runs_the_sidecar_checks(self, tmp_path):
+        _, csv_path, sidecar = _saved_table(tmp_path)
+        doc = json.loads(sidecar.read_text())
+        doc["invalid_items"] = "zzz"
+        sidecar.write_text(json.dumps(doc))
+        with self.no_parse(), pytest.raises(ValueError, match="'invalid_items' in .* must be a list of item ids"):
             pipeline.load_features(csv_path, sidecar)
 
 
