@@ -37,6 +37,14 @@ stage's own span, so the self seconds of a stage's spans add up to its
 total. Per layer it records the growth of its chain total from 3k to 10k
 items, and flags a layer whose growth exceeds ``GROWTH_FLAG`` times the
 items' growth. The timed rounds run untraced.
+
+Last, the ``online`` block routes the 1k CoT corpus one trace at a time,
+as a deployed gate would, with the ``model.json`` that rung's ``train``
+wrote, in a spawned child process. Over ``ONLINE_PASSES`` passes it
+records the p50 and p99 microseconds per item of ``schema.token_span`` on
+the trace's reasoning triples, ``pipeline.extract_table([trace])``,
+``trainer.predict_score`` plus ``policy.decisions_at``, and the three
+together.
 """
 
 from __future__ import annotations
@@ -69,6 +77,9 @@ EXTRA_TRACED = (
 )
 GROWTH_SIZES = (3000, 10000)
 GROWTH_FLAG = 1.2
+#: The corpus the online block routes item by item, and its passes over it.
+ONLINE_CORPUS = (1000, True)
+ONLINE_PASSES = 3
 
 
 def stage_argv(stage: str, out: Path, n_items: int, cot: bool) -> list[str]:
@@ -209,6 +220,50 @@ def run_layers(work: Path) -> dict:
     }
 
 
+def online_items(out: str) -> dict:
+    """Route every trace of ``out``'s traces.jsonl alone, ONLINE_PASSES
+    times; returns each step's p50 and p99 microseconds per item. Meant
+    for a fresh child process: it imports lppgate from the checkout."""
+    sys.path[:0] = [str(ROOT / "src")]
+    from lppgate import pipeline, policy, schema, trainer
+
+    traces = schema.read_traces_jsonl(Path(out) / "traces.jsonl")
+    gate = trainer.load_gate(Path(out) / "model.json")
+    # each trace's reasoning span as the gateway hands it to token_span
+    triples = []
+    for t in traces:
+        span = t.reasoning
+        rows = zip(span.chosen, span.chosen_logprobs.tolist(), span.surfaces, span.logprobs.tolist())
+        triples.append(tuple((c, lp, tuple(zip(srf, row))) for c, lp, srf, row in rows))
+    clock = time.perf_counter
+    steps = {"token_span": [], "extract_table": [], "predict_score+decisions_at": [], "total": []}
+    for _ in range(ONLINE_PASSES):
+        for trace, span in zip(traces, triples):
+            t0 = clock()
+            schema.token_span(span)
+            t1 = clock()
+            table = pipeline.extract_table([trace])
+            t2 = clock()
+            policy.decisions_at(trainer.predict_score(gate, table.names, table.matrix), gate.tau_star)
+            t3 = clock()
+            for name, s in zip(steps, (t1 - t0, t2 - t1, t3 - t2, t3 - t0)):
+                steps[name].append(s)
+    return {
+        name: {"p50_us": round(float(np.percentile(v, 50)) * 1e6, 1), "p99_us": round(float(np.percentile(v, 99)) * 1e6, 1)}
+        for name, v in steps.items()
+    }
+
+
+def run_online(work: Path) -> dict:
+    """The online block for ONLINE_CORPUS, run in a spawned child process
+    on the directory the timed rounds left."""
+    n_items, cot = ONLINE_CORPUS
+    with multiprocessing.get_context("spawn").Pool(1, maxtasksperchild=1) as pool:
+        steps = pool.apply(online_items, (str(work / f"{n_items}-{'cot' if cot else 'direct'}"),))
+    print(f"online {n_items:>6} {'cot' if cot else 'direct'}", file=sys.stderr)
+    return {"n_items": n_items, "cot": cot, "passes": ONLINE_PASSES, "steps": steps}
+
+
 def git_commit() -> str | None:
     """HEAD's hash, with "-dirty" appended when the checkout has changes."""
     done = subprocess.run(
@@ -227,6 +282,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-ladder-") as work:
         rows = run_ladder(Path(work))
         layers = run_layers(Path(work))
+        online = run_online(Path(work))
     result = {
         "benchmark": "ladder",
         "command": "python scripts/bench_ladder.py",
@@ -240,6 +296,7 @@ def main(argv=None) -> int:
         "seed": SEED,
         "rows": rows,
         "layers": layers,
+        "online": online,
     }
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     return 0

@@ -29,13 +29,16 @@ Each family is a column kernel over the whole corpus, and every call
 computes every family: assemble_feature_vector builds the (N, F) float64
 matrix of all catalog columns, families in the order above, and keeps the
 columns catalog_names(include), so a family's bits do not depend on which
-others are included. The outcome tokens of all N traces are stacked into
-one -inf padded array and the reasoning tokens of all spans into another,
-and one renormalize_topk call turns each into sorted probabilities. The
-online path is the same code with N = 1.
+others are included. The top-k candidates of all N outcome tokens and of
+every reasoning token are stacked into one -inf padded array, and one
+renormalize_topk call turns it into sorted probabilities, which families
+A and E read. The online path is the same code with N = 1, where that one
+call, in place of one per span kind, saves a fixed cost on every item.
 
 A row's bits do not depend on N or on the rest of the corpus as long as no
-token has more than 7 top-k candidates (k is 5 by default):
+token has more than 7 top-k candidates (k is 5 by default); from 8, they
+may also depend on the width of the other span kind's rows, since both
+share the padded block:
 
   * every exp/log/log2 runs on a C-contiguous array, because numpy may take
     a different code path, with different last bits, on a strided view;
@@ -212,9 +215,9 @@ def renormalize_topk(logprobs: ArrayLike) -> np.ndarray:
         raise ValueError("non-finite logprob")
     shifted = np.exp(arr - top)
     probs = np.sort(shifted / shifted.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
-    if (probs < -1e-12).any() or (probs > 1 + 1e-12).any():
+    if probs.min() < -1e-12 or probs.max() > 1 + 1e-12:
         raise ValueError("probabilities outside [0, 1]")
-    if (np.abs(probs.sum(axis=-1) - 1.0) > 1e-9).any():
+    if np.abs(probs.sum(axis=-1) - 1.0).max() > 1e-9:
         raise ValueError("probabilities do not sum to 1")
     return probs
 
@@ -230,6 +233,11 @@ def _stack_rows(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
         out[row : row + len(b), : b.shape[1]] = b[:, :width]
         row += len(b)
     return out
+
+
+def _widest(spans: Iterable[TokenSpan]) -> int:
+    """The most candidates any token of ``spans`` has; 0 for none."""
+    return max((s.logprobs.shape[1] for s in spans), default=0)
 
 
 def _distribution_metrics(probs: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -295,22 +303,23 @@ def _label_masses(traces: Sequence[ResponseTrace], logprobs: np.ndarray) -> np.n
     return masses.reshape(n, _NO_LABEL + 1)[:, :_NO_LABEL]
 
 
-def _outcome_columns(traces: Sequence[ResponseTrace], k: int) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_columns(
+    traces: Sequence[ResponseTrace], k: int, widths: list[int], logprobs: np.ndarray, topk: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Families A-C for every trace, as one block of columns in catalog
     order, and the rows whose outcome token has no mass on a schema label;
     such a row holds nan in its B and C columns.
 
-    A renormalizes each outcome row's top-k candidates. B collapses every
-    candidate's exp(logprob) onto the label its surface normalizes to,
-    summed in candidate order, and renormalizes over the four labels (a
-    label without candidates keeps mass 0, so the support stays 4). C
-    takes the top-2 raw logprobs and the logs of the top-2 label masses.
+    ``widths`` holds each trace's count of outcome candidates, ``logprobs``
+    the outcome rows, padded on the right with -inf, and ``topk`` their
+    renormalized top-k candidates, which may carry trailing zeros. A reads
+    ``topk``. B collapses every candidate's exp(logprob) onto the label its
+    surface normalizes to, summed in candidate order, and renormalizes over
+    the four labels (a label without candidates keeps mass 0, so the
+    support stays 4). C takes the top-2 raw logprobs and the logs of the
+    top-2 label masses.
     """
-    n = len(traces)
-    widths = [t.outcome.logprobs.shape[1] for t in traces]
-    width = max(widths)
-    logprobs = _stack_rows([t.outcome.logprobs for t in traces], width)
-    topk = renormalize_topk(logprobs[:, :k])
+    n, width = logprobs.shape
     masses = _label_masses(traces, logprobs)
     total = masses.sum(axis=1)
     no_mass = total <= 0.0
@@ -361,14 +370,18 @@ def _sorted_quantiles(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_sequence_features(spans: Sequence[TokenSpan], k: int = DEFAULT_TOP_K) -> np.ndarray:
+def compute_sequence_features(
+    spans: Sequence[TokenSpan], k: int = DEFAULT_TOP_K, probs: np.ndarray | None = None
+) -> np.ndarray:
     """Families D-E for N reasoning spans: an (N, 14) array whose columns
     are D's then E's catalog names.
 
     NLL sums a span's chosen-token negative logprobs in nats; perplexity is
     exp(NLL/T). Per-token entropies are in bits over each token's
-    renormalized top-k candidates, one renormalize_topk call over every
-    span's tokens stacked; the quantiles interpolate linearly between
+    renormalized top-k candidates: ``probs``, one row per token of the
+    spans in order, as renormalize_topk gives them (trailing zeros
+    allowed), or when it is None one renormalize_topk call here over every
+    span's tokens stacked. The quantiles interpolate linearly between
     closest ranks, as np.quantile does. Spans are summed, averaged and
     sorted in groups of equal length, so each span's values are those of
     the span on its own. An empty span yields zeros with perplexity 1,
@@ -386,11 +399,12 @@ def compute_sequence_features(spans: Sequence[TokenSpan], k: int = DEFAULT_TOP_K
         return out
 
     present = [s for s in spans if len(s.chosen_logprobs)]
-    width = min(k, max(s.logprobs.shape[1] for s in present))
+    if probs is None:
+        probs = renormalize_topk(_stack_rows([s.logprobs for s in present], min(k, _widest(present))))
     # one row each of chosen logprobs, entropies and chosen probabilities
     tokens = np.empty((3, sum(lengths)))
     tokens[0] = np.concatenate([s.chosen_logprobs for s in present])
-    tokens[1] = _entropy_bits(renormalize_topk(_stack_rows([s.logprobs for s in present], width)))
+    tokens[1] = _entropy_bits(probs)
     tokens[2] = np.exp(tokens[0])
     starts = np.cumsum(lengths) - lengths
     # a mean chosen logprob below about -709 gives inf, which the row's
@@ -459,8 +473,17 @@ def assemble_feature_vector(
     if not include_set:
         raise ValueError("at least one feature family must be included")
 
-    outcome, no_mass = _outcome_columns(traces, k)
-    reasoning = compute_sequence_features([t.reasoning for t in traces], k=k)
+    n = len(traces)
+    widths = [t.outcome.logprobs.shape[1] for t in traces]
+    logprobs = _stack_rows([t.outcome.logprobs for t in traces], max(widths))
+    spans = [t.reasoning for t in traces]
+    present = [s for s in spans if len(s.chosen_logprobs)]
+    # the outcome rows' and every reasoning token's top k, renormalized in
+    # one call; a row padded up to 7 entries keeps its bits
+    width = min(k, max(logprobs.shape[1], _widest(present)))
+    probs = renormalize_topk(_stack_rows([logprobs, *(s.logprobs for s in present)], width))
+    outcome, no_mass = _outcome_columns(traces, k, widths, logprobs, probs[:n])
+    reasoning = compute_sequence_features(spans, k=k, probs=probs[n:])
     matrix = np.concatenate([outcome, reasoning, _verbalized_columns(traces), _attribution_columns(traces)], axis=1)
     kept = _kept_columns(include_set)
     if kept is not None:

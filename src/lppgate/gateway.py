@@ -157,14 +157,18 @@ class ProviderResponse:
     tokens: tuple[tuple, ...]  # _provider_token triples, in stream order
 
 
-def _clamped(value) -> float:
-    lp = float(value)
-    return 0.0 if 0.0 < lp < math.inf else lp
-
-
-def _provider_token(surface: str, logprob, top) -> tuple:
-    """A provider token as a token_span triple, each logprob _clamped."""
-    return surface, _clamped(logprob), tuple((s, _clamped(lp)) for s, lp in top)
+def _provider_token(token: Mapping, surface_key: str, top_key: str) -> tuple:
+    """A provider's token as a token_span triple: ``token[surface_key]``,
+    its logprob, and one (surface, logprob) pair per entry of
+    ``token[top_key]`` (none when absent), read in that order. Each logprob
+    is made a float, and a finite positive one is clamped to 0."""
+    surface, logprob, top = token[surface_key], token["logprob"], iter(token.get(top_key, ()))
+    lp = float(logprob)
+    return (
+        surface,
+        0.0 if 0.0 < lp < math.inf else lp,
+        tuple([(c[surface_key], 0.0 if 0.0 < (f := float(c["logprob"])) < math.inf else f) for c in top]),
+    )
 
 
 def load_template(template_id: str) -> PromptTemplate:
@@ -226,12 +230,7 @@ class StubProvider:
         raw_tokens = payload.get("tokens")
         if raw_tokens is None:
             raise ProviderNoLogprobs(f"no logprobs scripted for {request.item_id!r}")
-        tokens = tuple(
-            _provider_token(
-                t["surface"], t["logprob"], ((c["surface"], c["logprob"]) for c in t.get("top", ()))
-            )
-            for t in raw_tokens
-        )
+        tokens = tuple([_provider_token(t, "surface", "top") for t in raw_tokens])
         return ProviderResponse(content=payload["content"], tokens=tokens)
 
 
@@ -295,12 +294,7 @@ class HttpProvider:
             logprobs = (choice.get("logprobs") or {}).get("content")
             if not logprobs:
                 raise ProviderNoLogprobs("provider response carries no token logprobs")
-            tokens = tuple(
-                _provider_token(
-                    t["token"], t["logprob"], ((c["token"], c["logprob"]) for c in t.get("top_logprobs", ()))
-                )
-                for t in logprobs
-            )
+            tokens = tuple([_provider_token(t, "token", "top_logprobs") for t in logprobs])
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise TransportError(f"malformed response body: {exc!r}") from exc
         return ProviderResponse(content=content, tokens=tokens)

@@ -167,21 +167,28 @@ def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
     check_item_ids(table.item_ids, "the feature table")
     matrix = np.ascontiguousarray(table.matrix, dtype=float)
     rows = ([item_id, *row.tolist()] for item_id, row in zip(table.item_ids, matrix))
-    write_csv_atomic(csv_path, ["item_id", *table.names], rows)
+    csv_sha256 = write_csv_atomic(csv_path, ["item_id", *table.names], rows)
     nan = np.isnan(matrix)
     if nan.any():
         matrix = np.where(nan, np.nan, matrix)
     header = json.dumps({"item_ids": table.item_ids, "names": table.names}).encode()
-    binary_path = binary_copy_path(csv_path)
-    with open_atomic(binary_path, "wb") as fh:
-        np.save(fh, np.frombuffer(header, dtype=np.uint8), allow_pickle=False)
-        np.save(fh, matrix, allow_pickle=False)
+    digest = hashlib.sha256()
+    with open_atomic(binary_copy_path(csv_path), "wb", digest=digest) as fh:
+        _write_npy_record(fh, np.frombuffer(header, dtype=np.uint8))
+        _write_npy_record(fh, matrix)
     families: dict[str, list[str]] = {}
     for name in table.names:
         families.setdefault(family_of(name), []).append(name)
-    copy = {"csv_sha256": manifest.sha256_file(csv_path), "sha256": manifest.sha256_file(binary_path)}
+    copy = {"csv_sha256": csv_sha256, "sha256": digest.hexdigest()}
     sidecar = {"families": families, "invalid_items": sorted(table.invalid_ids), BINARY_COPY_KEY: copy}
     write_json_atomic(sidecar_path, sidecar)
+
+
+def _write_npy_record(fh, array: np.ndarray) -> None:
+    """One .npy record of a C-contiguous array, the bytes np.save writes,
+    handing ``fh`` the array's own buffer rather than a copy of it."""
+    np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
+    fh.write(array.data)
 
 
 def _ignore(_field: str) -> float:
@@ -277,6 +284,11 @@ def save_labels(rows: Sequence, path) -> None:
     write_csv_atomic(path, header, ([r.item_id, r.ground_truth, r.llm_outcome] for r in rows))
 
 
+#: The field texts load_labels accepts, and what each reads as.
+_TRUTH_CODES = {"0": 0, "1": 1}
+_OUTCOME_CODES = {str(int(label)): label for label in OutcomeLabel}
+
+
 def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
     labels: dict[str, tuple[int, OutcomeLabel]] = {}
     item_ids: list[str] = []
@@ -296,12 +308,14 @@ def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
                 item = record[i_item] if i_item < len(record) else None
                 raise ValueError(f"item {item!r} in {path} has {len(record)} fields, not {len(header)}")
             item, truth, outcome = record[i_item], record[i_truth], record[i_outcome]
-            if truth not in ("0", "1"):
+            z = _TRUTH_CODES.get(truth)
+            if z is None:
                 raise ValueError(f"item {item!r} has ground_truth {truth}, not 0 or 1, in {path}")
-            if outcome not in ("0", "1", "2", "3"):
+            label = _OUTCOME_CODES.get(outcome)
+            if label is None:
                 raise ValueError(f"item {item!r} has llm_outcome {outcome}, not one of 0-3, in {path}")
             item_ids.append(item)
-            labels[item] = (int(truth), OutcomeLabel(int(outcome)))
+            labels[item] = (z, label)
     check_item_ids(item_ids, path)
     return labels
 

@@ -6,8 +6,16 @@ small JSON object, so that the emitted token lines up with the provider's
 token-level log-probabilities. This module parses and normalizes those
 structured responses, holds each span of a trace's token log-probabilities
 (the single outcome token, and the reasoning tokens) as one TokenSpan of
-arrays, which token_span builds from synth and provider tokens. A response that fails to parse raises
-ParseFailure; the gateway's retry loop decides what to do with it.
+arrays, which token_span builds from synth and provider tokens. A response
+that fails to parse raises ParseFailure; the gateway's retry loop decides
+what to do with it.
+
+token_span checks a span in bulk: when every logprob is a float, none is
+above 0 and their sum is finite, it needs no per-value check, and only the
+candidate rows not already in descending order are sorted. Any other span
+goes through the per-value loop (_checked_span), which holds the clamp,
+append and sort rules and every InvalidLogprob message; both give the same
+span bit for bit.
 
 A trace file holds one JSON line per trace, and each span of a line is one
 record of four parallel lists, its candidate rows sorted and unpadded (see
@@ -36,7 +44,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -203,7 +211,64 @@ def token_span(tokens: Iterable[tuple[str, float, Iterable[tuple[str, float]]]])
     (0, tolerance] counts as 0. A chosen token missing from its candidates
     is appended to them with its own logprob, and each token's candidates
     are stably sorted by descending logprob.
+
+    A span is first checked in bulk (_bulk_span). Any span that fails it,
+    holds candidates that are not a list or tuple, or does not unpack, is
+    built by _checked_span's per-value loop, which clamps, appends, sorts
+    or raises; both give the same span bit for bit.
     """
+    if type(tokens) is not list and type(tokens) is not tuple:
+        tokens = list(tokens)
+    if not tokens:
+        return _EMPTY_SPAN
+    try:
+        span = _bulk_span(tokens)
+    except (TypeError, ValueError):  # a malformed triple: the loop raises what it raises
+        span = None
+    return _checked_span(tokens) if span is None else span
+
+
+def _bulk_span(tokens: Sequence[tuple]) -> TokenSpan | None:
+    """The span of ``tokens`` when every chosen and candidate logprob is a
+    float, at most 0, and their sum is finite (nan, ±inf and an overflowing
+    sum all fail), so that no value needs _checked_logprob; otherwise None.
+    Only the rows that are not already non-increasing are sorted, and rows
+    of one width skip the padding."""
+    chosen, chosen_lps, surfaces, rows = [], [], [], []
+    for surface, logprob, candidates in tokens:
+        if type(candidates) is not list and type(candidates) is not tuple:
+            return None  # an iterator can be read only once: the loop reads it
+        srf = tuple([s for s, _ in candidates])
+        row = [l for _, l in candidates]
+        if surface not in srf:
+            srf += (surface,)
+            row.append(logprob)
+        chosen.append(surface)
+        chosen_lps.append(logprob)
+        surfaces.append(srf)
+        rows.append(row)
+    flat = list(chain(chosen_lps, *rows))
+    if set(map(type, flat)) != {float} or not (max(flat) <= 0.0 and math.isfinite(sum(flat))):
+        return None
+    for t, row in enumerate(rows):
+        if len(row) > 1 and row != sorted(row, reverse=True):
+            # stable: ties keep their order, so a non-increasing row stays as it is
+            order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+            surfaces[t] = tuple([surfaces[t][i] for i in order])
+            rows[t] = [row[i] for i in order]
+    widths = set(map(len, rows))
+    if len(widths) == 1:
+        padded = np.array(rows, dtype=float)
+    else:
+        width = max(widths)
+        padded = np.array([row + [-math.inf] * (width - len(row)) for row in rows], dtype=float)
+    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(surfaces), padded)
+
+
+def _checked_span(tokens: Iterable[tuple]) -> TokenSpan:
+    """token_span value by value: each logprob checked and clamped by
+    _checked_logprob, the chosen token appended where missing, each row
+    stably sorted."""
     chosen, chosen_lps, surfaces, rows = [], [], [], []
     width = 0
     for surface, logprob, candidates in tokens:

@@ -280,7 +280,8 @@ class IsotonicCalibrator:
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         s = np.asarray(scores, dtype=float)
-        idx = np.clip(np.searchsorted(self.knots, s, side="right") - 1, 0, len(self.knots) - 1)
+        # searchsorted's result is at most len(knots), so only the lower clamp can bind
+        idx = np.maximum(self.knots.searchsorted(s, side="right") - 1, 0)
         return self.values[idx]
 
     def to_dict(self) -> dict:
@@ -554,14 +555,19 @@ class TrainedGate:
 def _fold_average(gates: Sequence[Sequence[FoldPipeline]], X_std: np.ndarray) -> np.ndarray:
     """Each gate's average of its calibrated fold pipelines over the same
     rows, clamped to [0,1]; one row per gate. The gates must have equal
-    fold counts. All fold scores are stacked once and each gate's folds are
-    averaged along their own axis, so every row is bit-identical to
-    averaging that gate alone."""
-    by_gate = np.stack([f.calibrator.predict(f.raw_scores(X_std)) for folds in gates for f in folds])
-    by_gate = by_gate.reshape(len(gates), len(gates[0]), len(X_std))
+    fold counts. All fold scores are written into one array and each gate's
+    folds are averaged along their own axis, so every row is bit-identical
+    to averaging that gate alone."""
+    n_folds = len(gates[0])
+    scores = np.empty((len(gates) * n_folds, len(X_std)))
+    for row, f in zip(scores, (f for folds in gates for f in folds), strict=True):
+        row[:] = f.calibrator.predict(f.raw_scores(X_std))
     # mean's own arithmetic (a sum, then a division by the count), bit for
     # bit, without mean's overhead on the one-row calls of online routing
-    return np.clip(by_gate.sum(axis=1) / by_gate.shape[1], 0.0, 1.0)
+    mean = scores.reshape(len(gates), n_folds, len(X_std)).sum(axis=1) / n_folds
+    # np.clip's result bit for bit, -0.0 and nan included, in fewer calls:
+    # np.maximum returns its second operand on a tie, so 0.0 goes first
+    return np.minimum(np.maximum(0.0, mean, out=mean), 1.0, out=mean)
 
 
 def _fit_calibrators(kind: str, fits: Sequence[tuple[np.ndarray, np.ndarray]]) -> list:

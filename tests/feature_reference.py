@@ -1,16 +1,19 @@
 """The per-trace feature functions that the corpus-wide kernels in
 lppgate.features replaced, kept as the reference the kernels are checked
-against: one dict per family and trace, one np.quantile per span."""
+against: one dict per family and trace, one np.quantile per span. Also the
+kernels' composition from before the outcome rows and the reasoning tokens
+shared one renormalization (assemble_separately)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from lppgate.features import EPSILON, FULL_SUPPORT, DEFAULT_TOP_K, NoLabelMass, renormalize_topk
-from lppgate.schema import ConfidenceBand, OutcomeLabel, StructuredResponse, TokenSpan, normalize_outcome_token
+from lppgate import features
+from lppgate.features import EPSILON, FULL_SUPPORT, DEFAULT_TOP_K, EmptyCandidates, NoLabelMass, renormalize_topk
+from lppgate.schema import ConfidenceBand, OutcomeLabel, ResponseTrace, StructuredResponse, TokenSpan, normalize_outcome_token
 
 _QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
@@ -175,3 +178,40 @@ def compute_attribution_features(outcome: OutcomeLabel) -> dict[str, float]:
         "policy_gap": policy,
         "inconclusive": max(evidence, policy),
     }
+
+
+def renormalize_topk_elementwise(logprobs) -> np.ndarray:
+    """renormalize_topk with its range and sum checks made elementwise, as
+    they were before they became min and max reductions."""
+    arr = np.asarray(logprobs, dtype=float)
+    if arr.size == 0:
+        raise EmptyCandidates("no candidate logprobs")
+    top = arr.max(axis=-1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise ValueError("non-finite logprob")
+    shifted = np.exp(arr - top)
+    probs = np.sort(shifted / shifted.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+    if (probs < -1e-12).any() or (probs > 1 + 1e-12).any():
+        raise ValueError("probabilities outside [0, 1]")
+    if (np.abs(probs.sum(axis=-1) - 1.0) > 1e-9).any():
+        raise ValueError("probabilities do not sum to 1")
+    return probs
+
+
+def assemble_separately(traces: Sequence[ResponseTrace], k: int = DEFAULT_TOP_K) -> tuple[np.ndarray, np.ndarray]:
+    """Every catalog column of every trace, and the rows with no label
+    mass, as the kernels gave them when the outcome rows' top k and the
+    reasoning tokens' top k were renormalized in two calls, each block at
+    its own width."""
+    widths = [t.outcome.logprobs.shape[1] for t in traces]
+    logprobs = features._stack_rows([t.outcome.logprobs for t in traces], max(widths))
+    outcome, no_mass = features._outcome_columns(traces, k, widths, logprobs, renormalize_topk_elementwise(logprobs[:, :k]))
+    spans = [t.reasoning for t in traces]
+    present = [s for s in spans if len(s.chosen_logprobs)]
+    probs = None
+    if present:
+        width = min(k, max(s.logprobs.shape[1] for s in present))
+        probs = renormalize_topk_elementwise(features._stack_rows([s.logprobs for s in present], width))
+    reasoning = features.compute_sequence_features(spans, k=k, probs=probs)
+    verbalized, attribution = features._verbalized_columns(traces), features._attribution_columns(traces)
+    return np.concatenate([outcome, reasoning, verbalized, attribution], axis=1), no_mass

@@ -454,7 +454,10 @@ class TestSequenceFeaturesVectorised:
         table = extract_table(traces)
         by_id = {t.item_id: t for t in traces}
 
-        def reference(spans, k=DEFAULT_TOP_K):
+        def reference(spans, k=DEFAULT_TOP_K, probs=None):
+            # probs, the rows assemble_feature_vector renormalized for the
+            # outcome and reasoning tokens together, goes unused: the
+            # reference renormalizes each record on its own
             rows = [_sequence_features_reference(_span_records(span), k) for span in spans]
             return np.array(
                 [(s.nll, s.perplexity, float(s.absent), s.mean_token_entropy_bits, *s.entropy_quantiles, *s.prob_quantiles) for s in rows]
@@ -774,6 +777,22 @@ class TestCorpusKernels:
         assert table.item_ids == valid_ids
         assert table.invalid_ids == [t.item_id for i, t in enumerate(traces) if i in invalid]
         assert table.matrix.tobytes() == b"".join(reference[i] for i in valid_ids)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_corpus_traces(max_candidates=7), st.sampled_from((1, 2, 3, 5, 7)))
+    def test_shared_renormalization_equals_separate_ones(self, traces, k):
+        # outcome rows of width 1 up to 7, so at or above k for small k, and
+        # below it for k = 7; reasoning rows, where present, of width up to
+        # 8. Up to k = 7 a padded row keeps its bits; from 8 entries numpy
+        # sums in blocks (test_wide_rows_match_within_rounding)
+        expected, no_mass = feature_reference.assemble_separately(traces, k)
+        matrix, invalid = assemble_feature_vector(traces, ALL_FAMILIES, k)
+        assert matrix.tobytes() == expected.tobytes()
+        assert sorted(i for i, e in invalid.items() if isinstance(e, NoLabelMass)) == np.flatnonzero(no_mass).tolist()
+        for i, t in enumerate(traces):
+            single, _ = assemble_feature_vector([t], ALL_FAMILIES, k)
+            alone, _ = feature_reference.assemble_separately([t], k)
+            assert single.tobytes() == alone.tobytes() == matrix[i : i + 1].tobytes()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @settings(max_examples=60, deadline=None)

@@ -234,7 +234,8 @@ class TestSegmentSpansReference:
     @given(_cut_responses())
     def test_slices_like_the_per_token_loop(self, response):
         content, raw = response
-        tokens = tuple(gateway._provider_token(*t) for t in raw)
+        wire = [{"surface": s, "logprob": lp, "top": [{"surface": c, "logprob": v} for c, v in top]} for s, lp, top in raw]
+        tokens = tuple(gateway._provider_token(t, "surface", "top") for t in wire)
         # The loop's min(lp, 0.0) turned +inf into 0; the gateway now leaves
         # +inf for token_span, which rejects it as it rejects nan, with the
         # same message, so the loop is fed nan wherever the stream holds +inf.

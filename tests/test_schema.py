@@ -30,7 +30,7 @@ from lppgate.schema import (
 )
 from lppgate.synth import SynthConfig, generate_corpus
 from tests import response_reference as reference
-from tests.token_reference import record, records_view, span_view, token_records_from_dict
+from tests.token_reference import record, records_view, span_view, token_records_from_dict, token_span_reference
 
 
 class TestNormalizeOutcomeToken:
@@ -513,6 +513,79 @@ class TestTokenSpanMatchesReference:
         assert span.logprobs.shape == (len(tokens), max((len(r.candidates) for r in records), default=0))
         for row, srf in zip(span.logprobs, span.surfaces):
             assert np.all(row[len(srf):] == -np.inf)
+
+
+# every kind of value a caller may hand token_span as a logprob: floats
+# that pass the bulk check, ties, values in and beyond the clamp tolerance,
+# non-finite ones, and numbers of other types, which only the per-value
+# loop's float() reads
+_ANY_LOGPROBS = st.one_of(
+    st.floats(min_value=-30, max_value=0),
+    st.sampled_from((0.0, -0.0, -0.7, -0.7, -1.7e308)),
+    st.floats(min_value=0.0, max_value=LOGPROB_TOLERANCE, exclude_min=True),
+    st.sampled_from((math.nan, math.inf, -math.inf, 2 * LOGPROB_TOLERANCE, 0.5)),
+    st.integers(min_value=-3, max_value=1),
+    st.sampled_from((True, False, -(10**400))),
+    st.sampled_from(("-0.5", "0", "-0.0", "1e-10", " -2 ", "x")),
+    st.floats(min_value=-30, max_value=1e-9).map(np.float64),
+)
+
+
+@st.composite
+def _token_specs(draw):
+    """token_span triples, each with how its candidates are held: a list,
+    a tuple, or an iterator that can be read only once. Mostly floats, so
+    that most spans pass the bulk check: ragged, tied, unsorted rows,
+    chosen tokens absent from their candidates, empty candidate lists."""
+    logprobs = _ANY_LOGPROBS if draw(st.integers(0, 3)) == 0 else _SPAN_LOGPROBS
+    specs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        surface, logprob = draw(_SURFACES), draw(logprobs)
+        candidates = draw(st.lists(st.tuples(_SURFACES, logprobs), max_size=6))
+        if draw(st.booleans()):
+            candidates.insert(draw(st.integers(0, len(candidates))), (surface, draw(st.sampled_from((logprob, draw(logprobs))))))
+        if draw(st.booleans()) and all(type(lp) is float for _, lp in candidates):
+            candidates.sort(key=lambda c: c[1], reverse=True)
+        specs.append((surface, logprob, candidates, draw(st.sampled_from((list, tuple, iter)))))
+    return specs, draw(st.sampled_from((list, tuple, iter)))
+
+
+def _tokens(specs, outer):
+    """Fresh triples from _token_specs, built anew for each call, since an
+    iterator is spent once read."""
+    return outer([(surface, logprob, hold(candidates)) for surface, logprob, candidates, hold in specs])
+
+
+def _built(build, tokens):
+    """build(tokens) as a span's bits, or the type and message it raised."""
+    try:
+        return _bits(build(tokens))
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestTokenSpanBulkCheck:
+    @settings(max_examples=600, deadline=None)
+    @given(_token_specs())
+    @example(([], list))
+    @example(([("a", -0.5, [], list), ("b", -0.0, [("b", 0.0), ("c", -0.0)], tuple)], list))
+    @example(([("a", -0.5, [("b", -0.1), ("a", -0.5)], list)], tuple))
+    @example(([("a", 5e-10, [("a", 5e-10), ("b", -1.0)], list)], list))
+    @example(([("a", -1.7e308, [("a", -1.7e308), ("b", -1.7e308)], list)], list))
+    @example(([("a", -1, [("a", True)], list)], list))
+    @example(([("a", "-0.5", [("b", np.float64(-0.25))], iter)], iter))
+    # nan is the loop's first error; sorting the row first would raise
+    # OverflowError comparing the huge int with the np.float64
+    @example(([("0", math.nan, [("0", -(10**400)), ("0", np.float64(0.0))], list)], list))
+    def test_equals_the_per_value_loop(self, spec):
+        specs, outer = spec
+        got = _built(token_span, _tokens(specs, outer))
+        assert got == _built(token_span_reference, _tokens(specs, outer))
+        if not isinstance(got[0], type):
+            # the reference's dtypes, shapes and padding, not just equal values
+            span = token_span(_tokens(specs, outer))
+            assert span.logprobs.dtype == span.chosen_logprobs.dtype == np.float64
+            assert all(type(s) is tuple for s in span.surfaces) and type(span.surfaces) is tuple
 
 
 # values a written span can hold: ties (0.0 against -0.0 included), and

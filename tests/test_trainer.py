@@ -44,7 +44,7 @@ from lppgate.trainer import (
     stratified_kfold_indices,
 )
 from tests.ridge_oracle import fit_ridge_lsqr, ridge_objective
-from tests.trainer_reference import fit_platt_reference, fit_ridge_weighted_reference
+from tests.trainer_reference import fit_platt_reference, fit_ridge_weighted_reference, predict_score_reference
 
 
 class TestStandardize:
@@ -925,6 +925,72 @@ class TestFoldAverage:
         assert gate.predict_matrix(X).tobytes() == _fold_average_alone(gate.folds, X_std).tobytes()
         # an empty batch scores to an empty array, as each gate alone does
         assert gate.predict_matrix(X[:0]).shape == (0,)
+
+
+_KNOTS = (-1.5, -0.25, 0.0, 0.5, 2.0)
+
+
+@st.composite
+def _reference_gates(draw):
+    """A three-fold gate over three named features, each fold reading one
+    feature as its raw score (a unit weight and a zero bias, 0.0 or -0.0),
+    so that a table's values land on isotonic knots exactly and a fold may
+    score -0.0; and the table's names in their own order."""
+    folds = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(("isotonic", "sigmoid", "identity")))
+        if kind == "isotonic":
+            knots = sorted(draw(st.sets(st.sampled_from(_KNOTS), min_size=1)))
+            # -0.0 as model.json may hold it: _calibrator_from_dict's clip keeps it
+            values = sorted(draw(st.lists(st.sampled_from((-0.0, 0.0, 0.25, 1 / 3, 0.5, 1.0)), min_size=len(knots), max_size=len(knots))))
+            calibrator = trainer.IsotonicCalibrator(np.array(knots), np.array(values))
+        elif kind == "sigmoid":
+            # a = 800 sends a * s + b past -709 for s <= -1: exp overflows to inf, p to 0.0
+            calibrator = SigmoidCalibrator(draw(st.sampled_from((0.5, 3.0, 800.0, -2.0))), draw(st.sampled_from((0.0, -1.0, 2.5))))
+        else:
+            calibrator = IdentityCalibrator()
+        w = np.zeros(3)
+        w[draw(st.integers(0, 2))] = 1.0
+        folds.append(trainer.FoldPipeline(w, draw(st.sampled_from((0.0, -0.0))), calibrator))
+    names = ["f0", "f1", "f2"]
+    scaler = trainer.Scaler(np.zeros(3), np.ones(3))
+    gate = trainer.TrainedGate(scaler, folds, RidgeConfig(), feature_names=list(names), tau_star=0.5)
+    return gate, draw(st.permutations(names))
+
+
+# on a knot, below the first, between and beyond them, and the values an
+# identity fold clips or keeps: -0.0, 0.0 and 1.0 exactly
+_TABLE_VALUES = st.one_of(
+    st.sampled_from(_KNOTS + (-0.0, 1.0, -3.0, -1.0, 3.0, 0.3)),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+
+
+class TestPredictScoreReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_reference_gates(), st.sampled_from((1, 2, 40)), st.data())
+    def test_equals_stack_and_clip(self, gate_and_names, n, data):
+        gate, names = gate_and_names
+        X = np.array(data.draw(st.lists(st.lists(_TABLE_VALUES, min_size=3, max_size=3), min_size=n, max_size=n)))
+        got = predict_score(gate, names, X)
+        assert got.tobytes() == predict_score_reference(gate, names, X).tobytes()
+        # each row alone, as online routing scores it
+        for i in range(n):
+            assert predict_score(gate, names, X[i : i + 1]).tobytes() == got[i : i + 1].tobytes()
+
+    def test_trained_gates_equal_stack_and_clip(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(150, 4))
+        z = (X[:, 0] + 0.5 * rng.normal(size=150) > 0).astype(int)
+        names = ["a", "b", "c", "d"]
+        for calibration in ("isotonic", "sigmoid", "identity"):
+            gate = cross_fit_calibrated(X, z, RidgeConfig(calibration=calibration), seed=42, feature_names=names)
+            shuffled = ["c", "a", "d", "b"]
+            table = X[:, [2, 0, 3, 1]]
+            assert predict_score(gate, shuffled, table).tobytes() == predict_score_reference(gate, shuffled, table).tobytes()
+            for i in range(0, 150, 37):
+                row = table[i : i + 1]
+                assert predict_score(gate, shuffled, row).tobytes() == predict_score_reference(gate, shuffled, row).tobytes()
 
 
 class TestPredictScore:

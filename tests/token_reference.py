@@ -1,6 +1,7 @@
 """The per-token classes that schema.TokenSpan replaced, kept as the
 reference that token_span, the span records trace_from_dict reads and the
-feature kernels are checked against, and the per-token loop that
+feature kernels are checked against; token_span's per-value loop, the
+reference for its bulk check; and the per-token loop that
 gateway.segment_spans replaced."""
 
 from __future__ import annotations
@@ -9,7 +10,50 @@ import math
 from dataclasses import dataclass, field
 
 from lppgate.gateway import OutcomeTokenNotFound
-from lppgate.schema import LOGPROB_TOLERANCE, Span, TokenSpan, locate_structured_fields, token_span
+import numpy as np
+
+from lppgate.schema import (
+    LOGPROB_TOLERANCE,
+    InvalidLogprob,
+    Span,
+    TokenSpan,
+    locate_structured_fields,
+    token_span,
+)
+
+
+def _checked_logprob(surface: str, logprob: float) -> float:
+    lp = float(logprob)
+    if not math.isfinite(lp):
+        raise InvalidLogprob(f"non-finite logprob for {surface!r}")
+    if lp > LOGPROB_TOLERANCE:
+        raise InvalidLogprob(f"positive logprob {lp!r} beyond tolerance")
+    return 0.0 if lp > 0.0 else lp
+
+
+def token_span_reference(tokens) -> TokenSpan:
+    """token_span as one loop that checks, clamps and sorts value by value."""
+    chosen, chosen_lps, surfaces, rows = [], [], [], []
+    width = 0
+    for surface, logprob, candidates in tokens:
+        lp = _checked_logprob(surface, logprob)
+        srf, row = [], []
+        for s, l in candidates:
+            srf.append(s)
+            row.append(_checked_logprob(s, l))
+        if surface not in srf:
+            srf.append(surface)
+            row.append(lp)
+        order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
+        chosen.append(surface)
+        chosen_lps.append(lp)
+        surfaces.append(tuple(srf[i] for i in order))
+        rows.append([row[i] for i in order])
+        width = max(width, len(row))
+    if not rows:
+        return TokenSpan((), np.empty(0), (), np.empty((0, 0)))
+    padded = np.array([r + [-math.inf] * (width - len(r)) for r in rows], dtype=float)
+    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(surfaces), padded)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """One-fit-at-a-time references for ``lppgate.trainer``'s batched fits: the
 per-alpha ridge solve and the per-fit Platt Newton loop, each checked
-bit-for-bit against the batched functions."""
+bit-for-bit against the batched functions; and predict_score as np.stack
+and np.clip computed it, which the preallocated fold average is checked
+against."""
 
 from __future__ import annotations
 
@@ -8,7 +10,17 @@ from typing import Sequence
 
 import numpy as np
 
-from lppgate.trainer import NonConvergence, SigmoidCalibrator, SingularSystem, _sample_weights, _sigmoid
+from lppgate.trainer import (
+    IsotonicCalibrator,
+    NonConvergence,
+    SigmoidCalibrator,
+    SingularSystem,
+    TrainedGate,
+    _align_columns,
+    _sample_weights,
+    _sigmoid,
+    standardize_apply,
+)
 
 
 def fit_ridge_weighted_reference(
@@ -67,3 +79,24 @@ def fit_platt_reference(
         if not (np.isfinite(a) and np.isfinite(b)):
             raise NonConvergence("Newton step left (a, b) non-finite in Platt fit")
     raise NonConvergence(f"Platt fit did not reach gradient tolerance {grad_tol}")
+
+
+def _calibrated_reference(calibrator, scores: np.ndarray) -> np.ndarray:
+    """A calibrator's scores, an isotonic step clamped at both ends by np.clip."""
+    if isinstance(calibrator, IsotonicCalibrator):
+        s = np.asarray(scores, dtype=float)
+        idx = np.clip(np.searchsorted(calibrator.knots, s, side="right") - 1, 0, len(calibrator.knots) - 1)
+        return calibrator.values[idx]
+    return calibrator.predict(scores)
+
+
+def predict_score_reference(gate: TrainedGate, names: Sequence[str], X: np.ndarray) -> np.ndarray:
+    """predict_score as one np.stack of the fold scores and one np.clip of
+    their average: the columns gathered into training order, standardized,
+    each fold's calibrated scores stacked, summed over the folds, divided by
+    their count."""
+    order = _align_columns(tuple(gate.feature_names), tuple(names))
+    X_std = standardize_apply(gate.scaler, np.asarray(X, dtype=float)[:, order])
+    by_gate = np.stack([_calibrated_reference(f.calibrator, f.raw_scores(X_std)) for f in gate.folds])
+    by_gate = by_gate.reshape(1, len(gate.folds), len(X_std))
+    return np.clip(by_gate.sum(axis=1) / by_gate.shape[1], 0.0, 1.0)[0]
