@@ -68,13 +68,7 @@ SEED = 42
 STAGES = ("synth", "extract", "split", "train", "sweep", "evaluate", "sensitivity")
 REPEATS = 3
 #: Layers the traced chain wraps on top of perfbench.tracer.TRACED.
-EXTRA_TRACED = (
-    "pipeline.load_features",
-    "pipeline.save_features",
-    "manifest.write_csv_atomic",
-    "manifest.sha256_file",
-    "schema.read_traces_jsonl",
-)
+EXTRA_TRACED = ("manifest.write_csv_atomic",)
 GROWTH_SIZES = (3000, 10000)
 GROWTH_FLAG = 1.2
 #: The corpus the online block routes item by item, and its passes over it.
@@ -161,7 +155,7 @@ def traced_chain(out: str, n_items: int, cot: bool) -> tuple[list[str], dict]:
     from lppgate import cli
     from perfbench import tracer
 
-    tracer.TRACED += tuple(name for name in EXTRA_TRACED if name not in tracer.TRACED)
+    tracer.TRACED += EXTRA_TRACED
     stages = {}
     for stage in STAGES:
         t = tracer.Tracer()

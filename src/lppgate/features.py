@@ -370,9 +370,7 @@ def _sorted_quantiles(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def compute_sequence_features(
-    spans: Sequence[TokenSpan], k: int = DEFAULT_TOP_K, probs: np.ndarray | None = None
-) -> np.ndarray:
+def compute_sequence_features(spans: Sequence[TokenSpan], probs: np.ndarray) -> np.ndarray:
     """Families D-E for N reasoning spans: an (N, 14) array whose columns
     are D's then E's catalog names.
 
@@ -380,8 +378,7 @@ def compute_sequence_features(
     exp(NLL/T). Per-token entropies are in bits over each token's
     renormalized top-k candidates: ``probs``, one row per token of the
     spans in order, as renormalize_topk gives them (trailing zeros
-    allowed), or when it is None one renormalize_topk call here over every
-    span's tokens stacked. The quantiles interpolate linearly between
+    allowed). The quantiles interpolate linearly between
     closest ranks, as np.quantile does. Spans are summed, averaged and
     sorted in groups of equal length, so each span's values are those of
     the span on its own. An empty span yields zeros with perplexity 1,
@@ -399,8 +396,6 @@ def compute_sequence_features(
         return out
 
     present = [s for s in spans if len(s.chosen_logprobs)]
-    if probs is None:
-        probs = renormalize_topk(_stack_rows([s.logprobs for s in present], min(k, _widest(present))))
     # one row each of chosen logprobs, entropies and chosen probabilities
     tokens = np.empty((3, sum(lengths)))
     tokens[0] = np.concatenate([s.chosen_logprobs for s in present])
@@ -483,7 +478,7 @@ def assemble_feature_vector(
     width = min(k, max(logprobs.shape[1], _widest(present)))
     probs = renormalize_topk(_stack_rows([logprobs, *(s.logprobs for s in present)], width))
     outcome, no_mass = _outcome_columns(traces, k, widths, logprobs, probs[:n])
-    reasoning = compute_sequence_features(spans, k=k, probs=probs[n:])
+    reasoning = compute_sequence_features(spans, probs[n:])
     matrix = np.concatenate([outcome, reasoning, _verbalized_columns(traces), _attribution_columns(traces)], axis=1)
     kept = _kept_columns(include_set)
     if kept is not None:

@@ -95,7 +95,8 @@ class FeatureTable:
         if not keep:
             raise ValueError("cannot drop every feature family")
         names = [self.names[j] for j in keep]
-        return FeatureTable(self.item_ids, names, self.matrix[:, keep], self.invalid_ids)
+        # take keeps the C order of an extraction of the same columns
+        return FeatureTable(self.item_ids, names, self.matrix.take(keep, axis=1), self.invalid_ids)
 
 
 def extract_table(

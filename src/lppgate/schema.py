@@ -10,19 +10,21 @@ arrays, which token_span builds from synth and provider tokens. A response
 that fails to parse raises ParseFailure; the gateway's retry loop decides
 what to do with it.
 
-token_span checks a span in bulk: when every logprob is a float, none is
-above 0 and their sum is finite, it needs no per-value check, and only the
-candidate rows not already in descending order are sorted. Any other span
-goes through the per-value loop (_checked_span), which holds the clamp,
-append and sort rules and every InvalidLogprob message; both give the same
-span bit for bit.
+Every span is built by one bulk rule (_bulk_span) over four parallel
+lists: the chosen surfaces and logprobs, and each token's candidate
+surfaces and logprobs. When every logprob is at most 0 and their sum is
+finite, no value needs a check of its own: a missing chosen token is
+appended, only the candidate rows not already in descending order are
+sorted, and the rows are padded. token_span unzips its triples into
+those lists, and the trace reader hands a record's lists in as they
+stand. Any span the rule refuses is built by the per-value loop
+(_checked_span), which holds the clamp, append and sort rules and every
+InvalidLogprob message; both give the same span bit for bit.
 
 A trace file holds one JSON line per trace, and each span of a line is one
-record of four parallel lists, its candidate rows sorted and unpadded (see
-_span_record). A record that passes one bulk check becomes a TokenSpan
-as it stands; any other is rebuilt by token_span, so the clamp, append and
-sort rules and their errors live in one place. A line without span
-records is refused; read_traces_jsonl names the line and file of an error.
+record of those four lists, its candidate rows sorted and unpadded (see
+_span_record). A line without span records is refused; read_traces_jsonl
+names the line and file of an error.
 
 A response has one reader, locate_structured_fields: the JSON object at
 its first ``{``, decoded by json's own scanner, which yields each field's
@@ -40,11 +42,11 @@ from __future__ import annotations
 import enum
 import json
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -212,61 +214,74 @@ def token_span(tokens: Iterable[tuple[str, float, Iterable[tuple[str, float]]]])
     is appended to them with its own logprob, and each token's candidates
     are stably sorted by descending logprob.
 
-    A span is first checked in bulk (_bulk_span). Any span that fails it,
-    holds candidates that are not a list or tuple, or does not unpack, is
-    built by _checked_span's per-value loop, which clamps, appends, sorts
-    or raises; both give the same span bit for bit.
+    The triples are unzipped into four parallel lists for _bulk_span.
+    A span it refuses, one whose candidates are not a list or tuple, and
+    one whose triples do not unpack are built by _checked_span's per-value
+    loop, which clamps, appends, sorts or raises; both give the same span
+    bit for bit.
     """
     if type(tokens) is not list and type(tokens) is not tuple:
         tokens = list(tokens)
     if not tokens:
         return _EMPTY_SPAN
+    span = None
+    chosen, chosen_lps, surfaces, rows = [], [], [], []
     try:
-        span = _bulk_span(tokens)
+        for surface, logprob, candidates in tokens:
+            if type(candidates) is not list and type(candidates) is not tuple:
+                break  # an iterator can be read only once: the loop reads it
+            chosen.append(surface)
+            chosen_lps.append(logprob)
+            surfaces.append(tuple([s for s, _ in candidates]))
+            rows.append([l for _, l in candidates])
+        else:
+            span = _bulk_span(chosen, chosen_lps, surfaces, rows)
     except (TypeError, ValueError):  # a malformed triple: the loop raises what it raises
-        span = None
+        pass
     return _checked_span(tokens) if span is None else span
 
 
-def _bulk_span(tokens: Sequence[tuple]) -> TokenSpan | None:
-    """The span of ``tokens`` when every chosen and candidate logprob is a
-    float, at most 0, and their sum is finite (nan, ±inf and an overflowing
-    sum all fail), so that no value needs _checked_logprob; otherwise None.
-    Only the rows that are not already non-increasing are sorted, and rows
-    of one width skip the padding."""
-    chosen, chosen_lps, surfaces, rows = [], [], [], []
-    for surface, logprob, candidates in tokens:
-        if type(candidates) is not list and type(candidates) is not tuple:
-            return None  # an iterator can be read only once: the loop reads it
-        srf = tuple([s for s, _ in candidates])
-        row = [l for _, l in candidates]
-        if surface not in srf:
-            srf += (surface,)
-            row.append(logprob)
-        chosen.append(surface)
-        chosen_lps.append(logprob)
-        surfaces.append(srf)
-        rows.append(row)
-    flat = list(chain(chosen_lps, *rows))
-    if set(map(type, flat)) != {float} or not (max(flat) <= 0.0 and math.isfinite(sum(flat))):
+def _bulk_span(chosen: list, chosen_lps: list, surfaces: list, rows: list) -> TokenSpan | None:
+    """The span of T tokens given as four parallel lists (the chosen
+    surfaces and logprobs, each token's candidate surfaces and logprobs),
+    or None when some value needs _checked_logprob.
+
+    A span passes when every logprob is at most 0 and their sum is finite:
+    nan, ±inf, an overflowing sum and a value that is not a number all fail.
+    A missing chosen token is appended to its candidates, only the rows not
+    already in descending order are stably sorted, and the rows are padded
+    with -inf. The lists given are left as they are.
+    """
+    try:
+        flat = list(chain(chosen_lps, *rows))
+        if not (max(flat) <= 0.0 and math.isfinite(sum(flat))):
+            return None
+        out_surfaces, out_rows = [], []
+        for surface, logprob, srf, row in zip(chosen, chosen_lps, surfaces, rows):
+            srf = tuple(srf)
+            if surface not in srf:
+                srf += (surface,)
+                row = [*row, logprob]
+            if len(row) > 1 and row != sorted(row, reverse=True):
+                # stable, by the float values the span holds: ties keep their order
+                values, srf = zip(*sorted(zip(map(float, row), srf), key=itemgetter(0), reverse=True))
+                row = list(values)
+            out_surfaces.append(srf)
+            out_rows.append(row)
+        widths = set(map(len, out_rows))
+        if len(widths) == 1:
+            padded = np.array(out_rows, dtype=float)
+        else:
+            width = max(widths)
+            padded = np.array([row + [-math.inf] * (width - len(row)) for row in out_rows], dtype=float)
+    except (TypeError, ValueError, ArithmeticError):  # a value that is not a number: the loop's float() decides
         return None
-    for t, row in enumerate(rows):
-        if len(row) > 1 and row != sorted(row, reverse=True):
-            # stable: ties keep their order, so a non-increasing row stays as it is
-            order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
-            surfaces[t] = tuple([surfaces[t][i] for i in order])
-            rows[t] = [row[i] for i in order]
-    widths = set(map(len, rows))
-    if len(widths) == 1:
-        padded = np.array(rows, dtype=float)
-    else:
-        width = max(widths)
-        padded = np.array([row + [-math.inf] * (width - len(row)) for row in rows], dtype=float)
-    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(surfaces), padded)
+    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(out_surfaces), padded)
 
 
 def _checked_span(tokens: Iterable[tuple]) -> TokenSpan:
-    """token_span value by value: each logprob checked and clamped by
+    """The span of token_span triples value by value, for any span
+    _bulk_span refuses: each logprob checked and clamped by
     _checked_logprob, the chosen token appended where missing, each row
     stably sorted."""
     chosen, chosen_lps, surfaces, rows = [], [], [], []
@@ -503,33 +518,17 @@ def _span_record(span: TokenSpan) -> dict:
 
 
 def _span_from_record(rec: dict) -> TokenSpan:
-    """Read a span record. One that passes the checks below is the span
-    token_span would build from its triples; any other is rebuilt by
-    token_span, which clamps, appends, sorts or raises as it does for the
-    gateway."""
+    """Read a span record by token_span's rule: its four lists go to
+    _bulk_span as they stand, and a record it refuses goes, as triples, to
+    _checked_span, which clamps, appends, sorts or raises as it does for
+    the gateway."""
     chosen, chosen_lps, surfaces, rows = rec["chosen"], rec["chosen_logprobs"], rec["surfaces"], rec["logprobs"]
-    widths = list(map(len, rows))
-    if not len(chosen) == len(chosen_lps) == len(surfaces) or list(map(len, surfaces)) != widths:
+    if not len(chosen) == len(chosen_lps) == len(surfaces) or list(map(len, surfaces)) != list(map(len, rows)):
         raise ValueError("span record lists differ in length")
     if not chosen:
         return _EMPTY_SPAN
-    flat = list(chain(chosen_lps, *rows))
-    try:
-        # at most 0, finite (nan, inf and an overflowing sum all fail),
-        # and each chosen surface among its candidates
-        passed = (
-            max(flat) <= 0.0
-            and math.isfinite(sum(flat))
-            and all(map(operator.contains, surfaces, chosen))
-        )
-    except TypeError:  # a logprob that is not a number; token_span's float() decides
-        passed = False
-    if passed:
-        width = max(widths)
-        pad = np.array([row + [-math.inf] * (width - w) for row, w in zip(rows, widths)], dtype=float)
-        if (pad[:, :-1] >= pad[:, 1:]).all():
-            return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(map(tuple, surfaces)), pad)
-    return token_span(zip(chosen, chosen_lps, map(zip, surfaces, rows)))
+    span = _bulk_span(chosen, chosen_lps, surfaces, rows)
+    return _checked_span(zip(chosen, chosen_lps, map(zip, surfaces, rows))) if span is None else span
 
 
 def trace_from_dict(obj: dict) -> ResponseTrace:

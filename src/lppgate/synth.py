@@ -48,6 +48,12 @@ _PEAKED_ALPHA = (14.0, 1.0, 1.0, 1.0, 1.0)
 _FLAT_ALPHA = (2.5, 2.5, 2.5, 2.5, 2.5)
 _JUNK_SURFACES = (" the", " is", " a")
 _BAND_EDGES = ((0.2, ConfidenceBand.VL), (0.4, ConfidenceBand.L), (0.6, ConfidenceBand.M), (0.8, ConfidenceBand.H))
+#: Share of items whose ground truth is a violation.
+_P_VIOLATING = 0.5
+#: Share of outcome tokens whose winning label's mass is split across two surface forms.
+_SURFACE_SPLIT_RATE = 0.1
+#: Share of items that report no p_correct.
+_P_CORRECT_MISSING_RATE = 0.02
 
 
 @dataclass(frozen=True)
@@ -55,21 +61,14 @@ class SynthConfig:
     n_items: int = 3000
     error_rate: float = 0.15
     abstention_rate: float = 0.03
-    p_violating: float = 0.5
     signal: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_SIGNAL))
     cot: bool = False
-    surface_split_rate: float = 0.1
-    p_correct_missing_rate: float = 0.02
     seed: int = 42
 
     def __post_init__(self):
         if isinstance(self.n_items, bool) or not isinstance(self.n_items, int) or self.n_items < 1:
             raise ValueError(f"n_items must be an integer of at least 1, got {self.n_items!r}")
-        for name, value in (
-            ("error_rate", self.error_rate),
-            ("abstention_rate", self.abstention_rate),
-            ("p_violating", self.p_violating),
-        ):
+        for name, value in (("error_rate", self.error_rate), ("abstention_rate", self.abstention_rate)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1]")
         for family, value in self.signal.items():
@@ -95,7 +94,7 @@ def _band_for(confidence: float) -> ConfidenceBand:
     return ConfidenceBand.VH
 
 
-def _outcome_token(rng: np.random.Generator, peaked: bool, chosen_surface: str, split_rate: float) -> tuple:
+def _outcome_token(rng: np.random.Generator, peaked: bool, chosen_surface: str) -> tuple:
     """One token_span triple for the outcome token."""
     probs = np.sort(rng.dirichlet(_PEAKED_ALPHA if peaked else _FLAT_ALPHA))[::-1]
     digits = ["0", "1", "2", "3"]
@@ -104,7 +103,7 @@ def _outcome_token(rng: np.random.Generator, peaked: bool, chosen_surface: str, 
     surfaces = [chosen_surface] + others
 
     candidates = []
-    do_split = rng.random() < split_rate and 0.7 * probs[0] > probs[1]
+    do_split = rng.random() < _SURFACE_SPLIT_RATE and 0.7 * probs[0] > probs[1]
     for surface, p in zip(surfaces, probs):
         if surface == chosen_surface and do_split:
             # split the winning label's mass across two surface forms
@@ -145,7 +144,7 @@ def generate_corpus(cfg: SynthConfig) -> tuple[list[ResponseTrace], list[LabelRo
     labels: list[LabelRow] = []
     for i in range(n):
         item_id = f"synth-{i:06d}"
-        truth = int(rng.random() < cfg.p_violating)
+        truth = int(rng.random() < _P_VIOLATING)
         z = 0 if i in error_set else 1
         if i in abstain_set:
             outcome = OutcomeLabel(int(rng.choice([2, 3])))
@@ -160,13 +159,13 @@ def generate_corpus(cfg: SynthConfig) -> tuple[list[ResponseTrace], list[LabelRo
             peaked = z == 1
         else:
             peaked = bool(rng.integers(0, 2))
-        outcome_span = token_span([_outcome_token(rng, peaked, str(int(outcome)), cfg.surface_split_rate)])
+        outcome_span = token_span([_outcome_token(rng, peaked, str(int(outcome)))])
 
         if rng.random() < signal["verbalized"]:
             conf = rng.uniform(0.78, 0.96) if z == 1 else rng.uniform(0.45, 0.75)
         else:
             conf = rng.uniform(0.5, 0.95)
-        p_correct = None if rng.random() < cfg.p_correct_missing_rate else snap_confidence(round(conf * 100))
+        p_correct = None if rng.random() < _P_CORRECT_MISSING_RATE else snap_confidence(round(conf * 100))
         band = _band_for(conf)
 
         steps: tuple[ReasoningStep, ...] = ()

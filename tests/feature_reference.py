@@ -212,6 +212,6 @@ def assemble_separately(traces: Sequence[ResponseTrace], k: int = DEFAULT_TOP_K)
     if present:
         width = min(k, max(s.logprobs.shape[1] for s in present))
         probs = renormalize_topk_elementwise(features._stack_rows([s.logprobs for s in present], width))
-    reasoning = features.compute_sequence_features(spans, k=k, probs=probs)
+    reasoning = features.compute_sequence_features(spans, probs)
     verbalized, attribution = features._verbalized_columns(traces), features._attribution_columns(traces)
     return np.concatenate([outcome, reasoning, verbalized, attribution], axis=1), no_mass

@@ -100,8 +100,10 @@ def compute_logodds_features(candidates, ldist):
 
 
 def _stats(span, k=DEFAULT_TOP_K):
-    """The sequence/token columns of one span as SequenceStats."""
-    row = compute_sequence_features([span], k=k)[0].tolist()
+    """The sequence/token columns of one span as SequenceStats, its top k
+    renormalized as feature_reference.compute_sequence_features does."""
+    probs = renormalize_topk(span.logprobs[:, :k]) if len(span.chosen) else None
+    row = compute_sequence_features([span], probs)[0].tolist()
     return SequenceStats(row[0], row[1], row[3], tuple(row[4:9]), tuple(row[9:14]), absent=bool(row[2]))
 
 
@@ -454,11 +456,11 @@ class TestSequenceFeaturesVectorised:
         table = extract_table(traces)
         by_id = {t.item_id: t for t in traces}
 
-        def reference(spans, k=DEFAULT_TOP_K, probs=None):
+        def reference(spans, probs):
             # probs, the rows assemble_feature_vector renormalized for the
             # outcome and reasoning tokens together, goes unused: the
             # reference renormalizes each record on its own
-            rows = [_sequence_features_reference(_span_records(span), k) for span in spans]
+            rows = [_sequence_features_reference(_span_records(span)) for span in spans]
             return np.array(
                 [(s.nll, s.perplexity, float(s.absent), s.mean_token_entropy_bits, *s.entropy_quantiles, *s.prob_quantiles) for s in rows]
             )

@@ -716,6 +716,10 @@ class TestAblation:
         assert dropped.item_ids == reference.item_ids
         assert dropped.names == reference.names
         assert dropped.matrix.tobytes() == reference.matrix.tobytes()
+        # laid out alike, so the two scale alike to the last bit
+        got, want = trainer.standardize_fit(dropped.matrix), trainer.standardize_fit(reference.matrix)
+        assert got.mean.tobytes() == want.mean.tobytes()
+        assert got.std.tobytes() == want.std.tobytes()
 
     def test_masks_equal_per_subset_reference(self):
         traces, labels = corpus(n=600, cot=True)

@@ -692,6 +692,14 @@ def _assert_reads_like_token_span(tokens):
     assert _outcome(lambda: trace_from_dict(obj).reasoning) == _outcome(lambda: token_span(tokens))
 
 
+class TestBulkRuleOrder:
+    def test_ints_that_are_one_float_keep_their_order(self):
+        # the ints differ, but the span holds them as one float, a tie
+        tokens = [("a", -(2**53 + 1), [("a", -(2**53 + 1)), ("b", -(2**53))])]
+        assert _bits(token_span(tokens)) == _bits(token_span_reference(tokens))
+        _assert_reads_like_token_span(tokens)
+
+
 class TestSpanRecords:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(_traces())
