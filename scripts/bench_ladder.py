@@ -25,7 +25,10 @@ reports. The chains run in three rounds: round r runs every corpus's whole
 chain once before round r+1 starts, so the three runs of one stage lie
 minutes apart and a noisy spell of a shared host lands on one of them
 rather than on all three. Each number is the median of the three runs;
-the file names the host's CPU count.
+the file names the host's CPU count and its Python and numpy versions.
+The numpy version is part of what a run measures: the corpora are numpy's
+random streams (``tests/test_synth.py`` pins synth's draws to numpy's
+own), so another numpy may draw other corpora.
 
 The file also records each stage's layers (``layers``). After the
 timed rounds, one more chain per corpus runs in a child process that

@@ -224,14 +224,21 @@ def renormalize_topk(logprobs: ArrayLike) -> np.ndarray:
 
 def _stack_rows(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
     """The first ``width`` columns of each 2-D block, stacked into one
-    C-contiguous array; blocks narrower than ``width`` are padded with -inf."""
-    if all(b.shape[1] >= width for b in blocks):
+    C-contiguous array; blocks narrower than ``width`` are padded with -inf.
+
+    With narrower blocks the whole array is filled with -inf once and every
+    row's leading entries are written in one masked assignment: in row-major
+    order they are the blocks' own entries, flattened one after another.
+    """
+    widths = [b.shape[1] for b in blocks]
+    if min(widths, default=width) >= width:
         return np.concatenate([b[:, :width] for b in blocks])
+    if max(widths) > width:
+        blocks = [b[:, :width] for b in blocks]
+        widths = [min(w, width) for w in widths]
     out = np.full((sum(len(b) for b in blocks), width), -np.inf)
-    row = 0
-    for b in blocks:
-        out[row : row + len(b), : b.shape[1]] = b[:, :width]
-        row += len(b)
+    lead = np.arange(width) < np.repeat(widths, [len(b) for b in blocks])[:, None]
+    out[lead] = np.concatenate([b.ravel() for b in blocks])
     return out
 
 

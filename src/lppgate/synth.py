@@ -15,12 +15,23 @@ the signal from none (0.0) to deterministic (1.0). The "attribution" knob
 controls how confident abstained errors look: at 1.0 they are fully
 peaked, i.e. invisible to probability-only uncertainty signals and
 detectable only through the abstention flags.
+
+Draws: the corpora are the ones rng.dirichlet, rng.choice and
+rng.permutation would give, value for value, but each draw is taken
+straight from the numpy function those calls use inside (standard_gamma,
+standard_exponential, integers, permutation of a range) and normalized as
+numpy's dirichlet does, which skips their per-call argument checks.
+tests/test_synth.py pins both: the files equal those of the calls
+themselves (tests/synth_reference.py), and each replacement equals its
+numpy call over many generator states, so a numpy release that changes
+one of those algorithms fails the tests instead of moving the corpora.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -94,25 +105,41 @@ def _band_for(confidence: float) -> ConfidenceBand:
     return ConfidenceBand.VH
 
 
+def _normalized(draws: list[float]) -> list[float]:
+    """Gamma draws scaled to sum to 1 as numpy's dirichlet scales them: the
+    draws summed left to right, the sum's reciprocal, one product per draw."""
+    total = 0.0
+    for d in draws:
+        total += d
+    inv = 1.0 / total
+    return [d * inv for d in draws]
+
+
+def _outcome_probs(rng: np.random.Generator, peaked: bool) -> list[float]:
+    """rng.dirichlet(_PEAKED_ALPHA if peaked else _FLAT_ALPHA), drawn as its
+    gammas; a gamma(1) draw is a standard exponential."""
+    if peaked:
+        draws = [float(rng.standard_gamma(_PEAKED_ALPHA[0])), *rng.standard_exponential(4).tolist()]
+    else:
+        draws = rng.standard_gamma(_FLAT_ALPHA[0], 5).tolist()
+    return _normalized(draws)
+
+
 def _outcome_token(rng: np.random.Generator, peaked: bool, chosen_surface: str) -> tuple:
     """One token_span triple for the outcome token."""
-    probs = np.sort(rng.dirichlet(_PEAKED_ALPHA if peaked else _FLAT_ALPHA))[::-1]
+    probs = sorted(_outcome_probs(rng, peaked), reverse=True)
     digits = ["0", "1", "2", "3"]
     digits.remove(chosen_surface)
-    others = [str(s) for s in rng.permutation(digits + [str(rng.choice(_JUNK_SURFACES))])]
-    surfaces = [chosen_surface] + others
+    digits.append(_JUNK_SURFACES[int(rng.integers(0, 3))])  # rng.choice(_JUNK_SURFACES)
+    surfaces = [chosen_surface] + [digits[j] for j in rng.permutation(4).tolist()]
 
-    candidates = []
-    do_split = rng.random() < _SURFACE_SPLIT_RATE and 0.7 * probs[0] > probs[1]
-    for surface, p in zip(surfaces, probs):
-        if surface == chosen_surface and do_split:
-            # split the winning label's mass across two surface forms
-            candidates.append((surface, float(np.log(0.7 * p))))
-            candidates.append((" " + surface, float(np.log(0.3 * p))))
-        else:
-            candidates.append((surface, float(np.log(p))))
+    if rng.random() < _SURFACE_SPLIT_RATE and 0.7 * probs[0] > probs[1]:
+        # split the winning label's mass across two surface forms
+        surfaces.insert(1, " " + chosen_surface)
+        probs = [0.7 * probs[0], 0.3 * probs[0], *probs[1:]]
+    logprobs = np.log(probs).tolist()
     # the chosen surface is always the first candidate
-    return chosen_surface, candidates[0][1], candidates
+    return chosen_surface, logprobs[0], list(zip(surfaces, logprobs))
 
 
 def _reasoning_tokens(rng: np.random.Generator, z: int, strength: float) -> list[tuple]:
@@ -122,9 +149,13 @@ def _reasoning_tokens(rng: np.random.Generator, z: int, strength: float) -> list
     lo, hi = (0.6, 0.95) if fluent else (0.2, 0.8)
     for t in range(int(rng.integers(15, 40))):
         p_chosen = float(rng.uniform(lo, hi))
-        rest = rng.dirichlet((1.0,) * 4) * (1.0 - p_chosen)
-        chosen = (f" w{t}", float(np.log(p_chosen)))
-        candidates = [chosen] + [(f" v{t}_{j}", float(np.log(p))) for j, p in enumerate(rest)]
+        rest = 1.0 - p_chosen
+        # rng.dirichlet((1.0,) * 4), drawn as its four exponentials
+        logprobs = np.log([p_chosen, *[p * rest for p in _normalized(rng.standard_exponential(4).tolist())]]).tolist()
+        chosen = (f" w{t}", logprobs[0])
+        candidates = [chosen] + [(f" v{t}_{j}", lp) for j, lp in enumerate(logprobs[1:])]
+        # handed over in the stable descending order token_span would sort them into
+        candidates.sort(key=itemgetter(1), reverse=True)
         tokens.append((*chosen, candidates))
     return tokens
 

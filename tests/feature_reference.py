@@ -2,7 +2,8 @@
 lppgate.features replaced, kept as the reference the kernels are checked
 against: one dict per family and trace, one np.quantile per span. Also the
 kernels' composition from before the outcome rows and the reasoning tokens
-shared one renormalization (assemble_separately)."""
+shared one renormalization (assemble_separately), and the per-block loop
+that stacked rows of unequal width (stack_rows_loop)."""
 
 from __future__ import annotations
 
@@ -196,6 +197,19 @@ def renormalize_topk_elementwise(logprobs) -> np.ndarray:
     if (np.abs(probs.sum(axis=-1) - 1.0) > 1e-9).any():
         raise ValueError("probabilities do not sum to 1")
     return probs
+
+
+def stack_rows_loop(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """features._stack_rows as it was: one -inf fill, then one slice
+    assignment per block whenever some block is narrower than ``width``."""
+    if all(b.shape[1] >= width for b in blocks):
+        return np.concatenate([b[:, :width] for b in blocks])
+    out = np.full((sum(len(b) for b in blocks), width), -np.inf)
+    row = 0
+    for b in blocks:
+        out[row : row + len(b), : b.shape[1]] = b[:, :width]
+        row += len(b)
+    return out
 
 
 def assemble_separately(traces: Sequence[ResponseTrace], k: int = DEFAULT_TOP_K) -> tuple[np.ndarray, np.ndarray]:

@@ -796,6 +796,19 @@ class TestCorpusKernels:
             alone, _ = feature_reference.assemble_separately([t], k)
             assert single.tobytes() == alone.tobytes() == matrix[i : i + 1].tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 3), st.integers(1, 8)), min_size=1, max_size=12),
+        st.integers(1, 8),
+        st.randoms(use_true_random=False),
+    )
+    def test_stack_rows_equals_the_per_block_loop(self, shapes, width, random):
+        # blocks narrower, as wide as and wider than width, zero-row blocks among them
+        blocks = [np.array([random.uniform(-9.0, 0.0) for _ in range(n * w)]).reshape(n, w) for n, w in shapes]
+        stacked = features._stack_rows(blocks, width)
+        assert stacked.flags.c_contiguous
+        assert stacked.tobytes() == feature_reference.stack_rows_loop(blocks, width).tobytes()
+
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
     @given(_corpus_traces(max_candidates=20))

@@ -3,11 +3,13 @@ import re
 import numpy as np
 import pytest
 
+from lppgate import synth
 from lppgate.dataset import label_correctness
 from lppgate.features import FeatureFamily
-from lppgate.pipeline import extract_table
-from lppgate.schema import OutcomeLabel, trace_to_dict
-from lppgate.synth import SynthConfig, generate_corpus
+from lppgate.pipeline import extract_table, save_labels
+from lppgate.schema import OutcomeLabel, trace_to_dict, write_traces_jsonl
+from lppgate.synth import DEFAULT_SIGNAL, SynthConfig, generate_corpus
+from tests import synth_reference
 
 
 class TestDeterminism:
@@ -114,3 +116,58 @@ class TestConfig:
 
     def test_signal_edges_accepted(self):
         SynthConfig(signal={"outcome_topk": 0.0, "attribution": 1.0})
+
+
+class TestDrawsEqualNumpyCalls:
+    """synth takes its draws from numpy's draw functions directly; the
+    corpora must stay those of rng.dirichlet, rng.choice and
+    rng.permutation, byte for byte."""
+
+    @staticmethod
+    def _files(tmp_path, name, cfg):
+        traces, labels = generate_corpus(cfg)
+        write_traces_jsonl(traces, tmp_path / f"{name}.jsonl")
+        save_labels(labels, tmp_path / f"{name}.csv")
+        return (tmp_path / f"{name}.jsonl").read_bytes(), (tmp_path / f"{name}.csv").read_bytes()
+
+    @pytest.mark.parametrize("strength", [None, 0.0, 1.0], ids=["default", "edge-0", "edge-1"])
+    @pytest.mark.parametrize("cot", [False, True], ids=["direct", "cot"])
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_files_equal_the_reference_draws(self, tmp_path, monkeypatch, seed, cot, strength):
+        signal = dict(DEFAULT_SIGNAL) if strength is None else dict.fromkeys(DEFAULT_SIGNAL, strength)
+        cfg = SynthConfig(n_items=250, signal=signal, cot=cot, seed=seed)
+        regimes = []
+        outcome_probs = synth._outcome_probs
+
+        def recorded(rng, peaked):
+            regimes.append(peaked)
+            return outcome_probs(rng, peaked)
+
+        monkeypatch.setattr(synth, "_outcome_probs", recorded)
+        traces_bytes, labels_bytes = self._files(tmp_path, "new", cfg)
+        assert set(regimes) == {True, False}  # both Dirichlet regimes ran
+        assert re.search(rb'" [0-3]"', traces_bytes)  # and the surface split
+
+        monkeypatch.setattr(synth, "_outcome_token", synth_reference._outcome_token)
+        monkeypatch.setattr(synth, "_reasoning_tokens", synth_reference._reasoning_tokens)
+        assert self._files(tmp_path, "reference", cfg) == (traces_bytes, labels_bytes)
+
+    def test_each_draw_equals_its_numpy_call(self):
+        choices = ["1", "2", "3", " the"]
+        values = []
+        for seed in range(40):
+            ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(25):
+                for peaked, alpha in ((True, synth._PEAKED_ALPHA), (False, synth._FLAT_ALPHA)):
+                    drawn = synth._outcome_probs(ours, peaked)
+                    assert drawn == numpys.dirichlet(alpha).tolist()
+                    values += drawn
+                drawn = synth._normalized(ours.standard_exponential(4).tolist())
+                assert drawn == numpys.dirichlet((1.0,) * 4).tolist()
+                values += drawn
+                assert synth._JUNK_SURFACES[int(ours.integers(0, 3))] == numpys.choice(synth._JUNK_SURFACES)
+                assert [choices[j] for j in ours.permutation(4).tolist()] == numpys.permutation(choices).tolist()
+                # the streams stay in step
+                assert ours.random() == numpys.random()
+        # one np.log over a list equals one call per value
+        assert np.log(values).tolist() == [float(np.log(v)) for v in values]
