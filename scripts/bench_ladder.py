@@ -26,6 +26,10 @@ chain once before round r+1 starts, so the three runs of one stage lie
 minutes apart and a noisy spell of a shared host lands on one of them
 rather than on all three. Each number is the median of the three runs;
 the file names the host's CPU count and its Python and numpy versions.
+It names the tree it measured twice: ``git_commit`` is HEAD's hash, with
+"-dirty" appended for a checkout with changes, and ``source_digest`` is
+the sha256 of ``src/lppgate`` by the rule of perfbench's run record
+(``source_sha256``), so two runs on uncommitted trees can be told apart.
 The numpy version is part of what a run measures: the corpora are numpy's
 random streams (``tests/test_synth.py`` pins synth's draws to numpy's
 own), so another numpy may draw other corpora.
@@ -53,6 +57,7 @@ together.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import multiprocessing
 import os
@@ -271,6 +276,24 @@ def git_commit() -> str | None:
     return done.stdout.strip()
 
 
+def source_digest() -> str:
+    """sha256 over src/lppgate's .py and .json files, walked in sorted
+    order without __pycache__, each as its path relative to src/ and its
+    bytes: the rule of perfbench/run.py's source_digest, which reads the
+    working directory, so it is not imported."""
+    src = ROOT / "src"
+    h = hashlib.sha256()
+    for base, dirs, files in os.walk(src / "lppgate"):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            if name.endswith((".py", ".json")):
+                path = os.path.join(base, name)
+                h.update(os.path.relpath(path, src).encode())
+                with open(path, "rb") as fh:
+                    h.update(fh.read())
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--out", default=str(ROOT / "BENCH_ladder.json"))
@@ -285,6 +308,7 @@ def main(argv=None) -> int:
         "command": "python scripts/bench_ladder.py",
         "repeats": REPEATS,
         "git_commit": git_commit(),
+        "source_digest": source_digest(),
         "host": {
             "nproc": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),

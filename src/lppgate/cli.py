@@ -33,7 +33,7 @@ from .dataset import ResampleConfig, SplitSpec, stratified_split
 from .features import ALL_FAMILIES, FeatureFamily, family_of
 from .manifest import build_manifest, sha256_file, write_csv_atomic, write_json_atomic
 from .policy import CostModel
-from .schema import read_traces_jsonl, write_traces_jsonl
+from .schema import Reason, read_traces_jsonl, write_traces_jsonl
 
 __all__ = ["main", "RunConfig"]
 
@@ -238,14 +238,15 @@ def cmd_generate(args, cfg: RunConfig, out):
     )
     traces_path = out("traces.jsonl")
     write_traces_jsonl(result.traces, traces_path)
+    reasons = result.reasons.items()
     extra = {
         "template": template.id,
         "decoding": dataclasses.asdict(decoding),
         "decoding_override": bool(args.allow_decoding_override),
         "items": len(items),
         "accepted": len(result.traces),
-        "give_ups": result.give_ups,
-        "gray_box_unavailable": result.no_logprobs,
+        "give_ups": [{"item_id": i, "attempts": n, "failure": r.failure} for i, (r, n) in reasons if r.failure],
+        "gray_box_unavailable": [i for i, (r, _) in reasons if r is Reason.NO_LOGPROBS],
     }
     return [traces_path], extra
 

@@ -66,6 +66,7 @@ from numpy.typing import ArrayLike
 from .schema import (
     ConfidenceBand,
     OutcomeLabel,
+    Reason,
     ResponseTrace,
     TokenSpan,
     normalize_outcome_token,
@@ -95,12 +96,7 @@ DEFAULT_TOP_K = 5
 
 #: The schema labels that outcome-token mass is collapsed onto; label l's
 #: mass is column int(l) of the label-mass array.
-FULL_SUPPORT = (
-    OutcomeLabel.NO,
-    OutcomeLabel.YES,
-    OutcomeLabel.INCONCLUSIVE_EVIDENCE,
-    OutcomeLabel.INCONCLUSIVE_DEFINITION,
-)
+FULL_SUPPORT = tuple(OutcomeLabel)
 
 
 class EmptyCandidates(ValueError):
@@ -111,11 +107,15 @@ class NoLabelMass(ValueError):
     """No candidate maps onto any schema label; the row is invalid and the
     item is escalated by default downstream."""
 
+    reason = Reason.NO_LABEL_MASS
+
 
 class NonFiniteFeature(ValueError):
     """A feature value is nan or infinite (e.g. the perplexity of a span
     whose mean chosen logprob is below about -709); like NoLabelMass, the
     row is invalid and the item is escalated by default downstream."""
+
+    reason = Reason.NON_FINITE_FEATURE
 
 
 class FeatureFamily(str, enum.Enum):
@@ -132,36 +132,26 @@ ALL_FAMILIES: tuple[FeatureFamily, ...] = tuple(FeatureFamily)
 
 _QUANTILE_POINTS = (0.0, 0.25, 0.5, 0.75, 1.0)
 
-_BAND_ORDER = (
-    ConfidenceBand.VL,
-    ConfidenceBand.L,
-    ConfidenceBand.M,
-    ConfidenceBand.H,
-    ConfidenceBand.VH,
+_BAND_ORDER = tuple(ConfidenceBand)  # VL, L, M, H, VH
+
+#: Family A's eight distribution metrics; family B's are _FILTERED_METRICS, all but msp.
+_DISTRIBUTION_METRICS = (
+    "entropy",
+    "entropy_norm",
+    "effective_choices",
+    "confidence",
+    "msp",
+    "margin",
+    "margin_norm",
+    "top1_top2_ratio",
 )
+_FILTERED_METRICS = [j for j, name in enumerate(_DISTRIBUTION_METRICS) if name != "msp"]
 
 #: Short feature names per family, in catalog order. The one source of
 #: both catalog_names and the column order of the assembled matrix.
 _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
-    FeatureFamily.OUTCOME_TOPK: (
-        "entropy",
-        "entropy_norm",
-        "effective_choices",
-        "confidence",
-        "msp",
-        "margin",
-        "margin_norm",
-        "top1_top2_ratio",
-    ),
-    FeatureFamily.FILTERED_OUTCOME: (
-        "entropy",
-        "entropy_norm",
-        "effective_choices",
-        "confidence",
-        "margin",
-        "margin_norm",
-        "top1_top2_ratio",
-    ),
+    FeatureFamily.OUTCOME_TOPK: _DISTRIBUTION_METRICS,
+    FeatureFamily.FILTERED_OUTCOME: tuple(_DISTRIBUTION_METRICS[j] for j in _FILTERED_METRICS),
     FeatureFamily.LOGODDS_MARGIN: (
         "margin",
         "margin_norm",
@@ -183,9 +173,6 @@ _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
     ),
     FeatureFamily.ATTRIBUTION: ("evidence_deficit", "policy_gap", "inconclusive"),
 }
-
-#: Family B's columns among the eight distribution metrics: all but msp.
-_FILTERED_METRICS = [j for j, name in enumerate(_CATALOG[FeatureFamily.OUTCOME_TOPK]) if name != "msp"]
 
 
 def _entropy_bits(probs: np.ndarray) -> np.ndarray:

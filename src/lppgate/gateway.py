@@ -19,9 +19,9 @@ finite positive provider logprob to 0; nan and ±inf reach ``token_span``.
 Transport failures retry with bounded backoff on a budget independent of
 the malformed-output budget. A transport failure that outlives that
 budget, or a request the provider rejects, is recorded as that item's
-give-up; only an authentication failure aborts the run. A fixture-backed
-stub provider ships in-repo so the whole pipeline runs with zero network
-access.
+give-up; only an authentication failure aborts the run. Every item ends
+as a trace or as one schema.Reason. A fixture-backed stub provider ships
+in-repo so the whole pipeline runs with zero network access.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from .schema import (
     FieldSpans,
     InvalidLogprob,
     ParseFailure,
+    Reason,
     ResponseTrace,
     TokenSpan,
     locate_structured_fields,
@@ -108,8 +109,8 @@ class ProviderNoLogprobs(RuntimeError):
 
 
 class MissingPlaceholder(ValueError):
-    """An item lacks a field its template needs; that item gives up as
-    "missing_field" without a request being sent."""
+    """An item lacks a field its template needs; that item gives up with
+    Reason.MISSING_FIELD without a request being sent."""
 
 
 class OutcomeTokenNotFound(ValueError):
@@ -136,12 +137,9 @@ class PromptTemplate:
     user: str
     cot: bool
 
-    @property
-    def body(self) -> str:
-        return self.system + "\n\n" + self.user
-
     def placeholders(self) -> list[str]:
-        return [p for p in PLACEHOLDER_FIELDS if p in self.body]
+        body = self.system + "\n\n" + self.user
+        return [p for p in PLACEHOLDER_FIELDS if p in body]
 
 
 @dataclass(frozen=True)
@@ -354,8 +352,7 @@ def segment_spans(fields: FieldSpans, tokens: Sequence[tuple]) -> tuple[TokenSpa
 @dataclass
 class InferenceResult:
     traces: list[ResponseTrace]
-    give_ups: list[dict] = field(default_factory=list)
-    no_logprobs: list[str] = field(default_factory=list)
+    reasons: dict[str, tuple[Reason, int]] = field(default_factory=dict)  # item_id -> (reason, attempts)
 
 
 def _run_one(
@@ -365,36 +362,35 @@ def _run_one(
     decoding: DecodingConfig,
     max_transport_retries: int,
     sleep: Callable[[float], None],
-) -> tuple[ResponseTrace | None, dict | None, str | None]:
-    """Returns (trace, give_up record, no-logprobs item id); one is set."""
+) -> ResponseTrace | tuple[Reason, int]:
+    """The item's trace, or its reason and the number of attempts made."""
     item_id = str(item["item_id"])
     try:
         request = Request(item_id, render_prompt(template, item), decoding)
     except MissingPlaceholder:
-        return None, {"item_id": item_id, "attempts": 0, "failure": "missing_field"}, None
+        return Reason.MISSING_FIELD, 0
     expected_steps = 3 if template.cot else 0
 
     for attempt in range(1, MAX_ATTEMPTS + 1):
         try:
             response = dispatch(request, provider, max_transport_retries, sleep)
         except ProviderNoLogprobs:
-            return None, None, item_id
+            return Reason.NO_LOGPROBS, attempt
         except (TransportError, ProviderRejected) as exc:
-            kind = "transport" if isinstance(exc, TransportError) else "rejected"
-            return None, {"item_id": item_id, "attempts": attempt, "failure": kind}, None
+            return (Reason.TRANSPORT if isinstance(exc, TransportError) else Reason.REJECTED), attempt
         try:
             fields = locate_structured_fields(response.content)
             structured = parse_structured_response(fields, expect_steps=expected_steps)
             spans = segment_spans(fields, response.tokens)
         except ParseFailure as exc:
-            kind = exc.kind.value
+            reason = exc.kind
         except InvalidLogprob:
-            kind = "invalid_logprob"
+            reason = Reason.INVALID_LOGPROB
         except OutcomeTokenNotFound:
-            kind = "outcome_token_not_found"
+            reason = Reason.OUTCOME_TOKEN_NOT_FOUND
         else:
-            return ResponseTrace(item_id, structured, *spans, attempt=attempt), None, None
-    return None, {"item_id": item_id, "attempts": MAX_ATTEMPTS, "failure": kind}, None
+            return ResponseTrace(item_id, structured, *spans, attempt=attempt)
+    return reason, MAX_ATTEMPTS
 
 
 def run_inference(
@@ -407,25 +403,24 @@ def run_inference(
     pool_width: int = 4,
     sleep: Callable[[float], None] = time.sleep,
 ) -> InferenceResult:
-    """Run the inference loop over items and collect accepted traces.
+    """Run the inference loop over items: each becomes a trace, or one
+    schema.Reason with its attempt count.
 
-    Per-item retries are sequential; items run on a bounded thread pool and
-    the results are sorted by item_id, so re-running against the stub
-    provider is byte-identical. The retry contract is ``_run_one``'s loop
-    (see the module docstring). An item whose transport retries run out, or
-    whose request the provider rejects, becomes a give-up with failure
-    "transport" or "rejected"; a response with a nan or infinite token
-    logprob is a failed attempt under the retry contract, and gives up as
-    "invalid_logprob". An item lacking a field the template needs gives up
-    as "missing_field" after 0 attempts. An AuthFailure aborts the run.
-    Non-default decoding values require the explicit override flag
-    (recorded in the run manifest by the caller).
+    Item ids must be unique, since the result holds one reason per id;
+    cmd_generate checks them before any request. Per-item retries are
+    sequential; items run on a bounded thread pool and the results are
+    sorted by item_id, so re-running against the stub provider is
+    byte-identical. The retry contract is ``_run_one``'s loop (see the
+    module docstring); a response with a nan or infinite token logprob is
+    a failed attempt under it. An item lacking a field the template needs
+    gives up after 0 attempts. An AuthFailure aborts the run. Non-default
+    decoding values require the explicit override flag (recorded in the
+    run manifest by the caller).
     """
     if decoding != DEFAULT_DECODING and not allow_decoding_override:
         raise ValueError(
             "non-default decoding configuration requires allow_decoding_override"
         )
-    result = InferenceResult(traces=[])
 
     def work(item):
         return _run_one(item, template, provider, decoding, max_transport_retries, sleep)
@@ -436,14 +431,11 @@ def run_inference(
     else:
         outcomes = [work(item) for item in items]
 
-    for trace, give_up, no_lp in outcomes:
-        if trace is not None:
-            result.traces.append(trace)
-        elif give_up is not None:
-            result.give_ups.append(give_up)
-        elif no_lp is not None:
-            result.no_logprobs.append(no_lp)
-    result.traces.sort(key=lambda t: t.item_id)
-    result.give_ups.sort(key=lambda g: g["item_id"])
-    result.no_logprobs.sort()
+    result = InferenceResult(traces=[])
+    ids = [str(item["item_id"]) for item in items]
+    for item_id, outcome in sorted(zip(ids, outcomes), key=lambda pair: pair[0]):
+        if isinstance(outcome, ResponseTrace):
+            result.traces.append(outcome)
+        else:
+            result.reasons[item_id] = outcome
     return result

@@ -34,7 +34,7 @@ from .features import (
 )
 from .manifest import open_atomic, write_csv_atomic, write_json_atomic, write_text_atomic
 from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, decisions_at, sweep_threshold
-from .schema import OutcomeLabel, ResponseTrace
+from .schema import OutcomeLabel, Reason, ResponseTrace
 from .trainer import TrainedGate, cross_fit_calibrated, grid_search, predict_score
 
 __all__ = [
@@ -66,12 +66,14 @@ PROFILE_TEST_NEGATIVES = {"openai-mod": 150, "multimodal": 45}
 @dataclass
 class FeatureTable:
     """One feature row per valid item; column j is feature names[j], whose
-    family is family_of(names[j])."""
+    family is family_of(names[j]). invalid_ids maps each item with no row to
+    its Reason, in item order; a table that load_features reads maps each to
+    None, since the sidecar records the ids only."""
 
     item_ids: list[str]
     names: list[str]
     matrix: np.ndarray
-    invalid_ids: list[str] = field(default_factory=list)
+    invalid_ids: dict[str, Reason | None] = field(default_factory=dict)
 
     def row_map(self) -> dict[str, int]:
         return {item: i for i, item in enumerate(self.item_ids)}
@@ -108,9 +110,9 @@ def extract_table(
     catalog_names(include), all computed in one pass over the corpus; the
     online path is the same call with one trace.
 
-    Rows that are invalid with NoLabelMass or NonFiniteFeature are excluded
-    from the matrix and listed in invalid_ids, to be escalated by default
-    downstream. An item_id that check_item_ids refuses is a ValueError.
+    Rows invalid with NoLabelMass or NonFiniteFeature are left out of the
+    matrix; invalid_ids maps their ids to that exception's reason, to be
+    escalated by default. An item_id check_item_ids refuses is a ValueError.
     """
     include = frozenset(include)
     traces = sorted(traces, key=lambda t: t.item_id)
@@ -125,7 +127,7 @@ def extract_table(
         [traces[i].item_id for i in keep],
         catalog_names(include),
         matrix,
-        [traces[i].item_id for i in sorted(invalid)],
+        {traces[i].item_id: invalid[i].reason for i in sorted(invalid)},
     )
 
 
@@ -276,7 +278,7 @@ def load_features(csv_path, sidecar_path, *, csv_sha256: str | None = None) -> F
     invalid_ids = sidecar.get("invalid_items", [])
     if not isinstance(invalid_ids, list) or not all(isinstance(i, str) for i in invalid_ids):
         raise ValueError(f"'invalid_items' in {sidecar_path} must be a list of item ids, got {invalid_ids!r}")
-    return FeatureTable(item_ids, names, matrix, invalid_ids)
+    return FeatureTable(item_ids, names, matrix, dict.fromkeys(invalid_ids))
 
 
 def save_labels(rows: Sequence, path) -> None:

@@ -56,7 +56,7 @@ __all__ = [
     "OutcomeLabel",
     "ConfidenceBand",
     "Span",
-    "FailureKind",
+    "Reason",
     "ParseFailure",
     "InvalidLogprob",
     "ReasoningStep",
@@ -107,17 +107,34 @@ class Span(str, enum.Enum):
     REASONING = "reasoning"
 
 
-class FailureKind(str, enum.Enum):
-    MALFORMED_JSON = "malformed_json"
-    MISSING_OUTCOME = "missing_outcome"
-    INVALID_BAND = "invalid_band"
-    INVALID_STEPS = "invalid_steps"
+class Reason(str, enum.Enum):
+    """Why an item leaves generate with no trace, or extract with no feature
+    row, to be escalated by default; a give-up names its last failure."""
+
+    TRANSPORT = "give_up:transport"
+    REJECTED = "give_up:rejected"
+    MISSING_FIELD = "give_up:missing_field"
+    MALFORMED_JSON = "give_up:malformed_json"
+    MISSING_OUTCOME = "give_up:missing_outcome"
+    INVALID_BAND = "give_up:invalid_band"
+    INVALID_STEPS = "give_up:invalid_steps"
+    INVALID_LOGPROB = "give_up:invalid_logprob"
+    OUTCOME_TOKEN_NOT_FOUND = "give_up:outcome_token_not_found"
+    NO_LOGPROBS = "no_logprobs"
+    NO_LABEL_MASS = "no_label_mass"
+    NON_FINITE_FEATURE = "non_finite_feature"
+
+    @property
+    def failure(self) -> str | None:
+        """A give-up's failure, as generate's manifest names it; else None."""
+        return self.value.partition("give_up:")[2] or None
 
 
 class ParseFailure(ValueError):
-    """A structured response that does not validate; a retry candidate."""
+    """A structured response that does not validate; a retry candidate.
+    Its kind is the reason its item gives up with if no attempt parses."""
 
-    def __init__(self, kind: FailureKind, message: str = ""):
+    def __init__(self, kind: Reason, message: str = ""):
         super().__init__(message or kind.value)
         self.kind = kind
 
@@ -394,7 +411,7 @@ def locate_structured_fields(raw: str) -> FieldSpans:
     try:
         span, values, spans = _object_fields(raw)
     except (ValueError, RecursionError) as exc:
-        raise ParseFailure(FailureKind.MALFORMED_JSON, str(exc)) from exc
+        raise ParseFailure(Reason.MALFORMED_JSON, str(exc)) from exc
     return FieldSpans(span, spans.get("outcome"), spans.get("reasoning_steps"), values)
 
 
@@ -417,28 +434,28 @@ def parse_structured_response(response: str | FieldSpans, expect_steps: int | No
     obj = response.values
     raw_outcome = obj.get("outcome")
     if raw_outcome is None:
-        raise ParseFailure(FailureKind.MISSING_OUTCOME, "outcome field absent")
+        raise ParseFailure(Reason.MISSING_OUTCOME, "outcome field absent")
     outcome = normalize_outcome_token(str(raw_outcome))
     if outcome is None:
-        raise ParseFailure(FailureKind.MISSING_OUTCOME, f"unrecognized outcome {raw_outcome!r}")
+        raise ParseFailure(Reason.MISSING_OUTCOME, f"unrecognized outcome {raw_outcome!r}")
 
     steps_raw = obj.get("reasoning_steps")
     if not isinstance(steps_raw, (list, type(None))):
-        raise ParseFailure(FailureKind.INVALID_STEPS, "reasoning_steps is not a list")
+        raise ParseFailure(Reason.INVALID_STEPS, "reasoning_steps is not a list")
     steps = []
     for entry in steps_raw or ():
         if not isinstance(entry, dict):
-            raise ParseFailure(FailureKind.INVALID_STEPS, "step entry is not an object")
+            raise ParseFailure(Reason.INVALID_STEPS, "step entry is not an object")
         number = entry.get("step_number")
         description = entry.get("description", "")
         if not isinstance(number, int) or isinstance(number, bool) or number < 1:
-            raise ParseFailure(FailureKind.INVALID_STEPS, f"bad step_number {number!r}")
+            raise ParseFailure(Reason.INVALID_STEPS, f"bad step_number {number!r}")
         steps.append(ReasoningStep(number, str(description)))
     if [s.step_number for s in steps] != list(range(1, len(steps) + 1)):
-        raise ParseFailure(FailureKind.INVALID_STEPS, "step numbers not consecutive from 1")
+        raise ParseFailure(Reason.INVALID_STEPS, "step numbers not consecutive from 1")
     if expect_steps is not None and len(steps) != expect_steps:
         raise ParseFailure(
-            FailureKind.INVALID_STEPS, f"expected {expect_steps} steps, got {len(steps)}"
+            Reason.INVALID_STEPS, f"expected {expect_steps} steps, got {len(steps)}"
         )
 
     p_raw = obj.get("p_correct")
@@ -455,11 +472,11 @@ def parse_structured_response(response: str | FieldSpans, expect_steps: int | No
     band = None
     if band_raw is not None:
         if not isinstance(band_raw, str):
-            raise ParseFailure(FailureKind.INVALID_BAND, f"band {band_raw!r} is not text")
+            raise ParseFailure(Reason.INVALID_BAND, f"band {band_raw!r} is not text")
         try:
             band = ConfidenceBand(band_raw.strip().upper())
         except ValueError:
-            raise ParseFailure(FailureKind.INVALID_BAND, f"unknown band {band_raw!r}") from None
+            raise ParseFailure(Reason.INVALID_BAND, f"unknown band {band_raw!r}") from None
 
     return StructuredResponse(outcome, tuple(steps), p_correct, band)
 

@@ -40,4 +40,4 @@ def load_features(csv_path, sidecar_path) -> FeatureTable:
             rows.append([float(v) for v in record[1:]])
     with open(sidecar_path, encoding="utf-8") as fh:
         invalid_ids = json.load(fh).get("invalid_items", [])
-    return FeatureTable(item_ids, names, np.asarray(rows, dtype=float), invalid_ids)
+    return FeatureTable(item_ids, names, np.asarray(rows, dtype=float), dict.fromkeys(invalid_ids))

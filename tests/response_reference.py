@@ -10,9 +10,9 @@ import json
 
 from lppgate.schema import (
     ConfidenceBand,
-    FailureKind,
     FieldSpans,
     ParseFailure,
+    Reason,
     ReasoningStep,
     StructuredResponse,
     normalize_outcome_token,
@@ -145,38 +145,38 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
     """
     span = find_balanced_object(raw)
     if span is None:
-        raise ParseFailure(FailureKind.MALFORMED_JSON, "no balanced JSON object")
+        raise ParseFailure(Reason.MALFORMED_JSON, "no balanced JSON object")
     try:
         obj = json.loads(raw[span[0] : span[1]])
     except json.JSONDecodeError as exc:
-        raise ParseFailure(FailureKind.MALFORMED_JSON, str(exc)) from exc
+        raise ParseFailure(Reason.MALFORMED_JSON, str(exc)) from exc
     if not isinstance(obj, dict):
-        raise ParseFailure(FailureKind.MALFORMED_JSON, "top-level value is not an object")
+        raise ParseFailure(Reason.MALFORMED_JSON, "top-level value is not an object")
 
     raw_outcome = obj.get("outcome")
     if raw_outcome is None:
-        raise ParseFailure(FailureKind.MISSING_OUTCOME, "outcome field absent")
+        raise ParseFailure(Reason.MISSING_OUTCOME, "outcome field absent")
     outcome = normalize_outcome_token(str(raw_outcome))
     if outcome is None:
-        raise ParseFailure(FailureKind.MISSING_OUTCOME, f"unrecognized outcome {raw_outcome!r}")
+        raise ParseFailure(Reason.MISSING_OUTCOME, f"unrecognized outcome {raw_outcome!r}")
 
     steps_raw = obj.get("reasoning_steps") or []
     if not isinstance(steps_raw, list):
-        raise ParseFailure(FailureKind.INVALID_STEPS, "reasoning_steps is not a list")
+        raise ParseFailure(Reason.INVALID_STEPS, "reasoning_steps is not a list")
     steps = []
     for entry in steps_raw:
         if not isinstance(entry, dict):
-            raise ParseFailure(FailureKind.INVALID_STEPS, "step entry is not an object")
+            raise ParseFailure(Reason.INVALID_STEPS, "step entry is not an object")
         number = entry.get("step_number")
         description = entry.get("description", "")
         if not isinstance(number, int) or isinstance(number, bool) or number < 1:
-            raise ParseFailure(FailureKind.INVALID_STEPS, f"bad step_number {number!r}")
+            raise ParseFailure(Reason.INVALID_STEPS, f"bad step_number {number!r}")
         steps.append(ReasoningStep(number, str(description)))
     if [s.step_number for s in steps] != list(range(1, len(steps) + 1)):
-        raise ParseFailure(FailureKind.INVALID_STEPS, "step numbers not consecutive from 1")
+        raise ParseFailure(Reason.INVALID_STEPS, "step numbers not consecutive from 1")
     if expect_steps is not None and len(steps) != expect_steps:
         raise ParseFailure(
-            FailureKind.INVALID_STEPS, f"expected {expect_steps} steps, got {len(steps)}"
+            Reason.INVALID_STEPS, f"expected {expect_steps} steps, got {len(steps)}"
         )
 
     p_raw = obj.get("p_correct")
@@ -188,10 +188,10 @@ def parse_structured_response(raw: str, expect_steps: int | None = None) -> Stru
     band = None
     if band_raw is not None:
         if not isinstance(band_raw, str):
-            raise ParseFailure(FailureKind.INVALID_BAND, f"band {band_raw!r} is not text")
+            raise ParseFailure(Reason.INVALID_BAND, f"band {band_raw!r} is not text")
         try:
             band = ConfidenceBand(band_raw.strip().upper())
         except ValueError:
-            raise ParseFailure(FailureKind.INVALID_BAND, f"unknown band {band_raw!r}") from None
+            raise ParseFailure(Reason.INVALID_BAND, f"unknown band {band_raw!r}") from None
 
     return StructuredResponse(outcome, tuple(steps), p_correct, band)

@@ -777,7 +777,8 @@ class TestCorpusKernels:
             return
         table = extract_table(traces, include, k)
         assert table.item_ids == valid_ids
-        assert table.invalid_ids == [t.item_id for i, t in enumerate(traces) if i in invalid]
+        reasons = [(t.item_id, invalid[i].reason) for i, t in enumerate(traces) if i in invalid]
+        assert list(table.invalid_ids.items()) == reasons
         assert table.matrix.tobytes() == b"".join(reference[i] for i in valid_ids)
 
     @settings(max_examples=150, deadline=None)

@@ -1,10 +1,11 @@
 import http.server
 import json
 import math
+import random
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lppgate import gateway, schema
@@ -32,6 +33,7 @@ from lppgate.schema import (
     MAX_ATTEMPTS,
     InvalidLogprob,
     OutcomeLabel,
+    Reason,
     locate_structured_fields,
     normalize_outcome_token,
     trace_to_dict,
@@ -297,7 +299,7 @@ class TestStubAndDispatch:
         )
         assert len(result.traces) == 1
         assert result.traces[0].attempt == 4
-        assert not result.give_ups
+        assert not result.reasons
 
     def test_four_malformed_gives_up(self):
         malformed = {"content": "not json at all", "tokens": []}
@@ -310,9 +312,7 @@ class TestStubAndDispatch:
             sleep=NO_SLEEP,
         )
         assert not result.traces
-        assert result.give_ups == [
-            {"item_id": "item-1", "attempts": 4, "failure": "malformed_json"}
-        ]
+        assert result.reasons == {"item-1": (Reason.MALFORMED_JSON, 4)}
 
     def test_never_requests_past_max_attempts(self):
         class CountingProvider(StubProvider):
@@ -331,9 +331,7 @@ class TestStubAndDispatch:
             sleep=NO_SLEEP,
         )
         assert provider.requests == MAX_ATTEMPTS == 4
-        assert result.give_ups == [
-            {"item_id": "item-1", "attempts": 4, "failure": "malformed_json"}
-        ]
+        assert result.reasons == {"item-1": (Reason.MALFORMED_JSON, 4)}
 
     def test_give_up_names_the_last_failure(self):
         malformed = {"content": "not json at all", "tokens": []}
@@ -345,9 +343,7 @@ class TestStubAndDispatch:
             provider,
             sleep=NO_SLEEP,
         )
-        assert result.give_ups == [
-            {"item_id": "item-1", "attempts": 4, "failure": "outcome_token_not_found"}
-        ]
+        assert result.reasons == {"item-1": (Reason.OUTCOME_TOKEN_NOT_FOUND, 4)}
 
     def test_no_logprobs_flagged(self):
         provider = StubProvider({"item-1": [{"content": VALID_CONTENT, "tokens": None}]})
@@ -358,7 +354,7 @@ class TestStubAndDispatch:
             provider,
             sleep=NO_SLEEP,
         )
-        assert result.no_logprobs == ["item-1"]
+        assert result.reasons == {"item-1": (Reason.NO_LOGPROBS, 1)}
         assert not result.traces
 
     def test_from_file(self, tmp_path):
@@ -440,7 +436,7 @@ class TestRunInference:
             max_transport_retries=2, pool_width=3, sleep=NO_SLEEP,
         )
         assert [t.item_id for t in result.traces] == ["it-00", "it-02"]
-        assert result.give_ups == [{"item_id": "it-01", "attempts": 1, "failure": "transport"}]
+        assert result.reasons == {"it-01": (Reason.TRANSPORT, 1)}
         assert provider.calls == 2 + 1
 
     def test_auth_failure_still_aborts(self):
@@ -460,7 +456,7 @@ class TestRunInference:
         template = load_template("text-direct")
         result = run_inference(items, template, StubProvider(fixtures), pool_width=2, sleep=NO_SLEEP)
         assert [t.item_id for t in result.traces] == ["b"]
-        assert result.give_ups == [{"item_id": "a", "attempts": 4, "failure": "invalid_logprob"}]
+        assert result.reasons == {"a": (Reason.INVALID_LOGPROB, 4)}
 
         class UnauthorizedForB(StubProvider):
             def complete(self, request):
@@ -477,7 +473,7 @@ class TestRunInference:
         fixtures = {"it-00": [valid_payload()]}
         result = run_inference(items, load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
         assert [t.item_id for t in result.traces] == ["it-00"]
-        assert result.give_ups == [{"item_id": "a", "attempts": 0, "failure": "missing_field"}]
+        assert result.reasons == {"a": (Reason.MISSING_FIELD, 0)}
 
     def test_each_attempt_decodes_its_response_once(self, monkeypatch):
         decoded = []
@@ -508,7 +504,7 @@ class TestRunInference:
         items = [{"item_id": i, "text": "x", "concept_definition": "d"} for i in ("a", "b")]
         result = run_inference(items, load_template("text-cot"), StubProvider(fixtures), sleep=NO_SLEEP)
         assert [t.item_id for t in result.traces] == ["b"]
-        assert result.give_ups == [{"item_id": "a", "attempts": 4, "failure": "malformed_json"}]
+        assert result.reasons == {"a": (Reason.MALFORMED_JSON, 4)}
 
     def test_p_correct_past_float_range_counts_as_absent(self):
         content = '{"outcome": "1", "p_correct": 1' + "0" * 400 + "}"
@@ -517,7 +513,7 @@ class TestRunInference:
         result = run_inference(items, load_template("text-direct"), StubProvider(fixtures), sleep=NO_SLEEP)
         assert [t.item_id for t in result.traces] == ["a", "b"]
         assert [t.structured.p_correct for t in result.traces] == [None, 85]
-        assert result.give_ups == []
+        assert result.reasons == {}
 
     @staticmethod
     def _one_token_per_character(content):
@@ -672,7 +668,7 @@ class TestHttpProvider:
             [item], load_template("text-direct"), HttpProvider(endpoint, model="m"), sleep=NO_SLEEP
         )
         assert not result.traces
-        assert result.give_ups == [{"item_id": "item-1", "attempts": 1, "failure": "rejected"}]
+        assert result.reasons == {"item-1": (Reason.REJECTED, 1)}
         assert len(handler.seen) == 1
 
     @pytest.mark.parametrize(
@@ -695,3 +691,103 @@ class TestHttpProvider:
         with pytest.raises(TransportError, match="malformed response body"):
             dispatch(self._request(), provider, max_transport_retries=2, sleep=NO_SLEEP)
         assert len(handler.seen) == 2 + 1
+
+
+def _cot_content(n_steps=3, **fields):
+    steps = [{"step_number": i, "description": f"step {i}"} for i in range(1, n_steps + 1)]
+    return json.dumps({"reasoning_steps": steps, "outcome": "1", "p_correct": 80, "band": "H", **fields})
+
+
+def _no_label_payload():
+    """A parsing CoT response whose outcome token, and each of its
+    candidates, maps to no schema label."""
+    content = _cot_content()
+    vs = locate_structured_fields(content).outcome_value[0]
+    surface = content[vs : vs + 3]  # '1",' normalizes to no label
+    tokens = [
+        {"surface": content[:vs], "logprob": -0.3},
+        {"surface": surface, "logprob": -0.1, "top": [{"surface": surface, "logprob": -0.1}, {"surface": "x", "logprob": -2.4}]},
+        {"surface": content[vs + 3 :], "logprob": -0.05},
+    ]
+    return {"content": content, "tokens": tokens}
+
+
+_NAN_TOP = [{"surface": "1", "logprob": math.nan}, {"surface": "0", "logprob": math.log(0.2)}]
+
+#: Each kind of item: its stub responses (None for a rejected request), its
+#: item fields, and the reason generate and then extract give it, with the
+#: attempts generate records (None for an item that reaches extract).
+_KINDS = {
+    "valid": ([make_payload(_cot_content())], {}, None, None),
+    "valid_on_retry": ([{"content": "not json", "tokens": []}, make_payload(_cot_content())], {}, None, None),
+    "transport": ([{"transport_error": True}], {}, Reason.TRANSPORT, 1),
+    "rejected": (None, {}, Reason.REJECTED, 1),
+    "missing_field": ([make_payload(_cot_content())], {"concept_definition": None}, Reason.MISSING_FIELD, 0),
+    "malformed_json": ([{"content": "not json", "tokens": []}], {}, Reason.MALFORMED_JSON, MAX_ATTEMPTS),
+    "missing_outcome": ([{"content": '{"p_correct": 80}', "tokens": []}], {}, Reason.MISSING_OUTCOME, MAX_ATTEMPTS),
+    "invalid_band": ([make_payload(_cot_content(band="ZZ"))], {}, Reason.INVALID_BAND, MAX_ATTEMPTS),
+    "invalid_steps": ([make_payload(_cot_content(n_steps=2))], {}, Reason.INVALID_STEPS, MAX_ATTEMPTS),
+    "invalid_logprob": ([make_payload(_cot_content(), outcome_top=_NAN_TOP)], {}, Reason.INVALID_LOGPROB, MAX_ATTEMPTS),
+    "outcome_token_not_found": ([{"content": _cot_content(), "tokens": [{"surface": "{", "logprob": -0.1}]}], {},
+                                Reason.OUTCOME_TOKEN_NOT_FOUND, MAX_ATTEMPTS),
+    "no_logprobs": ([{"content": _cot_content(), "tokens": None}], {}, Reason.NO_LOGPROBS, 1),
+    "no_label_mass": ([_no_label_payload()], {}, Reason.NO_LABEL_MASS, None),
+    # a mean chosen logprob of -800 makes the reasoning perplexity overflow
+    "non_finite_feature": ([make_payload(_cot_content(), reasoning_logprob=-800.0)], {}, Reason.NON_FINITE_FEATURE, None),
+}
+
+
+class _RejectsSome(StubProvider):
+    def __init__(self, fixtures, rejected):
+        super().__init__(fixtures)
+        self.rejected = rejected
+
+    def complete(self, request):
+        if request.item_id in self.rejected:
+            raise ProviderRejected("HTTP 400")
+        return super().complete(request)
+
+
+class TestReasonChannel:
+    """Every item leaves generate as a trace or one reason, and every trace
+    leaves extract as a row or one reason, all from the one vocabulary."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from(sorted(_KINDS)), max_size=14),
+        st.randoms(use_true_random=False),
+        st.sampled_from((1, 3)),
+    )
+    @example(sorted(_KINDS), random.Random(0), 3)
+    def test_every_item_is_a_row_or_one_reason(self, kinds, rnd, pool_width):
+        from lppgate.pipeline import extract_table
+
+        kinds = ["valid", *kinds]  # extract refuses a corpus with no valid row
+        ids = [f"it-{i:02d}" for i in range(len(kinds))]
+        rnd.shuffle(ids)
+        fixtures, items, rejected = {}, [], set()
+        for item_id, kind in zip(ids, kinds):
+            responses, fields, _, _ = _KINDS[kind]
+            if responses is None:
+                rejected.add(item_id)
+            else:
+                fixtures[item_id] = responses
+            item = {"item_id": item_id, "text": "x", "concept_definition": "d", **fields}
+            items.append({k: v for k, v in item.items() if v is not None})
+        provider = _RejectsSome(fixtures, rejected)
+        result = run_inference(items, load_template("text-cot"), provider, pool_width=pool_width, sleep=NO_SLEEP)
+        table = extract_table(result.traces)
+
+        assert len(result.traces) + len(result.reasons) == len(items)
+        assert len(table.item_ids) + len(table.invalid_ids) == len(result.traces)
+        assert {r for r, _ in result.reasons.values()} | set(table.invalid_ids.values()) <= set(Reason)
+        assert list(result.reasons) == sorted(result.reasons)
+        assert list(table.invalid_ids) == sorted(table.invalid_ids)
+        for item_id, kind in zip(ids, kinds):
+            _, _, reason, attempts = _KINDS[kind]
+            if reason is None:
+                assert item_id in table.item_ids
+            elif attempts is None:
+                assert table.invalid_ids[item_id] is reason
+            else:
+                assert result.reasons[item_id] == (reason, attempts)

@@ -61,7 +61,7 @@ class TestExtractTable:
         bad = make_trace(item_id="zzz-bad")
         bad.outcome = make_outcome_span({"junk": 0.0})
         table = pipeline.extract_table(list(traces) + [bad])
-        assert table.invalid_ids == ["zzz-bad"]
+        assert table.invalid_ids == {"zzz-bad": "no_label_mass"}
         assert "zzz-bad" not in table.item_ids
 
     def test_non_finite_feature_row_is_invalid(self):
@@ -71,7 +71,7 @@ class TestExtractTable:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = pipeline.extract_table(list(traces) + [bad])
-        assert table.invalid_ids == ["item-overflow"]
+        assert table.invalid_ids == {"item-overflow": "non_finite_feature"}
         assert table.item_ids == sorted(t.item_id for t in traces)
         assert np.isfinite(table.matrix).all()
 
@@ -293,7 +293,7 @@ class TestInputsNameTheItem:
             pipeline.load_features(csv_path, sidecar)
 
     def test_submatrix_names_an_id_without_a_row(self):
-        table = pipeline.FeatureTable(["a", "b"], catalog_names()[:1], np.array([[1.0], [2.0]]), ["gone"])
+        table = pipeline.FeatureTable(["a", "b"], catalog_names()[:1], np.array([[1.0], [2.0]]), {"gone": None})
         assert table.submatrix(["b", "a"]).tolist() == [[2.0], [1.0]]
         with pytest.raises(KeyError, match=re.escape("item 'no-such-item' has no feature row")) as err:
             table.submatrix(["a", "no-such-item"])
@@ -326,7 +326,7 @@ def _feature_tables(draw):
     names = draw(st.lists(st.sampled_from(catalog_names()), min_size=1, max_size=4, unique=True))
     values = draw(st.lists(_VALUES, min_size=len(ids) * len(names), max_size=len(ids) * len(names)))
     matrix = np.array(values, dtype=float).reshape(len(ids), len(names))
-    return pipeline.FeatureTable(ids, names, matrix, draw(st.lists(_IDS, max_size=2)))
+    return pipeline.FeatureTable(ids, names, matrix, dict.fromkeys(draw(st.lists(_IDS, max_size=2))))
 
 
 def _table(ids, n_names=3):
@@ -369,7 +369,7 @@ class TestFeatureFileReference:
         for loaded in (from_copy, from_csv):
             assert loaded.item_ids == expected.item_ids == table.item_ids
             assert loaded.names == expected.names == table.names
-            assert loaded.invalid_ids == expected.invalid_ids
+            assert list(loaded.invalid_ids.items()) == list(expected.invalid_ids.items())
             assert loaded.matrix.flags.c_contiguous and loaded.matrix.dtype == np.float64
             assert loaded.matrix.shape == (len(table.item_ids), len(table.names))
             assert loaded.matrix.tobytes() == expected.matrix.tobytes()
@@ -759,7 +759,7 @@ class TestAblation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = pipeline.extract_table(list(traces) + [bad])
-        assert table.invalid_ids == [bad.item_id]
+        assert table.invalid_ids == {bad.item_id: "non_finite_feature"}
 
         seen = []
         train_gate = pipeline.train_gate

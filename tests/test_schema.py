@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from lppgate.schema import (
     ConfidenceBand,
-    FailureKind,
     LOGPROB_TOLERANCE,
     OutcomeLabel,
     ParseFailure,
+    Reason,
     ReasoningStep,
     ResponseTrace,
     Span,
@@ -88,7 +88,7 @@ class TestParseStructuredResponse:
     def test_unrecognized_outcome(self):
         with pytest.raises(ParseFailure) as err:
             parse_structured_response('{"outcome":"maybe"}')
-        assert err.value.kind is FailureKind.MISSING_OUTCOME
+        assert err.value.kind is Reason.MISSING_OUTCOME
 
     def test_word_outcome_with_snap(self):
         s = parse_structured_response('{"outcome":"inconclusive_evidence","p_correct":87}')
@@ -105,22 +105,22 @@ class TestParseStructuredResponse:
     def test_malformed_json(self):
         with pytest.raises(ParseFailure) as err:
             parse_structured_response('{"outcome": 1,,}')
-        assert err.value.kind is FailureKind.MALFORMED_JSON
+        assert err.value.kind is Reason.MALFORMED_JSON
 
     def test_no_object(self):
         with pytest.raises(ParseFailure) as err:
             parse_structured_response("plain text, no json")
-        assert err.value.kind is FailureKind.MALFORMED_JSON
+        assert err.value.kind is Reason.MALFORMED_JSON
 
     def test_missing_outcome_field(self):
         with pytest.raises(ParseFailure) as err:
             parse_structured_response('{"p_correct": 80}')
-        assert err.value.kind is FailureKind.MISSING_OUTCOME
+        assert err.value.kind is Reason.MISSING_OUTCOME
 
     def test_invalid_band(self):
         with pytest.raises(ParseFailure) as err:
             parse_structured_response('{"outcome":"1","band":"HUGE"}')
-        assert err.value.kind is FailureKind.INVALID_BAND
+        assert err.value.kind is Reason.INVALID_BAND
 
     def test_band_case_insensitive(self):
         s = parse_structured_response('{"outcome":"1","band":"vh"}')
@@ -138,7 +138,7 @@ class TestParseStructuredResponse:
         )
         with pytest.raises(ParseFailure) as err:
             parse_structured_response(raw)
-        assert err.value.kind is FailureKind.INVALID_STEPS
+        assert err.value.kind is Reason.INVALID_STEPS
 
     def test_cot_requires_exactly_three_steps(self):
         raw = json.dumps(
@@ -149,7 +149,7 @@ class TestParseStructuredResponse:
         )
         with pytest.raises(ParseFailure) as err:
             parse_structured_response(raw, expect_steps=3)
-        assert err.value.kind is FailureKind.INVALID_STEPS
+        assert err.value.kind is Reason.INVALID_STEPS
 
     def test_direct_mode_rejects_steps(self):
         raw = json.dumps(
@@ -184,19 +184,19 @@ class TestParseStructuredResponse:
     def test_reasoning_steps_must_be_a_list_or_null(self, steps):
         with pytest.raises(ParseFailure) as err:
             parse_structured_response('{"outcome":"1","reasoning_steps":%s}' % steps)
-        assert err.value.kind is FailureKind.INVALID_STEPS
+        assert err.value.kind is Reason.INVALID_STEPS
         assert parse_structured_response('{"outcome":"1","reasoning_steps":null}').reasoning_steps == ()
 
     def test_integer_past_the_digit_limit_is_malformed(self):
         # json hands the digits to int(), which raises a bare ValueError
         with pytest.raises(ParseFailure) as err:
             parse_structured_response('{"outcome":"1","p_correct":%s}' % ("1" * 5000))
-        assert err.value.kind is FailureKind.MALFORMED_JSON
+        assert err.value.kind is Reason.MALFORMED_JSON
 
     def test_malformed_message_counts_in_the_whole_response(self):
         with pytest.raises(ParseFailure, match=r"char 23\)$") as err:
             parse_structured_response('Here it is: {"outcome" 1}')
-        assert err.value.kind is FailureKind.MALFORMED_JSON
+        assert err.value.kind is Reason.MALFORMED_JSON
 
 
 class TestBalancedObject:
@@ -213,7 +213,7 @@ class TestBalancedObject:
     def test_unbalanced_is_malformed(self):
         with pytest.raises(ParseFailure) as err:
             locate_structured_fields('{"a": 1')
-        assert err.value.kind is FailureKind.MALFORMED_JSON
+        assert err.value.kind is Reason.MALFORMED_JSON
 
 
 # every character the old scanners treated specially, plus filler; the
@@ -311,14 +311,14 @@ class TestResponseReaderMatchesReference:
         raw, plain, outcome_text = case
         want, want_kind = _parsed(reference.parse_structured_response, raw, expect_steps)
         got, got_kind = _parsed(parse_structured_response, raw, expect_steps)
-        decodes = want_kind is not FailureKind.MALFORMED_JSON
-        if decodes and want_kind is not FailureKind.MISSING_OUTCOME:
+        decodes = want_kind is not Reason.MALFORMED_JSON
+        if decodes and want_kind is not Reason.MISSING_OUTCOME:
             obj = _reference_object(raw)
             steps, p = obj.get("reasoning_steps"), obj.get("p_correct")
             # the two changes made on purpose: falsy non-list steps are
             # invalid, and a non-finite p_correct is absent
             if not isinstance(steps, (list, type(None))):
-                want, want_kind = None, FailureKind.INVALID_STEPS
+                want, want_kind = None, Reason.INVALID_STEPS
             elif want is not None and isinstance(p, float) and not math.isfinite(p):
                 want = dataclasses.replace(want, p_correct=None)
         assert (got, got_kind) == (want, want_kind)
@@ -326,7 +326,7 @@ class TestResponseReaderMatchesReference:
         if not decodes:
             with pytest.raises(ParseFailure) as err:
                 locate_structured_fields(raw)
-            assert err.value.kind is FailureKind.MALFORMED_JSON
+            assert err.value.kind is Reason.MALFORMED_JSON
             return
         spans = locate_structured_fields(raw)
         if plain:
@@ -370,7 +370,7 @@ class TestLocateStructuredFields:
     def test_invalid_object_is_not_located(self, raw):
         with pytest.raises(ParseFailure) as err:
             locate_structured_fields(raw)
-        assert err.value.kind is FailureKind.MALFORMED_JSON
+        assert err.value.kind is Reason.MALFORMED_JSON
 
     @pytest.mark.parametrize(
         "raw,message",
@@ -383,7 +383,7 @@ class TestLocateStructuredFields:
     def test_malformed_message_counts_in_the_whole_response(self, raw, message):
         with pytest.raises(ParseFailure, match=message) as err:
             locate_structured_fields(raw)
-        assert err.value.kind is FailureKind.MALFORMED_JSON
+        assert err.value.kind is Reason.MALFORMED_JSON
 
     def test_values_are_decoded_but_not_compared(self):
         raw = 'Sure: {"outcome": "1", "p_correct": 85, "reasoning_steps": [], "outcome": 2} ok'
