@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Feature-family ablation study on a synthetic corpus: retrain the gate
-with each family removed and report the cost increase over the full model.
+"""Feature-family ablation study on a synthetic corpus: synth, extract and
+split it, then retrain the gate on that split with each family removed and
+report the cost increase over the full model.
 
 Example:
     python scripts/run_ablation_study.py --out runs/ablation --n-items 3000
@@ -30,14 +31,21 @@ def main():
     args = parser.parse_args()
 
     out = Path(args.out)
-    run("synth", "--out", out, "--n-items", args.n_items, "--seed", args.seed)
-    ablate_args = [
-        "ablate", "--out", out,
-        "--traces", out / "traces.jsonl",
+    common = [
+        "--features", out / "features.csv",
+        "--features-sidecar", out / "features.families.json",
         "--labels", out / "labels.csv",
-        "--family", args.family,
-        "--test-negatives", args.test_negatives,
         "--seed", args.seed,
+    ]
+    run("synth", "--out", out, "--n-items", args.n_items, "--seed", args.seed)
+    run("extract", "--out", out, "--traces", out / "traces.jsonl", "--seed", args.seed)
+    run("split", "--out", out, *common, "--test-negatives", args.test_negatives)
+    ablate_args = [
+        "ablate", "--out", out, *common,
+        "--train-ids", out / "train_ids.txt",
+        "--validation-ids", out / "validation_ids.txt",
+        "--test-ids", out / "test_ids.txt",
+        "--family", args.family,
     ]
     if args.quick_grid:
         ablate_args.append("--quick-grid")

@@ -25,6 +25,7 @@ import time
 import types
 import typing
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -284,7 +285,7 @@ def cmd_train(args, cfg: RunConfig, out):
     table = _load_features(args)
     labels = pipeline.load_labels(args.labels)
     train_ids = pipeline.read_id_list(args.train_ids)
-    space = trainer.default_grid() if not args.quick_grid else _quick_grid()
+    space = _search_space(args)
     gate, report = pipeline.train_gate(
         table, labels, train_ids, cfg.resample_config(), space, cfg.seed
     )
@@ -339,15 +340,14 @@ def cmd_evaluate(args, cfg: RunConfig, out):
 
 
 def cmd_ablate(args, cfg: RunConfig, out):
-    traces = read_traces_jsonl(args.traces)
+    table = _load_features(args)
     labels = pipeline.load_labels(args.labels)
-    include = cfg.family_set()
-    table = pipeline.extract_table(traces, include, k=cfg.top_k)
-    drop = list(include) if args.family == "all" else [FeatureFamily(args.family)]
-    space = trainer.default_grid() if not args.quick_grid else _quick_grid()
+    split = [pipeline.read_id_list(path) for path in (args.train_ids, args.validation_ids, args.test_ids)]
+    included = dict.fromkeys(FeatureFamily(family_of(name)) for name in table.names)
+    drop = list(included) if args.family == "all" else [FeatureFamily(args.family)]
     rows = pipeline.run_ablation(
-        table, labels, drop, cfg.split_spec(), cfg.cost_model(),
-        resample_cfg=cfg.resample_config(), space=space, grid=cfg.tau_grid(), seed=cfg.seed,
+        table, labels, drop, split, cfg.cost_model(),
+        resample_cfg=cfg.resample_config(), space=_search_space(args), grid=cfg.tau_grid(), seed=cfg.seed,
     )
     columns = ("dropped_family", "expected_cost", "delta_vs_full")
     csv_path = out("ablation.csv")
@@ -384,10 +384,11 @@ def cmd_sensitivity(args, cfg: RunConfig, out):
     return [json_path, csv_path], {"tau_star": gate.tau_star}
 
 
-def _quick_grid() -> list[trainer.RidgeConfig]:
-    """Reduced space for smoke runs: alpha x class-weight x calibration."""
-    from itertools import product
-
+def _search_space(args) -> list[trainer.RidgeConfig]:
+    """The full grid, or under --quick-grid a reduced space for smoke runs:
+    alpha x class-weight x calibration."""
+    if not args.quick_grid:
+        return trainer.default_grid()
     return [
         trainer.RidgeConfig(alpha=a, class_weight=cw, calibration=cal)
         for a, cw, cal in product((0.1, 10.0), ("1:1", "balanced"), ("sigmoid", "isotonic"))
@@ -422,9 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tau-range", dest="tau_range", help="LO:HI, e.g. 0.35:0.70")
         p.add_argument("--tau-step", type=float, dest="tau_step")
         p.add_argument("--families", help="comma-separated feature families")
-        p.add_argument(
-            "--dataset-profile", dest="dataset_profile", choices=("openai-mod", "multimodal")
-        )
+        p.add_argument("--dataset-profile", dest="dataset_profile")
         p.add_argument("--test-negatives", type=int, dest="test_negatives")
         for dest in inputs:
             p.add_argument(
@@ -468,8 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command(
-        "ablate", cmd_ablate, "retrain the gate with each feature family dropped",
-        "traces", "labels",
+        "ablate", cmd_ablate, "retrain the gate on the run's split with each feature family dropped",
+        *labelled, "train_ids", "validation_ids", "test_ids",
     )
     p.add_argument("--family", default="all")
     p.add_argument("--quick-grid", action="store_true")

@@ -46,6 +46,7 @@ from .schema import (
     Reason,
     ResponseTrace,
     TokenSpan,
+    check_item_ids,
     locate_structured_fields,
     parse_structured_response,
     token_span,
@@ -406,21 +407,23 @@ def run_inference(
     """Run the inference loop over items: each becomes a trace, or one
     schema.Reason with its attempt count.
 
-    Item ids must be unique, since the result holds one reason per id;
-    cmd_generate checks them before any request. Per-item retries are
-    sequential; items run on a bounded thread pool and the results are
-    sorted by item_id, so re-running against the stub provider is
-    byte-identical. The retry contract is ``_run_one``'s loop (see the
-    module docstring); a response with a nan or infinite token logprob is
-    a failed attempt under it. An item lacking a field the template needs
-    gives up after 0 attempts. An AuthFailure aborts the run. Non-default
-    decoding values require the explicit override flag (recorded in the
-    run manifest by the caller).
+    Item ids must pass schema.check_item_ids, since the result holds one
+    reason per id: an id it refuses is a ValueError before any request.
+    Per-item retries are sequential; items run on a bounded thread pool
+    and the results are sorted by item_id, so re-running against the stub
+    provider is byte-identical. The retry contract is ``_run_one``'s loop
+    (see the module docstring); a response with a nan or infinite token
+    logprob is a failed attempt under it. An item lacking a field the
+    template needs gives up after 0 attempts. An AuthFailure aborts the
+    run. Non-default decoding values require the explicit override flag
+    (recorded in the run manifest by the caller).
     """
     if decoding != DEFAULT_DECODING and not allow_decoding_override:
         raise ValueError(
             "non-default decoding configuration requires allow_decoding_override"
         )
+    ids = [str(item["item_id"]) for item in items]
+    check_item_ids(ids, "the items")
 
     def work(item):
         return _run_one(item, template, provider, decoding, max_transport_retries, sleep)
@@ -432,7 +435,6 @@ def run_inference(
         outcomes = [work(item) for item in items]
 
     result = InferenceResult(traces=[])
-    ids = [str(item["item_id"]) for item in items]
     for item_id, outcome in sorted(zip(ids, outcomes), key=lambda pair: pair[0]):
         if isinstance(outcome, ResponseTrace):
             result.traces.append(outcome)

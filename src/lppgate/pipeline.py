@@ -19,10 +19,8 @@ from .dataset import (
     ABSTENTIONS,
     LabeledRows,
     ResampleConfig,
-    SplitSpec,
     label_correctness,
     resample,
-    stratified_split,
 )
 from .features import (
     ALL_FAMILIES,
@@ -34,7 +32,7 @@ from .features import (
 )
 from .manifest import open_atomic, write_csv_atomic, write_json_atomic, write_text_atomic
 from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, decisions_at, sweep_threshold
-from .schema import OutcomeLabel, Reason, ResponseTrace
+from .schema import OutcomeLabel, Reason, ResponseTrace, check_item_ids
 from .trainer import TrainedGate, cross_fit_calibrated, grid_search, predict_score
 
 __all__ = [
@@ -129,20 +127,6 @@ def extract_table(
         matrix,
         {traces[i].item_id: invalid[i].reason for i in sorted(invalid)},
     )
-
-
-def check_item_ids(item_ids: Iterable[str], where: str) -> None:
-    """The id rule of every id-keyed file: raise for the first id that
-    has a line break or repeats an earlier one. No such file can hold a
-    line break, since its reader splits lines at a carriage return as well
-    as at a newline, and an item gets one decision, so one row."""
-    seen: set[str] = set()
-    for item in item_ids:
-        if "\n" in item or "\r" in item:
-            raise ValueError(f"item_id {item!r} holds a line break")
-        if item in seen:
-            raise ValueError(f"item_id {item!r} appears more than once in {where}")
-        seen.add(item)
 
 
 #: The sidecar key that records the binary copy of features.csv.
@@ -455,18 +439,18 @@ def run_ablation(
     table: FeatureTable,
     labels: Mapping[str, tuple[int, OutcomeLabel]],
     drop_families: Sequence[FeatureFamily],
-    split_spec: SplitSpec,
+    split: Sequence[Sequence[str]],
     cost: CostModel,
     resample_cfg: ResampleConfig | None = None,
     space: Sequence[trainer.RidgeConfig] | None = None,
     grid: np.ndarray | None = None,
     seed: int = 42,
 ) -> list[dict]:
-    """Retrain, sweep and route the table once whole and once without each
-    dropped family's columns, all on one split of its rows, and report the
-    test-cost delta against the full feature set."""
+    """Retrain, sweep and route the table on split's (train, validation,
+    test) ids, once whole, as train..evaluate do, and once without each
+    dropped family's columns; report each test-cost delta against the whole."""
     subsets = [table.without(family) for family in drop_families]
-    train_ids, validation_ids, test_ids = stratified_split(build_examples(table, labels), split_spec)
+    train_ids, validation_ids, test_ids = split
 
     def test_cost(t: FeatureTable) -> float:
         gate, _ = train_gate(t, labels, train_ids, resample_cfg, space, seed)

@@ -73,6 +73,7 @@ __all__ = [
     "trace_from_dict",
     "write_traces_jsonl",
     "read_traces_jsonl",
+    "check_item_ids",
 ]
 
 #: Governs trace files and synth: token_span clamps a logprob a hair above
@@ -600,3 +601,17 @@ def read_traces_jsonl(path) -> list[ResponseTrace]:
                 except (ValueError, KeyError, TypeError) as err:
                     raise ValueError(f"line {n} of {path}: {err}") from err
     return traces
+
+
+def check_item_ids(item_ids: Iterable[str], where: str) -> None:
+    """The id rule of every id-keyed file: raise for the first id that
+    has a line break or repeats an earlier one. No such file can hold a
+    line break, since its reader splits lines at a carriage return as well
+    as at a newline, and an item gets one decision, so one row."""
+    seen: set[str] = set()
+    for item in item_ids:
+        if "\n" in item or "\r" in item:
+            raise ValueError(f"item_id {item!r} holds a line break")
+        if item in seen:
+            raise ValueError(f"item_id {item!r} appears more than once in {where}")
+        seen.add(item)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; every tolerance is pinned here, not deferred.
 """
 
+import hashlib
 import json
 import math
 import time
@@ -377,8 +378,12 @@ def test_criterion_7_end_to_end_synthetic_frontier(tmp_path):
 
     assert cli_main([
         "ablate", "--out", str(out),
-        "--traces", str(out / "traces.jsonl"),
+        "--features", str(out / "features.csv"),
+        "--features-sidecar", str(out / "features.families.json"),
         "--labels", str(out / "labels.csv"),
+        "--train-ids", str(out / "train_ids.txt"),
+        "--validation-ids", str(out / "validation_ids.txt"),
+        "--test-ids", str(out / "test_ids.txt"),
         "--family", "attribution",
         "--seed", "42",
     ]) == 0
@@ -386,6 +391,21 @@ def test_criterion_7_end_to_end_synthetic_frontier(tmp_path):
     dropped_family, cost_without, delta = rows[1].split(",")
     assert dropped_family == "attribution"
     assert float(delta) > 0.0
+
+    # ablate reads the run's own table and split, so its full-table row is
+    # evaluate's meta-model result, and its inputs are files the run wrote
+    manifests = {
+        c: json.loads((out / f"{c}.manifest.json").read_text())
+        for c in ("synth", "extract", "split", "evaluate", "ablate")
+    }
+    meta_cost = manifests["evaluate"]["extra"]["meta_expected_cost"]
+    assert [r["full_cost"] for r in manifests["ablate"]["extra"]["rows"]] == [meta_cost]
+    written = {c: set(manifests[c]["outputs"]) for c in ("synth", "extract", "split")}
+    read = manifests["ablate"]["inputs"]
+    assert written["split"] <= set(read)
+    assert set(read) - written["synth"] <= written["extract"] | written["split"]
+    for path, digest in read.items():
+        assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest, path
 
     duration = time.perf_counter() - start
     assert duration < 300.0, f"pipeline took {duration:.1f}s"

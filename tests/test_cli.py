@@ -262,16 +262,15 @@ class TestBinaryFeatureCopy:
 
 
 class TestAblateCommand:
-    def test_single_family_row(self, tmp_path):
+    def test_single_family_row(self, workdir, tmp_path):
         out = tmp_path / "run"
-        assert run_cli("synth", "--out", out, "--n-items", 400) == 0
         assert (
             run_cli(
-                "ablate", "--out", out,
-                "--traces", out / "traces.jsonl",
-                "--labels", out / "labels.csv",
+                "ablate", "--out", out, *labelled(workdir),
+                "--train-ids", workdir / "train_ids.txt",
+                "--validation-ids", workdir / "validation_ids.txt",
+                "--test-ids", workdir / "test_ids.txt",
                 "--family", "attribution",
-                "--test-negatives", 30,
                 "--quick-grid",
             )
             == 0
@@ -491,6 +490,17 @@ class TestErrors:
         assert error["type"] == "ValueError"
         assert f"config key {key!r}" in error["message"]
         assert repr(bad) in error["message"] and str(cfg) in error["message"]
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_dataset_profile_flag_checked_as_the_config_key(self, tmp_path, capsys):
+        # one list of profiles: the flag's value gets the config key's error
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert run_cli("synth", "--out", out, "--n-items", 50, "--dataset-profile", "multi-modal") == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert "config key 'dataset_profile'" in error["message"]
+        assert "'multi-modal'" in error["message"] and "--config" not in error["message"]
         assert not out.exists() or not list(out.iterdir())
 
     def test_config_int_for_float_and_null_accepted(self, tmp_path):
@@ -818,7 +828,7 @@ _COMMON_FLAGS = {
     ("--config", "config", False, None, "JSON config file; flags override it", None, None),
     ("--cost-mis", "cost_mis", False, None, None, "float", None),
     ("--cost-ratio", "cost_ratio", False, None, None, "float", None),
-    ("--dataset-profile", "dataset_profile", False, None, None, None, ("openai-mod", "multimodal")),
+    ("--dataset-profile", "dataset_profile", False, None, None, None, None),
     ("--families", "families", False, None, "comma-separated feature families", None, None),
     ("--out", "out", True, None, "output directory", None, None),
     ("--seed", "seed", False, None, None, "int", None),
@@ -833,6 +843,7 @@ _LABELLED_FLAGS = {
 }
 _MODEL = ("--model", "model", True, None, None, None, None)
 _TEST_IDS = ("--test-ids", "test_ids", True, None, None, None, None)
+_TRAIN_IDS = ("--train-ids", "train_ids", True, None, None, None, None)
 _VALIDATION_IDS = ("--validation-ids", "validation_ids", True, None, None, None, None)
 PARSER_SNAPSHOT = {
     "synth": {
@@ -862,15 +873,16 @@ PARSER_SNAPSHOT = {
     "split": _LABELLED_FLAGS,
     "train": _LABELLED_FLAGS | {
         ("--quick-grid", "quick_grid", False, False, "reduced grid for smoke runs", None, None),
-        ("--train-ids", "train_ids", True, None, None, None, None),
+        _TRAIN_IDS,
     },
     "sweep": _LABELLED_FLAGS | {_MODEL, _VALIDATION_IDS},
     "evaluate": _LABELLED_FLAGS | {_MODEL, _VALIDATION_IDS, _TEST_IDS},
-    "ablate": {
+    "ablate": _LABELLED_FLAGS | {
+        _TRAIN_IDS,
+        _VALIDATION_IDS,
+        _TEST_IDS,
         ("--family", "family", False, "all", None, None, None),
-        ("--labels", "labels", True, None, None, None, None),
         ("--quick-grid", "quick_grid", False, False, None, None, None),
-        ("--traces", "traces", True, None, None, None, None),
     },
     "sensitivity": _LABELLED_FLAGS | {
         _MODEL,

@@ -397,6 +397,24 @@ class TestRunInference:
         ids = [t.item_id for t in result.traces]
         assert ids == sorted(ids)
 
+    @pytest.mark.parametrize("pool_width", [1, 3])
+    def test_repeated_id_refused_before_any_request(self, pool_width):
+        # one reason per id: a repeated id would otherwise collapse two
+        # failing items into one entry
+        class Counting(StubProvider):
+            calls = 0
+
+            def complete(self, request):
+                Counting.calls += 1
+                return super().complete(request)
+
+        fixtures = {f"it-{i:02d}": [valid_payload()] for i in range(3)}
+        items = [*self._items(3), {"item_id": "it-01", "text": "y"}]
+        template = load_template("text-direct")
+        with pytest.raises(ValueError, match="'it-01' appears more than once"):
+            run_inference(items, template, Counting(fixtures), pool_width=pool_width, sleep=NO_SLEEP)
+        assert Counting.calls == 0
+
     def test_decoding_override_requires_flag(self):
         template = load_template("text-direct")
         custom = DecodingConfig(temperature=0.7)

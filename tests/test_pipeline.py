@@ -16,9 +16,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lppgate import cli, pipeline, policy, trainer
+from lppgate import cli, dataset, pipeline, policy, schema, trainer
 from lppgate.dataset import ResampleConfig, SplitSpec, label_correctness, stratified_split
 from lppgate.features import ALL_FAMILIES, DEFAULT_TOP_K, FeatureFamily, catalog_names, family_of
+from lppgate.manifest import sha256_file
 from lppgate.schema import OutcomeLabel, token_span
 from lppgate.synth import SynthConfig, generate_corpus
 from tests import feature_file_reference
@@ -586,11 +587,17 @@ class TestTrainSweepEvaluate:
             )
 
 
+def _split(table, labels, test_negatives):
+    """The (train, validation, test) id lists split draws for the table."""
+    spec = SplitSpec(test_negative_count=test_negatives, seed=42)
+    return stratified_split(pipeline.build_examples(table, labels), spec)
+
+
 def _run_ablation_reference(
     traces,
     labels,
     drop_families,
-    split_spec,
+    split,
     cost,
     include=ALL_FAMILIES,
     resample_cfg=None,
@@ -600,12 +607,12 @@ def _run_ablation_reference(
     k=DEFAULT_TOP_K,
 ):
     """The per-subset ablation that run_ablation's column masks replaced:
-    extract and split the traces again for every family subset."""
+    extract the traces again for every family subset, on the given split."""
     include = tuple(include)
+    train_ids, validation_ids, test_ids = split
 
     def end_to_end(families):
         table = pipeline.extract_table(traces, families, k=k)
-        train_ids, validation_ids, test_ids = stratified_split(pipeline.build_examples(table, labels), split_spec)
         gate, _ = pipeline.train_gate(table, labels, train_ids, resample_cfg, space, seed)
         pipeline.sweep_gate(gate, table, labels, validation_ids, cost, grid)
         test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
@@ -645,11 +652,12 @@ def _wide_outcome_corpus(n=60):
 class TestAblation:
     def test_signal_bearing_family_increases_cost(self):
         traces, labels = corpus(n=1200, signal={"outcome_topk": 0.9, "attribution": 1.0})
+        table = pipeline.extract_table(traces)
         rows = pipeline.run_ablation(
-            pipeline.extract_table(traces),
+            table,
             labels,
             [FeatureFamily.ATTRIBUTION],
-            SplitSpec(test_negative_count=60, seed=42),
+            _split(table, labels, 60),
             policy.CostModel(),
             space=QUICK_SPACE,
             seed=42,
@@ -663,11 +671,12 @@ class TestAblation:
         traces, labels = corpus(n=1200, signal={"outcome_topk": 0.9, "verbalized": 0.0, "attribution": 1.0})
         z = [label_correctness(v[1], v[0]) for v in labels.values()]
         at = always_trust_cost(z, policy.CostModel())
+        table = pipeline.extract_table(traces)
         rows = pipeline.run_ablation(
-            pipeline.extract_table(traces),
+            table,
             labels,
             [FeatureFamily.VERBALIZED],
-            SplitSpec(test_negative_count=60, seed=42),
+            _split(table, labels, 60),
             policy.CostModel(),
             space=QUICK_SPACE,
             seed=42,
@@ -677,12 +686,13 @@ class TestAblation:
 
     def test_dropping_everything_rejected(self):
         traces, labels = corpus(n=100)
+        table = pipeline.extract_table(traces, (FeatureFamily.OUTCOME_TOPK,))
         with pytest.raises(ValueError, match="every feature family"):
             pipeline.run_ablation(
-                pipeline.extract_table(traces, (FeatureFamily.OUTCOME_TOPK,)),
+                table,
                 labels,
                 [FeatureFamily.OUTCOME_TOPK],
-                SplitSpec(test_negative_count=5, seed=42),
+                _split(table, labels, 5),
                 policy.CostModel(),
                 space=QUICK_SPACE[:1],
                 seed=42,
@@ -690,12 +700,13 @@ class TestAblation:
 
     def test_dropping_family_not_included_rejected(self):
         traces, labels = corpus(n=100)
+        table = pipeline.extract_table(traces, (FeatureFamily.OUTCOME_TOPK, FeatureFamily.ATTRIBUTION))
         with pytest.raises(ValueError, match="not in the included set"):
             pipeline.run_ablation(
-                pipeline.extract_table(traces, (FeatureFamily.OUTCOME_TOPK, FeatureFamily.ATTRIBUTION)),
+                table,
                 labels,
                 [FeatureFamily.VERBALIZED],
-                SplitSpec(test_negative_count=5, seed=42),
+                _split(table, labels, 5),
                 policy.CostModel(),
                 space=QUICK_SPACE[:1],
                 seed=42,
@@ -723,32 +734,41 @@ class TestAblation:
 
     def test_masks_equal_per_subset_reference(self):
         traces, labels = corpus(n=600, cot=True)
-        args = (labels, ALL_FAMILIES, SplitSpec(test_negative_count=45, seed=42), policy.CostModel())
+        table = pipeline.extract_table(traces)
+        args = (labels, ALL_FAMILIES, _split(table, labels, 45), policy.CostModel())
         kwargs = {"space": QUICK_SPACE[:1], "grid": policy.tau_grid(), "seed": 42}
-        rows = pipeline.run_ablation(pipeline.extract_table(traces), *args, **kwargs)
+        rows = pipeline.run_ablation(table, *args, **kwargs)
         assert len(rows) == len(ALL_FAMILIES)
         assert rows == _run_ablation_reference(traces, *args, **kwargs)
 
-    def test_ablate_extracts_and_splits_once(self, tmp_path, monkeypatch):
-        calls = {"extract_table": 0, "stratified_split": 0}
-
-        def counted(name):
-            inner = getattr(pipeline, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(pipeline, name, wrapper)
-
-        counted("extract_table")
-        counted("stratified_split")
+    def test_ablate_reads_the_runs_table_and_split(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         assert cli.main(["synth", "--out", str(out), "--n-items", "300"]) == 0
-        argv = ["ablate", "--out", str(out), "--traces", str(out / "traces.jsonl"), "--labels", str(out / "labels.csv")]
-        assert cli.main(argv + ["--family", "all", "--test-negatives", "20", "--quick-grid"]) == 0
+        assert cli.main(["extract", "--out", str(out), "--traces", str(out / "traces.jsonl")]) == 0
+        labelled = [
+            "--features", str(out / "features.csv"),
+            "--features-sidecar", str(out / "features.families.json"),
+            "--labels", str(out / "labels.csv"),
+        ]
+        assert cli.main(["split", "--out", str(out), *labelled, "--test-negatives", "20"]) == 0
+        ids = [a for name in ("train", "validation", "test") for a in (f"--{name}-ids", str(out / f"{name}_ids.txt"))]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("ablate extracted or split again")
+
+        for module, name in [
+            (pipeline, "extract_table"),
+            (cli, "read_traces_jsonl"),
+            (schema, "read_traces_jsonl"),
+            (cli, "stratified_split"),
+            (dataset, "stratified_split"),
+        ]:
+            monkeypatch.setattr(module, name, refused)
+        argv = ["ablate", "--out", str(out), *labelled, *ids, "--family", "all", "--quick-grid"]
+        assert cli.main(argv) == 0
         assert len((out / "ablation.csv").read_text().splitlines()) == 1 + len(ALL_FAMILIES)
-        assert calls == {"extract_table": 1, "stratified_split": 1}
+        inputs = json.loads((out / "ablate.manifest.json").read_text())["inputs"]
+        assert inputs == {path: sha256_file(path) for path in (labelled + ids)[1::2]}
 
     def test_overflow_row_keeps_one_split_for_every_subset(self, monkeypatch):
         # dropping sequence would make this row valid if each subset were
@@ -770,7 +790,7 @@ class TestAblation:
 
         monkeypatch.setattr(pipeline, "train_gate", recording)
         pipeline.run_ablation(
-            table, labels, ALL_FAMILIES, SplitSpec(test_negative_count=45, seed=42),
+            table, labels, ALL_FAMILIES, _split(table, labels, 45),
             policy.CostModel(), space=QUICK_SPACE[:1], seed=42,
         )
         assert len(seen) == 1 + len(ALL_FAMILIES)
