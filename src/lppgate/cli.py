@@ -31,7 +31,7 @@ import numpy as np
 
 from . import evaluation, gateway, pipeline, policy, synth, trainer
 from .dataset import ResampleConfig, SplitSpec, stratified_split
-from .features import ALL_FAMILIES, FeatureFamily, family_of
+from .features import ALL_FAMILIES, DEFAULT_TOP_K, FeatureFamily, family_of
 from .manifest import build_manifest, sha256_file, write_csv_atomic, write_json_atomic
 from .policy import CostModel
 from .schema import Reason, read_traces_jsonl, write_traces_jsonl
@@ -42,18 +42,18 @@ __all__ = ["main", "RunConfig"]
 @dataclass
 class RunConfig:
     seed: int = 42
-    top_k: int = 5
+    top_k: int = DEFAULT_TOP_K
     cost_mis: float = 1.0
     cost_ratio: float = 0.64
-    tau_min: float = 0.35
-    tau_max: float = 0.70
-    tau_step: float = 0.005
+    tau_min: float = policy.DEFAULT_TAU_RANGE[0]
+    tau_max: float = policy.DEFAULT_TAU_RANGE[1]
+    tau_step: float = policy.DEFAULT_TAU_STEP
     families: list[str] = field(default_factory=lambda: [f.value for f in ALL_FAMILIES])
     dataset_profile: str = "openai-mod"
     test_negatives: int | None = None  # overrides the profile when set
     validation_fraction: float = 0.20
     target_majority_ratio: float = 4.0
-    sensitivity_ratios: list[float] = field(default_factory=lambda: [0.4, 0.64, 0.9])
+    sensitivity_ratios: list[float] = field(default_factory=lambda: list(policy.DEFAULT_SENSITIVITY_RATIOS))
 
     def __post_init__(self):
         for name, hint in typing.get_type_hints(type(self)).items():
@@ -70,6 +70,9 @@ class RunConfig:
         for family in self.families:
             if family not in families:
                 raise ValueError(f"config key 'families' must hold values of {families}, got {family!r}")
+        # the derived settings run their own range checks, so a bad value is
+        # refused before any stage runs, not by the first stage that reads it
+        self.cost_model(), self.tau_grid(), self.split_spec(), self.resample_config()
 
     def cost_model(self) -> CostModel:
         return CostModel(c_mis=self.cost_mis, c_rev=self.cost_ratio * self.cost_mis)

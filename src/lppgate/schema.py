@@ -10,16 +10,15 @@ arrays, which token_span builds from synth and provider tokens. A response
 that fails to parse raises ParseFailure; the gateway's retry loop decides
 what to do with it.
 
-Every span is built by one bulk rule (_bulk_span) over four parallel
-lists: the chosen surfaces and logprobs, and each token's candidate
-surfaces and logprobs. When every logprob is at most 0 and their sum is
-finite, no value needs a check of its own: a missing chosen token is
-appended, only the candidate rows not already in descending order are
-sorted, and the rows are padded. token_span unzips its triples into
-those lists, and the trace reader hands a record's lists in as they
-stand. Any span the rule refuses is built by the per-value loop
-(_checked_span), which holds the clamp, append and sort rules and every
-InvalidLogprob message; both give the same span bit for bit.
+Every span is built by one function (_span_of) over four parallel lists:
+the chosen surfaces and logprobs, and each token's candidate surfaces and
+logprobs. When every logprob is at most 0 and their sum is finite, no
+value needs a check of its own; otherwise each value passes through
+_checked_logprob in stream order, which clamps it or raises with every
+InvalidLogprob message. Then a missing chosen token is appended, only the
+candidate rows not already in descending order are sorted, and the rows
+are padded. token_span unzips its triples into those lists, and the trace
+reader hands a record's lists in as they stand.
 
 A trace file holds one JSON line per trace, and each span of a line is one
 record of those four lists, its candidate rows sorted and unpadded (see
@@ -232,97 +231,67 @@ def token_span(tokens: Iterable[tuple[str, float, Iterable[tuple[str, float]]]])
     is appended to them with its own logprob, and each token's candidates
     are stably sorted by descending logprob.
 
-    The triples are unzipped into four parallel lists for _bulk_span.
-    A span it refuses, one whose candidates are not a list or tuple, and
-    one whose triples do not unpack are built by _checked_span's per-value
-    loop, which clamps, appends, sorts or raises; both give the same span
-    bit for bit.
+    The triples are unzipped into four parallel lists for _span_of, each
+    one-shot iterator of candidates read once. A triple or candidate pair
+    that does not unpack raises ValueError during the unzip, before any
+    logprob is checked.
     """
-    if type(tokens) is not list and type(tokens) is not tuple:
-        tokens = list(tokens)
-    if not tokens:
-        return _EMPTY_SPAN
-    span = None
     chosen, chosen_lps, surfaces, rows = [], [], [], []
-    try:
-        for surface, logprob, candidates in tokens:
-            if type(candidates) is not list and type(candidates) is not tuple:
-                break  # an iterator can be read only once: the loop reads it
-            chosen.append(surface)
-            chosen_lps.append(logprob)
-            surfaces.append(tuple([s for s, _ in candidates]))
-            rows.append([l for _, l in candidates])
-        else:
-            span = _bulk_span(chosen, chosen_lps, surfaces, rows)
-    except (TypeError, ValueError):  # a malformed triple: the loop raises what it raises
-        pass
-    return _checked_span(tokens) if span is None else span
+    for surface, logprob, candidates in tokens:
+        if type(candidates) is not list and type(candidates) is not tuple:
+            candidates = list(candidates)
+        chosen.append(surface)
+        chosen_lps.append(logprob)
+        surfaces.append(tuple([s for s, _ in candidates]))
+        rows.append([l for _, l in candidates])
+    return _span_of(chosen, chosen_lps, surfaces, rows)
 
 
-def _bulk_span(chosen: list, chosen_lps: list, surfaces: list, rows: list) -> TokenSpan | None:
-    """The span of T tokens given as four parallel lists (the chosen
-    surfaces and logprobs, each token's candidate surfaces and logprobs),
-    or None when some value needs _checked_logprob.
+def _span_of(chosen: list, chosen_lps: list, surfaces: list, rows: list) -> TokenSpan:
+    """The span of T tokens given as four parallel lists: the chosen
+    surfaces and logprobs, and each token's candidate surfaces and logprobs.
 
-    A span passes when every logprob is at most 0 and their sum is finite:
-    nan, ±inf, an overflowing sum and a value that is not a number all fail.
-    A missing chosen token is appended to its candidates, only the rows not
-    already in descending order are stably sorted, and the rows are padded
-    with -inf. The lists given are left as they are.
+    When every logprob is at most 0 and their sum is finite, no value needs
+    a check of its own. Otherwise (nan, ±inf, an overflowing sum, a value
+    in the clamp tolerance, a value that is not a number) every value goes
+    through _checked_logprob in stream order, a token's own logprob and then
+    its candidates', which clamps it or raises. Either way a missing chosen
+    token is then appended to its candidates, only the rows not already in
+    descending order are stably sorted, and the rows are padded with -inf.
+    The lists given are left as they are.
     """
+    if not chosen:
+        return _EMPTY_SPAN
     try:
         flat = list(chain(chosen_lps, *rows))
-        if not (max(flat) <= 0.0 and math.isfinite(sum(flat))):
-            return None
-        out_surfaces, out_rows = [], []
+        in_range = max(flat) <= 0.0 and math.isfinite(sum(flat))
+    except (TypeError, ValueError, ArithmeticError):  # a value that is not a number: float() decides
+        in_range = False
+    if not in_range:
+        checked_lps, checked_rows = [], []
         for surface, logprob, srf, row in zip(chosen, chosen_lps, surfaces, rows):
-            srf = tuple(srf)
-            if surface not in srf:
-                srf += (surface,)
-                row = [*row, logprob]
-            if len(row) > 1 and row != sorted(row, reverse=True):
-                # stable, by the float values the span holds: ties keep their order
-                values, srf = zip(*sorted(zip(map(float, row), srf), key=itemgetter(0), reverse=True))
-                row = list(values)
-            out_surfaces.append(srf)
-            out_rows.append(row)
-        widths = set(map(len, out_rows))
-        if len(widths) == 1:
-            padded = np.array(out_rows, dtype=float)
-        else:
-            width = max(widths)
-            padded = np.array([row + [-math.inf] * (width - len(row)) for row in out_rows], dtype=float)
-    except (TypeError, ValueError, ArithmeticError):  # a value that is not a number: the loop's float() decides
-        return None
-    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(out_surfaces), padded)
-
-
-def _checked_span(tokens: Iterable[tuple]) -> TokenSpan:
-    """The span of token_span triples value by value, for any span
-    _bulk_span refuses: each logprob checked and clamped by
-    _checked_logprob, the chosen token appended where missing, each row
-    stably sorted."""
-    chosen, chosen_lps, surfaces, rows = [], [], [], []
-    width = 0
-    for surface, logprob, candidates in tokens:
-        lp = _checked_logprob(surface, logprob)
-        srf, row = [], []
-        for s, l in candidates:
-            srf.append(s)
-            row.append(_checked_logprob(s, l))
+            checked_lps.append(_checked_logprob(surface, logprob))
+            checked_rows.append([_checked_logprob(s, l) for s, l in zip(srf, row)])
+        chosen_lps, rows = checked_lps, checked_rows
+    out_surfaces, out_rows = [], []
+    for surface, logprob, srf, row in zip(chosen, chosen_lps, surfaces, rows):
+        srf = tuple(srf)
         if surface not in srf:
-            srf.append(surface)
-            row.append(lp)
-        order = sorted(range(len(row)), key=row.__getitem__, reverse=True)
-        chosen.append(surface)
-        chosen_lps.append(lp)
-        surfaces.append(tuple(srf[i] for i in order))
-        rows.append([row[i] for i in order])
-        width = max(width, len(row))
-    if not rows:
-        return _EMPTY_SPAN
-    padded = np.array([r + [-math.inf] * (width - len(r)) for r in rows], dtype=float)
-    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(surfaces), padded)
+            srf += (surface,)
+            row = [*row, logprob]
+        if len(row) > 1 and row != sorted(row, reverse=True):
+            # stable, by the float values the span holds: ties keep their order
+            values, srf = zip(*sorted(zip(map(float, row), srf), key=itemgetter(0), reverse=True))
+            row = list(values)
+        out_surfaces.append(srf)
+        out_rows.append(row)
+    widths = set(map(len, out_rows))
+    if len(widths) == 1:
+        padded = np.array(out_rows, dtype=float)
+    else:
+        width = max(widths)
+        padded = np.array([row + [-math.inf] * (width - len(row)) for row in out_rows], dtype=float)
+    return TokenSpan(tuple(chosen), np.array(chosen_lps, dtype=float), tuple(out_surfaces), padded)
 
 
 @dataclass
@@ -536,17 +505,13 @@ def _span_record(span: TokenSpan) -> dict:
 
 
 def _span_from_record(rec: dict) -> TokenSpan:
-    """Read a span record by token_span's rule: its four lists go to
-    _bulk_span as they stand, and a record it refuses goes, as triples, to
-    _checked_span, which clamps, appends, sorts or raises as it does for
-    the gateway."""
+    """Read a span record by token_span's rule: its four lists, once their
+    lengths match, go to _span_of as they stand, which clamps, appends,
+    sorts or raises as it does for the gateway."""
     chosen, chosen_lps, surfaces, rows = rec["chosen"], rec["chosen_logprobs"], rec["surfaces"], rec["logprobs"]
     if not len(chosen) == len(chosen_lps) == len(surfaces) or list(map(len, surfaces)) != list(map(len, rows)):
         raise ValueError("span record lists differ in length")
-    if not chosen:
-        return _EMPTY_SPAN
-    span = _bulk_span(chosen, chosen_lps, surfaces, rows)
-    return _checked_span(zip(chosen, chosen_lps, map(zip, surfaces, rows))) if span is None else span
+    return _span_of(chosen, chosen_lps, surfaces, rows)
 
 
 def trace_from_dict(obj: dict) -> ResponseTrace:

@@ -557,6 +557,34 @@ class TestErrors:
         assert error["type"] == "ValueError" and "top_k" in error["message"]
         assert not (out / "features.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--cost-ratio", "-1"], {"cost_ratio": -1}, "costs must be positive"),
+            (["--tau-step", "0"], {"tau_step": 0}, "threshold grid needs step > 0 and lo <= hi"),
+            (["--tau-range", "0.7:0.3"], {"tau_min": 0.7, "tau_max": 0.3}, "threshold grid needs step > 0 and lo <= hi"),
+            (["--test-negatives", "0"], {"test_negatives": 0}, "test_negative_count must be positive"),
+            (None, {"validation_fraction": 2.0}, "validation_fraction must be in (0, 1)"),
+            (None, {"target_majority_ratio": -1}, "target_majority_ratio must be positive"),
+            (None, {"validation_fraction": 2.0, "target_majority_ratio": -1}, "validation_fraction must be in (0, 1)"),
+        ],
+        ids=["cost-ratio", "tau-step", "tau-range", "test-negatives", "validation-fraction", "majority-ratio", "both"],
+    )
+    def test_extract_refuses_a_derived_setting_out_of_range(self, workdir, tmp_path, capsys, flags, config, message):
+        # a value only a later stage reads is refused by the first command
+        # that loads the config, whether a flag or the config file gave it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        given = {"config": ["--config", cfg], **({"flag": flags} if flags else {})}
+        for name, argv in given.items():
+            out = tmp_path / name
+            capsys.readouterr()
+            assert run_cli("extract", "--out", out, "--traces", workdir / "traces.jsonl", *argv) == 1
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["type"] == "ValueError" and error["message"].startswith(message)
+            assert (f"(--config {cfg})" in error["message"]) == (name == "config")
+            assert not (out / "features.csv").exists()
+
     def test_split_refuses_a_repeated_feature_row(self, workdir, tmp_path, capsys):
         run = tmp_path / "run"
         run.mkdir()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from lppgate.schema import (
     ConfidenceBand,
+    InvalidLogprob,
     LOGPROB_TOLERANCE,
     OutcomeLabel,
     ParseFailure,
@@ -690,6 +691,33 @@ def _assert_reads_like_token_span(tokens):
     obj = {"item_id": "x", "structured": {"outcome": 1}, "spans": {"outcome": outcome, "reasoning": _record(tokens)}}
     obj = json.loads(json.dumps(obj))
     assert _outcome(lambda: trace_from_dict(obj).reasoning) == _outcome(lambda: token_span(tokens))
+
+
+class TestUnzipBeforeCheck:
+    """token_span unzips every triple before it checks a logprob, so a
+    triple or candidate pair that does not unpack is raised ahead of a bad
+    logprob earlier in the stream, which token_span_reference, checking
+    each value as it reads it, raises instead."""
+
+    @pytest.mark.parametrize("tokens, message", [
+        ([("a", math.nan, []), ("b", -1.0)], "not enough values to unpack (expected 3, got 2)"),
+        ([("a", math.nan, [("a", -0.5), ("b",)])], "not enough values to unpack (expected 2, got 1)"),
+        ([("a", 0.5, []), ("b", -1.0, [], "extra")], "too many values to unpack (expected 3)"),
+    ], ids=["triple", "pair", "long-triple"])
+    def test_unpack_error_comes_first(self, tokens, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as raised:
+            token_span(tokens)
+        assert not isinstance(raised.value, InvalidLogprob)
+        with pytest.raises(InvalidLogprob):
+            token_span_reference(tokens)
+
+    @pytest.mark.parametrize("tokens", [
+        [("a", math.nan, []), ("b", -1.0, [])],
+        [("a", -0.5, []), ("b", -1.0)],
+        [("a", -0.5, [("a", -0.5), ("b",)])],
+    ], ids=["bad-logprob", "short-triple", "short-pair"])
+    def test_a_single_fault_raises_as_before(self, tokens):
+        assert _built(token_span, tokens) == _built(token_span_reference, tokens)
 
 
 class TestBulkRuleOrder:

@@ -1,8 +1,8 @@
 """The per-token classes that schema.TokenSpan replaced, kept as the
 reference that token_span, the span records trace_from_dict reads and the
-feature kernels are checked against; token_span's per-value loop, the
-reference for its bulk check; and the per-token loop that
-gateway.segment_spans replaced."""
+feature kernels are checked against; token_span as one loop that checks
+each value before it appends and sorts, the reference for its span
+builder; and the per-token loop that gateway.segment_spans replaced."""
 
 from __future__ import annotations
 
