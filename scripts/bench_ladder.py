@@ -7,8 +7,9 @@ Example:
 
 Every stage of synth -> extract -> split -> train -> sweep -> evaluate ->
 sensitivity runs as its own ``python -m lppgate.cli`` child process, as a
-user running the CLI would start it, on the checkout's ``src/``. Per stage
-the file records:
+user running the CLI would start it, on the checkout's ``src/``, with the
+argv ``cli.stage_argv`` builds from that ``src/``. Per stage the file
+records:
 
 - ``timing_s``: the wall time the stage's manifest records, which starts
   after the imports and argument parsing;
@@ -71,6 +72,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))  # the checkout's lppgate, as the stages' children run it
+from lppgate import cli  # noqa: E402
+
 SIZES = (1000, 3000, 10000)
 SEED = 42
 STAGES = ("synth", "extract", "split", "train", "sweep", "evaluate", "sensitivity")
@@ -85,25 +89,10 @@ ONLINE_PASSES = 3
 
 
 def stage_argv(stage: str, out: Path, n_items: int, cot: bool) -> list[str]:
-    labelled = [
-        "--features", out / "features.csv",
-        "--features-sidecar", out / "features.families.json",
-        "--labels", out / "labels.csv",
-    ]
-    model = ["--model", out / "model.json"]
-    argv = {
-        "synth": ["--n-items", n_items, *(["--cot"] if cot else [])],
-        "extract": ["--traces", out / "traces.jsonl"],
-        "split": [*labelled, "--test-negatives", n_items // 20],
-        "train": [*labelled, "--train-ids", out / "train_ids.txt"],
-        "sweep": [*labelled, *model, "--validation-ids", out / "validation_ids.txt"],
-        "evaluate": [
-            *labelled, *model,
-            "--validation-ids", out / "validation_ids.txt", "--test-ids", out / "test_ids.txt",
-        ],
-        "sensitivity": [*labelled, *model, "--test-ids", out / "test_ids.txt"],
-    }[stage]
-    return [stage, "--out", str(out), "--seed", str(SEED), *(str(a) for a in argv)]
+    if stage == "synth":
+        return [stage, "--out", str(out), "--seed", str(SEED), "--n-items", str(n_items), *(["--cot"] if cot else [])]
+    flags = ["--test-negatives", str(n_items // 20)] if stage == "split" else []
+    return [*cli.stage_argv(stage, out), "--seed", str(SEED), *flags]
 
 
 def run_stage(argv: list[str]) -> tuple[float, float]:
@@ -159,8 +148,7 @@ def traced_chain(out: str, n_items: int, cot: bool) -> tuple[list[str], dict]:
     tracer; returns the traced names and {stage: {span: summary}}. Meant
     for a fresh child process: it imports lppgate and perfbench from the
     checkout and wraps their functions for good."""
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
-    from lppgate import cli
+    sys.path.insert(0, str(ROOT))
     from perfbench import tracer
 
     tracer.TRACED += EXTRA_TRACED
@@ -225,12 +213,11 @@ def run_layers(work: Path) -> dict:
 def online_items(out: str) -> dict:
     """Route every trace of ``out``'s traces.jsonl alone, ONLINE_PASSES
     times; returns each step's p50 and p99 microseconds per item. Meant
-    for a fresh child process: it imports lppgate from the checkout."""
-    sys.path[:0] = [str(ROOT / "src")]
+    for a fresh child process."""
     from lppgate import pipeline, policy, schema, trainer
 
-    traces = schema.read_traces_jsonl(Path(out) / "traces.jsonl")
-    gate = trainer.load_gate(Path(out) / "model.json")
+    traces = schema.read_traces_jsonl(Path(out) / cli.RUN_FILES["traces"])
+    gate = trainer.load_gate(Path(out) / cli.RUN_FILES["model"])
     # each trace's reasoning span as the gateway hands it to token_span
     triples = []
     for t in traces:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from lppgate.cli import main as lppgate
+from lppgate.cli import main as lppgate, stage_argv
 
 
 def run(*argv):
@@ -31,25 +31,11 @@ def main():
     args = parser.parse_args()
 
     out = Path(args.out)
-    common = [
-        "--features", out / "features.csv",
-        "--features-sidecar", out / "features.families.json",
-        "--labels", out / "labels.csv",
-        "--seed", args.seed,
-    ]
     run("synth", "--out", out, "--n-items", args.n_items, "--seed", args.seed)
-    run("extract", "--out", out, "--traces", out / "traces.jsonl", "--seed", args.seed)
-    run("split", "--out", out, *common, "--test-negatives", args.test_negatives)
-    ablate_args = [
-        "ablate", "--out", out, *common,
-        "--train-ids", out / "train_ids.txt",
-        "--validation-ids", out / "validation_ids.txt",
-        "--test-ids", out / "test_ids.txt",
-        "--family", args.family,
-    ]
-    if args.quick_grid:
-        ablate_args.append("--quick-grid")
-    run(*ablate_args)
+    run(*stage_argv("extract", out), "--seed", args.seed)
+    run(*stage_argv("split", out), "--seed", args.seed, "--test-negatives", args.test_negatives)
+    run(*stage_argv("ablate", out), "--seed", args.seed, "--family", args.family,
+        *(["--quick-grid"] if args.quick_grid else []))
     print((out / "ablation.csv").read_text())
 
 

@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from lppgate.cli import main as lppgate
+from lppgate.cli import main as lppgate, stage_argv
 
 
 def run(*argv):
@@ -35,28 +35,17 @@ def main():
     args = parser.parse_args()
 
     out = Path(args.out)
-    common = [
-        "--features", out / "features.csv",
-        "--features-sidecar", out / "features.families.json",
-        "--labels", out / "labels.csv",
-        "--seed", args.seed,
-        "--cost-ratio", args.cost_ratio,
-    ]
     run("synth", "--out", out, "--n-items", args.n_items,
         "--error-rate", args.error_rate, "--abstention-rate", args.abstention_rate,
         "--seed", args.seed)
-    run("extract", "--out", out, "--traces", out / "traces.jsonl", "--seed", args.seed)
-    run("split", "--out", out, *common, "--test-negatives", args.test_negatives)
-    train_args = ["train", "--out", out, *common, "--train-ids", out / "train_ids.txt"]
-    if args.quick_grid:
-        train_args.append("--quick-grid")
-    run(*train_args)
-    run("sweep", "--out", out, *common, "--model", out / "model.json",
-        "--validation-ids", out / "validation_ids.txt")
-    run("evaluate", "--out", out, *common, "--model", out / "model.json",
-        "--validation-ids", out / "validation_ids.txt", "--test-ids", out / "test_ids.txt")
-    run("sensitivity", "--out", out, *common, "--model", out / "model.json",
-        "--test-ids", out / "test_ids.txt")
+    common = ["--seed", args.seed, "--cost-ratio", args.cost_ratio]
+    flags = {
+        "extract": ["--seed", args.seed],
+        "split": [*common, "--test-negatives", args.test_negatives],
+        "train": [*common, *(["--quick-grid"] if args.quick_grid else [])],
+    }
+    for command in ("extract", "split", "train", "sweep", "evaluate", "sensitivity"):
+        run(*stage_argv(command, out), *flags.get(command, common))
 
     print((out / "evaluation.csv").read_text())
     report = json.loads((out / "evaluation.json").read_text())

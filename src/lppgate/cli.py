@@ -7,10 +7,11 @@ encode the experiment constants (seed 42, top-k 5, top-20 logprobs, tau in
 grids). Every artifact-writing command emits exactly one manifest that
 hash-chains outputs to inputs.
 
-Each subcommand declares its input files once in `build_parser`; `main`
-checks and hashes them before the command runs. A command takes each output
-path from `out(name)` just before writing it. On error `main` prints a JSON
-error to stderr, exits 1 and removes every path `out()` handed out.
+Each subcommand's input files are declared once, in `INPUTS`, and their
+files in a run directory in `RUN_FILES`; `main` checks and hashes them
+before the command runs. A command takes each output path from `out(name)`
+just before writing it. On error `main` prints a JSON error to stderr,
+exits 1 and removes every path `out()` handed out.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .manifest import build_manifest, sha256_file, write_csv_atomic, write_json_
 from .policy import CostModel
 from .schema import Reason, read_traces_jsonl, write_traces_jsonl
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main", "RunConfig", "INPUTS", "RUN_FILES", "stage_argv"]
 
 
 @dataclass
@@ -159,6 +160,46 @@ def _load_features(args) -> pipeline.FeatureTable:
     return pipeline.load_features(args.features, args.features_sidecar, csv_sha256=args.snapshot[args.features])
 
 
+#: Each command's input file dests, in the order of its flags.
+INPUTS: dict[str, tuple[str, ...]] = {
+    "synth": (),
+    "generate": ("items", "stub"),
+    "extract": ("traces",),
+    "split": ("features", "features_sidecar", "labels"),
+    "train": ("features", "features_sidecar", "labels", "train_ids"),
+    "sweep": ("model", "features", "features_sidecar", "labels", "validation_ids"),
+    "evaluate": ("model", "features", "features_sidecar", "labels", "validation_ids", "test_ids"),
+    "ablate": ("features", "features_sidecar", "labels", "train_ids", "validation_ids", "test_ids"),
+    "sensitivity": ("model", "features", "features_sidecar", "labels", "test_ids"),
+}
+
+#: Each input's file in a run directory, where the command upstream writes
+#: it. perfbench's workloads._stage_argv spells these names too, so they stay.
+RUN_FILES = {
+    "traces": "traces.jsonl",
+    "labels": "labels.csv",
+    "features": "features.csv",
+    "features_sidecar": "features.families.json",
+    "train_ids": "train_ids.txt",
+    "validation_ids": "validation_ids.txt",
+    "test_ids": "test_ids.txt",
+    "model": "model.json",
+}
+
+
+def stage_argv(command: str, run_dir: str | os.PathLike) -> list[str]:
+    """`command`'s argv on run_dir: --out and each input flag at its
+    RUN_FILES path there. The caller adds the flags that name no file; an
+    input that is no run-directory file is a ValueError."""
+    argv = [command, "--out", str(run_dir)]
+    for dest in INPUTS[command]:
+        flag = "--" + dest.replace("_", "-")
+        if dest not in RUN_FILES:
+            raise ValueError(f"{command} reads {flag}, which names no run-directory file")
+        argv += [flag, os.path.join(run_dir, RUN_FILES[dest])]
+    return argv
+
+
 def _require_inputs(args) -> dict[str, str]:
     """Check the command's declared input files exist and snapshot their
     hashes before it runs, so the manifest chains to the bytes it read."""
@@ -194,9 +235,9 @@ def cmd_synth(args, cfg: RunConfig, out):
         seed=cfg.seed,
     )
     traces, labels = synth.generate_corpus(scfg)
-    traces_path = out("traces.jsonl")
+    traces_path = out(RUN_FILES["traces"])
     write_traces_jsonl(traces, traces_path)
-    labels_path = out("labels.csv")
+    labels_path = out(RUN_FILES["labels"])
     pipeline.save_labels(labels, labels_path)
     extra = {"n_items": scfg.n_items, "synth_config": dataclasses.asdict(scfg)}
     return [traces_path, labels_path], extra
@@ -240,7 +281,7 @@ def cmd_generate(args, cfg: RunConfig, out):
         allow_decoding_override=args.allow_decoding_override,
         pool_width=args.pool_width,
     )
-    traces_path = out("traces.jsonl")
+    traces_path = out(RUN_FILES["traces"])
     write_traces_jsonl(result.traces, traces_path)
     reasons = result.reasons.items()
     extra = {
@@ -258,9 +299,9 @@ def cmd_generate(args, cfg: RunConfig, out):
 def cmd_extract(args, cfg: RunConfig, out):
     traces = read_traces_jsonl(args.traces)
     table = pipeline.extract_table(traces, cfg.family_set(), k=cfg.top_k)
-    csv_path = out("features.csv")
+    csv_path = out(RUN_FILES["features"])
     copy_name = os.path.basename(pipeline.binary_copy_path(csv_path))
-    paths = [csv_path, out("features.families.json"), out(copy_name)]
+    paths = [csv_path, out(RUN_FILES["features_sidecar"]), out(copy_name)]
     pipeline.save_features(table, *paths[:2])
     extra = {
         "rows": len(table.item_ids),
@@ -278,7 +319,7 @@ def cmd_split(args, cfg: RunConfig, out):
     ids = dict(zip(("train", "validation", "test"), split))
     outputs = []
     for name, name_ids in ids.items():
-        outputs.append(out(f"{name}_ids.txt"))
+        outputs.append(out(RUN_FILES[f"{name}_ids"]))
         pipeline.write_id_list(name_ids, outputs[-1])
     counts = {name: len(name_ids) for name, name_ids in ids.items()}
     return outputs, {"counts": counts, "split": dataclasses.asdict(cfg.split_spec())}
@@ -292,7 +333,7 @@ def cmd_train(args, cfg: RunConfig, out):
     gate, report = pipeline.train_gate(
         table, labels, train_ids, cfg.resample_config(), space, cfg.seed
     )
-    model_path = out("model.json")
+    model_path = out(RUN_FILES["model"])
     trainer.save_gate(gate, model_path)
     report_path = out("train_report.json")
     write_json_atomic(report_path, report)
@@ -413,11 +454,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, run, summary, *inputs):
-        """Add a subcommand with the common flags and one --flag per input
-        file dest; main checks and hashes those files before run()."""
+    def command(name, run, summary):
+        """Add a subcommand with the common flags and one --flag per dest
+        of INPUTS[name]; main checks and hashes those files before run()."""
         p = sub.add_parser(name, help=summary)
-        p.set_defaults(run=run, inputs=inputs)
+        p.set_defaults(run=run, inputs=INPUTS[name])
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", required=True, help="output directory")
@@ -428,13 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--families", help="comma-separated feature families")
         p.add_argument("--dataset-profile", dest="dataset_profile")
         p.add_argument("--test-negatives", type=int, dest="test_negatives")
-        for dest in inputs:
-            p.add_argument(
-                "--" + dest.replace("_", "-"), required=dest != "stub", help=_INPUT_HELP.get(dest)
-            )
+        for dest in INPUTS[name]:
+            p.add_argument("--" + dest.replace("_", "-"), required=dest != "stub", help=_INPUT_HELP.get(dest))
         return p
-
-    labelled = ("features", "features_sidecar", "labels")
 
     p = command("synth", cmd_synth, "generate a synthetic corpus with known truth")
     p.add_argument("--n-items", type=int, default=3000)
@@ -443,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal", help="JSON mapping family -> signal strength")
     p.add_argument("--cot", action="store_true")
 
-    p = command("generate", cmd_generate, "run inference and capture traces", "items", "stub")
+    p = command("generate", cmd_generate, "run inference and capture traces")
     p.add_argument("--template", default="text-direct", choices=gateway.TEMPLATE_IDS)
     p.add_argument("--endpoint")
     p.add_argument("--model-name", dest="model_name")
@@ -454,32 +491,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-output-tokens", type=int, default=8096)
     p.add_argument("--top-logprobs", type=int, default=20)
 
-    command("extract", cmd_extract, "compute the feature matrix from traces", "traces")
-    command("split", cmd_split, "deterministic stratified split", *labelled)
+    command("extract", cmd_extract, "compute the feature matrix from traces")
+    command("split", cmd_split, "deterministic stratified split")
 
-    p = command("train", cmd_train, "grid search and fit the gate", *labelled, "train_ids")
+    p = command("train", cmd_train, "grid search and fit the gate")
     p.add_argument("--quick-grid", action="store_true", help="reduced grid for smoke runs")
 
-    command(
-        "sweep", cmd_sweep, "choose tau* on validation and freeze it",
-        "model", *labelled, "validation_ids",
-    )
-    command(
-        "evaluate", cmd_evaluate, "meta-model vs baselines on the test split",
-        "model", *labelled, "validation_ids", "test_ids",
-    )
+    command("sweep", cmd_sweep, "choose tau* on validation and freeze it")
+    command("evaluate", cmd_evaluate, "meta-model vs baselines on the test split")
 
-    p = command(
-        "ablate", cmd_ablate, "retrain the gate on the run's split with each feature family dropped",
-        *labelled, "train_ids", "validation_ids", "test_ids",
-    )
+    p = command("ablate", cmd_ablate, "retrain the gate on the run's split with each feature family dropped")
     p.add_argument("--family", default="all")
     p.add_argument("--quick-grid", action="store_true")
 
-    p = command(
-        "sensitivity", cmd_sensitivity, "cost-ratio sensitivity at the frozen tau*",
-        "model", *labelled, "test_ids",
-    )
+    p = command("sensitivity", cmd_sensitivity, "cost-ratio sensitivity at the frozen tau*")
     p.add_argument("--r-grid", dest="r_grid", help="LO:HI:STEP, default 0.4:0.9:0.05")
 
     return parser

@@ -251,12 +251,13 @@ def _span_of(chosen: list, chosen_lps: list, surfaces: list, rows: list) -> Toke
     """The span of T tokens given as four parallel lists: the chosen
     surfaces and logprobs, and each token's candidate surfaces and logprobs.
 
-    When every logprob is at most 0 and their sum is finite, no value needs
-    a check of its own. Otherwise (nan, ±inf, an overflowing sum, a value
-    in the clamp tolerance, a value that is not a number) every value goes
-    through _checked_logprob in stream order, a token's own logprob and then
-    its candidates', which clamps it or raises. Either way a missing chosen
-    token is then appended to its candidates, only the rows not already in
+    When every logprob is at most 0 and their math.fsum (which reads numpy
+    scalars as floats, so never warns) is finite, no value needs a check of
+    its own. Otherwise (nan, ±inf, an overflowing sum, a value in the clamp
+    tolerance, a value that is not a number) every value goes through
+    _checked_logprob in stream order, a token's own logprob and then its
+    candidates', which clamps it or raises. Either way a missing chosen token
+    is then appended to its candidates, only the rows not already in
     descending order are stably sorted, and the rows are padded with -inf.
     The lists given are left as they are.
     """
@@ -264,7 +265,7 @@ def _span_of(chosen: list, chosen_lps: list, surfaces: list, rows: list) -> Toke
         return _EMPTY_SPAN
     try:
         flat = list(chain(chosen_lps, *rows))
-        in_range = max(flat) <= 0.0 and math.isfinite(sum(flat))
+        in_range = max(flat) <= 0.0 and math.isfinite(math.fsum(flat))
     except (TypeError, ValueError, ArithmeticError):  # a value that is not a number: float() decides
         in_range = False
     if not in_range:

@@ -42,7 +42,6 @@ policy.confusion call, row by row.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -52,7 +51,7 @@ from typing import Sequence
 import numpy as np
 
 from .evaluation import per_class_f1
-from .manifest import write_json_atomic
+from .manifest import sha256_obj, write_json_atomic
 from .policy import ConfusionCounts, confusion, decisions_at
 
 __all__ = [
@@ -785,8 +784,7 @@ def gate_to_dict(gate: TrainedGate) -> dict:
             for f in gate.folds
         ],
     }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    payload["content_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    payload["content_hash"] = sha256_obj(payload)
     return payload
 
 
@@ -796,8 +794,7 @@ def gate_from_dict(obj: dict) -> TrainedGate:
     is a ValueError naming what is wrong."""
     obj = dict(obj)
     stored_hash = obj.pop("content_hash", None)
-    canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    if stored_hash is not None and hashlib.sha256(canonical.encode()).hexdigest() != stored_hash:
+    if stored_hash is not None and sha256_obj(obj) != stored_hash:
         raise ValueError("model artifact content hash mismatch")
     if obj.get("version") != _ARTIFACT_VERSION:
         raise ValueError(f"unsupported artifact version {obj.get('version')!r}")

@@ -12,7 +12,7 @@ import pytest
 
 import lppgate
 from lppgate import pipeline
-from lppgate.cli import build_parser, main
+from lppgate.cli import INPUTS, build_parser, main, stage_argv
 from lppgate.dataset import label_correctness
 from lppgate.schema import trace_to_dict, write_traces_jsonl
 from lppgate.synth import SynthConfig, generate_corpus
@@ -937,6 +937,42 @@ class TestParserSnapshot:
                     getattr(a.type, "__name__", None), choices,
                 ))
             assert flags == _COMMON_FLAGS | PARSER_SNAPSHOT[name], name
+
+
+class TestStageArgv:
+    @staticmethod
+    def file_flags(argv):
+        """{flag: path} of each file flag in argv."""
+        argv = [str(a) for a in argv]
+        return {flag: value for flag, value in zip(argv, argv[1:]) if flag in FILE_FLAGS}
+
+    def test_inputs_name_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(INPUTS) == list(sub.choices)
+
+    def test_paths_are_the_chain_fixtures(self, tmp_path):
+        """Every command that reads only run-directory files gets the flags
+        and paths the chain fixture and the ablate tests write out by hand."""
+        hand = {
+            "extract": ["--traces", tmp_path / "traces.jsonl"],
+            **dict(fit_stages(tmp_path)),
+            "ablate": [
+                *labelled(tmp_path),
+                "--train-ids", tmp_path / "train_ids.txt",
+                "--validation-ids", tmp_path / "validation_ids.txt",
+                "--test-ids", tmp_path / "test_ids.txt",
+            ],
+        }
+        assert set(hand) == set(INPUTS) - {"synth", "generate"}
+        for command, argv in hand.items():
+            got = stage_argv(command, tmp_path)
+            assert got[:3] == [command, "--out", str(tmp_path)], command
+            assert self.file_flags(got) == self.file_flags(argv), command
+            assert len(got) == 3 + 2 * len(INPUTS[command]), command
+
+    def test_generate_inputs_are_no_run_files(self, tmp_path):
+        with pytest.raises(ValueError, match="--items"):
+            stage_argv("generate", tmp_path)
 
 
 class TestParserCache:

@@ -578,6 +578,8 @@ class TestTokenSpanBulkCheck:
     # nan is the loop's first error; sorting the row first would raise
     # OverflowError comparing the huge int with the np.float64
     @example(([("0", math.nan, [("0", -(10**400)), ("0", np.float64(0.0))], list)], list))
+    # a sum started by an np.float64 is numpy's, whose overflow warns
+    @example(([("a", np.float64(-1.0), [("b", -1.7e308), ("c", -1.7e308)], list)], list))
     def test_equals_the_per_value_loop(self, spec):
         specs, outer = spec
         got = _built(token_span, _tokens(specs, outer))
