@@ -74,6 +74,8 @@ class RunConfig:
         # the derived settings run their own range checks, so a bad value is
         # refused before any stage runs, not by the first stage that reads it
         self.cost_model(), self.tau_grid(), self.split_spec(), self.resample_config()
+        for r in self.sensitivity_ratios:
+            policy.check_ratio(r, "config key 'sensitivity_ratios'")
 
     def cost_model(self) -> CostModel:
         return CostModel(c_mis=self.cost_mis, c_rev=self.cost_ratio * self.cost_mis)
@@ -407,7 +409,7 @@ def cmd_sensitivity(args, cfg: RunConfig, out):
     test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
     counts = policy.confusion(trust, test.z)
     r_grid = _floats("--r-grid", args.r_grid, 3) if args.r_grid else (0.4, 0.9, 0.05)
-    r_values = policy.tau_grid(*r_grid).tolist()
+    r_values = [policy.check_ratio(r, "--r-grid ratio") for r in policy.tau_grid(*r_grid).tolist()]
     m = cfg.cost_model()
     # the operating ratio is always on the curve so the main expected cost
     # is recoverable from the sensitivity report

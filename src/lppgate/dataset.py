@@ -23,6 +23,7 @@ the input rows selects the same item_ids.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -103,8 +104,8 @@ class ResampleConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.target_majority_ratio <= 0:
-            raise ValueError("target_majority_ratio must be positive")
+        if not (math.isfinite(self.target_majority_ratio) and self.target_majority_ratio > 0):
+            raise ValueError(f"target_majority_ratio must be positive and finite, got {self.target_majority_ratio!r}")
 
 
 def label_correctness(llm_outcome: OutcomeLabel, ground_truth: int) -> int:

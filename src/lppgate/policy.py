@@ -15,10 +15,14 @@ c_mis * (FP + TN). It is the absolute cost c_mis * FP + c_rev * (TN + FN),
 every miss plus every review, minus c_mis * TN: each caught error is
 credited with the miss it avoided.
 
+`sweep_counts` counts a split at many thresholds from one sort, and
+`sweep_threshold` prices those counts to pick tau*.
+
 `expected_cost` is the one expression of C: the tau sweep applies it to
 the counts of every threshold at once, the sensitivity curve at c_mis = 1
 and c_rev = r, and evaluate and ablate to their test splits. The cost
-rows of every report (sensitivity, cost model) are built here too.
+rows of every report (sensitivity, cost model) are built here too, and
+`check_ratio` is the one test of a cost ratio r = c_rev/c_mis.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ __all__ = [
     "confusion",
     "expected_cost",
     "tau_grid",
+    "sweep_counts",
     "sweep_threshold",
+    "check_ratio",
     "cost_ratio_sensitivity",
     "policy_report",
     "DEFAULT_TAU_RANGE",
@@ -59,8 +65,8 @@ class CostModel:
     c_rev: float = 0.64
 
     def __post_init__(self):
-        if self.c_mis <= 0 or self.c_rev <= 0:
-            raise ValueError("costs must be positive")
+        if not all(math.isfinite(c) and c > 0 for c in (self.c_mis, self.c_rev)):
+            raise ValueError(f"costs must be positive and finite, got c_mis={self.c_mis!r}, c_rev={self.c_rev!r}")
 
     @property
     def ratio(self) -> float:
@@ -72,6 +78,14 @@ class CostModel:
 
 # (c_mis, c_rev) without CostModel's positivity check: the curve prices r = 0 too
 _Prices = NamedTuple("_Prices", [("c_mis", float), ("c_rev", float)])
+
+
+def check_ratio(r: float, setting: str = "cost ratio") -> float:
+    """r as a float, if some prices have it as c_rev/c_mis: finite and >= 0.
+    r = 0, free review, is one such ratio, which _Prices prices."""
+    if not (math.isfinite(r) and r >= 0):
+        raise ValueError(f"{setting} must be finite and >= 0, got {r!r}")
+    return float(r)
 
 
 @dataclass(frozen=True)
@@ -152,37 +166,24 @@ def tau_grid(
     """Grid from lo in steps of step, each point rounded to 9 decimals, up
     to hi inclusive and never past it (a hi within 1e-9 steps of a grid
     point counts as on it); 71 points for the default range and step."""
-    if not (step > 0 and lo <= hi):
-        raise ValueError(f"threshold grid needs step > 0 and lo <= hi, got {lo}:{hi} step {step}")
+    if not (step > 0 and lo <= hi and all(map(math.isfinite, (lo, hi, step)))):
+        raise ValueError(f"threshold grid needs step > 0 and lo <= hi, all finite, got {lo}:{hi} step {step}")
     n = math.floor((hi - lo) / step + 1e-9) + 1
     # rounding to 9 decimals can lift the last point above a hi that has more
     return np.minimum(np.round(lo + step * np.arange(n), 9), hi)
 
 
-def sweep_threshold(
-    scores: Sequence[float],
-    z: Sequence[int],
-    m: CostModel,
-    grid: np.ndarray | None = None,
-) -> PolicyResult:
-    """Pick tau* minimizing expected cost over the grid.
+def sweep_counts(scores: Sequence[float], z: Sequence[int], taus: Sequence[float]) -> ConfusionCounts:
+    """The split's confusion counts at every tau at once: each count is an
+    int array of len(taus) whose entry j is that count of
+    confusion(decisions_at(scores, taus[j]), z).
 
-    Every threshold is counted in one pass: the scores are sorted once, one
-    searchsorted gives each tau's escalations (the scores below it, plus
-    every nan score, which fails s >= tau), and a cumulative sum of z in
-    score order gives FN; TN, TP and FP follow from the totals. The costs
-    are `expected_cost`'s expression over those count vectors, so tau* and
-    its cost are exactly those of recounting the split at every tau.
-
-    Ties are broken by fewer escalations, then by lower tau, then by the
-    earlier grid point; the scores are expected to come from the validation
-    split, and tau* is frozen for test evaluation afterwards.
+    The scores are sorted once, one searchsorted gives each tau's
+    escalations (the scores below it, plus every nan score, which fails
+    s >= tau), and a cumulative sum of z in score order gives FN; TN, TP
+    and FP follow from the totals.
     """
-    if grid is None:
-        grid = tau_grid()
-    if len(grid) == 0:
-        raise ValueError("empty threshold grid")
-    taus = np.asarray(grid, dtype=float)
+    taus = np.asarray(taus, dtype=float)
     s = np.asarray(scores, dtype=float)
     zz = _correctness(z, s.shape)
     order = np.argsort(s)  # nan scores sort last, and searchsorted agrees
@@ -193,11 +194,36 @@ def sweep_threshold(
     escalations = below + n_nan
     fn = correct_before[below] + (n_correct - correct_before[len(s) - n_nan])
     tn = escalations - fn
-    tp = n_correct - fn
-    fp = (len(s) - n_correct) - tn
-    cost = expected_cost(ConfusionCounts(tp=tp, fp=fp, tn=tn, fn=fn), m)
-    i = np.lexsort((taus, escalations, cost))[0]
-    counts = ConfusionCounts(tp=int(tp[i]), fp=int(fp[i]), tn=int(tn[i]), fn=int(fn[i]))
+    return ConfusionCounts(tp=n_correct - fn, fp=(len(s) - n_correct) - tn, tn=tn, fn=fn)
+
+
+def sweep_threshold(
+    scores: Sequence[float],
+    z: Sequence[int],
+    m: CostModel,
+    grid: np.ndarray | None = None,
+) -> PolicyResult:
+    """Pick tau* minimizing expected cost over the grid.
+
+    The costs are `expected_cost`'s expression over `sweep_counts`' count
+    vectors, so tau* and its cost are exactly those of recounting the split
+    at every tau. The grid may be any tau vector: a tau constrained by the
+    counts (a review budget, a certified error rate) is this sweep over the
+    grid points that meet the constraint.
+
+    Ties are broken by fewer escalations, then by lower tau, then by the
+    earlier grid point; the scores are expected to come from the validation
+    split, and tau* is frozen for test evaluation afterwards.
+    """
+    if grid is None:
+        grid = tau_grid()
+    if len(grid) == 0:
+        raise ValueError("empty threshold grid")
+    taus = np.asarray(grid, dtype=float)
+    c = sweep_counts(scores, z, taus)
+    cost = expected_cost(c, m)
+    i = np.lexsort((taus, c.escalations, cost))[0]
+    counts = ConfusionCounts(tp=int(c.tp[i]), fp=int(c.fp[i]), tn=int(c.tn[i]), fn=int(c.fn[i]))
     return PolicyResult(tau_star=float(taus[i]), expected_cost=cost[i].item(), counts=counts)
 
 
@@ -209,8 +235,8 @@ def cost_ratio_sensitivity(
     as a function of the cost ratio r = c_rev/c_mis, i.e. C at c_mis = 1 and
     c_rev = r, FP + (r-1)*TN + r*FN. Affine in r with slope TN+FN."""
     return [
-        {"r": float(r), "relative_cost": expected_cost(counts, _Prices(1.0, float(r)))}
-        for r in r_values
+        {"r": r, "relative_cost": expected_cost(counts, _Prices(1.0, r))}
+        for r in map(check_ratio, r_values)
     ]
 
 

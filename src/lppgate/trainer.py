@@ -43,6 +43,7 @@ policy.confusion call, row by row.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -125,8 +126,13 @@ class RidgeConfig:
     calibration: str = "sigmoid"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
+        # the grid's own kinds only: a model.json naming another is refused
+        if self.class_weight not in CLASS_WEIGHT_GRID:
+            raise ValueError(f"class_weight must be one of {CLASS_WEIGHT_GRID}, got {self.class_weight!r}")
+        if self.calibration not in CALIBRATION_GRID:
+            raise ValueError(f"calibration must be one of {CALIBRATION_GRID}, got {self.calibration!r}")
 
 
 def default_grid() -> list[RidgeConfig]:
@@ -570,9 +576,10 @@ def _fold_average(gates: Sequence[Sequence[FoldPipeline]], X_std: np.ndarray) ->
 
 
 def _fit_calibrators(kind: str, fits: Sequence[tuple[np.ndarray, np.ndarray]]) -> list:
-    """One calibrator per (scores, labels) pair; every Platt fit of the list
-    runs in one fit_platt call, and each that fails falls back to identity
-    with a warning."""
+    """One calibrator per (scores, labels) pair, sigmoid or isotonic (the
+    kinds RidgeConfig allows); every Platt fit of the list runs in one
+    fit_platt call, and each that fails falls back to identity with a
+    warning."""
     if kind == "sigmoid":
         calibrators = []
         for result in fit_platt([s for s, _ in fits], [z for _, z in fits]):
@@ -581,11 +588,7 @@ def _fit_calibrators(kind: str, fits: Sequence[tuple[np.ndarray, np.ndarray]]) -
                 result = IdentityCalibrator()
             calibrators.append(result)
         return calibrators
-    if kind == "isotonic":
-        return fit_isotonic([s for s, _ in fits], [z for _, z in fits])
-    if kind == "identity":
-        return [IdentityCalibrator() for _ in fits]
-    raise ValueError(f"unknown calibration {kind!r}")
+    return fit_isotonic([s for s, _ in fits], [z for _, z in fits])
 
 
 @dataclass(frozen=True)

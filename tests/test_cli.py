@@ -381,6 +381,8 @@ class TestErrors:
             ("--tau-step", "-0.005", "step > 0"),
             ("--tau-step", "0", "step > 0"),
             ("--tau-range", "0.35:0.70:0.1", "--tau-range"),
+            ("--tau-step", "inf", "all finite"),
+            ("--tau-range", "0:inf", "all finite"),
         ],
     )
     def test_invalid_tau_grid_rejected(self, workdir, tmp_path, capsys, flag, value, message):
@@ -402,7 +404,13 @@ class TestErrors:
 
     @pytest.mark.parametrize(
         "r_grid, message",
-        [("0.9:0.4:0.05", "lo <= hi"), ("0.4:0.9:0", "step > 0"), ("0.4:0.9", "--r-grid")],
+        [
+            ("0.9:0.4:0.05", "lo <= hi"),
+            ("0.4:0.9:0", "step > 0"),
+            ("0.4:0.9", "--r-grid"),
+            ("-1:0:0.5", "--r-grid ratio must be finite and >= 0, got -1.0"),
+            ("0.4:0.9:inf", "all finite"),
+        ],
     )
     def test_invalid_r_grid_rejected(self, workdir, tmp_path, capsys, r_grid, message):
         out = tmp_path / "run"
@@ -410,7 +418,7 @@ class TestErrors:
         code = run_cli(
             "sensitivity", "--out", out, *labelled(workdir),
             "--model", workdir / "model.json", "--test-ids", workdir / "test_ids.txt",
-            "--r-grid", r_grid,
+            f"--r-grid={r_grid}",
         )
         assert code == 1
         error = json.loads(capsys.readouterr().err)["error"]
@@ -567,8 +575,22 @@ class TestErrors:
             (None, {"validation_fraction": 2.0}, "validation_fraction must be in (0, 1)"),
             (None, {"target_majority_ratio": -1}, "target_majority_ratio must be positive"),
             (None, {"validation_fraction": 2.0, "target_majority_ratio": -1}, "validation_fraction must be in (0, 1)"),
+            (["--cost-ratio", "nan"], {"cost_ratio": float("nan")}, "costs must be positive"),
+            (["--cost-ratio", "inf"], {"cost_ratio": float("inf")}, "costs must be positive"),
+            (["--cost-mis", "nan"], {"cost_mis": float("nan")}, "costs must be positive"),
+            (["--cost-mis", "inf"], {"cost_mis": float("inf")}, "costs must be positive"),
+            (["--tau-step", "inf"], {"tau_step": float("inf")}, "threshold grid needs step > 0 and lo <= hi"),
+            (["--tau-range", "0:inf"], {"tau_min": 0, "tau_max": float("inf")}, "threshold grid needs step > 0 and lo <= hi"),
+            (["--tau-range=-inf:0.7"], {"tau_min": -float("inf"), "tau_max": 0.7}, "threshold grid needs step > 0 and lo <= hi"),
+            (None, {"sensitivity_ratios": [-1.0, float("nan")]}, "config key 'sensitivity_ratios' must be finite and >= 0"),
+            (None, {"sensitivity_ratios": [0.4, float("nan")]}, "config key 'sensitivity_ratios' must be finite and >= 0"),
+            (None, {"target_majority_ratio": float("nan")}, "target_majority_ratio must be positive"),
         ],
-        ids=["cost-ratio", "tau-step", "tau-range", "test-negatives", "validation-fraction", "majority-ratio", "both"],
+        ids=[
+            "cost-ratio", "tau-step", "tau-range", "test-negatives", "validation-fraction", "majority-ratio", "both",
+            "cost-ratio-nan", "cost-ratio-inf", "cost-mis-nan", "cost-mis-inf", "tau-step-inf", "tau-max-inf",
+            "tau-min-inf", "sensitivity-ratio-negative", "sensitivity-ratio-nan", "majority-ratio-nan",
+        ],
     )
     def test_extract_refuses_a_derived_setting_out_of_range(self, workdir, tmp_path, capsys, flags, config, message):
         # a value only a later stage reads is refused by the first command

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,7 +169,7 @@ class TestBaselineMetaEquivalence:
         grid threshold induces the same partition, so tau* and cost agree
         exactly."""
         from lppgate.policy import sweep_threshold
-        from lppgate.trainer import RidgeConfig, cross_fit_calibrated, predict_score
+        from lppgate.trainer import IdentityCalibrator, RidgeConfig, cross_fit_calibrated, predict_score
 
         rng = np.random.default_rng(21)
         n = 120
@@ -182,10 +184,14 @@ class TestBaselineMetaEquivalence:
         rescaled = minmax_rescale(msp, msp)
         baseline = sweep_threshold(rescaled, z, m)
 
-        # meta path: ridge on the single feature with identity calibration
+        # meta path: ridge on the single feature with identity calibration;
+        # the ridge weights do not depend on the calibration kind, so each
+        # fold's calibrator is swapped for the clamp-only one
         gate = cross_fit_calibrated(
-            X, z, RidgeConfig(alpha=0.1, calibration="identity"), seed=42, feature_names=["msp"]
+            X, z, RidgeConfig(alpha=0.1, calibration="isotonic"), seed=42, feature_names=["msp"]
         )
+        folds = [dataclasses.replace(f, calibrator=IdentityCalibrator()) for f in gate.folds]
+        gate = dataclasses.replace(gate, folds=folds)
         meta_scores = predict_score(gate, ["msp"], X)
         assert np.all(meta_scores[z == 0] < 0.35)
         assert np.all(meta_scores[z == 1] > 0.70)

@@ -9,11 +9,13 @@ from lppgate.policy import (
     ConfusionCounts,
     CostModel,
     PolicyResult,
+    check_ratio,
     confusion,
     cost_ratio_sensitivity,
     decisions_at,
     expected_cost,
     policy_report,
+    sweep_counts,
     sweep_threshold,
     tau_grid,
 )
@@ -139,6 +141,23 @@ class TestConfusion:
             confusion([True, False, True], [1, 0, bad])
 
 
+class TestCostModel:
+    @pytest.mark.parametrize(
+        "c_mis, c_rev",
+        [(0.0, 0.64), (1.0, -0.64), (float("nan"), 0.64), (1.0, float("nan")), (float("inf"), 0.64), (1.0, float("inf"))],
+    )
+    def test_costs_must_be_positive_and_finite(self, c_mis, c_rev):
+        with pytest.raises(ValueError, match="^costs must be positive"):
+            CostModel(c_mis=c_mis, c_rev=c_rev)
+
+    @pytest.mark.parametrize("r", [-1.0, -1e-12, float("nan"), float("inf"), float("-inf")])
+    def test_ratio_must_be_finite_and_not_negative(self, r):
+        with pytest.raises(ValueError, match="^sensitivity ratio must be finite and >= 0"):
+            check_ratio(r, "sensitivity ratio")
+        with pytest.raises(ValueError, match="^cost ratio must be finite and >= 0"):
+            cost_ratio_sensitivity(ConfusionCounts(tp=1, fp=2, tn=5, fn=3), (0.64, r))
+
+
 class TestExpectedCost:
     def test_direct_substitution(self):
         c = ConfusionCounts(tp=0, fp=2, tn=3, fn=1)
@@ -207,7 +226,16 @@ class TestTauGrid:
 
     @pytest.mark.parametrize(
         "lo, hi, step",
-        [(0.7, 0.35, 0.005), (0.35, 0.7, -0.005), (0.35, 0.7, 0.0), (0.35, 0.7, float("nan"))],
+        [
+            (0.7, 0.35, 0.005),
+            (0.35, 0.7, -0.005),
+            (0.35, 0.7, 0.0),
+            (0.35, 0.7, float("nan")),
+            (0.35, 0.7, float("inf")),
+            (0.0, float("inf"), 0.005),
+            (float("-inf"), 0.7, 0.005),
+            (float("nan"), 0.7, 0.005),
+        ],
     )
     def test_invalid_grid_rejected(self, lo, hi, step):
         with pytest.raises(ValueError, match="step > 0 and lo <= hi"):
@@ -236,6 +264,19 @@ class TestSweep:
         reference = _sweep_threshold_reference(scores, z, m, grid)
         assert result == reference
         assert repr(result.expected_cost) == repr(reference.expected_cost)
+
+    @given(_sweep_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_equal_confusion_at_every_tau(self, case):
+        scores, z, _, grid = case
+        taus = tau_grid() if grid is None else grid
+        counts = sweep_counts(scores, z, taus)
+        columns = (counts.tp, counts.fp, counts.tn, counts.fn)
+        assert all(np.asarray(v).shape == (len(taus),) and np.asarray(v).dtype.kind == "i" for v in columns)
+        for j, tau in enumerate(taus):
+            at_tau = ConfusionCounts(*(int(v[j]) for v in columns))
+            assert at_tau == confusion(decisions_at(scores, tau), z)
+            assert at_tau.total == len(scores)
 
     def test_hand_swept_example(self):
         m = CostModel(c_mis=1.0, c_rev=0.64)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -682,9 +683,17 @@ class TestFoldsAndCrossFit:
 
     def test_scores_clamped(self):
         X, z = self._separable(120, 10)
-        gate = cross_fit_calibrated(X, z, RidgeConfig(calibration="identity"), seed=42)
+        gate = _with_identity_folds(cross_fit_calibrated(X, z, RidgeConfig(calibration="isotonic"), seed=42))
         s = gate.predict_matrix(np.array([[50.0, 0.0, 0.0], [-50.0, 0.0, 0.0]]))
         assert np.all((s >= 0.0) & (s <= 1.0))
+
+
+def _with_identity_folds(gate):
+    """The gate with every fold's calibrator clamp-only: the gate an
+    identity calibration would fit, since the ridge weights do not depend
+    on the calibration kind."""
+    folds = [dataclasses.replace(f, calibrator=IdentityCalibrator()) for f in gate.folds]
+    return dataclasses.replace(gate, folds=folds)
 
 
 def _minority_f1_reference(decisions_trust, z):
@@ -828,6 +837,22 @@ class TestGridSearch:
         assert report[0]["minority_f1"] < 1.0
         assert (best, report) == _grid_search_reference(X, z, space)
         assert best == space[1]
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("calibration", "identity", "calibration must be one of"),
+            ("calibration", "platt", "calibration must be one of"),
+            ("class_weight", "3:1", "class_weight must be one of"),
+            ("class_weight", "Balanced", "class_weight must be one of"),
+            ("alpha", 0.0, "alpha must be positive"),
+            ("alpha", float("nan"), "alpha must be positive"),
+            ("alpha", float("inf"), "alpha must be positive"),
+        ],
+    )
+    def test_config_off_the_grid_refused(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            RidgeConfig(**{field: value})
 
     def test_distinct_configs_of_default_grid(self):
         keys = distinct_configs(default_grid())
@@ -983,8 +1008,11 @@ class TestPredictScoreReference:
         X = rng.normal(size=(150, 4))
         z = (X[:, 0] + 0.5 * rng.normal(size=150) > 0).astype(int)
         names = ["a", "b", "c", "d"]
-        for calibration in ("isotonic", "sigmoid", "identity"):
-            gate = cross_fit_calibrated(X, z, RidgeConfig(calibration=calibration), seed=42, feature_names=names)
+        isotonic, sigmoid = (
+            cross_fit_calibrated(X, z, RidgeConfig(calibration=calibration), seed=42, feature_names=names)
+            for calibration in ("isotonic", "sigmoid")
+        )
+        for gate in (isotonic, sigmoid, _with_identity_folds(isotonic)):
             shuffled = ["c", "a", "d", "b"]
             table = X[:, [2, 0, 3, 1]]
             assert predict_score(gate, shuffled, table).tobytes() == predict_score_reference(gate, shuffled, table).tobytes()
@@ -1128,6 +1156,26 @@ class TestSerialization:
         doc = gate_to_dict(cross_fit_calibrated(X, z, RidgeConfig(), seed=42, feature_names=["a", "b"]))
         del doc["content_hash"]
         edit(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=match):
+            load_gate(path)
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("calibration", "identity", "calibration must be one of"),
+            ("class_weight", "3:1", "class_weight must be one of"),
+            ("alpha", float("nan"), "alpha must be positive"),
+        ],
+    )
+    def test_config_off_the_grid_rejected_on_load(self, tmp_path, field, value, match):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(90, 2))
+        z = (X[:, 0] > 0).astype(int)
+        doc = gate_to_dict(cross_fit_calibrated(X, z, RidgeConfig(), seed=42, feature_names=["a", "b"]))
+        del doc["content_hash"]
+        doc["config"][field] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
