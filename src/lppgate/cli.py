@@ -8,10 +8,13 @@ grids). Every artifact-writing command emits exactly one manifest that
 hash-chains outputs to inputs.
 
 Each subcommand's input files are declared once, in `INPUTS`, and their
-files in a run directory in `RUN_FILES`; `main` checks and hashes them
-before the command runs. A command takes each output path from `out(name)`
-just before writing it. On error `main` prints a JSON error to stderr,
-exits 1 and removes every path `out()` handed out.
+files in a run directory in `RUN_FILES`. `main` checks and hashes them,
+then reads each through its `READERS` entry, so a command gets its inputs
+already read. A command takes each output path from `out(name)` just
+before writing it and returns only its manifest `extra`: the manifest's
+outputs are the paths `out()` handed out plus the inputs `REWRITES` says
+the command rewrites. On error `main` prints a JSON error to stderr,
+exits 1 and removes every path `out()` handed out, never a rewritten input.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .manifest import build_manifest, sha256_file, write_csv_atomic, write_json_
 from .policy import CostModel
 from .schema import Reason, read_traces_jsonl, write_traces_jsonl
 
-__all__ = ["main", "RunConfig", "INPUTS", "RUN_FILES", "stage_argv"]
+__all__ = ["main", "RunConfig", "INPUTS", "RUN_FILES", "READERS", "REWRITES", "stage_argv"]
 
 
 @dataclass
@@ -156,12 +159,6 @@ def _load_config(args) -> RunConfig:
         raise ValueError(f"{exc} (--config {args.config})") from None
 
 
-def _load_features(args) -> pipeline.FeatureTable:
-    """The table of --features and --features-sidecar; the CSV's sha256
-    comes from main's input snapshot, so each stage hashes it once."""
-    return pipeline.load_features(args.features, args.features_sidecar, csv_sha256=args.snapshot[args.features])
-
-
 #: Each command's input file dests, in the order of its flags.
 INPUTS: dict[str, tuple[str, ...]] = {
     "synth": (),
@@ -188,6 +185,27 @@ RUN_FILES = {
     "model": "model.json",
 }
 
+#: How main reads each input, by dest, into what the command gets under
+#: that name. The features reader reads the sidecar too, and generate reads
+#: its own items and stub. Each reader looks its function up when it runs,
+#: so a function rebound in its module is the one called.
+READERS = {
+    "traces": lambda args: read_traces_jsonl(args.traces),
+    "labels": lambda args: pipeline.load_labels(args.labels),
+    # the CSV's sha256 comes from main's input snapshot, so each stage hashes it once
+    "features": lambda args: pipeline.load_features(
+        args.features, args.features_sidecar, csv_sha256=args.snapshot[args.features]
+    ),
+    "train_ids": lambda args: pipeline.read_id_list(args.train_ids),
+    "validation_ids": lambda args: pipeline.read_id_list(args.validation_ids),
+    "test_ids": lambda args: pipeline.read_id_list(args.test_ids),
+    "model": lambda args: trainer.load_gate(args.model),
+}
+
+#: The inputs a command rewrites in place: its manifest lists them among
+#: its outputs, and main never removes them on failure.
+REWRITES = {"sweep": ("model",)}
+
 
 def stage_argv(command: str, run_dir: str | os.PathLike) -> list[str]:
     """`command`'s argv on run_dir: --out and each input flag at its
@@ -213,12 +231,12 @@ def _require_inputs(args) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each gets out(name), the path to write an output to, and returns
-# (outputs, extra) for the manifest
+# Commands: each gets its read inputs by dest and out(name), the path to
+# write an output to, and returns its manifest extra
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args, cfg: RunConfig, out):
+def cmd_synth(args, cfg: RunConfig, read, out):
     signal = dict(synth.DEFAULT_SIGNAL)
     if args.signal:
         try:
@@ -237,15 +255,12 @@ def cmd_synth(args, cfg: RunConfig, out):
         seed=cfg.seed,
     )
     traces, labels = synth.generate_corpus(scfg)
-    traces_path = out(RUN_FILES["traces"])
-    write_traces_jsonl(traces, traces_path)
-    labels_path = out(RUN_FILES["labels"])
-    pipeline.save_labels(labels, labels_path)
-    extra = {"n_items": scfg.n_items, "synth_config": dataclasses.asdict(scfg)}
-    return [traces_path, labels_path], extra
+    write_traces_jsonl(traces, out(RUN_FILES["traces"]))
+    pipeline.save_labels(labels, out(RUN_FILES["labels"]))
+    return {"n_items": scfg.n_items, "synth_config": dataclasses.asdict(scfg)}
 
 
-def cmd_generate(args, cfg: RunConfig, out):
+def cmd_generate(args, cfg: RunConfig, read, out):
     template = gateway.load_template(args.template)
     if args.stub:
         provider = gateway.StubProvider.from_file(args.stub)
@@ -283,10 +298,9 @@ def cmd_generate(args, cfg: RunConfig, out):
         allow_decoding_override=args.allow_decoding_override,
         pool_width=args.pool_width,
     )
-    traces_path = out(RUN_FILES["traces"])
-    write_traces_jsonl(result.traces, traces_path)
+    write_traces_jsonl(result.traces, out(RUN_FILES["traces"]))
     reasons = result.reasons.items()
-    extra = {
+    return {
         "template": template.id,
         "decoding": dataclasses.asdict(decoding),
         "decoding_override": bool(args.allow_decoding_override),
@@ -295,118 +309,85 @@ def cmd_generate(args, cfg: RunConfig, out):
         "give_ups": [{"item_id": i, "attempts": n, "failure": r.failure} for i, (r, n) in reasons if r.failure],
         "gray_box_unavailable": [i for i, (r, _) in reasons if r is Reason.NO_LOGPROBS],
     }
-    return [traces_path], extra
 
 
-def cmd_extract(args, cfg: RunConfig, out):
-    traces = read_traces_jsonl(args.traces)
-    table = pipeline.extract_table(traces, cfg.family_set(), k=cfg.top_k)
+def cmd_extract(args, cfg: RunConfig, read, out):
+    table = pipeline.extract_table(read.traces, cfg.family_set(), k=cfg.top_k)
     csv_path = out(RUN_FILES["features"])
-    copy_name = os.path.basename(pipeline.binary_copy_path(csv_path))
-    paths = [csv_path, out(RUN_FILES["features_sidecar"]), out(copy_name)]
-    pipeline.save_features(table, *paths[:2])
-    extra = {
+    out(os.path.basename(pipeline.binary_copy_path(csv_path)))
+    pipeline.save_features(table, csv_path, out(RUN_FILES["features_sidecar"]))
+    return {
         "rows": len(table.item_ids),
         "columns": len(table.names),
         "families": sorted({family_of(name) for name in table.names}),
         "invalid_items": sorted(table.invalid_ids),
     }
-    return paths, extra
 
 
-def cmd_split(args, cfg: RunConfig, out):
-    table = _load_features(args)
-    labels = pipeline.load_labels(args.labels)
-    split = stratified_split(pipeline.build_examples(table, labels), cfg.split_spec())
-    ids = dict(zip(("train", "validation", "test"), split))
-    outputs = []
-    for name, name_ids in ids.items():
-        outputs.append(out(RUN_FILES[f"{name}_ids"]))
-        pipeline.write_id_list(name_ids, outputs[-1])
-    counts = {name: len(name_ids) for name, name_ids in ids.items()}
-    return outputs, {"counts": counts, "split": dataclasses.asdict(cfg.split_spec())}
+def cmd_split(args, cfg: RunConfig, read, out):
+    split = stratified_split(pipeline.build_examples(read.features, read.labels), cfg.split_spec())
+    counts = {}
+    for name, ids in zip(("train", "validation", "test"), split):
+        pipeline.write_id_list(ids, out(RUN_FILES[f"{name}_ids"]))
+        counts[name] = len(ids)
+    return {"counts": counts, "split": dataclasses.asdict(cfg.split_spec())}
 
 
-def cmd_train(args, cfg: RunConfig, out):
-    table = _load_features(args)
-    labels = pipeline.load_labels(args.labels)
-    train_ids = pipeline.read_id_list(args.train_ids)
+def cmd_train(args, cfg: RunConfig, read, out):
     space = _search_space(args)
     gate, report = pipeline.train_gate(
-        table, labels, train_ids, cfg.resample_config(), space, cfg.seed
+        read.features, read.labels, read.train_ids, cfg.resample_config(), space, cfg.seed
     )
-    model_path = out(RUN_FILES["model"])
-    trainer.save_gate(gate, model_path)
-    report_path = out("train_report.json")
-    write_json_atomic(report_path, report)
-    extra = {
+    trainer.save_gate(gate, out(RUN_FILES["model"]))
+    write_json_atomic(out("train_report.json"), report)
+    return {
         "chosen_config": report["chosen_config"],
         "grid_size": report["grid_size"],
         "distinct_configs": len(trainer.distinct_configs(space)),
         "tomek_removed": report["resample"]["tomek_removed"],
         "undersampled": report["resample"]["undersampled"],
     }
-    return [model_path, report_path], extra
 
 
-def cmd_sweep(args, cfg: RunConfig, out):
-    gate = trainer.load_gate(args.model)
-    table = _load_features(args)
-    labels = pipeline.load_labels(args.labels)
-    validation_ids = pipeline.read_id_list(args.validation_ids)
+def cmd_sweep(args, cfg: RunConfig, read, out):
     grid = cfg.tau_grid()
-    result = pipeline.sweep_gate(gate, table, labels, validation_ids, cfg.cost_model(), grid)
+    result = pipeline.sweep_gate(read.model, read.features, read.labels, read.validation_ids, cfg.cost_model(), grid)
     report = policy.policy_report(result, cfg.cost_model(), cfg.sensitivity_ratios)
     # The report goes first: a failure up to here leaves the trained model
     # as it was, while the model rewrite below is atomic and the last step.
-    report_path = out("policy_report.json")
-    write_json_atomic(report_path, report)
-    trainer.save_gate(gate, args.model)
+    write_json_atomic(out("policy_report.json"), report)
+    trainer.save_gate(read.model, args.model)
     # a tau* on the grid's edge says the optimum may lie outside the grid
     on_edge = bool(result.tau_star in (grid.min(), grid.max()))
-    return [args.model, report_path], {"tau_star": result.tau_star, "tau_star_on_grid_edge": on_edge}
+    return {"tau_star": result.tau_star, "tau_star_on_grid_edge": on_edge}
 
 
-def cmd_evaluate(args, cfg: RunConfig, out):
-    gate = trainer.load_gate(args.model)
-    table = _load_features(args)
-    labels = pipeline.load_labels(args.labels)
-    validation_ids = pipeline.read_id_list(args.validation_ids)
-    test_ids = pipeline.read_id_list(args.test_ids)
+def cmd_evaluate(args, cfg: RunConfig, read, out):
     results = pipeline.evaluate_methods(
-        gate, table, labels, validation_ids, test_ids,
+        read.model, read.features, read.labels, read.validation_ids, read.test_ids,
         cfg.cost_model(), cfg.tau_grid(), cfg.sensitivity_ratios,
     )
-    csv_path = out("evaluation.csv")
-    write_csv_atomic(csv_path, evaluation.REPORT_COLUMNS, evaluation.emit_report(results))
-    json_path = out("evaluation.json")
-    write_json_atomic(json_path, {"methods": results})
-    meta_cost = results["meta_model"]["metrics"]["expected_cost"]
-    return [csv_path, json_path], {"meta_expected_cost": meta_cost}
+    write_csv_atomic(out("evaluation.csv"), evaluation.REPORT_COLUMNS, evaluation.emit_report(results))
+    write_json_atomic(out("evaluation.json"), {"methods": results})
+    return {"meta_expected_cost": results["meta_model"]["metrics"]["expected_cost"]}
 
 
-def cmd_ablate(args, cfg: RunConfig, out):
-    table = _load_features(args)
-    labels = pipeline.load_labels(args.labels)
-    split = [pipeline.read_id_list(path) for path in (args.train_ids, args.validation_ids, args.test_ids)]
-    included = dict.fromkeys(FeatureFamily(family_of(name)) for name in table.names)
+def cmd_ablate(args, cfg: RunConfig, read, out):
+    included = dict.fromkeys(FeatureFamily(family_of(name)) for name in read.features.names)
     drop = list(included) if args.family == "all" else [FeatureFamily(args.family)]
+    split = [read.train_ids, read.validation_ids, read.test_ids]
     rows = pipeline.run_ablation(
-        table, labels, drop, split, cfg.cost_model(),
+        read.features, read.labels, drop, split, cfg.cost_model(),
         resample_cfg=cfg.resample_config(), space=_search_space(args), grid=cfg.tau_grid(), seed=cfg.seed,
     )
     columns = ("dropped_family", "expected_cost", "delta_vs_full")
-    csv_path = out("ablation.csv")
-    write_csv_atomic(csv_path, columns, ([r[c] for c in columns] for r in rows))
-    return [csv_path], {"rows": rows}
+    write_csv_atomic(out("ablation.csv"), columns, ([r[c] for c in columns] for r in rows))
+    return {"rows": rows}
 
 
-def cmd_sensitivity(args, cfg: RunConfig, out):
-    gate = trainer.load_gate(args.model)
-    table = _load_features(args)
-    labels = pipeline.load_labels(args.labels)
-    test_ids = pipeline.read_id_list(args.test_ids)
-    test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
+def cmd_sensitivity(args, cfg: RunConfig, read, out):
+    gate = read.model
+    test, _, trust = pipeline.score_and_route(gate, read.features, read.labels, read.test_ids)
     counts = policy.confusion(trust, test.z)
     r_grid = _floats("--r-grid", args.r_grid, 3) if args.r_grid else (0.4, 0.9, 0.05)
     r_values = [policy.check_ratio(r, "--r-grid ratio") for r in policy.tau_grid(*r_grid).tolist()]
@@ -423,11 +404,10 @@ def cmd_sensitivity(args, cfg: RunConfig, out):
         "expected_cost": policy.expected_cost(counts, m),
         "cost_model": m.to_dict(),
     }
-    json_path = out("sensitivity.json")
-    write_json_atomic(json_path, doc)
-    csv_path = out("sensitivity.csv")
-    write_csv_atomic(csv_path, ("r", "relative_cost"), ([row["r"], row["relative_cost"]] for row in curve))
-    return [json_path, csv_path], {"tau_star": gate.tau_star}
+    write_json_atomic(out("sensitivity.json"), doc)
+    rows = ([row["r"], row["relative_cost"]] for row in curve)
+    write_csv_atomic(out("sensitivity.csv"), ("r", "relative_cost"), rows)
+    return {"tau_star": gate.tau_star}
 
 
 def _search_space(args) -> list[trainer.RidgeConfig]:
@@ -458,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, run, summary):
         """Add a subcommand with the common flags and one --flag per dest
-        of INPUTS[name]; main checks and hashes those files before run()."""
+        of INPUTS[name]; main checks, hashes and reads those files before
+        run()."""
         p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run, inputs=INPUTS[name])
         p.add_argument("--config", help="JSON config file; flags override it")
@@ -512,8 +493,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_range_values(argv: list[str]) -> list[str]:
+    """argv with each --tau-range or --r-grid joined to a following value
+    that starts with a single "-", a negative LO that argparse would take
+    for a flag: `--tau-range -0.1:0.7` is read as `--tau-range=-0.1:0.7`."""
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in ("--tau-range", "--r-grid") and arg[:1] == "-" and arg[:2] != "--":
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_range_values(sys.argv[1:] if argv is None else list(argv)))
     written: list[str] = []
 
     def out(name: str) -> str:
@@ -526,12 +520,13 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         inputs = args.snapshot = _require_inputs(args)
-        outputs, extra = args.run(args, cfg, out)
+        read = types.SimpleNamespace(**{dest: READERS[dest](args) for dest in args.inputs if dest in READERS})
+        extra = args.run(args, cfg, read, out)
         manifest = build_manifest(
             command=args.command,
             config=dataclasses.asdict(cfg),
             inputs=inputs,
-            outputs=outputs,
+            outputs=written + [getattr(args, dest) for dest in REWRITES.get(args.command, ())],
             timing_s=time.perf_counter() - start,
             extra=extra,
         )

@@ -49,10 +49,13 @@ __all__ = [
     "DEFAULT_TAU_RANGE",
     "DEFAULT_TAU_STEP",
     "DEFAULT_SENSITIVITY_RATIOS",
+    "MAX_GRID_POINTS",
 ]
 
 DEFAULT_TAU_RANGE = (0.35, 0.70)
 DEFAULT_TAU_STEP = 0.005
+#: The most points tau_grid builds, for a tau or a cost-ratio grid.
+MAX_GRID_POINTS = 1_000_000
 DEFAULT_SENSITIVITY_RATIOS = (0.4, 0.64, 0.9)
 
 
@@ -165,10 +168,18 @@ def tau_grid(
 ) -> np.ndarray:
     """Grid from lo in steps of step, each point rounded to 9 decimals, up
     to hi inclusive and never past it (a hi within 1e-9 steps of a grid
-    point counts as on it); 71 points for the default range and step."""
-    if not (step > 0 and lo <= hi and all(map(math.isfinite, (lo, hi, step)))):
-        raise ValueError(f"threshold grid needs step > 0 and lo <= hi, all finite, got {lo}:{hi} step {step}")
-    n = math.floor((hi - lo) / step + 1e-9) + 1
+    point counts as on it); 71 points for the default range and step, and
+    at most MAX_GRID_POINTS."""
+    valid = step > 0 and lo <= hi and all(map(math.isfinite, (lo, hi, step)))
+    # the quotient is checked before floor: a tiny step makes it huge or
+    # inf, and refusing it here asks for no memory at all
+    steps = (hi - lo) / step + 1e-9 if valid else math.nan
+    if not steps < MAX_GRID_POINTS:
+        raise ValueError(
+            f"threshold grid needs step > 0 and lo <= hi, all finite, and at most {MAX_GRID_POINTS} points,"
+            f" got {lo}:{hi} step {step}"
+        )
+    n = math.floor(steps) + 1
     # rounding to 9 decimals can lift the last point above a hi that has more
     return np.minimum(np.round(lo + step * np.arange(n), 9), hi)
 

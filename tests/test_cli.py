@@ -12,7 +12,7 @@ import pytest
 
 import lppgate
 from lppgate import pipeline
-from lppgate.cli import INPUTS, build_parser, main, stage_argv
+from lppgate.cli import INPUTS, READERS, REWRITES, build_parser, main, stage_argv
 from lppgate.dataset import label_correctness
 from lppgate.schema import trace_to_dict, write_traces_jsonl
 from lppgate.synth import SynthConfig, generate_corpus
@@ -383,6 +383,9 @@ class TestErrors:
             ("--tau-range", "0.35:0.70:0.1", "--tau-range"),
             ("--tau-step", "inf", "all finite"),
             ("--tau-range", "0:inf", "all finite"),
+            ("--tau-range", "-inf:0.7", "all finite"),
+            ("--tau-step", "1e-9", "at most 1000000 points, got 0.35:0.7 step 1e-09"),
+            ("--tau-step", "5e-324", "at most 1000000 points, got 0.35:0.7 step 5e-324"),
         ],
     )
     def test_invalid_tau_grid_rejected(self, workdir, tmp_path, capsys, flag, value, message):
@@ -390,17 +393,19 @@ class TestErrors:
         out.mkdir()
         model = shutil.copy(workdir / "model.json", out / "model.json")
         before = Path(model).read_bytes()
-        capsys.readouterr()
-        code = run_cli(
-            "sweep", "--out", out, *labelled(workdir),
-            "--model", model, "--validation-ids", workdir / "validation_ids.txt",
-            flag, value,
-        )
-        assert code == 1
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ValueError" and message in error["message"]
-        assert not (out / "policy_report.json").exists()
-        assert Path(model).read_bytes() == before
+        # the value as its own word and joined by "=" are one value
+        for given in ([flag, value], [f"{flag}={value}"]):
+            capsys.readouterr()
+            code = run_cli(
+                "sweep", "--out", out, *labelled(workdir),
+                "--model", model, "--validation-ids", workdir / "validation_ids.txt",
+                *given,
+            )
+            assert code == 1, given
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["type"] == "ValueError" and message in error["message"], given
+            assert not (out / "policy_report.json").exists()
+            assert Path(model).read_bytes() == before
 
     @pytest.mark.parametrize(
         "r_grid, message",
@@ -410,20 +415,23 @@ class TestErrors:
             ("0.4:0.9", "--r-grid"),
             ("-1:0:0.5", "--r-grid ratio must be finite and >= 0, got -1.0"),
             ("0.4:0.9:inf", "all finite"),
+            ("0.4:0.9:1e-9", "at most 1000000 points, got 0.4:0.9 step 1e-09"),
+            ("0.4:0.9:5e-324", "at most 1000000 points, got 0.4:0.9 step 5e-324"),
         ],
     )
     def test_invalid_r_grid_rejected(self, workdir, tmp_path, capsys, r_grid, message):
         out = tmp_path / "run"
-        capsys.readouterr()
-        code = run_cli(
-            "sensitivity", "--out", out, *labelled(workdir),
-            "--model", workdir / "model.json", "--test-ids", workdir / "test_ids.txt",
-            f"--r-grid={r_grid}",
-        )
-        assert code == 1
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ValueError" and message in error["message"]
-        assert not (out / "sensitivity.json").exists()
+        for given in (["--r-grid", r_grid], [f"--r-grid={r_grid}"]):
+            capsys.readouterr()
+            code = run_cli(
+                "sensitivity", "--out", out, *labelled(workdir),
+                "--model", workdir / "model.json", "--test-ids", workdir / "test_ids.txt",
+                *given,
+            )
+            assert code == 1, given
+            error = json.loads(capsys.readouterr().err)["error"]
+            assert error["type"] == "ValueError" and message in error["message"], given
+            assert not (out / "sensitivity.json").exists()
 
     @pytest.mark.parametrize(
         "config, kind", [([["seed", 7]], "list"), ([1, 2], "list"), ("seed", "str"), (7, "int"), (None, "NoneType")]
@@ -585,11 +593,14 @@ class TestErrors:
             (None, {"sensitivity_ratios": [-1.0, float("nan")]}, "config key 'sensitivity_ratios' must be finite and >= 0"),
             (None, {"sensitivity_ratios": [0.4, float("nan")]}, "config key 'sensitivity_ratios' must be finite and >= 0"),
             (None, {"target_majority_ratio": float("nan")}, "target_majority_ratio must be positive"),
+            (["--tau-step", "1e-9"], {"tau_step": 1e-9}, "threshold grid needs step > 0 and lo <= hi"),
+            (["--tau-step", "5e-324"], {"tau_step": 5e-324}, "threshold grid needs step > 0 and lo <= hi"),
         ],
         ids=[
             "cost-ratio", "tau-step", "tau-range", "test-negatives", "validation-fraction", "majority-ratio", "both",
             "cost-ratio-nan", "cost-ratio-inf", "cost-mis-nan", "cost-mis-inf", "tau-step-inf", "tau-max-inf",
             "tau-min-inf", "sensitivity-ratio-negative", "sensitivity-ratio-nan", "majority-ratio-nan",
+            "tau-step-tiny", "tau-step-subnormal",
         ],
     )
     def test_extract_refuses_a_derived_setting_out_of_range(self, workdir, tmp_path, capsys, flags, config, message):
@@ -995,6 +1006,99 @@ class TestStageArgv:
     def test_generate_inputs_are_no_run_files(self, tmp_path):
         with pytest.raises(ValueError, match="--items"):
             stage_argv("generate", tmp_path)
+
+    def test_every_input_has_a_reader(self):
+        # the sidecar is read with the features, and generate reads its own
+        dests = {dest for inputs in INPUTS.values() for dest in inputs}
+        assert set(READERS) == dests - {"features_sidecar", "items", "stub"}
+
+    def test_rewritten_inputs_are_inputs(self):
+        for command, dests in REWRITES.items():
+            assert set(dests) <= set(INPUTS[command]), command
+
+
+class TestStageFiles:
+    @staticmethod
+    def hashes(run_dir):
+        """{real path: sha256} of every file under run_dir."""
+        return {p.resolve(): sha256(p) for p in run_dir.rglob("*") if p.is_file()}
+
+    def test_outputs_are_the_files_each_stage_changed(self, tmp_path):
+        """Each manifest's outputs are exactly the files its stage created
+        or changed, besides the manifest itself."""
+        run_dir, generated = tmp_path / "run", tmp_path / "generated"
+        fixture = Path(__file__).parent / "fixtures" / "stub"
+        stub = ["--items", fixture / "items.jsonl", "--stub", fixture / "stub.json", "--template", "text-cot"]
+        stages = [
+            (run_dir, ["synth", "--out", run_dir, "--n-items", 400]),
+            (generated, ["generate", "--out", generated, *stub]),
+            (run_dir, stage_argv("extract", run_dir)),
+            (run_dir, [*stage_argv("split", run_dir), "--test-negatives", 30]),
+            (run_dir, [*stage_argv("train", run_dir), "--quick-grid"]),
+            (run_dir, stage_argv("sweep", run_dir)),
+            (run_dir, stage_argv("evaluate", run_dir)),
+            (run_dir, [*stage_argv("ablate", run_dir), "--family", "attribution", "--quick-grid"]),
+            (run_dir, stage_argv("sensitivity", run_dir)),
+        ]
+        recorded = {}
+        for directory, argv in stages:
+            directory.mkdir(exist_ok=True)
+            before = self.hashes(directory)
+            assert run_cli(*argv) == 0, argv[0]
+            after = self.hashes(directory)
+            assert set(before) <= set(after), argv[0]
+            manifest = (directory / f"{argv[0]}.manifest.json").resolve()
+            recorded[argv[0]] = {Path(p).resolve() for p in json.loads(manifest.read_text())["outputs"]}
+            changed = {p for p, h in after.items() if before.get(p) != h}
+            assert recorded[argv[0]] | {manifest} == changed, argv[0]
+        assert (run_dir / "model.json").resolve() in recorded["sweep"]
+
+    def test_readers_call_through_their_modules(self, workdir, tmp_path, monkeypatch):
+        """A reader looks its function up when it runs, so one rebound in
+        its module, as perfbench's tracer rebinds them, is the one called."""
+        run_dir = shutil.copytree(workdir, tmp_path / "run")
+        called = []
+        for module, name in [
+            (lppgate.cli, "read_traces_jsonl"),
+            (pipeline, "load_labels"),
+            (pipeline, "load_features"),
+            (pipeline, "read_id_list"),
+            (lppgate.trainer, "load_gate"),
+        ]:
+            def recording(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                called.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, recording)
+        assert run_cli(*stage_argv("extract", run_dir)) == 0
+        assert run_cli(*stage_argv("sweep", run_dir)) == 0
+        assert called == ["read_traces_jsonl", "load_gate", "load_features", "load_labels", "read_id_list"]
+
+
+class TestNegativeRangeValues:
+    """A --tau-range or --r-grid value that starts with "-" is that flag's
+    value, in its own word as after "="."""
+
+    def test_space_and_equals_forms_give_one_report(self, workdir, tmp_path):
+        reports = []
+        for given in (["--tau-range", "-0.1:0.7"], ["--tau-range=-0.1:0.7"]):
+            out = tmp_path / f"run{len(reports)}"
+            out.mkdir()
+            model = shutil.copy(workdir / "model.json", out / "model.json")
+            code = run_cli(
+                "sweep", "--out", out, *labelled(workdir),
+                "--model", model, "--validation-ids", workdir / "validation_ids.txt", *given,
+            )
+            assert code == 0, given
+            reports.append((out / "policy_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("given", [["--tau-range", "--seed", "7"], ["--families", "-x"]])
+    def test_other_values_parse_as_before(self, workdir, tmp_path, given):
+        # a following flag is not joined, and no other flag joins its value
+        with pytest.raises(SystemExit) as exc:
+            run_cli("extract", "--out", tmp_path / "run", "--traces", workdir / "traces.jsonl", *given)
+        assert exc.value.code == 2
 
 
 class TestParserCache:

@@ -235,6 +235,10 @@ class TestTauGrid:
             (0.0, float("inf"), 0.005),
             (float("-inf"), 0.7, 0.005),
             (float("nan"), 0.7, 0.005),
+            # more points than MAX_GRID_POINTS, refused before any is built
+            (0.35, 0.7, 1e-9),
+            (0.35, 0.7, 5e-324),
+            (0.0, 1.0, 1e-6),  # one point more than the cap
         ],
     )
     def test_invalid_grid_rejected(self, lo, hi, step):
