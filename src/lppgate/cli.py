@@ -493,13 +493,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_RANGE_FLAGS = ("--tau-range", "--r-grid")
+
+
+@functools.cache
+def _range_flag_words(command: str) -> frozenset[str]:
+    """Each word argparse reads as --tau-range or --r-grid in ``command``:
+    the flag, and each prefix of it that no other flag of the command
+    starts with (argparse's abbreviations)."""
+    (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
+    if command not in commands:
+        return frozenset()
+    flags = [flag for action in commands[command]._actions for flag in action.option_strings]
+    return frozenset(
+        flag[:n]
+        for flag in _RANGE_FLAGS if flag in flags
+        for n in range(3, len(flag) + 1)
+        if [other for other in flags if other.startswith(flag[:n])] == [flag]
+    )
+
+
 def _join_range_values(argv: list[str]) -> list[str]:
-    """argv with each --tau-range or --r-grid joined to a following value
-    that starts with a single "-", a negative LO that argparse would take
-    for a flag: `--tau-range -0.1:0.7` is read as `--tau-range=-0.1:0.7`."""
+    """argv with each --tau-range or --r-grid, spelled out or abbreviated as
+    argparse allows, joined to a following value that starts with a single
+    "-", a negative LO that argparse would take for a flag: `--tau-range
+    -0.1:0.7` and `--tau-ra -0.1:0.7` are read as `--tau-range=-0.1:0.7`."""
+    words = _range_flag_words(argv[0]) if argv else frozenset()
     joined: list[str] = []
     for arg in argv:
-        if joined and joined[-1] in ("--tau-range", "--r-grid") and arg[:1] == "-" and arg[:2] != "--":
+        if joined and joined[-1] in words and arg[:1] == "-" and arg[:2] != "--":
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

@@ -329,7 +329,7 @@ class TestErrors:
         assert error == {"type": "ValueError", "message": f"item_id {bad!r} holds a line break"}
         assert not (out / "features.csv").exists()
 
-    @pytest.mark.parametrize("bad", ["malformed", "per-token"])
+    @pytest.mark.parametrize("bad", ["malformed", "per-token", "array"])
     def test_bad_trace_line_names_its_line_and_file(self, tmp_path, capsys, bad):
         out = tmp_path / "run"
         out.mkdir()
@@ -340,6 +340,9 @@ class TestErrors:
         if bad == "malformed":
             lines.insert(3, "{not json\n")
             reason = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+        elif bad == "array":
+            lines.insert(3, "[1, 2]\n")
+            reason = "a trace line holds a JSON list, not an object"
         else:
             lines[3] = json.dumps(trace_to_dict(traces[3])) + "\n"
             reason = f"trace {traces[3].item_id!r} has no 'spans' key"
@@ -1092,6 +1095,45 @@ class TestNegativeRangeValues:
             assert code == 0, given
             reports.append((out / "policy_report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_abbreviated_flag_joins_its_value(self, workdir, tmp_path):
+        reports = []
+        for given in (["--tau-ra", "-0.1:0.7"], ["--tau-range=-0.1:0.7"]):
+            out = tmp_path / f"run{len(reports)}"
+            out.mkdir()
+            model = shutil.copy(workdir / "model.json", out / "model.json")
+            code = run_cli(
+                "sweep", "--out", out, *labelled(workdir),
+                "--model", model, "--validation-ids", workdir / "validation_ids.txt", *given,
+            )
+            assert code == 0, given
+            reports.append((out / "policy_report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    def test_ambiguous_prefix_fails_as_argparse_fails_it(self, workdir, tmp_path, capsys):
+        # --tau- starts both --tau-range and --tau-step, so it is not joined
+        argv = ["sweep", "--out", str(tmp_path / "run"), *map(str, labelled(workdir)), "--model", str(workdir / "model.json"),
+                "--validation-ids", str(workdir / "validation_ids.txt"), "--tau-", "-0.1:0.7"]
+        errors = []
+        for parse in (run_cli, lambda *a: build_parser().parse_args(a)):
+            with pytest.raises(SystemExit) as exc:
+                parse(*argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err.splitlines()[-1])
+        assert errors[0] == errors[1]
+        assert "ambiguous option: --tau- could match --tau-range, --tau-step" in errors[0]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command, flag, joined", [
+        ("sensitivity", "--r", True),
+        ("sensitivity", "--tau-r", True),
+        ("sweep", "--r", False),
+        ("sweep", "--tau", False),
+    ])
+    def test_a_unique_prefix_of_the_command_joins(self, command, flag, joined):
+        argv = [command, flag, "-1:0:0.5"]
+        want = [command, f"{flag}=-1:0:0.5"] if joined else argv
+        assert lppgate.cli._join_range_values(argv) == want
 
     @pytest.mark.parametrize("given", [["--tau-range", "--seed", "7"], ["--families", "-x"]])
     def test_other_values_parse_as_before(self, workdir, tmp_path, given):

@@ -1,13 +1,18 @@
+import base64
+import binascii
 import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from lppgate import schema
+from lppgate.pipeline import extract_table
 from lppgate.schema import (
     ConfidenceBand,
     InvalidLogprob,
@@ -464,7 +469,7 @@ class TestTraceInvariantsAndRoundTrip:
         assert first.read_bytes() == second.read_bytes()
         # each span holds what the per-token records held
         for line in first.read_text().splitlines():
-            trace = trace_from_dict(json.loads(line))
+            (trace,) = trace_from_dict([json.loads(line)])
             records = token_records_from_dict(trace_to_dict(trace))
             assert span_view(trace.outcome) == records_view([r for r in records if r.span is Span.OUTCOME])
             assert span_view(trace.reasoning) == records_view([r for r in records if r.span is Span.REASONING])
@@ -609,9 +614,9 @@ def _spans(draw, min_tokens=0, max_tokens=4):
 
 
 @st.composite
-def _traces(draw):
+def _traces(draw, max_traces=3):
     traces = []
-    for i in range(draw(st.integers(min_value=1, max_value=3))):
+    for i in range(draw(st.integers(min_value=1, max_value=max_traces))):
         outcome = draw(st.sampled_from(list(OutcomeLabel)))
         steps = tuple(ReasoningStep(n + 1, draw(st.text(max_size=5))) for n in range(draw(st.integers(0, 3))))
         p_correct = draw(st.one_of(st.none(), st.sampled_from((0, 55, 100))))
@@ -644,7 +649,6 @@ _FAULTY_SPANS = [
     [("a", -0.5, [("b", -0.1)])],
     [("a", -1.7e308, [("a", -1.7e308), ("b", -1.7e308)])],
     [("a", -0.1, [("a", -0.1)]), ("b", -0.2, [("b", -0.2), ("c", -1.0), ("d", -2.0)]), ("c", -0.0, [])],
-    [("a", "-0.5", [("a", "-0.5")])],
 ]
 _RECORD_LOGPROBS = st.one_of(
     _SPAN_LOGPROBS,
@@ -670,13 +674,19 @@ def _record_triples(draw):
     return tokens
 
 
+def _float64_text(values) -> str:
+    return base64.b64encode(np.array(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def _record(tokens) -> dict:
-    """The span record of token_span triples, with nothing checked or sorted."""
+    """The span record of token_span triples, with nothing checked or
+    sorted: the logprobs as base64 text of their float64 bytes, each row's
+    after the last."""
     return {
         "chosen": [surface for surface, _, _ in tokens],
-        "chosen_logprobs": [logprob for _, logprob, _ in tokens],
+        "chosen_logprobs": _float64_text([logprob for _, logprob, _ in tokens]),
         "surfaces": [[s for s, _ in candidates] for _, _, candidates in tokens],
-        "logprobs": [[lp for _, lp in candidates] for _, _, candidates in tokens],
+        "logprobs": _float64_text([lp for _, _, candidates in tokens for _, lp in candidates]),
     }
 
 
@@ -692,7 +702,7 @@ def _assert_reads_like_token_span(tokens):
     outcome = _record([("1", -0.1, [("1", -0.1)])])
     obj = {"item_id": "x", "structured": {"outcome": 1}, "spans": {"outcome": outcome, "reasoning": _record(tokens)}}
     obj = json.loads(json.dumps(obj))
-    assert _outcome(lambda: trace_from_dict(obj).reasoning) == _outcome(lambda: token_span(tokens))
+    assert _outcome(lambda: trace_from_dict([obj])[0].reasoning) == _outcome(lambda: token_span(tokens))
 
 
 class TestUnzipBeforeCheck:
@@ -749,7 +759,7 @@ class TestSpanRecords:
         _assert_reads_like_token_span(tokens)
 
     @pytest.mark.parametrize("tokens", _FAULTY_SPANS, ids=[
-        "nan", "inf", "minus-inf", "positive", "clamped", "unsorted", "chosen-missing", "sum-overflows", "ragged", "text",
+        "nan", "inf", "minus-inf", "positive", "clamped", "unsorted", "chosen-missing", "sum-overflows", "ragged",
     ])
     def test_faulty_record_reads_like_token_span(self, tokens):
         _assert_reads_like_token_span(tokens)
@@ -757,12 +767,123 @@ class TestSpanRecords:
     def test_line_without_spans_refused(self, trace_factory):
         obj = trace_to_dict(trace_factory(item_id="a", reasoning_logprobs=(-0.5,)))
         with pytest.raises(ValueError, match="^trace 'a' has no 'spans' key$"):
-            trace_from_dict(obj)
+            trace_from_dict([obj])
 
     def test_record_lists_of_different_lengths_rejected(self):
         record = _record([("a", -0.1, [("a", -0.1), ("b", -0.2)])])
-        record["logprobs"] = [[-0.1]]
+        record["logprobs"] = _float64_text([-0.1])
         obj = {"item_id": "x", "structured": {"outcome": 1},
                "spans": {"outcome": _record([("1", -0.1, [("1", -0.1)])]), "reasoning": record}}
         with pytest.raises(ValueError, match="span record lists differ in length"):
-            trace_from_dict(obj)
+            trace_from_dict([obj])
+
+    @pytest.mark.parametrize("field, text", [
+        ("chosen_logprobs", "-0.5"),
+        ("logprobs", "AAAAAAAA 4L8="),
+        ("logprobs", "AAAAAAAA4L8=\n"),
+        ("chosen_logprobs", "AAAAAAAA4L8=AAAAAAAA4L8="),
+    ], ids=["text", "space", "line-break", "inner-padding"])
+    def test_logprobs_that_are_not_base64_text_refused(self, field, text):
+        # the lenient decoder would drop the space and the line break
+        record = _record([("a", -0.5, [("a", -0.5)])])
+        record[field] = text
+        obj = {"item_id": "x", "structured": {"outcome": 1}, "spans": {"outcome": record, "reasoning": _record([])}}
+        with pytest.raises(binascii.Error):
+            trace_from_dict([obj])
+
+    @pytest.mark.parametrize("field", ["chosen_logprobs", "logprobs"])
+    def test_decimal_span_record_refused(self, field):
+        # the older form: the logprobs as JSON numbers, the rows as lists
+        record = _record([("a", -0.5, [("a", -0.5)])])
+        record[field] = [-0.5] if field == "chosen_logprobs" else [[-0.5]]
+        obj = {"item_id": "x", "structured": {"outcome": 1}, "spans": {"outcome": record, "reasoning": _record([])}}
+        with pytest.raises(ValueError, match="^span record logprobs are not base64 text: .* older trace-file form"):
+            trace_from_dict([obj])
+
+    @pytest.mark.parametrize("cot", [False, True], ids=["direct", "cot"])
+    def test_read_arrays_are_float64_and_extract(self, tmp_path, cot):
+        traces, _ = generate_corpus(SynthConfig(n_items=40, cot=cot, seed=5))
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        loaded = read_traces_jsonl(path)
+        for trace in loaded:
+            for span in (trace.outcome, trace.reasoning):
+                assert span.chosen_logprobs.dtype == span.logprobs.dtype == np.float64
+                assert span.chosen_logprobs.shape == (len(span.chosen),)
+                assert span.logprobs.shape[0] == len(span.chosen)
+        for read, written in zip(loaded, traces):
+            one, expected = extract_table([read]), extract_table([written])
+            assert one.names == expected.names and one.matrix.tobytes() == expected.matrix.tobytes()
+
+
+def _edited_line(line: str, fault: str) -> str:
+    """A trace-file line with one fault in its outcome record."""
+    obj = json.loads(line)
+    record = obj["spans"]["outcome"]
+    if fault == "bad-base64":
+        record["chosen_logprobs"] = "*" + record["chosen_logprobs"]
+    elif fault == "byte-count":
+        record["chosen_logprobs"] = base64.b64encode(bytes(7)).decode("ascii")
+    elif fault == "nan":
+        record["chosen_logprobs"] = _float64_text([math.nan])
+    elif fault == "unsorted":
+        obj["spans"]["outcome"] = _record([(record["chosen"][0], -0.5, [("z", -2.0), (record["chosen"][0], -0.5)])])
+    elif fault == "chosen-missing":
+        obj["spans"]["outcome"] = _record([(record["chosen"][0], -0.5, [("z", -2.0)])])
+    else:
+        del obj["spans"]
+    return json.dumps(obj) + "\n"
+
+
+# the faults a line's read raises for; an unsorted row and a chosen token
+# missing from its row are not faults of the file, which the reader sorts
+# and appends as token_span does, but they fail the block's bulk test
+_RAISING_FAULTS = ("bad-base64", "byte-count", "nan", "no-spans")
+_MENDED_FAULTS = ("unsorted", "chosen-missing")
+
+
+class TestBlockReader:
+    """read_traces_jsonl reads schema._TRACE_BLOCK_LINES lines at a time;
+    no block size changes what it reads or which line an error names."""
+
+    BLOCK_SIZES = (1, 2, 7)
+
+    def _read_each(self, path):
+        """read_traces_jsonl(path) at each block size: bits, or the message raised."""
+        results = []
+        for lines in self.BLOCK_SIZES:
+            with mock.patch.object(schema, "_TRACE_BLOCK_LINES", lines):
+                try:
+                    results.append([_trace_bits(t) for t in read_traces_jsonl(path)])
+                except ValueError as exc:
+                    results.append(str(exc))
+        return results
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_traces(max_traces=16), st.data())
+    def test_every_block_size_reads_alike(self, tmp_path, traces, data):
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        assert self._read_each(path) == [[_trace_bits(t) for t in traces]] * len(self.BLOCK_SIZES)
+        lines = path.read_text().splitlines(keepends=True)
+        k = data.draw(st.integers(min_value=1, max_value=len(lines)), label="faulty line")
+        fault = data.draw(st.sampled_from(_RAISING_FAULTS + _MENDED_FAULTS), label="fault")
+        lines[k - 1] = _edited_line(lines[k - 1], fault)
+        if k < len(lines) and data.draw(st.booleans(), label="a later raising fault too"):
+            later = data.draw(st.integers(min_value=k + 1, max_value=len(lines)), label="later line")
+            lines[later - 1] = _edited_line(lines[later - 1], data.draw(st.sampled_from(_RAISING_FAULTS)))
+        if data.draw(st.booleans(), label="a blank line first"):
+            lines.insert(0, "\n")
+            k += 1
+        path.write_text("".join(lines))
+        results = self._read_each(path)
+        assert all(result == results[0] for result in results)
+        if fault in _RAISING_FAULTS:
+            assert isinstance(results[0], str) and results[0].startswith(f"line {k} of {path}: ")
+        elif isinstance(results[0], list):
+            # the mended line reads as token_span reads its triples
+            obj = json.loads(lines[k - 1])
+            (trace,) = trace_from_dict([obj])
+            assert results[0][k - 1 - lines[:k].count("\n")] == _trace_bits(trace)
+            chosen = obj["spans"]["outcome"]["chosen"][0]
+            assert trace.outcome.surfaces[0][0] == chosen and trace.outcome.logprobs[0].tolist() == [-0.5, -2.0]

@@ -1,8 +1,9 @@
 """The per-token classes that schema.TokenSpan replaced, kept as the
-reference that token_span, the span records trace_from_dict reads and the
-feature kernels are checked against; token_span as one loop that checks
-each value before it appends and sorts, the reference for its span
-builder; and the per-token loop that gateway.segment_spans replaced."""
+reference that token_span, the spans trace_from_dict reads from a trace
+file's base64 float64 span records, and the feature kernels are checked
+against; token_span as one loop that checks each value before it appends
+and sorts, the reference for its span builder; and the per-token loop
+that gateway.segment_spans replaced."""
 
 from __future__ import annotations
 
