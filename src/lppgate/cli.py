@@ -24,6 +24,7 @@ import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 import time
 import types
@@ -425,6 +426,12 @@ def _search_space(args) -> list[trainer.RidgeConfig]:
 # except --stub.
 _INPUT_HELP = {"items": "items JSONL", "stub": "stub provider fixture file"}
 
+# A word that starts with "-" and then a digit, ".", inf or nan is a value,
+# so `--tau-range -0.1:0.7` and `--cost-ratio -inf` reach the flag. No flag
+# of any command starts so: each is "--name" or -h. argparse's own rule
+# takes only a plain number such as -1 or -0.5 for a value.
+_NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
+
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
@@ -441,6 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
         of INPUTS[name]; main checks, hashes and reads those files before
         run()."""
         p = sub.add_parser(name, help=summary)
+        # argparse's parse of each word reads this attribute (3.10, 3.11)
+        p._negative_number_matcher = _NEGATIVE_VALUE
         p.set_defaults(run=run, inputs=INPUTS[name])
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--seed", type=int)
@@ -493,43 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RANGE_FLAGS = ("--tau-range", "--r-grid")
-
-
-@functools.cache
-def _range_flag_words(command: str) -> frozenset[str]:
-    """Each word argparse reads as --tau-range or --r-grid in ``command``:
-    the flag, and each prefix of it that no other flag of the command
-    starts with (argparse's abbreviations)."""
-    (commands,) = (a.choices for a in build_parser()._actions if a.dest == "command")
-    if command not in commands:
-        return frozenset()
-    flags = [flag for action in commands[command]._actions for flag in action.option_strings]
-    return frozenset(
-        flag[:n]
-        for flag in _RANGE_FLAGS if flag in flags
-        for n in range(3, len(flag) + 1)
-        if [other for other in flags if other.startswith(flag[:n])] == [flag]
-    )
-
-
-def _join_range_values(argv: list[str]) -> list[str]:
-    """argv with each --tau-range or --r-grid, spelled out or abbreviated as
-    argparse allows, joined to a following value that starts with a single
-    "-", a negative LO that argparse would take for a flag: `--tau-range
-    -0.1:0.7` and `--tau-ra -0.1:0.7` are read as `--tau-range=-0.1:0.7`."""
-    words = _range_flag_words(argv[0]) if argv else frozenset()
-    joined: list[str] = []
-    for arg in argv:
-        if joined and joined[-1] in words and arg[:1] == "-" and arg[:2] != "--":
-            joined[-1] += "=" + arg
-        else:
-            joined.append(arg)
-    return joined
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_join_range_values(sys.argv[1:] if argv is None else list(argv)))
+    args = build_parser().parse_args(argv)
     written: list[str] = []
 
     def out(name: str) -> str:

@@ -308,7 +308,11 @@ def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
 
 
 def write_id_list(ids: Sequence[str], path) -> None:
+    """One id a line. read_id_list skips blank lines, so an empty id, which
+    would drop out of the list, is refused before anything is written."""
     check_item_ids(ids, "the id list")
+    if "" in ids:
+        raise ValueError(f"item_id '' cannot be written to the id list {path}: its line would be blank")
     write_text_atomic(path, "".join(f"{i}\n" for i in ids))
 
 

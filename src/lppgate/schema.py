@@ -599,14 +599,23 @@ def _spans_of_records(records: list) -> list[TokenSpan]:
     return spans
 
 
+#: Each p_correct parse_structured_response leaves other than None: a
+#: multiple of 5 in [0, 100].
+_P_CORRECT_VALUES = frozenset(range(0, 101, 5))
+
+
 def _structured_from_dict(s: dict) -> StructuredResponse:
+    p_correct = s.get("p_correct")
+    # a bool or float equal to a member is no int, so the type is tested
+    if p_correct is not None and not (type(p_correct) is int and p_correct in _P_CORRECT_VALUES):
+        raise ValueError(f"p_correct must be null or a multiple of 5 in [0, 100], got {p_correct!r}")
     return StructuredResponse(
         outcome=OutcomeLabel(int(s["outcome"])),
         reasoning_steps=tuple(
             ReasoningStep(r["step_number"], r["description"])
             for r in s.get("reasoning_steps", [])
         ),
-        p_correct=s.get("p_correct"),
+        p_correct=p_correct,
         band=ConfidenceBand(s["band"]) if s.get("band") is not None else None,
     )
 

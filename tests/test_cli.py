@@ -598,12 +598,14 @@ class TestErrors:
             (None, {"target_majority_ratio": float("nan")}, "target_majority_ratio must be positive"),
             (["--tau-step", "1e-9"], {"tau_step": 1e-9}, "threshold grid needs step > 0 and lo <= hi"),
             (["--tau-step", "5e-324"], {"tau_step": 5e-324}, "threshold grid needs step > 0 and lo <= hi"),
+            (["--cost-ratio", "-inf"], {"cost_ratio": -float("inf")}, "costs must be positive"),
+            (["--cost-mis", "-nan"], {"cost_mis": float("nan")}, "costs must be positive"),
         ],
         ids=[
             "cost-ratio", "tau-step", "tau-range", "test-negatives", "validation-fraction", "majority-ratio", "both",
             "cost-ratio-nan", "cost-ratio-inf", "cost-mis-nan", "cost-mis-inf", "tau-step-inf", "tau-max-inf",
             "tau-min-inf", "sensitivity-ratio-negative", "sensitivity-ratio-nan", "majority-ratio-nan",
-            "tau-step-tiny", "tau-step-subnormal",
+            "tau-step-tiny", "tau-step-subnormal", "cost-ratio-minus-inf", "cost-mis-minus-nan",
         ],
     )
     def test_extract_refuses_a_derived_setting_out_of_range(self, workdir, tmp_path, capsys, flags, config, message):
@@ -637,6 +639,24 @@ class TestErrors:
             "type": "ValueError",
             "message": f"item_id {first!r} appears more than once in {run / 'features.csv'}",
         }
+        assert not list(run.glob("*_ids.txt"))
+
+    def test_split_refuses_an_empty_item_id(self, workdir, tmp_path, capsys):
+        # features.csv and labels.csv hold an empty id, but an id list cannot
+        run = tmp_path / "run"
+        run.mkdir()
+        for name in ("features.csv", "features.families.json", "features.npy", "labels.csv"):
+            shutil.copy(workdir / name, run / name)
+        first = (run / "features.csv").read_text().splitlines()[1].partition(",")[0]
+        for name in ("features.csv", "labels.csv"):
+            text = (run / name).read_text()
+            assert text.count(f"\n{first},") == 1
+            (run / name).write_text(text.replace(f"\n{first},", "\n,"))
+        capsys.readouterr()
+        assert run_cli("split", "--out", run, *labelled(run), "--test-negatives", 30) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"].startswith("item_id '' cannot be written to the id list ")
         assert not list(run.glob("*_ids.txt"))
 
     def test_train_names_an_id_without_a_feature_row(self, workdir, tmp_path, capsys):
@@ -1079,8 +1099,8 @@ class TestStageFiles:
 
 
 class TestNegativeRangeValues:
-    """A --tau-range or --r-grid value that starts with "-" is that flag's
-    value, in its own word as after "="."""
+    """A flag value that starts with "-" and a digit, ".", inf or nan is
+    that flag's value, in its own word as after "="."""
 
     def test_space_and_equals_forms_give_one_report(self, workdir, tmp_path):
         reports = []
@@ -1130,10 +1150,19 @@ class TestNegativeRangeValues:
         ("sweep", "--r", False),
         ("sweep", "--tau", False),
     ])
-    def test_a_unique_prefix_of_the_command_joins(self, command, flag, joined):
-        argv = [command, flag, "-1:0:0.5"]
-        want = [command, f"{flag}=-1:0:0.5"] if joined else argv
-        assert lppgate.cli._join_range_values(argv) == want
+    def test_a_unique_prefix_of_the_command_joins(self, command, flag, joined, tmp_path, capsys):
+        # a prefix of one flag of the command reads "-1:0:0.5" as its value;
+        # no flag of sweep starts with --r, and two start with --tau
+        argv = [*stage_argv(command, tmp_path), flag, "-1:0:0.5"]
+        if joined:
+            args = build_parser().parse_args(argv)
+            assert (args.r_grid if flag == "--r" else args.tau_range) == "-1:0:0.5"
+            return
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        want = {"--r": "unrecognized arguments: --r -1:0:0.5", "--tau": "ambiguous option: --tau could match"}
+        assert want[flag] in capsys.readouterr().err
 
     @pytest.mark.parametrize("given", [["--tau-range", "--seed", "7"], ["--families", "-x"]])
     def test_other_values_parse_as_before(self, workdir, tmp_path, given):

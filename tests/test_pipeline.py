@@ -236,6 +236,12 @@ class TestFileRoundTrips:
             pipeline.write_id_list(["a", bad, "zz"], path)
         assert not path.exists()
 
+    def test_id_list_refuses_empty_id(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        with pytest.raises(ValueError, match=re.escape(f"item_id '' cannot be written to the id list {path}")):
+            pipeline.write_id_list(["a", "", "zz"], path)
+        assert not path.exists()
+
 
 class TestCheckItemIds:
     def test_distinct_ids_pass(self):

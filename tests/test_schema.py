@@ -816,6 +816,24 @@ class TestSpanRecords:
             assert one.names == expected.names and one.matrix.tobytes() == expected.matrix.tobytes()
 
 
+class TestPCorrectRule:
+    """A trace file's p_correct is what parse_structured_response leaves:
+    null, or an int that is a multiple of 5 in [0, 100]."""
+
+    @pytest.mark.parametrize("value", ["high", 250, -40, 62.5, 85.0, 7, True, False, [85]], ids=str)
+    def test_any_other_value_refused_naming_its_line(self, tmp_path, value):
+        traces, _ = generate_corpus(SynthConfig(n_items=10, seed=3))
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        lines = path.read_text().splitlines(keepends=True)
+        obj = json.loads(lines[3])
+        obj["structured"]["p_correct"] = value
+        lines[3] = json.dumps(obj) + "\n"
+        path.write_text("".join(lines))
+        message = f"line 4 of {path}: p_correct must be null or a multiple of 5 in [0, 100], got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_traces_jsonl(path)
+
 def _edited_line(line: str, fault: str) -> str:
     """A trace-file line with one fault in its outcome record."""
     obj = json.loads(line)
