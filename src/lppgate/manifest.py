@@ -13,7 +13,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
-import io
 import json
 import os
 from typing import Iterable, Mapping, Sequence
@@ -45,29 +44,10 @@ def sha256_obj(obj) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-class _Digesting(io.RawIOBase):
-    """A binary sink that passes each block written to it on to ``fh``,
-    updating ``digest`` with the block first."""
-
-    def __init__(self, fh, digest):
-        super().__init__()
-        self._fh = fh
-        self._digest = digest
-
-    def writable(self) -> bool:
-        return True
-
-    def write(self, data) -> int:
-        self._digest.update(data)
-        return self._fh.write(data)
-
-
 @contextlib.contextmanager
-def open_atomic(path, mode: str = "w", digest=None):
+def open_atomic(path, mode: str = "w"):
     """A handle on a temp file that replaces ``path`` when the block ends:
-    UTF-8 text for mode "w", bytes for "wb". With a hashlib ``digest``,
-    every byte the file receives updates it as it is written, so when the
-    block ends the digest is that of the file. On any exception,
+    UTF-8 text for mode "w", bytes for "wb". On any exception,
     KeyboardInterrupt included, the temp file is removed and ``path`` is
     left as it was."""
     if mode not in ("w", "wb"):
@@ -75,13 +55,8 @@ def open_atomic(path, mode: str = "w", digest=None):
     path = str(path)
     tmp = path + ".tmp"
     try:
-        with open(tmp, "wb") as raw:
-            sink = raw if digest is None else _Digesting(raw, digest)
-            if mode == "wb":
-                yield sink
-            else:
-                with io.TextIOWrapper(sink, encoding="utf-8") as fh:
-                    yield fh
+        with open(tmp, mode, encoding="utf-8" if mode == "w" else None) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -98,17 +73,14 @@ def write_json_atomic(path, obj) -> None:
     write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def write_csv_atomic(path, header: Sequence[str], rows: Iterable[Sequence]) -> str:
+def write_csv_atomic(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """The one CSV dialect of every table artifact: csv's default, quoting
     only the fields that need it, with "\n" line ends. A float is written
-    as its repr and None as an empty field. Returns the file's sha256, as
-    sha256_file would, hashed from the bytes as they are written."""
-    digest = hashlib.sha256()
-    with open_atomic(path, digest=digest) as fh:
+    as its repr and None as an empty field."""
+    with open_atomic(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-    return digest.hexdigest()
 
 
 def build_manifest(

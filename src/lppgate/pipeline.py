@@ -144,38 +144,33 @@ def save_features(table: FeatureTable, csv_path, sidecar_path) -> None:
     each value, a binary copy of the table beside it (binary_copy_path),
     and the family sidecar.
 
-    The binary copy holds what the CSV reads back as, in two .npy records:
-    the UTF-8 JSON of {"item_ids": [...], "names": [...]} as uint8, then
-    the C-ordered float64 matrix, with every NaN stored as the one NaN that
-    the CSV's "nan" parses to. JSON keeps each id exactly, a trailing NUL
-    included, and the row count with it. The sidecar's BINARY_COPY_KEY
-    records the sha256 of the CSV the copy was written with and the copy's
-    own sha256; load_features reads the copy only while both hold."""
+    The binary copy holds what the CSV reads back as, in two np.save
+    records: the UTF-8 JSON of {"item_ids": [...], "names": [...]} as
+    uint8, then the C-ordered float64 matrix, with every NaN stored as the
+    one NaN that the CSV's "nan" parses to. JSON keeps each id exactly, a
+    trailing NUL included, and the row count with it. The sidecar's
+    BINARY_COPY_KEY records the sha256_file of the CSV and of the copy,
+    each taken once its file is written; load_features reads the copy only
+    while both hold."""
     check_item_ids(table.item_ids, "the feature table")
     matrix = np.ascontiguousarray(table.matrix, dtype=float)
     rows = ([item_id, *row.tolist()] for item_id, row in zip(table.item_ids, matrix))
-    csv_sha256 = write_csv_atomic(csv_path, ["item_id", *table.names], rows)
+    write_csv_atomic(csv_path, ["item_id", *table.names], rows)
     nan = np.isnan(matrix)
     if nan.any():
         matrix = np.where(nan, np.nan, matrix)
     header = json.dumps({"item_ids": table.item_ids, "names": table.names}).encode()
-    digest = hashlib.sha256()
-    with open_atomic(binary_copy_path(csv_path), "wb", digest=digest) as fh:
-        _write_npy_record(fh, np.frombuffer(header, dtype=np.uint8))
-        _write_npy_record(fh, matrix)
+    npy_path = binary_copy_path(csv_path)
+    # np.save hands a real file the array's own buffer (tofile), not a copy
+    with open_atomic(npy_path, "wb") as fh:
+        np.save(fh, np.frombuffer(header, dtype=np.uint8))
+        np.save(fh, matrix)
     families: dict[str, list[str]] = {}
     for name in table.names:
         families.setdefault(family_of(name), []).append(name)
-    copy = {"csv_sha256": csv_sha256, "sha256": digest.hexdigest()}
+    copy = {"csv_sha256": manifest.sha256_file(csv_path), "sha256": manifest.sha256_file(npy_path)}
     sidecar = {"families": families, "invalid_items": sorted(table.invalid_ids), BINARY_COPY_KEY: copy}
     write_json_atomic(sidecar_path, sidecar)
-
-
-def _write_npy_record(fh, array: np.ndarray) -> None:
-    """One .npy record of a C-contiguous array, the bytes np.save writes,
-    handing ``fh`` the array's own buffer rather than a copy of it."""
-    np.lib.format.write_array_header_1_0(fh, np.lib.format.header_data_from_array_1_0(array))
-    fh.write(array.data)
 
 
 def _ignore(_field: str) -> float:
@@ -221,7 +216,7 @@ def _read_binary_copy(csv_path, sidecar, csv_sha256: str | None):
     """Item ids, names and matrix of the binary copy at
     binary_copy_path(csv_path), or None unless the sidecar records it and
     the CSV's sha256 and the copy's own both equal the recorded ones."""
-    copy = sidecar.get(BINARY_COPY_KEY) if isinstance(sidecar, dict) else None
+    copy = sidecar.get(BINARY_COPY_KEY)
     if not isinstance(copy, dict) or not all(isinstance(copy.get(k), str) for k in ("csv_sha256", "sha256")):
         return None
     if (csv_sha256 if csv_sha256 is not None else manifest.sha256_file(csv_path)) != copy["csv_sha256"]:
@@ -252,16 +247,17 @@ def load_features(csv_path, sidecar_path, *, csv_sha256: str | None = None) -> F
     CSV, a changed or missing copy, or a sidecar without the record gives
     the CSV's own rows. Either way the ids pass check_item_ids, the matrix
     must hold one value per name on every row, and the sidecar must be a
-    JSON object whose invalid_items is a list of strings."""
+    JSON object whose invalid_items is a list of strings, which is checked
+    before either matrix is read."""
     with open(sidecar_path, encoding="utf-8") as fh:
         sidecar = json.load(fh)
-    read = _read_binary_copy(csv_path, sidecar, csv_sha256)
-    item_ids, names, matrix = read if read is not None else _parse_csv(csv_path)
     if not isinstance(sidecar, dict):
         raise ValueError(f"{sidecar_path} must hold a JSON object, got {type(sidecar).__name__}")
     invalid_ids = sidecar.get("invalid_items", [])
     if not isinstance(invalid_ids, list) or not all(isinstance(i, str) for i in invalid_ids):
         raise ValueError(f"'invalid_items' in {sidecar_path} must be a list of item ids, got {invalid_ids!r}")
+    read = _read_binary_copy(csv_path, sidecar, csv_sha256)
+    item_ids, names, matrix = read if read is not None else _parse_csv(csv_path)
     return FeatureTable(item_ids, names, matrix, dict.fromkeys(invalid_ids))
 
 

@@ -10,28 +10,28 @@ arrays, which token_span builds from synth and provider tokens. A response
 that fails to parse raises ParseFailure; the gateway's retry loop decides
 what to do with it.
 
-Every span is built by one function (_span_of) over four parallel lists:
-the chosen surfaces and logprobs, and each token's candidate surfaces and
-logprobs. When every logprob is at most 0 and their sum is finite, no
-value needs a check of its own; otherwise each value passes through
-_checked_logprob in stream order, which clamps it or raises with every
-InvalidLogprob message. Then a missing chosen token is appended, only the
-candidate rows not already in descending order are sorted, and the rows
-are padded. token_span unzips its triples into those lists, and the trace
-reader hands in a record's lists when its block needs a value checked or a
-row changed.
+token_span builds a span from its triples, unzipped into four parallel
+lists: the chosen surfaces and logprobs, and each token's candidate
+surfaces and logprobs. When every logprob is at most 0 and their sum is
+finite, no value needs a check of its own; otherwise each value passes
+through _checked_logprob in stream order, which clamps it or raises with
+every InvalidLogprob message. Then a missing chosen token is appended,
+only the candidate rows not already in descending order are sorted, and
+the rows are padded.
 
 A trace file holds one JSON line per trace, and each span of a line is one
 record of those four lists (see _span_record): the surfaces as JSON lists,
 the chosen logprobs as the base64 text of their little-endian float64
 bytes, and the candidate rows, sorted and unpadded, as one such text in row
 order, which the row widths of the surfaces split. read_traces_jsonl hands
-trace_from_dict _TRACE_BLOCK_LINES lines at a time, which decodes and
-checks the records of the whole block together: when _span_of would change
-nothing, each span's arrays are views of the block's arrays; otherwise each
-span goes through _span_of. A line without span records, or whose logprobs
-are not base64 text (as in the older decimal form), is refused, and
-read_traces_jsonl names the line and file of an error.
+trace_from_dict _TRACE_BLOCK_LINES lines at a time, which decodes the
+records of the whole block together and refuses, never mends, one not in
+the form token_span leaves a span in: every value finite and at most 0,
+every chosen token among its candidates, every row descending. A line
+without span records, whose logprobs are not base64 text (as in the older
+decimal form), or whose structured fields or attempt are not of the types
+write_traces_jsonl writes, is refused too, and read_traces_jsonl names the
+line and file of an error.
 
 A response has one reader, locate_structured_fields: the JSON object at
 its first ``{``, decoded by json's own scanner, which yields each field's
@@ -240,10 +240,17 @@ def token_span(tokens: Iterable[tuple[str, float, Iterable[tuple[str, float]]]])
     is appended to them with its own logprob, and each token's candidates
     are stably sorted by descending logprob.
 
-    The triples are unzipped into four parallel lists for _span_of, each
-    one-shot iterator of candidates read once. A triple or candidate pair
-    that does not unpack raises ValueError during the unzip, before any
-    logprob is checked.
+    The triples are first unzipped into four parallel lists, each one-shot
+    iterator of candidates read once, so a triple or candidate pair that
+    does not unpack raises ValueError before any logprob is checked. When
+    every logprob is then at most 0 and their math.fsum (which reads numpy
+    scalars as floats, so never warns) is finite, no value needs a check of
+    its own. Otherwise (nan, ±inf, an overflowing sum, a value in the clamp
+    tolerance, a value that is not a number) every value goes through
+    _checked_logprob in stream order, a token's own logprob and then its
+    candidates', which clamps it or raises. Either way a missing chosen
+    token is then appended, only the rows not already in descending order
+    are stably sorted, and the rows are padded with -inf.
     """
     chosen, chosen_lps, surfaces, rows = [], [], [], []
     for surface, logprob, candidates in tokens:
@@ -253,23 +260,6 @@ def token_span(tokens: Iterable[tuple[str, float, Iterable[tuple[str, float]]]])
         chosen_lps.append(logprob)
         surfaces.append(tuple([s for s, _ in candidates]))
         rows.append([l for _, l in candidates])
-    return _span_of(chosen, chosen_lps, surfaces, rows)
-
-
-def _span_of(chosen: list, chosen_lps: list, surfaces: list, rows: list) -> TokenSpan:
-    """The span of T tokens given as four parallel lists: the chosen
-    surfaces and logprobs, and each token's candidate surfaces and logprobs.
-
-    When every logprob is at most 0 and their math.fsum (which reads numpy
-    scalars as floats, so never warns) is finite, no value needs a check of
-    its own. Otherwise (nan, ±inf, an overflowing sum, a value in the clamp
-    tolerance, a value that is not a number) every value goes through
-    _checked_logprob in stream order, a token's own logprob and then its
-    candidates', which clamps it or raises. Either way a missing chosen token
-    is then appended to its candidates, only the rows not already in
-    descending order are stably sorted, and the rows are padded with -inf.
-    The lists given are left as they are.
-    """
     if not chosen:
         return _EMPTY_SPAN
     try:
@@ -285,7 +275,6 @@ def _span_of(chosen: list, chosen_lps: list, surfaces: list, rows: list) -> Toke
         chosen_lps, rows = checked_lps, checked_rows
     out_surfaces, out_rows = [], []
     for surface, logprob, srf, row in zip(chosen, chosen_lps, surfaces, rows):
-        srf = tuple(srf)
         if surface not in srf:
             srf += (surface,)
             row = [*row, logprob]
@@ -526,14 +515,14 @@ def _span_record(span: TokenSpan) -> dict:
 
 
 def _in_range(values: np.ndarray) -> bool:
-    """Every value finite and at most 0: none needs _checked_logprob."""
+    """Every value finite and at most 0."""
     return bool(((values <= 0.0) & (values > -math.inf)).all())
 
 
 def _rows_descend(values: np.ndarray, row_widths: np.ndarray) -> bool:
     """Each row of the concatenated rows is in descending order. Every
-    row is non-empty: the step from one row's last value to the next
-    row's first is left out."""
+    row is non-empty, as it holds its chosen token: the step from one
+    row's last value to the next row's first is left out."""
     descends = values[1:] <= values[:-1]
     descends[np.cumsum(row_widths)[:-1] - 1] = True
     return bool(descends.all())
@@ -543,12 +532,13 @@ def _spans_of_records(records: list) -> list[TokenSpan]:
     """The spans of a block's span records, in order.
 
     Each record's base64 texts are decoded, strictly, and their byte counts
-    checked against its lists: 8 per chosen token and 8 per candidate. When
-    every value of the block is finite and at most 0, every chosen token is
-    among its candidates and every row descends, _span_of would change
-    nothing, so each span's arrays are views of the block's arrays, padded
-    in one pass where a span's rows are ragged. Otherwise each span goes to
-    _span_of as lists, which clamps, appends, sorts or raises.
+    checked against its lists: 8 per chosen token and 8 per candidate. Then
+    every record of the block must be in the form _span_record writes
+    token_span's spans in, one rule for each part of it: every value finite
+    and at most 0, every chosen token among its candidates, and every row
+    in descending order. A block that breaks one raises ValueError with
+    that rule's message. Each span's arrays are views of the block's
+    arrays, padded in one pass where a span's rows are ragged.
     """
     chosen = [rec["chosen"] for rec in records]
     surfaces = [rec["surfaces"] for rec in records]
@@ -566,22 +556,12 @@ def _spans_of_records(records: list) -> list[TokenSpan]:
     chosen_lps = np.frombuffer(b"".join(blobs[: len(records)]), "<f8").astype(float, copy=False)
     values = np.frombuffer(b"".join(blobs[len(records) :]), "<f8").astype(float, copy=False)
     row_widths = np.fromiter(chain.from_iterable(widths), np.intp)
-    if not (
-        all(map(contains, chain.from_iterable(surfaces), chain.from_iterable(chosen)))
-        and _in_range(chosen_lps)
-        and _in_range(values)
-        and _rows_descend(values, row_widths)
-    ):
-        lps, flat = chosen_lps.tolist(), values.tolist()
-        spans, c, v = [], 0, 0
-        for ch, srf, w in zip(chosen, surfaces, widths):
-            rows = []
-            for k in w:
-                rows.append(flat[v : v + k])
-                v += k
-            spans.append(_span_of(ch, lps[c : c + len(ch)], srf, rows))
-            c += len(ch)
-        return spans
+    if not (_in_range(chosen_lps) and _in_range(values)):
+        raise ValueError("span record logprobs must be finite and at most 0")
+    if not all(map(contains, chain.from_iterable(surfaces), chain.from_iterable(chosen))):
+        raise ValueError("span record chosen tokens must be among their candidates")
+    if not _rows_descend(values, row_widths):
+        raise ValueError("span record candidate rows must be in descending order")
     span_widths = [max(w, default=0) for w in widths]
     pad = np.repeat(span_widths, counts) - row_widths
     if pad.any():
@@ -605,16 +585,22 @@ _P_CORRECT_VALUES = frozenset(range(0, 101, 5))
 
 
 def _structured_from_dict(s: dict) -> StructuredResponse:
-    p_correct = s.get("p_correct")
-    # a bool or float equal to a member is no int, so the type is tested
+    """The structured response of a trace line, each field of the type
+    _structured_dict writes it as: the type is tested, so a bool, or a
+    float equal to an int, is refused."""
+    outcome, p_correct, steps = s["outcome"], s.get("p_correct"), s.get("reasoning_steps", [])
+    if type(outcome) is not int or not 0 <= outcome <= 3:
+        raise ValueError(f"outcome must be an int in [0, 3], got {outcome!r}")
     if p_correct is not None and not (type(p_correct) is int and p_correct in _P_CORRECT_VALUES):
         raise ValueError(f"p_correct must be null or a multiple of 5 in [0, 100], got {p_correct!r}")
+    if type(steps) is not list:
+        raise ValueError(f"reasoning_steps must be a list, got {steps!r}")
+    for r in steps:
+        if type(r) is not dict or type(r.get("step_number")) is not int or type(r.get("description")) is not str:
+            raise ValueError(f"reasoning_steps must hold objects of an int step_number and a str description, got {r!r}")
     return StructuredResponse(
-        outcome=OutcomeLabel(int(s["outcome"])),
-        reasoning_steps=tuple(
-            ReasoningStep(r["step_number"], r["description"])
-            for r in s.get("reasoning_steps", [])
-        ),
+        outcome=OutcomeLabel(outcome),
+        reasoning_steps=tuple(ReasoningStep(r["step_number"], r["description"]) for r in steps),
         p_correct=p_correct,
         band=ConfidenceBand(s["band"]) if s.get("band") is not None else None,
     )
@@ -622,20 +608,26 @@ def _structured_from_dict(s: dict) -> StructuredResponse:
 
 def trace_from_dict(objs: list[dict]) -> list[ResponseTrace]:
     """Read a block of trace-file lines, each decoded to a dict with its
-    span records under ``"spans"``, as write_traces_jsonl writes them; a
-    line without them, or that is not a JSON object, is refused.
+    span records under ``"spans"``, as write_traces_jsonl writes them. A
+    line that is not a JSON object or has no span records is refused, and
+    so is an attempt that is not an int in [1, MAX_ATTEMPTS] or a
+    structured field of another type than write_traces_jsonl writes
+    (_structured_from_dict).
 
     The block's span records are decoded and checked together (see
     _spans_of_records), so a span's arrays may be read-only views of
-    arrays the block's spans share. A record whose byte counts do not match
-    its lists raises "span record lists differ in length"; a value that
-    is nan, infinite or above LOGPROB_TOLERANCE raises InvalidLogprob.
+    arrays the block's spans share. A record whose byte counts do not
+    match its lists, or that is not in the form write_traces_jsonl writes,
+    raises ValueError.
     """
     for obj in objs:
         if type(obj) is not dict:
             raise ValueError(f"a trace line holds a JSON {type(obj).__name__}, not an object")
         if "spans" not in obj:
             raise ValueError(f"trace {obj.get('item_id')!r} has no 'spans' key")
+        attempt = obj.get("attempt", 1)
+        if type(attempt) is not int or not 1 <= attempt <= MAX_ATTEMPTS:
+            raise ValueError(f"attempt must be an int in [1, {MAX_ATTEMPTS}], got {attempt!r}")
     structured = [_structured_from_dict(obj["structured"]) for obj in objs]
     names = (Span.OUTCOME.value, Span.REASONING.value)
     spans = _spans_of_records([obj["spans"][name] for obj in objs for name in names])

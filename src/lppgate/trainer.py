@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -792,8 +793,9 @@ def gate_to_dict(gate: TrainedGate) -> dict:
 
 def gate_from_dict(obj: dict) -> TrainedGate:
     """The gate of gate_to_dict's dict. A bad hash, version or calibrator,
-    no folds, or a scaler or fold vector without one value per feature name
-    is a ValueError naming what is wrong."""
+    no folds, a scaler or fold vector without one value per feature name,
+    or a tau_star that is neither null nor a finite number is a ValueError
+    naming what is wrong."""
     obj = dict(obj)
     stored_hash = obj.pop("content_hash", None)
     if stored_hash is not None and sha256_obj(obj) != stored_hash:
@@ -824,12 +826,16 @@ def gate_from_dict(obj: dict) -> TrainedGate:
         )
         for i, f in enumerate(obj["folds"])
     ]
+    tau_star = obj.get("tau_star")
+    # a finite float, or an int that is one: nan fails the comparison
+    if tau_star is not None and not (type(tau_star) in (int, float) and abs(tau_star) <= sys.float_info.max):
+        raise ValueError(f"model artifact tau_star must be null or a finite number, got {tau_star!r}")
     return TrainedGate(
         scaler=scaler,
         folds=folds,
         chosen_config=cfg,
         feature_names=feature_names,
-        tau_star=obj.get("tau_star"),
+        tau_star=tau_star,
     )
 
 

@@ -530,6 +530,24 @@ class TestErrors:
         config = json.loads((out / "synth.manifest.json").read_text())["config"]
         assert (config["cost_mis"], config["test_negatives"]) == (2, None)
 
+    @pytest.mark.parametrize("tau_star", [True, float("nan"), "0.5"], ids=["bool", "nan", "text"])
+    def test_evaluate_refuses_a_tau_star_that_is_not_a_finite_number(self, workdir, tmp_path, capsys, tau_star):
+        out = tmp_path / "run"
+        out.mkdir()
+        doc = json.loads((workdir / "model.json").read_text())
+        del doc["content_hash"]
+        doc["tau_star"] = tau_star  # json writes nan as NaN, which it reads back
+        (out / "model.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--out", out, *labelled(workdir), "--model", out / "model.json",
+            "--validation-ids", workdir / "validation_ids.txt", "--test-ids", workdir / "test_ids.txt",
+        )
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValueError" and "tau_star must be null or a finite number" in error["message"]
+        assert not (out / "evaluation.json").exists()
+
     def test_evaluate_rejects_overlapping_splits(self, workdir, tmp_path, capsys):
         out = tmp_path / "run"
         ids = workdir / "validation_ids.txt"

@@ -544,6 +544,18 @@ class TestBinaryCopy:
         with self.no_parse(), pytest.raises(ValueError, match=re.escape(message)):
             pipeline.load_features(csv_path, sidecar)
 
+    @pytest.mark.parametrize("sidecar_text, match", [
+        ("[]", "must hold a JSON object, got list"),
+        ('{"invalid_items": "zzz"}', "'invalid_items' in .* must be a list of item ids"),
+    ], ids=["not an object", "invalid_items not a list"])
+    def test_sidecar_checked_before_either_matrix_is_read(self, tmp_path, sidecar_text, match):
+        _, csv_path, sidecar = _saved_table(tmp_path)
+        sidecar.write_text(sidecar_text)
+        with mock.patch.object(pipeline, "_parse_csv", side_effect=AssertionError("CSV parsed")), \
+                mock.patch.object(pipeline, "_read_binary_copy", side_effect=AssertionError("copy read")):
+            with pytest.raises(ValueError, match=match):
+                pipeline.load_features(csv_path, sidecar)
+
     def test_copy_runs_the_sidecar_checks(self, tmp_path):
         _, csv_path, sidecar = _saved_table(tmp_path)
         doc = json.loads(sidecar.read_text())

@@ -638,17 +638,22 @@ def _trace_bits(trace):
     return (trace.item_id, trace.attempt, trace.structured, _bits(trace.outcome), _bits(trace.reasoning))
 
 
-# each fault the span reader checks for, as token_span triples
+_VALUE_RULE = "span record logprobs must be finite and at most 0"
+_CHOSEN_RULE = "span record chosen tokens must be among their candidates"
+_ROW_RULE = "span record candidate rows must be in descending order"
+
+# each fault the span reader checks for, as token_span triples, with the
+# message of the rule its record breaks (None: it reads as token_span's)
 _FAULTY_SPANS = [
-    [("a", math.nan, [("a", -0.1)])],
-    [("a", -0.1, [("a", -0.1), ("b", math.inf)])],
-    [("a", -math.inf, [("a", -0.5)])],
-    [("a", -0.1, [("b", 0.25), ("a", -0.1)])],
-    [("a", 5e-10, [("a", 5e-10), ("b", -1.0)])],
-    [("a", -0.5, [("a", -0.5), ("b", -0.1)])],
-    [("a", -0.5, [("b", -0.1)])],
-    [("a", -1.7e308, [("a", -1.7e308), ("b", -1.7e308)])],
-    [("a", -0.1, [("a", -0.1)]), ("b", -0.2, [("b", -0.2), ("c", -1.0), ("d", -2.0)]), ("c", -0.0, [])],
+    ([("a", math.nan, [("a", -0.1)])], _VALUE_RULE),
+    ([("a", -0.1, [("a", -0.1), ("b", math.inf)])], _VALUE_RULE),
+    ([("a", -math.inf, [("a", -0.5)])], _VALUE_RULE),
+    ([("a", -0.1, [("b", 0.25), ("a", -0.1)])], _VALUE_RULE),
+    ([("a", 5e-10, [("a", 5e-10), ("b", -1.0)])], _VALUE_RULE),
+    ([("a", -0.5, [("a", -0.5), ("b", -0.1)])], _ROW_RULE),
+    ([("a", -0.5, [("b", -0.1)])], _CHOSEN_RULE),
+    ([("a", -1.7e308, [("a", -1.7e308), ("b", -1.7e308)])], None),
+    ([("a", -0.1, [("a", -0.1)]), ("b", -0.2, [("b", -0.2), ("c", -1.0), ("d", -2.0)]), ("c", -0.0, [])], _CHOSEN_RULE),
 ]
 _RECORD_LOGPROBS = st.one_of(
     _SPAN_LOGPROBS,
@@ -690,19 +695,30 @@ def _record(tokens) -> dict:
     }
 
 
-def _outcome(build):
-    """build() as a span's bits, or the type and message of what it raised."""
-    try:
-        return _bits(build())
-    except ValueError as exc:
-        return type(exc), str(exc)
-
-
-def _assert_reads_like_token_span(tokens):
+def _read_record(tokens):
+    """The reasoning span trace_from_dict reads from the record of token
+    triples, after a JSON round trip."""
     outcome = _record([("1", -0.1, [("1", -0.1)])])
     obj = {"item_id": "x", "structured": {"outcome": 1}, "spans": {"outcome": outcome, "reasoning": _record(tokens)}}
-    obj = json.loads(json.dumps(obj))
-    assert _outcome(lambda: trace_from_dict([obj])[0].reasoning) == _outcome(lambda: token_span(tokens))
+    return trace_from_dict([json.loads(json.dumps(obj))])[0].reasoning
+
+
+def _assert_read_follows_the_rule(tokens):
+    """The record of token triples reads as token_span's span of them when
+    it equals the record _span_record writes of that span; otherwise, and
+    whenever token_span raises, the reader raises."""
+    try:
+        span = token_span(tokens)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _read_record(tokens)
+        return
+    # the written record holds tuples, the drawn one lists
+    if json.loads(json.dumps(schema._span_record(span))) == json.loads(json.dumps(_record(tokens))):
+        assert _bits(_read_record(tokens)) == _bits(span)
+    else:
+        with pytest.raises(ValueError, match="^span record "):
+            _read_record(tokens)
 
 
 class TestUnzipBeforeCheck:
@@ -737,7 +753,7 @@ class TestBulkRuleOrder:
         # the ints differ, but the span holds them as one float, a tie
         tokens = [("a", -(2**53 + 1), [("a", -(2**53 + 1)), ("b", -(2**53))])]
         assert _bits(token_span(tokens)) == _bits(token_span_reference(tokens))
-        _assert_reads_like_token_span(tokens)
+        _assert_read_follows_the_rule(tokens)
 
 
 class TestSpanRecords:
@@ -756,13 +772,17 @@ class TestSpanRecords:
     @settings(max_examples=400, deadline=None)
     @given(_record_triples())
     def test_record_reads_like_token_span(self, tokens):
-        _assert_reads_like_token_span(tokens)
+        _assert_read_follows_the_rule(tokens)
 
-    @pytest.mark.parametrize("tokens", _FAULTY_SPANS, ids=[
+    @pytest.mark.parametrize("tokens, message", _FAULTY_SPANS, ids=[
         "nan", "inf", "minus-inf", "positive", "clamped", "unsorted", "chosen-missing", "sum-overflows", "ragged",
     ])
-    def test_faulty_record_reads_like_token_span(self, tokens):
-        _assert_reads_like_token_span(tokens)
+    def test_faulty_record_refused(self, tokens, message):
+        if message is None:
+            assert _bits(_read_record(tokens)) == _bits(token_span(tokens))
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                _read_record(tokens)
 
     def test_line_without_spans_refused(self, trace_factory):
         obj = trace_to_dict(trace_factory(item_id="a", reasoning_logprobs=(-0.5,)))
@@ -834,6 +854,48 @@ class TestPCorrectRule:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_traces_jsonl(path)
 
+
+_STEPS_RULE = "reasoning_steps must hold objects of an int step_number and a str description, got "
+
+
+class TestFieldTypes:
+    """A trace file's outcome, attempt and reasoning steps are of the types
+    write_traces_jsonl writes them as: the outcome an int in [0, 3], the
+    attempt an int in [1, MAX_ATTEMPTS], the steps a list of objects, each
+    with an int step_number and a str description. A bool is no int."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("outcome", 1.9, "outcome must be an int in [0, 3], got 1.9"),
+        ("outcome", True, "outcome must be an int in [0, 3], got True"),
+        ("outcome", "0", "outcome must be an int in [0, 3], got '0'"),
+        ("outcome", 4, "outcome must be an int in [0, 3], got 4"),
+        ("attempt", "x", "attempt must be an int in [1, 4], got 'x'"),
+        ("attempt", 2.0, "attempt must be an int in [1, 4], got 2.0"),
+        ("attempt", True, "attempt must be an int in [1, 4], got True"),
+        ("attempt", 0, "attempt must be an int in [1, 4], got 0"),
+        ("reasoning_steps", "abc", "reasoning_steps must be a list, got 'abc'"),
+        ("reasoning_steps", [{"step_number": "1", "description": 5}],
+         _STEPS_RULE + "{'step_number': '1', 'description': 5}"),
+        ("reasoning_steps", [{"step_number": True, "description": "a"}],
+         _STEPS_RULE + "{'step_number': True, 'description': 'a'}"),
+        ("reasoning_steps", [[1, "a"]], _STEPS_RULE + "[1, 'a']"),
+    ], ids=[
+        "outcome-float", "outcome-bool", "outcome-text", "outcome-4", "attempt-text", "attempt-float",
+        "attempt-bool", "attempt-0", "steps-text", "step-types", "step-number-bool", "step-list",
+    ])
+    def test_other_types_refused_naming_the_field(self, tmp_path, field, value, message):
+        traces, _ = generate_corpus(SynthConfig(n_items=5, cot=True, seed=3))
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        lines = path.read_text().splitlines(keepends=True)
+        obj = json.loads(lines[2])
+        (obj if field == "attempt" else obj["structured"])[field] = value
+        lines[2] = json.dumps(obj) + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line 3 of {path}: {message}')}$"):
+            read_traces_jsonl(path)
+
+
 def _edited_line(line: str, fault: str) -> str:
     """A trace-file line with one fault in its outcome record."""
     obj = json.loads(line)
@@ -853,11 +915,9 @@ def _edited_line(line: str, fault: str) -> str:
     return json.dumps(obj) + "\n"
 
 
-# the faults a line's read raises for; an unsorted row and a chosen token
-# missing from its row are not faults of the file, which the reader sorts
-# and appends as token_span does, but they fail the block's bulk test
-_RAISING_FAULTS = ("bad-base64", "byte-count", "nan", "no-spans")
-_MENDED_FAULTS = ("unsorted", "chosen-missing")
+# the faults a line's read raises for, an unsorted row and a chosen token
+# missing from its row among them: the reader mends no record
+_RAISING_FAULTS = ("bad-base64", "byte-count", "nan", "no-spans", "unsorted", "chosen-missing")
 
 
 class TestBlockReader:
@@ -885,7 +945,7 @@ class TestBlockReader:
         assert self._read_each(path) == [[_trace_bits(t) for t in traces]] * len(self.BLOCK_SIZES)
         lines = path.read_text().splitlines(keepends=True)
         k = data.draw(st.integers(min_value=1, max_value=len(lines)), label="faulty line")
-        fault = data.draw(st.sampled_from(_RAISING_FAULTS + _MENDED_FAULTS), label="fault")
+        fault = data.draw(st.sampled_from(_RAISING_FAULTS), label="fault")
         lines[k - 1] = _edited_line(lines[k - 1], fault)
         if k < len(lines) and data.draw(st.booleans(), label="a later raising fault too"):
             later = data.draw(st.integers(min_value=k + 1, max_value=len(lines)), label="later line")
@@ -896,12 +956,4 @@ class TestBlockReader:
         path.write_text("".join(lines))
         results = self._read_each(path)
         assert all(result == results[0] for result in results)
-        if fault in _RAISING_FAULTS:
-            assert isinstance(results[0], str) and results[0].startswith(f"line {k} of {path}: ")
-        elif isinstance(results[0], list):
-            # the mended line reads as token_span reads its triples
-            obj = json.loads(lines[k - 1])
-            (trace,) = trace_from_dict([obj])
-            assert results[0][k - 1 - lines[:k].count("\n")] == _trace_bits(trace)
-            chosen = obj["spans"]["outcome"]["chosen"][0]
-            assert trace.outcome.surfaces[0][0] == chosen and trace.outcome.logprobs[0].tolist() == [-0.5, -2.0]
+        assert isinstance(results[0], str) and results[0].startswith(f"line {k} of {path}: ")

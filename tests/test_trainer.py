@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -1180,6 +1181,29 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=match):
             load_gate(path)
+
+    def _unhashed_doc_with_tau(self, tau_star):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(90, 2))
+        z = (X[:, 0] > 0).astype(int)
+        doc = gate_to_dict(cross_fit_calibrated(X, z, RidgeConfig(), seed=42, feature_names=["a", "b"]))
+        del doc["content_hash"]
+        doc["tau_star"] = tau_star
+        return doc
+
+    @pytest.mark.parametrize(
+        "tau_star",
+        [True, float("nan"), float("inf"), "0.5", [0.5], 10**400],
+        ids=["bool", "nan", "inf", "text", "list", "int-past-float-range"],
+    )
+    def test_tau_star_neither_null_nor_finite_rejected_on_load(self, tau_star):
+        message = f"model artifact tau_star must be null or a finite number, got {tau_star!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gate_from_dict(self._unhashed_doc_with_tau(tau_star))
+
+    @pytest.mark.parametrize("tau_star", [None, -3.5, 0, 2, 1.5e300], ids=str)
+    def test_any_finite_tau_star_loads(self, tau_star):
+        assert gate_from_dict(self._unhashed_doc_with_tau(tau_star)).tau_star == tau_star
 
     def test_identity_fallback_round_trips(self):
         gate_dict = {
