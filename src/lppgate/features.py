@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,7 +146,7 @@ _DISTRIBUTION_METRICS = (
     "margin_norm",
     "top1_top2_ratio",
 )
-_FILTERED_METRICS = [j for j, name in enumerate(_DISTRIBUTION_METRICS) if name != "msp"]
+_FILTERED_METRICS = np.array([j for j, name in enumerate(_DISTRIBUTION_METRICS) if name != "msp"], dtype=np.intp)
 
 #: Short feature names per family, in catalog order. The one source of
 #: both catalog_names and the column order of the assembled matrix.
@@ -175,9 +176,17 @@ _CATALOG: dict[FeatureFamily, tuple[str, ...]] = {
 }
 
 
+#: The smallest positive float, so np.maximum(x, _TINY) is x for every x > 0.
+_TINY = 5e-324
+
+
 def _entropy_bits(probs: np.ndarray) -> np.ndarray:
-    """-sum p log2 p along the last axis, zero-probability terms contributing 0."""
-    return -(probs * np.log2(np.where(probs > 0.0, probs, 1.0))).sum(axis=-1)
+    """-sum p log2 p along the last axis, zero-probability terms contributing 0.
+
+    A zero term is 0 · log2(_TINY) = -0.0 where log2 of 1 would give +0.0;
+    -0.0 adds as nothing, and numpy starts each row's sum from +0.0, so
+    every row keeps the bits it has with +0.0 terms."""
+    return -(probs * np.log2(np.maximum(probs, _TINY))).sum(axis=-1)
 
 
 def renormalize_topk(logprobs: ArrayLike) -> np.ndarray:
@@ -196,14 +205,16 @@ def renormalize_topk(logprobs: ArrayLike) -> np.ndarray:
     arr = np.asarray(logprobs, dtype=float)
     if arr.size == 0:
         raise EmptyCandidates("no candidate logprobs")
-    top = arr.max(axis=-1, keepdims=True)
+    top = np.maximum.reduce(arr, axis=-1, keepdims=True)
     # max propagates nan and +inf, and is -inf only for an all-padding row
-    if not np.isfinite(top).all():
+    if np.count_nonzero(np.isfinite(top)) < top.size:
         raise ValueError("non-finite logprob")
     # every shifted entry is exp of a value <= 0 and each row's largest is
     # exactly 1, so each row lies in [0, 1] and sums to 1 within rounding
     shifted = np.exp(arr - top)
-    return np.sort(shifted / shifted.sum(axis=-1, keepdims=True), axis=-1)[..., ::-1]
+    shifted /= np.add.reduce(shifted, axis=-1, keepdims=True)
+    shifted.sort(axis=-1)
+    return shifted[..., ::-1]
 
 
 def _stack_rows(blocks: Sequence[np.ndarray], width: int) -> np.ndarray:
@@ -231,40 +242,41 @@ def _widest(spans: Iterable[TokenSpan]) -> int:
     return max((s.logprobs.shape[1] for s in spans), default=0)
 
 
-def _distribution_metrics(probs: np.ndarray, support: np.ndarray) -> np.ndarray:
+def _distribution_metrics(probs: np.ndarray, support: ArrayLike) -> np.ndarray:
     """Family A's eight metrics, one row per descending probability row.
 
     ``probs`` may carry trailing zero padding; ``support`` is each row's
     k, the length of its distribution before padding, which normalizes
-    the entropy (a one-candidate row has normalized entropy 0).
+    the entropy (a one-candidate row has normalized entropy 0). Each
+    metric is computed as one contiguous row of an (8, M) array, whose
+    transpose is returned.
     """
-    h2 = _entropy_bits(probs)
-    h2_norm = np.where(support > 1, h2 / np.log2(np.maximum(support, 2)), 0.0)
+    support = np.asarray(support)
     p1 = probs[:, 0]
     p2 = probs[:, 1] if probs.shape[1] > 1 else np.zeros(len(probs))
-    out = np.empty((len(probs), len(_CATALOG[FeatureFamily.OUTCOME_TOPK])))
-    out[:, 0] = h2
-    out[:, 1] = h2_norm
-    out[:, 2] = [2.0**h for h in h2.tolist()]
-    out[:, 3] = 1.0 - h2_norm
-    out[:, 4] = p1
-    out[:, 5] = p1 - p2
-    out[:, 6] = out[:, 5] / np.maximum(p1, EPSILON)
-    out[:, 7] = p1 / np.maximum(p2, EPSILON)
-    return out
+    met = np.empty((len(_DISTRIBUTION_METRICS), len(probs)))
+    met[0] = h2 = _entropy_bits(probs)
+    met[1] = np.where(support > 1, h2 / np.log2(np.maximum(support, 2)), 0.0)
+    met[2] = [2.0**h for h in h2.tolist()]
+    met[3] = 1.0 - met[1]
+    met[4] = p1
+    met[5] = p1 - p2
+    met[6] = met[5] / np.maximum(met[4], EPSILON)
+    met[7] = met[4] / np.maximum(p2, EPSILON)
+    return met.T
 
 
 def _pair_margins(l1: np.ndarray, l2: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """Family C's (margin, margin_norm, valid) for each pair of top-2 log
-    values l1 >= l2, along a new last axis: margin = l2 - l1 <= 0, and
+    """Family C's margin, margin_norm and valid flag, as three rows, for
+    each pair of top-2 log values l1 >= l2: margin = l2 - l1 <= 0, and
     margin_norm divides it by min(l2, -eps). Pairs that are not valid get
-    zeros."""
+    zeros: their l2 is taken to be l1, which is finite, so their margin is
+    l1 - l1 = 0."""
+    out = np.empty((3, len(l1)))
     l2 = np.where(valid, l2, l1)
-    margin = l2 - l1
-    out = np.empty(valid.shape + (3,))
-    out[..., 0] = np.where(valid, margin, 0.0)
-    out[..., 1] = np.where(valid, margin / np.minimum(l2, -EPSILON), 0.0)
-    out[..., 2] = valid
+    out[0] = margin = l2 - l1
+    out[1] = np.where(valid, margin / np.minimum(l2, -EPSILON), 0.0)
+    out[2] = valid
     return out
 
 
@@ -285,21 +297,33 @@ def _label_masses(traces: Sequence[ResponseTrace], logprobs: np.ndarray) -> np.n
     surface normalizes to that label, added in candidate order. ``logprobs``
     holds the traces' outcome rows, padded on the right with -inf."""
     n, width = logprobs.shape
-    codes = [
-        [_label_code(s) for s in t.outcome.surfaces[0]] + [_NO_LABEL] * (width - len(t.outcome.surfaces[0]))
-        for t in traces
-    ]
-    bins = np.arange(0, (_NO_LABEL + 1) * n, _NO_LABEL + 1)[:, None] + np.array(codes)
-    masses = np.bincount(bins.ravel(), weights=np.exp(logprobs).ravel(), minlength=(_NO_LABEL + 1) * n)
-    return masses.reshape(n, _NO_LABEL + 1)[:, :_NO_LABEL]
+    bins_per_row = _NO_LABEL + 1
+    bins = []
+    for i, t in enumerate(traces):
+        surfaces, base = t.outcome.surfaces[0], bins_per_row * i
+        bins += [base + _label_code(s) for s in surfaces]
+        bins += [base + _NO_LABEL] * (width - len(surfaces))
+    masses = np.bincount(bins, weights=np.exp(logprobs).ravel(), minlength=bins_per_row * n)
+    return masses.reshape(n, bins_per_row)[:, :_NO_LABEL]
+
+
+#: The column blocks of families A-C in the catalog: A's metrics, B's, C's.
+_A_COLUMNS = len(_CATALOG[FeatureFamily.OUTCOME_TOPK])
+_B_COLUMNS = len(_CATALOG[FeatureFamily.FILTERED_OUTCOME])
+_OUTCOME_COLUMNS = _A_COLUMNS + _B_COLUMNS + len(_CATALOG[FeatureFamily.LOGODDS_MARGIN])
 
 
 def _outcome_columns(
-    traces: Sequence[ResponseTrace], k: int, widths: list[int], logprobs: np.ndarray, topk: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Families A-C for every trace, as one block of columns in catalog
-    order, and the rows whose outcome token has no mass on a schema label;
-    such a row holds nan in its B and C columns.
+    traces: Sequence[ResponseTrace],
+    k: int,
+    widths: list[int],
+    logprobs: np.ndarray,
+    topk: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Families A-C for every trace, written into ``out`` as one block of
+    columns in catalog order; returns the rows whose outcome token has no
+    mass on a schema label, which hold nan in their B and C columns.
 
     ``widths`` holds each trace's count of outcome candidates, ``logprobs``
     the outcome rows, padded on the right with -inf, and ``topk`` their
@@ -310,57 +334,76 @@ def _outcome_columns(
     support stays 4). C takes the top-2 raw logprobs and the logs of the
     top-2 label masses.
     """
-    n, width = logprobs.shape
+    n = len(traces)
     masses = _label_masses(traces, logprobs)
-    total = masses.sum(axis=1)
+    total = np.add.reduce(masses, axis=1)
     no_mass = total <= 0.0
     # dividing by a positive total keeps the order, so one sort serves B and C
     ascending = np.sort(masses, axis=1)
     # A and B share one metrics call: B's rows follow A's, both zero padded
-    # to the wider of the two
+    # to the wider of the two; a row without mass (all zeros) is divided by
+    # _TINY, not 0
     labels = len(FULL_SUPPORT)
     probs = np.zeros((2 * n, max(topk.shape[1], labels)))
     probs[:n, : topk.shape[1]] = topk
-    probs[n:, :labels] = (ascending / np.where(no_mass, 1.0, total)[:, None])[:, ::-1]
-    metrics = _distribution_metrics(probs, np.array([min(w, k) for w in widths] + [labels] * n))
-    logs = np.log(np.where(ascending > 0.0, ascending, 1.0))
-    # column 0 pairs the raw logprobs, column 1 the label masses' logs
-    l1, l2, valid = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2), dtype=bool)
-    l1[:, 0], l2[:, 0], valid[:, 0] = logprobs[:, 0], logprobs[:, min(1, width - 1)], [w >= 2 for w in widths]
-    l1[:, 1], l2[:, 1], valid[:, 1] = logs[:, 3], logs[:, 2], ascending[:, 2] > 0.0
-    margins = _pair_margins(l1, l2, valid).reshape(n, -1)
-    out = np.concatenate([metrics[:n], metrics[n:, _FILTERED_METRICS], margins], axis=1)
-    out[no_mass, len(_CATALOG[FeatureFamily.OUTCOME_TOPK]) :] = np.nan
-    return out, no_mass
+    probs[n:, :labels] = ascending[:, ::-1] / np.maximum(total, _TINY)[:, None]
+    metrics = _distribution_metrics(probs, [min(w, k) for w in widths] + [labels] * n)
+    a, b = _A_COLUMNS, _A_COLUMNS + _B_COLUMNS
+    out[:, :a] = metrics[:n]
+    out[:, a:b] = metrics[n:, _FILTERED_METRICS]
+    # C's pairs: each trace's raw top-2 logprobs, then the logs of its top-2
+    # label masses; a mass of 0 takes the finite log of _TINY, which reaches
+    # no output: its pair is not valid, or its row is nan
+    logs = np.log(np.maximum(ascending[:, :1:-1], _TINY))
+    l1, l2, valid = np.empty(2 * n), np.empty(2 * n), np.empty(2 * n, dtype=bool)
+    l1[:n], l2[:n], valid[:n] = logprobs[:, 0], logprobs[:, min(1, logprobs.shape[1] - 1)], [w >= 2 for w in widths]
+    l1[n:], l2[n:], valid[n:] = logs[:, 0], logs[:, 1], ascending[:, 2] > 0.0
+    # (margin, norm, valid) of the raw pair, then of the label pair
+    out[:, b:].reshape(n, 2, 3)[...] = _pair_margins(l1, l2, valid).reshape(3, 2, n).transpose(2, 1, 0)
+    if np.count_nonzero(no_mass):
+        out[no_mass, a:] = np.nan
+    return no_mass
 
 
 @functools.lru_cache(maxsize=1024)
-def _quantile_rule(n: int) -> tuple[np.ndarray, ...]:
-    """numpy's linear quantile rule at _QUANTILE_POINTS for n sorted values:
-    the lower and upper positions, the weight t of each point (taken against
-    the lower position after numpy clips it to -1 at the top), 1 - t, and
-    whether t >= 0.5."""
+def _quantile_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's linear quantile rule at _QUANTILE_POINTS for n sorted values,
+    as the positions to gather (the lower ones, the upper ones, then the
+    base of each point) and each point's weight.
+
+    np.quantile's _lerp is a + (b - a)·t, or b - (b - a)·(1 - t) when
+    t >= 0.5, with t taken against the lower position after numpy clips it
+    to -1 at the top. Both are base + (b - a)·w, with base a and w = t, or
+    base b and w = -(1 - t), bit for bit: negating a factor negates the
+    product exactly, and subtracting is adding the negation."""
     virtual = (n - 1) * np.array(_QUANTILE_POINTS)
     lower = np.floor(virtual)
     upper = lower + 1
     top = virtual >= n - 1
     lower[top] = upper[top] = -1
     t = virtual - lower
-    return lower.astype(np.intp), upper.astype(np.intp), t, 1 - t, t >= 0.5
+    upper_half = t >= 0.5
+    base = np.where(upper_half, upper, lower)
+    return np.concatenate([lower, upper, base]).astype(np.intp), np.where(upper_half, -(1 - t), t)
 
 
 def _sorted_quantiles(values: np.ndarray) -> np.ndarray:
     """The _QUANTILE_POINTS quantiles of each row of ``values`` (sorted
-    along the last axis), interpolated exactly as np.quantile's _lerp:
-    a + (b - a)·t, or b - (b - a)·(1 - t) when t >= 0.5."""
-    lower, upper, t, one_minus_t, upper_half = _quantile_rule(values.shape[-1])
-    a, b = values[..., lower], values[..., upper]
-    diff = b - a
-    out = a + diff * t
-    np.subtract(b, diff * one_minus_t, out=out, where=upper_half)
-    return out
+    along the last axis), interpolated exactly as np.quantile's _lerp."""
+    positions, weights = _quantile_rule(values.shape[-1])
+    points = len(_QUANTILE_POINTS)
+    gathered = values[..., positions]
+    a, b, base = gathered[..., :points], gathered[..., points : 2 * points], gathered[..., 2 * points :]
+    return base + (b - a) * weights
 
 
+#: Families D and E: their columns in compute_sequence_features' block.
+_SEQUENCE_COLUMNS = len(_CATALOG[FeatureFamily.SEQUENCE_COT]) + len(_CATALOG[FeatureFamily.TOKEN_LEVEL_COT])
+
+
+# a mean chosen logprob below about -709 gives a perplexity of inf, which
+# the row's isfinite check reports as NonFiniteFeature
+@np.errstate(over="ignore")
 def compute_sequence_features(spans: Sequence[TokenSpan], probs: np.ndarray) -> np.ndarray:
     """Families D-E for N reasoning spans: an (N, 14) array whose columns
     are D's then E's catalog names.
@@ -372,11 +415,12 @@ def compute_sequence_features(spans: Sequence[TokenSpan], probs: np.ndarray) -> 
     allowed). The quantiles interpolate linearly between
     closest ranks, as np.quantile does. Spans are summed, averaged and
     sorted in groups of equal length, so each span's values are those of
-    the span on its own. An empty span yields zeros with perplexity 1,
-    flagged absent.
+    the span on its own; a group's 14 values are written as one block,
+    through a slice when its spans are consecutive. An empty span yields
+    zeros with perplexity 1, flagged absent.
     """
     lengths = [len(s.chosen_logprobs) for s in spans]
-    out = np.zeros((len(spans), len(_CATALOG[FeatureFamily.SEQUENCE_COT]) + len(_CATALOG[FeatureFamily.TOKEN_LEVEL_COT])))
+    out = np.zeros((len(spans), _SEQUENCE_COLUMNS))
     out[:, 1] = 1.0
     groups: dict[int, list[int]] = {}
     for i, length in enumerate(lengths):
@@ -392,51 +436,62 @@ def compute_sequence_features(spans: Sequence[TokenSpan], probs: np.ndarray) -> 
     tokens[0] = np.concatenate([s.chosen_logprobs for s in present])
     tokens[1] = _entropy_bits(probs)
     tokens[2] = np.exp(tokens[0])
-    starts = np.cumsum(lengths) - lengths
-    # a mean chosen logprob below about -709 gives inf, which the row's
-    # isfinite check reports as NonFiniteFeature
-    with np.errstate(over="ignore"):
-        for length, rows in groups.items():
-            group = tokens[:, starts[rows, None] + np.arange(length)]
-            nll = -group[0].sum(axis=1)
-            out[rows, 0] = nll
-            out[rows, 1] = np.exp(nll / length)
-            out[rows, 3] = group[1].sum(axis=1) / length
-            quantiles = _sorted_quantiles(np.sort(group[1:], axis=-1))
-            out[rows, 4:] = quantiles.transpose(1, 0, 2).reshape(len(rows), -1)
+    starts = list(accumulate(lengths, initial=0))
+    for length, rows in groups.items():
+        first, last = rows[0], rows[-1]
+        # consecutive spans' tokens are one run, and their rows one slice
+        consecutive = last - first == len(rows) - 1
+        if consecutive:
+            group = tokens[:, starts[first] : starts[last + 1]].reshape(3, len(rows), length)
+            block = out[first : last + 1]
+        else:
+            group = tokens[:, np.add.outer([starts[i] for i in rows], np.arange(length))]
+            block = np.zeros((len(rows), _SEQUENCE_COLUMNS))
+        block[:, 0] = nll = -group[0].sum(axis=1)
+        block[:, 1] = np.exp(nll / length)
+        block[:, 3] = group[1].sum(axis=1) / length
+        group = group[1:].copy()
+        group.sort(axis=-1)
+        block[:, 4:].reshape(len(rows), 2, len(_QUANTILE_POINTS))[...] = _sorted_quantiles(group).transpose(1, 0, 2)
+        if not consecutive:
+            out[rows] = block
     return out
 
 
-def _verbalized_columns(traces: Sequence[ResponseTrace]) -> np.ndarray:
-    """Family F: self-reported confidence scalar plus one-hot band.
+def _verbalized_columns(traces: Sequence[ResponseTrace], out: np.ndarray) -> None:
+    """Family F, written into ``out``: self-reported confidence scalar plus
+    one-hot band.
 
     A missing p_correct is imputed at 0.5 with the missing flag raised; a
     missing band leaves the one-hot all zero.
     """
-    out = np.zeros((len(traces), len(_CATALOG[FeatureFamily.VERBALIZED])))
+    out[:] = 0.0
     for i, t in enumerate(traces):
         s = t.structured
         out[i, 0] = s.p_correct / 100.0 if s.p_correct is not None else 0.5
         out[i, 1] = s.p_correct is None
         if s.band is not None:
             out[i, 2 + _BAND_ORDER.index(s.band)] = 1.0
-    return out
 
 
-def _attribution_columns(traces: Sequence[ResponseTrace]) -> np.ndarray:
-    """Family G: abstention indicators distinguishing evidence deficits
-    (aleatoric, outcome 2) from policy gaps (epistemic, outcome 3), read
-    from each trace's effective outcome: the outcome-span token, or the
-    structured field when that token is no label."""
-    out = np.zeros((len(traces), len(_CATALOG[FeatureFamily.ATTRIBUTION])))
+def _attribution_columns(traces: Sequence[ResponseTrace], out: np.ndarray) -> None:
+    """Family G, written into ``out``: abstention indicators distinguishing
+    evidence deficits (aleatoric, outcome 2) from policy gaps (epistemic,
+    outcome 3), read from each trace's effective outcome: the outcome-span
+    token, or the structured field when that token is no label."""
+    out[:] = 0.0
     for i, t in enumerate(traces):
         code = _label_code(t.outcome.chosen[0])
         outcome = t.structured.outcome if code == _NO_LABEL else code
         if outcome == OutcomeLabel.INCONCLUSIVE_EVIDENCE:
-            out[i, [0, 2]] = 1.0
+            out[i, 0] = out[i, 2] = 1.0
         elif outcome == OutcomeLabel.INCONCLUSIVE_DEFINITION:
-            out[i, [1, 2]] = 1.0
-    return out
+            out[i, 1] = out[i, 2] = 1.0
+
+
+#: Where each family's block starts in the full catalog.
+_VERBALIZED_START = _OUTCOME_COLUMNS + _SEQUENCE_COLUMNS
+_ATTRIBUTION_START = _VERBALIZED_START + len(_CATALOG[FeatureFamily.VERBALIZED])
 
 
 def assemble_feature_vector(
@@ -447,13 +502,14 @@ def assemble_feature_vector(
     """One float64 feature row per trace, as an (N, F) C-contiguous matrix
     whose columns are catalog_names(include), plus the invalid rows.
 
-    Every family is computed, then the included families' columns are
-    kept. Direct-answer traces carry zero sequence/token stats with the
-    absent flag set. The outcome-span token, not the structured field,
-    drives the token-derived families. The second value maps the index of
-    each invalid row to its NoLabelMass (when B or C, which then hold nan,
-    is included) or, for a row holding a nan or infinite kept value, its
-    NonFiniteFeature naming the first bad column.
+    Every family is computed, each kernel writing its block of the full
+    matrix, then the included families' columns are kept. Direct-answer
+    traces carry zero sequence/token stats with the absent flag set. The
+    outcome-span token, not the structured field, drives the token-derived
+    families. The second value maps the index of each invalid row to its
+    NoLabelMass (when B or C, which then hold nan, is included) or, for a
+    row holding a nan or infinite kept value, its NonFiniteFeature naming
+    the first bad column.
     """
     include_set = frozenset(include)
     if not include_set:
@@ -468,15 +524,17 @@ def assemble_feature_vector(
     # one call; a row padded up to 7 entries keeps its bits
     width = min(k, max(logprobs.shape[1], _widest(present)))
     probs = renormalize_topk(_stack_rows([logprobs, *(s.logprobs for s in present)], width))
-    outcome, no_mass = _outcome_columns(traces, k, widths, logprobs, probs[:n])
-    reasoning = compute_sequence_features(spans, probs[n:])
-    matrix = np.concatenate([outcome, reasoning, _verbalized_columns(traces), _attribution_columns(traces)], axis=1)
+    matrix = np.empty((n, _ATTRIBUTION_START + len(_CATALOG[FeatureFamily.ATTRIBUTION])))
+    no_mass = _outcome_columns(traces, k, widths, logprobs, probs[:n], matrix[:, :_OUTCOME_COLUMNS])
+    matrix[:, _OUTCOME_COLUMNS:_VERBALIZED_START] = compute_sequence_features(spans, probs[n:])
+    _verbalized_columns(traces, matrix[:, _VERBALIZED_START:_ATTRIBUTION_START])
+    _attribution_columns(traces, matrix[:, _ATTRIBUTION_START:])
     kept = _kept_columns(include_set)
     if kept is not None:
         matrix = matrix.take(kept, axis=1)
     invalid: dict[int, ValueError] = {}
     finite = np.isfinite(matrix)
-    if not finite.all():
+    if np.count_nonzero(finite) < finite.size:
         names = catalog_names(include_set)
         if FeatureFamily.FILTERED_OUTCOME in include_set or FeatureFamily.LOGODDS_MARGIN in include_set:
             for i in np.flatnonzero(no_mass).tolist():

@@ -50,7 +50,8 @@ import enum
 import json
 import math
 import re
-from base64 import b64decode, b64encode
+from base64 import b64decode
+from binascii import b2a_base64
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from operator import contains, itemgetter
@@ -148,6 +149,11 @@ class ParseFailure(ValueError):
         self.kind = kind
 
 
+#: The enum members by value, looked up rather than passed through each
+#: enum's call: OutcomeLabel's by int, ConfidenceBand's by text.
+_OUTCOME_LABELS = tuple(OutcomeLabel)
+_BANDS = {band.value: band for band in ConfidenceBand}
+
 _WORD_OUTCOMES = {
     "yes": OutcomeLabel.YES,
     "no": OutcomeLabel.NO,
@@ -155,6 +161,7 @@ _WORD_OUTCOMES = {
     "inconclusive_definition": OutcomeLabel.INCONCLUSIVE_DEFINITION,
 }
 _WORD_PATTERN = re.compile(r"(yes|no|inconclusive_(definition|evidence))", re.IGNORECASE)
+_DIGIT_PATTERN = re.compile(r"[0-3]")
 
 
 def normalize_outcome_token(surface: str) -> OutcomeLabel | None:
@@ -165,8 +172,8 @@ def normalize_outcome_token(surface: str) -> OutcomeLabel | None:
     inconclusive_definition.
     """
     s = surface.strip().strip("\"'").strip()
-    if re.fullmatch(r"[0-3]", s):
-        return OutcomeLabel(int(s))
+    if _DIGIT_PATTERN.fullmatch(s):
+        return _OUTCOME_LABELS[int(s)]
     m = _WORD_PATTERN.fullmatch(s)
     if m:
         return _WORD_OUTCOMES[m.group(0).lower()]
@@ -442,10 +449,9 @@ def parse_structured_response(response: str | FieldSpans, expect_steps: int | No
     if band_raw is not None:
         if not isinstance(band_raw, str):
             raise ParseFailure(Reason.INVALID_BAND, f"band {band_raw!r} is not text")
-        try:
-            band = ConfidenceBand(band_raw.strip().upper())
-        except ValueError:
-            raise ParseFailure(Reason.INVALID_BAND, f"unknown band {band_raw!r}") from None
+        band = _BANDS.get(band_raw.strip().upper())
+        if band is None:
+            raise ParseFailure(Reason.INVALID_BAND, f"unknown band {band_raw!r}")
 
     return StructuredResponse(outcome, tuple(steps), p_correct, band)
 
@@ -493,8 +499,9 @@ def trace_to_dict(trace: ResponseTrace) -> dict:
 
 
 def _float64_text(values: np.ndarray) -> str:
-    """The base64 text of an array's little-endian float64 bytes."""
-    return b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+    """The base64 text of an array's little-endian float64 bytes (b64encode
+    without its wrapper)."""
+    return b2a_base64(np.asarray(values, dtype="<f8").tobytes(), newline=False).decode("ascii")
 
 
 def _span_record(span: TokenSpan) -> dict:
@@ -519,6 +526,10 @@ def _in_range(values: np.ndarray) -> bool:
     return bool(((values <= 0.0) & (values > -math.inf)).all())
 
 
+#: The one type of every list in a span record.
+_LIST_ONLY = {list}
+
+
 def _rows_descend(values: np.ndarray, row_widths: np.ndarray) -> bool:
     """Each row of the concatenated rows is in descending order. Every
     row is non-empty, as it holds its chosen token: the step from one
@@ -531,10 +542,14 @@ def _rows_descend(values: np.ndarray, row_widths: np.ndarray) -> bool:
 def _spans_of_records(records: list) -> list[TokenSpan]:
     """The spans of a block's span records, in order.
 
-    Each record's base64 texts are decoded, strictly, and their byte counts
-    checked against its lists: 8 per chosen token and 8 per candidate. Then
-    every record of the block must be in the form _span_record writes
-    token_span's spans in, one rule for each part of it: every value finite
+    A record's ``chosen`` must be a list of strings and its ``surfaces`` a
+    list of such lists, as write_traces_jsonl writes them: the block's
+    list types are read into one set, and each list's strings are joined
+    by str.join, which raises on any other value. Each record's base64
+    texts are decoded, strictly, and their byte counts checked against its
+    lists: 8 per chosen token and 8 per candidate. Then every record of
+    the block must be in the form _span_record writes token_span's spans
+    in, one rule for each part of it: every value finite
     and at most 0, every chosen token among its candidates, and every row
     in descending order. A block that breaks one raises ValueError with
     that rule's message. Each span's arrays are views of the block's
@@ -548,6 +563,14 @@ def _spans_of_records(records: list) -> list[TokenSpan]:
             "span record logprobs are not base64 text: lists of decimals are the older"
             " trace-file form, which this reader refuses (README says how to rewrite one)"
         )
+    try:
+        rows = list(chain.from_iterable(surfaces))
+        if not {*map(type, chosen), *map(type, surfaces), *map(type, rows)} <= _LIST_ONLY:
+            raise TypeError
+        "".join(map("".join, chosen))
+        "".join(map("".join, rows))
+    except TypeError:
+        raise ValueError("span record chosen and surfaces rows must be lists of strings") from None
     blobs = [b64decode(text, validate=True) for text in texts]
     counts = list(map(len, chosen))
     widths = [list(map(len, srf)) for srf in surfaces]
@@ -555,24 +578,25 @@ def _spans_of_records(records: list) -> list[TokenSpan]:
         raise ValueError("span record lists differ in length")
     chosen_lps = np.frombuffer(b"".join(blobs[: len(records)]), "<f8").astype(float, copy=False)
     values = np.frombuffer(b"".join(blobs[len(records) :]), "<f8").astype(float, copy=False)
-    row_widths = np.fromiter(chain.from_iterable(widths), np.intp)
+    row_widths = np.fromiter(map(len, rows), np.intp, len(rows))
     if not (_in_range(chosen_lps) and _in_range(values)):
         raise ValueError("span record logprobs must be finite and at most 0")
-    if not all(map(contains, chain.from_iterable(surfaces), chain.from_iterable(chosen))):
+    if not all(map(contains, rows, chain.from_iterable(chosen))):
         raise ValueError("span record chosen tokens must be among their candidates")
     if not _rows_descend(values, row_widths):
         raise ValueError("span record candidate rows must be in descending order")
-    span_widths = [max(w, default=0) for w in widths]
+    span_widths = [max(w) if w else 0 for w in widths]
     pad = np.repeat(span_widths, counts) - row_widths
     if pad.any():
         padded = np.full(values.size + int(pad.sum()), -math.inf)
         padded[np.arange(values.size) + np.repeat(np.cumsum(pad) - pad, row_widths)] = values
         values = padded
+    row_surfaces = list(map(tuple, rows))
     spans, c, v = [], 0, 0
-    for ch, srf, t, width in zip(chosen, surfaces, counts, span_widths):
+    for ch, t, width in zip(chosen, counts, span_widths):
         if t:
-            rows = values[v : v + t * width].reshape(t, width)
-            spans.append(TokenSpan(tuple(ch), chosen_lps[c : c + t], tuple(map(tuple, srf)), rows))
+            logprobs = values[v : v + t * width].reshape(t, width)
+            spans.append(TokenSpan(tuple(ch), chosen_lps[c : c + t], tuple(row_surfaces[c : c + t]), logprobs))
         else:
             spans.append(_EMPTY_SPAN)
         c, v = c + t, v + t * width
@@ -598,12 +622,14 @@ def _structured_from_dict(s: dict) -> StructuredResponse:
     for r in steps:
         if type(r) is not dict or type(r.get("step_number")) is not int or type(r.get("description")) is not str:
             raise ValueError(f"reasoning_steps must hold objects of an int step_number and a str description, got {r!r}")
-    return StructuredResponse(
-        outcome=OutcomeLabel(outcome),
-        reasoning_steps=tuple(ReasoningStep(r["step_number"], r["description"]) for r in steps),
-        p_correct=p_correct,
-        band=ConfidenceBand(s["band"]) if s.get("band") is not None else None,
-    )
+    band = s.get("band")
+    if band is not None:
+        try:
+            band = _BANDS[band]
+        except (KeyError, TypeError):  # not a band's value: the enum raises its own error
+            band = ConfidenceBand(band)
+    steps = tuple([ReasoningStep(r["step_number"], r["description"]) for r in steps])
+    return StructuredResponse(_OUTCOME_LABELS[outcome], steps, p_correct, band)
 
 
 def trace_from_dict(objs: list[dict]) -> list[ResponseTrace]:
@@ -637,6 +663,10 @@ def trace_from_dict(objs: list[dict]) -> list[ResponseTrace]:
     ]
 
 
+#: json.dumps(obj, separators=(",", ":")) without a new encoder per line.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_traces_jsonl(traces, path) -> None:
     """One line per trace, each span as one record (see _span_record),
     streamed to a temp file that replaces ``path`` once every line is
@@ -652,7 +682,7 @@ def write_traces_jsonl(traces, path) -> None:
                     Span.REASONING.value: _span_record(trace.reasoning),
                 },
             }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+            fh.write(_LINE_ENCODER.encode(obj) + "\n")
 
 
 #: Lines read_traces_jsonl hands trace_from_dict at once. On a 2-core x86

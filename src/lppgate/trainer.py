@@ -244,6 +244,7 @@ def fit_ridge_weighted(
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")
 def _sigmoid(x):
     """The logistic function 1 / (1 + exp(-x)), elementwise, within 2 ulp
     of the exact value wherever that value is a normal float.
@@ -253,8 +254,7 @@ def _sigmoid(x):
     so it is ignored on purpose. Only overflow is: a nan in x gives nan,
     and a nan made before the call (a * s with a = -inf and s = 0) still
     raises its invalid-operation warning where it is made."""
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 @dataclass(frozen=True)
@@ -287,8 +287,7 @@ class IsotonicCalibrator:
     def predict(self, scores: np.ndarray) -> np.ndarray:
         s = np.asarray(scores, dtype=float)
         # searchsorted's result is at most len(knots), so only the lower clamp can bind
-        idx = np.maximum(self.knots.searchsorted(s, side="right") - 1, 0)
-        return self.values[idx]
+        return self.values.take(self.knots.searchsorted(s, side="right") - 1, mode="clip")
 
     def to_dict(self) -> dict:
         return {"kind": "isotonic", "knots": self.knots.tolist(), "values": self.values.tolist()}
@@ -570,7 +569,8 @@ def _fold_average(gates: Sequence[Sequence[FoldPipeline]], X_std: np.ndarray) ->
         row[:] = f.calibrator.predict(f.raw_scores(X_std))
     # mean's own arithmetic (a sum, then a division by the count), bit for
     # bit, without mean's overhead on the one-row calls of online routing
-    mean = scores.reshape(len(gates), n_folds, len(X_std)).sum(axis=1) / n_folds
+    mean = np.add.reduce(scores.reshape(len(gates), n_folds, len(X_std)), axis=1)
+    mean /= n_folds
     # np.clip's result bit for bit, -0.0 and nan included, in fewer calls:
     # np.maximum returns its second operand on a tie, so 0.0 goes first
     return np.minimum(np.maximum(0.0, mean, out=mean), 1.0, out=mean)
@@ -791,10 +791,21 @@ def gate_to_dict(gate: TrainedGate) -> dict:
     return payload
 
 
+def _finite_number(value, key: str):
+    """``value`` when it is a finite JSON number, an int or float but not a
+    bool; otherwise a ValueError naming ``key``. An int past float range
+    is refused, and nan fails the comparison."""
+    if not (type(value) in (int, float) and abs(value) <= sys.float_info.max):
+        raise ValueError(f"model artifact {key} must be a finite number, got {value!r}")
+    return value
+
+
 def gate_from_dict(obj: dict) -> TrainedGate:
     """The gate of gate_to_dict's dict. A bad hash, version or calibrator,
-    no folds, a scaler or fold vector without one value per feature name,
-    or a tau_star that is neither null nor a finite number is a ValueError
+    no folds, a fold's b or an entry of its w or of the scaler's mean or
+    std that is not a finite number (a numeric text or a bool included), a
+    scaler or fold vector without one value per feature name, or a
+    tau_star that is neither null nor a finite number is a ValueError
     naming what is wrong."""
     obj = dict(obj)
     stored_hash = obj.pop("content_hash", None)
@@ -807,6 +818,10 @@ def gate_from_dict(obj: dict) -> TrainedGate:
     shape = (len(feature_names),)
 
     def vector(value, key: str) -> np.ndarray:
+        if type(value) is not list:
+            raise ValueError(f"model artifact {key} must be a list of numbers, got {value!r}")
+        for entry in value:
+            _finite_number(entry, f"{key} entry")
         v = np.asarray(value, dtype=float)
         if v.shape != shape:
             raise ValueError(f"model artifact {key} has shape {v.shape}, not {shape}: one value per feature name")
@@ -821,7 +836,7 @@ def gate_from_dict(obj: dict) -> TrainedGate:
     folds = [
         FoldPipeline(
             w=vector(f["w"], f"fold {i} 'w'"),
-            b=float(f["b"]),
+            b=float(_finite_number(f["b"], f"fold {i} 'b'")),
             calibrator=_calibrator_from_dict(f["calibrator"]),
         )
         for i, f in enumerate(obj["folds"])

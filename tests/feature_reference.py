@@ -219,7 +219,8 @@ def assemble_separately(traces: Sequence[ResponseTrace], k: int = DEFAULT_TOP_K)
     its own width."""
     widths = [t.outcome.logprobs.shape[1] for t in traces]
     logprobs = features._stack_rows([t.outcome.logprobs for t in traces], max(widths))
-    outcome, no_mass = features._outcome_columns(traces, k, widths, logprobs, renormalize_topk_elementwise(logprobs[:, :k]))
+    outcome = np.empty((len(traces), features._OUTCOME_COLUMNS))
+    no_mass = features._outcome_columns(traces, k, widths, logprobs, renormalize_topk_elementwise(logprobs[:, :k]), outcome)
     spans = [t.reasoning for t in traces]
     present = [s for s in spans if len(s.chosen_logprobs)]
     probs = None
@@ -227,5 +228,8 @@ def assemble_separately(traces: Sequence[ResponseTrace], k: int = DEFAULT_TOP_K)
         width = min(k, max(s.logprobs.shape[1] for s in present))
         probs = renormalize_topk_elementwise(features._stack_rows([s.logprobs for s in present], width))
     reasoning = features.compute_sequence_features(spans, probs)
-    verbalized, attribution = features._verbalized_columns(traces), features._attribution_columns(traces)
+    verbalized = np.empty((len(traces), len(features._CATALOG[features.FeatureFamily.VERBALIZED])))
+    attribution = np.empty((len(traces), len(features._CATALOG[features.FeatureFamily.ATTRIBUTION])))
+    features._verbalized_columns(traces, verbalized)
+    features._attribution_columns(traces, attribution)
     return np.concatenate([outcome, reasoning, verbalized, attribution], axis=1), no_mass

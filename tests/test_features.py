@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping
@@ -844,3 +846,40 @@ class TestOracleEquivalence:
         assert f["entropy"] == pytest.approx(float(entropy), abs=1e-9)
         assert f["msp"] == pytest.approx(float(probs[0]), abs=1e-9)
         assert f["margin"] == pytest.approx(float(probs[0] - probs[1]), abs=1e-9)
+
+
+def _numpy_calls(fn) -> tuple[int, int]:
+    """The numpy calls fn() makes, counted by sys.setprofile: the C
+    functions and ndarray methods it reports as c_call, and the calls into
+    numpy's Python code (dispatchers and wrappers). Ufunc calls reach
+    neither count, since the profiler does not report them."""
+    npdir = os.path.dirname(np.__file__)
+    counts = [0, 0]
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            owner = getattr(arg, "__self__", None)
+            if any((getattr(x, "__module__", None) or "").startswith("numpy") for x in (arg, type(owner))):
+                counts[0] += 1
+        elif event == "call" and frame.f_code.co_filename.startswith(npdir):
+            counts[1] += 1
+
+    sys.setprofile(profile)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return counts[0], counts[1]
+
+
+class TestOneTraceCost:
+    def test_a_one_trace_extraction_makes_few_numpy_calls(self):
+        # the bounds are the fewest calls one trace of this corpus made with
+        # numpy 2.4 before the kernels wrote their blocks in place with
+        # fewer, cheaper calls (53 and 36); the counts depend on numpy's own
+        # wrappers, so the bounds leave room for another numpy release
+        traces, _ = generate_corpus(SynthConfig(n_items=40, cot=True, seed=1))
+        extract_table([traces[0]])  # first-call paths and caches
+        for trace in traces[1:]:
+            c_calls, python_calls = _numpy_calls(lambda: extract_table([trace]))
+            assert c_calls < 53 and python_calls < 36, (trace.item_id, c_calls, python_calls)

@@ -2,6 +2,7 @@ import http.server
 import json
 import math
 import random
+import re
 import threading
 
 import pytest
@@ -38,7 +39,7 @@ from lppgate.schema import (
     normalize_outcome_token,
     trace_to_dict,
 )
-from tests.token_reference import segment_spans_reference, span_view
+from tests.token_reference import provider_token_reference, segment_spans_reference, span_view
 
 NO_SLEEP = lambda _: None  # noqa: E731
 
@@ -237,7 +238,7 @@ class TestSegmentSpansReference:
     def test_slices_like_the_per_token_loop(self, response):
         content, raw = response
         wire = [{"surface": s, "logprob": lp, "top": [{"surface": c, "logprob": v} for c, v in top]} for s, lp, top in raw]
-        tokens = tuple(gateway._provider_token(t, "surface", "top") for t in wire)
+        tokens = gateway._provider_tokens(wire, "surface", "top")
         # The loop's min(lp, 0.0) turned +inf into 0; the gateway now leaves
         # +inf for token_span, which rejects it as it rejects nan, with the
         # same message, so the loop is fed nan wherever the stream holds +inf.
@@ -249,6 +250,60 @@ class TestSegmentSpansReference:
         assert got == _spans_or_error(segment_spans_reference, content, no_inf)
         if got != _spans_or_error(segment_spans_reference, content, raw):
             assert got[0] is InvalidLogprob  # a kept +inf is the only difference
+
+
+# every kind of logprob a provider's JSON may hold: floats, -0.0, ties,
+# positive values the gateway clamps, nan and ±inf, ints and numeric text
+_WIRE_LOGPROBS = st.one_of(
+    st.floats(min_value=-30, max_value=0),
+    st.sampled_from((0.0, -0.0, -0.7, 1e-10, 0.5, math.nan, math.inf, -math.inf)),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(min_value=-3, max_value=3),
+    st.sampled_from(("-0.5", "0", "-0.0", "1e-10", " -2 ", "inf", "nan")),
+)
+
+
+@st.composite
+def _wire_tokens(draw):
+    """A provider response's keys (the stub's or the HTTP provider's) and
+    its tokens as JSON objects under them, some with an empty or a missing
+    candidate list."""
+    surface_key, top_key = draw(st.sampled_from([("surface", "top"), ("token", "top_logprobs")]))
+    tokens = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        token = {surface_key: draw(st.sampled_from(["0", "1", " a"])), "logprob": draw(_WIRE_LOGPROBS)}
+        kind = draw(st.sampled_from(("list", "empty", "missing")))
+        if kind != "missing":
+            n = draw(st.integers(1, 4)) if kind == "list" else 0
+            token[top_key] = [{surface_key: draw(st.sampled_from(["0", "1", "x"])), "logprob": draw(_WIRE_LOGPROBS)} for _ in range(n)]
+        tokens.append(token)
+    return surface_key, top_key, tokens
+
+
+def _bits_of_triples(triples):
+    """Triples with each logprob as its type and repr, which tells -0.0
+    from 0.0 and an int from a float."""
+    def value(lp):
+        return type(lp), repr(lp)
+    return [(s, value(lp), [(c, value(v)) for c, v in top]) for s, lp, top in triples]
+
+
+class TestProviderTokens:
+    @settings(max_examples=400, deadline=None)
+    @given(_wire_tokens())
+    @example(("surface", "top", [{"surface": "1", "logprob": -0.0, "top": []}, {"surface": "0", "logprob": 0}]))
+    @example(("token", "top_logprobs", [{"token": "1", "logprob": "nan", "top_logprobs": [{"token": "1", "logprob": 2}]}]))
+    def test_equals_the_per_token_function(self, response):
+        surface_key, top_key, tokens = response
+        try:
+            want = [provider_token_reference(t, surface_key, top_key) for t in tokens]
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                gateway._provider_tokens(tokens, surface_key, top_key)
+            return
+        got = gateway._provider_tokens(tokens, surface_key, top_key)
+        assert type(got) is tuple and all(type(t) is tuple and type(t[2]) is tuple for t in got)
+        assert _bits_of_triples(got) == _bits_of_triples(want)
 
 
 class TestStubAndDispatch:

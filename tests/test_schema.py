@@ -596,6 +596,30 @@ class TestTokenSpanBulkCheck:
             assert all(type(s) is tuple for s in span.surfaces) and type(span.surfaces) is tuple
 
 
+@st.composite
+def _chosen_first_tokens(draw):
+    """Tokens as the benchmark's stub hands them to the gateway: each row
+    holds the chosen token first and then its alternatives in any order,
+    so a row is often not descending; rows of 1 to 7 candidates in one
+    span, and logprobs drawn from a few values, so ties are common."""
+    values = st.one_of(st.sampled_from((-0.0, 0.0, -0.7, -0.7, -1.2, -3.0)), st.floats(min_value=-9, max_value=0))
+    tokens = []
+    for t in range(draw(st.integers(min_value=1, max_value=30))):
+        chosen = (f"w{t}", draw(values))
+        alternatives = [(f"v{t}_{j}", draw(values)) for j in range(draw(st.integers(0, 6)))]
+        tokens.append((*chosen, (chosen, *alternatives)))
+    return tokens
+
+
+class TestTokenSpanChosenFirst:
+    @settings(max_examples=300, deadline=None)
+    @given(_chosen_first_tokens())
+    @example([("a", -0.7, (("a", -0.7), ("b", -0.7), ("c", 0.0)))])
+    @example([("a", -0.0, (("a", -0.0), ("b", 0.0))), ("c", -1.2, (("c", -1.2),))])
+    def test_equals_the_reference_with_ties_in_stable_order(self, tokens):
+        assert _bits(token_span(tokens)) == _bits(token_span_reference(tokens))
+
+
 # values a written span can hold: ties (0.0 against -0.0 included), and
 # one so large in magnitude that a sum over two of them overflows
 _SPAN_LOGPROBS = st.one_of(
@@ -892,6 +916,39 @@ class TestFieldTypes:
         (obj if field == "attempt" else obj["structured"])[field] = value
         lines[2] = json.dumps(obj) + "\n"
         path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(f'line 3 of {path}: {message}')}$"):
+            read_traces_jsonl(path)
+
+    # the text "1" in place of the list ["1"] read as that list before
+    @pytest.mark.parametrize("span, key, value", [
+        ("outcome", "chosen", "1"),
+        ("outcome", "chosen", [1]),
+        ("outcome", "chosen", [None]),
+        ("outcome", "surfaces", [["0", "1", 2, "3"]]),
+        ("outcome", "surfaces", ["0123"]),
+        ("outcome", "surfaces", "0123"),
+        ("reasoning", "chosen", ["a"] * 10 + [["b"]]),
+        ("outcome", "surfaces", [5]),
+        ("outcome", "surfaces", None),
+        ("outcome", "surfaces", 5),
+        ("reasoning", "surfaces", [{"a": 1}]),
+    ], ids=[
+        "chosen-text", "chosen-int", "chosen-null", "surface-int", "surfaces-row-text", "surfaces-text",
+        "surfaces-row-int", "surfaces-null", "surfaces-int", "reasoning-chosen-nested", "reasoning-surfaces-object",
+    ])
+    def test_span_record_lists_of_other_types_refused(self, tmp_path, span, key, value):
+        traces, _ = generate_corpus(SynthConfig(n_items=5, cot=True, seed=3))
+        path = tmp_path / "traces.jsonl"
+        write_traces_jsonl(traces, path)
+        lines = path.read_text().splitlines(keepends=True)
+        obj = json.loads(lines[2])
+        record = obj["spans"][span]
+        if key == "chosen" and span == "reasoning":
+            value = value[: len(record["chosen"]) - 1] + value[-1:]
+        record[key] = value
+        lines[2] = json.dumps(obj) + "\n"
+        path.write_text("".join(lines))
+        message = "span record chosen and surfaces rows must be lists of strings"
         with pytest.raises(ValueError, match=f"^{re.escape(f'line 3 of {path}: {message}')}$"):
             read_traces_jsonl(path)
 

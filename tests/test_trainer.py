@@ -1201,6 +1201,44 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             gate_from_dict(self._unhashed_doc_with_tau(tau_star))
 
+    @pytest.mark.parametrize(
+        "place, value",
+        [
+            ("b", "0.5"),
+            ("b", True),
+            ("b", None),
+            ("b", float("nan")),
+            ("w", "0.5"),
+            ("w", False),
+            ("mean", "0.5"),
+            ("std", True),
+            ("std", 10**400),
+        ],
+        ids=["b-text", "b-bool", "b-null", "b-nan", "w-text", "w-bool", "mean-text", "std-bool", "std-int-past-float-range"],
+    )
+    def test_fold_and_scaler_values_that_are_not_finite_numbers_rejected_on_load(self, place, value):
+        doc = self._unhashed_doc_with_tau(None)
+        if place == "b":
+            doc["folds"][1]["b"] = value
+            key = "fold 1 'b'"
+        elif place == "w":
+            doc["folds"][2]["w"][1] = value
+            key = "fold 2 'w' entry"
+        else:
+            doc["scaler"][place][0] = value
+            key = f"scaler '{place}' entry"
+        message = f"model artifact {key} must be a finite number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gate_from_dict(doc)
+
+    def test_fold_and_scaler_ints_load_as_floats(self):
+        doc = self._unhashed_doc_with_tau(None)
+        doc["folds"][0]["b"], doc["folds"][0]["w"][0], doc["scaler"]["std"][1] = 0, -2, 3
+        gate = gate_from_dict(doc)
+        assert (type(gate.folds[0].b), gate.folds[0].b) == (float, 0.0)
+        assert gate.folds[0].w.dtype == gate.scaler.std.dtype == np.float64
+        assert (gate.folds[0].w[0], gate.scaler.std[1]) == (-2.0, 3.0)
+
     @pytest.mark.parametrize("tau_star", [None, -3.5, 0, 2, 1.5e300], ids=str)
     def test_any_finite_tau_star_loads(self, tau_star):
         assert gate_from_dict(self._unhashed_doc_with_tau(tau_star)).tau_star == tau_star

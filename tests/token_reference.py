@@ -2,8 +2,9 @@
 reference that token_span, the spans trace_from_dict reads from a trace
 file's base64 float64 span records, and the feature kernels are checked
 against; token_span as one loop that checks each value before it appends
-and sorts, the reference for its span builder; and the per-token loop
-that gateway.segment_spans replaced."""
+and sorts, the reference for its span builder; the per-token loop that
+gateway.segment_spans replaced; and the per-token function that
+gateway._provider_tokens replaced."""
 
 from __future__ import annotations
 
@@ -157,3 +158,15 @@ def segment_spans_reference(content: str, tokens) -> tuple[TokenSpan, TokenSpan]
     if not outcome:
         raise OutcomeTokenNotFound("token stream does not cover the outcome field value")
     return token_span(outcome), token_span(reasoning)
+
+
+def provider_token_reference(token, surface_key: str, top_key: str) -> tuple:
+    """gateway._provider_tokens for one token, as the per-token function it
+    was: each logprob made a float, and a finite positive one clamped to 0."""
+    surface, logprob, top = token[surface_key], token["logprob"], iter(token.get(top_key, ()))
+    lp = float(logprob)
+    return (
+        surface,
+        0.0 if 0.0 < lp < math.inf else lp,
+        tuple([(c[surface_key], 0.0 if 0.0 < (f := float(c["logprob"])) < math.inf else f) for c in top]),
+    )
