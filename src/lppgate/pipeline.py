@@ -351,9 +351,8 @@ def score_and_route(
     ids: Sequence[str],
 ) -> tuple[LabeledRows, np.ndarray, np.ndarray]:
     """Score the rows of ids with the gate and route them at its frozen
-    tau*: (labelled rows, scores, trust decisions)."""
-    if gate.tau_star is None:
-        raise ValueError("gate has no frozen threshold; run the sweep first")
+    tau*: (labelled rows, scores, trust decisions). decisions_at refuses a
+    gate whose tau* is unset."""
     rows = build_examples(table, labels, ids)
     scores = predict_score(gate, table.names, rows.X)
     return rows, scores, decisions_at(scores, gate.tau_star)

@@ -119,7 +119,11 @@ class PolicyResult:
 
 
 def decisions_at(scores: Sequence[float], tau: float) -> np.ndarray:
-    """Vectorized routing: boolean array, True = trust."""
+    """Vectorized routing: boolean array, True = trust. A tau of None, the
+    threshold of a gate that train wrote and sweep has not frozen, is a
+    ValueError."""
+    if tau is None:
+        raise ValueError("gate has no frozen threshold; run the sweep first")
     return np.asarray(scores, dtype=float) >= tau
 
 

@@ -25,6 +25,12 @@ tests/test_synth.py pins both: the files equal those of the calls
 themselves (tests/synth_reference.py), and each replacement equals its
 numpy call over many generator states, so a numpy release that changes
 one of those algorithms fails the tests instead of moving the corpora.
+A CoT item draws its reasoning tokens one at a time (a uniform, then four
+exponentials) and takes one np.log over the item's (T, 5) probabilities,
+which gives the bits of one log per value, as the tests also check. Every
+item reuses one string object per reasoning surface (_REASONING_SURFACES)
+and one tuple of reasoning steps (_COT_STEPS), so a reasoning token holds
+no objects of its own.
 """
 
 from __future__ import annotations
@@ -65,6 +71,15 @@ _P_VIOLATING = 0.5
 _SURFACE_SPLIT_RATE = 0.1
 #: Share of items that report no p_correct.
 _P_CORRECT_MISSING_RATE = 0.02
+#: A CoT item draws its count of reasoning tokens from [15, this).
+_MAX_REASONING_TOKENS = 40
+#: Reasoning token t's chosen surface and its four alternatives, one string
+#: object each, shared by every token t of every corpus.
+_REASONING_SURFACES = tuple(
+    (f" w{t}", *(f" v{t}_{j}" for j in range(4))) for t in range(_MAX_REASONING_TOKENS)
+)
+#: The reasoning steps of every CoT item.
+_COT_STEPS = tuple(ReasoningStep(k + 1, f"consider aspect {k + 1}") for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -143,20 +158,21 @@ def _outcome_token(rng: np.random.Generator, peaked: bool, chosen_surface: str) 
 
 
 def _reasoning_tokens(rng: np.random.Generator, z: int, strength: float) -> list[tuple]:
-    tokens = []
     informative = rng.random() < strength
     fluent = bool(z) if informative else bool(rng.integers(0, 2))
     lo, hi = (0.6, 0.95) if fluent else (0.2, 0.8)
-    for t in range(int(rng.integers(15, 40))):
-        p_chosen = float(rng.uniform(lo, hi))
+    uniform, exponential = rng.uniform, rng.standard_exponential
+    probs = []
+    for _ in range(int(rng.integers(15, _MAX_REASONING_TOKENS))):
+        p_chosen = uniform(lo, hi)
         rest = 1.0 - p_chosen
         # rng.dirichlet((1.0,) * 4), drawn as its four exponentials
-        logprobs = np.log([p_chosen, *[p * rest for p in _normalized(rng.standard_exponential(4).tolist())]]).tolist()
-        chosen = (f" w{t}", logprobs[0])
-        candidates = [chosen] + [(f" v{t}_{j}", lp) for j, lp in enumerate(logprobs[1:])]
+        probs.append([p_chosen, *[p * rest for p in _normalized(exponential(4).tolist())]])
+    tokens = []
+    for surfaces, logprobs in zip(_REASONING_SURFACES, np.log(probs).tolist()):
         # handed over in the stable descending order token_span would sort them into
-        candidates.sort(key=itemgetter(1), reverse=True)
-        tokens.append((*chosen, candidates))
+        candidates = sorted(zip(surfaces, logprobs), key=itemgetter(1), reverse=True)
+        tokens.append((surfaces[0], logprobs[0], candidates))
     return tokens
 
 
@@ -202,7 +218,7 @@ def generate_corpus(cfg: SynthConfig) -> tuple[list[ResponseTrace], list[LabelRo
         steps: tuple[ReasoningStep, ...] = ()
         reasoning = []
         if cfg.cot:
-            steps = tuple(ReasoningStep(k + 1, f"consider aspect {k + 1}") for k in range(3))
+            steps = _COT_STEPS
             reasoning = _reasoning_tokens(rng, z, signal["sequence"])
 
         structured = StructuredResponse(outcome, steps, p_correct, band)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,10 +12,10 @@ from pathlib import Path
 import pytest
 
 import lppgate
-from lppgate import pipeline
+from lppgate import pipeline, policy, trainer
 from lppgate.cli import INPUTS, READERS, REWRITES, build_parser, main, stage_argv
 from lppgate.dataset import label_correctness
-from lppgate.schema import trace_to_dict, write_traces_jsonl
+from lppgate.schema import read_traces_jsonl, trace_to_dict, write_traces_jsonl
 from lppgate.synth import SynthConfig, generate_corpus
 
 # Every flag that names a file a command reads.
@@ -184,6 +185,18 @@ class TestPipelineArtifacts:
         assert extra["tau_star_on_grid_edge"] is on_edge
         assert extra["tau_star"] == report["tau_star"]
         assert "tau_star_on_grid_edge" not in report
+
+    def test_routing_with_the_model_train_wrote_names_the_missing_threshold(self, workdir, tmp_path):
+        # train writes model.json with tau_star null; sweep freezes it
+        code = run_cli("train", "--out", tmp_path, *labelled(workdir), "--train-ids", workdir / "train_ids.txt", "--quick-grid")
+        assert code == 0
+        gate = trainer.load_gate(tmp_path / "model.json")
+        assert gate.tau_star is None
+        trace = read_traces_jsonl(workdir / "traces.jsonl")[0]
+        table = pipeline.extract_table([trace])
+        scores = trainer.predict_score(gate, table.names, table.matrix)
+        with pytest.raises(ValueError, match=re.escape("gate has no frozen threshold; run the sweep first")):
+            policy.decisions_at(scores, gate.tau_star)
 
     def test_model_has_frozen_tau(self, workdir):
         model = json.loads((workdir / "model.json").read_text())

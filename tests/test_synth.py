@@ -73,6 +73,18 @@ class TestTraceShape:
         assert all(len(t.structured.reasoning_steps) == 3 for t in traces)
         assert all(len(t.reasoning.chosen) >= 15 for t in traces)
 
+    def test_cot_items_share_surfaces_and_steps(self):
+        # a reasoning token holds no string of its own: every item reuses
+        # the module's surface table and its one tuple of steps
+        traces, _ = generate_corpus(SynthConfig(n_items=300, cot=True, seed=3))
+        spans = [t.reasoning for t in traces]
+        surfaces = {id(s) for span in spans for s in span.chosen} | {
+            id(s) for span in spans for row in span.surfaces for s in row
+        }
+        assert sum(len(span.chosen) for span in spans) > len(synth._REASONING_SURFACES) * 5
+        assert len(surfaces) <= len(synth._REASONING_SURFACES) * 5
+        assert all(t.structured.reasoning_steps is traces[0].structured.reasoning_steps for t in traces)
+
     def test_confident_abstentions_when_complementary(self):
         cfg = SynthConfig(n_items=2000, signal={"attribution": 1.0}, seed=42)
         traces, labels = generate_corpus(cfg)
@@ -169,5 +181,11 @@ class TestDrawsEqualNumpyCalls:
                 assert [choices[j] for j in ours.permutation(4).tolist()] == numpys.permutation(choices).tolist()
                 # the streams stay in step
                 assert ours.random() == numpys.random()
-        # one np.log over a list equals one call per value
-        assert np.log(values).tolist() == [float(np.log(v)) for v in values]
+        # one np.log over a list equals one call per value, and so does one
+        # over an item's (T, 5) rows at every token count T
+        one_by_one = [float(np.log(v)) for v in values]
+        assert np.log(values).tolist() == one_by_one
+        for t in range(1, synth._MAX_REASONING_TOKENS):
+            for start in range(0, len(values) - 5 * t + 1, 5 * t):
+                rows = [values[i:i + 5] for i in range(start, start + 5 * t, 5)]
+                assert np.log(rows).tolist() == [one_by_one[i:i + 5] for i in range(start, start + 5 * t, 5)]
