@@ -388,8 +388,9 @@ def cmd_ablate(args, cfg: RunConfig, read, out):
 
 def cmd_sensitivity(args, cfg: RunConfig, read, out):
     gate = read.model
-    test, _, trust = pipeline.score_and_route(gate, read.features, read.labels, read.test_ids)
-    counts = policy.confusion(trust, test.z)
+    test = pipeline.build_examples(read.features, read.labels, read.test_ids)
+    scores = trainer.predict_score(gate, read.features.names, test.X)
+    counts = policy.confusion(policy.decisions_at(scores, gate.tau_star), test.z)
     r_grid = _floats("--r-grid", args.r_grid, 3) if args.r_grid else (0.4, 0.9, 0.05)
     r_values = [policy.check_ratio(r, "--r-grid ratio") for r in policy.tau_grid(*r_grid).tolist()]
     m = cfg.cost_model()

@@ -6,33 +6,40 @@ decision; Macro-F1 averages the two classes. AUC-ROC uses the rank
 increasing transform of the scores leaves it unchanged. A metric whose
 class is absent is reported as absent (None), never as 0.
 
+Every scored method, the meta-model or a baseline, is one ScoredSplit:
+its scores and labels on the validation and test halves, and the tau* it
+froze on validation. Its test_metrics, the test half routed at tau* by
+decisions_at, is the one route from a method's scores to its metrics.
+
 The baselines are one table, BASELINES: method -> (feature column, sign).
 A baseline scores items by its column times its sign (entropy's -1 makes
 low entropy look confident), min-max rescaled to [0,1] on the validation
-split; its threshold is swept on validation by the meta-model's
-sweep_threshold and the test split is routed at it by decisions_at, so
-the comparison is like for like.
+split; run_baseline sweeps its threshold there with the meta-model's
+sweep_threshold, so the comparison is like for like.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .policy import (
     ConfusionCounts,
     CostModel,
-    PolicyResult,
     confusion,
     decisions_at,
     expected_cost,
     sweep_threshold,
 )
 
+if TYPE_CHECKING:
+    from .dataset import LabeledRows
+
 __all__ = [
     "MetricsReport",
+    "ScoredSplit",
     "BASELINES",
     "MissingFeature",
     "auc_roc",
@@ -136,28 +143,44 @@ def minmax_rescale(fit_values: np.ndarray, apply_values: np.ndarray) -> np.ndarr
     return np.clip((np.asarray(apply_values, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
 
 
+@dataclass(frozen=True)
+class ScoredSplit:
+    """One method's scores and correctness labels on the validation and
+    test halves of a split, and the threshold it froze on validation (None
+    for a gate that sweep has not frozen)."""
+
+    method: str
+    val_scores: np.ndarray
+    val_z: np.ndarray
+    test_scores: np.ndarray
+    test_z: np.ndarray
+    tau_star: float | None
+
+    def test_metrics(self, m: CostModel) -> MetricsReport:
+        """compute_metrics of the test half routed at tau* by decisions_at,
+        which refuses a tau* of None."""
+        decisions = decisions_at(self.test_scores, self.tau_star)
+        return compute_metrics(self.test_scores, decisions, self.test_z, m)
+
+
 def run_baseline(
     method: str,
     names: Sequence[str],
-    X_val: np.ndarray,
-    z_val: Sequence[int],
-    X_test: np.ndarray,
-    z_test: Sequence[int],
+    val: LabeledRows,
+    test: LabeledRows,
     m: CostModel,
     grid: np.ndarray | None = None,
-) -> tuple[PolicyResult, MetricsReport]:
-    """Sweep the BASELINES method's threshold on validation and route the
-    test split at it; returns (validation policy, test metrics)."""
+) -> ScoredSplit:
+    """The BASELINES method's scored split of the val and test rows, its
+    tau* swept on the validation half."""
     column, sign = BASELINES[method]
     if column not in names:
         raise MissingFeature(column)
     col = list(names).index(column)
-    raw_val = sign * np.asarray(X_val, dtype=float)[:, col]
-    raw_test = sign * np.asarray(X_test, dtype=float)[:, col]
+    raw_val, raw_test = (sign * np.asarray(rows.X, dtype=float)[:, col] for rows in (val, test))
     s_val = minmax_rescale(raw_val, raw_val)
-    s_test = minmax_rescale(raw_val, raw_test)
-    policy = sweep_threshold(s_val, z_val, m, grid)
-    return policy, compute_metrics(s_test, decisions_at(s_test, policy.tau_star), z_test, m)
+    tau_star = sweep_threshold(s_val, val.z, m, grid).tau_star
+    return ScoredSplit(method, s_val, val.z, minmax_rescale(raw_val, raw_test), test.z, tau_star)
 
 
 def always_trust_report(z_test: Sequence[int], m: CostModel) -> MetricsReport:

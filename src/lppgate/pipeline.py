@@ -31,7 +31,7 @@ from .features import (
     family_of,
 )
 from .manifest import open_atomic, write_csv_atomic, write_json_atomic, write_text_atomic
-from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, decisions_at, sweep_threshold
+from .policy import CostModel, PolicyResult, cost_ratio_sensitivity, sweep_threshold
 from .schema import OutcomeLabel, Reason, ResponseTrace, check_item_ids
 from .trainer import TrainedGate, cross_fit_calibrated, grid_search, predict_score
 
@@ -48,7 +48,7 @@ __all__ = [
     "write_id_list",
     "read_id_list",
     "build_examples",
-    "score_and_route",
+    "gate_split",
     "train_gate",
     "sweep_gate",
     "evaluate_methods",
@@ -304,18 +304,23 @@ def load_labels(path) -> dict[str, tuple[int, OutcomeLabel]]:
 
 
 def write_id_list(ids: Sequence[str], path) -> None:
-    """One id a line. read_id_list skips blank lines, so an empty id, which
-    would drop out of the list, is refused before anything is written."""
+    """One id a line. read_id_list skips blank lines and refuses a list of
+    none, so an empty id or list is refused before anything is written."""
     check_item_ids(ids, "the id list")
+    if not ids:
+        raise ValueError(f"the id list {path} would hold no ids")
     if "" in ids:
         raise ValueError(f"item_id '' cannot be written to the id list {path}: its line would be blank")
     write_text_atomic(path, "".join(f"{i}\n" for i in ids))
 
 
 def read_id_list(path) -> list[str]:
+    """The ids of a file write_id_list wrote; a file of none is refused, as no split is empty."""
     with open(path, encoding="utf-8") as fh:
         # only the terminator goes: an id keeps any spaces it has
         ids = [line.rstrip("\n") for line in fh if line != "\n"]
+    if not ids:
+        raise ValueError(f"the id list {path} holds no ids")
     check_item_ids(ids, path)
     return ids
 
@@ -344,18 +349,12 @@ def build_examples(
     )
 
 
-def score_and_route(
-    gate: TrainedGate,
-    table: FeatureTable,
-    labels: Mapping[str, tuple[int, OutcomeLabel]],
-    ids: Sequence[str],
-) -> tuple[LabeledRows, np.ndarray, np.ndarray]:
-    """Score the rows of ids with the gate and route them at its frozen
-    tau*: (labelled rows, scores, trust decisions). decisions_at refuses a
-    gate whose tau* is unset."""
-    rows = build_examples(table, labels, ids)
-    scores = predict_score(gate, table.names, rows.X)
-    return rows, scores, decisions_at(scores, gate.tau_star)
+def gate_split(
+    gate: TrainedGate, names: Sequence[str], val: LabeledRows, test: LabeledRows
+) -> evaluation.ScoredSplit:
+    """The gate's scored split of the val and test rows, at its frozen tau*."""
+    val_scores, test_scores = (predict_score(gate, names, rows.X) for rows in (val, test))
+    return evaluation.ScoredSplit("meta_model", val_scores, val.z, test_scores, test.z, gate.tau_star)
 
 
 def train_gate(
@@ -409,25 +408,20 @@ def evaluate_methods(
 ) -> dict[str, dict]:
     """Meta-model at its frozen threshold plus the three single-feature
     baselines (thresholds swept on validation) plus always-trust, all
-    evaluated on the test split. The two id lists must be disjoint."""
+    evaluated on the test split, each scored one through its ScoredSplit.
+    The two id lists must be disjoint."""
     test_set = set(test_ids)
     shared = next((i for i in validation_ids if i in test_set), None)
     if shared is not None:
         raise ValueError(f"item_id {shared!r} is in both the validation and the test ids")
-    test, scores, decisions = score_and_route(gate, table, labels, test_ids)
-    val = build_examples(table, labels, validation_ids)
-
-    def entry(tau_star: float, metrics: evaluation.MetricsReport) -> dict:
+    val, test = (build_examples(table, labels, ids) for ids in (validation_ids, test_ids))
+    splits = [gate_split(gate, table.names, val, test)]
+    splits += [evaluation.run_baseline(method, table.names, val, test, cost, grid) for method in evaluation.BASELINES]
+    results = {}
+    for split in splits:
+        metrics = split.test_metrics(cost)
         sensitivity = cost_ratio_sensitivity(metrics.counts, r_values)
-        return {"tau_star": tau_star, "metrics": metrics.to_dict(), "sensitivity": sensitivity}
-
-    meta = evaluation.compute_metrics(scores, decisions, test.z, cost)
-    results = {"meta_model": entry(gate.tau_star, meta)}
-    for method in evaluation.BASELINES:
-        val_policy, test_metrics = evaluation.run_baseline(
-            method, table.names, val.X, val.z, test.X, test.z, cost, grid
-        )
-        results[method] = entry(val_policy.tau_star, test_metrics)
+        results[split.method] = {"tau_star": split.tau_star, "metrics": metrics.to_dict(), "sensitivity": sensitivity}
 
     at_metrics = evaluation.always_trust_report(test.z, cost)
     results["always_trust"] = {"tau_star": None, "metrics": at_metrics.to_dict()}
@@ -454,8 +448,8 @@ def run_ablation(
     def test_cost(t: FeatureTable) -> float:
         gate, _ = train_gate(t, labels, train_ids, resample_cfg, space, seed)
         sweep_gate(gate, t, labels, validation_ids, cost, grid)
-        test, _, trust = score_and_route(gate, t, labels, test_ids)
-        return policy.expected_cost(policy.confusion(trust, test.z), cost)
+        val, test = (build_examples(t, labels, ids) for ids in (validation_ids, test_ids))
+        return gate_split(gate, t.names, val, test).test_metrics(cost).expected_cost
 
     full_cost = test_cost(table)
     rows = []

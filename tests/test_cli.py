@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -12,8 +13,8 @@ from pathlib import Path
 import pytest
 
 import lppgate
-from lppgate import pipeline, policy, trainer
-from lppgate.cli import INPUTS, READERS, REWRITES, build_parser, main, stage_argv
+from lppgate import evaluation, pipeline, policy, trainer
+from lppgate.cli import INPUTS, READERS, REWRITES, RunConfig, build_parser, main, stage_argv
 from lppgate.dataset import label_correctness
 from lppgate.schema import read_traces_jsonl, trace_to_dict, write_traces_jsonl
 from lppgate.synth import SynthConfig, generate_corpus
@@ -215,6 +216,32 @@ class TestPipelineArtifacts:
         assert sens["expected_cost"] == pytest.approx(meta["expected_cost"], abs=1e-9)
         at_064 = next(p for p in sens["curve"] if abs(p["r"] - 0.64) < 1e-9)
         assert at_064["relative_cost"] == pytest.approx(meta["expected_cost"], abs=1e-9)
+
+    def test_scored_splits_reproduce_the_run(self, workdir):
+        # each scored method's ScoredSplit, rebuilt from the run's files,
+        # routed at its tau* gives evaluation.json's counts, and its tau* is
+        # the sweep of its validation half at the run's cost and grid
+        cfg = RunConfig(**json.loads((workdir / "evaluate.manifest.json").read_text())["config"])
+        cost, grid = cfg.cost_model(), cfg.tau_grid()
+        table = pipeline.load_features(workdir / "features.csv", workdir / "features.families.json")
+        labels = pipeline.load_labels(workdir / "labels.csv")
+        val, test = (
+            pipeline.build_examples(table, labels, pipeline.read_id_list(workdir / f"{name}_ids.txt"))
+            for name in ("validation", "test")
+        )
+        gate = trainer.load_gate(workdir / "model.json")
+        splits = [pipeline.gate_split(gate, table.names, val, test)]
+        splits += [evaluation.run_baseline(m, table.names, val, test, cost, grid) for m in evaluation.BASELINES]
+        methods = json.loads((workdir / "evaluation.json").read_text())["methods"]
+        assert sorted(split.method for split in splits) == sorted(set(methods) - {"always_trust"})
+        for split in splits:
+            entry = methods[split.method]
+            trust = policy.decisions_at(split.test_scores, split.tau_star)
+            assert dataclasses.asdict(policy.confusion(trust, split.test_z)) == entry["metrics"]["counts"]
+            assert split.test_metrics(cost).to_dict() == entry["metrics"]
+            assert split.tau_star == entry["tau_star"]
+            assert policy.sweep_threshold(split.val_scores, split.val_z, cost, grid).tau_star == split.tau_star
+        assert splits[0].tau_star == json.loads((workdir / "model.json").read_text())["tau_star"]
 
     def test_extract_idempotent(self, workdir, tmp_path):
         before = (workdir / "features.csv").read_bytes()
@@ -689,6 +716,27 @@ class TestErrors:
         assert error["type"] == "ValueError"
         assert error["message"].startswith("item_id '' cannot be written to the id list ")
         assert not list(run.glob("*_ids.txt"))
+
+    @pytest.mark.parametrize("command, empty", [
+        ("sweep", "validation_ids"),
+        ("evaluate", "validation_ids"),
+        ("evaluate", "test_ids"),
+        ("sensitivity", "test_ids"),
+    ])
+    def test_empty_id_list_refused(self, workdir, tmp_path, capsys, command, empty):
+        # a run directory holding the run's files, one id list emptied
+        run = tmp_path / "run"
+        shutil.copytree(workdir, run)
+        (run / f"{empty}.txt").write_text("")
+        model = (run / "model.json").read_bytes()
+        argv = stage_argv(command, run)
+        out = argv[2] = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*argv) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValueError", "message": f"the id list {run / f'{empty}.txt'} holds no ids"}
+        assert not out.exists() or not list(out.iterdir())
+        assert (run / "model.json").read_bytes() == model
 
     def test_train_names_an_id_without_a_feature_row(self, workdir, tmp_path, capsys):
         ids = tmp_path / "ids.txt"

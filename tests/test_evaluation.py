@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lppgate.evaluation import (
     REPORT_COLUMNS,
     MissingFeature,
+    ScoredSplit,
     always_trust_report,
     auc_roc,
     compute_metrics,
@@ -16,7 +17,8 @@ from lppgate.evaluation import (
     per_class_f1,
     run_baseline,
 )
-from lppgate.policy import ConfusionCounts, CostModel, confusion, cost_ratio_sensitivity, expected_cost
+from lppgate.dataset import LabeledRows
+from lppgate.policy import ConfusionCounts, CostModel, confusion, cost_ratio_sensitivity, decisions_at, expected_cost
 
 
 class TestAuc:
@@ -120,6 +122,12 @@ def _feature_table(values_by_column, names):
 class TestRunBaseline:
     NAMES = ["outcome_topk.entropy", "outcome_topk.msp", "outcome_topk.margin"]
 
+    @staticmethod
+    def _rows(X, z):
+        z = np.asarray(z, dtype=int)
+        ids = tuple(f"item-{i}" for i in range(len(z)))
+        return LabeledRows(ids, np.asarray(X, dtype=float), z, np.zeros(len(z), dtype=bool))
+
     def _matrices(self, entropy_val, entropy_test, msp_val=None, msp_test=None):
         n_val, n_test = len(entropy_val), len(entropy_test)
         X_val = np.column_stack(
@@ -138,28 +146,38 @@ class TestRunBaseline:
 
         z_val = np.array([1, 1, 0, 0])
         X_val, X_test = self._matrices(entropy_val, entropy_val)
-        policy_result, metrics = run_baseline(
-            "entropy", self.NAMES, X_val, z_val, X_test, z_val, CostModel()
+        split = run_baseline(
+            "entropy", self.NAMES, self._rows(X_val, z_val), self._rows(X_test, z_val), CostModel()
         )
-        assert policy_result.tau_star <= 1.0
+        assert split.method == "entropy"
+        assert split.tau_star <= 1.0
         # the delta item is z=1 and trusted: it can never be a false negative
-        assert metrics.counts.fn == 0
+        assert split.test_metrics(CostModel()).counts.fn == 0
 
     def test_missing_feature(self):
+        rows = self._rows(np.zeros((2, 1)), [0, 1])
         with pytest.raises(MissingFeature):
-            run_baseline(
-                "msp", ["other.column"], np.zeros((2, 1)), [0, 1], np.zeros((2, 1)), [0, 1], CostModel()
-            )
+            run_baseline("msp", ["other.column"], rows, rows, CostModel())
 
     def test_two_point_minmax_exact(self):
         X_val = np.column_stack([[0.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         z_val = np.array([0, 1])
-        policy_result, _ = run_baseline(
-            "top2_margin", self.NAMES, X_val, z_val, X_val, z_val, CostModel()
-        )
+        rows = self._rows(X_val, z_val)
+        split = run_baseline("top2_margin", self.NAMES, rows, rows, CostModel())
         # margins {0,1} rescale to {0,1}: escalating the 0 and trusting the 1
         # is achievable and optimal
-        assert policy_result.counts.tn == 1 and policy_result.counts.tp == 1
+        counts = confusion(decisions_at(split.val_scores, split.tau_star), split.val_z)
+        assert counts.tn == 1 and counts.tp == 1
+
+
+class TestScoredSplit:
+    def test_test_metrics_route_the_test_half_at_tau_star(self):
+        m = CostModel()
+        scores = np.array([0.2, 0.6, 0.9])
+        split = ScoredSplit("m", scores, np.array([0, 1, 1]), scores, np.array([0, 0, 1]), 0.5)
+        want = compute_metrics(split.test_scores, [False, True, True], split.test_z, m)
+        assert split.test_metrics(m) == want
+        assert want.counts == ConfusionCounts(tp=1, fp=1, tn=1, fn=0)
 
 
 class TestBaselineMetaEquivalence:

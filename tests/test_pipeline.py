@@ -185,6 +185,19 @@ class TestFileRoundTrips:
         path.write_text("a\n\n b\n")
         assert pipeline.read_id_list(path) == ["a", " b"]
 
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n"], ids=["empty", "one-blank-line", "blank-lines"])
+    def test_id_list_with_no_ids_refused(self, tmp_path, text):
+        path = tmp_path / "ids.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"the id list {path} holds no ids")):
+            pipeline.read_id_list(path)
+
+    def test_empty_id_list_not_written(self, tmp_path):
+        path = tmp_path / "ids.txt"
+        with pytest.raises(ValueError, match=re.escape(f"the id list {path} would hold no ids")):
+            pipeline.write_id_list([], path)
+        assert not path.exists()
+
     def test_repeated_label_id_rejected(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("item_id,ground_truth,llm_outcome\na,1,1\nb,1,1\na,0,1\n")
@@ -633,7 +646,8 @@ def _run_ablation_reference(
         table = pipeline.extract_table(traces, families, k=k)
         gate, _ = pipeline.train_gate(table, labels, train_ids, resample_cfg, space, seed)
         pipeline.sweep_gate(gate, table, labels, validation_ids, cost, grid)
-        test, _, trust = pipeline.score_and_route(gate, table, labels, test_ids)
+        test = pipeline.build_examples(table, labels, test_ids)
+        trust = policy.decisions_at(trainer.predict_score(gate, table.names, test.X), gate.tau_star)
         return policy.expected_cost(policy.confusion(trust, test.z), cost)
 
     full_cost = end_to_end(include)
